@@ -6,8 +6,7 @@ is scored by the fair gain from trade, the smaller of the two surpluses.
 This package provides the exact reward/oracle layer, the feedback models,
 the learning algorithms with their hard instances, and a reproducible
 Monte Carlo harness with verification suites.  Hot loops run through
-numba-compiled kernels when numba is available (set FTL_NO_NUMBA=1 to
-force the pure-NumPy fallback).
+NumPy kernels that reproduce the round-by-round learners draw for draw.
 """
 
 from .algorithms import (
@@ -82,7 +81,6 @@ from .harness import (
     run_episode,
     run_monte_carlo,
 )
-from .kernels import HAS_NUMBA, USE_NUMBA, warmup
 from .verify import (
     SUITE_ORDER,
     CheckResult,

@@ -31,7 +31,13 @@ import numpy as np
 
 from . import kernels
 from .core import ValuationPair, best_fixed_price_gft, empirical_best_price
-from .environments import Environment, FeedbackModel, TwoBitFeedback, UnknownIdError
+from .environments import (
+    Environment,
+    FeedbackModel,
+    TwoBitFeedback,
+    UnknownIdError,
+    _parse_params,
+)
 from .rng import SplitMix64, mix64
 
 
@@ -315,13 +321,7 @@ class LearnerSpec:
 def parse_learner(learner_id: str) -> LearnerSpec:
     """Resolve a learner id string like 'conv-pricing:K=100' or 'fixed:p=0.5'."""
     head, _, tail = learner_id.partition(":")
-    params: dict = {}
-    if tail:
-        for chunk in tail.split(","):
-            if "=" not in chunk:
-                raise UnknownIdError(f"malformed parameter {chunk!r} in {learner_id!r}")
-            key, value = chunk.split("=", 1)
-            params[key.strip()] = value.strip()
+    params = _parse_params(tail, learner_id) if tail else {}
     try:
         if head == "conv-pricing":
             if set(params) - {"K"}:

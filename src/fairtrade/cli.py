@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
@@ -46,10 +45,7 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _resolve_threads(value) -> int:
-    if value is None:
-        value = os.environ.get("FTL_THREADS", "1")
-    threads = int(value)
+def _resolve_threads(threads: int) -> int:
     if threads < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")
     return threads
@@ -175,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute an experiment config, write regret CSV")
     run_p.add_argument("--config", required=True, help="JSON experiment file")
     run_p.add_argument("--out", help="output CSV path (overrides the config's 'output')")
-    run_p.add_argument("--threads", type=int, default=None, help="episode workers (or FTL_THREADS)")
+    run_p.add_argument("--threads", type=int, default=1, help="episode workers (default 1)")
     run_p.add_argument("--seed", type=int, default=None, help="default base_seed for runs lacking one")
     run_p.add_argument("--strict-feedback", action="store_true", help="forbid deriving two bits from full feedback")
     run_p.set_defaults(handler=cmd_run)
@@ -193,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_p = sub.add_parser("verify", help="run verification suites, write JSON report")
     verify_p.add_argument("--suite", default="all", help="suite name or 'all'")
     verify_p.add_argument("--out", help="JSON report path")
-    verify_p.add_argument("--threads", type=int, default=None, help="episode workers (or FTL_THREADS)")
+    verify_p.add_argument("--threads", type=int, default=1, help="episode workers (default 1)")
     verify_p.set_defaults(handler=cmd_verify)
 
     sub.add_parser("list-envs", help="registered environment ids").set_defaults(

@@ -131,11 +131,12 @@ class FiniteMarginal:
         weights = np.ascontiguousarray(weights, dtype=np.float64)
         if values.ndim != 1 or values.shape != weights.shape or values.size == 0:
             raise ValueError("values and weights must be matching non-empty 1-d arrays")
-        if np.any(values < 0.0) or np.any(values > 1.0):
+        # written so that NaN fails every check
+        if not np.all((values >= 0.0) & (values <= 1.0)):
             raise ValueError("values must lie in [0, 1]")
-        if np.any(weights <= 0.0):
+        if not np.all(weights > 0.0):
             raise ValueError("weights must be strictly positive")
-        if abs(float(weights.sum()) - 1.0) > WEIGHT_TOL:
+        if not abs(float(weights.sum()) - 1.0) <= WEIGHT_TOL:
             raise ValueError("weights must sum to 1 within 1e-12")
         if np.unique(values).size != values.size:
             raise ValueError("values must be pairwise distinct")
@@ -175,12 +176,13 @@ class FiniteJointDistribution:
         sellers = np.ascontiguousarray([e[0] for e in entries], dtype=np.float64)
         buyers = np.ascontiguousarray([e[1] for e in entries], dtype=np.float64)
         w = np.ascontiguousarray([e[2] for e in entries], dtype=np.float64)
+        # written so that NaN fails every check
         for arr, name in ((sellers, "seller values"), (buyers, "buyer values")):
-            if np.any(arr < 0.0) or np.any(arr > 1.0):
+            if not np.all((arr >= 0.0) & (arr <= 1.0)):
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if np.any(w <= 0.0):
+        if not np.all(w > 0.0):
             raise ValueError("weights must be strictly positive")
-        if abs(float(w.sum()) - 1.0) > WEIGHT_TOL:
+        if not abs(float(w.sum()) - 1.0) <= WEIGHT_TOL:
             raise ValueError("weights must sum to 1 within 1e-12")
         if len({(s, b) for s, b, _ in entries}) != len(entries):
             raise ValueError("atoms must be pairwise distinct")
@@ -297,8 +299,8 @@ def empirical_best_price(samples: Sequence[tuple]) -> PricePoint:
 
     Candidates are the breakpoints of the empirical mean (sample coordinates
     and midpoints, plus 0 and 1).  Per-candidate totals accumulate sample by
-    sample in arrival order, so reruns and the compiled fast path reproduce
-    the same floating-point scores and hence the same tie-breaks.
+    sample in arrival order, so reruns and the kernels.fbep_prices fast path
+    reproduce the same floating-point scores and hence the same tie-breaks.
     """
     if len(samples) == 0:
         raise ValueError("empirical_best_price needs at least one sample")

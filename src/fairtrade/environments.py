@@ -85,11 +85,6 @@ class Environment:
         return self.seller_marginal is not None
 
 
-def as_joint(env: Environment) -> FiniteJointDistribution:
-    """The explicit finite joint behind an environment."""
-    return env.joint
-
-
 def sample_valuations(env: Environment, stream: SplitMix64) -> ValuationPair:
     """Draw one pair by inverse CDF over atom weights (one uniform draw).
 

@@ -251,8 +251,12 @@ def _make_fast_regret(spec: LearnerSpec, tables: _EnvTables, T: int):
     """Episode-seed -> pseudo-regret closure for one (learner, env, T) cell.
 
     Returns None when no fast path applies.  Price sequences agree with the
-    reference loop draw for draw; regret differs from the reference sum only
-    by summation grouping (closed-form tails), far below test tolerances.
+    reference loop draw for draw, with one exception: the fbep kernel also
+    scores candidate prices of atoms not yet sampled, and on a flat top of
+    the empirical mean one of them can round one ulp above the reference
+    learner's smallest maximizer.  Otherwise regret differs from the
+    reference sum only by summation grouping (closed-form tails), far below
+    test tolerances.
     """
     kind = spec.kind
     env = tables.env

@@ -1,20 +1,10 @@
-"""Hot numeric kernels: compiled (numba) and pure-NumPy implementations.
+"""Hot numeric kernels, one NumPy implementation each.
 
-Every kernel exists twice: a ``*_numpy`` fallback written with vectorized
-NumPy (plus the Python splitmix64 stream from rng.py) and, when numba is
-importable, a ``*_compiled`` version jitted with ``@njit(cache=True,
-nogil=True)``.  The public name of each kernel is an alias to whichever
-path is active:
-
-* the compiled path is the default whenever numba imports cleanly;
-* setting the environment variable ``FTL_NO_NUMBA`` to a non-empty value
-  other than ``0`` forces the NumPy fallback (checked once at import).
-
-Both paths draw randomness from identical splitmix64 arithmetic (Python
-ints with explicit masking on one side, uint64 wraparound on the other) and
-accumulate sums in the same order, so simulated trajectories agree across
-paths bit for bit on exactly-representable inputs; benchmarks/bench_kernels.py
-compares their throughput.
+The per-episode simulators draw from the Python splitmix64 stream in rng.py
+and accumulate sums in the same order as the round-by-round learners, so a
+seeded fast path reproduces the reference loop's price path draw for draw
+(fbep_prices can break a flat top differently; see
+harness._make_fast_regret).
 
 Sampling convention: one uniform draw per round; the drawn atom is the
 first index whose cumulative weight strictly exceeds the uniform (ties on
@@ -24,26 +14,12 @@ cumulative sums that round below 1.0.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .rng import GOLDEN, MASK64, MIX_A, MIX_B, SplitMix64
+from .rng import SplitMix64
 
-try:
-    from numba import njit as _njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and os.environ.get("FTL_NO_NUMBA", "0") in ("", "0")
-
-_U64 = np.uint64
-
-
-def _as_seed(seed: int) -> np.uint64:
-    return _U64(int(seed) & MASK64)
+# No numba path exists; the flag stays because run metadata reports it.
+USE_NUMBA = False
 
 
 def _clamp_index(idx: int, size: int) -> int:
@@ -55,7 +31,7 @@ def _clamp_index(idx: int, size: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def expected_fgft_at_numpy(prices, sellers, buyers, weights):
+def expected_fgft_at(prices, sellers, buyers, weights):
     """Mean fgft of each price under a finite joint, atom order preserved."""
     prices = np.ascontiguousarray(prices, dtype=np.float64)
     means = np.zeros(prices.size, dtype=np.float64)
@@ -68,12 +44,12 @@ def expected_fgft_at_numpy(prices, sellers, buyers, weights):
 # incomplete convolution c_i = sum_{k=0}^{K-1} A[i-k] * B[i+k]
 # ---------------------------------------------------------------------------
 #
-# Index layout shared by both paths: ``av`` holds A at grid indices 0..K
-# (av[0] must be 0: index i-k never reaches below 0 with a contribution),
-# ``bv`` holds B at grid indices 0..2K.  Returns the K sums for i = 1..K.
+# Index layout: ``av`` holds A at grid indices 0..K (av[0] must be 0: index
+# i-k never reaches below 0 with a contribution), ``bv`` holds B at grid
+# indices 0..2K.  Returns the K sums for i = 1..K.
 
 
-def incomplete_convolution_numpy(av, bv, grid_size):
+def incomplete_convolution(av, bv, grid_size):
     K = int(grid_size)
     av = np.ascontiguousarray(av, dtype=np.float64)
     bv = np.ascontiguousarray(bv, dtype=np.float64)
@@ -87,11 +63,11 @@ def incomplete_convolution_numpy(av, bv, grid_size):
 
 
 # ---------------------------------------------------------------------------
-# per-episode simulators (fallback implementations)
+# per-episode simulators
 # ---------------------------------------------------------------------------
 
 
-def conv_pricing_commit_numpy(seed, cum, sellers, buyers, grid_size):
+def conv_pricing_commit(seed, cum, sellers, buyers, grid_size):
     """Exploration sweep of the grid-pricing learner: returns its commit.
 
     Simulates rounds 1..K posting t/K, recording the two acceptance bits of
@@ -112,12 +88,12 @@ def conv_pricing_commit_numpy(seed, cum, sellers, buyers, grid_size):
             av[t] = 1.0
         if p <= buyers[j]:
             bv[t] = 1.0
-    scores = incomplete_convolution_numpy(av, bv, K)
+    scores = incomplete_convolution(av, bv, K)
     commit = int(np.argmax(scores)) + 1
     return commit, av[1 : K + 1].copy(), bv[1 : K + 1].copy()
 
 
-def dbs_explore_numpy(seed, cum, sellers, buyers, n_rounds):
+def dbs_explore(seed, cum, sellers, buyers, n_rounds):
     """Two bisection phases of the double-binary-search learner.
 
     Runs N seller rounds then N buyer rounds, drawing one pair per round,
@@ -151,7 +127,7 @@ def dbs_explore_numpy(seed, cum, sellers, buyers, n_rounds):
     return prices, commit
 
 
-def fbep_prices_numpy(seed, cum, sellers, buyers, cands, reward_matrix, horizon):
+def fbep_prices(seed, cum, sellers, buyers, cands, reward_matrix, horizon):
     """Price path of the follow-the-best-empirical-price learner.
 
     ``cands`` are the fixed candidate prices (every breakpoint the empirical
@@ -175,7 +151,7 @@ def fbep_prices_numpy(seed, cum, sellers, buyers, cands, reward_matrix, horizon)
     return prices
 
 
-def uniform_prices_numpy(seed, horizon):
+def uniform_prices(seed, horizon):
     """Independent uniform prices from a learner-owned stream."""
     T = int(horizon)
     stream = SplitMix64(int(seed))
@@ -185,18 +161,7 @@ def uniform_prices_numpy(seed, horizon):
     return out
 
 
-def sample_counts_numpy(seed, cum, n_draws):
-    """Atom frequencies of n_draws inverse-CDF samples (consistency checks)."""
-    stream = SplitMix64(int(seed))
-    n = cum.size
-    counts = np.zeros(n, dtype=np.int64)
-    for _ in range(int(n_draws)):
-        u = stream.next_unit()
-        counts[_clamp_index(int(np.searchsorted(cum, u, side="right")), n)] += 1
-    return counts
-
-
-def convolution_approx_batch_numpy(prices, sellers, buyers, grid_size):
+def convolution_approx_batch(prices, sellers, buyers, grid_size):
     """Left-Riemann overlap sums for aligned (p, s, b) triples.
 
     Evaluates the same indicator sum as fgft_convolution_approx for each
@@ -213,272 +178,3 @@ def convolution_approx_batch_numpy(prices, sellers, buyers, grid_size):
         p = prices[i]
         out[i] = np.count_nonzero((sellers[i] <= p - us) & (p + us <= buyers[i])) / M
     return out
-
-
-# ---------------------------------------------------------------------------
-# compiled path
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @_njit(cache=True, nogil=True)
-    def _nb_next(state):
-        # splitmix64: identical arithmetic to rng.SplitMix64 on uint64.
-        state = state + _U64(GOLDEN)
-        z = state
-        z = (z ^ (z >> _U64(30))) * _U64(MIX_A)
-        z = (z ^ (z >> _U64(27))) * _U64(MIX_B)
-        z = z ^ (z >> _U64(31))
-        return state, z
-
-    @_njit(cache=True, nogil=True)
-    def _nb_unit(z):
-        return np.float64(z >> _U64(11)) * (2.0**-53)
-
-    @_njit(cache=True, nogil=True)
-    def _nb_draw_atom(state, cum):
-        state, z = _nb_next(state)
-        u = np.float64(z >> _U64(11)) * (2.0**-53)
-        j = np.searchsorted(cum, u, side="right")
-        if j >= cum.size:
-            j = cum.size - 1
-        return state, j
-
-    @_njit(cache=True, nogil=True)
-    def _nb_expected_fgft_at(prices, sellers, buyers, weights):
-        n = prices.size
-        A = sellers.size
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            p = prices[i]
-            acc = 0.0
-            for j in range(A):
-                acc += weights[j] * min(max(p - sellers[j], 0.0), max(buyers[j] - p, 0.0))
-            out[i] = acc
-        return out
-
-    def expected_fgft_at_compiled(prices, sellers, buyers, weights):
-        return _nb_expected_fgft_at(
-            np.ascontiguousarray(prices, dtype=np.float64),
-            np.ascontiguousarray(sellers, dtype=np.float64),
-            np.ascontiguousarray(buyers, dtype=np.float64),
-            np.ascontiguousarray(weights, dtype=np.float64),
-        )
-
-    @_njit(cache=True, nogil=True)
-    def _nb_incomplete_convolution(av, bv, K):
-        out = np.empty(K, dtype=np.float64)
-        for i in range(1, K + 1):
-            kmax = min(i, K - 1)
-            acc = 0.0
-            for k in range(kmax + 1):
-                acc += av[i - k] * bv[i + k]
-            out[i - 1] = acc
-        return out
-
-    def incomplete_convolution_compiled(av, bv, grid_size):
-        K = int(grid_size)
-        av = np.ascontiguousarray(av, dtype=np.float64)
-        bv = np.ascontiguousarray(bv, dtype=np.float64)
-        if av.size != K + 1 or bv.size != 2 * K + 1:
-            raise ValueError("incomplete_convolution expects av of size K+1 and bv of size 2K+1")
-        return _nb_incomplete_convolution(av, bv, K)
-
-    @_njit(cache=True, nogil=True)
-    def _nb_conv_pricing_commit(seed, cum, sellers, buyers, K):
-        state = seed
-        n = cum.size
-        av = np.zeros(K + 1, dtype=np.float64)
-        bv = np.zeros(2 * K + 1, dtype=np.float64)
-        for t in range(1, K + 1):
-            state, j = _nb_draw_atom(state, cum)
-            p = t / K
-            if sellers[j] <= p:
-                av[t] = 1.0
-            if p <= buyers[j]:
-                bv[t] = 1.0
-        scores = _nb_incomplete_convolution(av, bv, K)
-        best = 0
-        for i in range(1, K):
-            if scores[i] > scores[best]:
-                best = i
-        return best + 1, av[1 : K + 1].copy(), bv[1 : K + 1].copy()
-
-    def conv_pricing_commit_compiled(seed, cum, sellers, buyers, grid_size):
-        return _nb_conv_pricing_commit(
-            _as_seed(seed),
-            np.ascontiguousarray(cum, dtype=np.float64),
-            np.ascontiguousarray(sellers, dtype=np.float64),
-            np.ascontiguousarray(buyers, dtype=np.float64),
-            int(grid_size),
-        )
-
-    @_njit(cache=True, nogil=True)
-    def _nb_dbs_explore(seed, cum, sellers, buyers, N):
-        state = seed
-        prices = np.empty(2 * N, dtype=np.float64)
-        es_lo, es_hi = 0.0, 1.0
-        eb_lo, eb_hi = 0.0, 1.0
-        for t in range(N):
-            state, j = _nb_draw_atom(state, cum)
-            mid = (es_lo + es_hi) / 2.0
-            prices[t] = mid
-            if sellers[j] <= mid:
-                es_hi = mid
-            else:
-                es_lo = mid
-        for t in range(N):
-            state, j = _nb_draw_atom(state, cum)
-            mid = (eb_lo + eb_hi) / 2.0
-            prices[N + t] = mid
-            if mid <= buyers[j]:
-                eb_lo = mid
-            else:
-                eb_hi = mid
-        commit = ((es_lo + es_hi) / 2.0 + (eb_lo + eb_hi) / 2.0) / 2.0
-        return prices, commit
-
-    def dbs_explore_compiled(seed, cum, sellers, buyers, n_rounds):
-        return _nb_dbs_explore(
-            _as_seed(seed),
-            np.ascontiguousarray(cum, dtype=np.float64),
-            np.ascontiguousarray(sellers, dtype=np.float64),
-            np.ascontiguousarray(buyers, dtype=np.float64),
-            int(n_rounds),
-        )
-
-    @_njit(cache=True, nogil=True)
-    def _nb_fbep_prices(seed, cum, sellers, buyers, cands, reward_matrix, T):
-        state = seed
-        C = cands.size
-        scores = np.zeros(C, dtype=np.float64)
-        prices = np.empty(T, dtype=np.float64)
-        for t in range(T):
-            state, j = _nb_draw_atom(state, cum)
-            if t == 0:
-                prices[t] = 0.5
-            else:
-                best = 0
-                for m in range(1, C):
-                    if scores[m] > scores[best]:
-                        best = m
-                prices[t] = cands[best]
-            for m in range(C):
-                scores[m] += reward_matrix[m, j]
-        return prices
-
-    def fbep_prices_compiled(seed, cum, sellers, buyers, cands, reward_matrix, horizon):
-        return _nb_fbep_prices(
-            _as_seed(seed),
-            np.ascontiguousarray(cum, dtype=np.float64),
-            np.ascontiguousarray(sellers, dtype=np.float64),
-            np.ascontiguousarray(buyers, dtype=np.float64),
-            np.ascontiguousarray(cands, dtype=np.float64),
-            np.ascontiguousarray(reward_matrix, dtype=np.float64),
-            int(horizon),
-        )
-
-    @_njit(cache=True, nogil=True)
-    def _nb_uniform_prices(seed, T):
-        state = seed
-        out = np.empty(T, dtype=np.float64)
-        for t in range(T):
-            state, z = _nb_next(state)
-            out[t] = np.float64(z >> _U64(11)) * (2.0**-53)
-        return out
-
-    def uniform_prices_compiled(seed, horizon):
-        return _nb_uniform_prices(_as_seed(seed), int(horizon))
-
-    @_njit(cache=True, nogil=True)
-    def _nb_sample_counts(seed, cum, n_draws):
-        state = seed
-        counts = np.zeros(cum.size, dtype=np.int64)
-        for _ in range(n_draws):
-            state, j = _nb_draw_atom(state, cum)
-            counts[j] += 1
-        return counts
-
-    def sample_counts_compiled(seed, cum, n_draws):
-        return _nb_sample_counts(
-            _as_seed(seed), np.ascontiguousarray(cum, dtype=np.float64), int(n_draws)
-        )
-
-    @_njit(cache=True, nogil=True)
-    def _nb_convolution_approx_batch(prices, sellers, buyers, M):
-        n = prices.size
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            p = prices[i]
-            s = sellers[i]
-            b = buyers[i]
-            cnt = 0
-            for j in range(M):
-                u = j / M
-                # both indicators are non-increasing in j: stop at first miss
-                if s <= p - u and p + u <= b:
-                    cnt += 1
-                else:
-                    break
-            out[i] = cnt / M
-        return out
-
-    def convolution_approx_batch_compiled(prices, sellers, buyers, grid_size):
-        return _nb_convolution_approx_batch(
-            np.ascontiguousarray(prices, dtype=np.float64),
-            np.ascontiguousarray(sellers, dtype=np.float64),
-            np.ascontiguousarray(buyers, dtype=np.float64),
-            int(grid_size),
-        )
-
-else:  # pragma: no cover - exercised only without numba
-    expected_fgft_at_compiled = None
-    incomplete_convolution_compiled = None
-    conv_pricing_commit_compiled = None
-    dbs_explore_compiled = None
-    fbep_prices_compiled = None
-    uniform_prices_compiled = None
-    sample_counts_compiled = None
-    convolution_approx_batch_compiled = None
-
-
-if USE_NUMBA:
-    expected_fgft_at = expected_fgft_at_compiled
-    incomplete_convolution = incomplete_convolution_compiled
-    conv_pricing_commit = conv_pricing_commit_compiled
-    dbs_explore = dbs_explore_compiled
-    fbep_prices = fbep_prices_compiled
-    uniform_prices = uniform_prices_compiled
-    sample_counts = sample_counts_compiled
-    convolution_approx_batch = convolution_approx_batch_compiled
-else:
-    expected_fgft_at = expected_fgft_at_numpy
-    incomplete_convolution = incomplete_convolution_numpy
-    conv_pricing_commit = conv_pricing_commit_numpy
-    dbs_explore = dbs_explore_numpy
-    fbep_prices = fbep_prices_numpy
-    uniform_prices = uniform_prices_numpy
-    sample_counts = sample_counts_numpy
-    convolution_approx_batch = convolution_approx_batch_numpy
-
-
-def warmup() -> None:
-    """Trigger jit compilation of every kernel on tiny inputs (no-op on the
-    fallback path); keeps first-use latency out of timed runs."""
-    if not USE_NUMBA:
-        return
-    cum = np.asarray([0.5, 1.0])
-    s = np.asarray([0.0, 0.25])
-    b = np.asarray([1.0, 1.0])
-    w = np.asarray([0.5, 0.5])
-    prices = np.asarray([0.25, 0.5])
-    expected_fgft_at(prices, s, b, w)
-    incomplete_convolution(np.zeros(3), np.zeros(5), 2)
-    conv_pricing_commit(1, cum, s, b, 2)
-    dbs_explore(1, cum, s, b, 2)
-    cands = np.asarray([0.0, 0.5, 1.0])
-    mat = np.ascontiguousarray(np.zeros((3, 2)))
-    fbep_prices(1, cum, s, b, cands, mat, 3)
-    uniform_prices(1, 3)
-    sample_counts(1, cum, 3)
-    convolution_approx_batch(prices, s, b, 8)

@@ -480,23 +480,24 @@ SUITES = {
 SUITE_ORDER = tuple(SUITES)
 
 
-def resolve_suite_names(name: str) -> tuple:
-    if name == "all":
-        return SUITE_ORDER
+def _lookup_suite(name: str):
     if name not in SUITES:
         raise UnknownSuiteError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_ORDER)} or 'all'"
         )
+    return SUITES[name]
+
+
+def resolve_suite_names(name: str) -> tuple:
+    if name == "all":
+        return SUITE_ORDER
+    _lookup_suite(name)
     return (name,)
 
 
 def run_suite(name: str, threads: int = 1) -> list:
     """All CheckResult rows of one named suite."""
-    if name not in SUITES:
-        raise UnknownSuiteError(
-            f"unknown suite {name!r}; choose from {', '.join(SUITE_ORDER)} or 'all'"
-        )
-    return SUITES[name](threads=threads)
+    return _lookup_suite(name)(threads=threads)
 
 
 def run_suites(names, threads: int = 1) -> list:

@@ -115,6 +115,8 @@ def test_run_fits_slope_with_three_horizons(tmp_path, capsys):
         ({"runs": [{"learner": "fbep", "env": "lb-mu", "horizon": 5, "feedback": "two-bit"}]}, 2),
         ({"runs": []}, 2),
         ({}, 2),
+        ({"runs": [{"learner": "dbs", "env": "det:s=nan,b=0.5", "horizon": 5}]}, 3),
+        ({"runs": [{"learner": "dbs", "env": {"joint": [[0.1, 0.9, float("nan")]]}, "horizon": 5}]}, 2),
     ],
 )
 def test_run_error_exit_codes(tmp_path, capsys, payload, code):

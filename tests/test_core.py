@@ -133,6 +133,12 @@ def test_marginal_validation():
         FiniteMarginal([0.2, 0.8], [1.0, 0.0])  # zero weight
     with pytest.raises(ValueError):
         FiniteMarginal([], [])
+    with pytest.raises(ValueError):
+        FiniteMarginal([0.2, float("nan")], [0.5, 0.5])  # non-finite value
+    with pytest.raises(ValueError):
+        FiniteMarginal([0.2, 0.8], [0.5, float("nan")])  # non-finite weight
+    with pytest.raises(ValueError):
+        FiniteMarginal([0.2], [float("nan")])  # NaN also fails the sum check
 
 
 def test_marginal_cdf():
@@ -150,6 +156,12 @@ def test_joint_validation():
         FiniteJointDistribution([((0.2, 0.8), 0.9)])  # weights do not sum to one
     with pytest.raises(ValueError):
         FiniteJointDistribution([])
+    with pytest.raises(ValueError):
+        FiniteJointDistribution([((0.1, 0.9), float("nan"))])  # non-finite weight
+    with pytest.raises(ValueError):
+        FiniteJointDistribution([((float("nan"), 0.9), 1.0)])  # non-finite seller
+    with pytest.raises(ValueError):
+        FiniteJointDistribution([((0.1, float("nan")), 1.0)])  # non-finite buyer
 
 
 def test_joint_accessors():

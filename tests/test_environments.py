@@ -196,6 +196,10 @@ def test_parse_env_round_trips(env_id):
         "gft-trap:h=0.7",
         "det:s=0.2",
         "eps-family:eps=2",
+        "det:s=nan,b=0.5",
+        "det:s=0.2,b=nan",
+        "gft-trap:h=nan",
+        "eps-family:eps=nan",
     ],
 )
 def test_parse_env_rejects(env_id):

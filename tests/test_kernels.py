@@ -1,70 +1,20 @@
-"""Compiled/fallback kernel agreement and stream bit parity."""
-
-import os
+"""Kernels against the reference definitions and the splitmix64 stream."""
 
 import numpy as np
 import pytest
 
 from fairtrade import kernels
-from fairtrade.core import (
-    discrete_convolution_score,
-    expected_fgft,
-    fgft_candidates,
-    fgft_convolution_approx,
-    fgft_vector,
-)
-from fairtrade.environments import epsilon_family, gft_trap, lb_mu
+from fairtrade.core import discrete_convolution_score, expected_fgft, fgft_convolution_approx
+from fairtrade.environments import lb_mu
 from fairtrade.rng import SplitMix64
-
-needs_numba = pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-
-
-def _env_arrays(env):
-    joint = env.joint
-    return env.cumulative_weights, joint.sellers, joint.buyers, joint.weights
-
-
-def _fbep_tables(joint):
-    cands = fgft_candidates(joint.sellers, joint.buyers)
-    matrix = np.ascontiguousarray(
-        np.column_stack([fgft_vector(cands, s, b) for s, b in zip(joint.sellers, joint.buyers)])
-    )
-    return cands, matrix
-
-
-# ---------------------------------------------------------------------------
-# mode selection
-# ---------------------------------------------------------------------------
-
-
-def test_mode_flag_matches_environment():
-    disabled = os.environ.get("FTL_NO_NUMBA", "0") not in ("", "0")
-    assert kernels.USE_NUMBA == (kernels.HAS_NUMBA and not disabled)
-    active = kernels.conv_pricing_commit
-    expected = (
-        kernels.conv_pricing_commit_compiled
-        if kernels.USE_NUMBA
-        else kernels.conv_pricing_commit_numpy
-    )
-    assert active is expected
-
-
-def test_warmup_is_idempotent():
-    kernels.warmup()
-    kernels.warmup()
-
-
-# ---------------------------------------------------------------------------
-# fallback path against the reference definitions
-# ---------------------------------------------------------------------------
 
 
 def test_expected_fgft_at_numpy_matches_oracle():
     env = lb_mu()
-    cum, sellers, buyers, weights = _env_arrays(env)
+    joint = env.joint
     prices = np.asarray([0.0, 0.3125, 0.5, 0.6875, 1.0])
-    got = kernels.expected_fgft_at_numpy(prices, sellers, buyers, weights)
-    want = [expected_fgft(env.joint, float(p)) for p in prices]
+    got = kernels.expected_fgft_at(prices, joint.sellers, joint.buyers, joint.weights)
+    want = [expected_fgft(joint, float(p)) for p in prices]
     np.testing.assert_allclose(got, want, atol=1e-15)
 
 
@@ -75,7 +25,7 @@ def test_incomplete_convolution_numpy_matches_score():
     av[1:] = rng.integers(0, 2, K)
     bv = np.zeros(2 * K + 1)
     bv[1 : K + 1] = rng.integers(0, 2, K)
-    sums = kernels.incomplete_convolution_numpy(av, bv, K)
+    sums = kernels.incomplete_convolution(av, bv, K)
     for i in range(1, K + 1):
         want = discrete_convolution_score(av[1:].tolist(), bv[1 : K + 1].tolist(), i, K)
         assert sums[i - 1] / K == pytest.approx(want, abs=1e-15)
@@ -83,125 +33,19 @@ def test_incomplete_convolution_numpy_matches_score():
 
 def test_incomplete_convolution_validates_layout():
     with pytest.raises(ValueError):
-        kernels.incomplete_convolution_numpy(np.zeros(3), np.zeros(4), 2)
-    if kernels.HAS_NUMBA:
-        with pytest.raises(ValueError):
-            kernels.incomplete_convolution_compiled(np.zeros(3), np.zeros(4), 2)
+        kernels.incomplete_convolution(np.zeros(3), np.zeros(4), 2)
 
 
 def test_uniform_prices_numpy_matches_stream():
     stream = SplitMix64(99)
     want = [stream.next_unit() for _ in range(16)]
-    got = kernels.uniform_prices_numpy(99, 16)
+    got = kernels.uniform_prices(99, 16)
     assert got.tolist() == want  # bit-for-bit
 
 
 def test_convolution_approx_batch_numpy_matches_scalar():
     rng = np.random.default_rng(11)
     p, s, b = rng.random(50), rng.random(50), rng.random(50)
-    got = kernels.convolution_approx_batch_numpy(p, s, b, 257)
+    got = kernels.convolution_approx_batch(p, s, b, 257)
     want = [fgft_convolution_approx(float(pi), (float(si), float(bi)), 257) for pi, si, bi in zip(p, s, b)]
     np.testing.assert_allclose(got, want, atol=1e-15)
-
-
-def test_sample_counts_numpy_is_exhaustive():
-    env = lb_mu()
-    counts = kernels.sample_counts_numpy(3, env.cumulative_weights, 3000)
-    assert counts.sum() == 3000
-    np.testing.assert_allclose(counts / 3000, [1 / 3, 1 / 3, 1 / 3], atol=0.03)
-
-
-# ---------------------------------------------------------------------------
-# compiled path parity (bit-for-bit on shared streams)
-# ---------------------------------------------------------------------------
-
-
-@needs_numba
-def test_uniform_prices_paths_agree():
-    a = kernels.uniform_prices_compiled(2024, 4096)
-    b = kernels.uniform_prices_numpy(2024, 4096)
-    assert np.array_equal(a, b)
-
-
-@needs_numba
-@pytest.mark.parametrize("env_fn", [lb_mu, lambda: gft_trap(0.2), lambda: epsilon_family(0.3)])
-@pytest.mark.parametrize("seed", [0, 1, 77])
-def test_conv_pricing_commit_paths_agree(env_fn, seed):
-    cum, sellers, buyers, _ = _env_arrays(env_fn())
-    for K in (1, 2, 31, 100):
-        ca, va, wa = kernels.conv_pricing_commit_compiled(seed, cum, sellers, buyers, K)
-        cb, vb, wb = kernels.conv_pricing_commit_numpy(seed, cum, sellers, buyers, K)
-        assert ca == cb
-        assert np.array_equal(va, vb)
-        assert np.array_equal(wa, wb)
-
-
-@needs_numba
-@pytest.mark.parametrize("seed", [0, 5, 123])
-def test_dbs_explore_paths_agree(seed):
-    cum, sellers, buyers, _ = _env_arrays(lb_mu())
-    for N in (0, 1, 7, 14):
-        pa, ca = kernels.dbs_explore_compiled(seed, cum, sellers, buyers, N)
-        pb, cb = kernels.dbs_explore_numpy(seed, cum, sellers, buyers, N)
-        assert np.array_equal(pa, pb)
-        assert ca == cb
-
-
-@needs_numba
-@pytest.mark.parametrize("seed", [0, 9])
-def test_fbep_prices_paths_agree(seed):
-    env = lb_mu()
-    cum, sellers, buyers, _ = _env_arrays(env)
-    cands, matrix = _fbep_tables(env.joint)
-    a = kernels.fbep_prices_compiled(seed, cum, sellers, buyers, cands, matrix, 500)
-    b = kernels.fbep_prices_numpy(seed, cum, sellers, buyers, cands, matrix, 500)
-    assert np.array_equal(a, b)
-
-
-@needs_numba
-def test_sample_counts_paths_agree():
-    cum = gft_trap(0.1).cumulative_weights
-    a = kernels.sample_counts_compiled(31, cum, 10_000)
-    b = kernels.sample_counts_numpy(31, cum, 10_000)
-    assert np.array_equal(a, b)
-
-
-@needs_numba
-def test_expected_fgft_at_paths_agree():
-    cum, sellers, buyers, weights = _env_arrays(lb_mu())
-    prices = np.linspace(0.0, 1.0, 1001)
-    a = kernels.expected_fgft_at_compiled(prices, sellers, buyers, weights)
-    b = kernels.expected_fgft_at_numpy(prices, sellers, buyers, weights)
-    np.testing.assert_allclose(a, b, atol=1e-15)
-
-
-@needs_numba
-def test_incomplete_convolution_paths_agree():
-    rng = np.random.default_rng(8)
-    K = 200
-    av = np.zeros(K + 1)
-    av[1:] = rng.integers(0, 2, K)
-    bv = np.zeros(2 * K + 1)
-    bv[1 : K + 1] = rng.integers(0, 2, K)
-    a = kernels.incomplete_convolution_compiled(av, bv, K)
-    b = kernels.incomplete_convolution_numpy(av, bv, K)
-    assert np.array_equal(a, b)
-
-
-@needs_numba
-def test_convolution_approx_batch_paths_agree():
-    rng = np.random.default_rng(13)
-    p, s, b = rng.random(200), rng.random(200), rng.random(200)
-    a = kernels.convolution_approx_batch_compiled(p, s, b, 1000)
-    bb = kernels.convolution_approx_batch_numpy(p, s, b, 1000)
-    assert np.array_equal(a, bb)
-
-
-@needs_numba
-def test_compiled_accepts_noncontiguous_input():
-    cum, sellers, buyers, _ = _env_arrays(lb_mu())
-    strided = np.repeat(sellers, 2)[::2]  # same values, non-contiguous
-    assert not strided.flags["C_CONTIGUOUS"]
-    c1, _, _ = kernels.conv_pricing_commit_compiled(3, cum, strided, buyers, 10)
-    c2, _, _ = kernels.conv_pricing_commit_numpy(3, cum, sellers, buyers, 10)
-    assert c1 == c2
