@@ -328,6 +328,8 @@ def parse_learner(learner_id: str) -> LearnerSpec:
                 raise UnknownIdError(f"conv-pricing accepts only K=, got {learner_id!r}")
             if "K" in params:
                 params["K"] = int(params["K"])
+                if params["K"] < 1:
+                    raise UnknownIdError(f"conv-pricing needs K >= 1, got {learner_id!r}")
         elif head == "dbs" or head == "gft-oracle":
             if params:
                 raise UnknownIdError(f"{head} takes no parameters, got {learner_id!r}")

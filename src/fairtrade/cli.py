@@ -45,10 +45,9 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _resolve_threads(threads: int) -> int:
-    if threads < 1:
-        raise ValueError(f"thread count must be >= 1, got {threads}")
-    return threads
+def _check_threads(args) -> None:
+    if args.threads < 1:
+        raise ValueError(f"thread count must be >= 1, got {args.threads}")
 
 
 def _parse_horizons(entry: dict) -> list:
@@ -58,13 +57,13 @@ def _parse_horizons(entry: dict) -> list:
         hs = [int(entry["horizon"])]
     if not hs:
         raise ValueError("a run needs at least one horizon")
-    if hs != sorted(hs):
-        raise ValueError(f"horizons must be sorted ascending, got {hs}")
+    if any(a >= b for a, b in zip(hs, hs[1:])):
+        raise ValueError(f"horizons must be strictly increasing, got {hs}")
     return hs
 
 
 def cmd_run(args) -> int:
-    threads = _resolve_threads(args.threads)
+    _check_threads(args)
     with open(args.config, "r", encoding="utf-8") as fh:
         config = json.load(fh)
     out_path = args.out or config.get("output")
@@ -90,7 +89,7 @@ def cmd_run(args) -> int:
             feedback=feedback,
             strict_feedback=args.strict_feedback,
         )
-        curve = run_monte_carlo(cfg, horizons=horizons, threads=threads)
+        curve = run_monte_carlo(cfg, horizons=horizons)
         slope = ""
         if len(horizons) >= 3 and all(m > 0.0 for m in curve.means):
             slope = _fmt(fit_exponent(curve).slope)
@@ -130,9 +129,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    threads = _resolve_threads(args.threads)
+    _check_threads(args)
     names = resolve_suite_names(args.suite)
-    rows = run_suites(names, threads=threads)
+    rows = run_suites(names)
     for r in rows:
         status = "PASS" if r.passed else "FAIL"
         print(
@@ -171,7 +170,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute an experiment config, write regret CSV")
     run_p.add_argument("--config", required=True, help="JSON experiment file")
     run_p.add_argument("--out", help="output CSV path (overrides the config's 'output')")
-    run_p.add_argument("--threads", type=int, default=1, help="episode workers (default 1)")
+    run_p.add_argument(
+        "--threads", type=int, default=1, help="ignored, must be >= 1 (episodes run sequentially)"
+    )
     run_p.add_argument("--seed", type=int, default=None, help="default base_seed for runs lacking one")
     run_p.add_argument("--strict-feedback", action="store_true", help="forbid deriving two bits from full feedback")
     run_p.set_defaults(handler=cmd_run)
@@ -189,7 +190,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_p = sub.add_parser("verify", help="run verification suites, write JSON report")
     verify_p.add_argument("--suite", default="all", help="suite name or 'all'")
     verify_p.add_argument("--out", help="JSON report path")
-    verify_p.add_argument("--threads", type=int, default=1, help="episode workers (default 1)")
+    verify_p.add_argument(
+        "--threads", type=int, default=1, help="ignored, must be >= 1 (episodes run sequentially)"
+    )
     verify_p.set_defaults(handler=cmd_verify)
 
     sub.add_parser("list-envs", help="registered environment ids").set_defaults(

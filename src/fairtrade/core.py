@@ -44,11 +44,6 @@ class PricePoint(NamedTuple):
     value: float
 
 
-def _check_unit(x: float, name: str) -> None:
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
-
-
 def fgft(p: float, seller: float, buyer: float) -> float:
     """Fair gain from trade min((p - s)+, (b - p)+) of one posted price."""
     return min(max(p - seller, 0.0), max(buyer - p, 0.0))

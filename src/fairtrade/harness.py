@@ -1,11 +1,11 @@
 """Episode execution, exact pseudo-regret accounting, and aggregation.
 
 The reference loop (run_episode) drives a learner round by round against a
-sampled environment and returns the full trajectory.  Monte Carlo runs use
-per-learner fast paths that reproduce the reference loop's price sequences
-through the kernels module (identical splitmix64 draws, identical
-accumulation order) and evaluate regret from closed-form tail structure, so
-desk-scale horizons stay cheap.
+sampled environment and returns the full trajectory.  Monte Carlo runs take
+each episode's price profile (exploration prices, then a constant tail)
+from the kernels module, which reproduces the reference loop's price
+sequence (identical splitmix64 draws, identical accumulation order), and
+score every learner with one formula, so desk-scale horizons stay cheap.
 
 Regret is always pseudo-regret: conditioning on the posted prices, every
 round contributes v_star - E[fgft(p_t)] with both terms exact under the
@@ -14,15 +14,14 @@ regret with strictly smaller variance than realized-reward differences.
 
 Seeding: episode e of a run with base seed B draws from a splitmix64 stream
 seeded with mix64(B, e) (three multiply-xorshift rounds, identical on every
-platform), so episodes are independent, reproducible, and insensitive to
-execution order or thread count.
+platform), so episodes are independent and reproducible.  Episodes run
+sequentially, in index order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .algorithms import (
     ConvolutionPricing,
     LearnerSpec,
     dbs_phase_length,
-    default_grid_size,
     parse_learner,
 )
 from .core import (
@@ -231,7 +229,7 @@ def run_episode(config: RunConfig, episode_index: int) -> Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# fast per-episode regret paths (price-identical to the reference loop)
+# per-episode price profiles (price-identical to the reference loop)
 # ---------------------------------------------------------------------------
 
 
@@ -247,108 +245,84 @@ def _fbep_tables(tables: _EnvTables):
     return cands, matrix
 
 
-def _make_fast_regret(spec: LearnerSpec, tables: _EnvTables, T: int):
-    """Episode-seed -> pseudo-regret closure for one (learner, env, T) cell.
+def _price_profile(spec: LearnerSpec, tables: _EnvTables, T: int):
+    """Episode-seed -> (exploration prices, tail price, tail length) closure.
 
-    Returns None when no fast path applies.  Price sequences agree with the
-    reference loop draw for draw, with one exception: the fbep kernel also
-    scores candidate prices of atoms not yet sampled, and on a flat top of
-    the empirical mean one of them can round one ulp above the reference
-    learner's smallest maximizer.  Otherwise regret differs from the
-    reference sum only by summation grouping (closed-form tails), far below
-    test tolerances.
+    The same shape as deterministic_price_profile: the learner posts the
+    exploration prices, then the tail price for the remaining rounds.
+    Learners without a commit phase (uniform, fbep) return their whole path
+    as exploration and an empty tail.  Price paths agree with the reference
+    loop draw for draw, with one exception: the fbep kernel also scores
+    candidate prices of atoms not yet sampled, and on a flat top of the
+    empirical mean one of them can round one ulp above the reference
+    learner's smallest maximizer.
     """
     kind = spec.kind
-    env = tables.env
     if kind in ("fixed", "gft-oracle"):
-        price = spec.build(T, env).price
-        gap = tables.gap_at(price)
-        per_episode = T * gap
-        return lambda seed: per_episode
+        price = spec.build(T, tables.env).price
+        return lambda seed: (np.empty(0, dtype=np.float64), price, T)
     if kind == "uniform":
         u_seed = spec.params.get("seed", 0)
-
-        def uniform_regret(seed):
-            prices = kernels.uniform_prices(mix64(u_seed, seed), T)
-            return float(np.sum(tables.v_star - tables.mean_at(prices)))
-
-        return uniform_regret
+        return lambda seed: (kernels.uniform_prices(mix64(u_seed, seed), T), 0.0, 0)
     if kind == "dbs":
         N = dbs_phase_length(T)
 
-        def dbs_regret(seed):
+        def dbs_profile(seed):
             prices, commit = kernels.dbs_explore(
                 seed, tables.cum, tables.sellers, tables.buyers, N
             )
-            explore = float(np.sum(tables.v_star - tables.mean_at(prices)))
-            return explore + (T - 2 * N) * tables.gap_at(commit)
+            return prices, commit, T - 2 * N
 
-        return dbs_regret
+        return dbs_profile
     if kind == "conv-pricing":
-        ConvolutionPricing(T, spec.params.get("K"))  # same validation errors
-        K = spec.params.get("K") or default_grid_size(T)
+        K = ConvolutionPricing(T, spec.params.get("K")).grid_size
         grid = np.arange(1, K + 1, dtype=np.float64) / K
-        grid_gaps = tables.v_star - tables.mean_at(grid)
-        explore_total = float(np.sum(grid_gaps))
 
-        def conv_regret(seed):
+        def conv_profile(seed):
             commit, _, _ = kernels.conv_pricing_commit(
                 seed, tables.cum, tables.sellers, tables.buyers, K
             )
-            return explore_total + (T - K) * float(grid_gaps[int(commit) - 1])
+            return grid, grid[commit - 1], T - K
 
-        return conv_regret
+        return conv_profile
     if kind == "fbep":
         cands, matrix = _fbep_tables(tables)
 
-        def fbep_regret(seed):
+        def fbep_profile(seed):
             prices = kernels.fbep_prices(
                 seed, tables.cum, tables.sellers, tables.buyers, cands, matrix, T
             )
-            return float(np.sum(tables.v_star - tables.mean_at(prices)))
+            return prices, 0.0, 0
 
-        return fbep_regret
-    return None
+        return fbep_profile
+    raise ValueError(f"no price profile for learner kind {kind!r}")
 
 
-def _episode_regrets(
-    config: RunConfig, horizon: int, threads: int, use_fast: bool
-) -> np.ndarray:
+def _episode_regrets(config: RunConfig, horizon: int) -> np.ndarray:
     resolve_feedback(config.learner.requires, config.feedback, config.strict_feedback)
-    fast = None
-    if use_fast:
-        fast = _make_fast_regret(config.learner, _EnvTables(config.env), horizon)
-    if fast is not None:
-        fn = lambda e: fast(mix64(config.base_seed, e))
-    else:
-        cell = replace(config, horizon=horizon)
-        fn = lambda e: pseudo_regret(cell.env, run_episode(cell, e))
-    indices = range(config.n_episodes)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(fn, indices))  # merged in episode order
-    else:
-        values = [fn(e) for e in indices]
-    return np.asarray(values, dtype=np.float64)
+    tables = _EnvTables(config.env)
+    profile = _price_profile(config.learner, tables, horizon)
+    values = np.empty(config.n_episodes, dtype=np.float64)
+    for e in range(config.n_episodes):
+        explore, tail, tail_len = profile(mix64(config.base_seed, e))
+        regret = float(np.sum(tables.v_star - tables.mean_at(explore)))
+        if tail_len:
+            regret += tail_len * tables.gap_at(tail)
+        values[e] = regret
+    return values
 
 
-def run_monte_carlo(
-    config: RunConfig,
-    horizons=None,
-    threads: int = 1,
-    use_fast: bool = True,
-) -> RegretCurve:
+def run_monte_carlo(config: RunConfig, horizons=None) -> RegretCurve:
     """Mean and standard error of pseudo-regret per horizon.
 
-    Episode e always uses seed mix64(base_seed, e), so results are identical
-    for any thread count and any execution order, and curves at nested
-    horizons share their random draws (regret is pathwise non-decreasing
-    in T for a fixed episode).
+    Episodes run sequentially; episode e always uses seed
+    mix64(base_seed, e), so curves at nested horizons share their random
+    draws (regret is pathwise non-decreasing in T for a fixed episode).
     """
     hs = [config.horizon] if horizons is None else [int(t) for t in horizons]
     means, stderrs = [], []
     for T in hs:
-        values = _episode_regrets(config, T, threads, use_fast)
+        values = _episode_regrets(config, T)
         means.append(float(np.mean(values)))
         n = values.size
         stderrs.append(float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0)
@@ -366,7 +340,7 @@ def fit_exponent(curve_or_horizons, means=None) -> ExponentFit:
     """Ordinary least squares on (log T, log mean regret).
 
     Accepts a RegretCurve or explicit (horizons, means).  Needs at least
-    three horizons and strictly positive means.
+    three distinct horizons and strictly positive means.
     """
     if means is None:
         horizons, means = curve_or_horizons.horizons, curve_or_horizons.means
@@ -374,8 +348,8 @@ def fit_exponent(curve_or_horizons, means=None) -> ExponentFit:
         horizons = curve_or_horizons
     x = np.log(np.asarray(horizons, dtype=np.float64))
     y = np.asarray(means, dtype=np.float64)
-    if x.size < 3:
-        raise ValueError("exponent fit needs at least three horizons")
+    if np.unique(x).size < 3:
+        raise ValueError("exponent fit needs at least three distinct horizons")
     if np.any(y <= 0.0):
         raise ValueError("exponent fit needs strictly positive mean regrets")
     y = np.log(y)

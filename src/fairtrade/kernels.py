@@ -4,7 +4,7 @@ The per-episode simulators draw from the Python splitmix64 stream in rng.py
 and accumulate sums in the same order as the round-by-round learners, so a
 seeded fast path reproduces the reference loop's price path draw for draw
 (fbep_prices can break a flat top differently; see
-harness._make_fast_regret).
+harness._price_profile).
 
 Sampling convention: one uniform draw per round; the drawn atom is the
 first index whose cumulative weight strictly exceeds the uniform (ties on

@@ -4,7 +4,7 @@ All sampling in this package flows through a splitmix64 stream: the state
 advances by a fixed odd constant and the output is the standard three-round
 multiply-xorshift finalizer.  The reference loop and the kernels in
 kernels.py both draw from this stream, so a trajectory is reproducible bit
-for bit across platforms, thread counts, and the fast and reference paths.
+for bit across platforms and between the kernels and the reference loop.
 
 Uniform doubles are built as (u64 >> 11) * 2**-53, i.e. 53 random bits in
 [0, 1).

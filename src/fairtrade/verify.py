@@ -167,7 +167,7 @@ def _marginal_cocdf(marginal: FiniteMarginal, xs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def suite_convolution_lemma(threads: int = 1) -> list:
+def suite_convolution_lemma() -> list:
     """Overlap-sum approximation vs the exact tent formula on a dense box."""
 
     def body():
@@ -181,7 +181,7 @@ def suite_convolution_lemma(threads: int = 1) -> list:
     return [_check("convolution-lemma", body)]
 
 
-def suite_sandwich(threads: int = 1) -> list:
+def suite_sandwich() -> list:
     """Discrete two-sided acceptance score brackets the exact mean reward.
 
     For an independent pair, the grid score at index i equals a
@@ -213,7 +213,7 @@ def suite_sandwich(threads: int = 1) -> list:
     return [_check("sandwich", body)]
 
 
-def suite_indistinguishability(threads: int = 1) -> list:
+def suite_indistinguishability() -> list:
     """The lower-bound pair: equal feedback laws, linear regret witness."""
     state: dict = {}
 
@@ -239,7 +239,7 @@ def suite_indistinguishability(threads: int = 1) -> list:
                 n_episodes=episodes,
                 base_seed=_LB_MC_SEED,
             )
-            curve = run_monte_carlo(cfg, threads=threads)
+            curve = run_monte_carlo(cfg)
             if curve.means[0] > best_mean:
                 best_mean, best_stderr = curve.means[0], curve.stderrs[0]
         threshold = T / 48.0 - 3.0 * best_stderr
@@ -252,7 +252,7 @@ def suite_indistinguishability(threads: int = 1) -> list:
     ]
 
 
-def suite_gft_trap(threads: int = 1) -> list:
+def suite_gft_trap() -> list:
     """A gft-optimal fixed price forfeits (1/4 - h/2) fair reward per round."""
 
     def body():
@@ -264,14 +264,14 @@ def suite_gft_trap(threads: int = 1) -> list:
             n_episodes=1,
             base_seed=0,
         )
-        curve = run_monte_carlo(cfg, threads=threads)
+        curve = run_monte_carlo(cfg)
         measured = abs(curve.means[0] - (0.25 - 0.05) * T)
         return measured <= 1e-8, measured, 1e-8
 
     return [_check("gft-trap-regret", body)]
 
 
-def suite_dbs_bound(threads: int = 1) -> list:
+def suite_dbs_bound() -> list:
     """Bisect-then-commit regret never exceeds 1 + 2*ceil(log2 T), exactly."""
 
     def body():
@@ -293,7 +293,7 @@ def suite_dbs_bound(threads: int = 1) -> list:
     return [_check("dbs-bound", body)]
 
 
-def suite_dbs_log_growth(threads: int = 1) -> list:
+def suite_dbs_log_growth() -> list:
     """Worst-case sweep maxima grow like log T: monotone, small increments."""
     state: dict = {}
 
@@ -326,7 +326,6 @@ def _rate_rows(
     normalizer,
     slope_lo: float,
     slope_hi: float,
-    threads: int,
 ) -> list:
     rows = []
     spec = parse_learner(learner_id)
@@ -339,7 +338,7 @@ def _rate_rows(
                 n_episodes=n_episodes,
                 base_seed=base_seed,
             )
-            curve = run_monte_carlo(cfg, horizons=horizons, threads=threads)
+            curve = run_monte_carlo(cfg, horizons=horizons)
             slope = fit_exponent(curve).slope
             ratio = growth_ratio(
                 [m / normalizer(t) for m, t in zip(curve.means, curve.horizons)]
@@ -362,7 +361,7 @@ def _rate_rows(
     return rows
 
 
-def suite_stochastic_rate(threads: int = 1) -> list:
+def suite_stochastic_rate() -> list:
     """Grid explore-then-commit: T^(2/3)-type growth on independent pairs."""
     envs = [epsilon_family(0.2)] + [random_independent_env(s) for s in _RATE_ENV_SEEDS]
     return _rate_rows(
@@ -375,11 +374,10 @@ def suite_stochastic_rate(threads: int = 1) -> list:
         lambda t: t ** (2.0 / 3.0) * np.sqrt(np.log(t)),
         0.50,
         0.80,
-        threads,
     )
 
 
-def suite_full_feedback_rate(threads: int = 1) -> list:
+def suite_full_feedback_rate() -> list:
     """Follow-the-best-empirical-price: at most sqrt(T)-type growth."""
     envs = [lb_mu(), lb_nu()] + [random_joint_env(s) for s in _FULL_ENV_SEEDS]
     rows = _rate_rows(
@@ -392,7 +390,6 @@ def suite_full_feedback_rate(threads: int = 1) -> list:
         np.sqrt,
         -np.inf,
         0.62,
-        threads,
     )
 
     def deterministic_case():
@@ -403,14 +400,14 @@ def suite_full_feedback_rate(threads: int = 1) -> list:
             n_episodes=1,
             base_seed=0,
         )
-        curve = run_monte_carlo(cfg, threads=threads)
+        curve = run_monte_carlo(cfg)
         return curve.means[0] <= 0.5, curve.means[0], 0.5
 
     rows.append(_check("full-feedback-deterministic", deterministic_case))
     return rows
 
 
-def suite_epsilon_family(threads: int = 1) -> list:
+def suite_epsilon_family() -> list:
     """Closed-form mean reward and argmax of the two-atom seller family."""
 
     def closed_form():
@@ -443,7 +440,7 @@ def suite_epsilon_family(threads: int = 1) -> list:
     ]
 
 
-def suite_oracle_equivalence(threads: int = 1) -> list:
+def suite_oracle_equivalence() -> list:
     """Breakpoint-enumeration oracle vs a dense brute-force price grid."""
 
     def body():
@@ -495,13 +492,13 @@ def resolve_suite_names(name: str) -> tuple:
     return (name,)
 
 
-def run_suite(name: str, threads: int = 1) -> list:
+def run_suite(name: str) -> list:
     """All CheckResult rows of one named suite."""
-    return _lookup_suite(name)(threads=threads)
+    return _lookup_suite(name)()
 
 
-def run_suites(names, threads: int = 1) -> list:
+def run_suites(names) -> list:
     rows = []
     for name in names:
-        rows.extend(run_suite(name, threads=threads))
+        rows.extend(run_suite(name))
     return rows

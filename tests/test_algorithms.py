@@ -220,6 +220,8 @@ def test_parse_learner_kinds_and_params():
         "fixed:p=1.5",
         "uniform:seed=abc",
         "fixed:p",
+        "conv-pricing:K=0",
+        "conv-pricing:K=-3",
     ],
 )
 def test_parse_learner_rejects(learner_id):

@@ -85,8 +85,10 @@ def test_run_reruns_are_byte_identical(tmp_path):
     config = write_config(tmp_path, BASIC_CONFIG)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert cli.main(["run", "--config", config, "--out", str(a)]) == 0
-    assert cli.main(["run", "--config", config, "--out", str(b)]) == 0
+    # --threads is accepted and ignored, but must still be >= 1
+    assert cli.main(["run", "--config", config, "--out", str(b), "--threads", "2"]) == 0
     assert a.read_bytes() == b.read_bytes()
+    assert cli.main(["run", "--config", config, "--out", str(b), "--threads", "0"]) == 2
 
 
 def test_run_fits_slope_with_three_horizons(tmp_path, capsys):
@@ -117,6 +119,7 @@ def test_run_fits_slope_with_three_horizons(tmp_path, capsys):
         ({}, 2),
         ({"runs": [{"learner": "dbs", "env": "det:s=nan,b=0.5", "horizon": 5}]}, 3),
         ({"runs": [{"learner": "dbs", "env": {"joint": [[0.1, 0.9, float("nan")]]}, "horizon": 5}]}, 2),
+        ({"runs": [{"learner": "fixed:p=0.5", "env": "lb-mu", "horizons": [10, 10, 10]}]}, 2),
     ],
 )
 def test_run_error_exit_codes(tmp_path, capsys, payload, code):
@@ -183,7 +186,7 @@ def test_verify_unknown_suite(capsys):
 
 def test_verify_exit_one_when_a_check_fails(monkeypatch, capsys):
     failing = [CheckResult(check="x", passed=False, measured=1.0, tolerance=0.0, runtime_ms=0.1)]
-    monkeypatch.setattr(cli, "run_suites", lambda names, threads=1: failing)
+    monkeypatch.setattr(cli, "run_suites", lambda names: failing)
     assert cli.main(["verify", "--suite", "gft-trap"]) == 1
     assert "FAIL x:" in capsys.readouterr().out
 

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from fairtrade import kernels
-from fairtrade.algorithms import dbs_phase_length, dbs_regret_bound, default_grid_size, parse_learner
+from fairtrade.algorithms import dbs_regret_bound, parse_learner
 from fairtrade.environments import FeedbackModel, deterministic, epsilon_family, gft_trap, lb_mu
 from fairtrade.harness import (
     FeedbackMismatchError,
     RunConfig,
     _EnvTables,
-    _fbep_tables,
+    _price_profile,
     adversarial_deterministic_sweep,
     deterministic_price_profile,
     fit_exponent,
@@ -135,32 +134,10 @@ def test_fast_path_matches_reference(learner_id, env_fn):
     cfg = RunConfig(
         env=env_fn(), learner=parse_learner(learner_id), horizon=257, n_episodes=2, base_seed=11
     )
-    fast = run_monte_carlo(cfg, use_fast=True)
-    slow = run_monte_carlo(cfg, use_fast=False)
-    np.testing.assert_allclose(fast.means, slow.means, atol=1e-9)
-    np.testing.assert_allclose(fast.stderrs, slow.stderrs, atol=1e-9)
-
-
-def _kernel_prices(cfg: RunConfig, episode_index: int) -> np.ndarray:
-    """The full price path the fast-path kernel of cfg's learner implies."""
-    spec, env, T = cfg.learner, cfg.env, cfg.horizon
-    seed = mix64(cfg.base_seed, episode_index)
-    joint = env.joint
-    cum, sellers, buyers = env.cumulative_weights, joint.sellers, joint.buyers
-    if spec.kind == "uniform":
-        return kernels.uniform_prices(mix64(spec.params.get("seed", 0), seed), T)
-    if spec.kind == "dbs":
-        N = dbs_phase_length(T)
-        explore, commit = kernels.dbs_explore(seed, cum, sellers, buyers, N)
-        return np.concatenate([explore, np.full(T - 2 * N, commit)])
-    if spec.kind == "conv-pricing":
-        K = spec.params.get("K") or default_grid_size(T)
-        commit, _, _ = kernels.conv_pricing_commit(seed, cum, sellers, buyers, K)
-        grid = np.arange(1, K + 1, dtype=np.float64) / K
-        return np.concatenate([grid, np.full(T - K, commit / K)])
-    assert spec.kind == "fbep"
-    cands, matrix = _fbep_tables(_EnvTables(env))
-    return kernels.fbep_prices(seed, cum, sellers, buyers, cands, matrix, T)
+    ref = [pseudo_regret(cfg.env, run_episode(cfg, e)) for e in range(cfg.n_episodes)]
+    fast = run_monte_carlo(cfg)
+    np.testing.assert_allclose(fast.means, [np.mean(ref)], atol=1e-9)
+    np.testing.assert_allclose(fast.stderrs, [np.std(ref, ddof=1) / np.sqrt(len(ref))], atol=1e-9)
 
 
 _PATH_ENVS = {
@@ -195,15 +172,11 @@ def test_fast_path_prices_match_reference_bitwise(env_name, learner_id, T):
     cfg = RunConfig(
         env=_PATH_ENVS[env_name](), learner=parse_learner(learner_id), horizon=T, base_seed=11
     )
+    profile = _price_profile(cfg.learner, _EnvTables(cfg.env), T)
     for e in range(3):
-        assert np.array_equal(run_episode(cfg, e).prices, _kernel_prices(cfg, e)), e
-
-
-def test_thread_count_does_not_change_results():
-    cfg = RunConfig(env=lb_mu(), learner=parse_learner("conv-pricing"), horizon=1000, n_episodes=8)
-    a = run_monte_carlo(cfg, threads=1)
-    b = run_monte_carlo(cfg, threads=4)
-    assert a == b  # bitwise: episode seeds are independent of scheduling
+        explore, tail, tail_len = profile(mix64(cfg.base_seed, e))
+        kernel_path = np.concatenate([explore, np.full(tail_len, tail)])
+        assert np.array_equal(run_episode(cfg, e).prices, kernel_path), e
 
 
 def test_monte_carlo_curves_share_draws_across_horizons():
@@ -254,6 +227,8 @@ def test_fit_exponent_preconditions():
         fit_exponent((10, 100), [1.0, 2.0])
     with pytest.raises(ValueError):
         fit_exponent((10, 100, 1000), [1.0, 0.0, 2.0])
+    with pytest.raises(ValueError):
+        fit_exponent((10, 10, 10), [1.0, 1.0, 1.0])
 
 
 def test_growth_ratio():
