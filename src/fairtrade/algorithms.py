@@ -38,7 +38,7 @@ from .environments import (
     UnknownIdError,
     _parse_params,
 )
-from .rng import SplitMix64, mix64
+from .rng import MASK64, SplitMix64, mix64
 
 
 def ceil_log2(n: int) -> int:
@@ -337,9 +337,15 @@ def parse_learner(learner_id: str) -> LearnerSpec:
             if params:
                 raise UnknownIdError(f"fbep takes no parameters, got {learner_id!r}")
         elif head == "fixed":
+            if set(params) - {"p"}:
+                raise UnknownIdError(f"fixed accepts only p=, got {learner_id!r}")
             params["p"] = _check_price(float(params["p"]))
         elif head == "uniform":
+            if set(params) - {"seed"}:
+                raise UnknownIdError(f"uniform accepts only seed=, got {learner_id!r}")
             params["seed"] = int(params.get("seed", 0))
+            if not 0 <= params["seed"] <= MASK64:
+                raise UnknownIdError(f"uniform needs 0 <= seed < 2**64, got {learner_id!r}")
         else:
             raise UnknownIdError(f"unknown learner id {learner_id!r}")
     except UnknownIdError:

@@ -298,9 +298,7 @@ def _price_profile(spec: LearnerSpec, tables: _EnvTables, T: int):
     raise ValueError(f"no price profile for learner kind {kind!r}")
 
 
-def _episode_regrets(config: RunConfig, horizon: int) -> np.ndarray:
-    resolve_feedback(config.learner.requires, config.feedback, config.strict_feedback)
-    tables = _EnvTables(config.env)
+def _episode_regrets(config: RunConfig, horizon: int, tables: _EnvTables) -> np.ndarray:
     profile = _price_profile(config.learner, tables, horizon)
     values = np.empty(config.n_episodes, dtype=np.float64)
     for e in range(config.n_episodes):
@@ -318,11 +316,15 @@ def run_monte_carlo(config: RunConfig, horizons=None) -> RegretCurve:
     Episodes run sequentially; episode e always uses seed
     mix64(base_seed, e), so curves at nested horizons share their random
     draws (regret is pathwise non-decreasing in T for a fixed episode).
+    The environment's oracle tables are built once and shared by every
+    horizon.
     """
     hs = [config.horizon] if horizons is None else [int(t) for t in horizons]
+    resolve_feedback(config.learner.requires, config.feedback, config.strict_feedback)
+    tables = _EnvTables(config.env)
     means, stderrs = [], []
     for T in hs:
-        values = _episode_regrets(config, T)
+        values = _episode_regrets(config, T, tables)
         means.append(float(np.mean(values)))
         n = values.size
         stderrs.append(float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0)

@@ -1,7 +1,8 @@
 """Hot numeric kernels, one NumPy implementation each.
 
-The per-episode simulators draw from the Python splitmix64 stream in rng.py
-and accumulate sums in the same order as the round-by-round learners, so a
+The per-episode simulators take every draw of an episode from one uint64
+pass over the counter form of the splitmix64 stream (rng.unit_draws) and
+accumulate sums in the same order as the round-by-round learners, so a
 seeded fast path reproduces the reference loop's price path draw for draw
 (fbep_prices can break a flat top differently; see
 harness._price_profile).
@@ -16,14 +17,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rng import SplitMix64
+from .rng import SplitMix64, unit_draws  # noqa: F401
 
 # No numba path exists; the flag stays because run metadata reports it.
 USE_NUMBA = False
+# No kernel here calls SplitMix64; the name stays importable because the
+# benchmark's tracer wraps kernels.SplitMix64.
+
+# Rounds per cumsum block in fbep_prices: bounds its scratch memory to
+# FBEP_BLOCK x (number of candidates) doubles.
+FBEP_BLOCK = 2048
 
 
-def _clamp_index(idx: int, size: int) -> int:
-    return size - 1 if idx >= size else idx
+def _sample_atoms(seed, cum, n: int) -> np.ndarray:
+    """Atom indices of the first n rounds of the episode stream ``seed``."""
+    idx = np.searchsorted(cum, unit_draws(seed, n), side="right")
+    return np.minimum(idx, cum.size - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -76,18 +85,12 @@ def conv_pricing_commit(seed, cum, sellers, buyers, grid_size):
     seller bits V_1..V_K, buyer bits W_1..W_K).
     """
     K = int(grid_size)
-    stream = SplitMix64(int(seed))
-    n = cum.size
+    j = _sample_atoms(seed, cum, K)
+    grid = np.arange(1, K + 1, dtype=np.float64) / K
     av = np.zeros(K + 1, dtype=np.float64)
     bv = np.zeros(2 * K + 1, dtype=np.float64)
-    for t in range(1, K + 1):
-        u = stream.next_unit()
-        j = _clamp_index(int(np.searchsorted(cum, u, side="right")), n)
-        p = t / K
-        if sellers[j] <= p:
-            av[t] = 1.0
-        if p <= buyers[j]:
-            bv[t] = 1.0
+    av[1:] = sellers[j] <= grid
+    bv[1 : K + 1] = grid <= buyers[j]
     scores = incomplete_convolution(av, bv, K)
     commit = int(np.argmax(scores)) + 1
     return commit, av[1 : K + 1].copy(), bv[1 : K + 1].copy()
@@ -100,26 +103,21 @@ def dbs_explore(seed, cum, sellers, buyers, n_rounds):
     and returns (exploration prices, commit price).
     """
     N = int(n_rounds)
-    stream = SplitMix64(int(seed))
-    n = cum.size
+    j = _sample_atoms(seed, cum, 2 * N)
     prices = np.empty(2 * N, dtype=np.float64)
     es_lo, es_hi = 0.0, 1.0
     eb_lo, eb_hi = 0.0, 1.0
-    for t in range(N):
-        u = stream.next_unit()
-        j = _clamp_index(int(np.searchsorted(cum, u, side="right")), n)
+    for t, s in enumerate(sellers[j[:N]].tolist()):
         mid = (es_lo + es_hi) / 2.0
         prices[t] = mid
-        if sellers[j] <= mid:
+        if s <= mid:
             es_hi = mid
         else:
             es_lo = mid
-    for t in range(N):
-        u = stream.next_unit()
-        j = _clamp_index(int(np.searchsorted(cum, u, side="right")), n)
+    for t, b in enumerate(buyers[j[N:]].tolist()):
         mid = (eb_lo + eb_hi) / 2.0
         prices[N + t] = mid
-        if mid <= buyers[j]:
+        if mid <= b:
             eb_lo = mid
         else:
             eb_hi = mid
@@ -132,33 +130,33 @@ def fbep_prices(seed, cum, sellers, buyers, cands, reward_matrix, horizon):
 
     ``cands`` are the fixed candidate prices (every breakpoint the empirical
     mean can have under this environment) and ``reward_matrix[m, j]`` is
-    fgft(cands[m], atom j).  Scores accumulate per round in arrival order,
-    matching empirical_best_price's summation exactly.
+    fgft(cands[m], atom j).  Round 0 posts 1/2; round t >= 1 posts the
+    first maximizer of the scores summed over rounds 0..t-1 in arrival
+    order, matching empirical_best_price's summation exactly.  The scores
+    of FBEP_BLOCK rounds at a time are one cumsum whose row 0 is the
+    carried total, so every partial sum is formed in the same order as a
+    round-by-round loop (adding the carry after the cumsum would regroup
+    the sums and change their rounding).
     """
     T = int(horizon)
-    stream = SplitMix64(int(seed))
-    n = cum.size
-    scores = np.zeros(cands.size, dtype=np.float64)
+    rewards = np.ascontiguousarray(reward_matrix.T)
+    j = _sample_atoms(seed, cum, T)
     prices = np.empty(T, dtype=np.float64)
-    for t in range(T):
-        u = stream.next_unit()
-        j = _clamp_index(int(np.searchsorted(cum, u, side="right")), n)
-        if t == 0:
-            prices[t] = 0.5
-        else:
-            prices[t] = cands[int(np.argmax(scores))]
-        scores += reward_matrix[:, j]
+    block = np.zeros((min(T, FBEP_BLOCK) + 1, rewards.shape[1]), dtype=np.float64)
+    for t0 in range(0, T, FBEP_BLOCK):
+        rows = j[t0 : t0 + FBEP_BLOCK]
+        scores = block[: rows.size + 1]
+        scores[1:] = rewards[rows]
+        np.cumsum(scores, axis=0, out=scores)
+        prices[t0 : t0 + rows.size] = cands[np.argmax(scores[:-1], axis=1)]
+        block[0] = scores[-1]
+    prices[:1] = 0.5
     return prices
 
 
 def uniform_prices(seed, horizon):
     """Independent uniform prices from a learner-owned stream."""
-    T = int(horizon)
-    stream = SplitMix64(int(seed))
-    out = np.empty(T, dtype=np.float64)
-    for t in range(T):
-        out[t] = stream.next_unit()
-    return out
+    return unit_draws(seed, horizon)
 
 
 def convolution_approx_batch(prices, sellers, buyers, grid_size):

@@ -2,15 +2,21 @@
 
 All sampling in this package flows through a splitmix64 stream: the state
 advances by a fixed odd constant and the output is the standard three-round
-multiply-xorshift finalizer.  The reference loop and the kernels in
-kernels.py both draw from this stream, so a trajectory is reproducible bit
-for bit across platforms and between the kernels and the reference loop.
+multiply-xorshift finalizer.  splitmix64 is a counter generator: the t-th
+state is seed + t * GOLDEN mod 2**64, so the t-th output depends on t alone.
+The reference loop steps the stream one Python integer at a time
+(SplitMix64); the kernels in kernels.py compute a whole episode's draws in
+one uint64 NumPy pass (unit_draws).  Both give the same doubles, so a
+trajectory is reproducible bit for bit across platforms and between the
+kernels and the reference loop.
 
 Uniform doubles are built as (u64 >> 11) * 2**-53, i.e. 53 random bits in
 [0, 1).
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -58,3 +64,21 @@ class SplitMix64:
     def next_unit(self) -> float:
         """Next uniform double in [0, 1)."""
         return u64_to_unit(self.next_u64())
+
+
+def unit_draws(seed: int, n: int) -> np.ndarray:
+    """The first n values of SplitMix64(seed).next_unit(), in one pass.
+
+    Every step is an array operation: uint64 arrays wrap silently mod 2**64,
+    whereas an overflowing np.uint64 scalar operation warns.
+    """
+    z = np.arange(1, int(n) + 1, dtype=np.uint64)
+    z *= np.uint64(GOLDEN)
+    z += np.uint64(int(seed) & MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(MIX_A)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(MIX_B)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    return z.astype(np.float64) * 2.0**-53

@@ -222,6 +222,10 @@ def test_parse_learner_kinds_and_params():
         "fixed:p",
         "conv-pricing:K=0",
         "conv-pricing:K=-3",
+        "uniform:sed=5",
+        "fixed:p=0.5,q=1",
+        "uniform:seed=18446744073709551616",
+        "uniform:seed=-1",
     ],
 )
 def test_parse_learner_rejects(learner_id):

@@ -120,6 +120,7 @@ def test_run_fits_slope_with_three_horizons(tmp_path, capsys):
         ({"runs": [{"learner": "dbs", "env": "det:s=nan,b=0.5", "horizon": 5}]}, 3),
         ({"runs": [{"learner": "dbs", "env": {"joint": [[0.1, 0.9, float("nan")]]}, "horizon": 5}]}, 2),
         ({"runs": [{"learner": "fixed:p=0.5", "env": "lb-mu", "horizons": [10, 10, 10]}]}, 2),
+        ({"runs": [{"learner": "uniform:sed=5", "env": "lb-mu", "horizon": 5}]}, 3),
     ],
 )
 def test_run_error_exit_codes(tmp_path, capsys, payload, code):

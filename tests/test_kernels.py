@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fairtrade import kernels
 from fairtrade.core import discrete_convolution_score, expected_fgft, fgft_convolution_approx
-from fairtrade.environments import lb_mu
-from fairtrade.rng import SplitMix64
+from fairtrade.environments import env_from_config, lb_mu
+from fairtrade.harness import _EnvTables, _fbep_tables
+from fairtrade.rng import MASK64, SplitMix64, unit_draws
 
 
 def test_expected_fgft_at_numpy_matches_oracle():
@@ -49,3 +52,147 @@ def test_convolution_approx_batch_numpy_matches_scalar():
     got = kernels.convolution_approx_batch(p, s, b, 257)
     want = [fgft_convolution_approx(float(pi), (float(si), float(bi)), 257) for pi, si, bi in zip(p, s, b)]
     np.testing.assert_allclose(got, want, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# counter-form draws against the sequential stream
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, MASK64), n=st.integers(0, 300))
+@example(seed=0, n=300)
+@example(seed=MASK64, n=300)
+def test_unit_draws_match_sequential_stream(seed, n):
+    stream = SplitMix64(seed)
+    want = [stream.next_unit() for _ in range(n)]
+    got = unit_draws(seed, n)
+    assert got.dtype == np.float64
+    assert got.tolist() == want  # bit-for-bit
+
+
+# ---------------------------------------------------------------------------
+# one-pass simulators against round-by-round loops
+# ---------------------------------------------------------------------------
+#
+# Round-by-round oracles: one SplitMix64 step, one searchsorted and one
+# score update per round.  The one-pass kernels must match them bitwise.
+
+
+def _loop_atom(stream, cum):
+    j = int(np.searchsorted(cum, stream.next_unit(), side="right"))
+    return min(j, cum.size - 1)
+
+
+def _loop_fbep(seed, cum, cands, reward_matrix, T):
+    stream = SplitMix64(seed)
+    scores = np.zeros(cands.size, dtype=np.float64)
+    prices = np.empty(T, dtype=np.float64)
+    for t in range(T):
+        j = _loop_atom(stream, cum)
+        prices[t] = 0.5 if t == 0 else cands[int(np.argmax(scores))]
+        scores += reward_matrix[:, j]
+    return prices
+
+
+def _loop_conv_bits(seed, cum, sellers, buyers, K):
+    stream = SplitMix64(seed)
+    av, bv = np.zeros(K), np.zeros(K)
+    for t in range(1, K + 1):
+        j = _loop_atom(stream, cum)
+        av[t - 1] = sellers[j] <= t / K
+        bv[t - 1] = t / K <= buyers[j]
+    return av, bv
+
+
+def _loop_dbs(seed, cum, sellers, buyers, N):
+    stream = SplitMix64(seed)
+    prices = []
+    lo, hi = 0.0, 1.0
+    for _ in range(N):
+        j = _loop_atom(stream, cum)
+        mid = (lo + hi) / 2.0
+        prices.append(mid)
+        lo, hi = (lo, mid) if sellers[j] <= mid else (mid, hi)
+    seller_mid, lo, hi = (lo + hi) / 2.0, 0.0, 1.0
+    for _ in range(N):
+        j = _loop_atom(stream, cum)
+        mid = (lo + hi) / 2.0
+        prices.append(mid)
+        lo, hi = (mid, hi) if mid <= buyers[j] else (lo, mid)
+    return prices, (seller_mid + (lo + hi) / 2.0) / 2.0
+
+
+def _random_joint_5():
+    rng = np.random.default_rng(7)
+    weights = rng.random(5) + 0.1
+    sellers, buyers = 0.6 * rng.random(5), 0.4 + 0.6 * rng.random(5)
+    atoms = np.column_stack([sellers, buyers, weights / weights.sum()])
+    return env_from_config({"joint": atoms.tolist()})
+
+
+def _coin_flip():
+    # The empirical best price is 1/4 or 3/4 as one atom's count leads the
+    # other's: a random walk whose leader flips often, so a score that
+    # misses or repeats one round's reward moves the price path.
+    return env_from_config({"joint": [[0.0, 0.5, 0.5], [0.5, 1.0, 0.5]]})
+
+
+def _decimal_tie():
+    # Prices 0.1 and 0.3 have equal expected reward and rewards that are not
+    # dyadic, so which one leads on an exact tie of counts depends on how the
+    # float sums were grouped.
+    return env_from_config({"joint": [[0.0, 0.2, 2 / 3], [0.0, 0.6, 1 / 3]]})
+
+
+_SIM_ENVS = {
+    "lb-mu": lb_mu,
+    "random-joint-5": _random_joint_5,
+    "coin-flip": _coin_flip,
+    "decimal-tie": _decimal_tie,
+}
+_SEEDS = (0, 11, MASK64)
+
+
+@pytest.mark.parametrize("block", [kernels.FBEP_BLOCK, 3])
+@pytest.mark.parametrize(
+    "blocks,extra",
+    [(0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 3)],
+    ids=["1", "2", "B", "B+1", "B+2", "2B+3"],
+)
+@pytest.mark.parametrize("env_name", list(_SIM_ENVS))
+def test_fbep_prices_match_round_loop_across_blocks(monkeypatch, env_name, blocks, extra, block):
+    # block 3 puts a block edge every few rounds of the same episodes
+    monkeypatch.setattr(kernels, "FBEP_BLOCK", block)
+    T = blocks * block + extra
+    tables = _EnvTables(_SIM_ENVS[env_name]())
+    cands, matrix = _fbep_tables(tables)
+    for seed in _SEEDS:
+        got = kernels.fbep_prices(seed, tables.cum, tables.sellers, tables.buyers, cands, matrix, T)
+        assert np.array_equal(got, _loop_fbep(seed, tables.cum, cands, matrix, T)), seed
+
+
+@pytest.mark.parametrize("K", [1, 2, 464])
+@pytest.mark.parametrize("env_name", list(_SIM_ENVS))
+def test_conv_pricing_commit_matches_round_loop(env_name, K):
+    tables = _EnvTables(_SIM_ENVS[env_name]())
+    for seed in _SEEDS:
+        commit, av, bv = kernels.conv_pricing_commit(
+            seed, tables.cum, tables.sellers, tables.buyers, K
+        )
+        want_av, want_bv = _loop_conv_bits(seed, tables.cum, tables.sellers, tables.buyers, K)
+        assert np.array_equal(av, want_av) and np.array_equal(bv, want_bv), seed
+        padded_av = np.concatenate([[0.0], want_av])
+        padded_bv = np.concatenate([[0.0], want_bv, np.zeros(K)])
+        want_commit = int(np.argmax(kernels.incomplete_convolution(padded_av, padded_bv, K))) + 1
+        assert commit == want_commit, seed
+
+
+@pytest.mark.parametrize("N", [0, 1, 10])
+@pytest.mark.parametrize("env_name", list(_SIM_ENVS))
+def test_dbs_explore_matches_round_loop(env_name, N):
+    tables = _EnvTables(_SIM_ENVS[env_name]())
+    for seed in _SEEDS:
+        prices, commit = kernels.dbs_explore(seed, tables.cum, tables.sellers, tables.buyers, N)
+        want_prices, want_commit = _loop_dbs(seed, tables.cum, tables.sellers, tables.buyers, N)
+        assert prices.tolist() == want_prices and commit == want_commit, seed
