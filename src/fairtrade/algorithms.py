@@ -272,9 +272,6 @@ LEARNER_ID_PATTERNS = (
     "uniform:seed=<u64>",
 )
 
-_KINDS = ("conv-pricing", "dbs", "fbep", "fixed", "gft-oracle", "uniform")
-
-
 @dataclass(frozen=True)
 class LearnerSpec:
     """A parsed learner id: enough to build a fresh instance per episode."""
@@ -330,12 +327,9 @@ def parse_learner(learner_id: str) -> LearnerSpec:
                 params["K"] = int(params["K"])
                 if params["K"] < 1:
                     raise UnknownIdError(f"conv-pricing needs K >= 1, got {learner_id!r}")
-        elif head == "dbs" or head == "gft-oracle":
+        elif head in ("dbs", "fbep", "gft-oracle"):
             if params:
                 raise UnknownIdError(f"{head} takes no parameters, got {learner_id!r}")
-        elif head == "fbep":
-            if params:
-                raise UnknownIdError(f"fbep takes no parameters, got {learner_id!r}")
         elif head == "fixed":
             if set(params) - {"p"}:
                 raise UnknownIdError(f"fixed accepts only p=, got {learner_id!r}")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -50,11 +51,20 @@ def _check_threads(args) -> None:
         raise ValueError(f"thread count must be >= 1, got {args.threads}")
 
 
+def _whole(value, name: str) -> int:
+    """A config number that must be whole: an int (not a bool) or an integral finite float."""
+    if isinstance(value, float) and math.isfinite(value) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 def _parse_horizons(entry: dict) -> list:
     if "horizons" in entry:
-        hs = [int(t) for t in entry["horizons"]]
+        hs = [_whole(t, "horizon") for t in entry["horizons"]]
     else:
-        hs = [int(entry["horizon"])]
+        hs = [_whole(entry["horizon"], "horizon")]
     if not hs:
         raise ValueError("a run needs at least one horizon")
     if any(a >= b for a, b in zip(hs, hs[1:])):
@@ -78,8 +88,10 @@ def cmd_run(args) -> int:
         env = env_from_config(entry["env"])
         feedback = FeedbackModel.parse(entry["feedback"]) if "feedback" in entry else None
         horizons = _parse_horizons(entry)
-        n_episodes = int(entry.get("n_episodes", 1))
-        base_seed = int(entry.get("base_seed", args.seed if args.seed is not None else 0))
+        n_episodes = _whole(entry.get("n_episodes", 1), "n_episodes")
+        base_seed = _whole(
+            entry.get("base_seed", args.seed if args.seed is not None else 0), "base_seed"
+        )
         cfg = RunConfig(
             env=env,
             learner=spec,

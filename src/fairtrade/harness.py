@@ -1,11 +1,14 @@
 """Episode execution, exact pseudo-regret accounting, and aggregation.
 
 The reference loop (run_episode) drives a learner round by round against a
-sampled environment and returns the full trajectory.  Monte Carlo runs take
-each episode's price profile (exploration prices, then a constant tail)
-from the kernels module, which reproduces the reference loop's price
-sequence (identical splitmix64 draws, identical accumulation order), and
-score every learner with one formula, so desk-scale horizons stay cheap.
+sampled environment and returns the full trajectory.  Monte Carlo runs,
+point-mass profiles and worst-case sweeps instead take an episode's price
+profile (exploration prices, then a constant tail) from one path,
+_price_profile, built on the kernels module, which reproduces the reference
+loop's price sequence (identical splitmix64 draws, identical accumulation
+order), and score it with one formula, _profile_regret, so desk-scale
+horizons stay cheap.  A point mass is the one-atom environment: every draw
+lands on its atom.
 
 Regret is always pseudo-regret: conditioning on the posted prices, every
 round contributes v_star - E[fgft(p_t)] with both terms exact under the
@@ -33,7 +36,6 @@ from .algorithms import (
     parse_learner,
 )
 from .core import (
-    FiniteJointDistribution,
     best_fixed_price_fgft,
     fgft,
     fgft_candidates,
@@ -52,7 +54,7 @@ from .environments import (
     render_feedback,
     sample_valuations,
 )
-from .rng import SplitMix64, mix64
+from .rng import MASK64, SplitMix64, mix64
 
 
 class FeedbackMismatchError(ValueError):
@@ -101,6 +103,8 @@ class RunConfig:
             raise ValueError(f"horizon must be >= 1, got {self.horizon!r}")
         if self.n_episodes < 1:
             raise ValueError(f"n_episodes must be >= 1, got {self.n_episodes!r}")
+        if not 0 <= self.base_seed <= MASK64:
+            raise ValueError(f"base_seed must lie in [0, 2**64), got {self.base_seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,17 +175,12 @@ class _EnvTables:
         self.sellers = joint.sellers
         self.buyers = joint.buyers
         self.weights = joint.weights
-        best = best_fixed_price_fgft(joint)
-        self.best_price = best.price
-        self.v_star = best.value
+        self.v_star = best_fixed_price_fgft(joint).value
 
     def mean_at(self, prices) -> np.ndarray:
         return kernels.expected_fgft_at(
             np.asarray(prices, dtype=np.float64), self.sellers, self.buyers, self.weights
         )
-
-    def gap_at(self, price: float) -> float:
-        return self.v_star - float(self.mean_at(np.asarray([price]))[0])
 
 
 def pseudo_regret(env: Environment, prices) -> float:
@@ -192,9 +191,7 @@ def pseudo_regret(env: Environment, prices) -> float:
     """
     if isinstance(prices, Trajectory):
         prices = prices.prices
-    tables = _EnvTables(env)
-    means = tables.mean_at(np.asarray(prices, dtype=np.float64))
-    return float(np.sum(tables.v_star - means))
+    return _profile_regret(_EnvTables(env), prices, 0.0, 0)
 
 
 def run_episode(config: RunConfig, episode_index: int) -> Trajectory:
@@ -248,15 +245,16 @@ def _fbep_tables(tables: _EnvTables):
 def _price_profile(spec: LearnerSpec, tables: _EnvTables, T: int):
     """Episode-seed -> (exploration prices, tail price, tail length) closure.
 
-    The same shape as deterministic_price_profile: the learner posts the
-    exploration prices, then the tail price for the remaining rounds.
-    Learners without a commit phase (uniform, fbep) return their whole path
-    as exploration and an empty tail.  Price paths agree with the reference
-    loop draw for draw, with one exception: the fbep kernel also scores
-    candidate prices of atoms not yet sampled, and on a flat top of the
-    empirical mean one of them can round one ulp above the reference
-    learner's smallest maximizer.
+    The learner posts the exploration prices, then the tail price for the
+    remaining rounds.  Learners without a commit phase (uniform, fbep)
+    return their whole path as exploration and an empty tail.  Price paths
+    agree with the reference loop draw for draw, with one exception: the
+    fbep kernel also scores candidate prices of atoms not yet sampled, and
+    on a flat top of the empirical mean one of them can round one ulp
+    above the reference learner's smallest maximizer.
     """
+    if T < 1:
+        raise ValueError(f"horizon must be >= 1, got {T!r}")
     kind = spec.kind
     if kind in ("fixed", "gft-oracle"):
         price = spec.build(T, tables.env).price
@@ -298,15 +296,19 @@ def _price_profile(spec: LearnerSpec, tables: _EnvTables, T: int):
     raise ValueError(f"no price profile for learner kind {kind!r}")
 
 
+def _profile_regret(tables: _EnvTables, explore, tail: float, tail_len: int) -> float:
+    """sum(v* - E[fgft(explore)]) + tail_len * (v* - E[fgft(tail)])."""
+    regret = float(np.sum(tables.v_star - tables.mean_at(explore)))
+    if tail_len:
+        regret += tail_len * (tables.v_star - float(tables.mean_at([tail])[0]))
+    return regret
+
+
 def _episode_regrets(config: RunConfig, horizon: int, tables: _EnvTables) -> np.ndarray:
     profile = _price_profile(config.learner, tables, horizon)
     values = np.empty(config.n_episodes, dtype=np.float64)
     for e in range(config.n_episodes):
-        explore, tail, tail_len = profile(mix64(config.base_seed, e))
-        regret = float(np.sum(tables.v_star - tables.mean_at(explore)))
-        if tail_len:
-            regret += tail_len * tables.gap_at(tail)
-        values[e] = regret
+        values[e] = _profile_regret(tables, *profile(mix64(config.base_seed, e)))
     return values
 
 
@@ -389,45 +391,28 @@ def growth_ratio(values) -> float:
 # ---------------------------------------------------------------------------
 
 
-def deterministic_price_profile(spec: LearnerSpec, horizon: int, pair) -> tuple:
-    """(exploration prices, tail price, tail length) on a fixed pair.
-
-    Valid for deterministic learners that consume two-bit (or no) feedback:
-    after the exploration rounds listed, the learner posts the tail price
-    for the remaining rounds.
-    """
+def _point_mass_tables(spec: LearnerSpec, pair) -> _EnvTables:
     if not spec.deterministic:
         raise ValueError(f"{spec.learner_id!r} is randomized; profile undefined")
     if spec.requires is FeedbackModel.FULL:
         raise ValueError(f"{spec.learner_id!r} needs full feedback, not two bits")
-    s, b = float(pair[0]), float(pair[1])
-    env = deterministic(s, b)
-    learner = spec.build(horizon, env)
-    if spec.kind in ("fixed", "gft-oracle"):
-        return np.empty(0, dtype=np.float64), learner.propose(), horizon
-    if spec.kind == "dbs":
-        n_explore = 2 * learner.phase_length
-    elif spec.kind == "conv-pricing":
-        n_explore = min(learner.grid_size, horizon)
-    else:
-        raise ValueError(f"no deterministic profile for {spec.learner_id!r}")
-    prices = np.empty(n_explore, dtype=np.float64)
-    pair_v = env.joint.atom(0)
-    for t in range(n_explore):
-        p = learner.propose()
-        learner.update(render_feedback(FeedbackModel.TWO_BIT, p, pair_v))
-        prices[t] = p
-    return prices, learner.propose(), horizon - n_explore
+    return _EnvTables(deterministic(float(pair[0]), float(pair[1])))
 
 
-def profile_regret(spec: LearnerSpec, horizon: int, pair, v_star=None) -> float:
+def deterministic_price_profile(spec: LearnerSpec, horizon: int, pair) -> tuple:
+    """(exploration prices, tail price, tail length) on a fixed pair.
+
+    Valid for deterministic learners that consume two-bit (or no) feedback.
+    This is the Monte Carlo profile on the point mass: every draw lands on
+    its one atom, so the episode seed does not matter.
+    """
+    return _price_profile(spec, _point_mass_tables(spec, pair), horizon)(0)
+
+
+def profile_regret(spec: LearnerSpec, horizon: int, pair) -> float:
     """Exact pseudo-regret of a deterministic learner on a point mass."""
-    s, b = float(pair[0]), float(pair[1])
-    if v_star is None:
-        v_star = best_fixed_price_fgft(FiniteJointDistribution([((s, b), 1.0)])).value
-    explore, tail_price, tail_len = deterministic_price_profile(spec, horizon, (s, b))
-    explore_sum = float(np.sum(v_star - fgft_vector(explore, s, b)))
-    return explore_sum + tail_len * (v_star - fgft(tail_price, s, b))
+    tables = _point_mass_tables(spec, pair)
+    return _profile_regret(tables, *_price_profile(spec, tables, horizon)(0))
 
 
 def adversarial_deterministic_sweep(
@@ -448,10 +433,7 @@ def adversarial_deterministic_sweep(
     s_values = np.asarray(s_values, dtype=np.float64)
     regrets = np.empty(s_values.size, dtype=np.float64)
     for i, s in enumerate(s_values):
-        v_star = best_fixed_price_fgft(
-            FiniteJointDistribution([((float(s), buyer), 1.0)])
-        ).value
-        regrets[i] = profile_regret(spec, horizon, (float(s), buyer), v_star=v_star)
+        regrets[i] = profile_regret(spec, horizon, (float(s), buyer))
     arg = int(np.argmax(regrets))
     return SweepReport(
         learner_id=spec.learner_id,

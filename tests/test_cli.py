@@ -19,8 +19,10 @@ def run_cli(*args):
 
 
 def write_config(tmp_path, payload, name="config.json"):
+    """Write a config: a dict is dumped as JSON, a str is written verbatim."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    text = payload if isinstance(payload, str) else json.dumps(payload)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -121,12 +123,42 @@ def test_run_fits_slope_with_three_horizons(tmp_path, capsys):
         ({"runs": [{"learner": "dbs", "env": {"joint": [[0.1, 0.9, float("nan")]]}, "horizon": 5}]}, 2),
         ({"runs": [{"learner": "fixed:p=0.5", "env": "lb-mu", "horizons": [10, 10, 10]}]}, 2),
         ({"runs": [{"learner": "uniform:sed=5", "env": "lb-mu", "horizon": 5}]}, 3),
+        # config numbers must be whole, finite and of the right type
+        ({"runs": [{"learner": "dbs", "env": "lb-mu", "horizons": [float("inf")]}]}, 2),
+        pytest.param(
+            '{"runs": [{"learner": "dbs", "env": "lb-mu", "horizon": 5, "n_episodes": 1e400}]}',
+            2,
+            id="n_episodes=1e400-2",
+        ),
+        ({"runs": [{"learner": "dbs", "env": "lb-mu", "horizon": True}]}, 2),
+        ({"runs": [{"learner": "dbs", "env": "lb-mu", "horizon": 5, "n_episodes": "3"}]}, 2),
+        ({"runs": [{"learner": "dbs", "env": "lb-mu", "horizons": [10.9, 20.5, 30.2]}]}, 2),
+        ({"runs": [{"learner": "dbs", "env": "lb-mu", "horizon": 5, "base_seed": -1}]}, 2),
+        ({"runs": [{"learner": "dbs", "env": "lb-mu", "horizon": 5, "base_seed": 2**64}]}, 2),
     ],
 )
 def test_run_error_exit_codes(tmp_path, capsys, payload, code):
     config = write_config(tmp_path, payload)
     assert cli.main(["run", "--config", config, "--out", str(tmp_path / "x.csv")]) == code
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_run_rejects_seed_flag_outside_u64(tmp_path, capsys, seed):
+    config = write_config(tmp_path, {"runs": [{"learner": "dbs", "env": "lb-mu", "horizon": 5}]})
+    argv = ["run", "--config", config, "--out", str(tmp_path / "x.csv"), "--seed", seed]
+    assert cli.main(argv) == 2
+    assert "base_seed" in capsys.readouterr().err
+
+
+def test_run_accepts_integral_floats(tmp_path, capsys):
+    payload = {"runs": [{"learner": "fixed:p=0.5", "env": "lb-mu", "horizons": [1e1, 1e2],
+                         "n_episodes": 2.0, "base_seed": 3.0}]}
+    out = tmp_path / "x.csv"
+    assert cli.main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = out.read_text(encoding="utf-8").strip().splitlines()[1:]
+    assert [row.split(",")[2:4] for row in rows] == [["10", "2"], ["100", "2"]]
 
 
 def test_run_rejects_malformed_json(tmp_path, capsys):
@@ -162,6 +194,12 @@ def test_sweep_writes_per_point_csv(tmp_path, capsys):
 def test_sweep_unknown_learner(capsys):
     assert cli.main(["sweep", "--learner", "foo", "--horizon", "64"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("learner,horizon", [("fixed:p=0.5", "-5"), ("gft-oracle", "0")])
+def test_sweep_rejects_horizon_below_one(capsys, learner, horizon):
+    assert cli.main(["sweep", "--learner", learner, "--horizon", horizon]) == 2
+    assert "horizon must be >= 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

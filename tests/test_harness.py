@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fairtrade.algorithms import dbs_regret_bound, parse_learner
 from fairtrade.environments import FeedbackModel, deterministic, epsilon_family, gft_trap, lb_mu
@@ -70,6 +72,9 @@ def test_run_config_validation():
         RunConfig(env=lb_mu(), learner=spec, horizon=0)
     with pytest.raises(ValueError):
         RunConfig(env=lb_mu(), learner=spec, horizon=10, n_episodes=0)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="base_seed"):
+            RunConfig(env=lb_mu(), learner=spec, horizon=10, base_seed=seed)
 
 
 def test_mismatched_config_fails_before_any_episode():
@@ -284,6 +289,45 @@ def test_profile_regret_matches_reference_loop():
     cfg = RunConfig(env=env, learner=spec, horizon=16)
     want = pseudo_regret(env, run_episode(cfg, 0))
     assert profile_regret(spec, 16, pair) == pytest.approx(want, abs=1e-12)
+
+
+_UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _deterministic_learners(draw):
+    """(learner id, T) for every deterministic learner without full feedback."""
+    T = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["dbs", "conv-pricing", "conv-pricing:K", "fixed", "gft-oracle"]))
+    if kind == "conv-pricing:K":
+        return f"conv-pricing:K={draw(st.integers(1, T))}", T
+    if kind == "fixed":
+        return f"fixed:p={draw(_UNIT)!r}", T
+    return kind, T
+
+
+def _dyadic_examples(test):
+    # bisection midpoints hit the values exactly, so <= and < disagree there
+    for learner_id in ("dbs", "conv-pricing"):
+        for T in (1, 6, 7, 8):
+            for pair in ((0.25, 0.75), (0.5, 0.5)):
+                test = example(learner=(learner_id, T), pair=pair)(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None)
+@given(learner=_deterministic_learners(), pair=st.tuples(_UNIT, _UNIT))
+@_dyadic_examples
+def test_point_mass_profile_matches_reference_loop(learner, pair):
+    learner_id, T = learner
+    spec = parse_learner(learner_id)
+    env = deterministic(*pair)
+    trajectory = run_episode(RunConfig(env=env, learner=spec, horizon=T), 0)
+    explore, tail, tail_len = deterministic_price_profile(spec, T, pair)
+    assert np.array_equal(np.concatenate([explore, np.full(tail_len, tail)]), trajectory.prices)
+    assert profile_regret(spec, T, pair) == pytest.approx(
+        pseudo_regret(env, trajectory), rel=0.0, abs=1e-12 * T
+    )
 
 
 def test_sweep_fixed_price_frozen():
