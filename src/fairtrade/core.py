@@ -17,7 +17,9 @@ linear in p, with breakpoints only at atom coordinates and atom midpoints,
 and the expected gft is piecewise constant with jumps only at atom
 coordinates.  The best-fixed-price oracles therefore enumerate those finite
 candidate sets exactly instead of discretizing; ties always break toward
-the smallest price.
+the smallest price.  The fgft oracle scores its candidates with
+kernels.expected_fgft_at, the one evaluator of E[fgft] that also scores
+posted prices for regret, so v* and every regret term share one sum.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+
+# by name, so that a wrapper on kernels.expected_fgft_at sees regret only
+from .kernels import expected_fgft_at
 
 WEIGHT_TOL = 1e-12
 
@@ -55,7 +60,7 @@ def gft(p: float, seller: float, buyer: float) -> float:
 
 
 def fgft_vector(prices: np.ndarray, seller: float, buyer: float) -> np.ndarray:
-    """fgft evaluated elementwise over an array of prices."""
+    """fgft evaluated elementwise; prices, seller and buyer broadcast."""
     prices = np.asarray(prices, dtype=np.float64)
     return np.minimum(np.maximum(prices - seller, 0.0), np.maximum(buyer - prices, 0.0))
 
@@ -151,21 +156,17 @@ class FiniteMarginal:
 class FiniteJointDistribution:
     """Finite-support joint distribution of (seller, buyer) values.
 
-    Atoms are pairwise-distinct pairs with strictly positive weights summing
-    to one within 1e-12, stored in listing order.
+    Built from an iterable of ((seller, buyer), weight) entries.  Atoms are
+    pairwise-distinct pairs with strictly positive weights summing to one
+    within 1e-12, stored in listing order.
     """
 
     sellers: np.ndarray
     buyers: np.ndarray
     weights: np.ndarray
 
-    def __init__(self, atoms: Iterable[tuple], weights: Iterable[float] | None = None):
-        if weights is None:
-            entries = [(float(s), float(b), float(w)) for (s, b), w in atoms]
-        else:
-            entries = [
-                (float(s), float(b), float(w)) for (s, b), w in zip(atoms, weights)
-            ]
+    def __init__(self, atoms: Iterable[tuple]):
+        entries = [(float(s), float(b), float(w)) for (s, b), w in atoms]
         if not entries:
             raise ValueError("a joint distribution needs at least one atom")
         sellers = np.ascontiguousarray([e[0] for e in entries], dtype=np.float64)
@@ -260,31 +261,20 @@ def gft_candidates(sellers: np.ndarray, buyers: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate([jumps, mids]))
 
 
-def _mixture_values(cands: np.ndarray, dist: FiniteJointDistribution, reward) -> np.ndarray:
-    # Sequential accumulation in atom listing order keeps results identical
-    # across execution paths and makes exact ties break reproducibly.
-    vals = np.zeros(cands.size, dtype=np.float64)
-    for s, b, w in zip(dist.sellers, dist.buyers, dist.weights):
-        vals += w * reward(cands, s, b)
-    return vals
-
-
 def best_fixed_price_fgft(dist: FiniteJointDistribution) -> PricePoint:
     """Exact maximizer of expected fgft; ties break toward the smallest price."""
     cands = fgft_candidates(dist.sellers, dist.buyers)
-    vals = _mixture_values(cands, dist, fgft_vector)
+    vals = expected_fgft_at(cands, dist.sellers, dist.buyers, dist.weights)
     i = int(np.argmax(vals))  # first max on a sorted grid = smallest price
     return PricePoint(float(cands[i]), float(vals[i]))
-
-
-def _gft_vector(prices: np.ndarray, seller: float, buyer: float) -> np.ndarray:
-    return np.where((seller <= prices) & (prices <= buyer), buyer - seller, 0.0)
 
 
 def best_fixed_price_gft(dist: FiniteJointDistribution) -> PricePoint:
     """Exact maximizer of expected gft; ties break toward the smallest price."""
     cands = gft_candidates(dist.sellers, dist.buyers)
-    vals = _mixture_values(cands, dist, _gft_vector)
+    vals = np.zeros(cands.size, dtype=np.float64)
+    for s, b, w in zip(dist.sellers, dist.buyers, dist.weights):
+        vals += w * np.where((s <= cands) & (cands <= b), b - s, 0.0)
     i = int(np.argmax(vals))
     return PricePoint(float(cands[i]), float(vals[i]))
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .core import (
     FiniteJointDistribution,
     FiniteMarginal,
     ValuationPair,
+    gft_candidates,
     product_joint,
 )
 from .rng import SplitMix64
@@ -124,23 +125,15 @@ def feedback_distribution(env: Environment, price: float) -> dict:
     return table
 
 
-def region_representatives(coords: Iterable[float]) -> np.ndarray:
-    """Prices covering every constant piece of the feedback law.
+def feedback_region_prices(env: Environment) -> np.ndarray:
+    """Representative prices for this environment's feedback regions.
 
     The bit indicators change value only at support coordinates, and only
     pointwise there, so the law is constant on each coordinate and on each
-    open interval between consecutive coordinates.  Returns the coordinates
-    (with 0 and 1 added) plus the midpoints of consecutive ones.
+    open interval between consecutive coordinates: the same pieces on which
+    expected gft is constant, so core.gft_candidates covers them.
     """
-    pts = np.unique(np.concatenate([np.asarray([0.0, 1.0]), np.asarray(list(coords), dtype=np.float64)]))
-    mids = (pts[:-1] + pts[1:]) / 2.0
-    return np.unique(np.concatenate([pts, mids]))
-
-
-def feedback_region_prices(env: Environment) -> np.ndarray:
-    """Representative prices for this environment's feedback regions."""
-    joint = env.joint
-    return region_representatives(np.concatenate([joint.sellers, joint.buyers]))
+    return gft_candidates(env.joint.sellers, env.joint.buyers)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,11 @@ lands on its atom.
 
 Regret is always pseudo-regret: conditioning on the posted prices, every
 round contributes v_star - E[fgft(p_t)] with both terms exact under the
-finite-support environment.  This is an unbiased estimator of the expected
-regret with strictly smaller variance than realized-reward differences.
+finite-support environment.  Both terms come from one evaluator,
+kernels.expected_fgft_at (core.best_fixed_price_fgft scores its candidates
+with it), so a fixed price at the optimum has regret exactly 0.  This is an
+unbiased estimator of the expected regret with strictly smaller variance
+than realized-reward differences.
 
 Seeding: episode e of a run with base seed B draws from a splitmix64 stream
 seeded with mix64(B, e) (three multiply-xorshift rounds, identical on every
@@ -23,6 +26,7 @@ sequentially, in index order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,6 +44,7 @@ from .core import (
     fgft,
     fgft_candidates,
     fgft_vector,
+    gft_candidates,
 )
 from .environments import (
     FEEDBACK_OUTCOMES,
@@ -50,7 +55,6 @@ from .environments import (
     feedback_distribution,
     lb_mu,
     lb_nu,
-    region_representatives,
     render_feedback,
     sample_valuations,
 )
@@ -182,6 +186,16 @@ class _EnvTables:
             np.asarray(prices, dtype=np.float64), self.sellers, self.buyers, self.weights
         )
 
+    @functools.cached_property
+    def fbep(self) -> tuple:
+        """fbep's (candidates, rewards), built on first use only.
+
+        The candidates are every breakpoint the empirical mean can have
+        under this environment; rewards[m, j] = fgft(candidates[m], atom j).
+        """
+        cands = fgft_candidates(self.sellers, self.buyers)
+        return cands, fgft_vector(cands[:, None], self.sellers, self.buyers)
+
 
 def pseudo_regret(env: Environment, prices) -> float:
     """Exact expected regret of a posted price sequence on a finite env.
@@ -230,20 +244,8 @@ def run_episode(config: RunConfig, episode_index: int) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _fbep_tables(tables: _EnvTables):
-    # Candidate grid covering every breakpoint the empirical mean can have
-    # under this environment, plus per-atom rewards at those candidates.
-    cands = fgft_candidates(tables.sellers, tables.buyers)
-    matrix = np.ascontiguousarray(
-        np.column_stack(
-            [fgft_vector(cands, s, b) for s, b in zip(tables.sellers, tables.buyers)]
-        )
-    )
-    return cands, matrix
-
-
-def _price_profile(spec: LearnerSpec, tables: _EnvTables, T: int):
-    """Episode-seed -> (exploration prices, tail price, tail length) closure.
+def _price_profile(spec: LearnerSpec, tables: _EnvTables, T: int, seed: int) -> tuple:
+    """(exploration prices, tail price, tail length) of episode stream ``seed``.
 
     The learner posts the exploration prices, then the tail price for the
     remaining rounds.  Learners without a commit phase (uniform, fbep)
@@ -257,42 +259,26 @@ def _price_profile(spec: LearnerSpec, tables: _EnvTables, T: int):
         raise ValueError(f"horizon must be >= 1, got {T!r}")
     kind = spec.kind
     if kind in ("fixed", "gft-oracle"):
-        price = spec.build(T, tables.env).price
-        return lambda seed: (np.empty(0, dtype=np.float64), price, T)
+        return np.empty(0, dtype=np.float64), spec.build(T, tables.env).price, T
     if kind == "uniform":
-        u_seed = spec.params.get("seed", 0)
-        return lambda seed: (kernels.uniform_prices(mix64(u_seed, seed), T), 0.0, 0)
+        return kernels.uniform_prices(mix64(spec.params.get("seed", 0), seed), T), 0.0, 0
     if kind == "dbs":
         N = dbs_phase_length(T)
-
-        def dbs_profile(seed):
-            prices, commit = kernels.dbs_explore(
-                seed, tables.cum, tables.sellers, tables.buyers, N
-            )
-            return prices, commit, T - 2 * N
-
-        return dbs_profile
+        prices, commit = kernels.dbs_explore(seed, tables.cum, tables.sellers, tables.buyers, N)
+        return prices, commit, T - 2 * N
     if kind == "conv-pricing":
         K = ConvolutionPricing(T, spec.params.get("K")).grid_size
+        commit, _, _ = kernels.conv_pricing_commit(
+            seed, tables.cum, tables.sellers, tables.buyers, K
+        )
         grid = np.arange(1, K + 1, dtype=np.float64) / K
-
-        def conv_profile(seed):
-            commit, _, _ = kernels.conv_pricing_commit(
-                seed, tables.cum, tables.sellers, tables.buyers, K
-            )
-            return grid, grid[commit - 1], T - K
-
-        return conv_profile
+        return grid, grid[commit - 1], T - K
     if kind == "fbep":
-        cands, matrix = _fbep_tables(tables)
-
-        def fbep_profile(seed):
-            prices = kernels.fbep_prices(
-                seed, tables.cum, tables.sellers, tables.buyers, cands, matrix, T
-            )
-            return prices, 0.0, 0
-
-        return fbep_profile
+        cands, rewards = tables.fbep
+        prices = kernels.fbep_prices(
+            seed, tables.cum, tables.sellers, tables.buyers, cands, rewards, T
+        )
+        return prices, 0.0, 0
     raise ValueError(f"no price profile for learner kind {kind!r}")
 
 
@@ -305,10 +291,10 @@ def _profile_regret(tables: _EnvTables, explore, tail: float, tail_len: int) -> 
 
 
 def _episode_regrets(config: RunConfig, horizon: int, tables: _EnvTables) -> np.ndarray:
-    profile = _price_profile(config.learner, tables, horizon)
     values = np.empty(config.n_episodes, dtype=np.float64)
     for e in range(config.n_episodes):
-        values[e] = _profile_regret(tables, *profile(mix64(config.base_seed, e)))
+        profile = _price_profile(config.learner, tables, horizon, mix64(config.base_seed, e))
+        values[e] = _profile_regret(tables, *profile)
     return values
 
 
@@ -406,13 +392,13 @@ def deterministic_price_profile(spec: LearnerSpec, horizon: int, pair) -> tuple:
     This is the Monte Carlo profile on the point mass: every draw lands on
     its one atom, so the episode seed does not matter.
     """
-    return _price_profile(spec, _point_mass_tables(spec, pair), horizon)(0)
+    return _price_profile(spec, _point_mass_tables(spec, pair), horizon, 0)
 
 
 def profile_regret(spec: LearnerSpec, horizon: int, pair) -> float:
     """Exact pseudo-regret of a deterministic learner on a point mass."""
     tables = _point_mass_tables(spec, pair)
-    return _profile_regret(tables, *_price_profile(spec, tables, horizon)(0))
+    return _profile_regret(tables, *_price_profile(spec, tables, horizon, 0))
 
 
 def adversarial_deterministic_sweep(
@@ -431,6 +417,8 @@ def adversarial_deterministic_sweep(
     if s_values is None:
         s_values = np.linspace(0.0, 0.25, 4097)
     s_values = np.asarray(s_values, dtype=np.float64)
+    if s_values.size == 0:
+        raise ValueError("the seller grid of a sweep is empty; give at least one point")
     regrets = np.empty(s_values.size, dtype=np.float64)
     for i, s in enumerate(s_values):
         regrets[i] = profile_regret(spec, horizon, (float(s), buyer))
@@ -502,10 +490,10 @@ def indistinguishability_check(
     price trajectories coincide round for round.
     """
     mu, nu = lb_mu(), lb_nu()
-    coords = np.concatenate(
-        [mu.joint.sellers, mu.joint.buyers, nu.joint.sellers, nu.joint.buyers]
+    prices = gft_candidates(
+        np.concatenate([mu.joint.sellers, nu.joint.sellers]),
+        np.concatenate([mu.joint.buyers, nu.joint.buyers]),
     )
-    prices = region_representatives(coords)
     max_gap = 0.0
     for p in prices:
         t_mu = feedback_distribution(mu, float(p))

@@ -36,12 +36,17 @@ def _sample_atoms(seed, cum, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# expected fgft over a price array (the pseudo-regret evaluator)
+# expected fgft over a price array (the one exact evaluator)
 # ---------------------------------------------------------------------------
 
 
 def expected_fgft_at(prices, sellers, buyers, weights):
-    """Mean fgft of each price under a finite joint, atom order preserved."""
+    """Mean fgft of each price under a finite joint, atom order preserved.
+
+    The one evaluator of E[fgft]: core.best_fixed_price_fgft scores its
+    candidates with it (v*) and harness._profile_regret scores posted
+    prices with it, so both terms of a regret come from the same sum.
+    """
     prices = np.ascontiguousarray(prices, dtype=np.float64)
     means = np.zeros(prices.size, dtype=np.float64)
     for s, b, w in zip(sellers, buyers, weights):

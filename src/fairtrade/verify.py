@@ -30,6 +30,7 @@ from .core import (
     FiniteJointDistribution,
     FiniteMarginal,
     best_fixed_price_fgft,
+    fgft_vector,
     product_joint,
 )
 from .environments import (
@@ -174,7 +175,7 @@ def suite_convolution_lemma() -> list:
         grid = np.linspace(0.0, 1.0, 50)
         p, s, b = (a.ravel() for a in np.meshgrid(grid, grid, grid, indexing="ij"))
         approx = kernels.convolution_approx_batch(p, s, b, 10**4)
-        exact = np.minimum(np.maximum(p - s, 0.0), np.maximum(b - p, 0.0))
+        exact = fgft_vector(p, s, b)
         measured = float(np.max(np.abs(approx - exact)))
         return measured <= 1e-4, measured, 1e-4
 

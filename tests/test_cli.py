@@ -202,6 +202,11 @@ def test_sweep_rejects_horizon_below_one(capsys, learner, horizon):
     assert "horizon must be >= 1" in capsys.readouterr().err
 
 
+def test_sweep_rejects_an_empty_grid(capsys):
+    assert cli.main(["sweep", "--learner", "dbs", "--horizon", "64", "--points", "0"]) == 2
+    assert "seller grid of a sweep is empty" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fairtrade.core import expected_fgft
+from fairtrade.core import expected_fgft, gft_candidates
 from fairtrade.environments import (
     ENVIRONMENT_ID_PATTERNS,
     FEEDBACK_OUTCOMES,
@@ -20,7 +20,6 @@ from fairtrade.environments import (
     lb_mu,
     lb_nu,
     parse_env,
-    region_representatives,
     render_feedback,
     sample_valuations,
 )
@@ -119,19 +118,13 @@ def test_feedback_distribution_lb_mu_at_half():
 
 def test_lower_bound_pair_tables_equal_everywhere():
     mu, nu = lb_mu(), lb_nu()
-    coords = np.concatenate(
-        [mu.joint.sellers, mu.joint.buyers, nu.joint.sellers, nu.joint.buyers]
-    )
-    for p in region_representatives(coords):
+    sellers = np.concatenate([mu.joint.sellers, nu.joint.sellers])
+    buyers = np.concatenate([mu.joint.buyers, nu.joint.buyers])
+    for p in gft_candidates(sellers, buyers):
         t_mu = feedback_distribution(mu, float(p))
         t_nu = feedback_distribution(nu, float(p))
         for outcome in FEEDBACK_OUTCOMES:
             assert t_mu[outcome] == t_nu[outcome]  # bitwise equal mixtures
-
-
-def test_region_representatives():
-    reps = region_representatives([0.2, 0.8])
-    np.testing.assert_allclose(reps, [0.0, 0.1, 0.2, 0.5, 0.8, 0.9, 1.0])
 
 
 def test_feedback_region_prices_cover_support():

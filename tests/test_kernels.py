@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fairtrade import kernels
 from fairtrade.core import discrete_convolution_score, expected_fgft, fgft_convolution_approx
 from fairtrade.environments import env_from_config, lb_mu
-from fairtrade.harness import _EnvTables, _fbep_tables
+from fairtrade.harness import _EnvTables
 from fairtrade.rng import MASK64, SplitMix64, unit_draws
 
 
@@ -166,7 +166,7 @@ def test_fbep_prices_match_round_loop_across_blocks(monkeypatch, env_name, block
     monkeypatch.setattr(kernels, "FBEP_BLOCK", block)
     T = blocks * block + extra
     tables = _EnvTables(_SIM_ENVS[env_name]())
-    cands, matrix = _fbep_tables(tables)
+    cands, matrix = tables.fbep
     for seed in _SEEDS:
         got = kernels.fbep_prices(seed, tables.cum, tables.sellers, tables.buyers, cands, matrix, T)
         assert np.array_equal(got, _loop_fbep(seed, tables.cum, cands, matrix, T)), seed
