@@ -123,7 +123,8 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = parse_learner(args.learner)
-    s_values = np.linspace(args.s_min, args.s_max, args.points)
+    # a count below 1 gives the empty grid, which the sweep rejects by name
+    s_values = np.linspace(args.s_min, args.s_max, max(args.points, 0))
     report = adversarial_deterministic_sweep(
         spec, args.horizon, s_values=s_values, buyer=args.buyer
     )

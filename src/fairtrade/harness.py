@@ -41,6 +41,7 @@ from .algorithms import (
 )
 from .core import (
     best_fixed_price_fgft,
+    best_fixed_price_gft,
     fgft,
     fgft_candidates,
     fgft_vector,
@@ -187,6 +188,11 @@ class _EnvTables:
         )
 
     @functools.cached_property
+    def gft_price(self) -> float:
+        """The gft oracle's fixed price, found once per environment."""
+        return best_fixed_price_gft(self.env.joint).price
+
+    @functools.cached_property
     def fbep(self) -> tuple:
         """fbep's (candidates, rewards), built on first use only.
 
@@ -258,8 +264,10 @@ def _price_profile(spec: LearnerSpec, tables: _EnvTables, T: int, seed: int) -> 
     if T < 1:
         raise ValueError(f"horizon must be >= 1, got {T!r}")
     kind = spec.kind
-    if kind in ("fixed", "gft-oracle"):
+    if kind == "fixed":
         return np.empty(0, dtype=np.float64), spec.build(T, tables.env).price, T
+    if kind == "gft-oracle":
+        return np.empty(0, dtype=np.float64), tables.gft_price, T
     if kind == "uniform":
         return kernels.uniform_prices(mix64(spec.params.get("seed", 0), seed), T), 0.0, 0
     if kind == "dbs":

@@ -11,6 +11,13 @@ Sampling convention: one uniform draw per round; the drawn atom is the
 first index whose cumulative weight strictly exceeds the uniform (ties on
 the boundary go right), with the index clamped to the last atom to absorb
 cumulative sums that round below 1.0.
+
+The two grid kernels count exactly.  incomplete_convolution takes 0/1
+acceptance bits only (it raises on any other value) and counts each score
+as the popcount of two shifted Python-int bitsets, not a dot product;
+convolution_approx_batch starts each overlap count from its closed form
+and steps it onto the exact boundary of the indicator, instead of
+evaluating all M terms.
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ USE_NUMBA = False
 # Rounds per cumsum block in fbep_prices: bounds its scratch memory to
 # FBEP_BLOCK x (number of candidates) doubles.
 FBEP_BLOCK = 2048
+# Triples per block in convolution_approx_batch.
+APPROX_BLOCK = 8192
 
 
 def _sample_atoms(seed, cum, n: int) -> np.ndarray:
@@ -57,23 +66,39 @@ def expected_fgft_at(prices, sellers, buyers, weights):
 # ---------------------------------------------------------------------------
 # incomplete convolution c_i = sum_{k=0}^{K-1} A[i-k] * B[i+k]
 # ---------------------------------------------------------------------------
-#
-# Index layout: ``av`` holds A at grid indices 0..K (av[0] must be 0: index
-# i-k never reaches below 0 with a contribution), ``bv`` holds B at grid
-# indices 0..2K.  Returns the K sums for i = 1..K.
+
+
+def _bits_to_int(bits) -> int:
+    """Python int whose bit m is bits[m] (bits are 0/1)."""
+    return int.from_bytes(np.packbits(bits != 0, bitorder="little").tobytes(), "little")
 
 
 def incomplete_convolution(av, bv, grid_size):
+    """The K sums c_i = sum_{k=0}^{K-1} A[i-k] * B[i+k], i = 1..K, of 0/1 bits.
+
+    ``av`` holds A at grid indices 0..K and ``bv`` holds B at grid indices
+    0..2K; every entry must be 0 or 1 and av[0] must be 0 (index i-k never
+    reaches below 0 with a contribution).  Anything else raises ValueError
+    rather than return a wrong score.
+
+    With r the bits of A reversed (bit m = A[K-m]) and b the bits of B,
+    bit m of (r >> (K-i)) & (b >> i) is A[i-m] * B[i+m], so c_i is that
+    int's popcount: every score is an exact integer, returned as float64.
+    The one extra term, m = K at i = K, is A[0] * B[2K] = 0.
+    """
     K = int(grid_size)
-    av = np.ascontiguousarray(av, dtype=np.float64)
-    bv = np.ascontiguousarray(bv, dtype=np.float64)
-    if av.size != K + 1 or bv.size != 2 * K + 1:
+    av = np.asarray(av, dtype=np.float64)
+    bv = np.asarray(bv, dtype=np.float64)
+    if av.shape != (K + 1,) or bv.shape != (2 * K + 1,):
         raise ValueError("incomplete_convolution expects av of size K+1 and bv of size 2K+1")
-    out = np.empty(K, dtype=np.float64)
-    for i in range(1, K + 1):
-        kmax = min(i, K - 1)
-        out[i - 1] = float(np.dot(av[i - kmax : i + 1][::-1], bv[i : i + kmax + 1]))
-    return out
+    bits = np.concatenate([av, bv])
+    if av[0] != 0.0 or not np.all((bits == 0.0) | (bits == 1.0)):
+        raise ValueError("incomplete_convolution takes 0/1 bits with av[0] == 0")
+    r = _bits_to_int(av[::-1])
+    b = _bits_to_int(bv)
+    return np.array(
+        [((r >> (K - i)) & (b >> i)).bit_count() for i in range(1, K + 1)], dtype=np.float64
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -164,20 +189,43 @@ def uniform_prices(seed, horizon):
     return unit_draws(seed, horizon)
 
 
+def _overlap_holds(p, s, b, j, M):
+    """The indicator 1{s <= p - j/M} * 1{p + j/M <= b}, elementwise."""
+    u = j / M
+    return (s <= p - u) & (p + u <= b)
+
+
 def convolution_approx_batch(prices, sellers, buyers, grid_size):
     """Left-Riemann overlap sums for aligned (p, s, b) triples.
 
     Evaluates the same indicator sum as fgft_convolution_approx for each
-    triple.  Both indicators are non-increasing in j, so per-triple counting
-    uses a vectorized count of non-zero products over the u-grid.
+    triple: the count n of j in [0, M) with s <= p - j/M and p + j/M <= b,
+    divided by M.  Both indicators are non-increasing in j, so the count is
+    the first j where the product fails.  It starts from the closed form
+    floor(min(p - s, b - p) * M) + 1, clipped to [0, M] (NaN gives 0), and
+    steps up or down until it sits on that boundary of the float predicate
+    itself, so rounding can move the estimate but never the result.
+    Triples go APPROX_BLOCK at a time to keep the temporaries small.
     """
     M = int(grid_size)
     prices = np.ascontiguousarray(prices, dtype=np.float64)
     sellers = np.ascontiguousarray(sellers, dtype=np.float64)
     buyers = np.ascontiguousarray(buyers, dtype=np.float64)
-    us = np.arange(M, dtype=np.float64) / M
     out = np.empty(prices.size, dtype=np.float64)
-    for i in range(prices.size):
-        p = prices[i]
-        out[i] = np.count_nonzero((sellers[i] <= p - us) & (p + us <= buyers[i])) / M
+    for lo in range(0, prices.size, APPROX_BLOCK):
+        p, s, b = (x[lo : lo + APPROX_BLOCK] for x in (prices, sellers, buyers))
+        with np.errstate(all="ignore"):
+            est = np.floor(np.minimum(p - s, b - p) * M) + 1.0
+        n = np.clip(np.nan_to_num(est, nan=0.0), 0, M).astype(np.int64)
+        idx = np.flatnonzero(n < M)
+        while idx.size:  # up while the predicate holds at n
+            idx = idx[_overlap_holds(p[idx], s[idx], b[idx], n[idx], M)]
+            n[idx] += 1
+            idx = idx[n[idx] < M]
+        idx = np.flatnonzero(n > 0)
+        while idx.size:  # down while it fails at n - 1
+            idx = idx[~_overlap_holds(p[idx], s[idx], b[idx], n[idx] - 1, M)]
+            n[idx] -= 1
+            idx = idx[n[idx] > 0]
+        out[lo : lo + p.size] = n / M
     return out

@@ -163,6 +163,19 @@ def _marginal_cocdf(marginal: FiniteMarginal, xs: np.ndarray) -> np.ndarray:
     return (xs[:, None] <= marginal.values[None, :]) @ marginal.weights
 
 
+def _float_incomplete_convolution(av, bv, K: int) -> np.ndarray:
+    """kernels.incomplete_convolution's sums for real-valued A and B.
+
+    The kernel takes 0/1 bits only; the sandwich check convolves CDF
+    values, so it keeps this dot-product loop (same layout, same sums).
+    """
+    out = np.empty(K, dtype=np.float64)
+    for i in range(1, K + 1):
+        kmax = min(i, K - 1)
+        out[i - 1] = float(np.dot(av[i - kmax : i + 1][::-1], bv[i : i + kmax + 1]))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
@@ -203,7 +216,7 @@ def suite_sandwich() -> list:
                 av[1:] = _marginal_cdf(seller, grid)
                 bv = np.zeros(2 * K + 1, dtype=np.float64)
                 bv[1:] = _marginal_cocdf(buyer, np.arange(1, 2 * K + 1, dtype=np.float64) / K)
-                score = kernels.incomplete_convolution(av, bv, K) / K
+                score = _float_incomplete_convolution(av, bv, K) / K
                 exact = kernels.expected_fgft_at(
                     grid, joint.sellers, joint.buyers, joint.weights
                 )

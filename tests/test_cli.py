@@ -207,6 +207,11 @@ def test_sweep_rejects_an_empty_grid(capsys):
     assert "seller grid of a sweep is empty" in capsys.readouterr().err
 
 
+def test_sweep_rejects_a_negative_point_count(capsys):
+    assert cli.main(["sweep", "--learner", "dbs", "--horizon", "64", "--points", "-1"]) == 2
+    assert "seller grid of a sweep is empty" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from fairtrade.core import discrete_convolution_score, expected_fgft, fgft_convo
 from fairtrade.environments import env_from_config, lb_mu
 from fairtrade.harness import _EnvTables
 from fairtrade.rng import MASK64, SplitMix64, unit_draws
+from fairtrade.verify import _float_incomplete_convolution
 
 
 def test_expected_fgft_at_numpy_matches_oracle():
@@ -52,6 +53,89 @@ def test_convolution_approx_batch_numpy_matches_scalar():
     got = kernels.convolution_approx_batch(p, s, b, 257)
     want = [fgft_convolution_approx(float(pi), (float(si), float(bi)), 257) for pi, si, bi in zip(p, s, b)]
     np.testing.assert_allclose(got, want, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# exact grid kernels against their scalar definitions
+# ---------------------------------------------------------------------------
+
+
+def _random_bits(K, density, seed, tail=False):
+    """(av, bv) in incomplete_convolution's layout, av[0] = 0.
+
+    With ``tail`` the B entries past index K are random too; the scalar
+    score reads them as zero, the kernel's sum never reaches them.
+    """
+    rng = np.random.default_rng(seed)
+    av = np.zeros(K + 1)
+    av[1:] = rng.random(K) < density
+    bv = np.zeros(2 * K + 1)
+    bv[1 : K + 1] = rng.random(K) < density
+    if tail:
+        bv[K + 1 :] = rng.random(K) < density
+    return av, bv
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(1, 300), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(K=1, density=1.0, seed=0)
+@example(K=2, density=1.0, seed=0)
+@example(K=2, density=0.5, seed=3)
+def test_incomplete_convolution_is_the_discrete_score(K, density, seed):
+    av, bv = _random_bits(K, density, seed)
+    got = kernels.incomplete_convolution(av, bv, K) / K
+    seller, buyer = av[1:].tolist(), bv[1 : K + 1].tolist()
+    want = [discrete_convolution_score(seller, buyer, i, K) for i in range(1, K + 1)]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize(
+    "side, index, value",
+    [("av", 0, 1.0), ("av", 2, 0.5), ("bv", 3, 0.5), ("av", 1, np.nan), ("bv", 6, np.nan)],
+)
+def test_incomplete_convolution_rejects_non_bits(side, index, value):
+    K = 3
+    arrays = {"av": np.zeros(K + 1), "bv": np.zeros(2 * K + 1)}
+    arrays[side][index] = value
+    with pytest.raises(ValueError):
+        kernels.incomplete_convolution(arrays["av"], arrays["bv"], K)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 10, 100, 464])
+@pytest.mark.parametrize("density", [0.6, 0.95])
+def test_float_convolution_matches_bit_kernel_on_bits(K, density):
+    av, bv = _random_bits(K, density, seed=K, tail=True)
+    want = kernels.incomplete_convolution(av, bv, K)
+    assert np.array_equal(_float_incomplete_convolution(av, bv, K), want)
+
+
+@st.composite
+def _overlap_triples(draw):
+    """(p, s, b, M): random triples, half of them on a k/(2M) or k/8 grid.
+
+    Grid values put s <= p - j/M and p + j/M <= b on their boundary, where
+    the rounding of p -+ j/M decides the count.
+    """
+    M = draw(st.integers(1, 12))
+    den = draw(st.sampled_from([2 * M, 8, M]))
+    n = draw(st.integers(1, 8))
+    on_grid = st.integers(0, den).map(lambda k: k / den)
+    value = st.one_of(on_grid, st.floats(0.0, 1.0))
+    p, s, b = (draw(st.lists(value, min_size=n, max_size=n)) for _ in range(3))
+    return np.array(p), np.array(s), np.array(b), M
+
+
+@settings(max_examples=150, deadline=None)
+@given(_overlap_triples())
+@example((np.array([0.5]), np.array([0.0]), np.array([1.0]), 4))
+@example(tuple(np.array(v) for v in ([0.5, 0.25, 1.0], [0.25, 0.25, 0.0], [0.75, 1.0, 1.0])) + (4,))
+@example(tuple(np.array(v) for v in ([np.nan, 0.5, 0.5], [0.0, np.nan, 0.0], [1.0, 1.0, np.nan])) + (3,))
+def test_convolution_approx_batch_is_the_scalar_sum(triples):
+    p, s, b, M = triples
+    got = kernels.convolution_approx_batch(p, s, b, M)
+    rows = zip(p.tolist(), s.tolist(), b.tolist())
+    want = [fgft_convolution_approx(pi, (si, bi), M) for pi, si, bi in rows]
+    assert got.tolist() == want
 
 
 # ---------------------------------------------------------------------------
