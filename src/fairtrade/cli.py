@@ -123,6 +123,9 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = parse_learner(args.learner)
+    for flag, value in (("--s-min", args.s_min), ("--s-max", args.s_max), ("--buyer", args.buyer)):
+        if not 0.0 <= value <= 1.0:  # NaN and inf fail too
+            raise ValueError(f"{flag} must be a finite value in [0, 1], got {value!r}")
     # a count below 1 gives the empty grid, which the sweep rejects by name
     s_values = np.linspace(args.s_min, args.s_max, max(args.points, 0))
     report = adversarial_deterministic_sweep(

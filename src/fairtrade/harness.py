@@ -2,13 +2,16 @@
 
 The reference loop (run_episode) drives a learner round by round against a
 sampled environment and returns the full trajectory.  Monte Carlo runs,
-point-mass profiles and worst-case sweeps instead take an episode's price
-profile (exploration prices, then a constant tail) from one path,
-_price_profile, built on the kernels module, which reproduces the reference
-loop's price sequence (identical splitmix64 draws, identical accumulation
-order), and score it with one formula, _profile_regret, so desk-scale
-horizons stay cheap.  A point mass is the one-atom environment: every draw
-lands on its atom.
+point-mass profiles and worst-case sweeps instead take price profiles
+(exploration prices, then a constant tail) from one path, _price_profile,
+built on the kernels module, which reproduces the reference loop's price
+sequence (identical splitmix64 draws, identical accumulation order), and
+score them with one formula, _profile_regret, so desk-scale horizons stay
+cheap.  Both work on rows: all episodes of a Monte Carlo cell, or a batch
+of up to POINT_BLOCK point masses, go through one array pass (fbep and
+uniform, whose row is the whole horizon, run one episode per call).  A
+point mass is the one-atom environment: every draw lands on its atom, so
+a _PointMasses batch takes no draws and builds no environment.
 
 Regret is always pseudo-regret: conditioning on the posted prices, every
 round contributes v_star - E[fgft(p_t)] with both terms exact under the
@@ -52,7 +55,7 @@ from .environments import (
     Environment,
     FeedbackModel,
     TwoBitFeedback,
-    deterministic,
+    deterministic,  # noqa: F401
     feedback_distribution,
     lb_mu,
     lb_nu,
@@ -60,6 +63,14 @@ from .environments import (
     sample_valuations,
 )
 from .rng import MASK64, SplitMix64, mix64
+
+# Points per array pass of profile_regret: bounds its scratch arrays to
+# POINT_BLOCK x (exploration length) doubles.
+POINT_BLOCK = 1024
+
+# Point masses build no environment (see _PointMasses); the deterministic
+# name stays importable because the benchmark's tracer wraps
+# harness.deterministic.
 
 
 class FeedbackMismatchError(ValueError):
@@ -183,9 +194,15 @@ class _EnvTables:
         self.v_star = best_fixed_price_fgft(joint).value
 
     def mean_at(self, prices) -> np.ndarray:
-        return kernels.expected_fgft_at(
-            np.asarray(prices, dtype=np.float64), self.sellers, self.buyers, self.weights
-        )
+        return kernels.expected_fgft_at(prices, self.sellers, self.buyers, self.weights)
+
+    def draw(self, seeds, n: int) -> tuple:
+        """(seller values, buyer values) of rounds 1..n, one row per episode seed."""
+        sellers, buyers = np.empty((len(seeds), n)), np.empty((len(seeds), n))
+        for row, seed in enumerate(seeds):
+            j = kernels._sample_atoms(seed, self.cum, n)
+            sellers[row], buyers[row] = self.sellers[j], self.buyers[j]
+        return sellers, buyers
 
     @functools.cached_property
     def gft_price(self) -> float:
@@ -201,6 +218,34 @@ class _EnvTables:
         """
         cands = fgft_candidates(self.sellers, self.buyers)
         return cands, fgft_vector(cands[:, None], self.sellers, self.buyers)
+
+
+class _PointMasses(_EnvTables):
+    """A batch of one-atom environments, one row per (seller, buyer) point.
+
+    Every draw lands on a point's atom, so draw() yields the values
+    themselves and takes no random draws.  The atoms are per-row atoms of
+    kernels.expected_fgft_at; v* is the best of the candidates
+    {0, 1, s, b, (s+b)/2} and the gft oracle posts s when s < b, else 0,
+    exactly what core.best_fixed_price_fgft and best_fixed_price_gft find
+    on one atom.
+    """
+
+    def __init__(self, sellers: np.ndarray, buyers: np.ndarray):
+        # written so that NaN fails every check
+        for arr, name in ((sellers, "seller values"), (buyers, "buyer values")):
+            if not np.all((arr >= 0.0) & (arr <= 1.0)):
+                raise ValueError(f"{name} must lie in [0, 1]")
+        self.sellers, self.buyers = sellers[:, None], buyers[:, None]
+        self.weights = np.ones_like(self.sellers)
+        mids = (sellers + buyers) / 2.0
+        cands = np.column_stack([np.zeros_like(mids), np.ones_like(mids), sellers, buyers, mids])
+        self.v_star = np.max(self.mean_at(cands), axis=1)
+        self.gft_price = np.where(sellers < buyers, sellers, 0.0)
+
+    def draw(self, seeds, n: int) -> tuple:
+        shape = (self.sellers.shape[0], n)
+        return np.broadcast_to(self.sellers, shape), np.broadcast_to(self.buyers, shape)
 
 
 def pseudo_regret(env: Environment, prices) -> float:
@@ -250,60 +295,81 @@ def run_episode(config: RunConfig, episode_index: int) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _price_profile(spec: LearnerSpec, tables: _EnvTables, T: int, seed: int) -> tuple:
-    """(exploration prices, tail price, tail length) of episode stream ``seed``.
+def _price_profile(spec: LearnerSpec, tables: _EnvTables, T: int, seeds) -> tuple:
+    """(exploration prices, tail price, tail length) of episode streams ``seeds``.
 
     The learner posts the exploration prices, then the tail price for the
-    remaining rounds.  Learners without a commit phase (uniform, fbep)
-    return their whole path as exploration and an empty tail.  Price paths
-    agree with the reference loop draw for draw, with one exception: the
-    fbep kernel also scores candidate prices of atoms not yet sampled, and
-    on a flat top of the empirical mean one of them can round one ulp
-    above the reference learner's smallest maximizer.
+    remaining rounds.  A scalar seed gives one episode's profile: 1-D
+    exploration prices and a float tail.  A sequence of seeds gives one
+    row per seed, (rows, n) exploration prices and (rows,) tails, from one
+    array pass; a _PointMasses batch takes one seed per point and no
+    draws, as every draw lands on the point's atom.  Learners without a
+    commit phase (uniform, fbep) return their whole path as exploration
+    and an empty tail, and take one seed per call: their row is the whole
+    horizon.  Price paths agree with the reference loop draw for draw,
+    with one exception: the fbep kernel also scores candidate prices of
+    atoms not yet sampled, and on a flat top of the empirical mean one of
+    them can round one ulp above the reference learner's smallest
+    maximizer.
     """
     if T < 1:
         raise ValueError(f"horizon must be >= 1, got {T!r}")
     kind = spec.kind
-    if kind == "fixed":
-        return np.empty(0, dtype=np.float64), spec.build(T, tables.env).price, T
-    if kind == "gft-oracle":
-        return np.empty(0, dtype=np.float64), tables.gft_price, T
-    if kind == "uniform":
-        return kernels.uniform_prices(mix64(spec.params.get("seed", 0), seed), T), 0.0, 0
-    if kind == "dbs":
-        N = dbs_phase_length(T)
-        prices, commit = kernels.dbs_explore(seed, tables.cum, tables.sellers, tables.buyers, N)
-        return prices, commit, T - 2 * N
-    if kind == "conv-pricing":
-        K = ConvolutionPricing(T, spec.params.get("K")).grid_size
-        commit, _, _ = kernels.conv_pricing_commit(
-            seed, tables.cum, tables.sellers, tables.buyers, K
-        )
-        grid = np.arange(1, K + 1, dtype=np.float64) / K
-        return grid, grid[commit - 1], T - K
-    if kind == "fbep":
+    if kind in ("uniform", "fbep"):
+        if np.ndim(seeds):
+            raise ValueError(f"a {kind} profile takes one episode seed per call")
+        if kind == "uniform":
+            return kernels.uniform_prices(mix64(spec.params.get("seed", 0), seeds), T), 0.0, 0
         cands, rewards = tables.fbep
         prices = kernels.fbep_prices(
-            seed, tables.cum, tables.sellers, tables.buyers, cands, rewards, T
+            seeds, tables.cum, tables.sellers, tables.buyers, cands, rewards, T
         )
         return prices, 0.0, 0
-    raise ValueError(f"no price profile for learner kind {kind!r}")
+    one = np.ndim(seeds) == 0
+    seeds = [seeds] if one else list(seeds)
+    rows = len(seeds)
+    if kind == "fixed":
+        explore, tail, tail_len = np.empty((rows, 0)), np.full(rows, spec.params["p"]), T
+    elif kind == "gft-oracle":
+        explore, tail, tail_len = np.empty((rows, 0)), np.broadcast_to(tables.gft_price, rows), T
+    elif kind == "dbs":
+        N = dbs_phase_length(T)
+        sellers, buyers = tables.draw(seeds, 2 * N)
+        explore, tail = kernels.dbs_explore(sellers[:, :N], buyers[:, N:], N)
+        tail_len = T - 2 * N
+    elif kind == "conv-pricing":
+        K = ConvolutionPricing(T, spec.params.get("K")).grid_size
+        commits, _, _ = kernels.conv_pricing_commit(*tables.draw(seeds, K), K)
+        grid = np.arange(1, K + 1, dtype=np.float64) / K
+        explore, tail, tail_len = np.broadcast_to(grid, (rows, K)), grid[commits - 1], T - K
+    else:
+        raise ValueError(f"no price profile for learner kind {kind!r}")
+    if one:
+        return explore[0], float(tail[0]), tail_len
+    return explore, tail, tail_len
 
 
-def _profile_regret(tables: _EnvTables, explore, tail: float, tail_len: int) -> float:
-    """sum(v* - E[fgft(explore)]) + tail_len * (v* - E[fgft(tail)])."""
-    regret = float(np.sum(tables.v_star - tables.mean_at(explore)))
+def _profile_regret(tables: _EnvTables, explore, tail, tail_len: int):
+    """sum(v* - E[fgft(explore)]) + tail_len * (v* - E[fgft(tail)]), row by row.
+
+    A 1-D profile gives a float; (rows, n) exploration prices and (rows,)
+    tails give one regret per row, against one v* or a v* per row.
+    """
+    v_star = np.atleast_1d(tables.v_star)[:, None]
+    regret = np.sum(v_star - tables.mean_at(np.atleast_2d(explore)), axis=1)
     if tail_len:
-        regret += tail_len * (tables.v_star - float(tables.mean_at([tail])[0]))
-    return regret
+        tail_mean = tables.mean_at(np.atleast_1d(tail)[:, None])
+        regret += tail_len * (v_star - tail_mean)[:, 0]
+    return float(regret[0]) if np.ndim(explore) == 1 else regret
 
 
 def _episode_regrets(config: RunConfig, horizon: int, tables: _EnvTables) -> np.ndarray:
-    values = np.empty(config.n_episodes, dtype=np.float64)
-    for e in range(config.n_episodes):
-        profile = _price_profile(config.learner, tables, horizon, mix64(config.base_seed, e))
-        values[e] = _profile_regret(tables, *profile)
-    return values
+    spec = config.learner
+    seeds = [mix64(config.base_seed, e) for e in range(config.n_episodes)]
+    if spec.kind in ("uniform", "fbep"):  # one episode per call, see _price_profile
+        profiles = (_price_profile(spec, tables, horizon, seed) for seed in seeds)
+        return np.array([_profile_regret(tables, *profile) for profile in profiles])
+    return _profile_regret(tables, *_price_profile(spec, tables, horizon, seeds))
 
 
 def run_monte_carlo(config: RunConfig, horizons=None) -> RegretCurve:
@@ -385,12 +451,20 @@ def growth_ratio(values) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _point_mass_tables(spec: LearnerSpec, pair) -> _EnvTables:
+def _point_values(spec: LearnerSpec, pair) -> tuple:
+    """(sellers, buyers, shape): the pair broadcast to one shape, flattened."""
     if not spec.deterministic:
         raise ValueError(f"{spec.learner_id!r} is randomized; profile undefined")
     if spec.requires is FeedbackModel.FULL:
         raise ValueError(f"{spec.learner_id!r} needs full feedback, not two bits")
-    return _EnvTables(deterministic(float(pair[0]), float(pair[1])))
+    sellers, buyers = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in pair))
+    return sellers.ravel(), buyers.ravel(), sellers.shape
+
+
+def _point_mass_profile(spec: LearnerSpec, horizon: int, sellers, buyers) -> tuple:
+    """(batch, explore, tail, tail length) with one row per point."""
+    masses = _PointMasses(sellers, buyers)
+    return (masses, *_price_profile(spec, masses, horizon, range(sellers.size)))
 
 
 def deterministic_price_profile(spec: LearnerSpec, horizon: int, pair) -> tuple:
@@ -398,15 +472,33 @@ def deterministic_price_profile(spec: LearnerSpec, horizon: int, pair) -> tuple:
 
     Valid for deterministic learners that consume two-bit (or no) feedback.
     This is the Monte Carlo profile on the point mass: every draw lands on
-    its one atom, so the episode seed does not matter.
+    its one atom, so no draws are taken.  A pair of arrays that broadcast
+    to shape S gives exploration prices of shape S + (n,) and tails of
+    shape S, one profile per point.
     """
-    return _price_profile(spec, _point_mass_tables(spec, pair), horizon, 0)
+    sellers, buyers, shape = _point_values(spec, pair)
+    _, explore, tail, tail_len = _point_mass_profile(spec, horizon, sellers, buyers)
+    if not shape:
+        return explore[0], float(tail[0]), tail_len
+    return explore.reshape(shape + explore.shape[1:]), tail.reshape(shape), tail_len
 
 
-def profile_regret(spec: LearnerSpec, horizon: int, pair) -> float:
-    """Exact pseudo-regret of a deterministic learner on a point mass."""
-    tables = _point_mass_tables(spec, pair)
-    return _profile_regret(tables, *_price_profile(spec, tables, horizon, 0))
+def profile_regret(spec: LearnerSpec, horizon: int, pair):
+    """Exact pseudo-regret of a deterministic learner on point masses.
+
+    A scalar pair gives a float; a pair of arrays that broadcast gives the
+    regret of every point, in their broadcast shape, from array passes
+    over POINT_BLOCK points at a time.
+    """
+    sellers, buyers, shape = _point_values(spec, pair)
+    blocks = (slice(lo, lo + POINT_BLOCK) for lo in range(0, sellers.size, POINT_BLOCK))
+    regrets = np.concatenate(
+        [
+            _profile_regret(*_point_mass_profile(spec, horizon, sellers[rows], buyers[rows]))
+            for rows in blocks
+        ]
+    )
+    return float(regrets[0]) if not shape else regrets.reshape(shape)
 
 
 def adversarial_deterministic_sweep(
@@ -419,7 +511,8 @@ def adversarial_deterministic_sweep(
 
     The default grid is 4097 evenly spaced points in [0, 1/4] against a
     buyer fixed at 1: fine enough to resolve bisection-style behavior down
-    to intervals of width about 2^-12.
+    to intervals of width about 2^-12.  All points are scored by one
+    profile_regret call.
     """
     spec = parse_learner(learner) if isinstance(learner, str) else learner
     if s_values is None:
@@ -427,9 +520,7 @@ def adversarial_deterministic_sweep(
     s_values = np.asarray(s_values, dtype=np.float64)
     if s_values.size == 0:
         raise ValueError("the seller grid of a sweep is empty; give at least one point")
-    regrets = np.empty(s_values.size, dtype=np.float64)
-    for i, s in enumerate(s_values):
-        regrets[i] = profile_regret(spec, horizon, (float(s), buyer))
+    regrets = profile_regret(spec, horizon, (s_values, buyer))
     arg = int(np.argmax(regrets))
     return SweepReport(
         learner_id=spec.learner_id,

@@ -1,10 +1,13 @@
 """Hot numeric kernels, one NumPy implementation each.
 
-The per-episode simulators take every draw of an episode from one uint64
-pass over the counter form of the splitmix64 stream (rng.unit_draws) and
-accumulate sums in the same order as the round-by-round learners, so a
-seeded fast path reproduces the reference loop's price path draw for draw
-(fbep_prices can break a flat top differently; see
+Every draw of an episode comes from one uint64 pass over the counter form
+of the splitmix64 stream (rng.unit_draws, sampled by _sample_atoms).
+fbep_prices draws its own atoms; dbs_explore and conv_pricing_commit take
+the drawn seller and buyer values as rows, one per episode or per point
+mass (harness._EnvTables.draw samples them), and step all rows at once.
+The simulators accumulate sums in the same order as the round-by-round
+learners, so a seeded fast path reproduces the reference loop's price
+path draw for draw (fbep_prices can break a flat top differently; see
 harness._price_profile).
 
 Sampling convention: one uniform draw per round; the drawn atom is the
@@ -55,11 +58,24 @@ def expected_fgft_at(prices, sellers, buyers, weights):
     The one evaluator of E[fgft]: core.best_fixed_price_fgft scores its
     candidates with it (v*) and harness._profile_regret scores posted
     prices with it, so both terms of a regret come from the same sum.
+    ``prices`` may have any shape.  The atoms lie along the last axis of
+    ``sellers``, ``buyers`` and ``weights``; atoms of shape (rows, A) are
+    per-row atoms, for prices of shape (rows, n).
     """
-    prices = np.ascontiguousarray(prices, dtype=np.float64)
-    means = np.zeros(prices.size, dtype=np.float64)
-    for s, b, w in zip(sellers, buyers, weights):
-        means += w * np.minimum(np.maximum(prices - s, 0.0), np.maximum(b - prices, 0.0))
+    prices = np.asarray(prices, dtype=np.float64)
+    sellers = np.asarray(sellers, dtype=np.float64)
+    buyers = np.asarray(buyers, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    means = np.zeros(np.broadcast_shapes(prices.shape, sellers.shape[:-1] + (1,)))
+    # w * min((p - s)+, (b - p)+) per atom, in two scratch arrays of the output's size
+    gain, rest = np.empty_like(means), np.empty_like(means)
+    for a in range(sellers.shape[-1]):
+        s, b, w = sellers[..., a, None], buyers[..., a, None], weights[..., a, None]
+        np.maximum(np.subtract(prices, s, out=gain), 0.0, out=gain)
+        np.maximum(np.subtract(b, prices, out=rest), 0.0, out=rest)
+        np.minimum(gain, rest, out=gain)
+        gain *= w
+        means += gain
     return means
 
 
@@ -87,8 +103,8 @@ def incomplete_convolution(av, bv, grid_size):
     The one extra term, m = K at i = K, is A[0] * B[2K] = 0.
     """
     K = int(grid_size)
-    av = np.asarray(av, dtype=np.float64)
-    bv = np.asarray(bv, dtype=np.float64)
+    av = np.asarray(av)
+    bv = np.asarray(bv)
     if av.shape != (K + 1,) or bv.shape != (2 * K + 1,):
         raise ValueError("incomplete_convolution expects av of size K+1 and bv of size 2K+1")
     bits = np.concatenate([av, bv])
@@ -96,9 +112,8 @@ def incomplete_convolution(av, bv, grid_size):
         raise ValueError("incomplete_convolution takes 0/1 bits with av[0] == 0")
     r = _bits_to_int(av[::-1])
     b = _bits_to_int(bv)
-    return np.array(
-        [((r >> (K - i)) & (b >> i)).bit_count() for i in range(1, K + 1)], dtype=np.float64
-    )
+    scores = (((r >> (K - i)) & (b >> i)).bit_count() for i in range(1, K + 1))
+    return np.fromiter(scores, dtype=np.float64, count=K)
 
 
 # ---------------------------------------------------------------------------
@@ -106,52 +121,61 @@ def incomplete_convolution(av, bv, grid_size):
 # ---------------------------------------------------------------------------
 
 
-def conv_pricing_commit(seed, cum, sellers, buyers, grid_size):
-    """Exploration sweep of the grid-pricing learner: returns its commit.
+def conv_pricing_commit(sellers, buyers, grid_size):
+    """Exploration sweeps of the grid-pricing learner: returns their commits.
 
-    Simulates rounds 1..K posting t/K, recording the two acceptance bits of
-    the sampled pair, then scores every grid index by the incomplete
-    convolution of the bit sequences.  Returns (1-based commit index,
-    seller bits V_1..V_K, buyer bits W_1..W_K).
+    Row r holds one episode's seller and buyer values of rounds 1..K, shape
+    (rows, K), or one value per row, shape (rows, 1), for a point mass.
+    Round t posts t/K and records the two acceptance bits of its pair;
+    every grid index of a row is scored by the incomplete convolution of
+    that row's bit sequences.  Returns (1-based commit index per row,
+    seller bits V_1..V_K per row, buyer bits W_1..W_K per row), the bits
+    as bool arrays.
     """
     K = int(grid_size)
-    j = _sample_atoms(seed, cum, K)
     grid = np.arange(1, K + 1, dtype=np.float64) / K
-    av = np.zeros(K + 1, dtype=np.float64)
-    bv = np.zeros(2 * K + 1, dtype=np.float64)
-    av[1:] = sellers[j] <= grid
-    bv[1 : K + 1] = grid <= buyers[j]
-    scores = incomplete_convolution(av, bv, K)
-    commit = int(np.argmax(scores)) + 1
-    return commit, av[1 : K + 1].copy(), bv[1 : K + 1].copy()
+    sellers = np.asarray(sellers, dtype=np.float64)
+    buyers = np.asarray(buyers, dtype=np.float64)
+    rows = sellers.shape[0]
+    av = np.zeros((rows, K + 1), dtype=bool)
+    bv = np.zeros((rows, 2 * K + 1), dtype=bool)
+    av[:, 1:] = sellers <= grid
+    bv[:, 1 : K + 1] = grid <= buyers
+    commits = np.array(
+        [int(np.argmax(incomplete_convolution(a, b, K))) + 1 for a, b in zip(av, bv)],
+        dtype=np.int64,
+    )
+    return commits, av[:, 1:], bv[:, 1 : K + 1]
 
 
-def dbs_explore(seed, cum, sellers, buyers, n_rounds):
-    """Two bisection phases of the double-binary-search learner.
+def dbs_explore(sellers, buyers, n_rounds):
+    """Two bisection phases of the double-binary-search learner, row by row.
 
-    Runs N seller rounds then N buyer rounds, drawing one pair per round,
-    and returns (exploration prices, commit price).
+    Row r holds one episode's seller values of rounds 1..N and buyer values
+    of rounds N+1..2N, shape (rows, N), or one value per row, shape
+    (rows, 1), for a point mass.  Each round is one array step over all
+    rows, with the scalar learner's float operations.  Returns (exploration
+    prices, shape (rows, 2N), commit price per row).
     """
     N = int(n_rounds)
-    j = _sample_atoms(seed, cum, 2 * N)
-    prices = np.empty(2 * N, dtype=np.float64)
-    es_lo, es_hi = 0.0, 1.0
-    eb_lo, eb_hi = 0.0, 1.0
-    for t, s in enumerate(sellers[j[:N]].tolist()):
-        mid = (es_lo + es_hi) / 2.0
-        prices[t] = mid
-        if s <= mid:
-            es_hi = mid
-        else:
-            es_lo = mid
-    for t, b in enumerate(buyers[j[N:]].tolist()):
-        mid = (eb_lo + eb_hi) / 2.0
-        prices[N + t] = mid
-        if mid <= b:
-            eb_lo = mid
-        else:
-            eb_hi = mid
-    commit = ((es_lo + es_hi) / 2.0 + (eb_lo + eb_hi) / 2.0) / 2.0
+    sellers = np.asarray(sellers, dtype=np.float64)
+    buyers = np.asarray(buyers, dtype=np.float64)
+    rows = sellers.shape[0]
+    sellers = np.broadcast_to(sellers, (rows, N))
+    buyers = np.broadcast_to(buyers, (rows, N))
+    prices = np.empty((rows, 2 * N), dtype=np.float64)
+    lo, hi = np.zeros(rows), np.ones(rows)
+    for t in range(N):
+        mid = prices[:, t] = (lo + hi) / 2.0
+        below = sellers[:, t] <= mid
+        lo, hi = np.where(below, lo, mid), np.where(below, mid, hi)
+    seller_mid = (lo + hi) / 2.0
+    lo, hi = np.zeros(rows), np.ones(rows)
+    for t in range(N):
+        mid = prices[:, N + t] = (lo + hi) / 2.0
+        above = mid <= buyers[:, t]
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    commit = (seller_mid + (lo + hi) / 2.0) / 2.0
     return prices, commit
 
 

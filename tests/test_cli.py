@@ -212,6 +212,15 @@ def test_sweep_rejects_a_negative_point_count(capsys):
     assert "seller grid of a sweep is empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--s-min", "--s-max", "--buyer"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "1.5"])
+def test_sweep_rejects_values_outside_the_unit_interval(capsys, flag, value):
+    # checked before the grid is built, so NumPy never warns about them
+    argv = ["sweep", "--learner", "dbs", "--horizon", "64", "--points", "5", flag, value]
+    assert cli.main(argv) == 2
+    assert f"{flag} must be a finite value in [0, 1]" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

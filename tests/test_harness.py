@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fairtrade import harness
 from fairtrade.algorithms import dbs_regret_bound, parse_learner
 from fairtrade.core import FiniteJointDistribution, best_fixed_price_fgft
 from fairtrade.environments import (
@@ -19,7 +20,9 @@ from fairtrade.harness import (
     FeedbackMismatchError,
     RunConfig,
     _EnvTables,
+    _episode_regrets,
     _price_profile,
+    _profile_regret,
     adversarial_deterministic_sweep,
     deterministic_price_profile,
     fit_exponent,
@@ -340,6 +343,62 @@ def test_point_mass_profile_matches_reference_loop(learner, pair):
 
 _EIGHTHS = st.integers(0, 8).map(lambda k: k / 8)
 
+# s > b, s == b, dyadic values, and the ends of the unit interval
+_EDGE_POINTS = [(0.75, 0.25), (0.5, 0.5), (0.125, 0.875), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0)]
+
+
+def _edge_point_examples(test):
+    learners = [("dbs", 16), ("dbs", 7), ("conv-pricing", 8), ("conv-pricing:K=4", 9)]
+    for learner in learners + [("fixed:p=0.5", 3), ("gft-oracle", 3)]:
+        test = example(learner=learner, pairs=_EDGE_POINTS)(test)
+    return test
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    learner=_deterministic_learners(),
+    pairs=st.lists(
+        st.tuples(st.one_of(_UNIT, _EIGHTHS), st.one_of(_UNIT, _EIGHTHS)), min_size=1, max_size=6
+    ),
+)
+@_edge_point_examples
+def test_point_mass_batch_matches_single_points(learner, pairs):
+    # one array pass over the batch: every row is that point's reference
+    # path, and the batch's regrets are the single-point regrets bitwise
+    learner_id, T = learner
+    spec = parse_learner(learner_id)
+    sellers, buyers = np.array(pairs, dtype=np.float64).T
+    explore, tail, tail_len = deterministic_price_profile(spec, T, (sellers, buyers))
+    for i, pair in enumerate(pairs):
+        trajectory = run_episode(RunConfig(env=deterministic(*pair), learner=spec, horizon=T), 0)
+        path = np.concatenate([explore[i], np.full(tail_len, tail[i])])
+        assert np.array_equal(path, trajectory.prices), pair
+    single = [profile_regret(spec, T, pair) for pair in pairs]
+    assert np.array_equal(profile_regret(spec, T, (sellers, buyers)), single)
+
+
+def test_profile_regret_keeps_the_broadcast_shape(monkeypatch):
+    spec = parse_learner("dbs")
+    grid = np.linspace(0.0, 1.0, 5)
+    sellers, buyers = np.meshgrid(grid, grid)
+    regrets = profile_regret(spec, 100, (sellers, buyers))
+    assert regrets.shape == (5, 5)
+    assert np.array_equal(regrets, profile_regret(spec, 100, (grid[None, :], grid[:, None])))
+    monkeypatch.setattr(harness, "POINT_BLOCK", 3)  # 25 points in 9 passes
+    assert np.array_equal(regrets, profile_regret(spec, 100, (sellers, buyers)))
+    assert regrets[1, 3] == profile_regret(spec, 100, (grid[3], grid[1]))
+    assert isinstance(profile_regret(spec, 100, (0.25, 0.75)), float)
+
+
+@pytest.mark.parametrize("side", ["seller", "buyer"])
+@pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+def test_point_mass_batch_rejects_values_outside_the_unit_interval(side, bad):
+    pair = {"seller": np.array([0.0, 0.2, 0.5]), "buyer": np.array([1.0, 0.9, 0.5])}
+    pair[side][1] = bad
+    for fn in (profile_regret, deterministic_price_profile):
+        with pytest.raises(ValueError, match=rf"{side} values must lie in \[0, 1\]"):
+            fn(parse_learner("dbs"), 64, (pair["seller"], pair["buyer"]))
+
 
 @st.composite
 def _random_joints(draw):
@@ -401,6 +460,34 @@ def test_kernel_profile_matches_reference_loop(atoms, learner, base_seed, episod
     )
     kernel_path = np.concatenate([explore, np.full(tail_len, tail)])
     assert np.array_equal(kernel_path, run_episode(cfg, episode).prices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    atoms=_random_joints(),
+    learner_id=st.sampled_from(["dbs", "conv-pricing"]),
+    T=st.integers(1, 300),
+    n_episodes=st.integers(3, 6),
+    base_seed=st.integers(0, MASK64),
+)
+@example(atoms=_TIED_ATOMS, learner_id="dbs", T=9, n_episodes=3, base_seed=11)
+@example(atoms=_TIED_ATOMS, learner_id="conv-pricing", T=8, n_episodes=3, base_seed=11)
+def test_episode_rows_match_per_episode_scoring(atoms, learner_id, T, n_episodes, base_seed):
+    # a cell's episodes share one array pass; each row's regret is the
+    # regret of that episode's own scalar-seed profile, bitwise
+    cfg = RunConfig(
+        env=_joint_env(atoms),
+        learner=parse_learner(learner_id),
+        horizon=T,
+        n_episodes=n_episodes,
+        base_seed=base_seed,
+    )
+    tables = _EnvTables(cfg.env)
+    want = [
+        _profile_regret(tables, *_price_profile(cfg.learner, tables, T, mix64(base_seed, e)))
+        for e in range(n_episodes)
+    ]
+    assert np.array_equal(_episode_regrets(cfg, T, tables), want)
 
 
 @settings(max_examples=150, deadline=None)

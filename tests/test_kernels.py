@@ -260,10 +260,8 @@ def test_fbep_prices_match_round_loop_across_blocks(monkeypatch, env_name, block
 @pytest.mark.parametrize("env_name", list(_SIM_ENVS))
 def test_conv_pricing_commit_matches_round_loop(env_name, K):
     tables = _EnvTables(_SIM_ENVS[env_name]())
-    for seed in _SEEDS:
-        commit, av, bv = kernels.conv_pricing_commit(
-            seed, tables.cum, tables.sellers, tables.buyers, K
-        )
+    rows = zip(_SEEDS, *kernels.conv_pricing_commit(*tables.draw(_SEEDS, K), K))
+    for seed, commit, av, bv in rows:
         want_av, want_bv = _loop_conv_bits(seed, tables.cum, tables.sellers, tables.buyers, K)
         assert np.array_equal(av, want_av) and np.array_equal(bv, want_bv), seed
         padded_av = np.concatenate([[0.0], want_av])
@@ -276,7 +274,8 @@ def test_conv_pricing_commit_matches_round_loop(env_name, K):
 @pytest.mark.parametrize("env_name", list(_SIM_ENVS))
 def test_dbs_explore_matches_round_loop(env_name, N):
     tables = _EnvTables(_SIM_ENVS[env_name]())
-    for seed in _SEEDS:
-        prices, commit = kernels.dbs_explore(seed, tables.cum, tables.sellers, tables.buyers, N)
+    sellers, buyers = tables.draw(_SEEDS, 2 * N)
+    rows = zip(_SEEDS, *kernels.dbs_explore(sellers[:, :N], buyers[:, N:], N))
+    for seed, prices, commit in rows:
         want_prices, want_commit = _loop_dbs(seed, tables.cum, tables.sellers, tables.buyers, N)
         assert prices.tolist() == want_prices and commit == want_commit, seed

@@ -40,6 +40,9 @@ def test_tracer_hooks_reach_the_harness(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert metrics["harness.profile_regret.calls"] == 5
-    assert metrics["environments.deterministic.calls"] == 5
+    # the sweep scores its 5 points in one batch and builds no environment
+    assert metrics["harness.profile_regret.calls"] == 1
+    assert metrics["environments.deterministic.calls"] == 0
+    # one for the sweep, one per cell of the run
+    assert metrics["kernels.dbs_explore.calls"] == 3
     assert metrics["harness.cells"] == 2  # one per horizon of the run

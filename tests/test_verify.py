@@ -1,7 +1,9 @@
 """Verification-suite plumbing and the random instance generators."""
 
+import numpy as np
 import pytest
 
+from fairtrade import kernels
 from fairtrade.core import best_fixed_price_fgft
 from fairtrade.verify import (
     SUITE_ORDER,
@@ -60,6 +62,21 @@ def test_run_suites_concatenates_in_order():
         "epsilon-family-argmax",
     ]
     assert all(r.passed for r in rows)
+
+
+def test_dbs_suites_fail_when_dbs_commits_at_one_half(monkeypatch):
+    # a wrong learner must fail the checks: committing at 1/2 instead of the
+    # bisection midpoint loses a constant per round on most point masses
+    explore = kernels.dbs_explore
+
+    def commit_at_one_half(sellers, buyers, n_rounds):
+        prices, commit = explore(sellers, buyers, n_rounds)
+        return prices, np.full_like(commit, 0.5)
+
+    monkeypatch.setattr(kernels, "dbs_explore", commit_at_one_half)
+    rows = {row.check: row for row in run_suites(("dbs-bound", "dbs-log-growth"))}
+    assert not rows["dbs-bound"].passed
+    assert not rows["dbs-log-growth-increment"].passed
 
 
 # ---------------------------------------------------------------------------
