@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 import numpy as np
@@ -33,6 +32,7 @@ from .environments import ENVIRONMENT_ID_PATTERNS, FeedbackModel, UnknownIdError
 from .harness import (
     FeedbackMismatchError,
     RunConfig,
+    _whole,
     adversarial_deterministic_sweep,
     fit_exponent,
     run_monte_carlo,
@@ -49,15 +49,6 @@ def _fmt(x: float) -> str:
 def _check_threads(args) -> None:
     if args.threads < 1:
         raise ValueError(f"thread count must be >= 1, got {args.threads}")
-
-
-def _whole(value, name: str) -> int:
-    """A config number that must be whole: an int (not a bool) or an integral finite float."""
-    if isinstance(value, float) and math.isfinite(value) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 def _parse_horizons(entry: dict) -> list:
@@ -88,16 +79,12 @@ def cmd_run(args) -> int:
         env = env_from_config(entry["env"])
         feedback = FeedbackModel.parse(entry["feedback"]) if "feedback" in entry else None
         horizons = _parse_horizons(entry)
-        n_episodes = _whole(entry.get("n_episodes", 1), "n_episodes")
-        base_seed = _whole(
-            entry.get("base_seed", args.seed if args.seed is not None else 0), "base_seed"
-        )
         cfg = RunConfig(
             env=env,
             learner=spec,
             horizon=horizons[0],
-            n_episodes=n_episodes,
-            base_seed=base_seed,
+            n_episodes=entry.get("n_episodes", 1),
+            base_seed=entry.get("base_seed", args.seed if args.seed is not None else 0),
             feedback=feedback,
             strict_feedback=args.strict_feedback,
         )
@@ -107,7 +94,7 @@ def cmd_run(args) -> int:
             slope = _fmt(fit_exponent(curve).slope)
         for T, mean, stderr in zip(curve.horizons, curve.means, curve.stderrs):
             rows.append(
-                (spec.learner_id, env.env_id, str(T), str(n_episodes), _fmt(mean), _fmt(stderr), slope)
+                (spec.learner_id, env.env_id, str(T), str(cfg.n_episodes), _fmt(mean), _fmt(stderr), slope)
             )
         print(
             f"{spec.learner_id} on {env.env_id}: "

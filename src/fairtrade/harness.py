@@ -7,11 +7,13 @@ point-mass profiles and worst-case sweeps instead take price profiles
 built on the kernels module, which reproduces the reference loop's price
 sequence (identical splitmix64 draws, identical accumulation order), and
 score them with one formula, _profile_regret, so desk-scale horizons stay
-cheap.  Both work on rows: all episodes of a Monte Carlo cell, or a batch
-of up to POINT_BLOCK point masses, go through one array pass (fbep and
-uniform, whose row is the whole horizon, run one episode per call).  A
-point mass is the one-atom environment: every draw lands on its atom, so
-a _PointMasses batch takes no draws and builds no environment.
+cheap.  Both work on rows only: all episodes of a Monte Carlo cell, or a
+batch of up to POINT_BLOCK point masses, go through one array pass (fbep
+and uniform, whose row is the whole horizon, take one episode per pass),
+and exploration every row shares, such as the grid learner's sweep, is
+one row scored once.  A point mass is the one-atom environment: every
+draw lands on its atom, so a _PointMasses batch takes no draws and builds
+no environment.
 
 Regret is always pseudo-regret: conditioning on the posted prices, every
 round contributes v_star - E[fgft(p_t)] with both terms exact under the
@@ -102,6 +104,16 @@ def resolve_feedback(
     return run_model, (requires or run_model)
 
 
+def _whole(value, name: str) -> int:
+    """A config number that must be whole: an int or NumPy integer (not a bool),
+    or an integral finite float."""
+    if isinstance(value, float) and math.isfinite(value) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One experiment cell: a learner on an environment at one horizon."""
@@ -115,6 +127,8 @@ class RunConfig:
     strict_feedback: bool = False
 
     def __post_init__(self):
+        for name in ("horizon", "n_episodes", "base_seed"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon!r}")
         if self.n_episodes < 1:
@@ -256,7 +270,7 @@ def pseudo_regret(env: Environment, prices) -> float:
     """
     if isinstance(prices, Trajectory):
         prices = prices.prices
-    return _profile_regret(_EnvTables(env), prices, 0.0, 0)
+    return float(_profile_regret(_EnvTables(env), np.reshape(prices, (1, -1)), np.zeros(1), 0)[0])
 
 
 def run_episode(config: RunConfig, episode_index: int) -> Trajectory:
@@ -296,79 +310,70 @@ def run_episode(config: RunConfig, episode_index: int) -> Trajectory:
 
 
 def _price_profile(spec: LearnerSpec, tables: _EnvTables, T: int, seeds) -> tuple:
-    """(exploration prices, tail price, tail length) of episode streams ``seeds``.
+    """(exploration prices, tails, tail length) of the episode streams ``seeds``.
 
-    The learner posts the exploration prices, then the tail price for the
-    remaining rounds.  A scalar seed gives one episode's profile: 1-D
-    exploration prices and a float tail.  A sequence of seeds gives one
-    row per seed, (rows, n) exploration prices and (rows,) tails, from one
-    array pass; a _PointMasses batch takes one seed per point and no
-    draws, as every draw lands on the point's atom.  Learners without a
-    commit phase (uniform, fbep) return their whole path as exploration
-    and an empty tail, and take one seed per call: their row is the whole
-    horizon.  Price paths agree with the reference loop draw for draw,
-    with one exception: the fbep kernel also scores candidate prices of
-    atoms not yet sampled, and on a flat top of the empirical mean one of
-    them can round one ulp above the reference learner's smallest
-    maximizer.
+    Row r is the episode of seeds[r]: the learner posts its exploration
+    prices, then its tail price for the remaining rounds.  Exploration
+    prices have shape (rows, n), or (1, n) when every row explores alike
+    (the grid learner's sweep, and the empty exploration of fixed and
+    gft-oracle); tails have shape (rows,).  A _PointMasses batch takes one
+    seed per point and no draws, as every draw lands on the point's atom.
+    Learners without a commit phase (uniform, fbep) return their whole path
+    as exploration and a tail of length 0.  Price paths agree with the
+    reference loop draw for draw, with one exception: the fbep kernel also
+    scores candidate prices of atoms not yet sampled, and on a flat top of
+    the empirical mean one of them can round one ulp above the reference
+    learner's smallest maximizer.
     """
     if T < 1:
         raise ValueError(f"horizon must be >= 1, got {T!r}")
-    kind = spec.kind
-    if kind in ("uniform", "fbep"):
-        if np.ndim(seeds):
-            raise ValueError(f"a {kind} profile takes one episode seed per call")
-        if kind == "uniform":
-            return kernels.uniform_prices(mix64(spec.params.get("seed", 0), seeds), T), 0.0, 0
+    kind, rows = spec.kind, len(seeds)
+    if kind == "uniform":
+        stream = spec.params.get("seed", 0)
+        paths = [kernels.uniform_prices(mix64(stream, seed), T) for seed in seeds]
+        return np.stack(paths), np.zeros(rows), 0
+    if kind == "fbep":
         cands, rewards = tables.fbep
-        prices = kernels.fbep_prices(
-            seeds, tables.cum, tables.sellers, tables.buyers, cands, rewards, T
-        )
-        return prices, 0.0, 0
-    one = np.ndim(seeds) == 0
-    seeds = [seeds] if one else list(seeds)
-    rows = len(seeds)
+        paths = [kernels.fbep_prices(seed, tables.cum, cands, rewards, T) for seed in seeds]
+        return np.stack(paths), np.zeros(rows), 0
     if kind == "fixed":
-        explore, tail, tail_len = np.empty((rows, 0)), np.full(rows, spec.params["p"]), T
-    elif kind == "gft-oracle":
-        explore, tail, tail_len = np.empty((rows, 0)), np.broadcast_to(tables.gft_price, rows), T
-    elif kind == "dbs":
+        return np.empty((1, 0)), np.full(rows, spec.params["p"]), T
+    if kind == "gft-oracle":
+        return np.empty((1, 0)), np.broadcast_to(tables.gft_price, rows), T
+    if kind == "dbs":
         N = dbs_phase_length(T)
         sellers, buyers = tables.draw(seeds, 2 * N)
         explore, tail = kernels.dbs_explore(sellers[:, :N], buyers[:, N:], N)
-        tail_len = T - 2 * N
-    elif kind == "conv-pricing":
+        return explore, tail, T - 2 * N
+    if kind == "conv-pricing":
         K = ConvolutionPricing(T, spec.params.get("K")).grid_size
         commits, _, _ = kernels.conv_pricing_commit(*tables.draw(seeds, K), K)
         grid = np.arange(1, K + 1, dtype=np.float64) / K
-        explore, tail, tail_len = np.broadcast_to(grid, (rows, K)), grid[commits - 1], T - K
-    else:
-        raise ValueError(f"no price profile for learner kind {kind!r}")
-    if one:
-        return explore[0], float(tail[0]), tail_len
-    return explore, tail, tail_len
+        return grid[None, :], grid[commits - 1], T - K
+    raise ValueError(f"no price profile for learner kind {kind!r}")
 
 
-def _profile_regret(tables: _EnvTables, explore, tail, tail_len: int):
-    """sum(v* - E[fgft(explore)]) + tail_len * (v* - E[fgft(tail)]), row by row.
+def _profile_regret(tables: _EnvTables, explore, tail, tail_len: int) -> np.ndarray:
+    """sum(v* - E[fgft(explore)]) + tail_len * (v* - E[fgft(tail)]), one per row.
 
-    A 1-D profile gives a float; (rows, n) exploration prices and (rows,)
-    tails give one regret per row, against one v* or a v* per row.
+    ``explore`` is (rows, n) or one shared (1, n) row, scored once; ``tail``
+    is (rows,) and fixes the row count.  v* is shared or one per row.  The
+    tail is scored only when it has rounds.
     """
-    v_star = np.atleast_1d(tables.v_star)[:, None]
-    regret = np.sum(v_star - tables.mean_at(np.atleast_2d(explore)), axis=1)
+    v_star = np.reshape(tables.v_star, (-1, 1))
+    regret = np.zeros(tail.shape)
+    regret += np.sum(v_star - tables.mean_at(explore), axis=1)
     if tail_len:
-        tail_mean = tables.mean_at(np.atleast_1d(tail)[:, None])
-        regret += tail_len * (v_star - tail_mean)[:, 0]
-    return float(regret[0]) if np.ndim(explore) == 1 else regret
+        regret += tail_len * (v_star - tables.mean_at(tail[:, None]))[:, 0]
+    return regret
 
 
 def _episode_regrets(config: RunConfig, horizon: int, tables: _EnvTables) -> np.ndarray:
     spec = config.learner
     seeds = [mix64(config.base_seed, e) for e in range(config.n_episodes)]
-    if spec.kind in ("uniform", "fbep"):  # one episode per call, see _price_profile
-        profiles = (_price_profile(spec, tables, horizon, seed) for seed in seeds)
-        return np.array([_profile_regret(tables, *profile) for profile in profiles])
+    if spec.kind in ("uniform", "fbep"):  # one episode per pass: the row is the whole horizon
+        profiles = (_price_profile(spec, tables, horizon, [seed]) for seed in seeds)
+        return np.concatenate([_profile_regret(tables, *profile) for profile in profiles])
     return _profile_regret(tables, *_price_profile(spec, tables, horizon, seeds))
 
 
@@ -381,7 +386,9 @@ def run_monte_carlo(config: RunConfig, horizons=None) -> RegretCurve:
     The environment's oracle tables are built once and shared by every
     horizon.
     """
-    hs = [config.horizon] if horizons is None else [int(t) for t in horizons]
+    hs = [config.horizon] if horizons is None else [_whole(t, "horizon") for t in horizons]
+    if not hs:
+        raise ValueError("a run needs at least one horizon")
     resolve_feedback(config.learner.requires, config.feedback, config.strict_feedback)
     tables = _EnvTables(config.env)
     means, stderrs = [], []
@@ -478,6 +485,7 @@ def deterministic_price_profile(spec: LearnerSpec, horizon: int, pair) -> tuple:
     """
     sellers, buyers, shape = _point_values(spec, pair)
     _, explore, tail, tail_len = _point_mass_profile(spec, horizon, sellers, buyers)
+    explore = np.broadcast_to(explore, tail.shape + explore.shape[1:])  # one row per point
     if not shape:
         return explore[0], float(tail[0]), tail_len
     return explore.reshape(shape + explore.shape[1:]), tail.reshape(shape), tail_len
@@ -491,13 +499,12 @@ def profile_regret(spec: LearnerSpec, horizon: int, pair):
     over POINT_BLOCK points at a time.
     """
     sellers, buyers, shape = _point_values(spec, pair)
-    blocks = (slice(lo, lo + POINT_BLOCK) for lo in range(0, sellers.size, POINT_BLOCK))
-    regrets = np.concatenate(
-        [
-            _profile_regret(*_point_mass_profile(spec, horizon, sellers[rows], buyers[rows]))
-            for rows in blocks
-        ]
-    )
+    regrets = np.empty(sellers.size)
+    for lo in range(0, sellers.size, POINT_BLOCK):
+        rows = slice(lo, lo + POINT_BLOCK)
+        regrets[rows] = _profile_regret(
+            *_point_mass_profile(spec, horizon, sellers[rows], buyers[rows])
+        )
     return float(regrets[0]) if not shape else regrets.reshape(shape)
 
 

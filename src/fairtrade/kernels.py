@@ -179,7 +179,7 @@ def dbs_explore(sellers, buyers, n_rounds):
     return prices, commit
 
 
-def fbep_prices(seed, cum, sellers, buyers, cands, reward_matrix, horizon):
+def fbep_prices(seed, cum, cands, reward_matrix, horizon):
     """Price path of the follow-the-best-empirical-price learner.
 
     ``cands`` are the fixed candidate prices (every breakpoint the empirical

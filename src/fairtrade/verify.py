@@ -78,11 +78,22 @@ class UnknownSuiteError(ValueError):
     """A verify suite name that does not resolve."""
 
 
-def _check(name: str, fn) -> CheckResult:
+def _check(names, fn) -> list:
+    """Run fn once: one CheckResult per name from its (passed, measured, tolerance) rows.
+
+    A single name takes fn's one row; a tuple of names takes one row per
+    name.  The rows share one run, so the first carries its runtime and
+    the others 0.
+    """
     t0 = time.perf_counter()
-    passed, measured, tolerance = fn()
+    rows = fn()
     dt = (time.perf_counter() - t0) * 1e3
-    return CheckResult(name, bool(passed), float(measured), float(tolerance), dt)
+    if isinstance(names, str):
+        names, rows = (names,), (rows,)
+    return [
+        CheckResult(name, bool(passed), float(measured), float(tolerance), 0.0 if i else dt)
+        for i, (name, (passed, measured, tolerance)) in enumerate(zip(names, rows, strict=True))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +203,7 @@ def suite_convolution_lemma() -> list:
         measured = float(np.max(np.abs(approx - exact)))
         return measured <= 1e-4, measured, 1e-4
 
-    return [_check("convolution-lemma", body)]
+    return _check("convolution-lemma", body)
 
 
 def suite_sandwich() -> list:
@@ -224,23 +235,19 @@ def suite_sandwich() -> list:
                 worst = max(worst, float(np.max(-diff)), float(np.max(diff - 1.0 / K)))
         return worst <= 1e-10, worst, 1e-10
 
-    return [_check("sandwich", body)]
+    return _check("sandwich", body)
 
 
 def suite_indistinguishability() -> list:
     """The lower-bound pair: equal feedback laws, linear regret witness."""
-    state: dict = {}
 
-    def tables():
-        report = state["report"] = indistinguishability_check(
-            horizon=4096, n_episodes=3, base_seed=0
-        )
-        return report.tables_equal, report.max_table_gap, 0.0
-
-    def coupling():
-        report = state["report"]
-        measured = 0.0 if report.coupled_trajectories_equal else 1.0
-        return report.coupled_trajectories_equal, measured, 0.0
+    def tables_and_coupling():
+        report = indistinguishability_check(horizon=4096, n_episodes=3, base_seed=0)
+        coupled = report.coupled_trajectories_equal
+        return [
+            (report.tables_equal, report.max_table_gap, 0.0),
+            (coupled, 0.0 if coupled else 1.0, 0.0),
+        ]
 
     def regret():
         T, episodes = 10**4, 50
@@ -259,11 +266,8 @@ def suite_indistinguishability() -> list:
         threshold = T / 48.0 - 3.0 * best_stderr
         return best_mean >= threshold, best_mean, threshold
 
-    return [
-        _check("indistinguishability-tables", tables),
-        _check("indistinguishability-coupling", coupling),
-        _check("indistinguishability-regret", regret),
-    ]
+    names = ("indistinguishability-tables", "indistinguishability-coupling")
+    return _check(names, tables_and_coupling) + _check("indistinguishability-regret", regret)
 
 
 def suite_gft_trap() -> list:
@@ -282,7 +286,7 @@ def suite_gft_trap() -> list:
         measured = abs(curve.means[0] - (0.25 - 0.05) * T)
         return measured <= 1e-8, measured, 1e-8
 
-    return [_check("gft-trap-regret", body)]
+    return _check("gft-trap-regret", body)
 
 
 def suite_dbs_bound() -> list:
@@ -299,30 +303,22 @@ def suite_dbs_bound() -> list:
             worst = max(worst, float(excess))
         return worst <= 0.0, worst, 0.0
 
-    return [_check("dbs-bound", body)]
+    return _check("dbs-bound", body)
 
 
 def suite_dbs_log_growth() -> list:
     """Worst-case sweep maxima grow like log T: monotone, small increments."""
-    state: dict = {}
 
-    def monotone():
+    def body():
         maxima = [
             adversarial_deterministic_sweep("dbs", 2**k).max_regret
             for k in range(8, 17)
         ]
-        steps = state["steps"] = np.diff(np.asarray(maxima))
-        worst_drop = float(np.max(-steps))
-        return worst_drop <= 0.0, worst_drop, 0.0
+        steps = np.diff(np.asarray(maxima))
+        worst_drop, worst_step = float(np.max(-steps)), float(np.max(steps))
+        return [(worst_drop <= 0.0, worst_drop, 0.0), (worst_step <= 2.5, worst_step, 2.5)]
 
-    def increment():
-        worst_step = float(np.max(state["steps"]))
-        return worst_step <= 2.5, worst_step, 2.5
-
-    return [
-        _check("dbs-log-growth-monotone", monotone),
-        _check("dbs-log-growth-increment", increment),
-    ]
+    return _check(("dbs-log-growth-monotone", "dbs-log-growth-increment"), body)
 
 
 def _rate_rows(
@@ -339,7 +335,7 @@ def _rate_rows(
     rows = []
     spec = parse_learner(learner_id)
     for env in envs:
-        def body(env=env):
+        def body():
             cfg = RunConfig(
                 env=env,
                 learner=spec,
@@ -352,21 +348,10 @@ def _rate_rows(
             ratio = growth_ratio(
                 [m / normalizer(t) for m, t in zip(curve.means, curve.horizons)]
             )
-            return slope, ratio
+            return [(slope_lo <= slope <= slope_hi, slope, slope_hi), (ratio <= 3.0, ratio, 3.0)]
 
-        # one Monte Carlo pass feeds both rows; time it inside the first row
-        state: dict = {}
-
-        def slope_row(env=env, body=body, state=state):
-            state["slope"], state["ratio"] = body()
-            ok = slope_lo <= state["slope"] <= slope_hi
-            return ok, state["slope"], slope_hi
-
-        def ratio_row(state=state):
-            return state["ratio"] <= 3.0, state["ratio"], 3.0
-
-        rows.append(_check(f"{prefix}-slope:{env.env_id}", slope_row))
-        rows.append(_check(f"{prefix}-ratio:{env.env_id}", ratio_row))
+        # one Monte Carlo pass feeds both rows
+        rows += _check((f"{prefix}-slope:{env.env_id}", f"{prefix}-ratio:{env.env_id}"), body)
     return rows
 
 
@@ -412,8 +397,7 @@ def suite_full_feedback_rate() -> list:
         curve = run_monte_carlo(cfg)
         return curve.means[0] <= 0.5, curve.means[0], 0.5
 
-    rows.append(_check("full-feedback-deterministic", deterministic_case))
-    return rows
+    return rows + _check("full-feedback-deterministic", deterministic_case)
 
 
 def suite_epsilon_family() -> list:
@@ -443,10 +427,8 @@ def suite_epsilon_family() -> list:
             worst = max(worst, abs(best.price - want_price), abs(best.value - want_value))
         return worst <= 1e-12, worst, 1e-12
 
-    return [
-        _check("epsilon-family-closed-form", closed_form),
-        _check("epsilon-family-argmax", argmax),
-    ]
+    rows = _check("epsilon-family-closed-form", closed_form)
+    return rows + _check("epsilon-family-argmax", argmax)
 
 
 def suite_oracle_equivalence() -> list:
@@ -467,7 +449,7 @@ def suite_oracle_equivalence() -> list:
             worst = max(worst, abs(oracle - brute))
         return worst <= 1e-4, worst, 1e-4
 
-    return [_check("oracle-equivalence", body)]
+    return _check("oracle-equivalence", body)
 
 
 SUITES = {

@@ -86,6 +86,19 @@ def test_run_config_validation():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match="base_seed"):
             RunConfig(env=lb_mu(), learner=spec, horizon=10, base_seed=seed)
+    # config numbers must be whole; integral floats and NumPy integers count as whole
+    for field in ("horizon", "n_episodes", "base_seed"):
+        with pytest.raises(ValueError, match=f"{field} must be a whole number"):
+            RunConfig(**{"env": lb_mu(), "learner": spec, "horizon": 10, field: 100.5})
+    with pytest.raises(ValueError, match="horizon must be a whole number"):
+        RunConfig(env=lb_mu(), learner=parse_learner("fixed:p=0.5"), horizon=100.5)
+    cfg = RunConfig(env=lb_mu(), learner=spec, horizon=np.int64(10), n_episodes=2.0)
+    assert (type(cfg.horizon), type(cfg.n_episodes)) == (int, int)
+    assert run_monte_carlo(cfg, horizons=np.array([10, 20])).horizons == (10, 20)
+    with pytest.raises(ValueError, match="horizon must be a whole number"):
+        run_monte_carlo(cfg, horizons=[100.5])
+    with pytest.raises(ValueError, match="at least one horizon"):
+        run_monte_carlo(cfg, horizons=[])
 
 
 def test_mismatched_config_fails_before_any_episode():
@@ -190,8 +203,8 @@ def test_fast_path_prices_match_reference_bitwise(env_name, learner_id, T):
     )
     tables = _EnvTables(cfg.env)
     for e in range(3):
-        explore, tail, tail_len = _price_profile(cfg.learner, tables, T, mix64(cfg.base_seed, e))
-        kernel_path = np.concatenate([explore, np.full(tail_len, tail)])
+        explore, tail, tail_len = _price_profile(cfg.learner, tables, T, [mix64(cfg.base_seed, e)])
+        kernel_path = np.concatenate([explore[0], np.full(tail_len, tail[0])])
         assert np.array_equal(run_episode(cfg, e).prices, kernel_path), e
 
 
@@ -388,6 +401,7 @@ def test_profile_regret_keeps_the_broadcast_shape(monkeypatch):
     assert np.array_equal(regrets, profile_regret(spec, 100, (sellers, buyers)))
     assert regrets[1, 3] == profile_regret(spec, 100, (grid[3], grid[1]))
     assert isinstance(profile_regret(spec, 100, (0.25, 0.75)), float)
+    assert profile_regret(spec, 100, (np.empty((0, 1)), grid[:3])).shape == (0, 3)
 
 
 @pytest.mark.parametrize("side", ["seller", "buyer"])
@@ -456,9 +470,9 @@ def test_kernel_profile_matches_reference_loop(atoms, learner, base_seed, episod
         env=_joint_env(atoms), learner=parse_learner(learner_id), horizon=T, base_seed=base_seed
     )
     explore, tail, tail_len = _price_profile(
-        cfg.learner, _EnvTables(cfg.env), T, mix64(base_seed, episode)
+        cfg.learner, _EnvTables(cfg.env), T, [mix64(base_seed, episode)]
     )
-    kernel_path = np.concatenate([explore, np.full(tail_len, tail)])
+    kernel_path = np.concatenate([explore[0], np.full(tail_len, tail[0])])
     assert np.array_equal(kernel_path, run_episode(cfg, episode).prices)
 
 
@@ -472,9 +486,12 @@ def test_kernel_profile_matches_reference_loop(atoms, learner, base_seed, episod
 )
 @example(atoms=_TIED_ATOMS, learner_id="dbs", T=9, n_episodes=3, base_seed=11)
 @example(atoms=_TIED_ATOMS, learner_id="conv-pricing", T=8, n_episodes=3, base_seed=11)
+# K = T = 1: one shared exploration row and no tail still give a regret per episode
+@example(atoms=_TIED_ATOMS, learner_id="conv-pricing", T=1, n_episodes=3, base_seed=11)
+@example(atoms=_TIED_ATOMS, learner_id="conv-pricing", T=1, n_episodes=5, base_seed=11)
 def test_episode_rows_match_per_episode_scoring(atoms, learner_id, T, n_episodes, base_seed):
     # a cell's episodes share one array pass; each row's regret is the
-    # regret of that episode's own scalar-seed profile, bitwise
+    # regret of that episode's own one-seed profile, bitwise
     cfg = RunConfig(
         env=_joint_env(atoms),
         learner=parse_learner(learner_id),
@@ -484,7 +501,7 @@ def test_episode_rows_match_per_episode_scoring(atoms, learner_id, T, n_episodes
     )
     tables = _EnvTables(cfg.env)
     want = [
-        _profile_regret(tables, *_price_profile(cfg.learner, tables, T, mix64(base_seed, e)))
+        _profile_regret(tables, *_price_profile(cfg.learner, tables, T, [mix64(base_seed, e)]))[0]
         for e in range(n_episodes)
     ]
     assert np.array_equal(_episode_regrets(cfg, T, tables), want)

@@ -252,7 +252,7 @@ def test_fbep_prices_match_round_loop_across_blocks(monkeypatch, env_name, block
     tables = _EnvTables(_SIM_ENVS[env_name]())
     cands, matrix = tables.fbep
     for seed in _SEEDS:
-        got = kernels.fbep_prices(seed, tables.cum, tables.sellers, tables.buyers, cands, matrix, T)
+        got = kernels.fbep_prices(seed, tables.cum, cands, matrix, T)
         assert np.array_equal(got, _loop_fbep(seed, tables.cum, cands, matrix, T)), seed
 
 

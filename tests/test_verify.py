@@ -79,6 +79,21 @@ def test_dbs_suites_fail_when_dbs_commits_at_one_half(monkeypatch):
     assert not rows["dbs-log-growth-increment"].passed
 
 
+def test_stochastic_rate_fails_when_conv_pricing_commits_to_the_first_grid_price(monkeypatch):
+    # committing to price 1/K whatever the sweep measured forfeits a constant
+    # per round, so regret grows linearly: every slope and ratio row fails
+    commit = kernels.conv_pricing_commit
+
+    def commit_to_index_one(sellers, buyers, grid_size):
+        commits, seller_bits, buyer_bits = commit(sellers, buyers, grid_size)
+        return np.ones_like(commits), seller_bits, buyer_bits
+
+    monkeypatch.setattr(kernels, "conv_pricing_commit", commit_to_index_one)
+    rows = run_suite("stochastic-rate")
+    assert len(rows) == 6
+    assert not any(row.passed for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # random instance generators
 # ---------------------------------------------------------------------------
