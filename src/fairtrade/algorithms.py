@@ -36,7 +36,7 @@ from .environments import (
     FeedbackModel,
     TwoBitFeedback,
     UnknownIdError,
-    _parse_params,
+    _parse_id,
 )
 from .rng import MASK64, SplitMix64, mix64
 
@@ -317,33 +317,18 @@ class LearnerSpec:
 
 def parse_learner(learner_id: str) -> LearnerSpec:
     """Resolve a learner id string like 'conv-pricing:K=100' or 'fixed:p=0.5'."""
-    head, _, tail = learner_id.partition(":")
-    params = _parse_params(tail, learner_id) if tail else {}
+    kind, params = _parse_id(learner_id, LEARNER_ID_PATTERNS)
     try:
-        if head == "conv-pricing":
-            if set(params) - {"K"}:
-                raise UnknownIdError(f"conv-pricing accepts only K=, got {learner_id!r}")
-            if "K" in params:
-                params["K"] = int(params["K"])
-                if params["K"] < 1:
-                    raise UnknownIdError(f"conv-pricing needs K >= 1, got {learner_id!r}")
-        elif head in ("dbs", "fbep", "gft-oracle"):
-            if params:
-                raise UnknownIdError(f"{head} takes no parameters, got {learner_id!r}")
-        elif head == "fixed":
-            if set(params) - {"p"}:
-                raise UnknownIdError(f"fixed accepts only p=, got {learner_id!r}")
+        if "K" in params:
+            params["K"] = int(params["K"])
+            if params["K"] < 1:
+                raise ValueError(f"K must be >= 1, got {params['K']}")
+        if kind == "fixed":
             params["p"] = _check_price(float(params["p"]))
-        elif head == "uniform":
-            if set(params) - {"seed"}:
-                raise UnknownIdError(f"uniform accepts only seed=, got {learner_id!r}")
+        if kind == "uniform":
             params["seed"] = int(params.get("seed", 0))
             if not 0 <= params["seed"] <= MASK64:
-                raise UnknownIdError(f"uniform needs 0 <= seed < 2**64, got {learner_id!r}")
-        else:
-            raise UnknownIdError(f"unknown learner id {learner_id!r}")
-    except UnknownIdError:
-        raise
+                raise ValueError(f"seed must lie in [0, 2**64), got {params['seed']}")
     except (KeyError, ValueError) as exc:
         raise UnknownIdError(f"cannot resolve learner id {learner_id!r}: {exc}") from exc
-    return LearnerSpec(learner_id=learner_id, kind=head, params=params)
+    return LearnerSpec(learner_id=learner_id, kind=kind, params=params)

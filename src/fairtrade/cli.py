@@ -9,12 +9,14 @@ Subcommands:
 * ``list-learners``  registered learner id patterns
 
 Exit codes: 0 success, 1 failed verify check, 2 config/parse error (also
-unknown suite), 3 unresolvable environment or learner id.
+unknown suite), 3 unresolvable environment or learner id.  An id takes
+only the keys that ``list-envs``/``list-learners`` show, each once.
 
 Config format (run): ``{"output": "curves.csv", "runs": [{"learner":
 "conv-pricing", "env": "lb-mu", "horizons": [1000, 10000], "n_episodes":
-50, "base_seed": 1, "feedback": "two-bit"}, ...]}``.  The env field takes
-an id string or an inline object (see environments.env_from_config).
+50, "base_seed": 1, "feedback": "two-bit"}, ...]}``; a run gives
+``horizon`` or ``horizons``, not both, and no other field.  The env field
+takes an id string or an inline object (environments.env_from_config).
 Identical config and seeds produce byte-identical CSV.
 """
 
@@ -32,7 +34,7 @@ from .environments import ENVIRONMENT_ID_PATTERNS, FeedbackModel, UnknownIdError
 from .harness import (
     FeedbackMismatchError,
     RunConfig,
-    _whole,
+    _horizons,
     adversarial_deterministic_sweep,
     fit_exponent,
     run_monte_carlo,
@@ -51,22 +53,19 @@ def _check_threads(args) -> None:
         raise ValueError(f"thread count must be >= 1, got {args.threads}")
 
 
-def _parse_horizons(entry: dict) -> list:
-    if "horizons" in entry:
-        hs = [_whole(t, "horizon") for t in entry["horizons"]]
-    else:
-        hs = [_whole(entry["horizon"], "horizon")]
-    if not hs:
-        raise ValueError("a run needs at least one horizon")
-    if any(a >= b for a, b in zip(hs, hs[1:])):
-        raise ValueError(f"horizons must be strictly increasing, got {hs}")
-    return hs
+def _check_fields(obj, fields: tuple, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+    for name in obj:
+        if name not in fields:
+            raise ValueError(f"unknown {what} field {name!r}; known fields: {', '.join(fields)}")
 
 
 def cmd_run(args) -> int:
     _check_threads(args)
     with open(args.config, "r", encoding="utf-8") as fh:
         config = json.load(fh)
+    _check_fields(config, ("output", "runs"), "config")
     out_path = args.out or config.get("output")
     if not out_path:
         raise ValueError("no output path: pass --out or set 'output' in the config")
@@ -75,10 +74,13 @@ def cmd_run(args) -> int:
         raise ValueError("config needs a non-empty 'runs' list")
     rows = []
     for entry in runs:
+        _check_fields(entry, ("learner", "env", "horizon", "horizons", "n_episodes", "base_seed", "feedback"), "run")
+        if "horizon" in entry and "horizons" in entry:
+            raise ValueError("a run gives both 'horizon' and 'horizons'; give one")
         spec = parse_learner(entry["learner"])
         env = env_from_config(entry["env"])
         feedback = FeedbackModel.parse(entry["feedback"]) if "feedback" in entry else None
-        horizons = _parse_horizons(entry)
+        horizons = _horizons(entry["horizons"] if "horizons" in entry else [entry["horizon"]])
         cfg = RunConfig(
             env=env,
             learner=spec,

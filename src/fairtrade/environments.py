@@ -27,6 +27,7 @@ Named instances:
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -266,61 +267,65 @@ class UnknownIdError(ValueError):
     """An environment or learner id that does not resolve."""
 
 
-def _parse_params(text: str, spec_id: str) -> dict:
+def _parse_id(spec_id, patterns) -> tuple:
+    """Split ``kind:key=value,...`` into (kind, {key: value text}).
+
+    The patterns are the grammar: the kind must head one of them and each
+    key must appear, at most once, in a pattern of that kind.
+    """
+    if not isinstance(spec_id, str):
+        raise UnknownIdError(f"an id must be a string, got {spec_id!r}")
+    kind, _, tail = spec_id.partition(":")
+    grammar = [pattern.partition(":") for pattern in patterns]
+    if kind not in {head for head, _, _ in grammar}:
+        raise UnknownIdError(f"unknown id {spec_id!r}")
+    keys = {key for head, _, form in grammar if head == kind for key in re.findall(r"(\w+)=<", form)}
     params = {}
-    for chunk in text.split(","):
-        if "=" not in chunk:
-            raise UnknownIdError(f"malformed parameter {chunk!r} in {spec_id!r}")
-        key, value = chunk.split("=", 1)
-        params[key.strip()] = value.strip()
-    return params
+    for chunk in tail.split(",") if tail else ():
+        key, eq, value = (part.strip() for part in chunk.partition("="))
+        if not eq or key not in keys or key in params:
+            allowed = f"only {', '.join(sorted(keys))}, each once" if keys else "no parameters"
+            raise UnknownIdError(f"bad parameter {chunk!r} in {spec_id!r}: {kind} takes {allowed}")
+        params[key] = value
+    return kind, params
 
 
 def parse_env(env_id: str) -> Environment:
     """Resolve an environment id string like 'gft-trap:h=0.1'."""
-    head, _, tail = env_id.partition(":")
+    kind, params = _parse_id(env_id, ENVIRONMENT_ID_PATTERNS)
     try:
-        if head == "lb-mu" and not tail:
+        if kind == "lb-mu":
             return lb_mu()
-        if head == "lb-nu" and not tail:
+        if kind == "lb-nu":
             return lb_nu()
-        if head == "gft-trap":
-            params = _parse_params(tail, env_id)
+        if kind == "gft-trap":
             return gft_trap(float(params["h"]))
-        if head == "eps-family":
-            params = _parse_params(tail, env_id)
+        if kind == "eps-family":
             return epsilon_family(float(params["eps"]))
-        if head == "det":
-            params = _parse_params(tail, env_id)
-            return deterministic(float(params["s"]), float(params["b"]))
-    except UnknownIdError:
-        raise
+        return deterministic(float(params["s"]), float(params["b"]))  # det, the last kind
     except (KeyError, ValueError) as exc:
         raise UnknownIdError(f"cannot resolve environment id {env_id!r}: {exc}") from exc
-    raise UnknownIdError(f"unknown environment id {env_id!r}")
 
 
 def env_from_config(obj) -> Environment:
     """Resolve an environment from a config entry.
 
-    Accepts an id string, or an inline object:
-    ``{"joint": [[s, b, w], ...], "id": "name"}`` or
-    ``{"independent": {"seller": [[v, w], ...], "buyer": [[v, w], ...]}}``.
+    Accepts an id string, or an inline object with exactly one of
+    ``{"joint": [[s, b, w], ...]}`` and
+    ``{"independent": {"seller": [[v, w], ...], "buyer": [[v, w], ...]}}``,
+    plus an optional string ``"id"``; any other key is an error.
     """
     if isinstance(obj, str):
         return parse_env(obj)
-    if isinstance(obj, dict):
-        env_id = obj.get("id")
-        if "joint" in obj:
-            atoms = [((float(s), float(b)), float(w)) for s, b, w in obj["joint"]]
-            return joint_finite(FiniteJointDistribution(atoms), env_id=env_id or "joint")
-        if "independent" in obj:
-            spec = obj["independent"]
-            seller = FiniteMarginal(
-                [float(v) for v, _ in spec["seller"]], [float(w) for _, w in spec["seller"]]
-            )
-            buyer = FiniteMarginal(
-                [float(v) for v, _ in spec["buyer"]], [float(w) for _, w in spec["buyer"]]
-            )
-            return independent_finite(seller, buyer, env_id=env_id or "independent")
-    raise UnknownIdError(f"cannot interpret environment config entry {obj!r}")
+    forms = {"joint", "independent"} & set(obj) if isinstance(obj, dict) else set()
+    if len(forms) != 1 or set(obj) - forms - {"id"} or not isinstance(obj.get("id", ""), str):
+        raise UnknownIdError(f"cannot interpret environment config entry {obj!r}")
+    if "joint" in obj:
+        atoms = [((float(s), float(b)), float(w)) for s, b, w in obj["joint"]]
+        return joint_finite(FiniteJointDistribution(atoms), env_id=obj.get("id") or "joint")
+    spec = obj["independent"]
+    seller, buyer = (
+        FiniteMarginal([float(v) for v, _ in spec[side]], [float(w) for _, w in spec[side]])
+        for side in ("seller", "buyer")
+    )
+    return independent_finite(seller, buyer, env_id=obj.get("id") or "independent")

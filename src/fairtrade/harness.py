@@ -114,6 +114,16 @@ def _whole(value, name: str) -> int:
     raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
+def _horizons(values) -> list:
+    """A run's horizons: whole numbers, at least one, strictly increasing."""
+    hs = [_whole(t, "horizon") for t in values]
+    if not hs:
+        raise ValueError("a run needs at least one horizon")
+    if any(a >= b for a, b in zip(hs, hs[1:])):
+        raise ValueError(f"horizons must be strictly increasing, got {hs}")
+    return hs
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One experiment cell: a learner on an environment at one horizon."""
@@ -386,9 +396,7 @@ def run_monte_carlo(config: RunConfig, horizons=None) -> RegretCurve:
     The environment's oracle tables are built once and shared by every
     horizon.
     """
-    hs = [config.horizon] if horizons is None else [_whole(t, "horizon") for t in horizons]
-    if not hs:
-        raise ValueError("a run needs at least one horizon")
+    hs = _horizons([config.horizon] if horizons is None else horizons)
     resolve_feedback(config.learner.requires, config.feedback, config.strict_feedback)
     tables = _EnvTables(config.env)
     means, stderrs = [], []

@@ -226,6 +226,7 @@ def test_parse_learner_kinds_and_params():
         "fixed:p=0.5,q=1",
         "uniform:seed=18446744073709551616",
         "uniform:seed=-1",
+        5,
     ],
 )
 def test_parse_learner_rejects(learner_id):

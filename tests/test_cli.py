@@ -135,12 +135,27 @@ def test_run_fits_slope_with_three_horizons(tmp_path, capsys):
         ({"runs": [{"learner": "dbs", "env": "lb-mu", "horizons": [10.9, 20.5, 30.2]}]}, 2),
         ({"runs": [{"learner": "dbs", "env": "lb-mu", "horizon": 5, "base_seed": -1}]}, 2),
         ({"runs": [{"learner": "dbs", "env": "lb-mu", "horizon": 5, "base_seed": 2**64}]}, 2),
+        # every field is a known one, given in one form, inside an object
+        ({"runs": [{"learner": "dbs", "env": "lb-mu", "horizon": 5, "n_epsiodes": 50}]}, 2),
+        ({"runs": [{"learner": "dbs", "env": "lb-mu", "horizon": 5, "base_sed": 7}]}, 2),
+        ({"runs": [{"learner": "dbs", "env": "lb-mu", "horizon": 5, "feedbak": "full"}]}, 2),
+        ({"runs": [{"learner": "dbs", "env": "lb-mu", "horizon": 5}], "ouptut": "y.csv"}, 2),
+        ({"runs": [{"learner": "dbs", "env": "lb-mu", "horizon": 5, "horizons": [5, 10]}]}, 2),
+        ([1], 2),
+        ({"runs": [1]}, 2),
+        ({"runs": [{"learner": 5, "env": "lb-mu", "horizon": 5}]}, 3),
     ],
 )
 def test_run_error_exit_codes(tmp_path, capsys, payload, code):
     config = write_config(tmp_path, payload)
     assert cli.main(["run", "--config", config, "--out", str(tmp_path / "x.csv")]) == code
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_names_unknown_field(tmp_path, capsys):
+    payload = {"runs": [{"learner": "dbs", "env": "lb-mu", "horizon": 5, "n_epsiodes": 50}]}
+    assert cli.main(["run", "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "x.csv")]) == 2
+    assert "'n_epsiodes'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

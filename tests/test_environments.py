@@ -1,8 +1,11 @@
 """Environment constructors, feedback laws, sampling, and id parsing."""
 
+import re
+
 import numpy as np
 import pytest
 
+from fairtrade.algorithms import LEARNER_ID_PATTERNS, parse_learner
 from fairtrade.core import expected_fgft, gft_candidates
 from fairtrade.environments import (
     ENVIRONMENT_ID_PATTERNS,
@@ -193,11 +196,32 @@ def test_parse_env_round_trips(env_id):
         "det:s=0.2,b=nan",
         "gft-trap:h=nan",
         "eps-family:eps=nan",
+        7,
     ],
 )
 def test_parse_env_rejects(env_id):
     with pytest.raises(UnknownIdError):
         parse_env(env_id)
+
+
+# a valid value for every key the id patterns list
+_VALID_VALUES = {"h": "0.1", "eps": "-0.25", "s": "0.2", "b": "0.8", "K": "10", "p": "0.5", "seed": "7"}
+
+
+@pytest.mark.parametrize(
+    "parse,pattern",
+    [(parse_env, p) for p in ENVIRONMENT_ID_PATTERNS] + [(parse_learner, p) for p in LEARNER_ID_PATTERNS],
+)
+def test_id_grammar_follows_patterns(parse, pattern):
+    valid = re.sub(r"(\w+)=<[^>]*>", lambda m: f"{m[1]}={_VALID_VALUES[m[1]]}", pattern)
+    parse(valid)
+    sep = "," if ":" in valid else ":"
+    # a key no pattern lists, an empty key, and each listed key given twice
+    bad = [valid + sep + "zzz=1", valid + sep + "=1"]
+    bad += [f"{valid},{key}={_VALID_VALUES[key]}" for key in re.findall(r"(\w+)=<", pattern)]
+    for spec_id in bad:
+        with pytest.raises(UnknownIdError):
+            parse(spec_id)
 
 
 def test_patterns_cover_parseable_ids():
@@ -227,3 +251,11 @@ def test_env_from_config_string_and_errors():
         env_from_config(42)
     with pytest.raises(UnknownIdError):
         env_from_config({"wat": 1})
+    single = [[0.1, 0.9, 1.0]]
+    for entry in (
+        {"joint": single, "idd": "typo"},
+        {"joint": single, "independent": {"seller": [[0.1, 1.0]], "buyer": [[0.9, 1.0]]}},
+        {"joint": single, "id": 7},
+    ):
+        with pytest.raises(UnknownIdError):
+            env_from_config(entry)

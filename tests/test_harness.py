@@ -99,6 +99,9 @@ def test_run_config_validation():
         run_monte_carlo(cfg, horizons=[100.5])
     with pytest.raises(ValueError, match="at least one horizon"):
         run_monte_carlo(cfg, horizons=[])
+    for hs in ((100, 10), (10, 10)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            run_monte_carlo(cfg, horizons=hs)
 
 
 def test_mismatched_config_fails_before_any_episode():
