@@ -59,6 +59,9 @@ from .environments import (
     lb_mu,
     lb_nu,
     parse_env,
+    random_independent_env,
+    random_joint_env,
+    random_marginal,
     render_feedback,
     sample_valuations,
 )
@@ -85,9 +88,6 @@ from .verify import (
     SUITE_ORDER,
     CheckResult,
     UnknownSuiteError,
-    random_independent_env,
-    random_joint_env,
-    random_marginal,
     run_suite,
     run_suites,
 )

@@ -37,8 +37,9 @@ from .environments import (
     TwoBitFeedback,
     UnknownIdError,
     _parse_id,
+    _u64,
 )
-from .rng import MASK64, SplitMix64, mix64
+from .rng import SplitMix64, mix64
 
 
 def ceil_log2(n: int) -> int:
@@ -89,9 +90,6 @@ def _require_two_bit(feedback) -> TwoBitFeedback:
 class Learner:
     """Round-driven posted-price learner (see module docstring)."""
 
-    requires: FeedbackModel | None = None  # None: consumes either model
-    deterministic: bool = True
-
     def propose(self) -> float:
         raise NotImplementedError
 
@@ -108,8 +106,6 @@ class ConvolutionPricing(Learner):
     zero) and the smallest maximizing index I is posted for the rest of the
     horizon.
     """
-
-    requires = FeedbackModel.TWO_BIT
 
     def __init__(self, horizon: int, grid_size: int | None = None):
         if horizon < 1:
@@ -161,8 +157,6 @@ class DoubleBinarySearch(Learner):
     there is no room to explore and every round posts 1/2.
     """
 
-    requires = FeedbackModel.TWO_BIT
-
     def __init__(self, horizon: int):
         if horizon < 1:
             raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
@@ -206,8 +200,6 @@ class FollowBestEmpiricalPrice(Learner):
     such price is a breakpoint of the empirical mean.
     """
 
-    requires = FeedbackModel.FULL
-
     def __init__(self, horizon: int):
         if horizon < 1:
             raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
@@ -229,8 +221,6 @@ class FollowBestEmpiricalPrice(Learner):
 class FixedPrice(Learner):
     """Post one price forever; feedback is ignored."""
 
-    requires = None
-
     def __init__(self, price: float):
         self.price = _check_price(price)
 
@@ -243,9 +233,6 @@ class FixedPrice(Learner):
 
 class UniformRandom(Learner):
     """Post an independent uniform price each round from an owned stream."""
-
-    requires = None
-    deterministic = False
 
     def __init__(self, seed: int):
         self.seed = int(seed)
@@ -326,9 +313,7 @@ def parse_learner(learner_id: str) -> LearnerSpec:
         if kind == "fixed":
             params["p"] = _check_price(float(params["p"]))
         if kind == "uniform":
-            params["seed"] = int(params.get("seed", 0))
-            if not 0 <= params["seed"] <= MASK64:
-                raise ValueError(f"seed must lie in [0, 2**64), got {params['seed']}")
+            params["seed"] = _u64(params.get("seed", 0))
     except (KeyError, ValueError) as exc:
         raise UnknownIdError(f"cannot resolve learner id {learner_id!r}: {exc}") from exc
     return LearnerSpec(learner_id=learner_id, kind=kind, params=params)

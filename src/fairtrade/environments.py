@@ -22,6 +22,12 @@ Named instances:
   9/16 while small |eps| keeps the two members statistically close;
   ``epsilon_family_expected_fgft`` is the closed-form mean reward.
 * ``det:s=...,b=...``: a single deterministic pair.
+* ``random-ind:seed=...`` / ``random-joint:seed=...``: the seeded random
+  independent and joint instances behind the rate checks of ``verify``.
+
+Every id an environment prints parses back to the same id and atoms:
+``_format_id`` writes ints as ints and floats as the shortest text that
+round-trips, and ``_parse_id`` reads that text back.
 """
 
 from __future__ import annotations
@@ -33,14 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (
-    FiniteJointDistribution,
-    FiniteMarginal,
-    ValuationPair,
-    gft_candidates,
-    product_joint,
-)
-from .rng import SplitMix64
+from .core import FiniteJointDistribution, FiniteMarginal, ValuationPair, product_joint
+from .rng import MASK64, SplitMix64
 
 
 class FeedbackModel(enum.Enum):
@@ -126,17 +126,6 @@ def feedback_distribution(env: Environment, price: float) -> dict:
     return table
 
 
-def feedback_region_prices(env: Environment) -> np.ndarray:
-    """Representative prices for this environment's feedback regions.
-
-    The bit indicators change value only at support coordinates, and only
-    pointwise there, so the law is constant on each coordinate and on each
-    open interval between consecutive coordinates: the same pieces on which
-    expected gft is constant, so core.gft_candidates covers them.
-    """
-    return gft_candidates(env.joint.sellers, env.joint.buyers)
-
-
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
@@ -146,7 +135,7 @@ def deterministic(seller: float, buyer: float) -> Environment:
     """Point mass on one (seller, buyer) pair."""
     joint = FiniteJointDistribution([((seller, buyer), 1.0)])
     return Environment(
-        env_id=f"det:s={seller:g},b={buyer:g}",
+        env_id=_format_id("det", s=seller, b=buyer),
         joint=joint,
         seller_marginal=FiniteMarginal([seller], [1.0]),
         buyer_marginal=FiniteMarginal([buyer], [1.0]),
@@ -204,8 +193,7 @@ def gft_trap(h: float) -> Environment:
         raise ValueError(f"h must lie in (0, 1/2), got {h!r}")
     seller = FiniteMarginal([0.0, 1.0 - h], [0.5, 0.5])
     buyer = FiniteMarginal([1.0], [1.0])
-    env = independent_finite(seller, buyer, env_id=f"gft-trap:h={h:g}")
-    return env
+    return independent_finite(seller, buyer, env_id=_format_id("gft-trap", h=h))
 
 
 def epsilon_family(eps: float) -> Environment:
@@ -227,7 +215,7 @@ def epsilon_family(eps: float) -> Environment:
         weights.append(w1)
     seller = FiniteMarginal(values, weights)
     buyer = FiniteMarginal([1.0], [1.0])
-    return independent_finite(seller, buyer, env_id=f"eps-family:eps={eps:g}")
+    return independent_finite(seller, buyer, env_id=_format_id("eps-family", eps=eps))
 
 
 def epsilon_family_expected_fgft(eps: float, p: float) -> float:
@@ -250,6 +238,63 @@ def epsilon_family_expected_fgft(eps: float, p: float) -> float:
     return (1.0 + eps) / 8.0 + 0.25 - eps / 8.0 + (0.625 - p)
 
 
+def _rand_int(stream: SplitMix64, lo: int, hi: int) -> int:
+    return lo + int(stream.next_u64() % (hi - lo + 1))
+
+
+def random_marginal(
+    stream: SplitMix64, n_atoms: int, lo: float = 0.0, hi: float = 1.0
+) -> FiniteMarginal:
+    """Finite marginal with distinct uniform values and positive weights."""
+    values: list = []
+    while len(values) < n_atoms:
+        v = lo + (hi - lo) * stream.next_unit()
+        if v not in values:
+            values.append(v)
+    raw = [0.1 + stream.next_unit() for _ in range(n_atoms)]
+    total = sum(raw)
+    return FiniteMarginal(values, [w / total for w in raw])
+
+
+def random_independent_env(seed: int) -> Environment:
+    """Independent pair with seller support below buyer support.
+
+    The separation keeps the optimal expected reward bounded away from zero
+    so regret curves stay strictly positive (a precondition of log-log
+    exponent fits).
+    """
+    stream = SplitMix64(_u64(seed))
+    n_s = _rand_int(stream, 2, 5)
+    n_b = _rand_int(stream, 2, 5)
+    seller = random_marginal(stream, n_s, 0.0, 0.45)
+    buyer = random_marginal(stream, n_b, 0.55, 1.0)
+    return independent_finite(seller, buyer, env_id=_format_id("random-ind", seed=seed))
+
+
+def random_joint_env(seed: int) -> Environment:
+    """Finite joint with 3..6 distinct uniform atoms (dependence allowed).
+
+    Atom sets are redrawn until some atom has buyer at least 0.1 above
+    seller, keeping the optimal expected reward away from zero (an all
+    seller-above-buyer draw would make every price score exactly zero and
+    break regret-positivity preconditions downstream).
+    """
+    stream = SplitMix64(_u64(seed))
+    n = _rand_int(stream, 3, 6)
+    while True:
+        pairs: list = []
+        while len(pairs) < n:
+            pair = (stream.next_unit(), stream.next_unit())
+            if pair not in pairs:
+                pairs.append(pair)
+        if max(b - s for s, b in pairs) >= 0.1:
+            break
+    raw = [0.1 + stream.next_unit() for _ in range(n)]
+    total = sum(raw)
+    dist = FiniteJointDistribution([(p, w / total) for p, w in zip(pairs, raw)])
+    return joint_finite(dist, env_id=_format_id("random-joint", seed=seed))
+
+
 # ---------------------------------------------------------------------------
 # id parsing / registry
 # ---------------------------------------------------------------------------
@@ -260,6 +305,8 @@ ENVIRONMENT_ID_PATTERNS = (
     "gft-trap:h=<h in (0, 1/2)>",
     "eps-family:eps=<eps in [-1, 1]>",
     "det:s=<seller>,b=<buyer>",
+    "random-ind:seed=<u64>",
+    "random-joint:seed=<u64>",
 )
 
 
@@ -290,6 +337,23 @@ def _parse_id(spec_id, patterns) -> tuple:
     return kind, params
 
 
+def _format_id(kind: str, **params) -> str:
+    """The id ``_parse_id`` reads back: ints as ints, floats as their shortest round-trip text."""
+    fields = (
+        f"{key}={value if isinstance(value, int) else np.format_float_positional(value, trim='-')}"
+        for key, value in params.items()
+    )
+    return f"{kind}:" + ",".join(fields)
+
+
+def _u64(text) -> int:
+    """A seed: an integer in [0, 2**64)."""
+    seed = int(text)
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def parse_env(env_id: str) -> Environment:
     """Resolve an environment id string like 'gft-trap:h=0.1'."""
     kind, params = _parse_id(env_id, ENVIRONMENT_ID_PATTERNS)
@@ -302,6 +366,10 @@ def parse_env(env_id: str) -> Environment:
             return gft_trap(float(params["h"]))
         if kind == "eps-family":
             return epsilon_family(float(params["eps"]))
+        if kind == "random-ind":
+            return random_independent_env(_u64(params["seed"]))
+        if kind == "random-joint":
+            return random_joint_env(_u64(params["seed"]))
         return deterministic(float(params["s"]), float(params["b"]))  # det, the last kind
     except (KeyError, ValueError) as exc:
         raise UnknownIdError(f"cannot resolve environment id {env_id!r}: {exc}") from exc
@@ -324,6 +392,8 @@ def env_from_config(obj) -> Environment:
         atoms = [((float(s), float(b)), float(w)) for s, b, w in obj["joint"]]
         return joint_finite(FiniteJointDistribution(atoms), env_id=obj.get("id") or "joint")
     spec = obj["independent"]
+    if not isinstance(spec, dict) or set(spec) != {"seller", "buyer"}:
+        raise UnknownIdError(f"an independent environment takes exactly 'seller' and 'buyer', got {spec!r}")
     seller, buyer = (
         FiniteMarginal([float(v) for v, _ in spec[side]], [float(w) for _, w in spec[side]])
         for side in ("seller", "buyer")

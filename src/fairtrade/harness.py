@@ -604,6 +604,9 @@ def indistinguishability_check(
     price trajectories coincide round for round.
     """
     mu, nu = lb_mu(), lb_nu()
+    # The bits change only at support coordinates, so each law is constant on
+    # each coordinate and each open interval between them: the pieces on which
+    # expected gft is constant, which gft_candidates covers.
     prices = gft_candidates(
         np.concatenate([mu.joint.sellers, nu.joint.sellers]),
         np.concatenate([mu.joint.buyers, nu.joint.buyers]),

@@ -26,23 +26,18 @@ import numpy as np
 
 from . import kernels
 from .algorithms import dbs_regret_bound, parse_learner
-from .core import (
-    FiniteJointDistribution,
-    FiniteMarginal,
-    best_fixed_price_fgft,
-    fgft_vector,
-    product_joint,
-)
+from .core import FiniteMarginal, best_fixed_price_fgft, fgft_vector, product_joint
 from .environments import (
-    Environment,
+    _rand_int,
     epsilon_family,
     epsilon_family_expected_fgft,
     gft_trap,
-    independent_finite,
-    joint_finite,
     lb_mu,
     lb_nu,
     parse_env,
+    random_independent_env,
+    random_joint_env,
+    random_marginal,
 )
 from .harness import (
     RunConfig,
@@ -97,7 +92,7 @@ def _check(names, fn) -> list:
 
 
 # ---------------------------------------------------------------------------
-# seeded random instance generators
+# seeds of the random instances (env ids random-ind:seed=..., random-joint:seed=...)
 # ---------------------------------------------------------------------------
 
 _SANDWICH_SEED = 12001
@@ -107,63 +102,6 @@ _FULL_ENV_SEEDS = (303, 404)
 _FULL_MC_SEED = 8
 _LB_MC_SEED = 3
 _ORACLE_SEED = 9100
-
-
-def _rand_int(stream: SplitMix64, lo: int, hi: int) -> int:
-    return lo + int(stream.next_u64() % (hi - lo + 1))
-
-
-def random_marginal(
-    stream: SplitMix64, n_atoms: int, lo: float = 0.0, hi: float = 1.0
-) -> FiniteMarginal:
-    """Finite marginal with distinct uniform values and positive weights."""
-    values: list = []
-    while len(values) < n_atoms:
-        v = lo + (hi - lo) * stream.next_unit()
-        if v not in values:
-            values.append(v)
-    raw = [0.1 + stream.next_unit() for _ in range(n_atoms)]
-    total = sum(raw)
-    return FiniteMarginal(values, [w / total for w in raw])
-
-
-def random_independent_env(seed: int) -> Environment:
-    """Independent pair with seller support below buyer support.
-
-    The separation keeps the optimal expected reward bounded away from zero
-    so regret curves stay strictly positive (a precondition of log-log
-    exponent fits).
-    """
-    stream = SplitMix64(seed)
-    n_s = _rand_int(stream, 2, 5)
-    n_b = _rand_int(stream, 2, 5)
-    seller = random_marginal(stream, n_s, 0.0, 0.45)
-    buyer = random_marginal(stream, n_b, 0.55, 1.0)
-    return independent_finite(seller, buyer, env_id=f"random-ind:seed={seed}")
-
-
-def random_joint_env(seed: int) -> Environment:
-    """Finite joint with 3..6 distinct uniform atoms (dependence allowed).
-
-    Atom sets are redrawn until some atom has buyer at least 0.1 above
-    seller, keeping the optimal expected reward away from zero (an all
-    seller-above-buyer draw would make every price score exactly zero and
-    break regret-positivity preconditions downstream).
-    """
-    stream = SplitMix64(seed)
-    n = _rand_int(stream, 3, 6)
-    while True:
-        pairs: list = []
-        while len(pairs) < n:
-            pair = (stream.next_unit(), stream.next_unit())
-            if pair not in pairs:
-                pairs.append(pair)
-        if max(b - s for s, b in pairs) >= 0.1:
-            break
-    raw = [0.1 + stream.next_unit() for _ in range(n)]
-    total = sum(raw)
-    dist = FiniteJointDistribution([(p, w / total) for p, w in zip(pairs, raw)])
-    return joint_finite(dist, env_id=f"random-joint:seed={seed}")
 
 
 def _marginal_cdf(marginal: FiniteMarginal, xs: np.ndarray) -> np.ndarray:

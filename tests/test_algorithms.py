@@ -186,7 +186,6 @@ def test_uniform_random_stream_is_owned():
     a = UniformRandom(7)
     b = UniformRandom(7)
     assert [a.propose() for _ in range(5)] == [b.propose() for _ in range(5)]
-    assert not UniformRandom.deterministic
     assert all(0.0 <= UniformRandom(1).propose() < 1.0 for _ in range(3))
 
 

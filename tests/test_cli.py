@@ -7,8 +7,9 @@ import sys
 import pytest
 
 from fairtrade import cli
-from fairtrade.environments import ENVIRONMENT_ID_PATTERNS
-from fairtrade.algorithms import LEARNER_ID_PATTERNS
+from fairtrade.environments import ENVIRONMENT_ID_PATTERNS, random_independent_env
+from fairtrade.algorithms import LEARNER_ID_PATTERNS, parse_learner
+from fairtrade.harness import RunConfig, run_monte_carlo
 from fairtrade.verify import CheckResult
 
 
@@ -144,6 +145,8 @@ def test_run_fits_slope_with_three_horizons(tmp_path, capsys):
         ([1], 2),
         ({"runs": [1]}, 2),
         ({"runs": [{"learner": 5, "env": "lb-mu", "horizon": 5}]}, 3),
+        ({"runs": [{"learner": "dbs", "horizon": 5, "env": {
+            "independent": {"seller": [[0.0, 1.0]], "buyer": [[1.0, 1.0]], "sellr": 5}}}]}, 3),
     ],
 )
 def test_run_error_exit_codes(tmp_path, capsys, payload, code):
@@ -164,6 +167,22 @@ def test_run_rejects_seed_flag_outside_u64(tmp_path, capsys, seed):
     argv = ["run", "--config", config, "--out", str(tmp_path / "x.csv"), "--seed", seed]
     assert cli.main(argv) == 2
     assert "base_seed" in capsys.readouterr().err
+
+
+def test_run_reruns_a_rate_row_by_its_env_id(tmp_path, capsys):
+    # verify's stochastic-rate rows name their environment random-ind:seed=101
+    horizons = [10**3, 10**4]
+    payload = {"runs": [{"learner": "conv-pricing", "env": "random-ind:seed=101",
+                         "horizons": horizons, "n_episodes": 50, "base_seed": 7}]}
+    out = tmp_path / "x.csv"
+    assert cli.main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+    capsys.readouterr()
+    cfg = RunConfig(env=random_independent_env(101), learner=parse_learner("conv-pricing"),
+                    horizon=horizons[-1], n_episodes=50, base_seed=7)
+    want = [cli._fmt(m) for m in run_monte_carlo(cfg, horizons=horizons).means]
+    rows = out.read_text(encoding="utf-8").strip().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["random-ind:seed=101"] * 2
+    assert [row.split(",")[4] for row in rows] == want
 
 
 def test_run_accepts_integral_floats(tmp_path, capsys):

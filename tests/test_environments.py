@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fairtrade.algorithms import LEARNER_ID_PATTERNS, parse_learner
 from fairtrade.core import expected_fgft, gft_candidates
@@ -18,15 +20,16 @@ from fairtrade.environments import (
     epsilon_family,
     epsilon_family_expected_fgft,
     feedback_distribution,
-    feedback_region_prices,
     gft_trap,
     lb_mu,
     lb_nu,
     parse_env,
+    random_independent_env,
+    random_joint_env,
     render_feedback,
     sample_valuations,
 )
-from fairtrade.rng import SplitMix64
+from fairtrade.rng import MASK64, SplitMix64
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +134,8 @@ def test_lower_bound_pair_tables_equal_everywhere():
 
 
 def test_feedback_region_prices_cover_support():
-    reps = feedback_region_prices(lb_mu())
+    # the feedback regions are the gft pieces, so gft_candidates covers them
+    reps = gft_candidates(lb_mu().joint.sellers, lb_mu().joint.buyers)
     assert {0.0, 0.375, 0.625, 1.0} <= set(reps.tolist())
 
 
@@ -176,7 +180,19 @@ def test_sample_valuations_frequencies():
 
 @pytest.mark.parametrize(
     "env_id",
-    ["lb-mu", "lb-nu", "gft-trap:h=0.1", "eps-family:eps=-0.25", "det:s=0.2,b=0.8"],
+    [
+        "lb-mu",
+        "lb-nu",
+        "gft-trap:h=0.1",
+        "eps-family:eps=-0.25",
+        "det:s=0.2,b=0.8",
+        # every digit is kept, so these name three different environments
+        "eps-family:eps=0.10000001",
+        "det:s=0.1234567,b=0.8",
+        "det:s=0.1234568,b=0.8",
+        "random-ind:seed=101",
+        "random-joint:seed=303",
+    ],
 )
 def test_parse_env_round_trips(env_id):
     assert parse_env(env_id).env_id == env_id
@@ -196,6 +212,9 @@ def test_parse_env_round_trips(env_id):
         "det:s=0.2,b=nan",
         "gft-trap:h=nan",
         "eps-family:eps=nan",
+        "random-ind:seed=-1",
+        "random-joint:seed=18446744073709551616",
+        "random-ind:seed=abc",
         7,
     ],
 )
@@ -226,7 +245,49 @@ def test_id_grammar_follows_patterns(parse, pattern):
 
 def test_patterns_cover_parseable_ids():
     heads = {pattern.split(":")[0] for pattern in ENVIRONMENT_ID_PATTERNS}
-    assert heads == {"lb-mu", "lb-nu", "gft-trap", "eps-family", "det"}
+    assert heads == {"lb-mu", "lb-nu", "gft-trap", "eps-family", "det", "random-ind", "random-joint"}
+
+
+# values each id key accepts; floats are written by repr, which round-trips
+_ID_VALUES = {
+    "h": st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    "eps": st.floats(-1.0, 1.0),
+    "s": st.floats(0.0, 1.0),
+    "b": st.floats(0.0, 1.0),
+    "seed": st.integers(0, MASK64),
+}
+
+
+@st.composite
+def _env_ids(draw):
+    pattern = draw(st.sampled_from(ENVIRONMENT_ID_PATTERNS))
+    return re.sub(r"(\w+)=<[^>]*>", lambda m: f"{m[1]}={draw(_ID_VALUES[m[1]])!r}", pattern)
+
+
+@settings(max_examples=200, deadline=None)
+@given(env_id=_env_ids())
+@example(env_id="random-ind:seed=0")
+@example(env_id=f"random-ind:seed={MASK64}")
+@example(env_id="random-joint:seed=0")
+@example(env_id=f"random-joint:seed={MASK64}")
+@example(env_id="det:s=0.1234567,b=0.8")
+@example(env_id="eps-family:eps=0.10000001")
+@example(env_id="det:s=1e-20,b=0.5")
+def test_printed_env_ids_parse_back(env_id):
+    env = parse_env(env_id)
+    again = parse_env(env.env_id)
+    assert again.env_id == env.env_id
+    for field in ("sellers", "buyers", "weights"):
+        assert np.array_equal(getattr(again.joint, field), getattr(env.joint, field))
+
+
+
+@pytest.mark.parametrize("make", [random_independent_env, random_joint_env])
+@pytest.mark.parametrize("seed", [-1, MASK64 + 1])
+def test_random_envs_take_only_the_seeds_their_ids_name(make, seed):
+    # SplitMix64 would wrap these onto a u64 seed under an id that does not parse
+    with pytest.raises(ValueError):
+        make(seed)
 
 
 def test_env_from_config_inline_joint():
@@ -256,6 +317,8 @@ def test_env_from_config_string_and_errors():
         {"joint": single, "idd": "typo"},
         {"joint": single, "independent": {"seller": [[0.1, 1.0]], "buyer": [[0.9, 1.0]]}},
         {"joint": single, "id": 7},
+        {"independent": {"seller": [[0.0, 1.0]], "buyer": [[1.0, 1.0]], "sellr": 5}},
+        {"independent": {"seller": [[0.0, 1.0]]}},
     ):
         with pytest.raises(UnknownIdError):
             env_from_config(entry)
