@@ -45,7 +45,6 @@ from .environments import (
     ENVIRONMENT_ID_PATTERNS,
     Environment,
     FeedbackModel,
-    FullObservation,
     TwoBitFeedback,
     UnknownIdError,
     deterministic,

@@ -119,8 +119,8 @@ class FiniteMarginal:
     """Finite-support distribution of one side's value.
 
     values: distinct points in [0, 1]; weights: positive, summing to one
-    within 1e-12.  Arrays are stored in listing order (sampling and cumsum
-    follow that order).
+    within 1e-12.  Arrays are stored in listing order (product_joint lists
+    its atoms in that order).
     """
 
     values: np.ndarray
@@ -143,13 +143,10 @@ class FiniteMarginal:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
 
-    def cdf(self, x: float) -> float:
-        """P[V <= x], exact atom enumeration in listing order."""
-        total = 0.0
-        for v, w in zip(self.values, self.weights):
-            if v <= x:
-                total += w
-        return total
+    def cdf(self, x):
+        """P[V <= x] at each point of x (a scalar or an array)."""
+        x = np.asarray(x, dtype=np.float64)
+        return (x[..., None] >= self.values) @ self.weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,12 +155,14 @@ class FiniteJointDistribution:
 
     Built from an iterable of ((seller, buyer), weight) entries.  Atoms are
     pairwise-distinct pairs with strictly positive weights summing to one
-    within 1e-12, stored in listing order.
+    within 1e-12, stored in listing order; ``cum`` is the cumulative weight
+    table that sampling searches.
     """
 
     sellers: np.ndarray
     buyers: np.ndarray
     weights: np.ndarray
+    cum: np.ndarray
 
     def __init__(self, atoms: Iterable[tuple]):
         entries = [(float(s), float(b), float(w)) for (s, b), w in atoms]
@@ -185,6 +184,7 @@ class FiniteJointDistribution:
         object.__setattr__(self, "sellers", sellers)
         object.__setattr__(self, "buyers", buyers)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "cum", np.cumsum(w))
 
     @property
     def n_atoms(self) -> int:
@@ -192,9 +192,6 @@ class FiniteJointDistribution:
 
     def atom(self, i: int) -> ValuationPair:
         return ValuationPair(float(self.sellers[i]), float(self.buyers[i]))
-
-    def cumulative_weights(self) -> np.ndarray:
-        return np.cumsum(self.weights)
 
 
 def product_joint(seller: FiniteMarginal, buyer: FiniteMarginal) -> FiniteJointDistribution:

@@ -1,8 +1,9 @@
 """Trading environments: value distributions and the feedback they emit.
 
-An environment is a finite-support joint distribution over (seller, buyer)
-values in [0, 1]^2, sampled i.i.d. each round by inverse CDF over the atom
-weights in listing order (one uniform draw per round).  After a price p is
+An environment is an id and a finite-support joint distribution over
+(seller, buyer) values in [0, 1]^2, sampled i.i.d. each round by inverse CDF
+over the atom weights in listing order (one uniform draw per round).  An
+independent environment is stored as its product joint.  After a price p is
 posted the platform observes either
 
 * two-bit feedback: the acceptance indicators (1{s <= p}, 1{p <= b}), or
@@ -62,29 +63,12 @@ class TwoBitFeedback(NamedTuple):
     buyer_accepts: int
 
 
-# Full feedback is the realized pair itself.
-FullObservation = ValuationPair
-
-
 @dataclass(frozen=True, eq=False)
 class Environment:
-    """A named value distribution plus cached sampling tables."""
+    """A named value distribution."""
 
     env_id: str
     joint: FiniteJointDistribution
-    seller_marginal: FiniteMarginal | None = None
-    buyer_marginal: FiniteMarginal | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "_cum", self.joint.cumulative_weights())
-
-    @property
-    def cumulative_weights(self) -> np.ndarray:
-        return self._cum
-
-    @property
-    def is_independent(self) -> bool:
-        return self.seller_marginal is not None
 
 
 def sample_valuations(env: Environment, stream: SplitMix64) -> ValuationPair:
@@ -95,7 +79,7 @@ def sample_valuations(env: Environment, stream: SplitMix64) -> ValuationPair:
     rounds below 1.
     """
     u = stream.next_unit()
-    cum = env.cumulative_weights
+    cum = env.joint.cum
     j = int(np.searchsorted(cum, u, side="right"))
     if j >= cum.size:
         j = cum.size - 1
@@ -134,24 +118,14 @@ def feedback_distribution(env: Environment, price: float) -> dict:
 def deterministic(seller: float, buyer: float) -> Environment:
     """Point mass on one (seller, buyer) pair."""
     joint = FiniteJointDistribution([((seller, buyer), 1.0)])
-    return Environment(
-        env_id=_format_id("det", s=seller, b=buyer),
-        joint=joint,
-        seller_marginal=FiniteMarginal([seller], [1.0]),
-        buyer_marginal=FiniteMarginal([buyer], [1.0]),
-    )
+    return Environment(env_id=_format_id("det", s=seller, b=buyer), joint=joint)
 
 
 def independent_finite(
     seller: FiniteMarginal, buyer: FiniteMarginal, env_id: str = "independent"
 ) -> Environment:
     """Independent seller/buyer marginals, materialized as a product joint."""
-    return Environment(
-        env_id=env_id,
-        joint=product_joint(seller, buyer),
-        seller_marginal=seller,
-        buyer_marginal=buyer,
-    )
+    return Environment(env_id, product_joint(seller, buyer))
 
 
 def joint_finite(dist: FiniteJointDistribution, env_id: str = "joint") -> Environment:
@@ -346,11 +320,11 @@ def _format_id(kind: str, **params) -> str:
     return f"{kind}:" + ",".join(fields)
 
 
-def _u64(text) -> int:
+def _u64(text, name: str = "seed") -> int:
     """A seed: an integer in [0, 2**64)."""
     seed = int(text)
     if not 0 <= seed <= MASK64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+        raise ValueError(f"{name} must lie in [0, 2**64), got {seed}")
     return seed
 
 

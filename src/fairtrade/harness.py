@@ -57,6 +57,7 @@ from .environments import (
     Environment,
     FeedbackModel,
     TwoBitFeedback,
+    _u64,
     deterministic,  # noqa: F401
     feedback_distribution,
     lb_mu,
@@ -64,7 +65,7 @@ from .environments import (
     render_feedback,
     sample_valuations,
 )
-from .rng import MASK64, SplitMix64, mix64
+from .rng import SplitMix64, mix64
 
 # Points per array pass of profile_regret: bounds its scratch arrays to
 # POINT_BLOCK x (exploration length) doubles.
@@ -143,8 +144,7 @@ class RunConfig:
             raise ValueError(f"horizon must be >= 1, got {self.horizon!r}")
         if self.n_episodes < 1:
             raise ValueError(f"n_episodes must be >= 1, got {self.n_episodes!r}")
-        if not 0 <= self.base_seed <= MASK64:
-            raise ValueError(f"base_seed must lie in [0, 2**64), got {self.base_seed!r}")
+        _u64(self.base_seed, name="base_seed")
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +211,7 @@ class _EnvTables:
     def __init__(self, env: Environment):
         joint = env.joint
         self.env = env
-        self.cum = env.cumulative_weights
+        self.cum = joint.cum
         self.sellers = joint.sellers
         self.buyers = joint.buyers
         self.weights = joint.weights

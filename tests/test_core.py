@@ -141,12 +141,14 @@ def test_marginal_validation():
         FiniteMarginal([0.2], [float("nan")])  # NaN also fails the sum check
 
 
-def test_marginal_cdf():
+def test_cdf_of_a_marginal():
     m = FiniteMarginal([0.2, 0.8], [0.25, 0.75])
     assert m.cdf(0.1) == 0.0
     assert m.cdf(0.2) == 0.25  # weak inequality at the atom
     assert m.cdf(0.5) == 0.25
     assert m.cdf(1.0) == 1.0
+    # arrays evaluate pointwise and keep their shape
+    np.testing.assert_array_equal(m.cdf(np.array([[0.1, 0.2], [0.5, 1.0]])), [[0.0, 0.25], [0.25, 1.0]])
 
 
 def test_joint_validation():
@@ -168,7 +170,7 @@ def test_joint_accessors():
     dist = FiniteJointDistribution([((0.1, 0.9), 0.25), ((0.3, 0.7), 0.75)])
     assert dist.n_atoms == 2
     assert dist.atom(1) == (0.3, 0.7)
-    np.testing.assert_allclose(dist.cumulative_weights(), [0.25, 1.0])
+    np.testing.assert_allclose(dist.cum, [0.25, 1.0])
 
 
 def test_product_joint_enumerates_products():

@@ -52,8 +52,7 @@ def test_deterministic_env():
     env = deterministic(0.2, 0.8)
     assert env.env_id == "det:s=0.2,b=0.8"
     assert env.joint.n_atoms == 1
-    assert env.is_independent
-    assert env.seller_marginal.values[0] == 0.2
+    assert env.joint.atom(0) == (0.2, 0.8)
 
 
 def test_gft_trap_shape():
@@ -70,11 +69,11 @@ def test_gft_trap_shape():
 def test_epsilon_family_weights():
     env = epsilon_family(0.2)
     assert env.env_id == "eps-family:eps=0.2"
-    np.testing.assert_allclose(env.seller_marginal.values, [0.0, 0.25])
-    np.testing.assert_allclose(env.seller_marginal.weights, [0.6, 0.4])
+    np.testing.assert_allclose(env.joint.sellers, [0.0, 0.25])
+    np.testing.assert_allclose(env.joint.weights, [0.6, 0.4])
     # the extreme members collapse to a single seller atom
     assert epsilon_family(1.0).joint.n_atoms == 1
-    assert epsilon_family(-1.0).seller_marginal.values[0] == 0.25
+    assert epsilon_family(-1.0).joint.sellers[0] == 0.25
     with pytest.raises(ValueError):
         epsilon_family(1.5)
 
@@ -294,7 +293,6 @@ def test_env_from_config_inline_joint():
     env = env_from_config({"joint": [[0.1, 0.9, 0.5], [0.3, 0.7, 0.5]], "id": "pair"})
     assert env.env_id == "pair"
     assert env.joint.n_atoms == 2
-    assert not env.is_independent
 
 
 def test_env_from_config_inline_independent():
@@ -303,7 +301,7 @@ def test_env_from_config_inline_independent():
     )
     assert env.env_id == "independent"
     assert env.joint.n_atoms == 2
-    assert env.is_independent
+    np.testing.assert_allclose(env.joint.weights, [0.4, 0.6])
 
 
 def test_env_from_config_string_and_errors():

@@ -15,6 +15,7 @@ from fairtrade.environments import (
     gft_trap,
     joint_finite,
     lb_mu,
+    parse_env,
 )
 from fairtrade.harness import (
     FeedbackMismatchError,
@@ -220,6 +221,19 @@ def test_monte_carlo_curves_share_draws_across_horizons():
     assert list(curve.means) == sorted(curve.means)
     assert curve.n_episodes == 10
     assert all(s >= 0.0 for s in curve.stderrs)
+
+
+def test_monte_carlo_horizon_split_is_bitwise_invariant():
+    # a nested run reports at each horizon exactly what a run at that horizon alone does
+    learners = ("conv-pricing", "conv-pricing:K=4", "dbs", "fbep", "fixed:p=0.3", "gft-oracle", "uniform:seed=5")
+    for env_id in ("lb-mu", "eps-family:eps=0.2", "random-joint:seed=303"):
+        for learner_id in learners:
+            spec = parse_learner(learner_id)
+            cfg = RunConfig(parse_env(env_id), spec, 5, n_episodes=3, base_seed=11, feedback=spec.requires)
+            nested = run_monte_carlo(cfg, horizons=(5, 40, 300))
+            for T, mean, stderr in zip(nested.horizons, nested.means, nested.stderrs, strict=True):
+                alone = run_monte_carlo(cfg, horizons=(T,))
+                assert (alone.means[0], alone.stderrs[0]) == (mean, stderr), (env_id, learner_id, T)
 
 
 def test_monte_carlo_single_episode_has_zero_stderr():

@@ -113,8 +113,11 @@ def test_random_marginal_is_valid_and_deterministic():
 def test_random_independent_env_keeps_supports_separated(seed):
     env = random_independent_env(seed)
     assert env.env_id == f"random-ind:seed={seed}"
-    assert env.is_independent
-    assert max(env.seller_marginal.values) < min(env.buyer_marginal.values)
+    joint = env.joint
+    # a product joint: its seller-major weight table is the outer product of its sums
+    table = joint.weights.reshape(np.unique(joint.sellers).size, -1)
+    np.testing.assert_allclose(table, np.outer(table.sum(1), table.sum(0)), rtol=0, atol=1e-15)
+    assert max(joint.sellers) < min(joint.buyers)
     # separation bounds the optimal reward away from zero
     assert best_fixed_price_fgft(env.joint).value > 0.05
 
