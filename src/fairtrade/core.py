@@ -138,7 +138,7 @@ class FiniteMarginal:
             raise ValueError("weights must be strictly positive")
         if not abs(float(weights.sum()) - 1.0) <= WEIGHT_TOL:
             raise ValueError("weights must sum to 1 within 1e-12")
-        if np.unique(values).size != values.size:
+        if sorted_distinct(values).size != values.size:
             raise ValueError("values must be pairwise distinct")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
@@ -219,6 +219,22 @@ def expected_gft(dist: FiniteJointDistribution, p: float) -> float:
     return total
 
 
+def sorted_distinct(values) -> np.ndarray:
+    """The distinct values in ascending order: np.unique without numpy.ma.
+
+    NumPy 2.4's np.unique imports numpy.ma on first use, which costs more
+    than the candidate sets it sorts here.  Of each run of equal values the
+    first in input order is kept (the sort is stable), so of -0.0 and 0.0
+    the one listed first, where np.unique's sort may keep either.  NaNs,
+    which sort last, collapse to one, as in np.unique.
+    """
+    values = np.sort(np.asarray(values, dtype=np.float64).ravel(), kind="stable")
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    keep[1:] &= ~np.isnan(values[:-1])
+    return values[keep]
+
+
 def fgft_candidates(sellers: np.ndarray, buyers: np.ndarray) -> np.ndarray:
     """Sorted candidate prices exhausting the maximizers of a fgft mixture.
 
@@ -234,7 +250,7 @@ def fgft_candidates(sellers: np.ndarray, buyers: np.ndarray) -> np.ndarray:
             (np.asarray(sellers, dtype=np.float64) + np.asarray(buyers, dtype=np.float64)) / 2.0,
         ]
     )
-    return np.unique(cands)
+    return sorted_distinct(cands)
 
 
 def gft_candidates(sellers: np.ndarray, buyers: np.ndarray) -> np.ndarray:
@@ -245,7 +261,7 @@ def gft_candidates(sellers: np.ndarray, buyers: np.ndarray) -> np.ndarray:
     and 1 added so degenerate all-zero cases resolve to the smallest price)
     cover every level set.
     """
-    jumps = np.unique(
+    jumps = sorted_distinct(
         np.concatenate(
             [
                 np.asarray([0.0, 1.0]),
@@ -255,7 +271,7 @@ def gft_candidates(sellers: np.ndarray, buyers: np.ndarray) -> np.ndarray:
         )
     )
     mids = (jumps[:-1] + jumps[1:]) / 2.0
-    return np.unique(np.concatenate([jumps, mids]))
+    return sorted_distinct(np.concatenate([jumps, mids]))
 
 
 def best_fixed_price_fgft(dist: FiniteJointDistribution) -> PricePoint:

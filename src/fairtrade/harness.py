@@ -8,12 +8,14 @@ built on the kernels module, which reproduces the reference loop's price
 sequence (identical splitmix64 draws, identical accumulation order), and
 score them with one formula, _profile_regret, so desk-scale horizons stay
 cheap.  Both work on rows only: all episodes of a Monte Carlo cell, or a
-batch of up to POINT_BLOCK point masses, go through one array pass (fbep
-and uniform, whose row is the whole horizon, take one episode per pass),
-and exploration every row shares, such as the grid learner's sweep, is
-one row scored once.  A point mass is the one-atom environment: every
-draw lands on its atom, so a _PointMasses batch takes no draws and builds
-no environment.
+batch of up to POINT_BLOCK point masses, go through one array pass, and
+exploration every row shares, such as the grid learner's sweep, is one row
+scored once.  A point mass is the one-atom environment: every draw lands on
+its atom, so a _PointMasses batch takes no draws and builds no environment.
+fbep and uniform have no commit phase, and their prices do not depend on
+the horizon: a run simulates each of their episodes once, at its largest
+horizon, as a row of per-round regrets (_round_gaps), and every horizon
+sums a prefix of that row.
 
 Regret is always pseudo-regret: conditioning on the posted prices, every
 round contributes v_star - E[fgft(p_t)] with both terms exact under the
@@ -51,6 +53,7 @@ from .core import (
     fgft_candidates,
     fgft_vector,
     gft_candidates,
+    sorted_distinct,
 )
 from .environments import (
     FEEDBACK_OUTCOMES,
@@ -206,7 +209,12 @@ class IndistinguishabilityReport:
 
 
 class _EnvTables:
-    """Cached per-environment oracle data for fast regret evaluation."""
+    """Cached per-environment oracle data for fast regret evaluation.
+
+    Each Monte Carlo run builds its own, so ``gaps`` also keeps that run's
+    one simulation of fbep or uniform: (learner, episode seeds, per-round
+    regret rows), which every horizon of the run reads (_episode_regrets).
+    """
 
     def __init__(self, env: Environment):
         joint = env.joint
@@ -216,6 +224,7 @@ class _EnvTables:
         self.buyers = joint.buyers
         self.weights = joint.weights
         self.v_star = best_fixed_price_fgft(joint).value
+        self.gaps = None
 
     def mean_at(self, prices) -> np.ndarray:
         return kernels.expected_fgft_at(prices, self.sellers, self.buyers, self.weights)
@@ -328,24 +337,13 @@ def _price_profile(spec: LearnerSpec, tables: _EnvTables, T: int, seeds) -> tupl
     (the grid learner's sweep, and the empty exploration of fixed and
     gft-oracle); tails have shape (rows,).  A _PointMasses batch takes one
     seed per point and no draws, as every draw lands on the point's atom.
-    Learners without a commit phase (uniform, fbep) return their whole path
-    as exploration and a tail of length 0.  Price paths agree with the
-    reference loop draw for draw, with one exception: the fbep kernel also
-    scores candidate prices of atoms not yet sampled, and on a flat top of
-    the empirical mean one of them can round one ulp above the reference
-    learner's smallest maximizer.
+    Price paths agree with the reference loop draw for draw.  Learners
+    without a commit phase (uniform, fbep) have no profile: _round_gaps
+    scores their rounds.
     """
     if T < 1:
         raise ValueError(f"horizon must be >= 1, got {T!r}")
     kind, rows = spec.kind, len(seeds)
-    if kind == "uniform":
-        stream = spec.params.get("seed", 0)
-        paths = [kernels.uniform_prices(mix64(stream, seed), T) for seed in seeds]
-        return np.stack(paths), np.zeros(rows), 0
-    if kind == "fbep":
-        cands, rewards = tables.fbep
-        paths = [kernels.fbep_prices(seed, tables.cum, cands, rewards, T) for seed in seeds]
-        return np.stack(paths), np.zeros(rows), 0
     if kind == "fixed":
         return np.empty((1, 0)), np.full(rows, spec.params["p"]), T
     if kind == "gft-oracle":
@@ -378,13 +376,38 @@ def _profile_regret(tables: _EnvTables, explore, tail, tail_len: int) -> np.ndar
     return regret
 
 
+def _round_gaps(spec: LearnerSpec, tables: _EnvTables, T: int, seeds) -> list:
+    """v* - E[fgft(p_t)] of rounds 1..T, one row per episode of uniform or fbep.
+
+    Their prices do not depend on the horizon, so the first entries of a
+    row at a larger T are the row at a smaller one.  The fbep kernel
+    returns candidate indices, and its row gathers the regret of each
+    candidate (expected_fgft_at is elementwise, so this equals scoring the
+    prices).  Price paths agree with the reference loop draw for draw, with
+    one exception: the fbep kernel also scores candidate prices of atoms
+    not yet sampled, and on a flat top of the empirical mean one of them
+    can round one ulp above the reference learner's smallest maximizer.
+    """
+    if spec.kind == "fbep":
+        cands, rewards = tables.fbep
+        by_index = tables.v_star - tables.mean_at(np.append(cands, 0.5))  # round 0 posts 1/2
+        return [by_index[kernels.fbep_prices(seed, tables.cum, cands, rewards, T)] for seed in seeds]
+    stream = spec.params.get("seed", 0)
+    paths = (kernels.uniform_prices(mix64(stream, seed), T) for seed in seeds)
+    return [tables.v_star - tables.mean_at(path) for path in paths]
+
+
 def _episode_regrets(config: RunConfig, horizon: int, tables: _EnvTables) -> np.ndarray:
     spec = config.learner
     seeds = [mix64(config.base_seed, e) for e in range(config.n_episodes)]
-    if spec.kind in ("uniform", "fbep"):  # one episode per pass: the row is the whole horizon
-        profiles = (_price_profile(spec, tables, horizon, [seed]) for seed in seeds)
-        return np.concatenate([_profile_regret(tables, *profile) for profile in profiles])
-    return _profile_regret(tables, *_price_profile(spec, tables, horizon, seeds))
+    if spec.kind not in ("uniform", "fbep"):
+        return _profile_regret(tables, *_price_profile(spec, tables, horizon, seeds))
+    # one simulation serves every horizon up to its own; run_monte_carlo
+    # asks for the largest horizon first
+    cached = tables.gaps
+    if cached is None or cached[:2] != (spec, seeds) or cached[2][0].size < horizon:
+        cached = tables.gaps = (spec, seeds, _round_gaps(spec, tables, horizon, seeds))
+    return np.array([np.sum(row[:horizon]) for row in cached[2]])
 
 
 def run_monte_carlo(config: RunConfig, horizons=None) -> RegretCurve:
@@ -394,14 +417,16 @@ def run_monte_carlo(config: RunConfig, horizons=None) -> RegretCurve:
     mix64(base_seed, e), so curves at nested horizons share their random
     draws (regret is pathwise non-decreasing in T for a fixed episode).
     The environment's oracle tables are built once and shared by every
-    horizon.
+    horizon.  Horizons are evaluated largest first, so that learners whose
+    prices do not depend on T (fbep, uniform) simulate once per run.
     """
     hs = _horizons([config.horizon] if horizons is None else horizons)
     resolve_feedback(config.learner.requires, config.feedback, config.strict_feedback)
     tables = _EnvTables(config.env)
+    regrets = {T: _episode_regrets(config, T, tables) for T in reversed(hs)}
     means, stderrs = [], []
     for T in hs:
-        values = _episode_regrets(config, T, tables)
+        values = regrets[T]
         means.append(float(np.mean(values)))
         n = values.size
         stderrs.append(float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0)
@@ -427,7 +452,7 @@ def fit_exponent(curve_or_horizons, means=None) -> ExponentFit:
         horizons = curve_or_horizons
     x = np.log(np.asarray(horizons, dtype=np.float64))
     y = np.asarray(means, dtype=np.float64)
-    if np.unique(x).size < 3:
+    if sorted_distinct(x).size < 3:
         raise ValueError("exponent fit needs at least three distinct horizons")
     if np.any(y <= 0.0):
         raise ValueError("exponent fit needs strictly positive mean regrets")

@@ -8,7 +8,7 @@ mass (harness._EnvTables.draw samples them), and step all rows at once.
 The simulators accumulate sums in the same order as the round-by-round
 learners, so a seeded fast path reproduces the reference loop's price
 path draw for draw (fbep_prices can break a flat top differently; see
-harness._price_profile).
+harness._round_gaps).
 
 Sampling convention: one uniform draw per round; the drawn atom is the
 first index whose cumulative weight strictly exceeds the uniform (ties on
@@ -180,32 +180,34 @@ def dbs_explore(sellers, buyers, n_rounds):
 
 
 def fbep_prices(seed, cum, cands, reward_matrix, horizon):
-    """Price path of the follow-the-best-empirical-price learner.
+    """Index path of the follow-the-best-empirical-price learner.
 
     ``cands`` are the fixed candidate prices (every breakpoint the empirical
     mean can have under this environment) and ``reward_matrix[m, j]`` is
-    fgft(cands[m], atom j).  Round 0 posts 1/2; round t >= 1 posts the
-    first maximizer of the scores summed over rounds 0..t-1 in arrival
-    order, matching empirical_best_price's summation exactly.  The scores
-    of FBEP_BLOCK rounds at a time are one cumsum whose row 0 is the
-    carried total, so every partial sum is formed in the same order as a
-    round-by-round loop (adding the carry after the cumsum would regroup
-    the sums and change their rounding).
+    fgft(cands[m], atom j).  Returns idx, the index of each round's price in
+    cands with 1/2 appended: round 0 posts 1/2 (index cands.size); round
+    t >= 1 posts the first maximizer of the scores summed over rounds
+    0..t-1 in arrival order, matching empirical_best_price's summation
+    exactly.  The scores of FBEP_BLOCK rounds at a time are one cumsum whose
+    row 0 is the carried total, so every partial sum is formed in the same
+    order as a round-by-round loop (adding the carry after the cumsum would
+    regroup the sums and change their rounding).  The path does not depend
+    on the horizon: the first T rounds of a longer path are the path at T.
     """
     T = int(horizon)
     rewards = np.ascontiguousarray(reward_matrix.T)
     j = _sample_atoms(seed, cum, T)
-    prices = np.empty(T, dtype=np.float64)
+    idx = np.empty(T, dtype=np.intp)
     block = np.zeros((min(T, FBEP_BLOCK) + 1, rewards.shape[1]), dtype=np.float64)
     for t0 in range(0, T, FBEP_BLOCK):
         rows = j[t0 : t0 + FBEP_BLOCK]
         scores = block[: rows.size + 1]
         scores[1:] = rewards[rows]
         np.cumsum(scores, axis=0, out=scores)
-        prices[t0 : t0 + rows.size] = cands[np.argmax(scores[:-1], axis=1)]
+        np.argmax(scores[:-1], axis=1, out=idx[t0 : t0 + rows.size])
         block[0] = scores[-1]
-    prices[:1] = 0.5
-    return prices
+    idx[:1] = cands.size
+    return idx
 
 
 def uniform_prices(seed, horizon):

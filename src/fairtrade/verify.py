@@ -320,9 +320,9 @@ def suite_full_feedback_rate() -> list:
         0.62,
     )
 
-    def deterministic_case():
+    def deterministic_case(env_id):
         cfg = RunConfig(
-            env=parse_env("det:s=0.2,b=0.8"),
+            env=parse_env(env_id),
             learner=parse_learner("fbep"),
             horizon=1000,
             n_episodes=1,
@@ -331,7 +331,13 @@ def suite_full_feedback_rate() -> list:
         curve = run_monte_carlo(cfg)
         return curve.means[0] <= 0.5, curve.means[0], 0.5
 
-    return rows + _check("full-feedback-deterministic", deterministic_case)
+    # fbep posts 1/2 in round 0 and the optimum from round 1 on.  The first
+    # pair's optimum is 1/2 itself, so that row holds even for a learner
+    # that never moves; the second pair's optimum is 0.3, where posting 1/2
+    # loses 0.2 per round.
+    rows += _check("full-feedback-deterministic", lambda: deterministic_case("det:s=0.2,b=0.8"))
+    second = "det:s=0.1,b=0.5"
+    return rows + _check(f"full-feedback-deterministic:{second}", lambda: deterministic_case(second))
 
 
 def suite_epsilon_family() -> list:

@@ -296,3 +296,32 @@ def test_module_entry_point_round_trip(tmp_path):
     assert bad.returncode == 2
     unknown = run_cli("verify", "--suite", "wat")
     assert unknown.returncode == 2
+
+
+_NUMPY_MA_PROBE = """
+import sys
+import numpy as np
+from fairtrade import cli
+assert cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+assert cli.main(["verify", "--suite", "oracle-equivalence", "--out", sys.argv[3]]) == 0
+loaded = "numpy.ma" in sys.modules
+np.unique(np.zeros(2))  # the probe itself sees the import it guards against
+print(loaded, "numpy.ma" in sys.modules)
+"""
+
+
+def test_run_and_verify_leave_numpy_ma_unloaded(tmp_path):
+    # NumPy 2.4's np.unique imports numpy.ma; the candidate sets sort without it
+    joint = {"id": "probe", "joint": [[0.1, 0.7, 0.5], [0.3, 0.9, 0.25], [0.2, 0.4, 0.25]]}
+    config = write_config(
+        tmp_path,
+        {"runs": [{"learner": learner, "env": joint, "horizons": [10, 100, 1000]}
+                  for learner in ("fbep", "uniform", "conv-pricing", "dbs", "gft-oracle")]},
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_MA_PROBE, config, str(tmp_path / "out.csv"),
+         str(tmp_path / "report.json")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["False", "True"]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fairtrade.core import (
     FiniteJointDistribution,
@@ -20,6 +22,7 @@ from fairtrade.core import (
     gft,
     gft_candidates,
     product_joint,
+    sorted_distinct,
 )
 from fairtrade.environments import deterministic, gft_trap, lb_mu, lb_nu
 
@@ -204,6 +207,25 @@ def test_expected_gft_weak_boundaries():
 def test_fgft_candidates_cover_breakpoints():
     cands = fgft_candidates(np.asarray([0.2]), np.asarray([0.8]))
     np.testing.assert_allclose(cands, [0.0, 0.2, 0.5, 0.8, 1.0])
+
+
+# few distinct values, so that most arrays repeat some, and both zeros
+_VALUES = st.sampled_from([0.0, -0.0, 0.1, 0.25, 1 / 3, 0.5, 1.0, float("nan")])
+
+
+@given(st.lists(_VALUES, max_size=40).map(np.asarray))
+def test_sorted_distinct_is_np_unique(values):
+    want = np.unique(values)
+    # np.unique's sort may keep either zero; the stable sort keeps the first listed
+    zeros = values[values == 0.0]
+    want[want == 0.0] = zeros[:1]
+    assert [x.hex() for x in sorted_distinct(values)] == [x.hex() for x in want]
+
+
+def test_sorted_distinct_keeps_the_first_zero():
+    assert sorted_distinct([0.5, -0.0, 0.0, 0.5])[0].hex() == "-0x0.0p+0"
+    assert sorted_distinct([0.0, -0.0])[0].hex() == "0x0.0p+0"
+    assert sorted_distinct([]).size == 0
 
 
 def test_gft_candidates_cover_level_sets():

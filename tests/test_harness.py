@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fairtrade import harness
+from fairtrade import harness, kernels
 from fairtrade.algorithms import dbs_regret_bound, parse_learner
 from fairtrade.core import FiniteJointDistribution, best_fixed_price_fgft
 from fairtrade.environments import (
@@ -24,6 +24,7 @@ from fairtrade.harness import (
     _episode_regrets,
     _price_profile,
     _profile_regret,
+    _round_gaps,
     adversarial_deterministic_sweep,
     deterministic_price_profile,
     fit_exponent,
@@ -200,6 +201,27 @@ def _path_cases():
             yield pytest.param(env_name, "dbs", T)
 
 
+def _kernel_path(spec, tables, T, seed):
+    """The prices the fast path posts in the episode of ``seed``.
+
+    fbep and uniform have no profile; their path comes from the kernel, and
+    the harness's row of round regrets must be, bitwise, the regret of
+    exactly that path, summing to what _profile_regret gives for it.
+    """
+    if spec.kind not in ("fbep", "uniform"):
+        explore, tail, tail_len = _price_profile(spec, tables, T, [seed])
+        return np.concatenate([explore[0], np.full(tail_len, tail[0])])
+    if spec.kind == "fbep":
+        cands, rewards = tables.fbep
+        path = np.append(cands, 0.5)[kernels.fbep_prices(seed, tables.cum, cands, rewards, T)]
+    else:
+        path = kernels.uniform_prices(mix64(spec.params.get("seed", 0), seed), T)
+    row = _round_gaps(spec, tables, T, [seed])[0]
+    assert row.tobytes() == (tables.v_star - tables.mean_at(path)).tobytes()
+    assert np.sum(row).hex() == _profile_regret(tables, path[None, :], np.zeros(1), 0)[0].hex()
+    return path
+
+
 @pytest.mark.parametrize("env_name,learner_id,T", list(_path_cases()))
 def test_fast_path_prices_match_reference_bitwise(env_name, learner_id, T):
     cfg = RunConfig(
@@ -207,8 +229,7 @@ def test_fast_path_prices_match_reference_bitwise(env_name, learner_id, T):
     )
     tables = _EnvTables(cfg.env)
     for e in range(3):
-        explore, tail, tail_len = _price_profile(cfg.learner, tables, T, [mix64(cfg.base_seed, e)])
-        kernel_path = np.concatenate([explore[0], np.full(tail_len, tail[0])])
+        kernel_path = _kernel_path(cfg.learner, tables, T, mix64(cfg.base_seed, e))
         assert np.array_equal(run_episode(cfg, e).prices, kernel_path), e
 
 
@@ -223,17 +244,47 @@ def test_monte_carlo_curves_share_draws_across_horizons():
     assert all(s >= 0.0 for s in curve.stderrs)
 
 
-def test_monte_carlo_horizon_split_is_bitwise_invariant():
+def _assert_horizon_split_invariant(learners, horizons):
     # a nested run reports at each horizon exactly what a run at that horizon alone does
-    learners = ("conv-pricing", "conv-pricing:K=4", "dbs", "fbep", "fixed:p=0.3", "gft-oracle", "uniform:seed=5")
     for env_id in ("lb-mu", "eps-family:eps=0.2", "random-joint:seed=303"):
         for learner_id in learners:
             spec = parse_learner(learner_id)
             cfg = RunConfig(parse_env(env_id), spec, 5, n_episodes=3, base_seed=11, feedback=spec.requires)
-            nested = run_monte_carlo(cfg, horizons=(5, 40, 300))
+            nested = run_monte_carlo(cfg, horizons=horizons)
             for T, mean, stderr in zip(nested.horizons, nested.means, nested.stderrs, strict=True):
                 alone = run_monte_carlo(cfg, horizons=(T,))
-                assert (alone.means[0], alone.stderrs[0]) == (mean, stderr), (env_id, learner_id, T)
+                assert (alone.means[0].hex(), alone.stderrs[0].hex()) == (mean.hex(), stderr.hex()), (
+                    env_id, learner_id, T,
+                )
+
+
+def test_monte_carlo_horizon_split_is_bitwise_invariant():
+    learners = ("conv-pricing", "conv-pricing:K=4", "dbs", "fbep", "fixed:p=0.3", "gft-oracle", "uniform:seed=5")
+    _assert_horizon_split_invariant(learners, (5, 40, 300))
+
+
+@pytest.mark.parametrize("block", [kernels.FBEP_BLOCK, 3])
+def test_path_free_learners_split_horizons_bitwise(monkeypatch, block):
+    # fbep and uniform simulate once, at the largest horizon, and each horizon
+    # sums a prefix; horizons 2048 and 2049 straddle the first fbep block edge
+    monkeypatch.setattr(kernels, "FBEP_BLOCK", block)
+    _assert_horizon_split_invariant(("fbep", "uniform:seed=5"), (1, 2048, 2049, 5000))
+
+
+def test_path_free_learners_simulate_once_per_episode(monkeypatch):
+    calls = []
+    for name in ("fbep_prices", "uniform_prices"):
+        def counted(*args, _kernel=getattr(kernels, name), _name=name):
+            calls.append((_name, args[-1]))
+            return _kernel(*args)
+
+        monkeypatch.setattr(kernels, name, counted)
+    for learner_id, name in (("fbep", "fbep_prices"), ("uniform:seed=5", "uniform_prices")):
+        calls.clear()
+        spec = parse_learner(learner_id)
+        cfg = RunConfig(lb_mu(), spec, 5, n_episodes=3, base_seed=11, feedback=spec.requires)
+        run_monte_carlo(cfg, horizons=(1, 2048, 2049, 5000))
+        assert calls == [(name, 5000)] * 3, learner_id
 
 
 def test_monte_carlo_single_episode_has_zero_stderr():
@@ -486,10 +537,7 @@ def test_kernel_profile_matches_reference_loop(atoms, learner, base_seed, episod
     cfg = RunConfig(
         env=_joint_env(atoms), learner=parse_learner(learner_id), horizon=T, base_seed=base_seed
     )
-    explore, tail, tail_len = _price_profile(
-        cfg.learner, _EnvTables(cfg.env), T, [mix64(base_seed, episode)]
-    )
-    kernel_path = np.concatenate([explore[0], np.full(tail_len, tail[0])])
+    kernel_path = _kernel_path(cfg.learner, _EnvTables(cfg.env), T, mix64(base_seed, episode))
     assert np.array_equal(kernel_path, run_episode(cfg, episode).prices)
 
 

@@ -251,9 +251,11 @@ def test_fbep_prices_match_round_loop_across_blocks(monkeypatch, env_name, block
     T = blocks * block + extra
     tables = _EnvTables(_SIM_ENVS[env_name]())
     cands, matrix = tables.fbep
+    posted = np.append(cands, 0.5)  # the kernel's index cands.size is round 0's 1/2
     for seed in _SEEDS:
-        got = kernels.fbep_prices(seed, tables.cum, cands, matrix, T)
-        assert np.array_equal(got, _loop_fbep(seed, tables.cum, cands, matrix, T)), seed
+        idx = kernels.fbep_prices(seed, tables.cum, cands, matrix, T)
+        assert idx[0] == cands.size
+        assert np.array_equal(posted[idx], _loop_fbep(seed, tables.cum, cands, matrix, T)), seed
 
 
 @pytest.mark.parametrize("K", [1, 2, 464])

@@ -94,6 +94,22 @@ def test_stochastic_rate_fails_when_conv_pricing_commits_to_the_first_grid_price
     assert not any(row.passed for row in rows)
 
 
+def test_full_feedback_rows_fail_when_fbep_posts_one_half_forever(monkeypatch):
+    # index cands.size is round 0's 1/2: a learner that never moves loses a
+    # constant per round wherever 1/2 is not optimal, so the rate rows and
+    # the second deterministic pair fail.  The first pair's optimum is 1/2
+    # itself, so its row cannot catch this learner.
+    def posts_one_half(seed, cum, cands, reward_matrix, horizon):
+        return np.full(int(horizon), cands.size)
+
+    monkeypatch.setattr(kernels, "fbep_prices", posts_one_half)
+    rows = {row.check: row for row in run_suite("full-feedback-rate")}
+    assert len(rows) == 10
+    assert rows.pop("full-feedback-deterministic").passed
+    assert rows["full-feedback-deterministic:det:s=0.1,b=0.5"].measured == pytest.approx(200.0)
+    assert not any(row.passed for row in rows.values())
+
+
 # ---------------------------------------------------------------------------
 # random instance generators
 # ---------------------------------------------------------------------------
