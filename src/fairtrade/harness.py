@@ -68,7 +68,7 @@ from .environments import (
     render_feedback,
     sample_valuations,
 )
-from .rng import SplitMix64, mix64
+from .rng import SplitMix64, mix64, unit_draws
 
 # Points per array pass of profile_regret: bounds its scratch arrays to
 # POINT_BLOCK x (exploration length) doubles.
@@ -457,13 +457,15 @@ def fit_exponent(curve_or_horizons, means=None) -> ExponentFit:
     if np.any(y <= 0.0):
         raise ValueError("exponent fit needs strictly positive mean regrets")
     y = np.log(y)
+    if np.all(y == y[0]):
+        # the mean of equal logs can miss them by an ulp, which would tilt the line
+        return ExponentFit(slope=0.0, intercept=float(y[0]), r_squared=1.0)
     xm, ym = x.mean(), y.mean()
     sxx = float(np.sum((x - xm) ** 2))
     slope = float(np.sum((x - xm) * (y - ym)) / sxx)
     intercept = ym - slope * xm
     residuals = y - (intercept + slope * x)
-    ss_tot = float(np.sum((y - ym) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(residuals**2)) / ss_tot
+    r2 = 1.0 - float(np.sum(residuals**2)) / float(np.sum((y - ym) ** 2))
     return ExponentFit(slope=slope, intercept=float(intercept), r_squared=r2)
 
 
@@ -594,18 +596,18 @@ def _coupled_prices(spec: LearnerSpec, env: Environment, horizon: int, seed: int
     canonical order) rather than sampling an atom, so two environments with
     equal tables consume identical uniforms into identical feedback
     sequences: the coupling that realizes statistical indistinguishability.
+    Round t takes the t-th uniform of the seed's splitmix64 stream, all
+    drawn in one pass.
     """
     learner = spec.build(horizon, env, episode_seed=seed)
-    stream = SplitMix64(seed)
     cache: dict = {}
     prices = np.empty(horizon, dtype=np.float64)
-    for t in range(horizon):
+    for t, u in enumerate(unit_draws(seed, horizon)):
         p = learner.propose()
         prices[t] = p
         cum = cache.get(p)
         if cum is None:
             cum = cache[p] = _cumulative_table(env, p)
-        u = stream.next_unit()
         outcome = cum[-1][1]
         for acc, candidate in cum:
             if u < acc:

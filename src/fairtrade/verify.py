@@ -109,16 +109,18 @@ def _marginal_cocdf(marginal: FiniteMarginal, xs: np.ndarray) -> np.ndarray:
 
 
 def _float_incomplete_convolution(av, bv, K: int) -> np.ndarray:
-    """kernels.incomplete_convolution's sums for real-valued A and B.
+    """kernels.incomplete_convolution's sums c_i for real-valued A and B.
 
-    The kernel takes 0/1 bits only; the sandwich check convolves CDF
-    values, so it keeps this dot-product loop (same layout, same sums).
+    Same layout as the kernel (av holds A at 0..K, bv holds B at 0..2K),
+    but the values are reals: the sandwich check convolves CDF values and
+    the kernel takes 0/1 bits only.  Row i-1 of two (K, K) window views
+    pairs A[i-K+1+m] (A is zero-padded below index 0) with B[i+K-1-m],
+    m = 0..K-1, and one einsum sums every row; no K x K product is formed.
     """
-    out = np.empty(K, dtype=np.float64)
-    for i in range(1, K + 1):
-        kmax = min(i, K - 1)
-        out[i - 1] = float(np.dot(av[i - kmax : i + 1][::-1], bv[i : i + kmax + 1]))
-    return out
+    windows = np.lib.stride_tricks.sliding_window_view
+    a = windows(np.concatenate([np.zeros(K - 1), av]), K)[1:]
+    b = windows(np.ascontiguousarray(bv[::-1]), K)[K:0:-1]
+    return np.einsum("ik,ik->i", a, b)
 
 
 # ---------------------------------------------------------------------------

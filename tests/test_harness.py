@@ -313,6 +313,20 @@ def test_fit_exponent_constant_sequence():
     assert fit.r_squared == 1.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(1e-300, 1e300),
+    st.lists(st.integers(1, 10**9), min_size=3, max_size=8, unique=True).map(sorted),
+)
+@example(0.14583333333333331, [1000, 10_000, 100_000])  # fbep on lb-mu
+def test_fit_exponent_equal_means_give_slope_zero(mean, horizons):
+    # np.mean of equal logs can differ from them by an ulp; that must not tilt the fit
+    fit = fit_exponent(horizons, [mean] * len(horizons))
+    assert fit.slope == 0.0
+    assert fit.r_squared == 1.0
+    assert fit.intercept == np.log(mean)
+
+
 def test_fit_exponent_accepts_curve():
     cfg = RunConfig(env=lb_mu(), learner=parse_learner("fixed:p=0.9"), horizon=10, n_episodes=2)
     curve = run_monte_carlo(cfg, horizons=(10, 100, 1000))

@@ -109,6 +109,28 @@ def test_float_convolution_matches_bit_kernel_on_bits(K, density):
     assert np.array_equal(_float_incomplete_convolution(av, bv, K), want)
 
 
+def _dot_loop_convolution(av, bv, K):
+    """The reference: one np.dot per grid index i of A[i-k] and B[i+k], k = 0..min(i, K-1)."""
+    out = np.empty(K, dtype=np.float64)
+    for i in range(1, K + 1):
+        kmax = min(i, K - 1)
+        out[i - 1] = float(np.dot(av[i - kmax : i + 1][::-1], bv[i : i + kmax + 1]))
+    return out
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 10, 100, 1000])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_float_convolution_matches_the_dot_loop(K, seed):
+    # the sandwich suite's inputs: a CDF (non-decreasing) and a co-CDF
+    # (non-increasing) in [0, 1]; av[0] is not zeroed, so the A[0] * B[2i]
+    # terms (i < K) are in the sums too
+    rng = np.random.default_rng(seed)
+    av = np.sort(rng.random(K + 1))
+    bv = np.sort(rng.random(2 * K + 1))[::-1]
+    got = _float_incomplete_convolution(av, bv, K)
+    np.testing.assert_allclose(got, _dot_loop_convolution(av, bv, K), rtol=0, atol=1e-12 * K)
+
+
 @st.composite
 def _overlap_triples(draw):
     """(p, s, b, M): random triples, half of them on a k/(2M) or k/8 grid.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fairtrade import kernels
+from fairtrade import kernels, verify
 from fairtrade.core import best_fixed_price_fgft
 from fairtrade.verify import (
     SUITE_ORDER,
@@ -92,6 +92,21 @@ def test_stochastic_rate_fails_when_conv_pricing_commits_to_the_first_grid_price
     rows = run_suite("stochastic-rate")
     assert len(rows) == 6
     assert not any(row.passed for row in rows)
+
+
+def test_sandwich_fails_when_the_convolution_reads_b_one_index_late(monkeypatch):
+    # pairing A[i-k] with B[i+k+1] (zero past index 2K) shifts every score by
+    # one grid step of the buyer's co-CDF, out of the [0, 1/K] band above the
+    # exact reward
+    convolve = verify._float_incomplete_convolution
+
+    def one_index_late(av, bv, K):
+        return convolve(av, np.append(bv[1:], 0.0), K)
+
+    monkeypatch.setattr(verify, "_float_incomplete_convolution", one_index_late)
+    (row,) = run_suite("sandwich")
+    assert not row.passed
+    assert row.measured > 1e-3
 
 
 def test_full_feedback_rows_fail_when_fbep_posts_one_half_forever(monkeypatch):
