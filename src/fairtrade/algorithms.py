@@ -118,9 +118,9 @@ class ConvolutionPricing(Learner):
         self.horizon = horizon
         self.grid_size = K
         self.rounds_done = 0
-        # index layout shared with kernels.incomplete_convolution
-        self._seller_bits = np.zeros(K + 1, dtype=np.float64)
-        self._buyer_bits = np.zeros(2 * K + 1, dtype=np.float64)
+        # V_1..V_K and W_1..W_K, the inputs of kernels.incomplete_convolution
+        self._seller_bits = np.zeros(K, dtype=np.float64)
+        self._buyer_bits = np.zeros(K, dtype=np.float64)
         self.commit_index: int | None = None
 
     def propose(self) -> float:
@@ -134,8 +134,8 @@ class ConvolutionPricing(Learner):
         K = self.grid_size
         if self.rounds_done < K:
             t = self.rounds_done + 1
-            self._seller_bits[t] = float(feedback.seller_accepts)
-            self._buyer_bits[t] = float(feedback.buyer_accepts)
+            self._seller_bits[t - 1] = float(feedback.seller_accepts)
+            self._buyer_bits[t - 1] = float(feedback.buyer_accepts)
             self.rounds_done = t
             if t == K:
                 scores = kernels.incomplete_convolution(

@@ -349,13 +349,22 @@ def parse_env(env_id: str) -> Environment:
         raise UnknownIdError(f"cannot resolve environment id {env_id!r}: {exc}") from exc
 
 
+def _number_rows(rows, width: int, what: str) -> np.ndarray:
+    """Rows of ``width`` JSON numbers (ints or floats, not bools), as a (rows, width) array."""
+    ok = isinstance(rows, list) and all(isinstance(row, list) and len(row) == width for row in rows)
+    if not ok or any(type(x) not in (int, float) for row in rows for x in row):
+        raise UnknownIdError(f"{what} takes rows of {width} numbers, got {rows!r}")
+    return np.array(rows, dtype=np.float64).reshape(-1, width)
+
+
 def env_from_config(obj) -> Environment:
     """Resolve an environment from a config entry.
 
     Accepts an id string, or an inline object with exactly one of
     ``{"joint": [[s, b, w], ...]}`` and
     ``{"independent": {"seller": [[v, w], ...], "buyer": [[v, w], ...]}}``,
-    plus an optional string ``"id"``; any other key is an error.
+    plus an optional string ``"id"``; any other key, and any row that is
+    not a list of that many numbers, is an error.
     """
     if isinstance(obj, str):
         return parse_env(obj)
@@ -363,13 +372,12 @@ def env_from_config(obj) -> Environment:
     if len(forms) != 1 or set(obj) - forms - {"id"} or not isinstance(obj.get("id", ""), str):
         raise UnknownIdError(f"cannot interpret environment config entry {obj!r}")
     if "joint" in obj:
-        atoms = [((float(s), float(b)), float(w)) for s, b, w in obj["joint"]]
+        atoms = [((s, b), w) for s, b, w in _number_rows(obj["joint"], 3, "joint").tolist()]
         return joint_finite(FiniteJointDistribution(atoms), env_id=obj.get("id") or "joint")
     spec = obj["independent"]
     if not isinstance(spec, dict) or set(spec) != {"seller", "buyer"}:
         raise UnknownIdError(f"an independent environment takes exactly 'seller' and 'buyer', got {spec!r}")
     seller, buyer = (
-        FiniteMarginal([float(v) for v, _ in spec[side]], [float(w) for _, w in spec[side]])
-        for side in ("seller", "buyer")
+        FiniteMarginal(*_number_rows(spec[side], 2, side).T) for side in ("seller", "buyer")
     )
     return independent_finite(seller, buyer, env_id=obj.get("id") or "independent")

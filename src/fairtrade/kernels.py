@@ -80,7 +80,7 @@ def expected_fgft_at(prices, sellers, buyers, weights):
 
 
 # ---------------------------------------------------------------------------
-# incomplete convolution c_i = sum_{k=0}^{K-1} A[i-k] * B[i+k]
+# incomplete convolution c_i = sum_{k>=0} V_{i-k} * W_{i+k}
 # ---------------------------------------------------------------------------
 
 
@@ -89,30 +89,29 @@ def _bits_to_int(bits) -> int:
     return int.from_bytes(np.packbits(bits != 0, bitorder="little").tobytes(), "little")
 
 
-def incomplete_convolution(av, bv, grid_size):
-    """The K sums c_i = sum_{k=0}^{K-1} A[i-k] * B[i+k], i = 1..K, of 0/1 bits.
+def incomplete_convolution(seller_bits, buyer_bits, grid_size):
+    """The K sums c_i = sum_{k>=0} V_{i-k} * W_{i+k}, i = 1..K, of 0/1 bits.
 
-    ``av`` holds A at grid indices 0..K and ``bv`` holds B at grid indices
-    0..2K; every entry must be 0 or 1 and av[0] must be 0 (index i-k never
-    reaches below 0 with a contribution).  Anything else raises ValueError
-    rather than return a wrong score.
+    ``seller_bits`` holds V_1..V_K and ``buyer_bits`` holds W_1..W_K, both
+    of shape (K,); positions outside 1..K read as zero, so c_i / K is
+    core.discrete_convolution_score.  Any other shape, or any entry other
+    than 0 or 1, raises ValueError rather than return a wrong score.
 
-    With r the bits of A reversed (bit m = A[K-m]) and b the bits of B,
-    bit m of (r >> (K-i)) & (b >> i) is A[i-m] * B[i+m], so c_i is that
-    int's popcount: every score is an exact integer, returned as float64.
-    The one extra term, m = K at i = K, is A[0] * B[2K] = 0.
+    With r the bits of V reversed (bit m = V_{K-m}) and b the bits of W
+    (bit m = W_{m+1}), bit k of (r >> (K-i)) & (b >> (i-1)) is
+    V_{i-k} * W_{i+k}, so c_i is that int's popcount: every score is an
+    exact integer, returned as float64.
     """
     K = int(grid_size)
-    av = np.asarray(av)
-    bv = np.asarray(bv)
-    if av.shape != (K + 1,) or bv.shape != (2 * K + 1,):
-        raise ValueError("incomplete_convolution expects av of size K+1 and bv of size 2K+1")
-    bits = np.concatenate([av, bv])
-    if av[0] != 0.0 or not np.all((bits == 0.0) | (bits == 1.0)):
-        raise ValueError("incomplete_convolution takes 0/1 bits with av[0] == 0")
-    r = _bits_to_int(av[::-1])
-    b = _bits_to_int(bv)
-    scores = (((r >> (K - i)) & (b >> i)).bit_count() for i in range(1, K + 1))
+    seller_bits, buyer_bits = np.asarray(seller_bits), np.asarray(buyer_bits)
+    if seller_bits.shape != (K,) or buyer_bits.shape != (K,):
+        raise ValueError("incomplete_convolution expects K seller bits and K buyer bits")
+    bits = np.concatenate([seller_bits, buyer_bits])
+    if not np.all((bits == 0.0) | (bits == 1.0)):
+        raise ValueError("incomplete_convolution takes 0/1 bits")
+    r = _bits_to_int(seller_bits[::-1])
+    b = _bits_to_int(buyer_bits)
+    scores = (((r >> (K - i)) & (b >> (i - 1))).bit_count() for i in range(1, K + 1))
     return np.fromiter(scores, dtype=np.float64, count=K)
 
 
@@ -128,24 +127,17 @@ def conv_pricing_commit(sellers, buyers, grid_size):
     (rows, K), or one value per row, shape (rows, 1), for a point mass.
     Round t posts t/K and records the two acceptance bits of its pair;
     every grid index of a row is scored by the incomplete convolution of
-    that row's bit sequences.  Returns (1-based commit index per row,
-    seller bits V_1..V_K per row, buyer bits W_1..W_K per row), the bits
-    as bool arrays.
+    that row's bits.  Returns (1-based commit index per row, seller bits
+    V_1..V_K per row, buyer bits W_1..W_K per row), the bits as bool
+    arrays of shape (rows, K).
     """
     K = int(grid_size)
     grid = np.arange(1, K + 1, dtype=np.float64) / K
-    sellers = np.asarray(sellers, dtype=np.float64)
-    buyers = np.asarray(buyers, dtype=np.float64)
-    rows = sellers.shape[0]
-    av = np.zeros((rows, K + 1), dtype=bool)
-    bv = np.zeros((rows, 2 * K + 1), dtype=bool)
-    av[:, 1:] = sellers <= grid
-    bv[:, 1 : K + 1] = grid <= buyers
-    commits = np.array(
-        [int(np.argmax(incomplete_convolution(a, b, K))) + 1 for a, b in zip(av, bv)],
-        dtype=np.int64,
-    )
-    return commits, av[:, 1:], bv[:, 1 : K + 1]
+    seller_bits = np.asarray(sellers, dtype=np.float64) <= grid
+    buyer_bits = grid <= np.asarray(buyers, dtype=np.float64)
+    scores = (incomplete_convolution(v, w, K) for v, w in zip(seller_bits, buyer_bits))
+    commits = np.array([int(np.argmax(c)) + 1 for c in scores], dtype=np.int64)
+    return commits, seller_bits, buyer_bits
 
 
 def dbs_explore(sellers, buyers, n_rounds):

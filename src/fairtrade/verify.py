@@ -26,7 +26,7 @@ import numpy as np
 
 from . import kernels
 from .algorithms import dbs_regret_bound, parse_learner
-from .core import FiniteMarginal, best_fixed_price_fgft, fgft_vector, product_joint
+from .core import best_fixed_price_fgft, fgft_vector, product_joint
 from .environments import (
     _rand_int,
     epsilon_family,
@@ -104,23 +104,19 @@ _LB_MC_SEED = 3
 _ORACLE_SEED = 9100
 
 
-def _marginal_cocdf(marginal: FiniteMarginal, xs: np.ndarray) -> np.ndarray:
-    return (xs[:, None] <= marginal.values[None, :]) @ marginal.weights
+def _float_incomplete_convolution(seller, buyer, K: int) -> np.ndarray:
+    """kernels.incomplete_convolution's sums c_i for real-valued V and W.
 
-
-def _float_incomplete_convolution(av, bv, K: int) -> np.ndarray:
-    """kernels.incomplete_convolution's sums c_i for real-valued A and B.
-
-    Same layout as the kernel (av holds A at 0..K, bv holds B at 0..2K),
-    but the values are reals: the sandwich check convolves CDF values and
-    the kernel takes 0/1 bits only.  Row i-1 of two (K, K) window views
-    pairs A[i-K+1+m] (A is zero-padded below index 0) with B[i+K-1-m],
-    m = 0..K-1, and one einsum sums every row; no K x K product is formed.
+    Same layout as the kernel, V_1..V_K and W_1..W_K, but real values: the
+    sandwich check convolves CDF values and the kernel takes 0/1 bits only.
+    Row i-1 of two (K, K) window views over zero-padded copies pairs
+    V_{i-K+1+m} with W_{i+K-1-m}, m = 0..K-1; one einsum sums every row and
+    no K x K product is formed.
     """
     windows = np.lib.stride_tricks.sliding_window_view
-    a = windows(np.concatenate([np.zeros(K - 1), av]), K)[1:]
-    b = windows(np.ascontiguousarray(bv[::-1]), K)[K:0:-1]
-    return np.einsum("ik,ik->i", a, b)
+    v = windows(np.concatenate([np.zeros(K), seller]), K)[1:]
+    w = windows(np.concatenate([np.zeros(K - 1), buyer[::-1]]), K)[::-1]
+    return np.einsum("ik,ik->i", v, w)
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +155,8 @@ def suite_sandwich() -> list:
             joint = product_joint(seller, buyer)
             for K in (10, 100, 1000):
                 grid = np.arange(1, K + 1, dtype=np.float64) / K
-                av = np.zeros(K + 1, dtype=np.float64)
-                av[1:] = seller.cdf(grid)
-                bv = np.zeros(2 * K + 1, dtype=np.float64)
-                bv[1:] = _marginal_cocdf(buyer, np.arange(1, 2 * K + 1, dtype=np.float64) / K)
-                score = _float_incomplete_convolution(av, bv, K) / K
+                cocdf = (grid[:, None] <= buyer.values) @ buyer.weights  # P[B >= i/K]
+                score = _float_incomplete_convolution(seller.cdf(grid), cocdf, K) / K
                 exact = kernels.expected_fgft_at(
                     grid, joint.sellers, joint.buyers, joint.weights
                 )
@@ -243,7 +236,11 @@ def suite_dbs_bound() -> list:
 
 
 def suite_dbs_log_growth() -> list:
-    """Worst-case sweep maxima grow like log T: monotone, small increments."""
+    """Worst-case sweep maxima grow like log T: monotone, small increments.
+
+    The monotone row is known-weak: a wrong commit (at 1/2, or at the last
+    seller-phase price) fails the increment row, but its maxima never drop.
+    """
 
     def body():
         maxima = [
@@ -308,7 +305,13 @@ def suite_stochastic_rate() -> list:
 
 
 def suite_full_feedback_rate() -> list:
-    """Follow-the-best-empirical-price: at most sqrt(T)-type growth."""
+    """Follow-the-best-empirical-price: at most sqrt(T)-type growth.
+
+    fbep posts 1/2 in round 0 and the optimum from round 1 on.  The row
+    ``full-feedback-deterministic`` is known-weak: its pair's optimum is 1/2
+    itself, so even a learner that never moves passes it.  The second
+    pair's optimum is 0.3, where posting 1/2 loses 0.2 per round.
+    """
     envs = [lb_mu(), lb_nu()] + [random_joint_env(s) for s in _FULL_ENV_SEEDS]
     rows = _rate_rows(
         "full-feedback-rate",
@@ -333,10 +336,6 @@ def suite_full_feedback_rate() -> list:
         curve = run_monte_carlo(cfg)
         return curve.means[0] <= 0.5, curve.means[0], 0.5
 
-    # fbep posts 1/2 in round 0 and the optimum from round 1 on.  The first
-    # pair's optimum is 1/2 itself, so that row holds even for a learner
-    # that never moves; the second pair's optimum is 0.3, where posting 1/2
-    # loses 0.2 per round.
     rows += _check("full-feedback-deterministic", lambda: deterministic_case("det:s=0.2,b=0.8"))
     second = "det:s=0.1,b=0.5"
     return rows + _check(f"full-feedback-deterministic:{second}", lambda: deterministic_case(second))

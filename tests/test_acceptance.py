@@ -3,7 +3,9 @@
 Each case runs one suite end to end at its pinned tolerances and prints a
 single PASS/FAIL line (wall seconds against the budget).  Budgets are
 generous on purpose: they catch complexity regressions, not scheduler
-noise.
+noise.  Every row a suite emits must also have a failing mutation in
+test_verify.MUTATIONS or be listed in test_verify.KNOWN_WEAK, so a new
+row cannot land without a check that it can fail.
 """
 
 import time
@@ -11,6 +13,7 @@ import time
 import pytest
 
 from fairtrade.verify import run_suite
+from test_verify import KNOWN_WEAK, MUTATIONS
 
 # (index, suite, wall-clock budget in seconds)
 ACCEPTANCE = (
@@ -51,3 +54,6 @@ def test_acceptance(index, suite, budget, capsys):
     )
     assert n_pass == len(rows), f"failing checks -> {detail}"
     assert elapsed < budget, f"{suite} took {elapsed:.1f}s, budget {budget:.0f}s"
+    covered = KNOWN_WEAK.union(*(rows for _, _, rows in MUTATIONS.values()))
+    uncovered = [row.check for row in rows if row.check not in covered]
+    assert not uncovered, f"rows with no failing mutation in test_verify.MUTATIONS -> {uncovered}"

@@ -147,6 +147,11 @@ def test_run_fits_slope_with_three_horizons(tmp_path, capsys):
         ({"runs": [{"learner": 5, "env": "lb-mu", "horizon": 5}]}, 3),
         ({"runs": [{"learner": "dbs", "horizon": 5, "env": {
             "independent": {"seller": [[0.0, 1.0]], "buyer": [[1.0, 1.0]], "sellr": 5}}}]}, 3),
+        # inline environment values are JSON numbers, in rows of the right length
+        ({"runs": [{"learner": "dbs", "env": {"joint": [["0.1", "0.9", True]]}, "horizon": 5}]}, 3),
+        ({"runs": [{"learner": "dbs", "env": {"joint": [[0.1, 0.9]]}, "horizon": 5}]}, 3),
+        ({"runs": [{"learner": "dbs", "horizon": 5, "env": {
+            "independent": {"seller": [[0.1, True]], "buyer": [[0.9, 1.0]]}}}]}, 3),
     ],
 )
 def test_run_error_exit_codes(tmp_path, capsys, payload, code):

@@ -293,6 +293,7 @@ def test_env_from_config_inline_joint():
     env = env_from_config({"joint": [[0.1, 0.9, 0.5], [0.3, 0.7, 0.5]], "id": "pair"})
     assert env.env_id == "pair"
     assert env.joint.n_atoms == 2
+    assert env_from_config({"joint": [[0, 1, 1]]}).joint.buyers.tolist() == [1.0]  # ints are numbers
 
 
 def test_env_from_config_inline_independent():
@@ -317,6 +318,18 @@ def test_env_from_config_string_and_errors():
         {"joint": single, "id": 7},
         {"independent": {"seller": [[0.0, 1.0]], "buyer": [[1.0, 1.0]], "sellr": 5}},
         {"independent": {"seller": [[0.0, 1.0]]}},
+        # rows hold JSON numbers only, as many as the form takes
+        {"joint": [["0.1", "0.9", True]]},
+        {"joint": [[0.1, 0.9, True]]},
+        {"joint": [[0.1, 0.9, None]]},
+        {"joint": [[0.1, 0.9]]},
+        {"joint": [[0.1, 0.9, 0.5, 0.5]]},
+        {"joint": 5},
+        {"joint": [5]},
+        {"independent": {"seller": [["0.1", 1.0]], "buyer": [[0.9, 1.0]]}},
+        {"independent": {"seller": [[0.1, 1.0]], "buyer": [[0.9, False]]}},
+        {"independent": {"seller": [[0.1, 1.0, 0.0]], "buyer": [[0.9, 1.0]]}},
+        {"independent": {"seller": [[0.1]], "buyer": [[0.9, 1.0]]}},
     ):
         with pytest.raises(UnknownIdError):
             env_from_config(entry)

@@ -25,19 +25,19 @@ def test_expected_fgft_at_numpy_matches_oracle():
 def test_incomplete_convolution_numpy_matches_score():
     rng = np.random.default_rng(5)
     K = 17
-    av = np.zeros(K + 1)
-    av[1:] = rng.integers(0, 2, K)
-    bv = np.zeros(2 * K + 1)
-    bv[1 : K + 1] = rng.integers(0, 2, K)
-    sums = kernels.incomplete_convolution(av, bv, K)
+    seller, buyer = rng.integers(0, 2, K), rng.integers(0, 2, K)
+    sums = kernels.incomplete_convolution(seller, buyer, K)
     for i in range(1, K + 1):
-        want = discrete_convolution_score(av[1:].tolist(), bv[1 : K + 1].tolist(), i, K)
+        want = discrete_convolution_score(seller.tolist(), buyer.tolist(), i, K)
         assert sums[i - 1] / K == pytest.approx(want, abs=1e-15)
 
 
 def test_incomplete_convolution_validates_layout():
-    with pytest.raises(ValueError):
-        kernels.incomplete_convolution(np.zeros(3), np.zeros(4), 2)
+    # K = 2 takes exactly two seller bits and two buyer bits; (3,) and (5,) are the old padded layout
+    shapes = (((3,), (5,)), ((2,), (3,)), ((1, 2), (2,)))
+    for seller, buyer in shapes:
+        with pytest.raises(ValueError):
+            kernels.incomplete_convolution(np.zeros(seller), np.zeros(buyer), 2)
 
 
 def test_uniform_prices_numpy_matches_stream():
@@ -60,20 +60,10 @@ def test_convolution_approx_batch_numpy_matches_scalar():
 # ---------------------------------------------------------------------------
 
 
-def _random_bits(K, density, seed, tail=False):
-    """(av, bv) in incomplete_convolution's layout, av[0] = 0.
-
-    With ``tail`` the B entries past index K are random too; the scalar
-    score reads them as zero, the kernel's sum never reaches them.
-    """
+def _random_bits(K, density, seed):
+    """Seller bits V_1..V_K and buyer bits W_1..W_K, each 1 with probability ``density``."""
     rng = np.random.default_rng(seed)
-    av = np.zeros(K + 1)
-    av[1:] = rng.random(K) < density
-    bv = np.zeros(2 * K + 1)
-    bv[1 : K + 1] = rng.random(K) < density
-    if tail:
-        bv[K + 1 :] = rng.random(K) < density
-    return av, bv
+    return rng.random(K) < density, rng.random(K) < density
 
 
 @settings(max_examples=60, deadline=None)
@@ -82,20 +72,19 @@ def _random_bits(K, density, seed, tail=False):
 @example(K=2, density=1.0, seed=0)
 @example(K=2, density=0.5, seed=3)
 def test_incomplete_convolution_is_the_discrete_score(K, density, seed):
-    av, bv = _random_bits(K, density, seed)
-    got = kernels.incomplete_convolution(av, bv, K) / K
-    seller, buyer = av[1:].tolist(), bv[1 : K + 1].tolist()
+    seller, buyer = _random_bits(K, density, seed)
+    got = kernels.incomplete_convolution(seller, buyer, K) / K
     want = [discrete_convolution_score(seller, buyer, i, K) for i in range(1, K + 1)]
     assert got.tolist() == want
 
 
 @pytest.mark.parametrize(
     "side, index, value",
-    [("av", 0, 1.0), ("av", 2, 0.5), ("bv", 3, 0.5), ("av", 1, np.nan), ("bv", 6, np.nan)],
+    [("av", 2, 0.5), ("bv", 3, 0.5), ("av", 1, np.nan), ("bv", 6, np.nan)],
 )
 def test_incomplete_convolution_rejects_non_bits(side, index, value):
-    K = 3
-    arrays = {"av": np.zeros(K + 1), "bv": np.zeros(2 * K + 1)}
+    K = 7
+    arrays = {"av": np.zeros(K), "bv": np.zeros(K)}  # seller bits, buyer bits
     arrays[side][index] = value
     with pytest.raises(ValueError):
         kernels.incomplete_convolution(arrays["av"], arrays["bv"], K)
@@ -104,17 +93,20 @@ def test_incomplete_convolution_rejects_non_bits(side, index, value):
 @pytest.mark.parametrize("K", [1, 2, 3, 10, 100, 464])
 @pytest.mark.parametrize("density", [0.6, 0.95])
 def test_float_convolution_matches_bit_kernel_on_bits(K, density):
-    av, bv = _random_bits(K, density, seed=K, tail=True)
-    want = kernels.incomplete_convolution(av, bv, K)
-    assert np.array_equal(_float_incomplete_convolution(av, bv, K), want)
+    seller, buyer = _random_bits(K, density, seed=K)
+    want = kernels.incomplete_convolution(seller, buyer, K)
+    assert np.array_equal(_float_incomplete_convolution(seller, buyer, K), want)
 
 
-def _dot_loop_convolution(av, bv, K):
-    """The reference: one np.dot per grid index i of A[i-k] and B[i+k], k = 0..min(i, K-1)."""
+def _dot_loop_convolution(seller, buyer, K):
+    """The reference: one np.dot per grid index i of V_{i-k} and W_{i+k}, k = 0..min(i-1, K-i).
+
+    Those are the terms with both positions inside 1..K; every other term is zero.
+    """
     out = np.empty(K, dtype=np.float64)
     for i in range(1, K + 1):
-        kmax = min(i, K - 1)
-        out[i - 1] = float(np.dot(av[i - kmax : i + 1][::-1], bv[i : i + kmax + 1]))
+        kmax = min(i - 1, K - i)
+        out[i - 1] = float(np.dot(seller[i - 1 - kmax : i][::-1], buyer[i - 1 : i + kmax]))
     return out
 
 
@@ -122,13 +114,12 @@ def _dot_loop_convolution(av, bv, K):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_float_convolution_matches_the_dot_loop(K, seed):
     # the sandwich suite's inputs: a CDF (non-decreasing) and a co-CDF
-    # (non-increasing) in [0, 1]; av[0] is not zeroed, so the A[0] * B[2i]
-    # terms (i < K) are in the sums too
+    # (non-increasing) in [0, 1] at the K grid prices
     rng = np.random.default_rng(seed)
-    av = np.sort(rng.random(K + 1))
-    bv = np.sort(rng.random(2 * K + 1))[::-1]
-    got = _float_incomplete_convolution(av, bv, K)
-    np.testing.assert_allclose(got, _dot_loop_convolution(av, bv, K), rtol=0, atol=1e-12 * K)
+    seller = np.sort(rng.random(K))
+    buyer = np.sort(rng.random(K))[::-1]
+    got = _float_incomplete_convolution(seller, buyer, K)
+    np.testing.assert_allclose(got, _dot_loop_convolution(seller, buyer, K), rtol=0, atol=1e-12 * K)
 
 
 @st.composite
@@ -203,12 +194,12 @@ def _loop_fbep(seed, cum, cands, reward_matrix, T):
 
 def _loop_conv_bits(seed, cum, sellers, buyers, K):
     stream = SplitMix64(seed)
-    av, bv = np.zeros(K), np.zeros(K)
+    seller_bits, buyer_bits = np.zeros(K), np.zeros(K)
     for t in range(1, K + 1):
         j = _loop_atom(stream, cum)
-        av[t - 1] = sellers[j] <= t / K
-        bv[t - 1] = t / K <= buyers[j]
-    return av, bv
+        seller_bits[t - 1] = sellers[j] <= t / K
+        buyer_bits[t - 1] = t / K <= buyers[j]
+    return seller_bits, buyer_bits
 
 
 def _loop_dbs(seed, cum, sellers, buyers, N):
@@ -285,12 +276,10 @@ def test_fbep_prices_match_round_loop_across_blocks(monkeypatch, env_name, block
 def test_conv_pricing_commit_matches_round_loop(env_name, K):
     tables = _EnvTables(_SIM_ENVS[env_name]())
     rows = zip(_SEEDS, *kernels.conv_pricing_commit(*tables.draw(_SEEDS, K), K))
-    for seed, commit, av, bv in rows:
-        want_av, want_bv = _loop_conv_bits(seed, tables.cum, tables.sellers, tables.buyers, K)
-        assert np.array_equal(av, want_av) and np.array_equal(bv, want_bv), seed
-        padded_av = np.concatenate([[0.0], want_av])
-        padded_bv = np.concatenate([[0.0], want_bv, np.zeros(K)])
-        want_commit = int(np.argmax(kernels.incomplete_convolution(padded_av, padded_bv, K))) + 1
+    for seed, commit, seller_bits, buyer_bits in rows:
+        want_v, want_w = _loop_conv_bits(seed, tables.cum, tables.sellers, tables.buyers, K)
+        assert np.array_equal(seller_bits, want_v) and np.array_equal(buyer_bits, want_w), seed
+        want_commit = int(np.argmax(kernels.incomplete_convolution(want_v, want_w, K))) + 1
         assert commit == want_commit, seed
 
 
