@@ -118,7 +118,7 @@ class ConvolutionPricing(Learner):
         self.horizon = horizon
         self.grid_size = K
         self.rounds_done = 0
-        # V_1..V_K and W_1..W_K, the inputs of kernels.incomplete_convolution
+        # V_1..V_K and W_1..W_K, one row of kernels.incomplete_convolution's input
         self._seller_bits = np.zeros(K, dtype=np.float64)
         self._buyer_bits = np.zeros(K, dtype=np.float64)
         self.commit_index: int | None = None
@@ -139,9 +139,9 @@ class ConvolutionPricing(Learner):
             self.rounds_done = t
             if t == K:
                 scores = kernels.incomplete_convolution(
-                    self._seller_bits, self._buyer_bits, K
+                    self._seller_bits[None], self._buyer_bits[None], K
                 )
-                self.commit_index = int(np.argmax(scores)) + 1
+                self.commit_index = int(np.argmax(scores[0])) + 1
         else:
             self.rounds_done += 1
 

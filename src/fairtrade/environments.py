@@ -350,11 +350,17 @@ def parse_env(env_id: str) -> Environment:
 
 
 def _number_rows(rows, width: int, what: str) -> np.ndarray:
-    """Rows of ``width`` JSON numbers (ints or floats, not bools), as a (rows, width) array."""
+    """Rows of ``width`` JSON numbers (ints or floats, not bools), as a (rows, width) array.
+
+    Anything else, or an int too large for a float, raises UnknownIdError.
+    """
     ok = isinstance(rows, list) and all(isinstance(row, list) and len(row) == width for row in rows)
     if not ok or any(type(x) not in (int, float) for row in rows for x in row):
         raise UnknownIdError(f"{what} takes rows of {width} numbers, got {rows!r}")
-    return np.array(rows, dtype=np.float64).reshape(-1, width)
+    try:
+        return np.array(rows, dtype=np.float64).reshape(-1, width)
+    except OverflowError:
+        raise UnknownIdError(f"{what} holds an integer too large for a float") from None
 
 
 def env_from_config(obj) -> Environment:

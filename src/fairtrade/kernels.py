@@ -15,9 +15,11 @@ first index whose cumulative weight strictly exceeds the uniform (ties on
 the boundary go right), with the index clamped to the last atom to absorb
 cumulative sums that round below 1.0.
 
-The two grid kernels count exactly.  incomplete_convolution takes 0/1
-acceptance bits only (it raises on any other value) and counts each score
-as the popcount of two shifted Python-int bitsets, not a dot product;
+The two grid kernels count exactly.  incomplete_convolution takes rows
+of 0/1 acceptance bits only (it raises on any other value), packs each
+row into uint64 words and counts every score of every row as the
+popcount of two word-shifted windows, not a dot product, in strided
+passes whose scratch memory is bounded by row blocks (CONV_BLOCK_WORDS);
 convolution_approx_batch starts each overlap count from its closed form
 and steps it onto the exact boundary of the indicator, instead of
 evaluating all M terms.
@@ -39,6 +41,12 @@ USE_NUMBA = False
 FBEP_BLOCK = 2048
 # Triples per block in convolution_approx_batch.
 APPROX_BLOCK = 8192
+# Words per shift table in incomplete_convolution: bounds its scratch
+# memory to about 3 x CONV_BLOCK_WORDS uint64 words while one row fits.
+CONV_BLOCK_WORDS = 2**15
+# Word offsets q per strided window in incomplete_convolution; at 2 its
+# AND buffer is about the size of one shift table.
+CONV_Q_BLOCK = 2
 
 
 def _sample_atoms(seed, cum, n: int) -> np.ndarray:
@@ -84,35 +92,106 @@ def expected_fgft_at(prices, sellers, buyers, weights):
 # ---------------------------------------------------------------------------
 
 
-def _bits_to_int(bits) -> int:
-    """Python int whose bit m is bits[m] (bits are 0/1)."""
-    return int.from_bytes(np.packbits(bits != 0, bitorder="little").tobytes(), "little")
+def _shift_table(bits, table, scratch):
+    """table[r, s, w] = word w of row r's bits shifted right by s, s = 0..63.
+
+    Row r of ``bits`` (0/1, shape (rows, K)) is read as the little-endian
+    integer whose bit m is bits[r, m], in uint64 words; every word past the
+    bits is zero.  ``scratch`` is a uint64 array of the table's shape.
+    """
+    rows, words = table.shape[0], table.shape[2]
+    packed = np.zeros((rows, 8 * (words + 1)), dtype=np.uint8)
+    packed[:, : (bits.shape[1] + 7) // 8] = np.packbits(bits != 0, axis=1, bitorder="little")
+    x = packed.view("<u8")
+    shifts = np.arange(64, dtype=np.uint64)[:, None]
+    np.right_shift(x[:, None, :-1], shifts, out=table)
+    np.left_shift(x[:, None, 1:], 64 - shifts[1:], out=scratch[:, 1:])
+    np.bitwise_or(table[:, 1:], scratch[:, 1:], out=table[:, 1:])
 
 
 def incomplete_convolution(seller_bits, buyer_bits, grid_size):
-    """The K sums c_i = sum_{k>=0} V_{i-k} * W_{i+k}, i = 1..K, of 0/1 bits.
+    """The K sums c_i = sum_{k>=0} V_{i-k} * W_{i+k}, i = 1..K, of each row's 0/1 bits.
 
-    ``seller_bits`` holds V_1..V_K and ``buyer_bits`` holds W_1..W_K, both
-    of shape (K,); positions outside 1..K read as zero, so c_i / K is
-    core.discrete_convolution_score.  Any other shape, or any entry other
-    than 0 or 1, raises ValueError rather than return a wrong score.
+    Row r of ``seller_bits`` holds one sweep's V_1..V_K and row r of
+    ``buyer_bits`` its W_1..W_K, both of shape (rows, K); positions outside
+    1..K read as zero, so c_i / K is core.discrete_convolution_score.  Any
+    other shape, or any entry other than 0 or 1, raises ValueError rather
+    than return a wrong score.  Returns the counts as float64 of shape
+    (rows, K); every count is an exact integer.
 
     With r the bits of V reversed (bit m = V_{K-m}) and b the bits of W
     (bit m = W_{m+1}), bit k of (r >> (K-i)) & (b >> (i-1)) is
-    V_{i-k} * W_{i+k}, so c_i is that int's popcount: every score is an
-    exact integer, returned as float64.
+    V_{i-k} * W_{i+k}, so c_i is the popcount of that AND, whose bits all
+    lie below min(i, K+1-i).  Each row's r and b are packed into uint64 words,
+    and each gets a table of its 64 sub-word right shifts.  Write
+    i = 1 + rho + 64q and K - 1 = 64a + c.  Then b >> (i-1) is sub-shift
+    rho of b from word q on, and r >> (K-i) is sub-shift c - rho of r from
+    word a - q on (rho <= c) or sub-shift 64 + c - rho from word a - 1 - q
+    on (rho > c).  In each of these two groups both windows are affine in
+    (rho, q, word), so one strided view per side covers every rho of the
+    group and CONV_Q_BLOCK values of q.  np.bitwise_count of the two
+    views' AND, summed over the words, gives those indices' counts, and
+    they are written straight into the returned array.
+
+    Scratch memory is bounded by row blocks.  With w = ceil(K/64) +
+    CONV_Q_BLOCK - 1 words per shifted row, rows go
+    max(1, CONV_BLOCK_WORDS // (64 w)) at a time.  A block of m rows holds
+    two shift tables of 64 m w words each, and one AND buffer of 64 m
+    max(w, CONV_Q_BLOCK x the widest window's words) words (about 64 m w),
+    which also serves as the tables' scratch, and one byte per word of the
+    AND buffer: about 3 x CONV_BLOCK_WORDS words while one row fits the
+    budget (K <= 32 704 at 2**15 words), and about 3 x 64 w words, one
+    row's, above that.
     """
     K = int(grid_size)
     seller_bits, buyer_bits = np.asarray(seller_bits), np.asarray(buyer_bits)
-    if seller_bits.shape != (K,) or buyer_bits.shape != (K,):
-        raise ValueError("incomplete_convolution expects K seller bits and K buyer bits")
-    bits = np.concatenate([seller_bits, buyer_bits])
-    if not np.all((bits == 0.0) | (bits == 1.0)):
-        raise ValueError("incomplete_convolution takes 0/1 bits")
-    r = _bits_to_int(seller_bits[::-1])
-    b = _bits_to_int(buyer_bits)
-    scores = (((r >> (K - i)) & (b >> (i - 1))).bit_count() for i in range(1, K + 1))
-    return np.fromiter(scores, dtype=np.float64, count=K)
+    if seller_bits.ndim != 2 or seller_bits.shape[1] != K or buyer_bits.shape != seller_bits.shape:
+        raise ValueError("incomplete_convolution expects seller and buyer bits of shape (rows, K)")
+    for bits in (seller_bits, buyer_bits):
+        if not np.all((bits == 0.0) | (bits == 1.0)):
+            raise ValueError("incomplete_convolution takes 0/1 bits")
+    rows = seller_bits.shape[0]
+    counts = np.empty((rows, K), dtype=np.float64)
+    if rows == 0 or K == 0:
+        return counts
+    a, c = divmod(K - 1, 64)
+    qb = CONV_Q_BLOCK
+    words = a + qb  # a + qb - 1 is the highest word a window reads
+    # (first rho, rho count, first q, q count, words read, item offset of r's first word)
+    windows = []
+    for rho, n_rho, n_q, r_shift, r_word in ((0, c + 1, a + 1, c, a), (c + 1, 63 - c, a, 63, a - 1)):
+        for q in range(0, n_q if n_rho else 0, qb):
+            n = min(qb, n_q - q)
+            first, last = 1 + rho + 64 * q, rho + n_rho + 64 * (q + n - 1)
+            # at least ceil(min(i, K + 1 - i) / 64) for every index i of the window
+            L = (min(last, K + 1 - first) + 63) // 64
+            windows.append((rho, n_rho, q, n, L, r_shift * words + r_word - q))
+    block = min(rows, max(1, CONV_BLOCK_WORDS // (64 * words)))
+    r_table = np.empty((block, 64, words), dtype=np.uint64)
+    b_table = np.empty_like(r_table)
+    anded = np.empty(block * 64 * max(words, qb * max(w[4] for w in windows)), dtype=np.uint64)
+    bit_counts = np.empty(anded.size, dtype=np.uint8)
+    sums = np.empty(block * 64 * qb, dtype=np.uint32)
+    for lo in range(0, rows, block):
+        m = min(block, rows - lo)
+        r, b, out = r_table[:m], b_table[:m], counts[lo : lo + m]
+        scratch = anded[: r.size].reshape(r.shape)
+        _shift_table(seller_bits[lo : lo + m, ::-1], r, scratch)
+        _shift_table(buyer_bits[lo : lo + m], b, scratch)
+        r_strides = (r.strides[0], -r.strides[1], -8, 8)
+        b_strides = (b.strides[0], b.strides[1], 8, 8)
+        # np.ndarray views raise, rather than read, past the end of their buffer
+        for rho, n_rho, q, n, L, r_first in windows:
+            shape, size = (m, n_rho, n, L), m * n_rho * n * L
+            rv = np.ndarray(shape, np.uint64, r, 8 * r_first, r_strides)
+            bv = np.ndarray(shape, np.uint64, b, 8 * (rho * words + q), b_strides)
+            both = np.bitwise_and(rv, bv, out=anded[:size].reshape(shape))
+            ones = np.bitwise_count(both, out=bit_counts[:size].reshape(shape))
+            window_sums = sums[: m * n_rho * n].reshape(shape[:3])
+            np.add.reduce(ones, axis=-1, dtype=np.uint32, out=window_sums)
+            at = np.ndarray(shape[:3], np.float64, out, 8 * (rho + 64 * q), (out.strides[0], 8, 512))
+            at[...] = window_sums
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +205,11 @@ def conv_pricing_commit(sellers, buyers, grid_size):
     Row r holds one episode's seller and buyer values of rounds 1..K, shape
     (rows, K), or one value per row, shape (rows, 1), for a point mass.
     Round t posts t/K and records the two acceptance bits of its pair;
-    every grid index of a row is scored by the incomplete convolution of
-    that row's bits.  Returns (1-based commit index per row, seller bits
+    every grid index of every row is scored by the incomplete convolution
+    of that row's bits, all rows in one incomplete_convolution call, and
+    each row commits to its first maximizer.  Memory beyond the bits: the
+    (rows, K) float64 counts and incomplete_convolution's scratch, which
+    is bounded by row blocks.  Returns (1-based commit index per row, seller bits
     V_1..V_K per row, buyer bits W_1..W_K per row), the bits as bool
     arrays of shape (rows, K).
     """
@@ -135,8 +217,7 @@ def conv_pricing_commit(sellers, buyers, grid_size):
     grid = np.arange(1, K + 1, dtype=np.float64) / K
     seller_bits = np.asarray(sellers, dtype=np.float64) <= grid
     buyer_bits = grid <= np.asarray(buyers, dtype=np.float64)
-    scores = (incomplete_convolution(v, w, K) for v, w in zip(seller_bits, buyer_bits))
-    commits = np.array([int(np.argmax(c)) + 1 for c in scores], dtype=np.int64)
+    commits = np.argmax(incomplete_convolution(seller_bits, buyer_bits, K), axis=1) + 1
     return commits, seller_bits, buyer_bits
 
 

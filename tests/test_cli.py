@@ -160,6 +160,15 @@ def test_run_error_exit_codes(tmp_path, capsys, payload, code):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_rejects_an_integer_too_large_for_a_float(tmp_path):
+    # a joint weight written as 1 followed by 400 zeros
+    payload = {"runs": [{"learner": "dbs", "env": {"joint": [[0.1, 0.9, 10**400]]}, "horizon": 5}]}
+    proc = run_cli("run", "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "x.csv"))
+    assert proc.returncode == 3
+    assert any(line.startswith("error:") for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr
+
+
 def test_run_names_unknown_field(tmp_path, capsys):
     payload = {"runs": [{"learner": "dbs", "env": "lb-mu", "horizon": 5, "n_epsiodes": 50}]}
     assert cli.main(["run", "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "x.csv")]) == 2

@@ -26,15 +26,25 @@ def test_incomplete_convolution_numpy_matches_score():
     rng = np.random.default_rng(5)
     K = 17
     seller, buyer = rng.integers(0, 2, K), rng.integers(0, 2, K)
-    sums = kernels.incomplete_convolution(seller, buyer, K)
+    sums = kernels.incomplete_convolution(seller[None], buyer[None], K)[0]
     for i in range(1, K + 1):
         want = discrete_convolution_score(seller.tolist(), buyer.tolist(), i, K)
         assert sums[i - 1] / K == pytest.approx(want, abs=1e-15)
 
 
 def test_incomplete_convolution_validates_layout():
-    # K = 2 takes exactly two seller bits and two buyer bits; (3,) and (5,) are the old padded layout
-    shapes = (((3,), (5,)), ((2,), (3,)), ((1, 2), (2,)))
+    # K = 2 takes rows of two seller bits and two buyer bits; (3,) and (5,) are the old padded
+    # layout and (2,) the old single row
+    shapes = (
+        ((3,), (5,)),
+        ((2,), (3,)),
+        ((1, 2), (2,)),
+        ((2,), (2,)),
+        ((2, 2), (3, 2)),
+        ((2, 3), (2, 3)),
+        ((1, 2), (1, 3)),
+        ((1, 2, 2), (1, 2, 2)),
+    )
     for seller, buyer in shapes:
         with pytest.raises(ValueError):
             kernels.incomplete_convolution(np.zeros(seller), np.zeros(buyer), 2)
@@ -60,22 +70,77 @@ def test_convolution_approx_batch_numpy_matches_scalar():
 # ---------------------------------------------------------------------------
 
 
-def _random_bits(K, density, seed):
-    """Seller bits V_1..V_K and buyer bits W_1..W_K, each 1 with probability ``density``."""
+def _random_bits(K, density, seed, rows=None):
+    """Seller bits V_1..V_K and buyer bits W_1..W_K, each 1 with probability ``density``.
+
+    Shape (K,), or (rows, K) when ``rows`` is given.
+    """
     rng = np.random.default_rng(seed)
-    return rng.random(K) < density, rng.random(K) < density
+    shape = K if rows is None else (rows, K)
+    return rng.random(shape) < density, rng.random(shape) < density
+
+
+def _popcount_convolution(seller, buyer, K):
+    """The reference: c_i = popcount((r >> (K-i)) & (b >> (i-1))) of two Python ints, i = 1..K.
+
+    r has bit m = V_{K-m} (V_1 is its top bit) and b has bit m = W_{m+1}
+    (W_K is its top bit); one integer step per grid index.
+    """
+    r = int("".join("1" if v else "0" for v in seller), 2)
+    b = int("".join("1" if w else "0" for w in buyer[::-1]), 2)
+    return np.array([((r >> (K - i)) & (b >> (i - 1))).bit_count() for i in range(1, K + 1)], dtype=np.float64)
+
+
+_WORD_EDGES = (63, 64, 65, 127, 128, 129)
+
+
+def _word_edge_examples(test):
+    for K in _WORD_EDGES:
+        for rows in (1, 2, 5):
+            test = example(K=K, density=0.9, seed=K, rows=rows)(test)
+    return test
 
 
 @settings(max_examples=60, deadline=None)
-@given(K=st.integers(1, 300), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
-@example(K=1, density=1.0, seed=0)
-@example(K=2, density=1.0, seed=0)
-@example(K=2, density=0.5, seed=3)
-def test_incomplete_convolution_is_the_discrete_score(K, density, seed):
-    seller, buyer = _random_bits(K, density, seed)
+@given(
+    K=st.integers(1, 300),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 5),
+)
+@example(K=1, density=1.0, seed=0, rows=1)
+@example(K=2, density=1.0, seed=0, rows=1)
+@example(K=2, density=0.5, seed=3, rows=2)
+@_word_edge_examples
+def test_incomplete_convolution_is_the_discrete_score(K, density, seed, rows):
+    seller, buyer = _random_bits(K, density, seed, rows)
     got = kernels.incomplete_convolution(seller, buyer, K) / K
-    want = [discrete_convolution_score(seller, buyer, i, K) for i in range(1, K + 1)]
-    assert got.tolist() == want
+    assert got.shape == (rows, K)
+    for v, w, row in zip(seller, buyer, got):
+        assert row.tolist() == [discrete_convolution_score(v, w, i, K) for i in range(1, K + 1)]
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, *_WORD_EDGES, 100, 130, 191, 192, 193, 464, 2154])
+@pytest.mark.parametrize("density", [0.3, 0.9, 1.0])
+def test_incomplete_convolution_matches_python_int_popcount(K, density):
+    seller, buyer = _random_bits(K, density, seed=K, rows=3)
+    got = kernels.incomplete_convolution(seller, buyer, K)
+    want = [_popcount_convolution(v, w, K) for v, w in zip(seller, buyer)]
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "K, rows, budget",
+    [(65, kernels.CONV_BLOCK_WORDS // 64 + 1, kernels.CONV_BLOCK_WORDS), (64, 3, 1), (2154, 7, 10_000)],
+    ids=["default-budget", "one-row-blocks", "blocks-of-4"],
+)
+def test_incomplete_convolution_rows_match_single_rows(monkeypatch, K, rows, budget):
+    # every case scores its rows in more than one row block
+    monkeypatch.setattr(kernels, "CONV_BLOCK_WORDS", budget)
+    seller, buyer = _random_bits(K, 0.8, seed=rows, rows=rows)
+    got = kernels.incomplete_convolution(seller, buyer, K)
+    for v, w, row in zip(seller, buyer, got):
+        assert np.array_equal(row, kernels.incomplete_convolution(v[None], w[None], K)[0])
 
 
 @pytest.mark.parametrize(
@@ -84,8 +149,8 @@ def test_incomplete_convolution_is_the_discrete_score(K, density, seed):
 )
 def test_incomplete_convolution_rejects_non_bits(side, index, value):
     K = 7
-    arrays = {"av": np.zeros(K), "bv": np.zeros(K)}  # seller bits, buyer bits
-    arrays[side][index] = value
+    arrays = {"av": np.zeros((2, K)), "bv": np.zeros((2, K))}  # seller bits, buyer bits
+    arrays[side][1, index] = value
     with pytest.raises(ValueError):
         kernels.incomplete_convolution(arrays["av"], arrays["bv"], K)
 
@@ -94,7 +159,7 @@ def test_incomplete_convolution_rejects_non_bits(side, index, value):
 @pytest.mark.parametrize("density", [0.6, 0.95])
 def test_float_convolution_matches_bit_kernel_on_bits(K, density):
     seller, buyer = _random_bits(K, density, seed=K)
-    want = kernels.incomplete_convolution(seller, buyer, K)
+    want = kernels.incomplete_convolution(seller[None], buyer[None], K)[0]
     assert np.array_equal(_float_incomplete_convolution(seller, buyer, K), want)
 
 
@@ -271,7 +336,7 @@ def test_fbep_prices_match_round_loop_across_blocks(monkeypatch, env_name, block
         assert np.array_equal(posted[idx], _loop_fbep(seed, tables.cum, cands, matrix, T)), seed
 
 
-@pytest.mark.parametrize("K", [1, 2, 464])
+@pytest.mark.parametrize("K", [1, 2, 65, 464])
 @pytest.mark.parametrize("env_name", list(_SIM_ENVS))
 def test_conv_pricing_commit_matches_round_loop(env_name, K):
     tables = _EnvTables(_SIM_ENVS[env_name]())
@@ -279,7 +344,7 @@ def test_conv_pricing_commit_matches_round_loop(env_name, K):
     for seed, commit, seller_bits, buyer_bits in rows:
         want_v, want_w = _loop_conv_bits(seed, tables.cum, tables.sellers, tables.buyers, K)
         assert np.array_equal(seller_bits, want_v) and np.array_equal(buyer_bits, want_w), seed
-        want_commit = int(np.argmax(kernels.incomplete_convolution(want_v, want_w, K))) + 1
+        want_commit = int(np.argmax(_popcount_convolution(want_v, want_w, K))) + 1
         assert commit == want_commit, seed
 
 
