@@ -9,8 +9,9 @@ Subcommands:
 * ``list-learners``  registered learner id patterns
 
 Exit codes: 0 success, 1 failed verify check, 2 config/parse error (also
-unknown suite), 3 unresolvable environment or learner id.  An id takes
-only the keys that ``list-envs``/``list-learners`` show, each once.
+unknown suite, and a run too large for memory), 3 unresolvable environment
+or learner id.  An id takes only the keys that ``list-envs``/``list-learners``
+show, each once.
 
 Config format (run): ``{"output": "curves.csv", "runs": [{"learner":
 "conv-pricing", "env": "lb-mu", "horizons": [1000, 10000], "n_episodes":
@@ -218,6 +219,9 @@ def main(argv=None) -> int:
         return 3
     except UnknownSuiteError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except (
         FeedbackMismatchError,

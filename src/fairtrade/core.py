@@ -114,6 +114,19 @@ def discrete_convolution_score(
     return total / K
 
 
+def check_atoms(*named, weights=None) -> None:
+    """Each (values, name) lies in [0, 1]; weights, if given, are positive and sum to 1.  NaN fails."""
+    for values, name in named:
+        if not np.all((values >= 0.0) & (values <= 1.0)):
+            raise ValueError(f"{name} must lie in [0, 1]")
+    if weights is None:
+        return
+    if not np.all(weights > 0.0):
+        raise ValueError("weights must be strictly positive")
+    if not abs(float(weights.sum()) - 1.0) <= WEIGHT_TOL:
+        raise ValueError("weights must sum to 1 within 1e-12")
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteMarginal:
     """Finite-support distribution of one side's value.
@@ -131,13 +144,7 @@ class FiniteMarginal:
         weights = np.ascontiguousarray(weights, dtype=np.float64)
         if values.ndim != 1 or values.shape != weights.shape or values.size == 0:
             raise ValueError("values and weights must be matching non-empty 1-d arrays")
-        # written so that NaN fails every check
-        if not np.all((values >= 0.0) & (values <= 1.0)):
-            raise ValueError("values must lie in [0, 1]")
-        if not np.all(weights > 0.0):
-            raise ValueError("weights must be strictly positive")
-        if not abs(float(weights.sum()) - 1.0) <= WEIGHT_TOL:
-            raise ValueError("weights must sum to 1 within 1e-12")
+        check_atoms((values, "values"), weights=weights)
         if sorted_distinct(values).size != values.size:
             raise ValueError("values must be pairwise distinct")
         object.__setattr__(self, "values", values)
@@ -171,14 +178,7 @@ class FiniteJointDistribution:
         sellers = np.ascontiguousarray([e[0] for e in entries], dtype=np.float64)
         buyers = np.ascontiguousarray([e[1] for e in entries], dtype=np.float64)
         w = np.ascontiguousarray([e[2] for e in entries], dtype=np.float64)
-        # written so that NaN fails every check
-        for arr, name in ((sellers, "seller values"), (buyers, "buyer values")):
-            if not np.all((arr >= 0.0) & (arr <= 1.0)):
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if not np.all(w > 0.0):
-            raise ValueError("weights must be strictly positive")
-        if not abs(float(w.sum()) - 1.0) <= WEIGHT_TOL:
-            raise ValueError("weights must sum to 1 within 1e-12")
+        check_atoms((sellers, "seller values"), (buyers, "buyer values"), weights=w)
         if len({(s, b) for s, b, _ in entries}) != len(entries):
             raise ValueError("atoms must be pairwise distinct")
         object.__setattr__(self, "sellers", sellers)

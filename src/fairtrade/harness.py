@@ -13,9 +13,9 @@ exploration every row shares, such as the grid learner's sweep, is one row
 scored once.  A point mass is the one-atom environment: every draw lands on
 its atom, so a _PointMasses batch takes no draws and builds no environment.
 fbep and uniform have no commit phase, and their prices do not depend on
-the horizon: a run simulates each of their episodes once, at its largest
-horizon, as a row of per-round regrets (_round_gaps), and every horizon
-sums a prefix of that row.
+the horizon: a run simulates their episodes one at a time, each once, at
+its largest horizon, as a row of per-round regrets (_round_gaps), and sums
+a prefix of that row for every horizon before it drops the row.
 
 Regret is always pseudo-regret: conditioning on the posted prices, every
 round contributes v_star - E[fgft(p_t)] with both terms exact under the
@@ -49,6 +49,7 @@ from .algorithms import (
 from .core import (
     best_fixed_price_fgft,
     best_fixed_price_gft,
+    check_atoms,
     fgft,
     fgft_candidates,
     fgft_vector,
@@ -209,11 +210,10 @@ class IndistinguishabilityReport:
 
 
 class _EnvTables:
-    """Cached per-environment oracle data for fast regret evaluation.
+    """Per-environment oracle data for fast regret evaluation.
 
-    Each Monte Carlo run builds its own, so ``gaps`` also keeps that run's
-    one simulation of fbep or uniform: (learner, episode seeds, per-round
-    regret rows), which every horizon of the run reads (_episode_regrets).
+    Each Monte Carlo run builds its own and only reads it; the fbep and
+    gft-oracle tables are built on first use.
     """
 
     def __init__(self, env: Environment):
@@ -224,7 +224,6 @@ class _EnvTables:
         self.buyers = joint.buyers
         self.weights = joint.weights
         self.v_star = best_fixed_price_fgft(joint).value
-        self.gaps = None
 
     def mean_at(self, prices) -> np.ndarray:
         return kernels.expected_fgft_at(prices, self.sellers, self.buyers, self.weights)
@@ -265,10 +264,7 @@ class _PointMasses(_EnvTables):
     """
 
     def __init__(self, sellers: np.ndarray, buyers: np.ndarray):
-        # written so that NaN fails every check
-        for arr, name in ((sellers, "seller values"), (buyers, "buyer values")):
-            if not np.all((arr >= 0.0) & (arr <= 1.0)):
-                raise ValueError(f"{name} must lie in [0, 1]")
+        check_atoms((sellers, "seller values"), (buyers, "buyer values"))
         self.sellers, self.buyers = sellers[:, None], buyers[:, None]
         self.weights = np.ones_like(self.sellers)
         mids = (sellers + buyers) / 2.0
@@ -376,10 +372,10 @@ def _profile_regret(tables: _EnvTables, explore, tail, tail_len: int) -> np.ndar
     return regret
 
 
-def _round_gaps(spec: LearnerSpec, tables: _EnvTables, T: int, seeds) -> list:
-    """v* - E[fgft(p_t)] of rounds 1..T, one row per episode of uniform or fbep.
+def _round_gaps(spec: LearnerSpec, tables: _EnvTables, T: int, seed: int) -> np.ndarray:
+    """v* - E[fgft(p_t)] of rounds 1..T in the episode of ``seed``, uniform or fbep.
 
-    Their prices do not depend on the horizon, so the first entries of a
+    Their prices do not depend on the horizon, so the first entries of the
     row at a larger T are the row at a smaller one.  The fbep kernel
     returns candidate indices, and its row gathers the regret of each
     candidate (expected_fgft_at is elementwise, so this equals scoring the
@@ -391,23 +387,15 @@ def _round_gaps(spec: LearnerSpec, tables: _EnvTables, T: int, seeds) -> list:
     if spec.kind == "fbep":
         cands, rewards = tables.fbep
         by_index = tables.v_star - tables.mean_at(np.append(cands, 0.5))  # round 0 posts 1/2
-        return [by_index[kernels.fbep_prices(seed, tables.cum, cands, rewards, T)] for seed in seeds]
-    stream = spec.params.get("seed", 0)
-    paths = (kernels.uniform_prices(mix64(stream, seed), T) for seed in seeds)
-    return [tables.v_star - tables.mean_at(path) for path in paths]
+        return by_index[kernels.fbep_prices(seed, tables.cum, cands, rewards, T)]
+    path = kernels.uniform_prices(mix64(spec.params.get("seed", 0), seed), T)
+    return tables.v_star - tables.mean_at(path)
 
 
 def _episode_regrets(config: RunConfig, horizon: int, tables: _EnvTables) -> np.ndarray:
-    spec = config.learner
+    """Regret of every episode at one horizon, for a learner with a price profile."""
     seeds = [mix64(config.base_seed, e) for e in range(config.n_episodes)]
-    if spec.kind not in ("uniform", "fbep"):
-        return _profile_regret(tables, *_price_profile(spec, tables, horizon, seeds))
-    # one simulation serves every horizon up to its own; run_monte_carlo
-    # asks for the largest horizon first
-    cached = tables.gaps
-    if cached is None or cached[:2] != (spec, seeds) or cached[2][0].size < horizon:
-        cached = tables.gaps = (spec, seeds, _round_gaps(spec, tables, horizon, seeds))
-    return np.array([np.sum(row[:horizon]) for row in cached[2]])
+    return _profile_regret(tables, *_price_profile(config.learner, tables, horizon, seeds))
 
 
 def run_monte_carlo(config: RunConfig, horizons=None) -> RegretCurve:
@@ -417,26 +405,32 @@ def run_monte_carlo(config: RunConfig, horizons=None) -> RegretCurve:
     mix64(base_seed, e), so curves at nested horizons share their random
     draws (regret is pathwise non-decreasing in T for a fixed episode).
     The environment's oracle tables are built once and shared by every
-    horizon.  Horizons are evaluated largest first, so that learners whose
-    prices do not depend on T (fbep, uniform) simulate once per run.
+    horizon.  Regrets fill one (horizons, episodes) table: fbep and uniform
+    simulate one episode at a time, at the largest horizon, and sum a prefix
+    for each horizon; other learners score one horizon at a time, ascending.
     """
     hs = _horizons([config.horizon] if horizons is None else horizons)
-    resolve_feedback(config.learner.requires, config.feedback, config.strict_feedback)
+    spec = config.learner
+    resolve_feedback(spec.requires, config.feedback, config.strict_feedback)
     tables = _EnvTables(config.env)
-    regrets = {T: _episode_regrets(config, T, tables) for T in reversed(hs)}
-    means, stderrs = [], []
-    for T in hs:
-        values = regrets[T]
-        means.append(float(np.mean(values)))
-        n = values.size
-        stderrs.append(float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0)
+    regrets = np.empty((len(hs), config.n_episodes))
+    if spec.kind in ("uniform", "fbep"):
+        for e in range(config.n_episodes):
+            row = _round_gaps(spec, tables, hs[-1], mix64(config.base_seed, e))
+            regrets[:, e] = [np.sum(row[:T]) for T in hs]
+    else:
+        for i, T in enumerate(hs):
+            regrets[i] = _episode_regrets(config, T, tables)
+    # reduce contiguous rows: a strided column or axis=0 regroups the pairwise sums
+    n = config.n_episodes
+    stderrs = [float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0 for values in regrets]
     return RegretCurve(
-        learner_id=config.learner.learner_id,
+        learner_id=spec.learner_id,
         env_id=config.env.env_id,
         horizons=tuple(hs),
-        means=tuple(means),
+        means=tuple(float(np.mean(values)) for values in regrets),
         stderrs=tuple(stderrs),
-        n_episodes=config.n_episodes,
+        n_episodes=n,
     )
 
 

@@ -169,6 +169,21 @@ def test_run_rejects_an_integer_too_large_for_a_float(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_run_reports_a_failed_allocation_as_an_error(tmp_path, capsys, monkeypatch):
+    # a horizon too large for memory, such as fbep at 1e12, fails in NumPy's
+    # allocator; the stub raises that error without allocating anything
+    def out_of_memory(config, horizons=None):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+    monkeypatch.setattr(cli, "run_monte_carlo", out_of_memory)
+    payload = {"runs": [{"learner": "fbep", "env": "lb-mu", "horizon": 1e12}]}
+    out = tmp_path / "x.csv"
+    assert cli.main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate")
+    assert not out.exists()
+
+
 def test_run_names_unknown_field(tmp_path, capsys):
     payload = {"runs": [{"learner": "dbs", "env": "lb-mu", "horizon": 5, "n_epsiodes": 50}]}
     assert cli.main(["run", "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "x.csv")]) == 2

@@ -1,5 +1,7 @@
 """Episode loop, fast-path parity, regret accounting, and reports."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -216,7 +218,7 @@ def _kernel_path(spec, tables, T, seed):
         path = np.append(cands, 0.5)[kernels.fbep_prices(seed, tables.cum, cands, rewards, T)]
     else:
         path = kernels.uniform_prices(mix64(spec.params.get("seed", 0), seed), T)
-    row = _round_gaps(spec, tables, T, [seed])[0]
+    row = _round_gaps(spec, tables, T, seed)
     assert row.tobytes() == (tables.v_star - tables.mean_at(path)).tobytes()
     assert np.sum(row).hex() == _profile_regret(tables, path[None, :], np.zeros(1), 0)[0].hex()
     return path
@@ -285,6 +287,23 @@ def test_path_free_learners_simulate_once_per_episode(monkeypatch):
         cfg = RunConfig(lb_mu(), spec, 5, n_episodes=3, base_seed=11, feedback=spec.requires)
         run_monte_carlo(cfg, horizons=(1, 2048, 2049, 5000))
         assert calls == [(name, 5000)] * 3, learner_id
+
+
+@pytest.mark.parametrize("env_id", ["lb-mu", "random-joint:seed=303"])
+@pytest.mark.parametrize("learner_id", ["fbep", "uniform:seed=5"])
+def test_path_free_runs_hold_one_episode_row_at_a_time(env_id, learner_id):
+    # 20 episodes at T = 20 000: a run that kept every episode's row of
+    # round regrets would peak above 20 rows
+    spec = parse_learner(learner_id)
+    cfg = RunConfig(parse_env(env_id), spec, 1000, n_episodes=20, base_seed=7, feedback=spec.requires)
+    row_bytes = 20_000 * np.dtype(np.float64).itemsize
+    tracemalloc.start()
+    try:
+        run_monte_carlo(cfg, horizons=(1000, 20_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * row_bytes, peak / row_bytes
 
 
 def test_monte_carlo_single_episode_has_zero_stderr():
