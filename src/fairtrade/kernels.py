@@ -68,20 +68,22 @@ def expected_fgft_at(prices, sellers, buyers, weights):
     prices with it, so both terms of a regret come from the same sum.
     ``prices`` may have any shape.  The atoms lie along the last axis of
     ``sellers``, ``buyers`` and ``weights``; atoms of shape (rows, A) are
-    per-row atoms, for prices of shape (rows, n).
+    per-row atoms, for prices of shape (rows, n).  Each atom adds
+    w * max(min(p - s, b - p), 0), bitwise core.fgft's min((p - s)+,
+    (b - p)+) times w: both are 0 when either side is negative, and a -0.0
+    term adds nothing to ``means``, which starts at +0.0.
     """
     prices = np.asarray(prices, dtype=np.float64)
     sellers = np.asarray(sellers, dtype=np.float64)
     buyers = np.asarray(buyers, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     means = np.zeros(np.broadcast_shapes(prices.shape, sellers.shape[:-1] + (1,)))
-    # w * min((p - s)+, (b - p)+) per atom, in two scratch arrays of the output's size
+    # w * max(min(p - s, b - p), 0) per atom, in two scratch arrays of the output's size
     gain, rest = np.empty_like(means), np.empty_like(means)
     for a in range(sellers.shape[-1]):
         s, b, w = sellers[..., a, None], buyers[..., a, None], weights[..., a, None]
-        np.maximum(np.subtract(prices, s, out=gain), 0.0, out=gain)
-        np.maximum(np.subtract(b, prices, out=rest), 0.0, out=rest)
-        np.minimum(gain, rest, out=gain)
+        np.minimum(np.subtract(prices, s, out=gain), np.subtract(b, prices, out=rest), out=gain)
+        np.maximum(gain, 0.0, out=gain)
         gain *= w
         means += gain
     return means

@@ -6,7 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairtrade import kernels
-from fairtrade.core import discrete_convolution_score, expected_fgft, fgft_convolution_approx
+from fairtrade.core import (
+    FiniteJointDistribution,
+    discrete_convolution_score,
+    expected_fgft,
+    fgft_convolution_approx,
+    sorted_distinct,
+)
 from fairtrade.environments import env_from_config, lb_mu
 from fairtrade.harness import _EnvTables
 from fairtrade.rng import MASK64, SplitMix64, unit_draws
@@ -20,6 +26,41 @@ def test_expected_fgft_at_numpy_matches_oracle():
     got = kernels.expected_fgft_at(prices, joint.sellers, joint.buyers, joint.weights)
     want = [expected_fgft(joint, float(p)) for p in prices]
     np.testing.assert_allclose(got, want, atol=1e-15)
+
+
+# few distinct values, so that sellers and buyers often meet and prices land on atoms
+_ATOM_VALUES = st.sampled_from([0.0, 0.1, 0.25, 1 / 3, 0.5, 0.7, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _joints(draw):
+    """A FiniteJointDistribution with 1 to 6 distinct atoms and random positive weights."""
+    pairs = draw(st.lists(st.tuples(_ATOM_VALUES, _ATOM_VALUES), min_size=1, max_size=6, unique=True))
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(pairs), max_size=len(pairs)))
+    return FiniteJointDistribution(zip(pairs, np.asarray(raw) / sum(raw)))
+
+
+def _breakpoint_prices(*joints):
+    """0, 1, every atom value and the midpoint of every two neighbouring ones."""
+    points = sorted_distinct(np.concatenate([[0.0, 1.0]] + [np.r_[j.sellers, j.buyers] for j in joints]))
+    return np.concatenate([points, (points[1:] + points[:-1]) / 2])
+
+
+@settings(max_examples=80, deadline=None)
+@given(joints=st.lists(_joints(), min_size=1, max_size=4), pad=st.tuples(_ATOM_VALUES, _ATOM_VALUES))
+def test_expected_fgft_at_is_bitwise_the_scalar_sum(joints, pad):
+    prices = _breakpoint_prices(*joints)
+    rows = []
+    for joint in joints:
+        got = kernels.expected_fgft_at(prices, joint.sellers, joint.buyers, joint.weights)
+        assert np.array_equal(got, [expected_fgft(joint, float(p)) for p in prices])
+        rows.append(got)
+    # per-row atoms padded at the end with zero-weight atoms at any values
+    atoms = np.zeros((3, len(joints), max(j.n_atoms for j in joints)))
+    atoms[0], atoms[1] = pad
+    for row, j in enumerate(joints):
+        atoms[:, row, : j.n_atoms] = j.sellers, j.buyers, j.weights
+    assert np.array_equal(kernels.expected_fgft_at(prices, *atoms), rows)
 
 
 def test_incomplete_convolution_numpy_matches_score():
@@ -160,7 +201,7 @@ def test_incomplete_convolution_rejects_non_bits(side, index, value):
 def test_float_convolution_matches_bit_kernel_on_bits(K, density):
     seller, buyer = _random_bits(K, density, seed=K)
     want = kernels.incomplete_convolution(seller[None], buyer[None], K)[0]
-    assert np.array_equal(_float_incomplete_convolution(seller, buyer, K), want)
+    assert np.array_equal(_float_incomplete_convolution(seller[None], buyer[None], K)[0], want)
 
 
 def _dot_loop_convolution(seller, buyer, K):
@@ -183,8 +224,34 @@ def test_float_convolution_matches_the_dot_loop(K, seed):
     rng = np.random.default_rng(seed)
     seller = np.sort(rng.random(K))
     buyer = np.sort(rng.random(K))[::-1]
-    got = _float_incomplete_convolution(seller, buyer, K)
+    got = _float_incomplete_convolution(seller[None], buyer[None], K)[0]
     np.testing.assert_allclose(got, _dot_loop_convolution(seller, buyer, K), rtol=0, atol=1e-12 * K)
+
+
+def _cdf_rows(K, rows, seed):
+    """(rows, K) rows in [0, 1]: non-decreasing like a CDF, non-increasing like a co-CDF."""
+    rng = np.random.default_rng(seed)
+    return np.sort(rng.random((rows, K)), axis=1), np.sort(rng.random((rows, K)), axis=1)[:, ::-1]
+
+
+_FLOAT_CONV_SIZES = (1, 2, 3, 4, 5, 10, 11, 100, 1000)
+
+
+@pytest.mark.parametrize("K", _FLOAT_CONV_SIZES)
+def test_float_convolution_rows_match_the_dot_loop(K):
+    seller, buyer = _cdf_rows(K, rows=4, seed=K)
+    got = _float_incomplete_convolution(seller, buyer, K)
+    assert got.shape == (4, K)
+    for v, w, row in zip(seller, buyer, got):
+        np.testing.assert_allclose(row, _dot_loop_convolution(v, w, K), rtol=0, atol=1e-12 * K)
+
+
+@pytest.mark.parametrize("K", _FLOAT_CONV_SIZES)
+def test_float_convolution_rows_match_single_rows(K):
+    seller, buyer = _cdf_rows(K, rows=5, seed=K + 1)
+    got = _float_incomplete_convolution(seller, buyer, K)
+    for v, w, row in zip(seller, buyer, got):
+        assert np.array_equal(row, _float_incomplete_convolution(v[None], w[None], K)[0])
 
 
 @st.composite

@@ -101,7 +101,7 @@ def _sandwich_reads_buyer_one_index_late(monkeypatch):
     convolve = verify._float_incomplete_convolution
 
     def one_index_late(seller, buyer, K):
-        return convolve(seller, np.append(buyer[1:], 0.0), K)
+        return convolve(seller, np.concatenate([buyer[:, 1:], np.zeros((buyer.shape[0], 1))], axis=1), K)
 
     monkeypatch.setattr(verify, "_float_incomplete_convolution", one_index_late)
 
