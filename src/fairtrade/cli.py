@@ -35,7 +35,6 @@ from .environments import ENVIRONMENT_ID_PATTERNS, FeedbackModel, UnknownIdError
 from .harness import (
     FeedbackMismatchError,
     RunConfig,
-    _horizons,
     adversarial_deterministic_sweep,
     fit_exponent,
     run_monte_carlo,
@@ -81,19 +80,18 @@ def cmd_run(args) -> int:
         spec = parse_learner(entry["learner"])
         env = env_from_config(entry["env"])
         feedback = FeedbackModel.parse(entry["feedback"]) if "feedback" in entry else None
-        horizons = _horizons(entry["horizons"] if "horizons" in entry else [entry["horizon"]])
         cfg = RunConfig(
             env=env,
             learner=spec,
-            horizon=horizons[0],
+            horizons=entry["horizons"] if "horizons" in entry else [entry["horizon"]],
             n_episodes=entry.get("n_episodes", 1),
             base_seed=entry.get("base_seed", args.seed if args.seed is not None else 0),
             feedback=feedback,
             strict_feedback=args.strict_feedback,
         )
-        curve = run_monte_carlo(cfg, horizons=horizons)
+        curve = run_monte_carlo(cfg)
         slope = ""
-        if len(horizons) >= 3 and all(m > 0.0 for m in curve.means):
+        if len(curve.horizons) >= 3 and all(m > 0.0 for m in curve.means):
             slope = _fmt(fit_exponent(curve).slope)
         for T, mean, stderr in zip(curve.horizons, curve.means, curve.stderrs):
             rows.append(

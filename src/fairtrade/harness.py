@@ -119,36 +119,47 @@ def _whole(value, name: str) -> int:
     raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
-def _horizons(values) -> list:
-    """A run's horizons: whole numbers, at least one, strictly increasing."""
-    hs = [_whole(t, "horizon") for t in values]
-    if not hs:
-        raise ValueError("a run needs at least one horizon")
-    if any(a >= b for a, b in zip(hs, hs[1:])):
-        raise ValueError(f"horizons must be strictly increasing, got {hs}")
-    return hs
+def _horizon(value) -> int:
+    """A horizon: a whole number (see _whole) of at least 1 round."""
+    T = _whole(value, "horizon")
+    if T < 1:
+        raise ValueError(f"horizon must be >= 1, got {T!r}")
+    return T
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One experiment cell: a learner on an environment at one horizon."""
+    """One experiment: a learner on an environment over a run's horizons.
+
+    ``horizons`` become a tuple of ints: whole numbers, each >= 1, at least
+    one, strictly increasing; every episode runs to the last.  ``feedback``
+    is the requested model (None: the learner's own) and holds the resolved
+    run model once built, so a learner that cannot run under it fails here,
+    before any episode.
+    """
 
     env: Environment
     learner: LearnerSpec
-    horizon: int
+    horizons: tuple
     n_episodes: int = 1
     base_seed: int = 0
     feedback: FeedbackModel | None = None
     strict_feedback: bool = False
 
     def __post_init__(self):
-        for name in ("horizon", "n_episodes", "base_seed"):
+        hs = tuple(_horizon(t) for t in self.horizons)
+        if not hs:
+            raise ValueError("a run needs at least one horizon")
+        if any(a >= b for a, b in zip(hs, hs[1:])):
+            raise ValueError(f"horizons must be strictly increasing, got {list(hs)}")
+        object.__setattr__(self, "horizons", hs)
+        for name in ("n_episodes", "base_seed"):
             object.__setattr__(self, name, _whole(getattr(self, name), name))
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon!r}")
         if self.n_episodes < 1:
             raise ValueError(f"n_episodes must be >= 1, got {self.n_episodes!r}")
         _u64(self.base_seed, name="base_seed")
+        run_model, _ = resolve_feedback(self.learner.requires, self.feedback, self.strict_feedback)
+        object.__setattr__(self, "feedback", run_model)
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,17 +300,15 @@ def pseudo_regret(env: Environment, prices) -> float:
 
 
 def run_episode(config: RunConfig, episode_index: int) -> Trajectory:
-    """Reference round-by-round loop for one seeded episode.
+    """Reference round-by-round loop for one seeded episode, to the last horizon.
 
     Each round draws the valuation pair (one uniform), asks the learner for
     a price, then delivers the rendered feedback.  The learner sees the
-    model it requires; the run-level model only gates protocol conformance
-    (resolve_feedback raises before round 1 on a true mismatch).
+    model it requires, else the run's (RunConfig has already rejected a
+    mismatch).
     """
-    _, learner_model = resolve_feedback(
-        config.learner.requires, config.feedback, config.strict_feedback
-    )
-    T = config.horizon
+    learner_model = config.learner.requires or config.feedback
+    T = config.horizons[-1]
     env = config.env
     seed = mix64(config.base_seed, episode_index)
     learner = config.learner.build(T, env, episode_seed=seed)
@@ -337,8 +346,6 @@ def _price_profile(spec: LearnerSpec, tables: _EnvTables, T: int, seeds) -> tupl
     without a commit phase (uniform, fbep) have no profile: _round_gaps
     scores their rounds.
     """
-    if T < 1:
-        raise ValueError(f"horizon must be >= 1, got {T!r}")
     kind, rows = spec.kind, len(seeds)
     if kind == "fixed":
         return np.empty((1, 0)), np.full(rows, spec.params["p"]), T
@@ -398,8 +405,8 @@ def _episode_regrets(config: RunConfig, horizon: int, tables: _EnvTables) -> np.
     return _profile_regret(tables, *_price_profile(config.learner, tables, horizon, seeds))
 
 
-def run_monte_carlo(config: RunConfig, horizons=None) -> RegretCurve:
-    """Mean and standard error of pseudo-regret per horizon.
+def run_monte_carlo(config: RunConfig) -> RegretCurve:
+    """Mean and standard error of pseudo-regret at each of config.horizons.
 
     Episodes run sequentially; episode e always uses seed
     mix64(base_seed, e), so curves at nested horizons share their random
@@ -409,9 +416,7 @@ def run_monte_carlo(config: RunConfig, horizons=None) -> RegretCurve:
     simulate one episode at a time, at the largest horizon, and sum a prefix
     for each horizon; other learners score one horizon at a time, ascending.
     """
-    hs = _horizons([config.horizon] if horizons is None else horizons)
-    spec = config.learner
-    resolve_feedback(spec.requires, config.feedback, config.strict_feedback)
+    hs, spec = config.horizons, config.learner
     tables = _EnvTables(config.env)
     regrets = np.empty((len(hs), config.n_episodes))
     if spec.kind in ("uniform", "fbep"):
@@ -427,7 +432,7 @@ def run_monte_carlo(config: RunConfig, horizons=None) -> RegretCurve:
     return RegretCurve(
         learner_id=spec.learner_id,
         env_id=config.env.env_id,
-        horizons=tuple(hs),
+        horizons=hs,
         means=tuple(float(np.mean(values)) for values in regrets),
         stderrs=tuple(stderrs),
         n_episodes=n,
@@ -438,18 +443,22 @@ def fit_exponent(curve_or_horizons, means=None) -> ExponentFit:
     """Ordinary least squares on (log T, log mean regret).
 
     Accepts a RegretCurve or explicit (horizons, means).  Needs at least
-    three distinct horizons and strictly positive means.
+    three distinct horizons, all positive and finite, and strictly positive
+    finite means.
     """
     if means is None:
         horizons, means = curve_or_horizons.horizons, curve_or_horizons.means
     else:
         horizons = curve_or_horizons
-    x = np.log(np.asarray(horizons, dtype=np.float64))
+    x = np.asarray(horizons, dtype=np.float64)
     y = np.asarray(means, dtype=np.float64)
+    if not np.all((x > 0.0) & np.isfinite(x)):
+        raise ValueError(f"exponent fit needs positive finite horizons, got {x.tolist()}")
+    x = np.log(x)
     if sorted_distinct(x).size < 3:
         raise ValueError("exponent fit needs at least three distinct horizons")
-    if np.any(y <= 0.0):
-        raise ValueError("exponent fit needs strictly positive mean regrets")
+    if not np.all((y > 0.0) & np.isfinite(y)):
+        raise ValueError(f"exponent fit needs strictly positive finite mean regrets, got {y.tolist()}")
     y = np.log(y)
     if np.all(y == y[0]):
         # the mean of equal logs can miss them by an ulp, which would tilt the line
@@ -464,16 +473,16 @@ def fit_exponent(curve_or_horizons, means=None) -> ExponentFit:
 
 
 def growth_ratio(values) -> float:
-    """max over i < j of values[j] / values[i] for a positive sequence.
+    """max over i < j of values[j] / values[i] for a positive finite sequence.
 
     At most 1 for non-increasing sequences; bounds how much the sequence
     ever grows above an earlier level (the rate checks cap this at 3).
     """
     vals = [float(v) for v in values]
+    if not all(0.0 < v < math.inf for v in vals):  # NaN fails too
+        raise ValueError(f"growth_ratio needs strictly positive finite values, got {vals}")
     if len(vals) < 2:
         return 1.0
-    if min(vals) <= 0.0:
-        raise ValueError("growth_ratio needs strictly positive values")
     worst = 1.0
     running_min = vals[0]
     for v in vals[1:]:
@@ -513,7 +522,7 @@ def deterministic_price_profile(spec: LearnerSpec, horizon: int, pair) -> tuple:
     shape S, one profile per point.
     """
     sellers, buyers, shape = _point_values(spec, pair)
-    _, explore, tail, tail_len = _point_mass_profile(spec, horizon, sellers, buyers)
+    _, explore, tail, tail_len = _point_mass_profile(spec, _horizon(horizon), sellers, buyers)
     explore = np.broadcast_to(explore, tail.shape + explore.shape[1:])  # one row per point
     if not shape:
         return explore[0], float(tail[0]), tail_len
@@ -528,7 +537,7 @@ def profile_regret(spec: LearnerSpec, horizon: int, pair):
     over POINT_BLOCK points at a time.
     """
     sellers, buyers, shape = _point_values(spec, pair)
-    regrets = np.empty(sellers.size)
+    horizon, regrets = _horizon(horizon), np.empty(sellers.size)
     for lo in range(0, sellers.size, POINT_BLOCK):
         rows = slice(lo, lo + POINT_BLOCK)
         regrets[rows] = _profile_regret(
@@ -551,6 +560,7 @@ def adversarial_deterministic_sweep(
     profile_regret call.
     """
     spec = parse_learner(learner) if isinstance(learner, str) else learner
+    horizon = _horizon(horizon)
     if s_values is None:
         s_values = np.linspace(0.0, 0.25, 4097)
     s_values = np.asarray(s_values, dtype=np.float64)
@@ -560,7 +570,7 @@ def adversarial_deterministic_sweep(
     arg = int(np.argmax(regrets))
     return SweepReport(
         learner_id=spec.learner_id,
-        horizon=int(horizon),
+        horizon=horizon,
         buyer=float(buyer),
         s_values=s_values,
         regrets=regrets,

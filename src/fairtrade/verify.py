@@ -196,7 +196,7 @@ def suite_indistinguishability() -> list:
             cfg = RunConfig(
                 env=env,
                 learner=parse_learner("conv-pricing"),
-                horizon=T,
+                horizons=(T,),
                 n_episodes=episodes,
                 base_seed=_LB_MC_SEED,
             )
@@ -218,7 +218,7 @@ def suite_gft_trap() -> list:
         cfg = RunConfig(
             env=gft_trap(0.1),
             learner=parse_learner("gft-oracle"),
-            horizon=T,
+            horizons=(T,),
             n_episodes=1,
             base_seed=0,
         )
@@ -283,11 +283,11 @@ def _rate_rows(
             cfg = RunConfig(
                 env=env,
                 learner=spec,
-                horizon=horizons[-1],
+                horizons=horizons,
                 n_episodes=n_episodes,
                 base_seed=base_seed,
             )
-            curve = run_monte_carlo(cfg, horizons=horizons)
+            curve = run_monte_carlo(cfg)
             slope = fit_exponent(curve).slope
             ratio = growth_ratio(
                 [m / normalizer(t) for m, t in zip(curve.means, curve.horizons)]
@@ -340,7 +340,7 @@ def suite_full_feedback_rate() -> list:
         cfg = RunConfig(
             env=parse_env(env_id),
             learner=parse_learner("fbep"),
-            horizon=1000,
+            horizons=(1000,),
             n_episodes=1,
             base_seed=0,
         )

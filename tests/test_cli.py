@@ -152,6 +152,9 @@ def test_run_fits_slope_with_three_horizons(tmp_path, capsys):
         ({"runs": [{"learner": "dbs", "env": {"joint": [[0.1, 0.9]]}, "horizon": 5}]}, 3),
         ({"runs": [{"learner": "dbs", "horizon": 5, "env": {
             "independent": {"seller": [[0.1, True]], "buyer": [[0.9, 1.0]]}}}]}, 3),
+        # T = 0 and negative T, also for the path-free learners
+        ({"runs": [{"learner": "fbep", "env": "lb-mu", "horizons": [0, 5]}]}, 2),
+        ({"runs": [{"learner": "uniform", "env": "lb-mu", "horizons": [-5, 5]}]}, 2),
     ],
 )
 def test_run_error_exit_codes(tmp_path, capsys, payload, code):
@@ -172,7 +175,7 @@ def test_run_rejects_an_integer_too_large_for_a_float(tmp_path):
 def test_run_reports_a_failed_allocation_as_an_error(tmp_path, capsys, monkeypatch):
     # a horizon too large for memory, such as fbep at 1e12, fails in NumPy's
     # allocator; the stub raises that error without allocating anything
-    def out_of_memory(config, horizons=None):
+    def out_of_memory(config):
         raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
 
     monkeypatch.setattr(cli, "run_monte_carlo", out_of_memory)
@@ -207,8 +210,8 @@ def test_run_reruns_a_rate_row_by_its_env_id(tmp_path, capsys):
     assert cli.main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
     capsys.readouterr()
     cfg = RunConfig(env=random_independent_env(101), learner=parse_learner("conv-pricing"),
-                    horizon=horizons[-1], n_episodes=50, base_seed=7)
-    want = [cli._fmt(m) for m in run_monte_carlo(cfg, horizons=horizons).means]
+                    horizons=horizons, n_episodes=50, base_seed=7)
+    want = [cli._fmt(m) for m in run_monte_carlo(cfg).means]
     rows = out.read_text(encoding="utf-8").strip().splitlines()[1:]
     assert [row.split(",")[1] for row in rows] == ["random-ind:seed=101"] * 2
     assert [row.split(",")[4] for row in rows] == want

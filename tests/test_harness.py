@@ -1,6 +1,8 @@
 """Episode loop, fast-path parity, regret accounting, and reports."""
 
+import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -84,43 +86,58 @@ def test_resolve_feedback_strict_forbids_silent_derivation():
 def test_run_config_validation():
     spec = parse_learner("dbs")
     with pytest.raises(ValueError):
-        RunConfig(env=lb_mu(), learner=spec, horizon=0)
-    with pytest.raises(ValueError):
-        RunConfig(env=lb_mu(), learner=spec, horizon=10, n_episodes=0)
+        RunConfig(env=lb_mu(), learner=spec, horizons=(10,), n_episodes=0)
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match="base_seed"):
-            RunConfig(env=lb_mu(), learner=spec, horizon=10, base_seed=seed)
+            RunConfig(env=lb_mu(), learner=spec, horizons=(10,), base_seed=seed)
     # config numbers must be whole; integral floats and NumPy integers count as whole
-    for field in ("horizon", "n_episodes", "base_seed"):
-        with pytest.raises(ValueError, match=f"{field} must be a whole number"):
-            RunConfig(**{"env": lb_mu(), "learner": spec, "horizon": 10, field: 100.5})
+    for field, bad, name in (
+        ("horizons", (10, 100.5), "horizon"),
+        ("n_episodes", 100.5, "n_episodes"),
+        ("base_seed", 100.5, "base_seed"),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+            RunConfig(**{"env": lb_mu(), "learner": spec, "horizons": (10,), field: bad})
     with pytest.raises(ValueError, match="horizon must be a whole number"):
-        RunConfig(env=lb_mu(), learner=parse_learner("fixed:p=0.5"), horizon=100.5)
-    cfg = RunConfig(env=lb_mu(), learner=spec, horizon=np.int64(10), n_episodes=2.0)
-    assert (type(cfg.horizon), type(cfg.n_episodes)) == (int, int)
-    assert run_monte_carlo(cfg, horizons=np.array([10, 20])).horizons == (10, 20)
-    with pytest.raises(ValueError, match="horizon must be a whole number"):
-        run_monte_carlo(cfg, horizons=[100.5])
+        RunConfig(env=lb_mu(), learner=parse_learner("fixed:p=0.5"), horizons=(100.5,))
+    cfg = RunConfig(env=lb_mu(), learner=spec, horizons=np.array([10, 20]), n_episodes=2.0)
+    assert (cfg.horizons, type(cfg.n_episodes)) == ((10, 20), int)
+    assert [type(t) for t in cfg.horizons] == [int, int]
+    assert run_monte_carlo(cfg).horizons == (10, 20)
     with pytest.raises(ValueError, match="at least one horizon"):
-        run_monte_carlo(cfg, horizons=[])
+        RunConfig(env=lb_mu(), learner=spec, horizons=[])
     for hs in ((100, 10), (10, 10)):
         with pytest.raises(ValueError, match="strictly increasing"):
-            run_monte_carlo(cfg, horizons=hs)
+            RunConfig(env=lb_mu(), learner=spec, horizons=hs)
+    # T = 0 and negative T fail wherever they sit, also for the path-free learners
+    for learner_id in ("dbs", "fbep", "uniform"):
+        for hs in ((0,), (-5,), (0, 5), (-5, 5), (-3, 5)):
+            with pytest.raises(ValueError, match="horizon must be >= 1"):
+                RunConfig(env=lb_mu(), learner=parse_learner(learner_id), horizons=hs)
 
 
 def test_mismatched_config_fails_before_any_episode():
-    cfg = RunConfig(env=lb_mu(), learner=parse_learner("fbep"), horizon=8, feedback=TWO_BIT)
+    # the config resolves its feedback model when it is built
     with pytest.raises(FeedbackMismatchError):
-        run_monte_carlo(cfg)
-    strict = RunConfig(
-        env=lb_mu(),
-        learner=parse_learner("dbs"),
-        horizon=8,
-        feedback=FULL,
-        strict_feedback=True,
-    )
+        RunConfig(env=lb_mu(), learner=parse_learner("fbep"), horizons=(8,), feedback=TWO_BIT)
     with pytest.raises(FeedbackMismatchError):
-        run_monte_carlo(strict)
+        RunConfig(
+            env=lb_mu(),
+            learner=parse_learner("dbs"),
+            horizons=(8,),
+            feedback=FULL,
+            strict_feedback=True,
+        )
+
+
+@pytest.mark.parametrize(
+    "learner_id,requested,run_model",
+    [("dbs", None, TWO_BIT), ("dbs", FULL, FULL), ("fbep", None, FULL), ("fixed:p=0.5", None, TWO_BIT)],
+)
+def test_run_config_holds_the_resolved_feedback_model(learner_id, requested, run_model):
+    cfg = RunConfig(env=lb_mu(), learner=parse_learner(learner_id), horizons=(8,), feedback=requested)
+    assert cfg.feedback is run_model
+    assert dataclasses.replace(cfg, horizons=(4,)).feedback is run_model
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +146,7 @@ def test_mismatched_config_fails_before_any_episode():
 
 
 def test_run_episode_is_reproducible():
-    cfg = RunConfig(env=lb_mu(), learner=parse_learner("conv-pricing"), horizon=200, base_seed=4)
+    cfg = RunConfig(env=lb_mu(), learner=parse_learner("conv-pricing"), horizons=(200,), base_seed=4)
     a = run_episode(cfg, 0)
     b = run_episode(cfg, 0)
     assert np.array_equal(a.prices, b.prices)
@@ -139,7 +156,7 @@ def test_run_episode_is_reproducible():
 
 
 def test_run_episode_trajectory_contents():
-    cfg = RunConfig(env=deterministic(0.0, 1.0), learner=parse_learner("fixed:p=0.5"), horizon=3)
+    cfg = RunConfig(env=deterministic(0.0, 1.0), learner=parse_learner("fixed:p=0.5"), horizons=(3,))
     traj = run_episode(cfg, 0)
     assert traj.prices.tolist() == [0.5, 0.5, 0.5]
     assert traj.rewards.tolist() == [0.5, 0.5, 0.5]
@@ -152,7 +169,7 @@ def test_pseudo_regret_accepts_prices_or_trajectory():
     env = gft_trap(0.1)
     # the raw-gain oracle price 0.9 gives fair reward 0.05 against optimum 0.25
     assert pseudo_regret(env, [0.9] * 5) == pytest.approx(1.0, abs=1e-12)
-    cfg = RunConfig(env=env, learner=parse_learner("gft-oracle"), horizon=5)
+    cfg = RunConfig(env=env, learner=parse_learner("gft-oracle"), horizons=(5,))
     assert pseudo_regret(env, run_episode(cfg, 0)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -168,7 +185,7 @@ def test_pseudo_regret_accepts_prices_or_trajectory():
 @pytest.mark.parametrize("env_fn", [lb_mu, lambda: epsilon_family(0.2)])
 def test_fast_path_matches_reference(learner_id, env_fn):
     cfg = RunConfig(
-        env=env_fn(), learner=parse_learner(learner_id), horizon=257, n_episodes=2, base_seed=11
+        env=env_fn(), learner=parse_learner(learner_id), horizons=(257,), n_episodes=2, base_seed=11
     )
     ref = [pseudo_regret(cfg.env, run_episode(cfg, e)) for e in range(cfg.n_episodes)]
     fast = run_monte_carlo(cfg)
@@ -227,7 +244,7 @@ def _kernel_path(spec, tables, T, seed):
 @pytest.mark.parametrize("env_name,learner_id,T", list(_path_cases()))
 def test_fast_path_prices_match_reference_bitwise(env_name, learner_id, T):
     cfg = RunConfig(
-        env=_PATH_ENVS[env_name](), learner=parse_learner(learner_id), horizon=T, base_seed=11
+        env=_PATH_ENVS[env_name](), learner=parse_learner(learner_id), horizons=(T,), base_seed=11
     )
     tables = _EnvTables(cfg.env)
     for e in range(3):
@@ -238,8 +255,10 @@ def test_fast_path_prices_match_reference_bitwise(env_name, learner_id, T):
 def test_monte_carlo_curves_share_draws_across_horizons():
     # the uniform baseline posts the same price sequence at every horizon, so
     # with shared episode seeds regret is pathwise non-decreasing in T
-    cfg = RunConfig(env=lb_mu(), learner=parse_learner("uniform:seed=3"), horizon=64, n_episodes=10)
-    curve = run_monte_carlo(cfg, horizons=(64, 128, 256, 512))
+    cfg = RunConfig(
+        env=lb_mu(), learner=parse_learner("uniform:seed=3"), horizons=(64, 128, 256, 512), n_episodes=10
+    )
+    curve = run_monte_carlo(cfg)
     assert curve.horizons == (64, 128, 256, 512)
     assert list(curve.means) == sorted(curve.means)
     assert curve.n_episodes == 10
@@ -251,10 +270,10 @@ def _assert_horizon_split_invariant(learners, horizons):
     for env_id in ("lb-mu", "eps-family:eps=0.2", "random-joint:seed=303"):
         for learner_id in learners:
             spec = parse_learner(learner_id)
-            cfg = RunConfig(parse_env(env_id), spec, 5, n_episodes=3, base_seed=11, feedback=spec.requires)
-            nested = run_monte_carlo(cfg, horizons=horizons)
+            cfg = RunConfig(parse_env(env_id), spec, horizons, n_episodes=3, base_seed=11, feedback=spec.requires)
+            nested = run_monte_carlo(cfg)
             for T, mean, stderr in zip(nested.horizons, nested.means, nested.stderrs, strict=True):
-                alone = run_monte_carlo(cfg, horizons=(T,))
+                alone = run_monte_carlo(dataclasses.replace(cfg, horizons=(T,)))
                 assert (alone.means[0].hex(), alone.stderrs[0].hex()) == (mean.hex(), stderr.hex()), (
                     env_id, learner_id, T,
                 )
@@ -284,8 +303,8 @@ def test_path_free_learners_simulate_once_per_episode(monkeypatch):
     for learner_id, name in (("fbep", "fbep_prices"), ("uniform:seed=5", "uniform_prices")):
         calls.clear()
         spec = parse_learner(learner_id)
-        cfg = RunConfig(lb_mu(), spec, 5, n_episodes=3, base_seed=11, feedback=spec.requires)
-        run_monte_carlo(cfg, horizons=(1, 2048, 2049, 5000))
+        cfg = RunConfig(lb_mu(), spec, (1, 2048, 2049, 5000), n_episodes=3, base_seed=11, feedback=spec.requires)
+        run_monte_carlo(cfg)
         assert calls == [(name, 5000)] * 3, learner_id
 
 
@@ -295,11 +314,11 @@ def test_path_free_runs_hold_one_episode_row_at_a_time(env_id, learner_id):
     # 20 episodes at T = 20 000: a run that kept every episode's row of
     # round regrets would peak above 20 rows
     spec = parse_learner(learner_id)
-    cfg = RunConfig(parse_env(env_id), spec, 1000, n_episodes=20, base_seed=7, feedback=spec.requires)
+    cfg = RunConfig(parse_env(env_id), spec, (1000, 20_000), n_episodes=20, base_seed=7, feedback=spec.requires)
     row_bytes = 20_000 * np.dtype(np.float64).itemsize
     tracemalloc.start()
     try:
-        run_monte_carlo(cfg, horizons=(1000, 20_000))
+        run_monte_carlo(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -307,7 +326,7 @@ def test_path_free_runs_hold_one_episode_row_at_a_time(env_id, learner_id):
 
 
 def test_monte_carlo_single_episode_has_zero_stderr():
-    cfg = RunConfig(env=lb_mu(), learner=parse_learner("fixed:p=0.5"), horizon=10)
+    cfg = RunConfig(env=lb_mu(), learner=parse_learner("fixed:p=0.5"), horizons=(10,))
     curve = run_monte_carlo(cfg)
     assert curve.stderrs == (0.0,)
 
@@ -347,8 +366,8 @@ def test_fit_exponent_equal_means_give_slope_zero(mean, horizons):
 
 
 def test_fit_exponent_accepts_curve():
-    cfg = RunConfig(env=lb_mu(), learner=parse_learner("fixed:p=0.9"), horizon=10, n_episodes=2)
-    curve = run_monte_carlo(cfg, horizons=(10, 100, 1000))
+    cfg = RunConfig(env=lb_mu(), learner=parse_learner("fixed:p=0.9"), horizons=(10, 100, 1000), n_episodes=2)
+    curve = run_monte_carlo(cfg)
     assert fit_exponent(curve).slope == pytest.approx(1.0, abs=1e-12)  # linear regret
 
 
@@ -361,6 +380,25 @@ def test_fit_exponent_preconditions():
         fit_exponent((10, 10, 10), [1.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "horizons,means",
+    [
+        ([0, 10, 100], [1.0, 2.0, 3.0]),
+        ([-1, 10, 100], [1.0, 2.0, 3.0]),
+        ([1, 10, np.inf], [1.0, 2.0, 3.0]),
+        ([1, 10, np.nan], [1.0, 2.0, 3.0]),
+        ([1, 10, 100], [1.0, np.nan, 3.0]),
+        ([1, 10, 100], [1.0, np.inf, 3.0]),
+    ],
+)
+def test_fit_exponent_rejects_non_finite_input(horizons, means):
+    # no NaN fit: bad input fails before any log is taken
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            fit_exponent(horizons, means)
+
+
 def test_growth_ratio():
     assert growth_ratio([4.0, 2.0, 1.0, 2.0]) == pytest.approx(2.0)
     assert growth_ratio([1.0, 2.0, 6.0]) == pytest.approx(6.0)
@@ -368,6 +406,12 @@ def test_growth_ratio():
     assert growth_ratio([3.0]) == 1.0
     with pytest.raises(ValueError):
         growth_ratio([1.0, 0.0])
+
+
+@pytest.mark.parametrize("values", [[1.0, np.nan, 3.0], [np.nan, 1.0, 3.0], [1.0, np.inf], [np.nan]])
+def test_growth_ratio_rejects_non_finite_values(values):
+    with pytest.raises(ValueError, match="finite"):
+        growth_ratio(values)
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +451,33 @@ def test_price_profile_rejects_unusable_learners():
         deterministic_price_profile(parse_learner("fbep"), 10, (0.2, 0.8))
 
 
+@pytest.mark.parametrize("horizon", [10.5, True, np.inf, np.nan, 0, -5])
+@pytest.mark.parametrize("learner_id", ["fixed:p=0.3", "dbs"])
+def test_point_mass_path_rejects_a_bad_horizon(learner_id, horizon):
+    spec = parse_learner(learner_id)
+    for fn in (profile_regret, deterministic_price_profile):
+        with pytest.raises(ValueError, match="horizon must be"):
+            fn(spec, horizon, (0.2, 0.8))
+    with pytest.raises(ValueError, match="horizon must be"):
+        adversarial_deterministic_sweep(spec, horizon, s_values=[0.2], buyer=0.8)
+
+
+@pytest.mark.parametrize("horizon", [1e3, np.int64(1000)])
+@pytest.mark.parametrize("learner_id", ["fixed:p=0.3", "dbs"])
+def test_point_mass_path_takes_a_whole_horizon(learner_id, horizon):
+    spec = parse_learner(learner_id)
+    want = profile_regret(spec, 1000, (0.2, 0.8))
+    assert profile_regret(spec, horizon, (0.2, 0.8)) == want
+    assert type(deterministic_price_profile(spec, horizon, (0.2, 0.8))[2]) is int
+    report = adversarial_deterministic_sweep(spec, horizon, s_values=[0.2], buyer=0.8)
+    assert (type(report.horizon), report.horizon, report.max_regret) == (int, 1000, want)
+
+
 def test_profile_regret_matches_reference_loop():
     spec = parse_learner("dbs")
     pair = (0.25, 0.75)
     env = deterministic(*pair)
-    cfg = RunConfig(env=env, learner=spec, horizon=16)
+    cfg = RunConfig(env=env, learner=spec, horizons=(16,))
     want = pseudo_regret(env, run_episode(cfg, 0))
     assert profile_regret(spec, 16, pair) == pytest.approx(want, abs=1e-12)
 
@@ -447,7 +513,7 @@ def test_point_mass_profile_matches_reference_loop(learner, pair):
     learner_id, T = learner
     spec = parse_learner(learner_id)
     env = deterministic(*pair)
-    trajectory = run_episode(RunConfig(env=env, learner=spec, horizon=T), 0)
+    trajectory = run_episode(RunConfig(env=env, learner=spec, horizons=(T,)), 0)
     explore, tail, tail_len = deterministic_price_profile(spec, T, pair)
     assert np.array_equal(np.concatenate([explore, np.full(tail_len, tail)]), trajectory.prices)
     assert profile_regret(spec, T, pair) == pytest.approx(
@@ -484,7 +550,7 @@ def test_point_mass_batch_matches_single_points(learner, pairs):
     sellers, buyers = np.array(pairs, dtype=np.float64).T
     explore, tail, tail_len = deterministic_price_profile(spec, T, (sellers, buyers))
     for i, pair in enumerate(pairs):
-        trajectory = run_episode(RunConfig(env=deterministic(*pair), learner=spec, horizon=T), 0)
+        trajectory = run_episode(RunConfig(env=deterministic(*pair), learner=spec, horizons=(T,)), 0)
         path = np.concatenate([explore[i], np.full(tail_len, tail[i])])
         assert np.array_equal(path, trajectory.prices), pair
     single = [profile_regret(spec, T, pair) for pair in pairs]
@@ -568,7 +634,7 @@ def test_kernel_profile_matches_reference_loop(atoms, learner, base_seed, episod
     # mean differently (the strict xfail random-ind-1-fbep-300 above)
     learner_id, T = learner
     cfg = RunConfig(
-        env=_joint_env(atoms), learner=parse_learner(learner_id), horizon=T, base_seed=base_seed
+        env=_joint_env(atoms), learner=parse_learner(learner_id), horizons=(T,), base_seed=base_seed
     )
     kernel_path = _kernel_path(cfg.learner, _EnvTables(cfg.env), T, mix64(base_seed, episode))
     assert np.array_equal(kernel_path, run_episode(cfg, episode).prices)
@@ -593,7 +659,7 @@ def test_episode_rows_match_per_episode_scoring(atoms, learner_id, T, n_episodes
     cfg = RunConfig(
         env=_joint_env(atoms),
         learner=parse_learner(learner_id),
-        horizon=T,
+        horizons=(T,),
         n_episodes=n_episodes,
         base_seed=base_seed,
     )
@@ -613,7 +679,7 @@ def test_fixed_price_at_the_optimum_has_zero_regret(atoms, T):
     best = best_fixed_price_fgft(env.joint)
     assert pseudo_regret(env, np.full(T, best.price)) == 0.0
     spec = parse_learner(f"fixed:p={best.price!r}")
-    assert run_monte_carlo(RunConfig(env=env, learner=spec, horizon=T, n_episodes=2)).means == (0.0,)
+    assert run_monte_carlo(RunConfig(env=env, learner=spec, horizons=(T,), n_episodes=2)).means == (0.0,)
 
 
 def test_sweep_fixed_price_frozen():
