@@ -52,6 +52,7 @@ from .environments import (
     epsilon_family,
     epsilon_family_expected_fgft,
     feedback_distribution,
+    feedback_tables,
     gft_trap,
     independent_finite,
     joint_finite,

@@ -96,18 +96,26 @@ def render_feedback(model: FeedbackModel, price: float, pair: ValuationPair):
 FEEDBACK_OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def feedback_distribution(env: Environment, price: float) -> dict:
-    """Exact law of the two acceptance bits at one price.
+def feedback_tables(env: Environment, prices) -> np.ndarray:
+    """Exact law of the two acceptance bits at each of n prices, shape (n, 4).
 
-    Returns {(v, w): probability} over the four outcomes, accumulated in
-    atom listing order (so equal mixtures produce bitwise-equal tables).
+    Column 2v + w of row i is the probability of outcome (v, w) =
+    (1{s <= p_i}, 1{p_i <= b}), so the columns follow FEEDBACK_OUTCOMES.
+    Each atom adds its weight to one column of every row, in atom listing
+    order (so equal mixtures produce bitwise-equal tables).
     """
-    table = {outcome: 0.0 for outcome in FEEDBACK_OUTCOMES}
+    prices = np.asarray(prices, dtype=np.float64)
+    tables, rows = np.zeros((prices.size, 4)), np.arange(prices.size)
     joint = env.joint
     for s, b, w in zip(joint.sellers, joint.buyers, joint.weights):
-        key = (int(s <= price), int(price <= b))
-        table[key] += w
-    return table
+        tables[rows, 2 * (s <= prices) + (prices <= b)] += w
+    return tables
+
+
+def feedback_distribution(env: Environment, price: float) -> dict:
+    """Exact law of the two acceptance bits at one price: {(v, w): probability},
+    the one row of feedback_tables as Python floats."""
+    return dict(zip(FEEDBACK_OUTCOMES, feedback_tables(env, [price])[0].tolist()))
 
 
 # ---------------------------------------------------------------------------

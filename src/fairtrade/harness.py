@@ -15,7 +15,11 @@ its atom, so a _PointMasses batch takes no draws and builds no environment.
 fbep and uniform have no commit phase, and their prices do not depend on
 the horizon: a run simulates their episodes one at a time, each once, at
 its largest horizon, as a row of per-round regrets (_round_gaps), and sums
-a prefix of that row for every horizon before it drops the row.
+a prefix of that row for every horizon before it drops the row.  The
+indistinguishability check couples the grid learner to the lower-bound
+pair the same way: every episode's sweep draws its bits from the exact
+feedback laws at the grid prices and is scored by the grid kernel in one
+pass (_coupled_commits), with no Learner stepping.
 
 Regret is always pseudo-regret: conditioning on the posted prices, every
 round contributes v_star - E[fgft(p_t)] with both terms exact under the
@@ -44,6 +48,7 @@ from .algorithms import (
     ConvolutionPricing,
     LearnerSpec,
     dbs_phase_length,
+    default_grid_size,
     parse_learner,
 )
 from .core import (
@@ -60,10 +65,10 @@ from .environments import (
     FEEDBACK_OUTCOMES,
     Environment,
     FeedbackModel,
-    TwoBitFeedback,
     _u64,
     deterministic,  # noqa: F401
     feedback_distribution,
+    feedback_tables,
     lb_mu,
     lb_nu,
     render_feedback,
@@ -147,6 +152,8 @@ class RunConfig:
     strict_feedback: bool = False
 
     def __post_init__(self):
+        if np.ndim(self.horizons) != 1:
+            raise ValueError(f"horizons must be a list of whole numbers, got {self.horizons!r}")
         hs = tuple(_horizon(t) for t in self.horizons)
         if not hs:
             raise ValueError("a run needs at least one horizon")
@@ -452,6 +459,8 @@ def fit_exponent(curve_or_horizons, means=None) -> ExponentFit:
         horizons = curve_or_horizons
     x = np.asarray(horizons, dtype=np.float64)
     y = np.asarray(means, dtype=np.float64)
+    if x.shape != y.shape:
+        raise ValueError(f"exponent fit needs one mean per horizon, got {x.size} horizons and {y.size} means")
     if not np.all((x > 0.0) & np.isfinite(x)):
         raise ValueError(f"exponent fit needs positive finite horizons, got {x.tolist()}")
     x = np.log(x)
@@ -584,45 +593,25 @@ def adversarial_deterministic_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _cumulative_table(env: Environment, price: float) -> tuple:
-    table = feedback_distribution(env, price)
-    cum, acc = [], 0.0
-    for outcome in FEEDBACK_OUTCOMES:
-        acc += table[outcome]
-        cum.append((acc, outcome))
-    return tuple(cum)
+def _coupled_commits(env: Environment, K: int, seeds) -> np.ndarray:
+    """Commit index of the grid learner's sweep under feedback drawn through its exact law.
 
-
-def _coupled_prices(spec: LearnerSpec, env: Environment, horizon: int, seed: int):
-    """Simulate a two-bit learner with feedback drawn through its exact law.
-
-    Sampling inverts the cumulative feedback table (outcomes in the fixed
-    canonical order) rather than sampling an atom, so two environments with
-    equal tables consume identical uniforms into identical feedback
-    sequences: the coupling that realizes statistical indistinguishability.
-    Round t takes the t-th uniform of the seed's splitmix64 stream, all
-    drawn in one pass.
+    Round t of the sweep posts t/K and takes the t-th uniform of its seed's
+    splitmix64 stream; its bits are the first outcome, in FEEDBACK_OUTCOMES
+    order, whose cumulative probability at t/K exceeds the uniform, else
+    (1, 1).  Sampling inverts the law rather than drawing an atom, so two
+    environments with equal laws turn identical uniforms into identical
+    bits: the coupling that realizes statistical indistinguishability.
+    Every row is scored by one incomplete_convolution call and commits to
+    its first maximizer, as conv_pricing_commit does.
     """
-    learner = spec.build(horizon, env, episode_seed=seed)
-    cache: dict = {}
-    prices = np.empty(horizon, dtype=np.float64)
-    for t, u in enumerate(unit_draws(seed, horizon)):
-        p = learner.propose()
-        prices[t] = p
-        cum = cache.get(p)
-        if cum is None:
-            cum = cache[p] = _cumulative_table(env, p)
-        outcome = cum[-1][1]
-        for acc, candidate in cum:
-            if u < acc:
-                outcome = candidate
-                break
-        learner.update(TwoBitFeedback(*outcome))
-    return prices
+    cum = np.cumsum(feedback_tables(env, np.arange(1, K + 1, dtype=np.float64) / K), axis=1)
+    draws = np.reshape([unit_draws(seed, K) for seed in seeds], (len(seeds), K, 1))
+    outcomes = np.minimum(np.sum(cum <= draws, axis=2), 3)  # column index 2v + w
+    return np.argmax(kernels.incomplete_convolution(outcomes >= 2, outcomes % 2, K), axis=1) + 1
 
 
 def indistinguishability_check(
-    learner: str = "conv-pricing",
     horizon: int = 4096,
     n_episodes: int = 3,
     base_seed: int = 0,
@@ -630,9 +619,13 @@ def indistinguishability_check(
     """Exact equality of the lower-bound pair's feedback laws.
 
     Compares the two-bit outcome tables on every price region induced by
-    the union of both supports, then couples a two-bit learner to both
-    environments through the inverse-CDF of those tables and asserts the
-    price trajectories coincide round for round.
+    the union of both supports, then couples the grid learner
+    (conv-pricing) to both environments through the inverse-CDF of their
+    laws and asserts the price trajectories coincide round for round.  The
+    coupled feedback of every episode runs through the grid kernel
+    (_coupled_commits), with no Learner stepping: a trajectory is the grid
+    t/K, then its commit / K, so two trajectories differ only if their
+    commits do and the horizon leaves commit rounds.
     """
     mu, nu = lb_mu(), lb_nu()
     # The bits change only at support coordinates, so each law is constant on
@@ -648,15 +641,9 @@ def indistinguishability_check(
         t_nu = feedback_distribution(nu, float(p))
         for outcome in FEEDBACK_OUTCOMES:
             max_gap = max(max_gap, abs(t_mu[outcome] - t_nu[outcome]))
-    spec = parse_learner(learner) if isinstance(learner, str) else learner
-    coupled_equal = True
-    for e in range(n_episodes):
-        seed = mix64(base_seed, e)
-        p_mu = _coupled_prices(spec, mu, horizon, seed)
-        p_nu = _coupled_prices(spec, nu, horizon, seed)
-        if not np.array_equal(p_mu, p_nu):
-            coupled_equal = False
-            break
+    K, seeds = default_grid_size(horizon), [mix64(base_seed, e) for e in range(n_episodes)]
+    commits = [_coupled_commits(env, K, seeds) for env in (mu, nu)]
+    coupled_equal = horizon == K or np.array_equal(*commits)
     return IndistinguishabilityReport(
         prices_checked=tuple(float(p) for p in prices),
         max_table_gap=max_gap,

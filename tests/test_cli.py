@@ -94,6 +94,20 @@ def test_run_reruns_are_byte_identical(tmp_path):
     assert cli.main(["run", "--config", config, "--out", str(b), "--threads", "0"]) == 2
 
 
+def test_calls_in_one_process_match_separate_processes(tmp_path):
+    # the parser is built once per process; no argument of one call reaches the next
+    payload = {"runs": [{"learner": "conv-pricing", "env": "lb-mu", "horizons": [100, 1000], "n_episodes": 3}]}
+    config = write_config(tmp_path, payload)
+    argvs = [["run", "--config", config, "--seed", "5"], ["run", "--config", config]]
+    for i, argv in enumerate(argvs):
+        assert cli.main([*argv, "--out", str(tmp_path / f"in{i}.csv")]) == 0
+        assert run_cli(*argv, "--out", str(tmp_path / f"apart{i}.csv")).returncode == 0
+    assert cli._build_parser() is cli._build_parser()
+    same = [(tmp_path / f"in{i}.csv").read_bytes() == (tmp_path / f"apart{i}.csv").read_bytes() for i in (0, 1)]
+    assert same == [True, True]
+    assert (tmp_path / "in0.csv").read_bytes() != (tmp_path / "in1.csv").read_bytes()
+
+
 def test_run_fits_slope_with_three_horizons(tmp_path, capsys):
     config = write_config(
         tmp_path,
@@ -161,6 +175,15 @@ def test_run_error_exit_codes(tmp_path, capsys, payload, code):
     config = write_config(tmp_path, payload)
     assert cli.main(["run", "--config", config, "--out", str(tmp_path / "x.csv")]) == code
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("horizons", [5, "1000"])
+def test_run_rejects_horizons_that_are_not_a_list(tmp_path, capsys, horizons):
+    config = write_config(tmp_path, {"runs": [{"learner": "dbs", "env": "lb-mu", "horizons": horizons}]})
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: horizons must be a list of whole numbers")
 
 
 def test_run_rejects_an_integer_too_large_for_a_float(tmp_path):

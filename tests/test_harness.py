@@ -10,15 +10,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairtrade import harness, kernels
-from fairtrade.algorithms import dbs_regret_bound, parse_learner
+from fairtrade.algorithms import dbs_regret_bound, default_grid_size, parse_learner
 from fairtrade.core import FiniteJointDistribution, best_fixed_price_fgft
 from fairtrade.environments import (
+    FEEDBACK_OUTCOMES,
     FeedbackModel,
+    TwoBitFeedback,
     deterministic,
     epsilon_family,
+    feedback_distribution,
+    feedback_tables,
     gft_trap,
     joint_finite,
     lb_mu,
+    lb_nu,
     parse_env,
 )
 from fairtrade.harness import (
@@ -40,7 +45,7 @@ from fairtrade.harness import (
     run_episode,
     run_monte_carlo,
 )
-from fairtrade.rng import MASK64, mix64
+from fairtrade.rng import MASK64, mix64, unit_draws
 from fairtrade.verify import random_independent_env
 
 TWO_BIT = FeedbackModel.TWO_BIT
@@ -343,6 +348,12 @@ def test_fit_exponent_recovers_power_laws():
     assert fit.intercept == pytest.approx(np.log(2.0), abs=1e-12)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
     assert fit_exponent(hs, [5.0 * t**0.5 for t in hs]).slope == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("means", [[5.0], [5.0, 6.0]])
+def test_fit_exponent_rejects_a_mean_count_unlike_the_horizons(means):
+    with pytest.raises(ValueError, match=rf"got 3 horizons and {len(means)} means"):
+        fit_exponent([1, 10, 100], means)
 
 
 def test_fit_exponent_constant_sequence():
@@ -722,3 +733,77 @@ def test_indistinguishability_check_passes():
     assert report.max_table_gap == 0.0
     assert report.coupled_trajectories_equal
     assert report.prices_checked == (0.0, 0.1875, 0.375, 0.5, 0.625, 0.8125, 1.0)
+
+
+def _dict_law(env, price):
+    """The two-bit law at one price by dict accumulation, atoms in listing order."""
+    table = {outcome: 0.0 for outcome in FEEDBACK_OUTCOMES}
+    for s, b, w in zip(env.joint.sellers, env.joint.buyers, env.joint.weights):
+        table[(int(s <= price), int(price <= b))] += w
+    return table
+
+
+def _coupled_prices_oracle(env, horizon, seed):
+    """conv-pricing stepped round by round under feedback drawn through its exact law.
+
+    Round t takes the t-th uniform of the seed's stream and inverts the
+    cumulative _dict_law table at its price, outcomes in FEEDBACK_OUTCOMES
+    order, else (1, 1).
+    """
+    learner = parse_learner("conv-pricing").build(horizon, env, episode_seed=seed)
+    cache, prices = {}, np.empty(horizon)
+    for t, u in enumerate(unit_draws(seed, horizon)):
+        p = prices[t] = learner.propose()
+        if p not in cache:
+            table, acc, cache[p] = _dict_law(env, p), 0.0, []
+            for outcome in FEEDBACK_OUTCOMES:
+                acc += table[outcome]
+                cache[p].append((acc, outcome))
+        outcome = next((outcome for acc, outcome in cache[p] if u < acc), (1, 1))
+        learner.update(TwoBitFeedback(*outcome))
+    return prices
+
+
+def _coupled_trajectories(env, horizon, seeds):
+    """The batched coupling's price paths: the grid t/K, then commit / K."""
+    K = default_grid_size(horizon)
+    grid = np.arange(1, K + 1, dtype=np.float64) / K
+    commits = harness._coupled_commits(env, K, seeds)
+    return [np.concatenate([grid, np.full(horizon - K, commit / K)]) for commit in commits]
+
+
+_COUPLING_SEEDS = [mix64(0, e) for e in range(3)] + [1, 2**64 - 1]
+
+
+@pytest.mark.parametrize("horizon", [1, 8, 512, 4096])
+@pytest.mark.parametrize("env", [lb_mu(), lb_nu()], ids=["lb-mu", "lb-nu"])
+def test_batched_coupling_matches_the_learner_loop(env, horizon):
+    batched = _coupled_trajectories(env, horizon, _COUPLING_SEEDS)
+    for seed, prices in zip(_COUPLING_SEEDS, batched):
+        assert np.array_equal(prices, _coupled_prices_oracle(env, horizon, seed))
+
+
+def test_batched_coupling_separates_a_pair_with_different_laws():
+    mu, eps = lb_mu(), parse_env("eps-family:eps=0.2")
+    horizon, K = 512, default_grid_size(512)
+    grid = np.arange(1, K + 1, dtype=np.float64) / K
+    assert not np.array_equal(feedback_tables(mu, grid), feedback_tables(eps, grid))
+    paths = [_coupled_trajectories(env, horizon, _COUPLING_SEEDS) for env in (mu, eps)]
+    for env, env_paths in zip((mu, eps), paths):
+        for seed, prices in zip(_COUPLING_SEEDS, env_paths):
+            assert np.array_equal(prices, _coupled_prices_oracle(env, horizon, seed))
+    # the commits differ for some seed, so equal trajectories are not vacuous
+    assert any(not np.array_equal(a, b) for a, b in zip(*paths))
+
+
+@settings(max_examples=150, deadline=None)
+@given(atoms=_random_joints(), extra=st.lists(_UNIT, max_size=8))
+def test_feedback_tables_equal_the_dict_accumulation(atoms, extra):
+    # prices on atom coordinates hit the <= boundaries of both bits
+    env = _joint_env(atoms)
+    prices = np.concatenate([env.joint.sellers, env.joint.buyers, extra])
+    tables = feedback_tables(env, prices)
+    for price, row in zip(prices, tables):
+        want = _dict_law(env, float(price))
+        assert row.tolist() == [want[outcome] for outcome in FEEDBACK_OUTCOMES]
+        assert feedback_distribution(env, float(price)) == want
