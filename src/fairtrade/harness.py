@@ -248,11 +248,9 @@ class _EnvTables:
 
     def draw(self, seeds, n: int) -> tuple:
         """(seller values, buyer values) of rounds 1..n, one row per episode seed."""
-        sellers, buyers = np.empty((len(seeds), n)), np.empty((len(seeds), n))
-        for row, seed in enumerate(seeds):
-            j = kernels._sample_atoms(seed, self.cum, n)
-            sellers[row], buyers[row] = self.sellers[j], self.buyers[j]
-        return sellers, buyers
+        draws = np.reshape([unit_draws(seed, n) for seed in seeds], (len(seeds), n))
+        j = kernels._atoms_at(self.cum, draws)
+        return self.sellers[j], self.buyers[j]
 
     @functools.cached_property
     def gft_price(self) -> float:
@@ -625,8 +623,15 @@ def indistinguishability_check(
     coupled feedback of every episode runs through the grid kernel
     (_coupled_commits), with no Learner stepping: a trajectory is the grid
     t/K, then its commit / K, so two trajectories differ only if their
-    commits do and the horizon leaves commit rounds.
+    commits do and the horizon leaves commit rounds.  The arguments are
+    checked as RunConfig checks them: whole numbers, horizon and
+    n_episodes at least 1 and base_seed in [0, 2**64), else ValueError.
     """
+    horizon = _horizon(horizon)
+    n_episodes = _whole(n_episodes, "n_episodes")
+    if n_episodes < 1:
+        raise ValueError(f"n_episodes must be >= 1, got {n_episodes!r}")
+    base_seed = _u64(_whole(base_seed, "base_seed"), name="base_seed")
     mu, nu = lb_mu(), lb_nu()
     # The bits change only at support coordinates, so each law is constant on
     # each coordinate and each open interval between them: the pieces on which

@@ -1,7 +1,7 @@
 """Hot numeric kernels, one NumPy implementation each.
 
 Every draw of an episode comes from one uint64 pass over the counter form
-of the splitmix64 stream (rng.unit_draws, sampled by _sample_atoms).
+of the splitmix64 stream (rng.unit_draws, inverted by _atoms_at).
 fbep_prices draws its own atoms; dbs_explore and conv_pricing_commit take
 the drawn seller and buyer values as rows, one per episode or per point
 mass (harness._EnvTables.draw samples them), and step all rows at once.
@@ -11,9 +11,16 @@ path draw for draw (fbep_prices can break a flat top differently; see
 harness._round_gaps).
 
 Sampling convention: one uniform draw per round; the drawn atom is the
+number of boundaries cum[0..A-2] at or below the uniform.  That is the
 first index whose cumulative weight strictly exceeds the uniform (ties on
-the boundary go right), with the index clamped to the last atom to absorb
-cumulative sums that round below 1.0.
+the boundary go right), clamped to the last atom A-1 to absorb cumulative
+sums that round below 1.0.  _atoms_at counts the boundaries in one pass
+each when draws are many and atoms few, else binary-searches them.
+
+fbep_prices scores only the candidates that no lower-index candidate
+dominates, which leaves its path bitwise unchanged (see its docstring).
+expected_fgft_at runs in blocks of FGFT_BLOCK prices along the last axis,
+so its two scratch arrays hold at most FGFT_BLOCK doubles per row each.
 
 The two grid kernels count exactly.  incomplete_convolution takes rows
 of 0/1 acceptance bits only (it raises on any other value), packs each
@@ -39,6 +46,12 @@ USE_NUMBA = False
 # Rounds per cumsum block in fbep_prices: bounds its scratch memory to
 # FBEP_BLOCK x (number of candidates) doubles.
 FBEP_BLOCK = 2048
+# Prices per block along the last axis in expected_fgft_at: bounds each of
+# its two scratch arrays to FGFT_BLOCK doubles per row of atoms.
+FGFT_BLOCK = 2**15
+# _atoms_at counts boundaries, rather than binary-searching, from this
+# many draws per atom on.
+COUNT_DRAWS_PER_ATOM = 256
 # Triples per block in convolution_approx_batch.
 APPROX_BLOCK = 8192
 # Words per shift table in incomplete_convolution: bounds its scratch
@@ -49,10 +62,22 @@ CONV_BLOCK_WORDS = 2**15
 CONV_Q_BLOCK = 2
 
 
-def _sample_atoms(seed, cum, n: int) -> np.ndarray:
-    """Atom indices of the first n rounds of the episode stream ``seed``."""
-    idx = np.searchsorted(cum, unit_draws(seed, n), side="right")
-    return np.minimum(idx, cum.size - 1)
+def _atoms_at(cum, u) -> np.ndarray:
+    """Atom index of each uniform in ``u``: the count of cum[:-1] entries <= it.
+
+    This is min(searchsorted(cum, u, "right"), A - 1) for the A = cum.size
+    sorted cumulative weights.  Many draws over few atoms are counted, one
+    comparison pass per boundary into a uint8 accumulator (at least
+    COUNT_DRAWS_PER_ATOM draws per atom, at most 256 atoms); a random-access
+    binary search per draw costs more there.
+    """
+    A = cum.size
+    if A > 256 or u.size < COUNT_DRAWS_PER_ATOM * A:  # a count of at most A - 1 fits uint8
+        return np.minimum(np.searchsorted(cum, u, side="right"), A - 1)
+    idx, at_or_above = np.zeros(u.shape, dtype=np.uint8), np.empty(u.shape, dtype=bool)
+    for c in cum[:-1]:
+        idx += np.greater_equal(u, c, out=at_or_above).view(np.uint8)
+    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -73,19 +98,26 @@ def expected_fgft_at(prices, sellers, buyers, weights):
     (b - p)+) times w: both are 0 when either side is negative, and a -0.0
     term adds nothing to ``means``, which starts at +0.0.
     """
-    prices = np.asarray(prices, dtype=np.float64)
     sellers = np.asarray(sellers, dtype=np.float64)
     buyers = np.asarray(buyers, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
+    # a scalar price as one column, which the output has anyway
+    prices = np.atleast_1d(np.asarray(prices, dtype=np.float64))
     means = np.zeros(np.broadcast_shapes(prices.shape, sellers.shape[:-1] + (1,)))
-    # w * max(min(p - s, b - p), 0) per atom, in two scratch arrays of the output's size
-    gain, rest = np.empty_like(means), np.empty_like(means)
-    for a in range(sellers.shape[-1]):
-        s, b, w = sellers[..., a, None], buyers[..., a, None], weights[..., a, None]
-        np.minimum(np.subtract(prices, s, out=gain), np.subtract(b, prices, out=rest), out=gain)
-        np.maximum(gain, 0.0, out=gain)
-        gain *= w
-        means += gain
+    # w * max(min(p - s, b - p), 0) per atom, in two scratch arrays of one
+    # block: at most FGFT_BLOCK prices along the last axis
+    n = means.shape[-1]
+    gains = np.empty(means.shape[:-1] + (min(n, FGFT_BLOCK),))
+    rests = np.empty_like(gains)
+    for lo in range(0, n, FGFT_BLOCK):
+        p, out = prices[..., lo : lo + FGFT_BLOCK], means[..., lo : lo + FGFT_BLOCK]
+        gain, rest = gains[..., : out.shape[-1]], rests[..., : out.shape[-1]]
+        for a in range(sellers.shape[-1]):
+            s, b, w = sellers[..., a, None], buyers[..., a, None], weights[..., a, None]
+            np.minimum(np.subtract(p, s, out=gain), np.subtract(b, p, out=rest), out=gain)
+            np.maximum(gain, 0.0, out=gain)
+            gain *= w
+            out += gain
     return means
 
 
@@ -254,6 +286,17 @@ def dbs_explore(sellers, buyers, n_rounds):
     return prices, commit
 
 
+def _undominated(reward_matrix) -> np.ndarray:
+    """Rows m of ``reward_matrix`` that no row m' < m weakly dominates, ascending.
+
+    Row m is dropped when reward_matrix[m] <= reward_matrix[m'] on every
+    column for some m' < m: an O(rows**2 x columns) check.
+    """
+    rewards = np.asarray(reward_matrix, dtype=np.float64)
+    dominated = (np.any(np.all(rewards[m] <= rewards[:m], axis=1)) for m in range(rewards.shape[0]))
+    return np.flatnonzero(~np.fromiter(dominated, dtype=bool, count=rewards.shape[0]))
+
+
 def fbep_prices(seed, cum, cands, reward_matrix, horizon):
     """Index path of the follow-the-best-empirical-price learner.
 
@@ -268,19 +311,34 @@ def fbep_prices(seed, cum, cands, reward_matrix, horizon):
     order as a round-by-round loop (adding the carry after the cumsum would
     regroup the sums and change their rounding).  The path does not depend
     on the horizon: the first T rounds of a longer path are the path at T.
+
+    Only candidates that can lead are scored.  Round-to-nearest addition is
+    monotone: a <= a' and r <= r' give fl(a + r) <= fl(a' + r').  So when
+    reward_matrix[m] <= reward_matrix[m'] on every atom for some m' < m,
+    induction over the rounds keeps m's running score at or below m''s,
+    and m is never the first maximizer.  Every such m is dropped before the
+    cumsum (dominance is transitive, so the first maximizer always stays),
+    and the kept columns' argmax maps back to the original indices: the
+    path is the one all candidates give, bit for bit.  The argument needs
+    only sums that are monotone, so it holds as well for exact sums (say,
+    Python-int sums of integer-scaled rewards) under exact comparison.  A
+    rule that let a candidate lead only once its atom is drawn would have
+    to keep m until m' may lead.
     """
     T = int(horizon)
-    rewards = np.ascontiguousarray(reward_matrix.T)
-    j = _sample_atoms(seed, cum, T)
+    kept = _undominated(reward_matrix)
+    rewards = np.ascontiguousarray(reward_matrix[kept].T)
+    j = _atoms_at(cum, unit_draws(seed, T))
     idx = np.empty(T, dtype=np.intp)
-    block = np.zeros((min(T, FBEP_BLOCK) + 1, rewards.shape[1]), dtype=np.float64)
+    block = np.zeros((min(T, FBEP_BLOCK) + 1, kept.size), dtype=np.float64)
     for t0 in range(0, T, FBEP_BLOCK):
         rows = j[t0 : t0 + FBEP_BLOCK]
         scores = block[: rows.size + 1]
-        scores[1:] = rewards[rows]
+        np.take(rewards, rows, axis=0, out=scores[1:], mode="clip")
         np.cumsum(scores, axis=0, out=scores)
         np.argmax(scores[:-1], axis=1, out=idx[t0 : t0 + rows.size])
         block[0] = scores[-1]
+    idx = kept[idx]
     idx[:1] = cands.size
     return idx
 

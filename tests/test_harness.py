@@ -735,6 +735,25 @@ def test_indistinguishability_check_passes():
     assert report.prices_checked == (0.0, 0.1875, 0.375, 0.5, 0.625, 0.8125, 1.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"n_episodes": 0}, "n_episodes must be >= 1"),
+        ({"n_episodes": -3}, "n_episodes must be >= 1"),
+        ({"n_episodes": 2.5}, "n_episodes must be a whole number"),
+        ({"horizon": 64.5}, "horizon must be a whole number"),
+        ({"horizon": 0}, "horizon must be >= 1"),
+        ({"base_seed": -1}, "base_seed must lie in"),
+        ({"base_seed": 2**64}, "base_seed must lie in"),
+        ({"base_seed": 0.5}, "base_seed must be a whole number"),
+    ],
+)
+def test_indistinguishability_check_rejects_bad_arguments(kwargs, message):
+    # with nothing coupled, the trajectories would compare equal vacuously
+    with pytest.raises(ValueError, match=message):
+        indistinguishability_check(**{"horizon": 64, **kwargs})
+
+
 def _dict_law(env, price):
     """The two-bit law at one price by dict accumulation, atoms in listing order."""
     table = {outcome: 0.0 for outcome in FEEDBACK_OUTCOMES}

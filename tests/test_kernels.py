@@ -10,12 +10,14 @@ from fairtrade.core import (
     FiniteJointDistribution,
     discrete_convolution_score,
     expected_fgft,
+    fgft_candidates,
     fgft_convolution_approx,
+    fgft_vector,
     sorted_distinct,
 )
-from fairtrade.environments import env_from_config, lb_mu
+from fairtrade.environments import env_from_config, lb_mu, parse_env
 from fairtrade.harness import _EnvTables
-from fairtrade.rng import MASK64, SplitMix64, unit_draws
+from fairtrade.rng import MASK64, SplitMix64, mix64, unit_draws
 from fairtrade.verify import _float_incomplete_convolution
 
 
@@ -61,6 +63,50 @@ def test_expected_fgft_at_is_bitwise_the_scalar_sum(joints, pad):
     for row, j in enumerate(joints):
         atoms[:, row, : j.n_atoms] = j.sellers, j.buyers, j.weights
     assert np.array_equal(kernels.expected_fgft_at(prices, *atoms), rows)
+
+
+def _fgft_unblocked(prices, sellers, buyers, weights):
+    """expected_fgft_at's sum in one block: scratch arrays of the output's size."""
+    prices = np.asarray(prices, dtype=np.float64)
+    means = np.zeros(np.broadcast_shapes(prices.shape, np.shape(sellers)[:-1] + (1,)))
+    gain, rest = np.empty_like(means), np.empty_like(means)
+    for a in range(np.shape(sellers)[-1]):
+        s, b, w = sellers[..., a, None], buyers[..., a, None], weights[..., a, None]
+        np.minimum(np.subtract(prices, s, out=gain), np.subtract(b, prices, out=rest), out=gain)
+        np.maximum(gain, 0.0, out=gain)
+        gain *= w
+        means += gain
+    return means
+
+
+def _fgft_block_cases():
+    rng = np.random.default_rng(21)
+    joint = lb_mu().joint
+    atoms = rng.random((3, 4, 3))
+    atoms[2] /= atoms[2].sum(axis=1, keepdims=True)
+    padded = np.concatenate([atoms, np.zeros((3, 4, 2))], axis=2)
+    padded[:2, :, 3:] = rng.random((2, 4, 2))  # zero-weight atoms at any values
+    grid = np.arange(11) / 10
+    return {
+        "1-D grid": (grid, joint.sellers, joint.buyers, joint.weights),
+        "per-row atoms, (rows, n) prices": (rng.random((4, 7)), *atoms),
+        "per-row atoms, shared 1-D prices": (grid, *atoms),
+        "(rows, 1) tails": (rng.random((4, 1)), *atoms),
+        "scalar price": (0.4375, joint.sellers, joint.buyers, joint.weights),
+        "zero-weight padded atoms": (rng.random((4, 5)), *padded),
+    }
+
+
+@pytest.mark.parametrize("block", [kernels.FGFT_BLOCK, 1, 3])
+@pytest.mark.parametrize("case", list(_fgft_block_cases()))
+def test_expected_fgft_at_is_bitwise_equal_across_price_blocks(monkeypatch, case, block):
+    # blocks of 1 and 3 prices put block edges inside every row of more than one price
+    monkeypatch.setattr(kernels, "FGFT_BLOCK", block)
+    args = _fgft_block_cases()[case]
+    got = kernels.expected_fgft_at(*args)
+    want = _fgft_unblocked(*(np.asarray(a, dtype=np.float64) for a in args))
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def test_incomplete_convolution_numpy_matches_score():
@@ -401,6 +447,112 @@ def test_fbep_prices_match_round_loop_across_blocks(monkeypatch, env_name, block
         idx = kernels.fbep_prices(seed, tables.cum, cands, matrix, T)
         assert idx[0] == cands.size
         assert np.array_equal(posted[idx], _loop_fbep(seed, tables.cum, cands, matrix, T)), seed
+
+
+def _searched_atoms(cum, u):
+    return np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+
+
+def _boundary_cums():
+    rng = np.random.default_rng(3)
+    cums = {}
+    for A in (1, 2, 3, 25, 256, 257):
+        weights = rng.random(A) + 0.05
+        cums[A] = np.cumsum(weights / weights.sum())
+    # ten weights of 0.1 sum to 0.9999999999999999: the last boundary rounds below 1.0
+    cums["rounds-below-one"] = np.cumsum(np.full(10, 0.1))
+    cums["zero-weight-atoms"] = np.cumsum([0.25, 0.0, 0.5, 0.0, 0.25])
+    return cums
+
+
+@pytest.mark.parametrize("side", ["below", "at"])
+@pytest.mark.parametrize("name", list(_boundary_cums()))
+def test_atom_counts_are_the_clamped_search_on_both_sides_of_the_size_rule(name, side):
+    cum = _boundary_cums()[name]
+    assert name != "rounds-below-one" or cum[-1] < 1.0
+    n = kernels.COUNT_DRAWS_PER_ATOM * cum.size - (side == "below")
+    u = unit_draws(7, n)
+    # draws exactly on every boundary, just below them, and in [cum[-1], 1)
+    edges = np.concatenate([cum, np.nextafter(cum, 0.0), [0.0, 1.0 - 2.0**-53]])
+    u[: edges.size] = edges[: u.size]
+    got = kernels._atoms_at(cum, u)
+    assert np.array_equal(got, _searched_atoms(cum, u))
+    assert (got.dtype == np.uint8) == (side == "at" and cum.size <= 256)  # which side ran
+    rows = u[: 2 * (n // 2)].reshape(2, -1)  # the same draws as two rows
+    assert np.array_equal(kernels._atoms_at(cum, rows), _searched_atoms(cum, rows))
+
+
+@pytest.mark.parametrize("n", [0, 1, 40, 1000])
+@pytest.mark.parametrize("env_name", list(_SIM_ENVS) + ["random-ind:seed=1"])
+def test_env_draw_rows_match_the_per_seed_loop(env_name, n):
+    # five rows of 1000 draws over at most 25 atoms take the counting side of the size rule
+    env = _SIM_ENVS[env_name]() if env_name in _SIM_ENVS else parse_env(env_name)
+    tables = _EnvTables(env)
+    for seeds in (list(_SEEDS), [mix64(3, e) for e in range(5)], []):
+        sellers, buyers = tables.draw(seeds, n)
+        assert sellers.shape == buyers.shape == (len(seeds), n)
+        for row, seed in enumerate(seeds):
+            j = _searched_atoms(tables.cum, unit_draws(seed, n))
+            assert np.array_equal(sellers[row], tables.sellers[j]), seed
+            assert np.array_equal(buyers[row], tables.buyers[j]), seed
+
+
+def _unpruned_fbep(seed, cum, cands, reward_matrix, T):
+    """fbep's index path scoring every candidate: one cumsum over all rounds, first argmax."""
+    j = _searched_atoms(cum, unit_draws(seed, T))
+    scores = np.zeros((T + 1, cands.size))
+    scores[1:] = reward_matrix.T[j]
+    idx = np.argmax(np.cumsum(scores, axis=0)[:-1], axis=1)
+    idx[:1] = cands.size
+    return idx
+
+
+# few distinct rewards, so that candidates tie, dominate each other and score all zeros
+_REWARDS = st.sampled_from([0.0, 0.0, 0.1, 0.25, 1 / 3, 0.5]) | st.floats(0.0, 0.5)
+
+
+@st.composite
+def _fbep_inputs(draw):
+    """(cum, cands, reward_matrix) of a random joint or of a random reward table."""
+    n_atoms = draw(st.integers(1, 6))
+    weights = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=n_atoms, max_size=n_atoms)))
+    weights[draw(st.integers(0, n_atoms - 1))] += 0.5
+    cum = np.cumsum(weights / weights.sum())
+    if draw(st.booleans()):
+        # a joint whose atoms may repeat, with its candidates and some of them again
+        pairs = draw(st.lists(st.tuples(_ATOM_VALUES, _ATOM_VALUES), min_size=n_atoms, max_size=n_atoms))
+        sellers, buyers = np.asarray(pairs).T
+        cands = fgft_candidates(sellers, buyers)
+        cands = np.concatenate([cands, draw(st.lists(st.sampled_from(cands.tolist()), max_size=3))])
+        return cum, cands, fgft_vector(cands[:, None], sellers, buyers)
+    n_cands = draw(st.integers(1, 8))
+    row = st.lists(_REWARDS, min_size=n_atoms, max_size=n_atoms)
+    rows = draw(st.lists(row, min_size=n_cands, max_size=n_cands))
+    return cum, np.linspace(0.0, 1.0, n_cands), np.asarray(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=_fbep_inputs(), seed=st.integers(0, MASK64), T=st.integers(1, 300), block=st.sampled_from([3, 2048]))
+def test_pruned_fbep_is_the_unpruned_formula(inputs, seed, T, block):
+    cum, cands, reward_matrix = inputs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "FBEP_BLOCK", block)
+        got = kernels.fbep_prices(seed, cum, cands, reward_matrix, T)
+    assert np.array_equal(got, _unpruned_fbep(seed, cum, cands, reward_matrix, T))
+
+
+def test_fbep_keeps_the_lower_of_tied_candidates_and_one_dominated_only_from_above():
+    # candidate 0 is dominated only by the higher candidates 1 and 2, which are identical
+    reward_matrix = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+    assert kernels._undominated(reward_matrix).tolist() == [0, 1]
+    cum, cands, T = np.array([0.9, 1.0]), np.array([0.25, 0.5, 0.75]), 64
+    for seed in _SEEDS:
+        idx = kernels.fbep_prices(seed, cum, cands, reward_matrix, T)
+        assert np.array_equal(idx, _unpruned_fbep(seed, cum, cands, reward_matrix, T))
+        # 0 ties 1 and leads until atom 1 is first drawn; then 1 leads, and 2 never
+        seen_one = np.cumsum(_searched_atoms(cum, unit_draws(seed, T)) == 1)[:-1] > 0
+        assert np.array_equal(idx[1:], np.where(seen_one, 1, 0)), seed
+        assert 0 in idx[1:] and 1 in idx[1:], seed
 
 
 @pytest.mark.parametrize("K", [1, 2, 65, 464])
