@@ -15,8 +15,9 @@ show, each once.
 
 Config format (run): ``{"output": "curves.csv", "runs": [{"learner":
 "conv-pricing", "env": "lb-mu", "horizons": [1000, 10000], "n_episodes":
-50, "base_seed": 1, "feedback": "two-bit"}, ...]}``; a run gives
-``horizon`` or ``horizons``, not both, and no other field.  The env field
+50, "base_seed": 1, "feedback": "two-bit"}, ...]}``; ``output`` is a
+non-empty string, and a run gives ``horizon`` or ``horizons``, not both,
+and no other field.  Every run is checked before any runs.  The env field
 takes an id string or an inline object (environments.env_from_config).
 Identical config and seeds produce byte-identical CSV.
 """
@@ -33,14 +34,8 @@ import numpy as np
 
 from .algorithms import LEARNER_ID_PATTERNS, parse_learner
 from .environments import ENVIRONMENT_ID_PATTERNS, FeedbackModel, UnknownIdError, env_from_config
-from .harness import (
-    FeedbackMismatchError,
-    RunConfig,
-    adversarial_deterministic_sweep,
-    fit_exponent,
-    run_monte_carlo,
-)
-from .verify import UnknownSuiteError, resolve_suite_names, run_suites
+from .harness import RunConfig, adversarial_deterministic_sweep, fit_exponent, run_monte_carlo
+from .verify import resolve_suite_names, run_suites
 
 _CSV_HEADER = ("algorithm", "env", "T", "n_episodes", "mean_regret", "stderr", "slope")
 
@@ -67,13 +62,16 @@ def cmd_run(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         config = json.load(fh)
     _check_fields(config, ("output", "runs"), "config")
-    out_path = args.out or config.get("output")
+    output = config.get("output")
+    if "output" in config and not (isinstance(output, str) and output):
+        raise ValueError(f"output must be a non-empty string, got {output!r}")
+    out_path = args.out or output
     if not out_path:
         raise ValueError("no output path: pass --out or set 'output' in the config")
     runs = config.get("runs")
     if not isinstance(runs, list) or not runs:
         raise ValueError("config needs a non-empty 'runs' list")
-    rows = []
+    configs = []  # every run is checked before any of them runs
     for entry in runs:
         _check_fields(entry, ("learner", "env", "horizon", "horizons", "n_episodes", "base_seed", "feedback"), "run")
         if "horizon" in entry and "horizons" in entry:
@@ -90,16 +88,18 @@ def cmd_run(args) -> int:
             feedback=feedback,
             strict_feedback=args.strict_feedback,
         )
+        configs.append(cfg)
+    rows = []
+    for cfg in configs:
+        learner_id, env_id = cfg.learner.learner_id, cfg.env.env_id
         curve = run_monte_carlo(cfg)
         slope = ""
         if len(curve.horizons) >= 3 and all(m > 0.0 for m in curve.means):
             slope = _fmt(fit_exponent(curve).slope)
         for T, mean, stderr in zip(curve.horizons, curve.means, curve.stderrs):
-            rows.append(
-                (spec.learner_id, env.env_id, str(T), str(cfg.n_episodes), _fmt(mean), _fmt(stderr), slope)
-            )
+            rows.append((learner_id, env_id, str(T), str(cfg.n_episodes), _fmt(mean), _fmt(stderr), slope))
         print(
-            f"{spec.learner_id} on {env.env_id}: "
+            f"{learner_id} on {env_id}: "
             + ", ".join(f"T={t} regret={_fmt(m)}" for t, m in zip(curve.horizons, curve.means))
         )
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -217,20 +217,10 @@ def main(argv=None) -> int:
     except UnknownIdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except UnknownSuiteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
-    except (
-        FeedbackMismatchError,
-        json.JSONDecodeError,
-        OSError,
-        KeyError,
-        TypeError,
-        ValueError,
-    ) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -62,12 +62,11 @@ from .core import (
     sorted_distinct,
 )
 from .environments import (
-    FEEDBACK_OUTCOMES,
     Environment,
     FeedbackModel,
     _u64,
     deterministic,  # noqa: F401
-    feedback_distribution,
+    feedback_distribution,  # noqa: F401
     feedback_tables,
     lb_mu,
     lb_nu,
@@ -80,9 +79,10 @@ from .rng import SplitMix64, mix64, unit_draws
 # POINT_BLOCK x (exploration length) doubles.
 POINT_BLOCK = 1024
 
-# Point masses build no environment (see _PointMasses); the deterministic
-# name stays importable because the benchmark's tracer wraps
-# harness.deterministic.
+# Point masses build no environment (see _PointMasses), and the pair's laws
+# are compared through feedback_tables; the deterministic and
+# feedback_distribution names stay importable because the benchmark's tracer
+# wraps harness.deterministic and harness.feedback_distribution.
 
 
 class FeedbackMismatchError(ValueError):
@@ -140,7 +140,8 @@ class RunConfig:
     one, strictly increasing; every episode runs to the last.  ``feedback``
     is the requested model (None: the learner's own) and holds the resolved
     run model once built, so a learner that cannot run under it fails here,
-    before any episode.
+    before any episode, as does a conv-pricing grid larger than the first
+    horizon.
     """
 
     env: Environment
@@ -167,6 +168,8 @@ class RunConfig:
         _u64(self.base_seed, name="base_seed")
         run_model, _ = resolve_feedback(self.learner.requires, self.feedback, self.strict_feedback)
         object.__setattr__(self, "feedback", run_model)
+        if self.learner.kind == "conv-pricing":
+            ConvolutionPricing(hs[0], self.learner.params.get("K"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,11 +300,12 @@ def pseudo_regret(env: Environment, prices) -> float:
     """Exact expected regret of a posted price sequence on a finite env.
 
     Sums v_star - E[fgft(p_t)] over the sequence; every summand is
-    non-negative because v_star maximizes the expected reward.
+    non-negative because v_star maximizes the expected reward.  A price
+    outside [0, 1], or NaN, raises ValueError.
     """
-    if isinstance(prices, Trajectory):
-        prices = prices.prices
-    return float(_profile_regret(_EnvTables(env), np.reshape(prices, (1, -1)), np.zeros(1), 0)[0])
+    prices = np.reshape(prices.prices if isinstance(prices, Trajectory) else prices, (1, -1))
+    check_atoms((prices, "prices"))
+    return float(_profile_regret(_EnvTables(env), prices, np.zeros(1), 0)[0])
 
 
 def run_episode(config: RunConfig, episode_index: int) -> Trajectory:
@@ -624,15 +628,13 @@ def indistinguishability_check(
     (_coupled_commits), with no Learner stepping: a trajectory is the grid
     t/K, then its commit / K, so two trajectories differ only if their
     commits do and the horizon leaves commit rounds.  The arguments are
-    checked as RunConfig checks them: whole numbers, horizon and
-    n_episodes at least 1 and base_seed in [0, 2**64), else ValueError.
+    checked by building the coupled run's RunConfig (conv-pricing on lb-mu),
+    which raises ValueError on a bad horizon, episode count or base seed.
     """
-    horizon = _horizon(horizon)
-    n_episodes = _whole(n_episodes, "n_episodes")
-    if n_episodes < 1:
-        raise ValueError(f"n_episodes must be >= 1, got {n_episodes!r}")
-    base_seed = _u64(_whole(base_seed, "base_seed"), name="base_seed")
-    mu, nu = lb_mu(), lb_nu()
+    config = RunConfig(
+        lb_mu(), parse_learner("conv-pricing"), (horizon,), n_episodes=n_episodes, base_seed=base_seed
+    )
+    horizon, mu, nu = config.horizons[0], config.env, lb_nu()
     # The bits change only at support coordinates, so each law is constant on
     # each coordinate and each open interval between them: the pieces on which
     # expected gft is constant, which gft_candidates covers.
@@ -640,13 +642,8 @@ def indistinguishability_check(
         np.concatenate([mu.joint.sellers, nu.joint.sellers]),
         np.concatenate([mu.joint.buyers, nu.joint.buyers]),
     )
-    max_gap = 0.0
-    for p in prices:
-        t_mu = feedback_distribution(mu, float(p))
-        t_nu = feedback_distribution(nu, float(p))
-        for outcome in FEEDBACK_OUTCOMES:
-            max_gap = max(max_gap, abs(t_mu[outcome] - t_nu[outcome]))
-    K, seeds = default_grid_size(horizon), [mix64(base_seed, e) for e in range(n_episodes)]
+    max_gap = float(np.max(np.abs(feedback_tables(mu, prices) - feedback_tables(nu, prices))))
+    K, seeds = default_grid_size(horizon), [mix64(config.base_seed, e) for e in range(config.n_episodes)]
     commits = [_coupled_commits(env, K, seeds) for env in (mu, nu)]
     coupled_equal = horizon == K or np.array_equal(*commits)
     return IndistinguishabilityReport(

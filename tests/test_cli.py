@@ -257,6 +257,33 @@ def test_run_rejects_malformed_json(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("out_flag", [False, True], ids=["config-only", "with-out"])
+@pytest.mark.parametrize("output", [1, 2, True])
+def test_run_rejects_an_output_that_is_not_a_string(tmp_path, output, out_flag):
+    # open() takes an int as a file descriptor: 1 and 2 would write the CSV to
+    # stdout or stderr and close it, so this runs in its own process
+    out = tmp_path / "x.csv"
+    config = write_config(tmp_path, {**BASIC_CONFIG, "output": output})
+    proc = run_cli("run", "--config", config, *(["--out", str(out)] if out_flag else []))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: output must be a non-empty string, got {output!r}"]
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
+def test_run_checks_every_run_before_running_any(tmp_path, capsys):
+    payload = {"runs": [
+        {"learner": "dbs", "env": "lb-mu", "horizon": 64},
+        {"learner": "conv-pricing:K=500", "env": "lb-mu", "horizons": [100, 1000]},
+    ]}
+    out = tmp_path / "x.csv"
+    assert cli.main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: grid size 500 exceeds horizon 100"]
+    assert not out.exists()
+
+
 def test_run_requires_an_output_path(tmp_path, capsys):
     config = write_config(tmp_path, BASIC_CONFIG)  # no "output" key
     assert cli.main(["run", "--config", config]) == 2

@@ -47,6 +47,7 @@ from fairtrade.harness import (
 )
 from fairtrade.rng import MASK64, mix64, unit_draws
 from fairtrade.verify import random_independent_env
+from test_verify import MUTATIONS
 
 TWO_BIT = FeedbackModel.TWO_BIT
 FULL = FeedbackModel.FULL
@@ -119,6 +120,10 @@ def test_run_config_validation():
         for hs in ((0,), (-5,), (0, 5), (-5, 5), (-3, 5)):
             with pytest.raises(ValueError, match="horizon must be >= 1"):
                 RunConfig(env=lb_mu(), learner=parse_learner(learner_id), horizons=hs)
+    # the grid learner explores K rounds, so K must fit every horizon of the run
+    with pytest.raises(ValueError, match="grid size 500 exceeds horizon 100"):
+        RunConfig(env=lb_mu(), learner=parse_learner("conv-pricing:K=500"), horizons=(100, 1000))
+    assert RunConfig(lb_mu(), parse_learner("conv-pricing:K=100"), (100, 1000)).horizons == (100, 1000)
 
 
 def test_mismatched_config_fails_before_any_episode():
@@ -176,6 +181,17 @@ def test_pseudo_regret_accepts_prices_or_trajectory():
     assert pseudo_regret(env, [0.9] * 5) == pytest.approx(1.0, abs=1e-12)
     cfg = RunConfig(env=env, learner=parse_learner("gft-oracle"), horizons=(5,))
     assert pseudo_regret(env, run_episode(cfg, 0)) == pytest.approx(1.0, abs=1e-12)
+    # the ends of [0, 1] are prices too
+    joint = env.joint
+    at_ends = kernels.expected_fgft_at(np.array([0.0, 1.0]), joint.sellers, joint.buyers, joint.weights)
+    want = 2 * best_fixed_price_fgft(joint).value - at_ends[0] - at_ends[1]
+    assert pseudo_regret(env, [0, 1]) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.5])
+def test_pseudo_regret_rejects_a_price_outside_the_unit_interval(bad):
+    with pytest.raises(ValueError, match=r"prices must lie in \[0, 1\]"):
+        pseudo_regret(lb_mu(), [bad, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -752,6 +768,21 @@ def test_indistinguishability_check_rejects_bad_arguments(kwargs, message):
     # with nothing coupled, the trajectories would compare equal vacuously
     with pytest.raises(ValueError, match=message):
         indistinguishability_check(**{"horizon": 64, **kwargs})
+
+
+def test_indistinguishability_check_measures_the_gap_of_a_moved_atom(monkeypatch):
+    # lb-nu with one atom moved, as in the committed mutations: its laws differ
+    # from lb-mu's, and the gap of the two tables is the per-price dict formula's
+    MUTATIONS["lb-nu-moves-an-atom"][1](monkeypatch)
+    report = indistinguishability_check(horizon=64)
+    mu, nu, want = lb_mu(), harness.lb_nu(), 0.0
+    for p in report.prices_checked:
+        t_mu, t_nu = feedback_distribution(mu, p), feedback_distribution(nu, p)
+        for outcome in FEEDBACK_OUTCOMES:
+            want = max(want, abs(t_mu[outcome] - t_nu[outcome]))
+    assert want > 0.0
+    assert report.max_table_gap.hex() == want.hex()
+    assert not report.tables_equal
 
 
 def _dict_law(env, price):
