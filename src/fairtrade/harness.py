@@ -12,10 +12,15 @@ batch of up to POINT_BLOCK point masses, go through one array pass, and
 exploration every row shares, such as the grid learner's sweep, is one row
 scored once.  A point mass is the one-atom environment: every draw lands on
 its atom, so a _PointMasses batch takes no draws and builds no environment.
-fbep and uniform have no commit phase, and their prices do not depend on
-the horizon: a run simulates their episodes one at a time, each once, at
-its largest horizon, as a row of per-round regrets (_round_gaps), and sums
-a prefix of that row for every horizon before it drops the row.  The
+Point-mass profiles share exploration across horizons: a batch scores a
+whole sequence of horizons with one v*, and for dbs it calls the kernel
+of _price_profile once, at the largest phase length, since on a point mass
+the prices at a shorter phase are the first rounds of each phase and the
+kernel returns the commit after every round (_point_mass_regrets).  fbep and
+uniform have no commit phase, and their prices do not depend on the
+horizon: a run simulates their episodes one at a time, each once, at its
+largest horizon, as a row of per-round regrets (_round_gaps), and sums a
+prefix of that row for every horizon before it drops the row.  The
 indistinguishability check couples the grid learner to the lower-bound
 pair the same way: every episode's sweep draws its bits from the exact
 feedback laws at the grid prices and is scored by the grid kernel in one
@@ -132,6 +137,27 @@ def _horizon(value) -> int:
     return T
 
 
+def _horizons(values) -> tuple:
+    """A run's horizons as a tuple of ints: a 1-D sequence of at least one
+    horizon (see _horizon), strictly increasing."""
+    if np.ndim(values) != 1:
+        raise ValueError(f"horizons must be a list of whole numbers, got {values!r}")
+    hs = tuple(_horizon(t) for t in values)
+    if not hs:
+        raise ValueError("a run needs at least one horizon")
+    if any(a >= b for a, b in zip(hs, hs[1:])):
+        raise ValueError(f"horizons must be strictly increasing, got {list(hs)}")
+    return hs
+
+
+def _horizon_axis(horizon) -> tuple:
+    """(horizons, single) of a point-mass call: one horizon, or a sequence
+    checked as RunConfig.horizons are."""
+    if np.ndim(horizon) == 0:
+        return (_horizon(horizon),), True
+    return _horizons(horizon), False
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One experiment: a learner on an environment over a run's horizons.
@@ -153,13 +179,7 @@ class RunConfig:
     strict_feedback: bool = False
 
     def __post_init__(self):
-        if np.ndim(self.horizons) != 1:
-            raise ValueError(f"horizons must be a list of whole numbers, got {self.horizons!r}")
-        hs = tuple(_horizon(t) for t in self.horizons)
-        if not hs:
-            raise ValueError("a run needs at least one horizon")
-        if any(a >= b for a, b in zip(hs, hs[1:])):
-            raise ValueError(f"horizons must be strictly increasing, got {list(hs)}")
+        hs = _horizons(self.horizons)
         object.__setattr__(self, "horizons", hs)
         for name in ("n_episodes", "base_seed"):
             object.__setattr__(self, name, _whole(getattr(self, name), name))
@@ -249,6 +269,11 @@ class _EnvTables:
     def mean_at(self, prices) -> np.ndarray:
         return kernels.expected_fgft_at(prices, self.sellers, self.buyers, self.weights)
 
+    def regret_at(self, prices) -> np.ndarray:
+        """v* - E[fgft(p)] of each price, the regret of posting it for one
+        round; a per-row v* applies along the last axis."""
+        return np.expand_dims(self.v_star, -1) - self.mean_at(prices)
+
     def draw(self, seeds, n: int) -> tuple:
         """(seller values, buyer values) of rounds 1..n, one row per episode seed."""
         draws = np.reshape([unit_draws(seed, n) for seed in seeds], (len(seeds), n))
@@ -305,7 +330,8 @@ def pseudo_regret(env: Environment, prices) -> float:
     """
     prices = np.reshape(prices.prices if isinstance(prices, Trajectory) else prices, (1, -1))
     check_atoms((prices, "prices"))
-    return float(_profile_regret(_EnvTables(env), prices, np.zeros(1), 0)[0])
+    tables = _EnvTables(env)
+    return float(_profile_regret(tables, tables.regret_at(prices), np.zeros(1), 0)[0])
 
 
 def run_episode(config: RunConfig, episode_index: int) -> Trajectory:
@@ -363,8 +389,8 @@ def _price_profile(spec: LearnerSpec, tables: _EnvTables, T: int, seeds) -> tupl
     if kind == "dbs":
         N = dbs_phase_length(T)
         sellers, buyers = tables.draw(seeds, 2 * N)
-        explore, tail = kernels.dbs_explore(sellers[:, :N], buyers[:, N:], N)
-        return explore, tail, T - 2 * N
+        explore, commits = kernels.dbs_explore(sellers[:, :N], buyers[:, N:], N)
+        return explore, commits[:, N], T - 2 * N
     if kind == "conv-pricing":
         K = ConvolutionPricing(T, spec.params.get("K")).grid_size
         commits, _, _ = kernels.conv_pricing_commit(*tables.draw(seeds, K), K)
@@ -373,18 +399,20 @@ def _price_profile(spec: LearnerSpec, tables: _EnvTables, T: int, seeds) -> tupl
     raise ValueError(f"no price profile for learner kind {kind!r}")
 
 
-def _profile_regret(tables: _EnvTables, explore, tail, tail_len: int) -> np.ndarray:
-    """sum(v* - E[fgft(explore)]) + tail_len * (v* - E[fgft(tail)]), one per row.
+def _profile_regret(tables: _EnvTables, gaps, tail, tail_len: int) -> np.ndarray:
+    """sum(gaps) + tail_len * (v* - E[fgft(tail)]), one per row.
 
-    ``explore`` is (rows, n) or one shared (1, n) row, scored once; ``tail``
-    is (rows,) and fixes the row count.  v* is shared or one per row.  The
-    tail is scored only when it has rounds.
+    ``gaps`` are the exploration rounds' regrets, tables.regret_at(explore
+    prices), of shape (rows, n) or one shared (1, n) row; each row is
+    summed by one pairwise np.sum, so a row must be contiguous to group its
+    terms as every other path does.  ``tail`` is (rows,) and fixes the row
+    count.  v* is shared or one per row.  The tail is scored only when it
+    has rounds.
     """
-    v_star = np.reshape(tables.v_star, (-1, 1))
     regret = np.zeros(tail.shape)
-    regret += np.sum(v_star - tables.mean_at(explore), axis=1)
+    regret += np.sum(gaps, axis=1)
     if tail_len:
-        regret += tail_len * (v_star - tables.mean_at(tail[:, None]))[:, 0]
+        regret += tail_len * tables.regret_at(tail[:, None])[:, 0]
     return regret
 
 
@@ -402,16 +430,16 @@ def _round_gaps(spec: LearnerSpec, tables: _EnvTables, T: int, seed: int) -> np.
     """
     if spec.kind == "fbep":
         cands, rewards = tables.fbep
-        by_index = tables.v_star - tables.mean_at(np.append(cands, 0.5))  # round 0 posts 1/2
+        by_index = tables.regret_at(np.append(cands, 0.5))  # round 0 posts 1/2
         return by_index[kernels.fbep_prices(seed, tables.cum, cands, rewards, T)]
-    path = kernels.uniform_prices(mix64(spec.params.get("seed", 0), seed), T)
-    return tables.v_star - tables.mean_at(path)
+    return tables.regret_at(kernels.uniform_prices(mix64(spec.params.get("seed", 0), seed), T))
 
 
 def _episode_regrets(config: RunConfig, horizon: int, tables: _EnvTables) -> np.ndarray:
     """Regret of every episode at one horizon, for a learner with a price profile."""
     seeds = [mix64(config.base_seed, e) for e in range(config.n_episodes)]
-    return _profile_regret(tables, *_price_profile(config.learner, tables, horizon, seeds))
+    explore, tail, tail_len = _price_profile(config.learner, tables, horizon, seeds)
+    return _profile_regret(tables, tables.regret_at(explore), tail, tail_len)
 
 
 def run_monte_carlo(config: RunConfig) -> RegretCurve:
@@ -517,10 +545,30 @@ def _point_values(spec: LearnerSpec, pair) -> tuple:
     return sellers.ravel(), buyers.ravel(), sellers.shape
 
 
-def _point_mass_profile(spec: LearnerSpec, horizon: int, sellers, buyers) -> tuple:
-    """(batch, explore, tail, tail length) with one row per point."""
+def _point_mass_regrets(spec: LearnerSpec, hs: tuple, sellers, buyers) -> list:
+    """Regret of every point at each horizon of ``hs``: one array per horizon.
+
+    One _PointMasses batch, so one v*, serves every horizon.  dbs explores
+    once, at the largest phase length M: every draw lands on the point's
+    atom, so its prices at phase length N are columns [:N] and [M:M+N] of
+    those at M, and its commit at N is commits[:, N].  Each price is scored
+    once; each horizon copies its columns into one contiguous row, so its
+    sum groups them as the profile at that horizon alone would.
+    conv-pricing's grid changes with T, and fixed and gft-oracle do not
+    explore: they take one profile per horizon.
+    """
     masses = _PointMasses(sellers, buyers)
-    return (masses, *_price_profile(spec, masses, horizon, range(sellers.size)))
+    if spec.kind != "dbs":
+        profiles = (_price_profile(spec, masses, T, range(sellers.size)) for T in hs)
+        return [_profile_regret(masses, masses.regret_at(x), tail, n) for x, tail, n in profiles]
+    Ns = [dbs_phase_length(T) for T in hs]
+    M = Ns[-1]
+    prices, commits = kernels.dbs_explore(masses.sellers, masses.buyers, M)
+    gaps, regrets = masses.regret_at(prices), []
+    for T, N in zip(hs, Ns):
+        row = np.hstack([gaps[:, :N], gaps[:, M : M + N]])
+        regrets.append(_profile_regret(masses, row, commits[:, N], T - 2 * N))
+    return regrets
 
 
 def deterministic_price_profile(spec: LearnerSpec, horizon: int, pair) -> tuple:
@@ -533,61 +581,78 @@ def deterministic_price_profile(spec: LearnerSpec, horizon: int, pair) -> tuple:
     shape S, one profile per point.
     """
     sellers, buyers, shape = _point_values(spec, pair)
-    _, explore, tail, tail_len = _point_mass_profile(spec, _horizon(horizon), sellers, buyers)
+    T, masses = _horizon(horizon), _PointMasses(sellers, buyers)
+    explore, tail, tail_len = _price_profile(spec, masses, T, range(sellers.size))
     explore = np.broadcast_to(explore, tail.shape + explore.shape[1:])  # one row per point
     if not shape:
         return explore[0], float(tail[0]), tail_len
     return explore.reshape(shape + explore.shape[1:]), tail.reshape(shape), tail_len
 
 
-def profile_regret(spec: LearnerSpec, horizon: int, pair):
+def profile_regret(spec: LearnerSpec, horizon, pair):
     """Exact pseudo-regret of a deterministic learner on point masses.
 
     A scalar pair gives a float; a pair of arrays that broadcast gives the
     regret of every point, in their broadcast shape, from array passes
-    over POINT_BLOCK points at a time.
+    over POINT_BLOCK points at a time.  ``horizon`` is one horizon, or a
+    strictly increasing sequence of them (checked as RunConfig.horizons
+    are), which adds a leading horizon axis to the result: each pass then
+    shares its v*, and dbs its bisection, across the horizons (see
+    _point_mass_regrets).
     """
     sellers, buyers, shape = _point_values(spec, pair)
-    horizon, regrets = _horizon(horizon), np.empty(sellers.size)
+    hs, single = _horizon_axis(horizon)
+    regrets = np.empty((len(hs), sellers.size))
     for lo in range(0, sellers.size, POINT_BLOCK):
         rows = slice(lo, lo + POINT_BLOCK)
-        regrets[rows] = _profile_regret(
-            *_point_mass_profile(spec, horizon, sellers[rows], buyers[rows])
-        )
-    return float(regrets[0]) if not shape else regrets.reshape(shape)
+        regrets[:, rows] = _point_mass_regrets(spec, hs, sellers[rows], buyers[rows])
+    if not single:
+        return regrets.reshape((len(hs),) + shape)
+    return float(regrets[0, 0]) if not shape else regrets[0].reshape(shape)
 
 
 def adversarial_deterministic_sweep(
     learner,
-    horizon: int,
+    horizon,
     s_values=None,
     buyer: float = 1.0,
-) -> SweepReport:
+):
     """Worst-case exact regret of a deterministic learner over seller values.
 
     The default grid is 4097 evenly spaced points in [0, 1/4] against a
     buyer fixed at 1: fine enough to resolve bisection-style behavior down
-    to intervals of width about 2^-12.  All points are scored by one
-    profile_regret call.
+    to intervals of width about 2^-12.  ``s_values`` must be a non-empty
+    1-D grid and ``buyer`` one value.  All points are scored by one
+    profile_regret call.  One horizon gives one SweepReport; a strictly
+    increasing sequence of horizons gives one per horizon, from the same
+    call.
     """
     spec = parse_learner(learner) if isinstance(learner, str) else learner
-    horizon = _horizon(horizon)
+    hs, single = _horizon_axis(horizon)
     if s_values is None:
         s_values = np.linspace(0.0, 0.25, 4097)
     s_values = np.asarray(s_values, dtype=np.float64)
+    if s_values.ndim != 1:
+        raise ValueError(f"s_values must be a 1-D grid of seller values, got shape {s_values.shape}")
     if s_values.size == 0:
         raise ValueError("the seller grid of a sweep is empty; give at least one point")
-    regrets = profile_regret(spec, horizon, (s_values, buyer))
-    arg = int(np.argmax(regrets))
-    return SweepReport(
-        learner_id=spec.learner_id,
-        horizon=horizon,
-        buyer=float(buyer),
-        s_values=s_values,
-        regrets=regrets,
-        max_regret=float(regrets[arg]),
-        argmax_s=float(s_values[arg]),
-    )
+    if np.ndim(buyer) != 0:
+        raise ValueError(f"buyer must be one value, got shape {np.shape(buyer)}")
+    reports = []
+    for T, regrets in zip(hs, profile_regret(spec, hs, (s_values, buyer))):
+        arg = int(np.argmax(regrets))
+        reports.append(
+            SweepReport(
+                learner_id=spec.learner_id,
+                horizon=T,
+                buyer=float(buyer),
+                s_values=s_values,
+                regrets=regrets,
+                max_regret=float(regrets[arg]),
+                argmax_s=float(s_values[arg]),
+            )
+        )
+    return reports[0] if single else reports
 
 
 # ---------------------------------------------------------------------------

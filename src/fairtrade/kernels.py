@@ -261,29 +261,30 @@ def dbs_explore(sellers, buyers, n_rounds):
     Row r holds one episode's seller values of rounds 1..N and buyer values
     of rounds N+1..2N, shape (rows, N), or one value per row, shape
     (rows, 1), for a point mass.  Each round is one array step over all
-    rows, with the scalar learner's float operations.  Returns (exploration
-    prices, shape (rows, 2N), commit price per row).
+    rows, with the scalar learner's float operations.  Returns (prices,
+    commits): the exploration prices, shape (rows, 2N), and commits of
+    shape (rows, N+1), where commits[:, n] is (seller-phase midpoint after
+    n rounds + buyer-phase midpoint after n rounds) / 2.  commits[:, N] is
+    each row's commit price.  On a point mass every round sees the same
+    pair, so commits[:, n] and the prices [:n] and [N:N+n] are what a call
+    with n rounds returns.
     """
     N = int(n_rounds)
     sellers = np.asarray(sellers, dtype=np.float64)
     buyers = np.asarray(buyers, dtype=np.float64)
     rows = sellers.shape[0]
-    sellers = np.broadcast_to(sellers, (rows, N))
-    buyers = np.broadcast_to(buyers, (rows, N))
-    prices = np.empty((rows, 2 * N), dtype=np.float64)
-    lo, hi = np.zeros(rows), np.ones(rows)
-    for t in range(N):
-        mid = prices[:, t] = (lo + hi) / 2.0
-        below = sellers[:, t] <= mid
-        lo, hi = np.where(below, lo, mid), np.where(below, mid, hi)
-    seller_mid = (lo + hi) / 2.0
-    lo, hi = np.zeros(rows), np.ones(rows)
-    for t in range(N):
-        mid = prices[:, N + t] = (lo + hi) / 2.0
-        above = mid <= buyers[:, t]
-        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
-    commit = (seller_mid + (lo + hi) / 2.0) / 2.0
-    return prices, commit
+    # mids[:, phase, n]: the seller (phase 0) or buyer (phase 1) midpoint after n rounds
+    mids = np.empty((rows, 2, N + 1), dtype=np.float64)
+    for phase, values in enumerate((sellers, buyers)):
+        values = np.broadcast_to(values, (rows, N))
+        lo, hi = np.zeros(rows), np.ones(rows)
+        for t in range(N):
+            mid = mids[:, phase, t] = (lo + hi) / 2.0
+            # the seller phase keeps [lo, mid] when s <= mid, the buyer phase when not mid <= b
+            lower = values[:, t] <= mid if phase == 0 else ~(mid <= values[:, t])
+            lo, hi = np.where(lower, lo, mid), np.where(lower, mid, hi)
+        mids[:, phase, N] = (lo + hi) / 2.0
+    return mids[:, :, :N].reshape(rows, 2 * N), (mids[:, 0] + mids[:, 1]) / 2.0
 
 
 def _undominated(reward_matrix) -> np.ndarray:

@@ -238,9 +238,8 @@ def suite_dbs_bound() -> list:
         pairs = np.meshgrid(grid, grid)  # every (s, b) of the grid
         horizons = (100, 1000, 10**4, 10**5)
         worst = -np.inf
-        for T in horizons:
-            excess = np.max(profile_regret(spec, T, pairs) - dbs_regret_bound(T))
-            worst = max(worst, float(excess))
+        for T, regrets in zip(horizons, profile_regret(spec, horizons, pairs)):
+            worst = max(worst, float(np.max(regrets - dbs_regret_bound(T))))
         return worst <= 0.0, worst, 0.0
 
     return _check("dbs-bound", body)
@@ -254,10 +253,8 @@ def suite_dbs_log_growth() -> list:
     """
 
     def body():
-        maxima = [
-            adversarial_deterministic_sweep("dbs", 2**k).max_regret
-            for k in range(8, 17)
-        ]
+        sweeps = adversarial_deterministic_sweep("dbs", [2**k for k in range(8, 17)])
+        maxima = [report.max_regret for report in sweeps]
         steps = np.diff(np.asarray(maxima))
         worst_drop, worst_step = float(np.max(-steps)), float(np.max(steps))
         return [(worst_drop <= 0.0, worst_drop, 0.0), (worst_step <= 2.5, worst_step, 2.5)]

@@ -30,6 +30,7 @@ from fairtrade.harness import (
     FeedbackMismatchError,
     RunConfig,
     _EnvTables,
+    _PointMasses,
     _episode_regrets,
     _price_profile,
     _profile_regret,
@@ -241,6 +242,11 @@ def _path_cases():
             yield pytest.param(env_name, "dbs", T)
 
 
+def _scored_profile(tables, explore, tail, tail_len):
+    """_profile_regret of a price profile: its exploration prices scored first."""
+    return _profile_regret(tables, tables.regret_at(explore), tail, tail_len)
+
+
 def _kernel_path(spec, tables, T, seed):
     """The prices the fast path posts in the episode of ``seed``.
 
@@ -258,7 +264,7 @@ def _kernel_path(spec, tables, T, seed):
         path = kernels.uniform_prices(mix64(spec.params.get("seed", 0), seed), T)
     row = _round_gaps(spec, tables, T, seed)
     assert row.tobytes() == (tables.v_star - tables.mean_at(path)).tobytes()
-    assert np.sum(row).hex() == _profile_regret(tables, path[None, :], np.zeros(1), 0)[0].hex()
+    assert np.sum(row).hex() == _profile_regret(tables, row[None, :], np.zeros(1), 0)[0].hex()
     return path
 
 
@@ -513,9 +519,9 @@ _UNIT = st.floats(0.0, 1.0)
 
 
 @st.composite
-def _deterministic_learners(draw):
+def _deterministic_learners(draw, horizons=st.integers(1, 300)):
     """(learner id, T) for every deterministic learner without full feedback."""
-    T = draw(st.integers(1, 300))
+    T = draw(horizons)
     kind = draw(st.sampled_from(["dbs", "conv-pricing", "conv-pricing:K", "fixed", "gft-oracle"]))
     if kind == "conv-pricing:K":
         return f"conv-pricing:K={draw(st.integers(1, T))}", T
@@ -596,6 +602,83 @@ def test_profile_regret_keeps_the_broadcast_shape(monkeypatch):
     assert regrets[1, 3] == profile_regret(spec, 100, (grid[3], grid[1]))
     assert isinstance(profile_regret(spec, 100, (0.25, 0.75)), float)
     assert profile_regret(spec, 100, (np.empty((0, 1)), grid[:3])).shape == (0, 3)
+
+
+@st.composite
+def _learners_over_horizons(draw):
+    """(learner id, horizons): 1-4 strictly increasing horizons, the first
+    often at most 4, where dbs explores no round."""
+    learner_id, first = draw(_deterministic_learners(st.integers(1, 4) | st.integers(1, 150)))
+    steps = draw(st.lists(st.integers(1, 150), max_size=3))
+    return learner_id, tuple(int(T) for T in np.cumsum([first] + steps))
+
+
+def _horizon_tuple_examples(test):
+    cases = [("dbs", (1, 2, 4, 5, 7, 16)), ("dbs", (3, 9, 64)), ("conv-pricing", (1, 8, 9))]
+    cases += [("conv-pricing:K=1", (1, 3)), ("fixed:p=0.5", (1, 2)), ("gft-oracle", (2, 3))]
+    for learner in cases:
+        for block in (3, 1024):
+            test = example(learner=learner, pairs=_EDGE_POINTS, block=block)(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    learner=_learners_over_horizons(),
+    pairs=st.lists(
+        st.tuples(st.one_of(_UNIT, _EIGHTHS), st.one_of(_UNIT, _EIGHTHS)), min_size=1, max_size=6
+    ),
+    block=st.sampled_from([3, 1024]),
+)
+@_horizon_tuple_examples
+def test_profile_regret_over_horizons_matches_each_horizon(learner, pairs, block):
+    # one pass per block serves every horizon; row i is, bitwise, the
+    # regret of the profile at horizon i alone, and the reference loop's
+    learner_id, hs = learner
+    spec = parse_learner(learner_id)
+    sellers, buyers = np.array(pairs, dtype=np.float64).T
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "POINT_BLOCK", block)
+        regrets = profile_regret(spec, hs, (sellers, buyers))
+    assert regrets.shape == (len(hs), len(pairs))
+    masses = _PointMasses(sellers, buyers)
+    for T, row in zip(hs, regrets):
+        want = _scored_profile(masses, *_price_profile(spec, masses, T, range(len(pairs))))
+        assert np.array_equal(row, want), T
+        for pair, regret in zip(pairs, row):
+            env = deterministic(*pair)
+            trajectory = run_episode(RunConfig(env=env, learner=spec, horizons=(T,)), 0)
+            assert regret == pytest.approx(pseudo_regret(env, trajectory), rel=0.0, abs=1e-12 * T)
+
+
+def test_profile_regret_over_horizons_keeps_the_pair_shape():
+    spec, pair = parse_learner("dbs"), (0.25, 0.75)
+    regrets = profile_regret(spec, [8, 16, 100], pair)
+    assert regrets.tolist() == [profile_regret(spec, T, pair) for T in (8, 16, 100)]
+    grid = np.linspace(0.0, 1.0, 5)
+    assert profile_regret(spec, (8, 16), (grid[None, :], grid[:, None])).shape == (2, 5, 5)
+
+
+@pytest.mark.parametrize(
+    "horizons,message",
+    [
+        ([], "at least one horizon"),
+        ((10, 10), "strictly increasing"),
+        ((100, 10), "strictly increasing"),
+        ([[10, 20]], "horizons must be a list of whole numbers"),
+        (np.array([[10], [20]]), "horizons must be a list of whole numbers"),
+        ((10, 20.5), "horizon must be a whole number"),
+        ((0, 5), "horizon must be >= 1"),
+    ],
+)
+def test_point_mass_horizons_follow_the_run_config_rule(horizons, message):
+    spec = parse_learner("dbs")
+    with pytest.raises(ValueError, match=message):
+        RunConfig(env=lb_mu(), learner=spec, horizons=horizons)
+    with pytest.raises(ValueError, match=message):
+        profile_regret(spec, horizons, (0.2, 0.8))
+    with pytest.raises(ValueError, match=message):
+        adversarial_deterministic_sweep(spec, horizons, s_values=[0.2], buyer=0.8)
 
 
 @pytest.mark.parametrize("side", ["seller", "buyer"])
@@ -692,7 +775,7 @@ def test_episode_rows_match_per_episode_scoring(atoms, learner_id, T, n_episodes
     )
     tables = _EnvTables(cfg.env)
     want = [
-        _profile_regret(tables, *_price_profile(cfg.learner, tables, T, [mix64(base_seed, e)]))[0]
+        _scored_profile(tables, *_price_profile(cfg.learner, tables, T, [mix64(base_seed, e)]))[0]
         for e in range(n_episodes)
     ]
     assert np.array_equal(_episode_regrets(cfg, T, tables), want)
@@ -736,6 +819,31 @@ def test_sweep_accepts_custom_grid():
 def test_sweep_rejects_an_empty_grid():
     with pytest.raises(ValueError, match="seller grid of a sweep is empty"):
         adversarial_deterministic_sweep("dbs", 64, s_values=np.array([]))
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"s_values": [[0.1, 0.2]]}, r"s_values must be a 1-D grid of seller values, got shape \(1, 2\)"),
+        ({"s_values": 0.1}, r"s_values must be a 1-D grid of seller values, got shape \(\)"),
+        ({"buyer": [0.8, 0.9]}, r"buyer must be one value, got shape \(2,\)"),
+    ],
+)
+def test_sweep_rejects_a_grid_that_is_not_1d_and_a_buyer_that_is_not_one_value(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        adversarial_deterministic_sweep("dbs", 64, **kwargs)
+
+
+def test_sweep_over_horizons_gives_one_report_per_horizon():
+    hs, grid = (64, 100, 1024), np.linspace(0.0, 0.25, 257)
+    reports = adversarial_deterministic_sweep("dbs", hs, s_values=grid)
+    assert [report.horizon for report in reports] == list(hs)
+    for T, report in zip(hs, reports):
+        single = adversarial_deterministic_sweep("dbs", T, s_values=grid)
+        assert np.array_equal(report.regrets, single.regrets), T
+        assert (report.max_regret, report.argmax_s) == (single.max_regret, single.argmax_s), T
+    (one,) = adversarial_deterministic_sweep("fixed:p=0.5", [1024])
+    assert one.max_regret == adversarial_deterministic_sweep("fixed:p=0.5", 1024).max_regret
 
 
 # ---------------------------------------------------------------------------

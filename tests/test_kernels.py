@@ -572,7 +572,22 @@ def test_conv_pricing_commit_matches_round_loop(env_name, K):
 def test_dbs_explore_matches_round_loop(env_name, N):
     tables = _EnvTables(_SIM_ENVS[env_name]())
     sellers, buyers = tables.draw(_SEEDS, 2 * N)
-    rows = zip(_SEEDS, *kernels.dbs_explore(sellers[:, :N], buyers[:, N:], N))
-    for seed, prices, commit in rows:
+    prices, commits = kernels.dbs_explore(sellers[:, :N], buyers[:, N:], N)
+    assert commits.shape == (len(_SEEDS), N + 1)
+    for seed, row, commit in zip(_SEEDS, prices, commits[:, N]):
         want_prices, want_commit = _loop_dbs(seed, tables.cum, tables.sellers, tables.buyers, N)
-        assert prices.tolist() == want_prices and commit == want_commit, seed
+        assert row.tolist() == want_prices and commit == want_commit, seed
+
+
+def test_dbs_explore_on_point_masses_nests_every_shorter_phase():
+    # every round of a point mass sees its one pair, so the run with n rounds
+    # per phase is the first n rounds of each phase of the run with N
+    values = np.concatenate([np.arange(9) / 8, [1 / 3, 0.7], np.random.default_rng(3).random(6)])
+    sellers, buyers = (v.reshape(-1, 1) for v in np.meshgrid(values, values))
+    N = 12
+    prices, commits = kernels.dbs_explore(sellers, buyers, N)
+    for n in range(N + 1):
+        short, short_commits = kernels.dbs_explore(sellers, buyers, n)
+        assert np.array_equal(commits[:, n], short_commits[:, n]), n
+        assert np.array_equal(prices[:, :n], short[:, :n]), n
+        assert np.array_equal(prices[:, N : N + n], short[:, n:]), n

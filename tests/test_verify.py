@@ -146,8 +146,8 @@ def _epsilon_family_flips_sign(monkeypatch):
 def _regret_drops_the_tail(monkeypatch):
     profile = harness._profile_regret
 
-    def explore_only(tables, explore, tail, tail_len):
-        return profile(tables, explore, tail, 0)
+    def explore_only(tables, gaps, tail, tail_len):
+        return profile(tables, gaps, tail, 0)
 
     monkeypatch.setattr(harness, "_profile_regret", explore_only)
 
@@ -235,6 +235,21 @@ def test_mutation_fails_its_rows(monkeypatch, name):
     mutate(monkeypatch)
     rows = run_suites(suites)
     assert {row.check for row in rows if not row.passed} == must_fail
+
+
+@pytest.mark.parametrize("suite,points", [("dbs-bound", 65 * 65), ("dbs-log-growth", 4097)])
+def test_point_mass_suites_bisect_each_point_once(monkeypatch, suite, points):
+    # every horizon of the suite shares one dbs_explore call per block of
+    # POINT_BLOCK points; one call per horizon would be 4 or 9 times as many
+    explore, rows = kernels.dbs_explore, []
+
+    def counting(sellers, buyers, n_rounds):
+        rows.append(len(sellers))
+        return explore(sellers, buyers, n_rounds)
+
+    monkeypatch.setattr(kernels, "dbs_explore", counting)
+    assert all(row.passed for row in run_suite(suite))
+    assert (len(rows), sum(rows)) == (-(-points // harness.POINT_BLOCK), points)
 
 
 def test_known_weak_rows_have_no_mutation():
