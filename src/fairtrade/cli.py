@@ -91,15 +91,14 @@ def cmd_run(args) -> int:
         configs.append(cfg)
     rows = []
     for cfg in configs:
-        learner_id, env_id = cfg.learner.learner_id, cfg.env.env_id
         curve = run_monte_carlo(cfg)
         slope = ""
         if len(curve.horizons) >= 3 and all(m > 0.0 for m in curve.means):
             slope = _fmt(fit_exponent(curve).slope)
         for T, mean, stderr in zip(curve.horizons, curve.means, curve.stderrs):
-            rows.append((learner_id, env_id, str(T), str(cfg.n_episodes), _fmt(mean), _fmt(stderr), slope))
+            rows.append((curve.learner_id, curve.env_id, T, curve.n_episodes, _fmt(mean), _fmt(stderr), slope))
         print(
-            f"{learner_id} on {env_id}: "
+            f"{curve.learner_id} on {curve.env_id}: "
             + ", ".join(f"T={t} regret={_fmt(m)}" for t, m in zip(curve.horizons, curve.means))
         )
     with open(out_path, "w", encoding="utf-8", newline="") as fh:

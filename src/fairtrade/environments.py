@@ -28,12 +28,16 @@ Named instances:
 
 Every id an environment prints parses back to the same id and atoms:
 ``_format_id`` writes ints as ints and floats as the shortest text that
-round-trips, and ``_parse_id`` reads that text back.
+round-trips, and ``_parse_id`` reads that text back.  The constructors take
+``float()`` of each float parameter and ``_u64`` of each seed on entry, so
+the atoms and the id come from one float64 or int, also when a library
+caller passes a NumPy float32 or integer, or an integral float seed.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -125,6 +129,7 @@ def feedback_distribution(env: Environment, price: float) -> dict:
 
 def deterministic(seller: float, buyer: float) -> Environment:
     """Point mass on one (seller, buyer) pair."""
+    seller, buyer = float(seller), float(buyer)  # the atom and the id read one float64
     joint = FiniteJointDistribution([((seller, buyer), 1.0)])
     return Environment(env_id=_format_id("det", s=seller, b=buyer), joint=joint)
 
@@ -171,6 +176,7 @@ def gft_trap(h: float) -> Environment:
     Every gft-maximizing price lies in [1-h, 1] and earns fair reward at
     most h/2, while price 1/2 earns 1/4.
     """
+    h = float(h)
     if not (0.0 < h < 0.5):
         raise ValueError(f"h must lie in (0, 1/2), got {h!r}")
     seller = FiniteMarginal([0.0, 1.0 - h], [0.5, 0.5])
@@ -184,6 +190,7 @@ def epsilon_family(eps: float) -> Environment:
     Seller weights are (1+eps)/2 on 0 and (1-eps)/2 on 1/4 for
     eps in [-1, 1]; atoms with zero weight are dropped at |eps| = 1.
     """
+    eps = float(eps)
     if not (-1.0 <= eps <= 1.0):
         raise ValueError(f"eps must lie in [-1, 1], got {eps!r}")
     values, weights = [], []
@@ -245,7 +252,8 @@ def random_independent_env(seed: int) -> Environment:
     so regret curves stay strictly positive (a precondition of log-log
     exponent fits).
     """
-    stream = SplitMix64(_u64(seed))
+    seed = _u64(seed)
+    stream = SplitMix64(seed)
     n_s = _rand_int(stream, 2, 5)
     n_b = _rand_int(stream, 2, 5)
     seller = random_marginal(stream, n_s, 0.0, 0.45)
@@ -261,7 +269,8 @@ def random_joint_env(seed: int) -> Environment:
     seller-above-buyer draw would make every price score exactly zero and
     break regret-positivity preconditions downstream).
     """
-    stream = SplitMix64(_u64(seed))
+    seed = _u64(seed)
+    stream = SplitMix64(seed)
     n = _rand_int(stream, 3, 6)
     while True:
         pairs: list = []
@@ -328,9 +337,19 @@ def _format_id(kind: str, **params) -> str:
     return f"{kind}:" + ",".join(fields)
 
 
-def _u64(text, name: str = "seed") -> int:
-    """A seed: an integer in [0, 2**64)."""
-    seed = int(text)
+def _whole(value, name: str) -> int:
+    """A number that must be whole: an int or NumPy integer (not a bool), or an
+    integral finite float."""
+    if isinstance(value, float) and math.isfinite(value) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
+def _u64(value, name: str = "seed") -> int:
+    """A seed: an integer in [0, 2**64), given as id text or as a whole number (see _whole)."""
+    seed = int(value) if isinstance(value, str) else _whole(value, name)
     if not 0 <= seed <= MASK64:
         raise ValueError(f"{name} must lie in [0, 2**64), got {seed}")
     return seed

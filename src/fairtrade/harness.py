@@ -36,8 +36,9 @@ than realized-reward differences.
 
 Seeding: episode e of a run with base seed B draws from a splitmix64 stream
 seeded with mix64(B, e) (three multiply-xorshift rounds, identical on every
-platform), so episodes are independent and reproducible.  Episodes run
-sequentially, in index order.
+platform), so episodes are independent and reproducible.  RunConfig.seeds
+lists them for the fast paths; run_episode derives its one seed itself.
+Episodes run sequentially, in index order.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from .environments import (
     Environment,
     FeedbackModel,
     _u64,
+    _whole,
     deterministic,  # noqa: F401
     feedback_distribution,  # noqa: F401
     feedback_tables,
@@ -117,16 +119,6 @@ def resolve_feedback(
             "(drop --strict-feedback to derive the bits)"
         )
     return run_model, (requires or run_model)
-
-
-def _whole(value, name: str) -> int:
-    """A config number that must be whole: an int or NumPy integer (not a bool),
-    or an integral finite float."""
-    if isinstance(value, float) and math.isfinite(value) and value.is_integer():
-        return int(value)
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 def _horizon(value) -> int:
@@ -178,14 +170,18 @@ class RunConfig:
     feedback: FeedbackModel | None = None
     strict_feedback: bool = False
 
+    @property
+    def seeds(self) -> list:
+        """The episode seeds: episode e draws from the stream of mix64(base_seed, e)."""
+        return [mix64(self.base_seed, e) for e in range(self.n_episodes)]
+
     def __post_init__(self):
         hs = _horizons(self.horizons)
         object.__setattr__(self, "horizons", hs)
-        for name in ("n_episodes", "base_seed"):
-            object.__setattr__(self, name, _whole(getattr(self, name), name))
+        object.__setattr__(self, "n_episodes", _whole(self.n_episodes, "n_episodes"))
         if self.n_episodes < 1:
             raise ValueError(f"n_episodes must be >= 1, got {self.n_episodes!r}")
-        _u64(self.base_seed, name="base_seed")
+        object.__setattr__(self, "base_seed", _u64(self.base_seed, "base_seed"))
         run_model, _ = resolve_feedback(self.learner.requires, self.feedback, self.strict_feedback)
         object.__setattr__(self, "feedback", run_model)
         if self.learner.kind == "conv-pricing":
@@ -437,15 +433,14 @@ def _round_gaps(spec: LearnerSpec, tables: _EnvTables, T: int, seed: int) -> np.
 
 def _episode_regrets(config: RunConfig, horizon: int, tables: _EnvTables) -> np.ndarray:
     """Regret of every episode at one horizon, for a learner with a price profile."""
-    seeds = [mix64(config.base_seed, e) for e in range(config.n_episodes)]
-    explore, tail, tail_len = _price_profile(config.learner, tables, horizon, seeds)
+    explore, tail, tail_len = _price_profile(config.learner, tables, horizon, config.seeds)
     return _profile_regret(tables, tables.regret_at(explore), tail, tail_len)
 
 
 def run_monte_carlo(config: RunConfig) -> RegretCurve:
     """Mean and standard error of pseudo-regret at each of config.horizons.
 
-    Episodes run sequentially; episode e always uses seed
+    Episodes run sequentially; episode e always uses config.seeds[e],
     mix64(base_seed, e), so curves at nested horizons share their random
     draws (regret is pathwise non-decreasing in T for a fixed episode).
     The environment's oracle tables are built once and shared by every
@@ -457,8 +452,8 @@ def run_monte_carlo(config: RunConfig) -> RegretCurve:
     tables = _EnvTables(config.env)
     regrets = np.empty((len(hs), config.n_episodes))
     if spec.kind in ("uniform", "fbep"):
-        for e in range(config.n_episodes):
-            row = _round_gaps(spec, tables, hs[-1], mix64(config.base_seed, e))
+        for e, seed in enumerate(config.seeds):
+            row = _round_gaps(spec, tables, hs[-1], seed)
             regrets[:, e] = [np.sum(row[:T]) for T in hs]
     else:
         for i, T in enumerate(hs):
@@ -708,8 +703,8 @@ def indistinguishability_check(
         np.concatenate([mu.joint.buyers, nu.joint.buyers]),
     )
     max_gap = float(np.max(np.abs(feedback_tables(mu, prices) - feedback_tables(nu, prices))))
-    K, seeds = default_grid_size(horizon), [mix64(config.base_seed, e) for e in range(config.n_episodes)]
-    commits = [_coupled_commits(env, K, seeds) for env in (mu, nu)]
+    K = default_grid_size(horizon)
+    commits = [_coupled_commits(env, K, config.seeds) for env in (mu, nu)]
     coupled_equal = horizon == K or np.array_equal(*commits)
     return IndistinguishabilityReport(
         prices_checked=tuple(float(p) for p in prices),

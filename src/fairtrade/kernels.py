@@ -36,12 +36,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rng import SplitMix64, unit_draws  # noqa: F401
+# No kernel here calls SplitMix64; the name stays importable because the
+# benchmark's tracer wraps kernels.SplitMix64.
+from .rng import SplitMix64  # noqa: F401
+from .rng import unit_draws
 
 # No numba path exists; the flag stays because run metadata reports it.
 USE_NUMBA = False
-# No kernel here calls SplitMix64; the name stays importable because the
-# benchmark's tracer wraps kernels.SplitMix64.
 
 # Rounds per cumsum block in fbep_prices: bounds its scratch memory to
 # FBEP_BLOCK x (number of candidates) doubles.

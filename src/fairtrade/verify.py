@@ -124,6 +124,11 @@ def _float_incomplete_convolution(seller, buyer, K: int) -> np.ndarray:
     return np.vecdot(v, w)
 
 
+def _curve(env, learner_id: str, horizons, n_episodes: int = 1, base_seed: int = 0):
+    """The Monte Carlo regret curve of one learner on one environment."""
+    return run_monte_carlo(RunConfig(env, parse_learner(learner_id), horizons, n_episodes, base_seed))
+
+
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
@@ -190,21 +195,11 @@ def suite_indistinguishability() -> list:
         ]
 
     def regret():
-        T, episodes = 10**4, 50
-        best_mean, best_stderr = -np.inf, 0.0
-        for env in (lb_mu(), lb_nu()):
-            cfg = RunConfig(
-                env=env,
-                learner=parse_learner("conv-pricing"),
-                horizons=(T,),
-                n_episodes=episodes,
-                base_seed=_LB_MC_SEED,
-            )
-            curve = run_monte_carlo(cfg)
-            if curve.means[0] > best_mean:
-                best_mean, best_stderr = curve.means[0], curve.stderrs[0]
-        threshold = T / 48.0 - 3.0 * best_stderr
-        return best_mean >= threshold, best_mean, threshold
+        T = 10**4
+        curves = [_curve(env, "conv-pricing", (T,), 50, _LB_MC_SEED) for env in (lb_mu(), lb_nu())]
+        worst = max(curves, key=lambda curve: curve.means[0])  # the first on a tie
+        threshold = T / 48.0 - 3.0 * worst.stderrs[0]
+        return worst.means[0] >= threshold, worst.means[0], threshold
 
     names = ("indistinguishability-tables", "indistinguishability-coupling")
     return _check(names, tables_and_coupling) + _check("indistinguishability-regret", regret)
@@ -215,14 +210,7 @@ def suite_gft_trap() -> list:
 
     def body():
         T = 1000
-        cfg = RunConfig(
-            env=gft_trap(0.1),
-            learner=parse_learner("gft-oracle"),
-            horizons=(T,),
-            n_episodes=1,
-            base_seed=0,
-        )
-        curve = run_monte_carlo(cfg)
+        curve = _curve(gft_trap(0.1), "gft-oracle", (T,))
         measured = abs(curve.means[0] - (0.25 - 0.05) * T)
         return measured <= 1e-8, measured, 1e-8
 
@@ -274,17 +262,9 @@ def _rate_rows(
     slope_hi: float,
 ) -> list:
     rows = []
-    spec = parse_learner(learner_id)
     for env in envs:
         def body():
-            cfg = RunConfig(
-                env=env,
-                learner=spec,
-                horizons=horizons,
-                n_episodes=n_episodes,
-                base_seed=base_seed,
-            )
-            curve = run_monte_carlo(cfg)
+            curve = _curve(env, learner_id, horizons, n_episodes, base_seed)
             slope = fit_exponent(curve).slope
             ratio = growth_ratio(
                 [m / normalizer(t) for m, t in zip(curve.means, curve.horizons)]
@@ -334,14 +314,7 @@ def suite_full_feedback_rate() -> list:
     )
 
     def deterministic_case(env_id):
-        cfg = RunConfig(
-            env=parse_env(env_id),
-            learner=parse_learner("fbep"),
-            horizons=(1000,),
-            n_episodes=1,
-            base_seed=0,
-        )
-        curve = run_monte_carlo(cfg)
+        curve = _curve(parse_env(env_id), "fbep", (1000,))
         return curve.means[0] <= 0.5, curve.means[0], 0.5
 
     rows += _check("full-feedback-deterministic", lambda: deterministic_case("det:s=0.2,b=0.8"))

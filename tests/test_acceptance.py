@@ -13,6 +13,7 @@ import time
 import pytest
 
 from fairtrade.verify import run_suite
+from record_golden import check_verify_rows
 from test_verify import KNOWN_WEAK, MUTATIONS
 
 # (index, suite, wall-clock budget in seconds)
@@ -57,3 +58,4 @@ def test_acceptance(index, suite, budget, capsys):
     covered = KNOWN_WEAK.union(*(rows for _, _, rows in MUTATIONS.values()))
     uncovered = [row.check for row in rows if row.check not in covered]
     assert not uncovered, f"rows with no failing mutation in test_verify.MUTATIONS -> {uncovered}"
+    check_verify_rows(suite, rows)

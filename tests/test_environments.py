@@ -247,6 +247,10 @@ def test_patterns_cover_parseable_ids():
     assert heads == {"lb-mu", "lb-nu", "gft-trap", "eps-family", "det", "random-ind", "random-joint"}
 
 
+def _same_atoms(a, b) -> bool:
+    return all(np.array_equal(getattr(a.joint, f), getattr(b.joint, f)) for f in ("sellers", "buyers", "weights"))
+
+
 # values each id key accepts; floats are written by repr, which round-trips
 _ID_VALUES = {
     "h": st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
@@ -276,17 +280,48 @@ def test_printed_env_ids_parse_back(env_id):
     env = parse_env(env_id)
     again = parse_env(env.env_id)
     assert again.env_id == env.env_id
-    for field in ("sellers", "buyers", "weights"):
-        assert np.array_equal(getattr(again.joint, field), getattr(env.joint, field))
+    assert _same_atoms(again, env)
 
 
 
 @pytest.mark.parametrize("make", [random_independent_env, random_joint_env])
-@pytest.mark.parametrize("seed", [-1, MASK64 + 1])
+@pytest.mark.parametrize("seed", [-1, MASK64 + 1, 2.5, True])
 def test_random_envs_take_only_the_seeds_their_ids_name(make, seed):
-    # SplitMix64 would wrap these onto a u64 seed under an id that does not parse
+    # SplitMix64 would wrap the first two onto a u64 seed, and int() would
+    # truncate 2.5 to 2 and read True as 1, each under an id that does not parse
     with pytest.raises(ValueError):
         make(seed)
+
+
+@pytest.mark.parametrize("make", [random_independent_env, random_joint_env])
+@pytest.mark.parametrize("seed", [3.0, np.int64(5)], ids=["float", "int64"])
+def test_random_env_ids_of_whole_seeds_parse_back(make, seed):
+    env = make(seed)
+    assert env.env_id.endswith(f"seed={int(seed)}")
+    assert _same_atoms(parse_env(env.env_id), env)
+
+
+_FLOAT_CONSTRUCTORS = {
+    "det-seller": lambda x: deterministic(x, 0.5),
+    "det-buyer": lambda x: deterministic(0.3, x),
+    "eps-family": epsilon_family,
+    "gft-trap": gft_trap,
+}
+
+
+@pytest.mark.parametrize("make", _FLOAT_CONSTRUCTORS.values(), ids=_FLOAT_CONSTRUCTORS)
+@pytest.mark.parametrize(
+    "value",
+    [np.float32(0.1), np.float64(0.1), 0.1, np.float32(0.3), 0.3],
+    ids=["float32-0.1", "float64-0.1", "float-0.1", "float32-0.3", "float-0.3"],
+)
+def test_float_parameter_ids_parse_back(make, value):
+    # without float() on entry a float32 prints its own shortest text, "0.1",
+    # over atoms of float64(float32(0.1)), 0.10000000149011612
+    env = make(value)
+    again = parse_env(env.env_id)
+    assert again.env_id == env.env_id
+    assert _same_atoms(again, env)
 
 
 def test_env_from_config_inline_joint():

@@ -127,6 +127,14 @@ def test_run_config_validation():
     assert RunConfig(lb_mu(), parse_learner("conv-pricing:K=100"), (100, 1000)).horizons == (100, 1000)
 
 
+def test_run_config_seeds_are_derived_from_the_base_seed():
+    cfg = RunConfig(env=lb_mu(), learner=parse_learner("dbs"), horizons=(10,), n_episodes=3, base_seed=11.0)
+    assert cfg.seeds == [mix64(11, e) for e in range(3)]
+    assert "seeds" not in {field.name for field in dataclasses.fields(cfg)}
+    with pytest.raises(AttributeError):
+        cfg.seeds = [0, 0, 0]
+
+
 def test_mismatched_config_fails_before_any_episode():
     # the config resolves its feedback model when it is built
     with pytest.raises(FeedbackMismatchError):
