@@ -21,6 +21,11 @@ Learners and the feedback they consume:
   round repost the smallest maximizer of the empirical mean fair gain.
 * ``fixed:p=...``, ``gft-oracle`` (best fixed price for raw gain from
   trade), and ``uniform:seed=...`` are non-adaptive baselines.
+
+Every horizon and grid size is a count (``environments._count``: a whole
+number of at least 1) and the uniform baseline's seed a u64
+(``environments._u64``), so a fraction, a bool, NaN or an infinity raises
+ValueError naming the quantity, and 3.0 or np.int64(3) acts as 3.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ from .environments import (
     FeedbackModel,
     TwoBitFeedback,
     UnknownIdError,
+    _count,
+    _format_id,
     _parse_id,
     _u64,
 )
@@ -44,15 +51,12 @@ from .rng import SplitMix64, mix64
 
 def ceil_log2(n: int) -> int:
     """Smallest m with 2**m >= n, exact integer arithmetic."""
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    return (n - 1).bit_length()
+    return (_count(n, "n") - 1).bit_length()
 
 
 def default_grid_size(horizon: int) -> int:
     """Largest K >= 1 with K**3 <= T**2 (the floor of T^(2/3), exactly)."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
+    horizon = _count(horizon, "horizon")
     k = max(int(round(horizon ** (2.0 / 3.0))), 1)
     while k > 1 and k * k * k > horizon * horizon:
         k -= 1
@@ -63,13 +67,14 @@ def default_grid_size(horizon: int) -> int:
 
 def dbs_phase_length(horizon: int) -> int:
     """Bisection rounds per side: ceil(log2 T) when 2*ceil(log2 T) + 1 <= T, else 0."""
+    horizon = _count(horizon, "horizon")
     n = ceil_log2(horizon)
     return n if 2 * n + 1 <= horizon else 0
 
 
 def dbs_regret_bound(horizon: int) -> float:
     """Worst-case pseudo-regret bound of double binary search: 1 + 2*ceil(log2 T)."""
-    return 1.0 + 2.0 * ceil_log2(horizon)
+    return 1.0 + 2.0 * ceil_log2(_count(horizon, "horizon"))
 
 
 def _check_price(p: float) -> float:
@@ -108,14 +113,10 @@ class ConvolutionPricing(Learner):
     """
 
     def __init__(self, horizon: int, grid_size: int | None = None):
-        if horizon < 1:
-            raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
-        K = default_grid_size(horizon) if grid_size is None else int(grid_size)
-        if K < 1:
-            raise ValueError(f"grid size must be a positive integer, got {K!r}")
+        horizon = _count(horizon, "horizon")
+        K = default_grid_size(horizon) if grid_size is None else _count(grid_size, "grid_size")
         if K > horizon:
             raise ValueError(f"grid size {K} exceeds horizon {horizon}")
-        self.horizon = horizon
         self.grid_size = K
         self.rounds_done = 0
         # V_1..V_K and W_1..W_K, one row of kernels.incomplete_convolution's input
@@ -158,9 +159,6 @@ class DoubleBinarySearch(Learner):
     """
 
     def __init__(self, horizon: int):
-        if horizon < 1:
-            raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
-        self.horizon = horizon
         self.phase_length = dbs_phase_length(horizon)
         self.rounds_done = 0
         self.seller_interval = (0.0, 1.0)
@@ -201,9 +199,7 @@ class FollowBestEmpiricalPrice(Learner):
     """
 
     def __init__(self, horizon: int):
-        if horizon < 1:
-            raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
-        self.horizon = horizon
+        _count(horizon, "horizon")  # checked only: the samples drive the prices
         self.samples: list[ValuationPair] = []
         self._next_price = 0.5
 
@@ -235,7 +231,7 @@ class UniformRandom(Learner):
     """Post an independent uniform price each round from an owned stream."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
+        self.seed = _u64(seed)
         self._stream = SplitMix64(self.seed)
 
     def propose(self) -> float:
@@ -258,6 +254,7 @@ LEARNER_ID_PATTERNS = (
     "gft-oracle",
     "uniform:seed=<u64>",
 )
+
 
 @dataclass(frozen=True)
 class LearnerSpec:
@@ -303,17 +300,24 @@ class LearnerSpec:
 
 
 def parse_learner(learner_id: str) -> LearnerSpec:
-    """Resolve a learner id string like 'conv-pricing:K=100' or 'fixed:p=0.5'."""
-    kind, params = _parse_id(learner_id, LEARNER_ID_PATTERNS)
+    """Resolve a learner id string like 'conv-pricing:K=100' or 'fixed:p=0.5'.
+
+    The spec's learner_id is the canonical form of the id: each parameter
+    the id gives is printed from its parsed value (see _format_id), and a
+    default it leaves out stays unprinted.
+    """
+    kind, texts = _parse_id(learner_id, LEARNER_ID_PATTERNS)
+    params = {}
     try:
-        if "K" in params:
-            params["K"] = int(params["K"])
-            if params["K"] < 1:
-                raise ValueError(f"K must be >= 1, got {params['K']}")
+        if "K" in texts:
+            params["K"] = _count(int(texts["K"]), "K")
         if kind == "fixed":
-            params["p"] = _check_price(float(params["p"]))
-        if kind == "uniform":
-            params["seed"] = _u64(params.get("seed", 0))
+            params["p"] = _check_price(float(texts["p"]))
+        if "seed" in texts:
+            params["seed"] = _u64(texts["seed"])
     except (KeyError, ValueError) as exc:
         raise UnknownIdError(f"cannot resolve learner id {learner_id!r}: {exc}") from exc
-    return LearnerSpec(learner_id=learner_id, kind=kind, params=params)
+    canonical = _format_id(kind, **params)
+    if kind == "uniform":
+        params.setdefault("seed", 0)
+    return LearnerSpec(learner_id=canonical, kind=kind, params=params)

@@ -329,12 +329,13 @@ def _parse_id(spec_id, patterns) -> tuple:
 
 
 def _format_id(kind: str, **params) -> str:
-    """The id ``_parse_id`` reads back: ints as ints, floats as their shortest round-trip text."""
-    fields = (
+    """The id ``_parse_id`` reads back: ints as ints, floats as their shortest
+    round-trip text, and a kind without parameters bare."""
+    fields = ",".join(
         f"{key}={value if isinstance(value, int) else np.format_float_positional(value, trim='-')}"
         for key, value in params.items()
     )
-    return f"{kind}:" + ",".join(fields)
+    return f"{kind}:{fields}" if fields else kind
 
 
 def _whole(value, name: str) -> int:
@@ -345,6 +346,14 @@ def _whole(value, name: str) -> int:
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
+def _count(value, name: str) -> int:
+    """A count, such as a horizon or a grid size: a whole number (see _whole) of at least 1."""
+    n = _whole(value, name)
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1, got {n!r}")
+    return n
 
 
 def _u64(value, name: str = "seed") -> int:
@@ -396,14 +405,17 @@ def env_from_config(obj) -> Environment:
     Accepts an id string, or an inline object with exactly one of
     ``{"joint": [[s, b, w], ...]}`` and
     ``{"independent": {"seller": [[v, w], ...], "buyer": [[v, w], ...]}}``,
-    plus an optional string ``"id"``; any other key, and any row that is
-    not a list of that many numbers, is an error.
+    plus an optional string ``"id"``; any other key, any row that is not a
+    list of that many numbers, and an id of a registered kind (which would
+    rerun as that environment) is an error.
     """
     if isinstance(obj, str):
         return parse_env(obj)
     forms = {"joint", "independent"} & set(obj) if isinstance(obj, dict) else set()
     if len(forms) != 1 or set(obj) - forms - {"id"} or not isinstance(obj.get("id", ""), str):
         raise UnknownIdError(f"cannot interpret environment config entry {obj!r}")
+    if obj.get("id", "").partition(":")[0] in {p.partition(":")[0] for p in ENVIRONMENT_ID_PATTERNS}:
+        raise UnknownIdError(f"inline environment id {obj['id']!r} names a registered environment")
     if "joint" in obj:
         atoms = [((s, b), w) for s, b, w in _number_rows(obj["joint"], 3, "joint").tolist()]
         return joint_finite(FiniteJointDistribution(atoms), env_id=obj.get("id") or "joint")

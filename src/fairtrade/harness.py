@@ -70,8 +70,8 @@ from .core import (
 from .environments import (
     Environment,
     FeedbackModel,
+    _count,
     _u64,
-    _whole,
     deterministic,  # noqa: F401
     feedback_distribution,  # noqa: F401
     feedback_tables,
@@ -121,20 +121,12 @@ def resolve_feedback(
     return run_model, (requires or run_model)
 
 
-def _horizon(value) -> int:
-    """A horizon: a whole number (see _whole) of at least 1 round."""
-    T = _whole(value, "horizon")
-    if T < 1:
-        raise ValueError(f"horizon must be >= 1, got {T!r}")
-    return T
-
-
 def _horizons(values) -> tuple:
     """A run's horizons as a tuple of ints: a 1-D sequence of at least one
-    horizon (see _horizon), strictly increasing."""
+    horizon (a count, see _count), strictly increasing."""
     if np.ndim(values) != 1:
         raise ValueError(f"horizons must be a list of whole numbers, got {values!r}")
-    hs = tuple(_horizon(t) for t in values)
+    hs = tuple(_count(t, "horizon") for t in values)
     if not hs:
         raise ValueError("a run needs at least one horizon")
     if any(a >= b for a, b in zip(hs, hs[1:])):
@@ -146,7 +138,7 @@ def _horizon_axis(horizon) -> tuple:
     """(horizons, single) of a point-mass call: one horizon, or a sequence
     checked as RunConfig.horizons are."""
     if np.ndim(horizon) == 0:
-        return (_horizon(horizon),), True
+        return (_count(horizon, "horizon"),), True
     return _horizons(horizon), False
 
 
@@ -178,9 +170,7 @@ class RunConfig:
     def __post_init__(self):
         hs = _horizons(self.horizons)
         object.__setattr__(self, "horizons", hs)
-        object.__setattr__(self, "n_episodes", _whole(self.n_episodes, "n_episodes"))
-        if self.n_episodes < 1:
-            raise ValueError(f"n_episodes must be >= 1, got {self.n_episodes!r}")
+        object.__setattr__(self, "n_episodes", _count(self.n_episodes, "n_episodes"))
         object.__setattr__(self, "base_seed", _u64(self.base_seed, "base_seed"))
         run_model, _ = resolve_feedback(self.learner.requires, self.feedback, self.strict_feedback)
         object.__setattr__(self, "feedback", run_model)
@@ -576,7 +566,7 @@ def deterministic_price_profile(spec: LearnerSpec, horizon: int, pair) -> tuple:
     shape S, one profile per point.
     """
     sellers, buyers, shape = _point_values(spec, pair)
-    T, masses = _horizon(horizon), _PointMasses(sellers, buyers)
+    T, masses = _count(horizon, "horizon"), _PointMasses(sellers, buyers)
     explore, tail, tail_len = _price_profile(spec, masses, T, range(sellers.size))
     explore = np.broadcast_to(explore, tail.shape + explore.shape[1:])  # one row per point
     if not shape:

@@ -233,6 +233,21 @@ def test_parse_learner_rejects(learner_id):
         parse_learner(learner_id)
 
 
+@pytest.mark.parametrize(
+    "learner_id,printed",
+    [
+        ("uniform:seed=1_0", "uniform:seed=10"),
+        ("fixed:p=0.50", "fixed:p=0.5"),
+        ("conv-pricing:K=08", "conv-pricing:K=8"),
+        ("uniform", "uniform"),  # a default the id leaves out stays unprinted
+        ("uniform:seed=0", "uniform:seed=0"),
+        ("conv-pricing", "conv-pricing"),
+    ],
+)
+def test_learner_ids_print_in_canonical_form(learner_id, printed):
+    assert parse_learner(learner_id).learner_id == printed
+
+
 def test_patterns_cover_kinds():
     heads = {pattern.split(":")[0] for pattern in LEARNER_ID_PATTERNS}
     assert heads == {"conv-pricing", "dbs", "fbep", "fixed", "gft-oracle", "uniform"}

@@ -94,6 +94,17 @@ def test_run_reruns_are_byte_identical(tmp_path):
     assert cli.main(["run", "--config", config, "--out", str(b), "--threads", "0"]) == 2
 
 
+def test_run_rows_name_the_canonical_learner_id(tmp_path):
+    # two spellings of one learner write one file, under the id that reruns it
+    outs = []
+    for learner in ("uniform:seed=1_0", "uniform:seed=10"):
+        config = write_config(tmp_path, {"runs": [{"learner": learner, "env": "lb-mu", "horizon": 50}]})
+        outs.append(tmp_path / f"{len(outs)}.csv")
+        assert cli.main(["run", "--config", config, "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert outs[0].read_text(encoding="utf-8").splitlines()[1].startswith("uniform:seed=10,lb-mu,50,")
+
+
 def test_calls_in_one_process_match_separate_processes(tmp_path):
     # the parser is built once per process; no argument of one call reaches the next
     payload = {"runs": [{"learner": "conv-pricing", "env": "lb-mu", "horizons": [100, 1000], "n_episodes": 3}]}
@@ -169,6 +180,12 @@ def test_run_fits_slope_with_three_horizons(tmp_path, capsys):
         # T = 0 and negative T, also for the path-free learners
         ({"runs": [{"learner": "fbep", "env": "lb-mu", "horizons": [0, 5]}]}, 2),
         ({"runs": [{"learner": "uniform", "env": "lb-mu", "horizons": [-5, 5]}]}, 2),
+        # an inline environment may not take the id of a registered one
+        ({"runs": [{"learner": "dbs", "env": {"joint": [[0.1, 0.9, 1.0]], "id": "det:s=0.2,b=0.8"}, "horizon": 5}]}, 3),
+        ({"runs": [{"learner": "dbs", "env": {"joint": [[0.1, 0.9, 1.0]], "id": "lb-mu"}, "horizon": 5}]}, 3),
+        # a grid size is a whole number of at least 1
+        ({"runs": [{"learner": "conv-pricing:K=2.5", "env": "lb-mu", "horizon": 5}]}, 3),
+        ({"runs": [{"learner": "conv-pricing:K=0", "env": "lb-mu", "horizon": 5}]}, 3),
     ],
 )
 def test_run_error_exit_codes(tmp_path, capsys, payload, code):

@@ -258,17 +258,19 @@ _ID_VALUES = {
     "s": st.floats(0.0, 1.0),
     "b": st.floats(0.0, 1.0),
     "seed": st.integers(0, MASK64),
+    "K": st.integers(1, 10**9),
+    "p": st.floats(0.0, 1.0),
 }
 
 
 @st.composite
-def _env_ids(draw):
-    pattern = draw(st.sampled_from(ENVIRONMENT_ID_PATTERNS))
+def _spec_ids(draw, patterns=ENVIRONMENT_ID_PATTERNS):
+    pattern = draw(st.sampled_from(patterns))
     return re.sub(r"(\w+)=<[^>]*>", lambda m: f"{m[1]}={draw(_ID_VALUES[m[1]])!r}", pattern)
 
 
 @settings(max_examples=200, deadline=None)
-@given(env_id=_env_ids())
+@given(env_id=_spec_ids())
 @example(env_id="random-ind:seed=0")
 @example(env_id=f"random-ind:seed={MASK64}")
 @example(env_id="random-joint:seed=0")
@@ -281,6 +283,21 @@ def test_printed_env_ids_parse_back(env_id):
     again = parse_env(env.env_id)
     assert again.env_id == env.env_id
     assert _same_atoms(again, env)
+
+
+@settings(max_examples=200, deadline=None)
+@given(learner_id=_spec_ids(LEARNER_ID_PATTERNS))
+@example(learner_id="uniform")
+@example(learner_id="uniform:seed=1_0")
+@example(learner_id=f"uniform:seed={MASK64}")
+@example(learner_id="fixed:p=0.50")
+@example(learner_id="fixed:p=1e-20")
+@example(learner_id="conv-pricing:K=08")
+def test_printed_learner_ids_parse_back(learner_id):
+    spec = parse_learner(learner_id)
+    again = parse_learner(spec.learner_id)
+    assert again.learner_id == spec.learner_id
+    assert (again.kind, again.params) == (spec.kind, spec.params)
 
 
 
@@ -338,6 +355,25 @@ def test_env_from_config_inline_independent():
     assert env.env_id == "independent"
     assert env.joint.n_atoms == 2
     np.testing.assert_allclose(env.joint.weights, [0.4, 0.6])
+
+
+_ONE_BY_ONE = {"seller": [[0.1, 1.0]], "buyer": [[0.9, 1.0]]}
+
+
+@pytest.mark.parametrize(
+    "env_id", ["lb-mu", "lb-nu", "det:s=0.2,b=0.8", "det", "gft-trap:h=0.1", "random-ind:seed=1", "random-joint"]
+)
+def test_an_inline_environment_may_not_take_a_registered_id(env_id):
+    # rows written under such an id would rerun as another environment
+    for entry in ({"joint": [[0.1, 0.9, 1.0]], "id": env_id}, {"independent": _ONE_BY_ONE, "id": env_id}):
+        with pytest.raises(UnknownIdError, match="registered"):
+            env_from_config(entry)
+
+
+@pytest.mark.parametrize("env_id", ["gen-ind", "gen-joint-0", "three-atoms", "demo", "lb", "det-like:s=1"])
+def test_an_inline_environment_keeps_an_unregistered_id(env_id):
+    assert env_from_config({"joint": [[0.1, 0.9, 1.0]], "id": env_id}).env_id == env_id
+    assert env_from_config({"independent": _ONE_BY_ONE, "id": env_id}).env_id == env_id
 
 
 def test_env_from_config_string_and_errors():
