@@ -22,9 +22,9 @@ Learners and the feedback they consume:
 * ``fixed:p=...``, ``gft-oracle`` (best fixed price for raw gain from
   trade), and ``uniform:seed=...`` are non-adaptive baselines.
 
-Every horizon and grid size is a count (``environments._count``: a whole
+Every horizon and grid size is a count (``rng._count``: a whole
 number of at least 1) and the uniform baseline's seed a u64
-(``environments._u64``), so a fraction, a bool, NaN or an infinity raises
+(``rng._u64``), so a fraction, a bool, NaN or an infinity raises
 ValueError naming the quantity, and 3.0 or np.int64(3) acts as 3.
 """
 
@@ -41,12 +41,10 @@ from .environments import (
     FeedbackModel,
     TwoBitFeedback,
     UnknownIdError,
-    _count,
     _format_id,
     _parse_id,
-    _u64,
 )
-from .rng import SplitMix64, mix64
+from .rng import SplitMix64, _count, _u64, mix64
 
 
 def ceil_log2(n: int) -> int:

@@ -31,6 +31,7 @@ import numpy as np
 
 # by name, so that a wrapper on kernels.expected_fgft_at sees regret only
 from .kernels import expected_fgft_at
+from .rng import _count
 
 WEIGHT_TOL = 1e-12
 
@@ -73,10 +74,9 @@ def fgft_convolution_approx(p: float, pair: ValuationPair | tuple, grid_size: in
 
     The summand is non-increasing in j (both indicators are), so the loop
     stops at the first zero term; the result is identical to evaluating all
-    M terms.
+    M terms.  M is a count (rng._count).
     """
-    if grid_size < 1:
-        raise ValueError(f"grid_size must be a positive integer, got {grid_size!r}")
+    grid_size = _count(grid_size, "grid_size")
     seller, buyer = pair
     count = 0
     for j in range(grid_size):

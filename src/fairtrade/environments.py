@@ -37,7 +37,6 @@ caller passes a NumPy float32 or integer, or an integral float seed.
 from __future__ import annotations
 
 import enum
-import math
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -45,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import FiniteJointDistribution, FiniteMarginal, ValuationPair, product_joint
-from .rng import MASK64, SplitMix64
+from .rng import SplitMix64, _u64
 
 
 class FeedbackModel(enum.Enum):
@@ -336,32 +335,6 @@ def _format_id(kind: str, **params) -> str:
         for key, value in params.items()
     )
     return f"{kind}:{fields}" if fields else kind
-
-
-def _whole(value, name: str) -> int:
-    """A number that must be whole: an int or NumPy integer (not a bool), or an
-    integral finite float."""
-    if isinstance(value, float) and math.isfinite(value) and value.is_integer():
-        return int(value)
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"{name} must be a whole number, got {value!r}")
-
-
-def _count(value, name: str) -> int:
-    """A count, such as a horizon or a grid size: a whole number (see _whole) of at least 1."""
-    n = _whole(value, name)
-    if n < 1:
-        raise ValueError(f"{name} must be >= 1, got {n!r}")
-    return n
-
-
-def _u64(value, name: str = "seed") -> int:
-    """A seed: an integer in [0, 2**64), given as id text or as a whole number (see _whole)."""
-    seed = int(value) if isinstance(value, str) else _whole(value, name)
-    if not 0 <= seed <= MASK64:
-        raise ValueError(f"{name} must lie in [0, 2**64), got {seed}")
-    return seed
 
 
 def parse_env(env_id: str) -> Environment:

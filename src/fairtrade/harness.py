@@ -70,8 +70,6 @@ from .core import (
 from .environments import (
     Environment,
     FeedbackModel,
-    _count,
-    _u64,
     deterministic,  # noqa: F401
     feedback_distribution,  # noqa: F401
     feedback_tables,
@@ -80,7 +78,7 @@ from .environments import (
     render_feedback,
     sample_valuations,
 )
-from .rng import SplitMix64, mix64, unit_draws
+from .rng import SplitMix64, _count, _u64, mix64, unit_draws
 
 # Points per array pass of profile_regret: bounds its scratch arrays to
 # POINT_BLOCK x (exploration length) doubles.
@@ -236,6 +234,17 @@ class IndistinguishabilityReport:
     coupled_trajectories_equal: bool
 
 
+def _draw_rows(seeds, n: int) -> np.ndarray:
+    """The first n uniforms of each seed's stream, one row per seed, shape (len(seeds), n).
+
+    Each row is written into one preallocated array, so no row is held twice.
+    """
+    draws = np.empty((len(seeds), n), dtype=np.float64)
+    for row, seed in zip(draws, seeds):
+        row[:] = unit_draws(seed, n)
+    return draws
+
+
 class _EnvTables:
     """Per-environment oracle data for fast regret evaluation.
 
@@ -262,8 +271,7 @@ class _EnvTables:
 
     def draw(self, seeds, n: int) -> tuple:
         """(seller values, buyer values) of rounds 1..n, one row per episode seed."""
-        draws = np.reshape([unit_draws(seed, n) for seed in seeds], (len(seeds), n))
-        j = kernels._atoms_at(self.cum, draws)
+        j = kernels._atoms_at(self.cum, _draw_rows(seeds, n))
         return self.sellers[j], self.buyers[j]
 
     @functools.cached_property
@@ -658,8 +666,7 @@ def _coupled_commits(env: Environment, K: int, seeds) -> np.ndarray:
     its first maximizer, as conv_pricing_commit does.
     """
     cum = np.cumsum(feedback_tables(env, np.arange(1, K + 1, dtype=np.float64) / K), axis=1)
-    draws = np.reshape([unit_draws(seed, K) for seed in seeds], (len(seeds), K, 1))
-    outcomes = np.minimum(np.sum(cum <= draws, axis=2), 3)  # column index 2v + w
+    outcomes = np.minimum(np.sum(cum <= _draw_rows(seeds, K)[:, :, None], axis=2), 3)  # column index 2v + w
     return np.argmax(kernels.incomplete_convolution(outcomes >= 2, outcomes % 2, K), axis=1) + 1
 
 

@@ -23,10 +23,14 @@ expected_fgft_at runs in blocks of FGFT_BLOCK prices along the last axis,
 so its two scratch arrays hold at most FGFT_BLOCK doubles per row each.
 
 The two grid kernels count exactly.  incomplete_convolution takes rows
-of 0/1 acceptance bits only (it raises on any other value), packs each
-row into uint64 words and counts every score of every row as the
-popcount of two word-shifted windows, not a dot product, in strided
-passes whose scratch memory is bounded by row blocks (CONV_BLOCK_WORDS);
+of 0/1 acceptance bits only (it raises on any other value).  It builds
+one flat table per side and row, whose entry f holds the 64 bits from bit
+f on, the seller's stored reversed, so that a score is a popcount of
+words ANDed at two table entries that move forward together with the
+grid index.  A window of consecutive grid indices is then one contiguous
+AND/popcount pass over all rows of a block, not a dot product; the
+windows and the row blocks are sized in closed form from
+CONV_BLOCK_WORDS, which bounds the scratch memory.
 convolution_approx_batch starts each overlap count from its closed form
 and steps it onto the exact boundary of the indicator, instead of
 evaluating all M terms.
@@ -34,12 +38,14 @@ evaluating all M terms.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # No kernel here calls SplitMix64; the name stays importable because the
 # benchmark's tracer wraps kernels.SplitMix64.
 from .rng import SplitMix64  # noqa: F401
-from .rng import unit_draws
+from .rng import _count, unit_draws
 
 # No numba path exists; the flag stays because run metadata reports it.
 USE_NUMBA = False
@@ -55,12 +61,11 @@ FGFT_BLOCK = 2**15
 COUNT_DRAWS_PER_ATOM = 256
 # Triples per block in convolution_approx_batch.
 APPROX_BLOCK = 8192
-# Words per shift table in incomplete_convolution: bounds its scratch
-# memory to about 3 x CONV_BLOCK_WORDS uint64 words while one row fits.
+# uint64 words per table and per AND buffer in incomplete_convolution:
+# sizes its row blocks and its windows of grid indices (_conv_plan), and
+# bounds its scratch memory to 3.3 x CONV_BLOCK_WORDS words while one row
+# fits.
 CONV_BLOCK_WORDS = 2**15
-# Word offsets q per strided window in incomplete_convolution; at 2 its
-# AND buffer is about the size of one shift table.
-CONV_Q_BLOCK = 2
 
 
 def _atoms_at(cum, u) -> np.ndarray:
@@ -127,21 +132,57 @@ def expected_fgft_at(prices, sellers, buyers, weights):
 # ---------------------------------------------------------------------------
 
 
-def _shift_table(bits, table, scratch):
-    """table[r, s, w] = word w of row r's bits shifted right by s, s = 0..63.
+def _flat_table(bits, table, scratch):
+    """table[r, q, s] = the 64 bits of row r from bit 64q + s on, s = 0..63.
 
     Row r of ``bits`` (0/1, shape (rows, K)) is read as the little-endian
-    integer whose bit m is bits[r, m], in uint64 words; every word past the
-    bits is zero.  ``scratch`` is a uint64 array of the table's shape.
+    integer whose bit m is bits[r, m]; every bit past the row is zero.
+    ``table`` is a uint64 array of shape (rows, words, 64), so table[r]
+    flattened is the flat table of row r, entry f at index f; ``scratch``
+    is a flat uint64 array of at least table.size words.
     """
-    rows, words = table.shape[0], table.shape[2]
-    packed = np.zeros((rows, 8 * (words + 1)), dtype=np.uint8)
+    scratch = scratch[: table.size].reshape(table.shape)
+    packed = np.zeros((table.shape[0], 8 * table.shape[1] + 8), dtype=np.uint8)
     packed[:, : (bits.shape[1] + 7) // 8] = np.packbits(bits != 0, axis=1, bitorder="little")
     x = packed.view("<u8")
-    shifts = np.arange(64, dtype=np.uint64)[:, None]
-    np.right_shift(x[:, None, :-1], shifts, out=table)
-    np.left_shift(x[:, None, 1:], 64 - shifts[1:], out=scratch[:, 1:])
-    np.bitwise_or(table[:, 1:], scratch[:, 1:], out=table[:, 1:])
+    shifts = np.arange(64, dtype=np.uint64)
+    np.right_shift(x[:, :-1, None], shifts, out=table)
+    np.left_shift(x[:, 1:, None], 64 - shifts[1:], out=scratch[:, :, 1:])
+    np.bitwise_or(table[:, :, 1:], scratch[:, :, 1:], out=table[:, :, 1:])
+
+
+def _conv_plan(rows, K):
+    """(row block, table width, windows) of incomplete_convolution on (rows, K) bits.
+
+    Each window (i0, i1, L) is a run of grid indices i0..i1 that reads L
+    words, L = ceil(min(i1, K + 1 - i0, mid) / 64) with mid = (K + 1) // 2:
+    the words of its index nearest mid.  With cap = CONV_BLOCK_WORDS //
+    block, every window holds n = max(1, cap // L) indices unless an end
+    of the grid cuts it.  The first window is centred on mid and the
+    others go outwards from it, down to index 1 and up to index K, so the
+    windows tile 1..K and n x L <= cap whenever L <= cap.  A window reads
+    table entries up to n - 1 past entry K - 1, and n <= min(mid, 64 L,
+    cap / L) <= min(mid, 8 sqrt(cap)); the table width, a multiple of 64
+    entries, covers that for any cap up to CONV_BLOCK_WORDS, and rows go
+    ``block`` at a time so that block x width <= CONV_BLOCK_WORDS while
+    one row fits.
+    """
+    mid = (K + 1) // 2
+    width = 64 * -(-(K + min(mid, 8 * math.isqrt(CONV_BLOCK_WORDS) + 8)) // 64)
+    block = max(1, min(rows, CONV_BLOCK_WORDS // width))
+    cap = CONV_BLOCK_WORDS // block
+    L = -(-mid // 64)
+    i0 = max(1, mid - cap // L // 2)
+    i1 = min(K, i0 + max(1, cap // L) - 1)
+    windows = [(i0, i1, L)]
+    # e counts indices from the near end of the grid, so each side's windows run from e1 down to e0
+    for e1, lower in ((i0 - 1, True), (K - i1, False)):
+        while e1 >= 1:
+            L = -(-e1 // 64)
+            e0 = max(1, e1 + 1 - max(1, cap // L))
+            windows.append((e0, e1, L) if lower else (K + 1 - e1, K + 1 - e0, L))
+            e1 = e0 - 1
+    return block, width, windows
 
 
 def incomplete_convolution(seller_bits, buyer_bits, grid_size):
@@ -149,83 +190,73 @@ def incomplete_convolution(seller_bits, buyer_bits, grid_size):
 
     Row r of ``seller_bits`` holds one sweep's V_1..V_K and row r of
     ``buyer_bits`` its W_1..W_K, both of shape (rows, K); positions outside
-    1..K read as zero, so c_i / K is core.discrete_convolution_score.  Any
-    other shape, or any entry other than 0 or 1, raises ValueError rather
-    than return a wrong score.  Returns the counts as float64 of shape
-    (rows, K); every count is an exact integer.
+    1..K read as zero, so c_i / K is core.discrete_convolution_score.  The
+    grid size is a count its caller has checked (rng._count).  Any other
+    shape, or any entry other than 0 or 1 (bool rows need no check),
+    raises ValueError rather than return a wrong score.  Returns the
+    counts as float64 of shape (rows, K); every count is an exact integer.
 
     With r the bits of V reversed (bit m = V_{K-m}) and b the bits of W
     (bit m = W_{m+1}), bit k of (r >> (K-i)) & (b >> (i-1)) is
-    V_{i-k} * W_{i+k}, so c_i is the popcount of that AND, whose bits all
-    lie below min(i, K+1-i).  Each row's r and b are packed into uint64 words,
-    and each gets a table of its 64 sub-word right shifts.  Write
-    i = 1 + rho + 64q and K - 1 = 64a + c.  Then b >> (i-1) is sub-shift
-    rho of b from word q on, and r >> (K-i) is sub-shift c - rho of r from
-    word a - q on (rho <= c) or sub-shift 64 + c - rho from word a - 1 - q
-    on (rho > c).  In each of these two groups both windows are affine in
-    (rho, q, word), so one strided view per side covers every rho of the
-    group and CONV_Q_BLOCK values of q.  np.bitwise_count of the two
-    views' AND, summed over the words, gives those indices' counts, and
-    they are written straight into the returned array.
+    V_{i-k} * W_{i+k}, and all its bits lie below min(i, K+1-i).  Each row
+    of r and of b gets a flat table whose entry f is the 64 bits from bit
+    f on, zero past the bits (_flat_table).  With R and B those tables,
+    c_i = sum_{w < L} popcount(R[K-i+64w] & B[i-1+64w]), L =
+    ceil(min(i, K+1-i) / 64).  R is stored reversed, so for a window of
+    consecutive indices i0..i1 both operands of word w are forward runs of
+    the tables: one strided view per side covers the window's L words of
+    every row in the block, word-major, and one bitwise_and, one
+    bitwise_count and one add.reduce over the word axis give the window's
+    counts.  The sums run in the narrowest unsigned type that holds mid =
+    (K + 1) // 2, the largest count, and are then copied into the returned
+    array.  A window reads the words of its widest index; the extra words
+    of its other indices AND to zero, because one side of each reads past
+    the bits.  _conv_plan sizes the windows and the row block in closed
+    form from CONV_BLOCK_WORDS.
 
-    Scratch memory is bounded by row blocks.  With w = ceil(K/64) +
-    CONV_Q_BLOCK - 1 words per shifted row, rows go
-    max(1, CONV_BLOCK_WORDS // (64 w)) at a time.  A block of m rows holds
-    two shift tables of 64 m w words each, and one AND buffer of 64 m
-    max(w, CONV_Q_BLOCK x the widest window's words) words (about 64 m w),
-    which also serves as the tables' scratch, and one byte per word of the
-    AND buffer: about 3 x CONV_BLOCK_WORDS words while one row fits the
-    budget (K <= 32 704 at 2**15 words), and about 3 x 64 w words, one
-    row's, above that.
+    Scratch memory, beyond the checks of the input, is bounded by
+    CONV_BLOCK_WORDS while one row's table fits it (K up to about 31 300
+    at 2**15 words): the two tables and the AND buffer, which also serves
+    as the tables' scratch, hold at most CONV_BLOCK_WORDS uint64 words
+    each, and the popcounts one byte per AND word.  Packing a block's bits,
+    and later each window's sums, take at most CONV_BLOCK_WORDS / 6 words
+    more.  That is under 3.3 x CONV_BLOCK_WORDS words in all, besides the
+    buffers NumPy takes for a strided or broadcast ufunc call (at most
+    three of np.getbufsize() elements, 192 KiB by default, whatever the
+    input).
     """
     K = int(grid_size)
     seller_bits, buyer_bits = np.asarray(seller_bits), np.asarray(buyer_bits)
     if seller_bits.ndim != 2 or seller_bits.shape[1] != K or buyer_bits.shape != seller_bits.shape:
         raise ValueError("incomplete_convolution expects seller and buyer bits of shape (rows, K)")
     for bits in (seller_bits, buyer_bits):
-        if not np.all((bits == 0.0) | (bits == 1.0)):
+        if bits.dtype != bool and not np.all((bits == 0.0) | (bits == 1.0)):
             raise ValueError("incomplete_convolution takes 0/1 bits")
     rows = seller_bits.shape[0]
     counts = np.empty((rows, K), dtype=np.float64)
     if rows == 0 or K == 0:
         return counts
-    a, c = divmod(K - 1, 64)
-    qb = CONV_Q_BLOCK
-    words = a + qb  # a + qb - 1 is the highest word a window reads
-    # (first rho, rho count, first q, q count, words read, item offset of r's first word)
-    windows = []
-    for rho, n_rho, n_q, r_shift, r_word in ((0, c + 1, a + 1, c, a), (c + 1, 63 - c, a, 63, a - 1)):
-        for q in range(0, n_q if n_rho else 0, qb):
-            n = min(qb, n_q - q)
-            first, last = 1 + rho + 64 * q, rho + n_rho + 64 * (q + n - 1)
-            # at least ceil(min(i, K + 1 - i) / 64) for every index i of the window
-            L = (min(last, K + 1 - first) + 63) // 64
-            windows.append((rho, n_rho, q, n, L, r_shift * words + r_word - q))
-    block = min(rows, max(1, CONV_BLOCK_WORDS // (64 * words)))
-    r_table = np.empty((block, 64, words), dtype=np.uint64)
+    block, width, windows = _conv_plan(rows, K)
+    window_words = max(block * L * (i1 + 1 - i0) for i0, i1, L in windows)
+    r_table = np.empty((block, width), dtype=np.uint64)
     b_table = np.empty_like(r_table)
-    anded = np.empty(block * 64 * max(words, qb * max(w[4] for w in windows)), dtype=np.uint64)
-    bit_counts = np.empty(anded.size, dtype=np.uint8)
-    sums = np.empty(block * 64 * qb, dtype=np.uint32)
+    anded = np.empty(max(block * width, window_words), dtype=np.uint64)
+    bit_counts = np.empty(window_words, dtype=np.uint8)
+    count_type = np.min_scalar_type((K + 1) // 2)  # every count is at most min(i, K + 1 - i)
     for lo in range(0, rows, block):
         m = min(block, rows - lo)
         r, b, out = r_table[:m], b_table[:m], counts[lo : lo + m]
-        scratch = anded[: r.size].reshape(r.shape)
-        _shift_table(seller_bits[lo : lo + m, ::-1], r, scratch)
-        _shift_table(buyer_bits[lo : lo + m], b, scratch)
-        r_strides = (r.strides[0], -r.strides[1], -8, 8)
-        b_strides = (b.strides[0], b.strides[1], 8, 8)
-        # np.ndarray views raise, rather than read, past the end of their buffer
-        for rho, n_rho, q, n, L, r_first in windows:
-            shape, size = (m, n_rho, n, L), m * n_rho * n * L
-            rv = np.ndarray(shape, np.uint64, r, 8 * r_first, r_strides)
-            bv = np.ndarray(shape, np.uint64, b, 8 * (rho * words + q), b_strides)
-            both = np.bitwise_and(rv, bv, out=anded[:size].reshape(shape))
-            ones = np.bitwise_count(both, out=bit_counts[:size].reshape(shape))
-            window_sums = sums[: m * n_rho * n].reshape(shape[:3])
-            np.add.reduce(ones, axis=-1, dtype=np.uint32, out=window_sums)
-            at = np.ndarray(shape[:3], np.float64, out, 8 * (rho + 64 * q), (out.strides[0], 8, 512))
-            at[...] = window_sums
+        # entry f of row j's R is r[j, width - 1 - f]
+        _flat_table(seller_bits[lo : lo + m, ::-1], r[:, ::-1].reshape(m, -1, 64), anded)
+        _flat_table(buyer_bits[lo : lo + m], b.reshape(m, -1, 64), anded)
+        # np.ndarray views raise, rather than read, outside their buffer
+        for i0, i1, L in windows:
+            shape = (L, m, i1 + 1 - i0)
+            rv = np.ndarray(shape, np.uint64, r, 8 * (width - 1 - K + i0), (-512, r.strides[0], 8))
+            bv = np.ndarray(shape, np.uint64, b, 8 * (i0 - 1), (512, b.strides[0], 8))
+            both = np.bitwise_and(rv, bv, out=anded[: rv.size].reshape(shape))
+            ones = np.bitwise_count(both, out=bit_counts[: rv.size].reshape(shape))
+            out[:, i0 - 1 : i1] = np.add.reduce(ones, axis=0, dtype=count_type)
     return counts
 
 
@@ -246,7 +277,8 @@ def conv_pricing_commit(sellers, buyers, grid_size):
     (rows, K) float64 counts and incomplete_convolution's scratch, which
     is bounded by row blocks.  Returns (1-based commit index per row, seller bits
     V_1..V_K per row, buyer bits W_1..W_K per row), the bits as bool
-    arrays of shape (rows, K).
+    arrays of shape (rows, K).  The grid size is a count its caller has
+    checked (rng._count).
     """
     K = int(grid_size)
     grid = np.arange(1, K + 1, dtype=np.float64) / K
@@ -268,7 +300,8 @@ def dbs_explore(sellers, buyers, n_rounds):
     n rounds + buyer-phase midpoint after n rounds) / 2.  commits[:, N] is
     each row's commit price.  On a point mass every round sees the same
     pair, so commits[:, n] and the prices [:n] and [N:N+n] are what a call
-    with n rounds returns.
+    with n rounds returns.  The phase length is a count its caller has
+    checked (rng._count).
     """
     N = int(n_rounds)
     sellers = np.asarray(sellers, dtype=np.float64)
@@ -366,9 +399,10 @@ def convolution_approx_batch(prices, sellers, buyers, grid_size):
     floor(min(p - s, b - p) * M) + 1, clipped to [0, M] (NaN gives 0), and
     steps up or down until it sits on that boundary of the float predicate
     itself, so rounding can move the estimate but never the result.
-    Triples go APPROX_BLOCK at a time to keep the temporaries small.
+    Triples go APPROX_BLOCK at a time to keep the temporaries small.  M
+    is a count (rng._count).
     """
-    M = int(grid_size)
+    M = _count(grid_size, "grid_size")
     prices = np.ascontiguousarray(prices, dtype=np.float64)
     sellers = np.ascontiguousarray(sellers, dtype=np.float64)
     buyers = np.ascontiguousarray(buyers, dtype=np.float64)

@@ -12,9 +12,15 @@ kernels and the reference loop.
 
 Uniform doubles are built as (u64 >> 11) * 2**-53, i.e. 53 random bits in
 [0, 1).
+
+The one rule for the whole numbers the package takes lives here too, below
+every module that checks them: _count for a count (a horizon, a grid size,
+an episode count) and _u64 for a seed.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,6 +28,32 @@ MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 MIX_A = 0xBF58476D1CE4E5B9
 MIX_B = 0x94D049BB133111EB
+
+
+def _whole(value, name: str) -> int:
+    """A number that must be whole: an int or NumPy integer (not a bool), or an
+    integral finite float."""
+    if isinstance(value, float) and math.isfinite(value) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
+def _count(value, name: str) -> int:
+    """A count, such as a horizon or a grid size: a whole number (see _whole) of at least 1."""
+    n = _whole(value, name)
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1, got {n!r}")
+    return n
+
+
+def _u64(value, name: str = "seed") -> int:
+    """A seed: an integer in [0, 2**64), given as id text or as a whole number (see _whole)."""
+    seed = int(value) if isinstance(value, str) else _whole(value, name)
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {seed}")
+    return seed
 
 
 def finalize64(z: int) -> int:

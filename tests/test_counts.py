@@ -1,8 +1,8 @@
 """One rule for every count and seed a learner or a run takes.
 
 A count (a horizon, a grid size, an episode count, ceil_log2's n) is a whole
-number of at least 1 (environments._count); a seed is a whole number in
-[0, 2**64) (environments._u64).  Integral floats and NumPy integers are
+number of at least 1 (rng._count); a seed is a whole number in
+[0, 2**64) (rng._u64).  Integral floats and NumPy integers are
 whole; bools, fractions, NaN and infinities are not.  Every entry below
 rejects a bad value with a ValueError that names the quantity, raised by
 the helper itself, and builds from 3.0 or np.int64(3) exactly what it
@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from fairtrade import kernels
 from fairtrade.algorithms import (
     ConvolutionPricing,
     DoubleBinarySearch,
@@ -26,7 +27,7 @@ from fairtrade.algorithms import (
     default_grid_size,
     parse_learner,
 )
-from fairtrade.core import ValuationPair
+from fairtrade.core import ValuationPair, fgft_convolution_approx
 from fairtrade.environments import FeedbackModel, UnknownIdError, lb_mu, render_feedback
 from fairtrade.harness import (
     RunConfig,
@@ -62,6 +63,11 @@ COUNTS = {
     "dbs_phase_length": ("horizon", dbs_phase_length),
     "dbs_regret_bound": ("horizon", dbs_regret_bound),
     "ceil_log2": ("n", ceil_log2),
+    "fgft_convolution_approx": ("grid_size", lambda v: fgft_convolution_approx(0.5, (0.2, 0.8), v)),
+    "convolution_approx_batch": (
+        "grid_size",
+        lambda v: kernels.convolution_approx_batch([0.5, 0.3], [0.2, 0.1], [0.8, 0.9], v),
+    ),
     "RunConfig-horizons": ("horizon", lambda v: _run(RunConfig(lb_mu(), parse_learner("dbs"), (v,)))),
     "RunConfig-n_episodes": (
         "n_episodes",

@@ -1,5 +1,8 @@
 """Kernels against the reference definitions and the splitmix64 stream."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -216,18 +219,87 @@ def test_incomplete_convolution_matches_python_int_popcount(K, density):
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize(
-    "K, rows, budget",
-    [(65, kernels.CONV_BLOCK_WORDS // 64 + 1, kernels.CONV_BLOCK_WORDS), (64, 3, 1), (2154, 7, 10_000)],
-    ids=["default-budget", "one-row-blocks", "blocks-of-4"],
-)
-def test_incomplete_convolution_rows_match_single_rows(monkeypatch, K, rows, budget):
-    # every case scores its rows in more than one row block
+def _several_blocks(rows, K, block, windows):
+    return block < rows
+
+
+def _one_index_windows(rows, K, block, windows):
+    return all(i0 == i1 for i0, i1, _ in windows)
+
+
+def _one_window(rows, K, block, windows):
+    return [w[:2] for w in windows] == [(1, K)]
+
+
+def _edge_by_mid(rows, K, block, windows):
+    mid = (K + 1) // 2
+    return any(abs(i - mid) <= 1 for i0, i1, _ in windows for i in (i0, i1))
+
+
+# id -> (K, rows, CONV_BLOCK_WORDS, what the plan of that call must show)
+_ROW_BLOCK_CASES = {
+    "default-budget": (65, kernels.CONV_BLOCK_WORDS // 64 + 1, kernels.CONV_BLOCK_WORDS, _several_blocks),
+    "one-row-blocks": (64, 3, 1, _several_blocks),
+    "blocks-of-4": (2154, 7, 12_300, lambda rows, K, block, windows: block == 4),
+    "one-index-windows": (130, 3, 1, _one_index_windows),
+    "one-window": (128, 33, 2**12, lambda *plan: _one_window(*plan) and _several_blocks(*plan)),
+    "one-window-large-K": (2154, 3, 2**22, _one_window),
+    "edge-by-mid-at-word-edge": (129, 2, 5, _edge_by_mid),
+    "edge-by-mid-even-K": (2154, 2, 34, _edge_by_mid),
+    "edge-by-mid-odd-K": (2155, 2, 54, _edge_by_mid),
+}
+
+
+@pytest.mark.parametrize("case", list(_ROW_BLOCK_CASES))
+def test_incomplete_convolution_rows_match_single_rows(monkeypatch, case):
+    # the first three cases score their rows in more than one row block; the
+    # others pin the extremes of the window plan: windows of one index, one
+    # window over all K, and window edges next to the middle index
+    K, rows, budget, shows = _ROW_BLOCK_CASES[case]
     monkeypatch.setattr(kernels, "CONV_BLOCK_WORDS", budget)
+    block, _, windows = kernels._conv_plan(rows, K)
+    assert shows(rows, K, block, windows)
     seller, buyer = _random_bits(K, 0.8, seed=rows, rows=rows)
     got = kernels.incomplete_convolution(seller, buyer, K)
     for v, w, row in zip(seller, buyer, got):
         assert np.array_equal(row, kernels.incomplete_convolution(v[None], w[None], K)[0])
+        assert np.array_equal(row, _popcount_convolution(v, w, K))
+
+
+@pytest.mark.parametrize("budget", [1, 5, 64, 1000, 2**15, 2**22])
+def test_conv_plan_tiles_the_grid_within_the_budget(monkeypatch, budget):
+    # what _conv_plan's docstring states: the windows tile 1..K, each reads the
+    # words of its widest index, and the tables, the AND buffer and every read
+    # stay within their bounds
+    monkeypatch.setattr(kernels, "CONV_BLOCK_WORDS", budget)
+    for rows, K in itertools.product((1, 5, 50), (1, 2, 3, 64, 65, 127, 128, 129, 1000, 2154, 10_000, 40_000)):
+        block, width, windows = kernels._conv_plan(rows, K)
+        mid = (K + 1) // 2
+        windows = sorted(windows)
+        assert [w[0] for w in windows] == [1] + [w[1] + 1 for w in windows[:-1]]
+        assert windows[-1][1] == K
+        for i0, i1, L in windows:
+            assert L == -(-min(i1, K + 1 - i0, mid) // 64)
+            assert (i1 + 1 - i0) * L <= budget // block or i0 == i1
+            # the last entries each table reads: R's at K - i0 + 64(L-1), B's at i1 - 1 + 64(L-1)
+            assert max(K - i0, i1 - 1) + 64 * (L - 1) < width
+        assert width % 64 == 0 and 1 <= block <= rows
+        assert block * width <= budget or block == 1
+
+
+def test_incomplete_convolution_scratch_stays_within_its_bound():
+    # the docstring's bound: under 3.3 x CONV_BLOCK_WORDS uint64 words of scratch, besides
+    # NumPy's buffers of at most three times np.getbufsize() elements of 8 bytes
+    rows, K = 5, 10_000
+    seller, buyer = _random_bits(K, 0.6, seed=1, rows=rows)
+    kernels.incomplete_convolution(seller, buyer, K)
+    tracemalloc.start()
+    try:
+        kernels.incomplete_convolution(seller, buyer, K)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - rows * K * 8 <= 3.3 * 8 * kernels.CONV_BLOCK_WORDS + 3 * 8 * np.getbufsize(), peak
 
 
 @pytest.mark.parametrize(
