@@ -662,12 +662,12 @@ def _coupled_commits(env: Environment, K: int, seeds) -> np.ndarray:
     (1, 1).  Sampling inverts the law rather than drawing an atom, so two
     environments with equal laws turn identical uniforms into identical
     bits: the coupling that realizes statistical indistinguishability.
-    Every row is scored by one incomplete_convolution call and commits to
-    its first maximizer, as conv_pricing_commit does.
+    One grid_commits call commits every row to its first maximizer, as
+    conv_pricing_commit does.
     """
     cum = np.cumsum(feedback_tables(env, np.arange(1, K + 1, dtype=np.float64) / K), axis=1)
     outcomes = np.minimum(np.sum(cum <= _draw_rows(seeds, K)[:, :, None], axis=2), 3)  # column index 2v + w
-    return np.argmax(kernels.incomplete_convolution(outcomes >= 2, outcomes % 2, K), axis=1) + 1
+    return kernels.grid_commits(outcomes >= 2, outcomes % 2, K)
 
 
 def indistinguishability_check(

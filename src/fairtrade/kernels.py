@@ -30,7 +30,11 @@ words ANDed at two table entries that move forward together with the
 grid index.  A window of consecutive grid indices is then one contiguous
 AND/popcount pass over all rows of a block, not a dot product; the
 windows and the row blocks are sized in closed form from
-CONV_BLOCK_WORDS, which bounds the scratch memory.
+CONV_BLOCK_WORDS, which bounds the scratch memory.  grid_commits returns
+each row's first maximizer of those counts, exactly, but scores only the
+windows' parts that hold an index whose count can reach the maximum:
+each count is capped by the ones of its seller and buyer windows, and a
+cap below one probe index's exact count rules an index out.
 convolution_approx_batch starts each overlap count from its closed form
 and steps it onto the exact boundary of the indicator, instead of
 evaluating all M terms.
@@ -135,7 +139,7 @@ def expected_fgft_at(prices, sellers, buyers, weights):
 def _flat_table(bits, table, scratch):
     """table[r, q, s] = the 64 bits of row r from bit 64q + s on, s = 0..63.
 
-    Row r of ``bits`` (0/1, shape (rows, K)) is read as the little-endian
+    Row r of ``bits`` (bool, shape (rows, K)) is read as the little-endian
     integer whose bit m is bits[r, m]; every bit past the row is zero.
     ``table`` is a uint64 array of shape (rows, words, 64), so table[r]
     flattened is the flat table of row r, entry f at index f; ``scratch``
@@ -143,7 +147,7 @@ def _flat_table(bits, table, scratch):
     """
     scratch = scratch[: table.size].reshape(table.shape)
     packed = np.zeros((table.shape[0], 8 * table.shape[1] + 8), dtype=np.uint8)
-    packed[:, : (bits.shape[1] + 7) // 8] = np.packbits(bits != 0, axis=1, bitorder="little")
+    packed[:, : (bits.shape[1] + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
     x = packed.view("<u8")
     shifts = np.arange(64, dtype=np.uint64)
     np.right_shift(x[:, :-1, None], shifts, out=table)
@@ -185,6 +189,74 @@ def _conv_plan(rows, K):
     return block, width, windows
 
 
+def _grid_bits(seller_bits, buyer_bits, K):
+    """Both sides' 0/1 bits of shape (rows, K), as bool arrays.
+
+    Any other shape, or any entry other than 0 or 1 (bool rows need no
+    check), raises ValueError rather than give a wrong score.
+    """
+    seller_bits, buyer_bits = np.asarray(seller_bits), np.asarray(buyer_bits)
+    if seller_bits.ndim != 2 or seller_bits.shape[1] != K or buyer_bits.shape != seller_bits.shape:
+        raise ValueError("the grid kernels expect seller and buyer bits of shape (rows, K)")
+    for bits in (seller_bits, buyer_bits):
+        if bits.dtype != bool and not np.all((bits == 0.0) | (bits == 1.0)):
+            raise ValueError("the grid kernels take 0/1 bits")
+    return [bits if bits.dtype == bool else bits != 0 for bits in (seller_bits, buyer_bits)]
+
+
+def _cut_windows(windows, hit, K):
+    """The windows of _conv_plan cut down to the indices i with hit[i - 1].
+
+    Each window keeps the part from its first to its last such index,
+    which reads the words of its own widest index, L = ceil(min(j1, K + 1
+    - j0, mid) / 64), at most the window's L; a window without such an
+    index is dropped.  Returns the parts as (j0, j1, L).
+    """
+    i0, i1, _ = np.array(windows).T
+    at = np.flatnonzero(hit) + 1
+    first, last = np.searchsorted(at, i0), np.searchsorted(at, i1, side="right") - 1
+    keep = first <= last
+    j0, j1 = at[first[keep]], at[last[keep]]
+    L = -(-np.minimum(np.minimum(j1, K + 1 - j0), (K + 1) // 2) // 64)
+    return list(zip(j0.tolist(), j1.tolist(), L.tolist()))
+
+
+def _score_windows(seller_bits, buyer_bits, K, out, candidates=None):
+    """Write c_i into out[:, i - 1], window by window, from (rows, K) bool bits.
+
+    Every grid index is scored, or, given a (rows, K) bool mask
+    ``candidates``, only the part of each window that holds a candidate
+    of a row in its row block (_cut_windows); the other entries of
+    ``out`` keep their values.  incomplete_convolution's docstring gives
+    the method and the scratch memory.
+    """
+    rows = seller_bits.shape[0]
+    if rows == 0 or K == 0:
+        return
+    block, width, windows = _conv_plan(rows, K)
+    window_words = max(block * L * (i1 + 1 - i0) for i0, i1, L in windows)
+    r_table = np.empty((block, width), dtype=np.uint64)
+    b_table = np.empty_like(r_table)
+    anded = np.empty(max(block * width, window_words), dtype=np.uint64)
+    bit_counts = np.empty(window_words, dtype=np.uint8)
+    count_type = np.min_scalar_type((K + 1) // 2)  # every count is at most min(i, K + 1 - i)
+    for lo in range(0, rows, block):
+        m = min(block, rows - lo)
+        r, b, scores = r_table[:m], b_table[:m], out[lo : lo + m]
+        # entry f of row j's R is r[j, width - 1 - f]
+        _flat_table(seller_bits[lo : lo + m, ::-1], r[:, ::-1].reshape(m, -1, 64), anded)
+        _flat_table(buyer_bits[lo : lo + m], b.reshape(m, -1, 64), anded)
+        parts = windows if candidates is None else _cut_windows(windows, candidates[lo : lo + m].any(axis=0), K)
+        # np.ndarray views raise, rather than read, outside their buffer
+        for i0, i1, L in parts:
+            shape = (L, m, i1 + 1 - i0)
+            rv = np.ndarray(shape, np.uint64, r, 8 * (width - 1 - K + i0), (-512, r.strides[0], 8))
+            bv = np.ndarray(shape, np.uint64, b, 8 * (i0 - 1), (512, b.strides[0], 8))
+            both = np.bitwise_and(rv, bv, out=anded[: rv.size].reshape(shape))
+            ones = np.bitwise_count(both, out=bit_counts[: rv.size].reshape(shape))
+            scores[:, i0 - 1 : i1] = np.add.reduce(ones, axis=0, dtype=count_type)
+
+
 def incomplete_convolution(seller_bits, buyer_bits, grid_size):
     """The K sums c_i = sum_{k>=0} V_{i-k} * W_{i+k}, i = 1..K, of each row's 0/1 bits.
 
@@ -207,12 +279,12 @@ def incomplete_convolution(seller_bits, buyer_bits, grid_size):
     the tables: one strided view per side covers the window's L words of
     every row in the block, word-major, and one bitwise_and, one
     bitwise_count and one add.reduce over the word axis give the window's
-    counts.  The sums run in the narrowest unsigned type that holds mid =
-    (K + 1) // 2, the largest count, and are then copied into the returned
-    array.  A window reads the words of its widest index; the extra words
-    of its other indices AND to zero, because one side of each reads past
-    the bits.  _conv_plan sizes the windows and the row block in closed
-    form from CONV_BLOCK_WORDS.
+    counts (_score_windows).  The sums run in the narrowest unsigned type
+    that holds mid = (K + 1) // 2, the largest count, and are then copied
+    into the returned array.  A window reads the words of its widest
+    index; the extra words of its other indices AND to zero, because one
+    side of each reads past the bits.  _conv_plan sizes the windows and
+    the row block in closed form from CONV_BLOCK_WORDS.
 
     Scratch memory, beyond the checks of the input, is bounded by
     CONV_BLOCK_WORDS while one row's table fits it (K up to about 31 300
@@ -226,38 +298,74 @@ def incomplete_convolution(seller_bits, buyer_bits, grid_size):
     input).
     """
     K = int(grid_size)
-    seller_bits, buyer_bits = np.asarray(seller_bits), np.asarray(buyer_bits)
-    if seller_bits.ndim != 2 or seller_bits.shape[1] != K or buyer_bits.shape != seller_bits.shape:
-        raise ValueError("incomplete_convolution expects seller and buyer bits of shape (rows, K)")
-    for bits in (seller_bits, buyer_bits):
-        if bits.dtype != bool and not np.all((bits == 0.0) | (bits == 1.0)):
-            raise ValueError("incomplete_convolution takes 0/1 bits")
-    rows = seller_bits.shape[0]
-    counts = np.empty((rows, K), dtype=np.float64)
-    if rows == 0 or K == 0:
-        return counts
-    block, width, windows = _conv_plan(rows, K)
-    window_words = max(block * L * (i1 + 1 - i0) for i0, i1, L in windows)
-    r_table = np.empty((block, width), dtype=np.uint64)
-    b_table = np.empty_like(r_table)
-    anded = np.empty(max(block * width, window_words), dtype=np.uint64)
-    bit_counts = np.empty(window_words, dtype=np.uint8)
-    count_type = np.min_scalar_type((K + 1) // 2)  # every count is at most min(i, K + 1 - i)
-    for lo in range(0, rows, block):
-        m = min(block, rows - lo)
-        r, b, out = r_table[:m], b_table[:m], counts[lo : lo + m]
-        # entry f of row j's R is r[j, width - 1 - f]
-        _flat_table(seller_bits[lo : lo + m, ::-1], r[:, ::-1].reshape(m, -1, 64), anded)
-        _flat_table(buyer_bits[lo : lo + m], b.reshape(m, -1, 64), anded)
-        # np.ndarray views raise, rather than read, outside their buffer
-        for i0, i1, L in windows:
-            shape = (L, m, i1 + 1 - i0)
-            rv = np.ndarray(shape, np.uint64, r, 8 * (width - 1 - K + i0), (-512, r.strides[0], 8))
-            bv = np.ndarray(shape, np.uint64, b, 8 * (i0 - 1), (512, b.strides[0], 8))
-            both = np.bitwise_and(rv, bv, out=anded[: rv.size].reshape(shape))
-            ones = np.bitwise_count(both, out=bit_counts[: rv.size].reshape(shape))
-            out[:, i0 - 1 : i1] = np.add.reduce(ones, axis=0, dtype=count_type)
+    seller_bits, buyer_bits = _grid_bits(seller_bits, buyer_bits, K)
+    counts = np.empty(seller_bits.shape, dtype=np.float64)
+    _score_windows(seller_bits, buyer_bits, K, counts)
     return counts
+
+
+def _window_bound(seller_bits, buyer_bits, K):
+    """UB_i = min(ones of V in [i-L_i+1, i], ones of W in [i, i+L_i-1]), L_i = min(i, K+1-i).
+
+    Every term V_{i-k} W_{i+k} of c_i needs one bit of each window, so
+    c_i <= UB_i, with equality wherever one window is all ones.  Both
+    counts are differences of cumulative counts read through slices: for
+    i <= h = (K + 1) // 2 the windows are [1, i] and [i, 2i-1], above h
+    they are [2i-K, i] and [i, K].  The cumulative counts are taken in the
+    narrowest unsigned type that holds h and wrap modulo its range, which
+    leaves every difference exact, as each window holds at most h bits.
+    Returns the (rows, K) bound in that type.
+    """
+    rows, h = seller_bits.shape[0], (K + 1) // 2
+    count_type = np.min_scalar_type(h)
+    seen = np.zeros((rows, K + 1), dtype=count_type)  # seen[:, j]: ones among bits 1..j
+    bound = np.empty((rows, K), dtype=count_type)
+    np.cumsum(seller_bits, axis=1, dtype=count_type, out=seen[:, 1:])
+    bound[:, :h] = seen[:, 1 : h + 1]
+    np.subtract(seen[:, h + 1 :], seen[:, 2 * h + 1 - K : K : 2], out=bound[:, h:])
+    np.cumsum(buyer_bits, axis=1, dtype=count_type, out=seen[:, 1:])
+    np.minimum(bound[:, :h], seen[:, 1 : 2 * h : 2] - seen[:, :h], out=bound[:, :h])
+    np.minimum(bound[:, h:], seen[:, K:] - seen[:, h:K], out=bound[:, h:])
+    return bound
+
+
+def _grid_candidates(seller_bits, buyer_bits, K):
+    """(rows, K) mask of the grid indices whose bound reaches a probe's exact count.
+
+    The probe of row r is its first index of largest bound (_window_bound);
+    its count c is exact, and the mask holds UB_i >= c.  Every maximizer
+    of the row has UB_i >= c_i = max >= c, so the mask holds them all.
+    """
+    bound = _window_bound(seller_bits, buyer_bits, K)
+    floor = np.empty(bound.shape[0], dtype=bound.dtype)
+    for r, j in enumerate(np.argmax(bound, axis=1).tolist()):  # j = i - 1
+        L = min(j + 1, K - j)
+        floor[r] = np.count_nonzero(seller_bits[r, j + 1 - L : j + 1][::-1] & buyer_bits[r, j : j + L])
+    return bound >= floor[:, None]
+
+
+def grid_commits(seller_bits, buyer_bits, grid_size):
+    """Each row's first maximizer of incomplete_convolution, 1-based.
+
+    Takes the bits incomplete_convolution takes, with the same checks
+    (the grid size is a count its caller has checked, rng._count), and
+    returns exactly np.argmax(incomplete_convolution(...), axis=1) + 1,
+    while scoring only the part of each window that holds a candidate
+    (_grid_candidates): an index whose bound is below the probe's exact
+    count c has c_i <= UB_i < c <= max and cannot win.  Those parts are
+    scored exactly, into counts that start at zero.  An index left
+    unscored keeps 0, which is below the row's maximum whenever c > 0; when
+    c = 0 every index is a candidate.  So the first maximizer is the full
+    scoring's.  Memory beyond _score_windows's scratch: the (rows, K + 1)
+    cumulative counts, the bound and the counts, in the narrowest
+    unsigned type that holds (K + 1) // 2, and the (rows, K) bool mask.
+    """
+    K = int(grid_size)
+    seller_bits, buyer_bits = _grid_bits(seller_bits, buyer_bits, K)
+    candidates = _grid_candidates(seller_bits, buyer_bits, K)
+    counts = np.zeros(seller_bits.shape, dtype=np.min_scalar_type((K + 1) // 2))
+    _score_windows(seller_bits, buyer_bits, K, counts, candidates)
+    return np.argmax(counts, axis=1) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +379,21 @@ def conv_pricing_commit(sellers, buyers, grid_size):
     Row r holds one episode's seller and buyer values of rounds 1..K, shape
     (rows, K), or one value per row, shape (rows, 1), for a point mass.
     Round t posts t/K and records the two acceptance bits of its pair;
-    every grid index of every row is scored by the incomplete convolution
-    of that row's bits, all rows in one incomplete_convolution call, and
-    each row commits to its first maximizer.  Memory beyond the bits: the
-    (rows, K) float64 counts and incomplete_convolution's scratch, which
-    is bounded by row blocks.  Returns (1-based commit index per row, seller bits
-    V_1..V_K per row, buyer bits W_1..W_K per row), the bits as bool
-    arrays of shape (rows, K).  The grid size is a count its caller has
-    checked (rng._count).
+    each row commits to the first maximizer of the incomplete convolution
+    of its bits, all rows in one grid_commits call, which scores only the
+    grid indices that can win.  Memory beyond the bits: grid_commits's
+    cumulative counts, bound and counts in the narrowest unsigned type
+    that holds (K + 1) // 2, its (rows, K) bool mask, and its windows'
+    scratch, which is bounded by row blocks.  Returns (1-based commit
+    index per row, seller bits V_1..V_K per row, buyer bits W_1..W_K per
+    row), the bits as bool arrays of shape (rows, K).  The grid size is a
+    count its caller has checked (rng._count).
     """
     K = int(grid_size)
     grid = np.arange(1, K + 1, dtype=np.float64) / K
     seller_bits = np.asarray(sellers, dtype=np.float64) <= grid
     buyer_bits = grid <= np.asarray(buyers, dtype=np.float64)
-    commits = np.argmax(incomplete_convolution(seller_bits, buyer_bits, K), axis=1) + 1
+    commits = grid_commits(seller_bits, buyer_bits, K)
     return commits, seller_bits, buyer_bits
 
 

@@ -136,8 +136,9 @@ def test_incomplete_convolution_validates_layout():
         ((1, 2, 2), (1, 2, 2)),
     )
     for seller, buyer in shapes:
-        with pytest.raises(ValueError):
-            kernels.incomplete_convolution(np.zeros(seller), np.zeros(buyer), 2)
+        for kernel in (kernels.incomplete_convolution, kernels.grid_commits):
+            with pytest.raises(ValueError):
+                kernel(np.zeros(seller), np.zeros(buyer), 2)
 
 
 def test_uniform_prices_numpy_matches_stream():
@@ -310,8 +311,142 @@ def test_incomplete_convolution_rejects_non_bits(side, index, value):
     K = 7
     arrays = {"av": np.zeros((2, K)), "bv": np.zeros((2, K))}  # seller bits, buyer bits
     arrays[side][1, index] = value
-    with pytest.raises(ValueError):
-        kernels.incomplete_convolution(arrays["av"], arrays["bv"], K)
+    for kernel in (kernels.incomplete_convolution, kernels.grid_commits):
+        with pytest.raises(ValueError):
+            kernel(arrays["av"], arrays["bv"], K)
+
+
+# ---------------------------------------------------------------------------
+# grid_commits: the first maximizer from the indices that can win
+# ---------------------------------------------------------------------------
+
+
+def _full_commits(seller, buyer, K):
+    return np.argmax(kernels.incomplete_convolution(seller, buyer, K), axis=1) + 1
+
+
+@st.composite
+def _grid_rows(draw):
+    """(seller bits, buyer bits, K): rows of one bit density, or CDF-shaped rows.
+
+    A CDF-shaped row is what a sweep draws: seller bit t is 1 with a chance
+    that rises from 0 to 1 over a random ramp of prices, buyer bit t with a
+    chance that falls from 1 to 0 over another.
+    """
+    K = draw(st.sampled_from([1, 2, 3, 63, 64, 65, 129, 2154]))
+    rows = draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        density = draw(st.sampled_from([0.0, 0.02, 0.3, 0.5, 0.9, 1.0]))
+        return rng.random((rows, K)) < density, rng.random((rows, K)) < density, K
+    grid = np.arange(1, K + 1) / K
+    seller_ramp, buyer_ramp = np.sort(rng.random((2, rows, 2)), axis=2)
+
+    def rising(ramp):
+        return np.clip((grid - ramp[:, :1]) / (ramp[:, 1:] - ramp[:, :1] + 1e-9), 0.0, 1.0)
+
+    return rng.random((rows, K)) < rising(seller_ramp), rng.random((rows, K)) >= rising(buyer_ramp), K
+
+
+@settings(max_examples=120, deadline=None)
+@given(bits=_grid_rows(), budget=st.sampled_from([kernels.CONV_BLOCK_WORDS, 1, 300, 5000]))
+def test_grid_commits_is_the_first_maximizer_of_the_full_scores(bits, budget):
+    # with 6 rows, a row block holds 1 row under budget 1, 4, 2 or 1 rows under
+    # budget 300 as K grows, and 1 row at K = 2154 under budget 5000
+    seller, buyer, K = bits
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "CONV_BLOCK_WORDS", budget)
+        got = kernels.grid_commits(seller, buyer, K)
+        want = _full_commits(seller, buyer, K)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# id -> (seller bits, buyer bits, the commits)
+_EXPLICIT_GRID_ROWS = {
+    "all-zero": (np.zeros((3, 2154), bool), np.zeros((3, 2154), bool), [1, 1, 1]),
+    "all-one-odd-K": (np.ones((2, 129), bool), np.ones((2, 129), bool), [65, 65]),
+    "all-one-even-K": (np.ones((2, 64), bool), np.ones((2, 64), bool), [32, 32]),
+    # c = (0, 1, 2, 2, 1, 1, 0) and UB = (0, 1, 2, 3, 2, 1, 0): the probe lands on the later maximizer
+    "two-way-tie": ([[1, 0, 1, 1, 0, 1, 1]], [[0, 1, 1, 1, 1, 1, 0]], [3]),
+    "no-rows": (np.zeros((0, 65), bool), np.zeros((0, 65), bool), []),
+}
+
+
+@pytest.mark.parametrize("case", list(_EXPLICIT_GRID_ROWS))
+def test_grid_commits_on_explicit_rows(case):
+    seller, buyer, commits = _EXPLICIT_GRID_ROWS[case]
+    K = np.shape(seller)[1]
+    got = kernels.grid_commits(seller, buyer, K)
+    assert got.tolist() == commits
+    assert np.array_equal(got, _full_commits(np.asarray(seller), np.asarray(buyer), K))
+
+
+def _window_counts(bits, K):
+    """Ones of each row in the windows [i - L_i + 1, i] and [i, i + L_i - 1], L_i = min(i, K + 1 - i).
+
+    Read by index gathers from int64 cumulative counts, not by the
+    kernel's slices.
+    """
+    seen = np.concatenate([np.zeros((bits.shape[0], 1), np.int64), np.cumsum(bits, axis=1)], axis=1)
+    i = np.arange(1, K + 1)
+    L = np.minimum(i, K + 1 - i)
+    return seen[:, i] - seen[:, i - L], seen[:, i + L - 1] - seen[:, i - 1], L
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 63, 64, 65, 129, 510, 511, 2154])
+@pytest.mark.parametrize("density", [0.02, 0.5, 0.9, 1.0])
+def test_window_bound_caps_every_count(K, density):
+    # K = 510 and 511 straddle the switch from uint8 to uint16 counts, whose
+    # cumulative sums wrap
+    seller, buyer = _random_bits(K, density, seed=K, rows=3)
+    bound = kernels._window_bound(seller, buyer, K)
+    counts = kernels.incomplete_convolution(seller, buyer, K)
+    seller_ones, _, L = _window_counts(seller, K)
+    _, buyer_ones, _ = _window_counts(buyer, K)
+    assert np.array_equal(bound, np.minimum(seller_ones, buyer_ones))
+    assert np.all(bound >= counts)
+    # a window of all ones makes the other side's count the score
+    full = (seller_ones == L) | (buyer_ones == L)
+    assert np.array_equal(bound[full], counts[full])
+
+
+def test_window_bound_is_the_score_when_the_buyer_sits_at_one():
+    # eps-family's buyer values are 1, so every buyer bit is 1
+    K = 2154
+    tables = _EnvTables(parse_env("eps-family:eps=0.2"))
+    grid = np.arange(1, K + 1) / K
+    sellers, buyers = tables.draw(range(5), K)
+    seller, buyer = sellers <= grid, grid <= buyers
+    assert buyer.all()
+    assert np.array_equal(kernels._window_bound(seller, buyer, K), kernels.incomplete_convolution(seller, buyer, K))
+
+
+def _scored_share(seller, buyer, K):
+    """Window words grid_commits scores, as a share of the words incomplete_convolution scores."""
+    rows = seller.shape[0]
+    block, _, windows = kernels._conv_plan(rows, K)
+    candidates = kernels._grid_candidates(seller, buyer, K)
+    scored = 0
+    for lo in range(0, rows, block):
+        hit = candidates[lo : lo + block].any(axis=0)
+        parts = kernels._cut_windows(windows, hit, K)
+        scored += min(block, rows - lo) * sum(L * (i1 + 1 - i0) for i0, i1, L in parts)
+    return scored / (rows * sum(L * (i1 + 1 - i0) for i0, i1, L in windows))
+
+
+@pytest.mark.parametrize(
+    "env_id, most",
+    [("eps-family:eps=0.2", 0.03), ("random-ind:seed=101", 0.25), ("random-ind:seed=202", 0.27), ("lb-mu", 0.7)],
+)
+def test_grid_commits_scores_a_pinned_share_of_the_window_words(env_id, most):
+    # work, not time: at K = 2154 and 5 rows the shares read 1.5%, 19%, 21% and 60%
+    K = 2154
+    grid = np.arange(1, K + 1) / K
+    sellers, buyers = _EnvTables(parse_env(env_id)).draw(range(5), K)
+    seller, buyer = sellers <= grid, grid <= buyers
+    share = _scored_share(seller, buyer, K)
+    assert 0.0 < share <= most, share
+    assert kernels.grid_commits(seller, buyer, K).tolist() == _full_commits(seller, buyer, K).tolist()
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 10, 100, 464])
@@ -627,16 +762,25 @@ def test_fbep_keeps_the_lower_of_tied_candidates_and_one_dominated_only_from_abo
         assert 0 in idx[1:] and 1 in idx[1:], seed
 
 
-@pytest.mark.parametrize("K", [1, 2, 65, 464])
-@pytest.mark.parametrize("env_name", list(_SIM_ENVS))
+@pytest.mark.parametrize("K", [1, 2, 65, 464, 2154])
+@pytest.mark.parametrize("env_name", [*_SIM_ENVS, "point-masses"])
 def test_conv_pricing_commit_matches_round_loop(env_name, K):
-    tables = _EnvTables(_SIM_ENVS[env_name]())
-    rows = zip(_SEEDS, *kernels.conv_pricing_commit(*tables.draw(_SEEDS, K), K))
-    for seed, commit, seller_bits, buyer_bits in rows:
-        want_v, want_w = _loop_conv_bits(seed, tables.cum, tables.sellers, tables.buyers, K)
-        assert np.array_equal(seller_bits, want_v) and np.array_equal(buyer_bits, want_w), seed
+    # K = 2154 spans several windows, of which grid_commits scores only parts;
+    # a point mass draws its one atom every round, so its bits are step functions
+    if env_name == "point-masses":
+        values = np.array([0.0, 1 / 8, 1 / 3, 0.5, 0.7, 1.0])
+        sellers, buyers = (v.reshape(-1, 1) for v in np.meshgrid(values, values))
+        loops = [(0, np.ones(1), s, b) for s, b in zip(sellers, buyers)]
+    else:
+        tables = _EnvTables(_SIM_ENVS[env_name]())
+        sellers, buyers = tables.draw(_SEEDS, K)
+        loops = [(seed, tables.cum, tables.sellers, tables.buyers) for seed in _SEEDS]
+    rows = zip(loops, *kernels.conv_pricing_commit(sellers, buyers, K))
+    for loop, commit, seller_bits, buyer_bits in rows:
+        want_v, want_w = _loop_conv_bits(*loop, K)
+        assert np.array_equal(seller_bits, want_v) and np.array_equal(buyer_bits, want_w), loop
         want_commit = int(np.argmax(_popcount_convolution(want_v, want_w, K))) + 1
-        assert commit == want_commit, seed
+        assert commit == want_commit, loop
 
 
 @pytest.mark.parametrize("N", [0, 1, 10])
