@@ -22,6 +22,11 @@ Learners and the feedback they consume:
 * ``fixed:p=...``, ``gft-oracle`` (best fixed price for raw gain from
   trade), and ``uniform:seed=...`` are non-adaptive baselines.
 
+Each kind is declared once, as a row of LEARNER_KINDS: its id patterns,
+the feedback it consumes, whether it is deterministic, and how to build
+it.  The harness adds one row for its fast path (harness._PROFILES or
+harness._ROUND_GAPS).
+
 Every horizon and grid size is a count (``rng._count``: a whole
 number of at least 1) and the uniform baseline's seed a u64
 (``rng._u64``), so a fraction, a bool, NaN or an infinity raises
@@ -31,6 +36,7 @@ ValueError naming the quantity, and 3.0 or np.int64(3) acts as 3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -243,36 +249,72 @@ class UniformRandom(Learner):
 # id parsing / registry
 # ---------------------------------------------------------------------------
 
-LEARNER_ID_PATTERNS = (
-    "conv-pricing",
-    "conv-pricing:K=<grid size>",
-    "dbs",
-    "fbep",
-    "fixed:p=<price>",
-    "gft-oracle",
-    "uniform:seed=<u64>",
-)
+
+class LearnerKind(NamedTuple):
+    """Everything the package knows of one learner kind.
+
+    ``patterns`` are its id forms, each headed by the kind; ``requires`` is
+    the feedback model its updates consume (None: it ignores feedback);
+    ``deterministic`` says its prices are a function of the feedback alone;
+    ``build(T, env, episode, **params)`` makes a fresh Learner for an
+    episode of horizon T whose seed is ``episode`` (see LearnerSpec.build),
+    taking the spec's parsed parameters as keywords.
+    """
+
+    patterns: tuple
+    requires: FeedbackModel | None
+    deterministic: bool
+    build: Callable[..., Learner]
+
+
+LEARNER_KINDS = {
+    "conv-pricing": LearnerKind(
+        ("conv-pricing", "conv-pricing:K=<grid size>"),
+        FeedbackModel.TWO_BIT,
+        True,
+        lambda T, env, episode, K=None: ConvolutionPricing(T, K),
+    ),
+    "dbs": LearnerKind(("dbs",), FeedbackModel.TWO_BIT, True, lambda T, env, episode: DoubleBinarySearch(T)),
+    "fbep": LearnerKind(
+        ("fbep",), FeedbackModel.FULL, True, lambda T, env, episode: FollowBestEmpiricalPrice(T)
+    ),
+    "fixed": LearnerKind(("fixed:p=<price>",), None, True, lambda T, env, episode, p: FixedPrice(p)),
+    "gft-oracle": LearnerKind(
+        ("gft-oracle",), None, True, lambda T, env, episode: FixedPrice(best_fixed_price_gft(env.joint).price)
+    ),
+    "uniform": LearnerKind(
+        ("uniform:seed=<u64>",),
+        None,
+        False,
+        lambda T, env, episode, seed=0: UniformRandom(mix64(seed, episode)),
+    ),
+}
+
+LEARNER_ID_PATTERNS = tuple(pattern for kind in LEARNER_KINDS.values() for pattern in kind.patterns)
 
 
 @dataclass(frozen=True)
 class LearnerSpec:
-    """A parsed learner id: enough to build a fresh instance per episode."""
+    """A parsed learner id: enough to build a fresh instance per episode.
+
+    ``kind`` must be a key of LEARNER_KINDS, else UnknownIdError.
+    """
 
     learner_id: str
     kind: str
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.kind not in LEARNER_KINDS:
+            raise UnknownIdError(f"unknown learner kind {self.kind!r}")
+
     @property
     def requires(self) -> FeedbackModel | None:
-        if self.kind in ("conv-pricing", "dbs"):
-            return FeedbackModel.TWO_BIT
-        if self.kind == "fbep":
-            return FeedbackModel.FULL
-        return None
+        return LEARNER_KINDS[self.kind].requires
 
     @property
     def deterministic(self) -> bool:
-        return self.kind != "uniform"
+        return LEARNER_KINDS[self.kind].deterministic
 
     def build(self, horizon: int, env: Environment, episode_seed: int = 0) -> Learner:
         """Fresh learner for one episode.
@@ -282,19 +324,7 @@ class LearnerSpec:
         baseline so Monte Carlo episodes are independent while reruns of
         the same (seed, episode) stay identical.
         """
-        if self.kind == "conv-pricing":
-            return ConvolutionPricing(horizon, self.params.get("K"))
-        if self.kind == "dbs":
-            return DoubleBinarySearch(horizon)
-        if self.kind == "fbep":
-            return FollowBestEmpiricalPrice(horizon)
-        if self.kind == "fixed":
-            return FixedPrice(self.params["p"])
-        if self.kind == "gft-oracle":
-            return FixedPrice(best_fixed_price_gft(env.joint).price)
-        if self.kind == "uniform":
-            return UniformRandom(mix64(self.params.get("seed", 0), episode_seed))
-        raise UnknownIdError(f"unknown learner kind {self.kind!r}")
+        return LEARNER_KINDS[self.kind].build(horizon, env, episode_seed, **self.params)
 
 
 def parse_learner(learner_id: str) -> LearnerSpec:
@@ -304,7 +334,7 @@ def parse_learner(learner_id: str) -> LearnerSpec:
     the id gives is printed from its parsed value (see _format_id), and a
     default it leaves out stays unprinted.
     """
-    kind, texts = _parse_id(learner_id, LEARNER_ID_PATTERNS)
+    kind, texts = _parse_id(learner_id, LEARNER_KINDS)
     params = {}
     try:
         if "K" in texts:

@@ -26,6 +26,9 @@ Named instances:
 * ``random-ind:seed=...`` / ``random-joint:seed=...``: the seeded random
   independent and joint instances behind the rate checks of ``verify``.
 
+Each kind is declared once, as a row of ENVIRONMENT_KINDS: its id pattern
+and its constructor.
+
 Every id an environment prints parses back to the same id and atoms:
 ``_format_id`` writes ints as ints and floats as the shortest text that
 round-trips, and ``_parse_id`` reads that text back.  The constructors take
@@ -39,7 +42,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -289,34 +292,45 @@ def random_joint_env(seed: int) -> Environment:
 # id parsing / registry
 # ---------------------------------------------------------------------------
 
-ENVIRONMENT_ID_PATTERNS = (
-    "lb-mu",
-    "lb-nu",
-    "gft-trap:h=<h in (0, 1/2)>",
-    "eps-family:eps=<eps in [-1, 1]>",
-    "det:s=<seller>,b=<buyer>",
-    "random-ind:seed=<u64>",
-    "random-joint:seed=<u64>",
-)
+class EnvironmentKind(NamedTuple):
+    """One environment kind: its id patterns, each headed by the kind, and
+    its constructor, called with the id's {key: value text} as keywords
+    (every constructor takes float() or _u64 of its parameters on entry)."""
+
+    patterns: tuple
+    build: Callable[..., Environment]
+
+
+ENVIRONMENT_KINDS = {
+    "lb-mu": EnvironmentKind(("lb-mu",), lb_mu),
+    "lb-nu": EnvironmentKind(("lb-nu",), lb_nu),
+    "gft-trap": EnvironmentKind(("gft-trap:h=<h in (0, 1/2)>",), gft_trap),
+    "eps-family": EnvironmentKind(("eps-family:eps=<eps in [-1, 1]>",), epsilon_family),
+    "det": EnvironmentKind(("det:s=<seller>,b=<buyer>",), lambda s, b: deterministic(s, b)),
+    "random-ind": EnvironmentKind(("random-ind:seed=<u64>",), random_independent_env),
+    "random-joint": EnvironmentKind(("random-joint:seed=<u64>",), random_joint_env),
+}
+
+ENVIRONMENT_ID_PATTERNS = tuple(pattern for kind in ENVIRONMENT_KINDS.values() for pattern in kind.patterns)
 
 
 class UnknownIdError(ValueError):
     """An environment or learner id that does not resolve."""
 
 
-def _parse_id(spec_id, patterns) -> tuple:
+def _parse_id(spec_id, kinds) -> tuple:
     """Split ``kind:key=value,...`` into (kind, {key: value text}).
 
-    The patterns are the grammar: the kind must head one of them and each
-    key must appear, at most once, in a pattern of that kind.
+    ``kinds`` maps each kind to a row whose ``patterns`` are its grammar:
+    the kind must be a key and each key must appear, at most once, in a
+    pattern of that kind.
     """
     if not isinstance(spec_id, str):
         raise UnknownIdError(f"an id must be a string, got {spec_id!r}")
     kind, _, tail = spec_id.partition(":")
-    grammar = [pattern.partition(":") for pattern in patterns]
-    if kind not in {head for head, _, _ in grammar}:
+    if kind not in kinds:
         raise UnknownIdError(f"unknown id {spec_id!r}")
-    keys = {key for head, _, form in grammar if head == kind for key in re.findall(r"(\w+)=<", form)}
+    keys = {key for pattern in kinds[kind].patterns for key in re.findall(r"(\w+)=<", pattern)}
     params = {}
     for chunk in tail.split(",") if tail else ():
         key, eq, value = (part.strip() for part in chunk.partition("="))
@@ -339,22 +353,10 @@ def _format_id(kind: str, **params) -> str:
 
 def parse_env(env_id: str) -> Environment:
     """Resolve an environment id string like 'gft-trap:h=0.1'."""
-    kind, params = _parse_id(env_id, ENVIRONMENT_ID_PATTERNS)
+    kind, params = _parse_id(env_id, ENVIRONMENT_KINDS)
     try:
-        if kind == "lb-mu":
-            return lb_mu()
-        if kind == "lb-nu":
-            return lb_nu()
-        if kind == "gft-trap":
-            return gft_trap(float(params["h"]))
-        if kind == "eps-family":
-            return epsilon_family(float(params["eps"]))
-        if kind == "random-ind":
-            return random_independent_env(_u64(params["seed"]))
-        if kind == "random-joint":
-            return random_joint_env(_u64(params["seed"]))
-        return deterministic(float(params["s"]), float(params["b"]))  # det, the last kind
-    except (KeyError, ValueError) as exc:
+        return ENVIRONMENT_KINDS[kind].build(**params)
+    except (TypeError, ValueError) as exc:  # TypeError: a parameter is missing
         raise UnknownIdError(f"cannot resolve environment id {env_id!r}: {exc}") from exc
 
 
@@ -387,7 +389,7 @@ def env_from_config(obj) -> Environment:
     forms = {"joint", "independent"} & set(obj) if isinstance(obj, dict) else set()
     if len(forms) != 1 or set(obj) - forms - {"id"} or not isinstance(obj.get("id", ""), str):
         raise UnknownIdError(f"cannot interpret environment config entry {obj!r}")
-    if obj.get("id", "").partition(":")[0] in {p.partition(":")[0] for p in ENVIRONMENT_ID_PATTERNS}:
+    if obj.get("id", "").partition(":")[0] in ENVIRONMENT_KINDS:
         raise UnknownIdError(f"inline environment id {obj['id']!r} names a registered environment")
     if "joint" in obj:
         atoms = [((s, b), w) for s, b, w in _number_rows(obj["joint"], 3, "joint").tolist()]

@@ -148,8 +148,8 @@ class RunConfig:
     one, strictly increasing; every episode runs to the last.  ``feedback``
     is the requested model (None: the learner's own) and holds the resolved
     run model once built, so a learner that cannot run under it fails here,
-    before any episode, as does a conv-pricing grid larger than the first
-    horizon.
+    before any episode, as does a learner whose parameters cannot build it
+    at the first horizon (a conv-pricing grid larger than that horizon).
     """
 
     env: Environment
@@ -172,8 +172,7 @@ class RunConfig:
         object.__setattr__(self, "base_seed", _u64(self.base_seed, "base_seed"))
         run_model, _ = resolve_feedback(self.learner.requires, self.feedback, self.strict_feedback)
         object.__setattr__(self, "feedback", run_model)
-        if self.learner.kind == "conv-pricing":
-            ConvolutionPricing(hs[0], self.learner.params.get("K"))
+        self.learner.build(hs[0], self.env)
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,6 +361,29 @@ def run_episode(config: RunConfig, episode_index: int) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
+def _conv_pricing_profile(tables: _EnvTables, T: int, seeds, K=None) -> tuple:
+    K = ConvolutionPricing(T, K).grid_size
+    commits, _, _ = kernels.conv_pricing_commit(*tables.draw(seeds, K), K)
+    grid = np.arange(1, K + 1, dtype=np.float64) / K
+    return grid[None, :], grid[commits - 1], T - K
+
+
+def _dbs_profile(tables: _EnvTables, T: int, seeds) -> tuple:
+    N = dbs_phase_length(T)
+    sellers, buyers = tables.draw(seeds, 2 * N)
+    explore, commits = kernels.dbs_explore(sellers[:, :N], buyers[:, N:], N)
+    return explore, commits[:, N], T - 2 * N
+
+
+# learner kind -> profile(tables, T, seeds, **spec.params), for every kind with a commit phase
+_PROFILES = {
+    "conv-pricing": _conv_pricing_profile,
+    "dbs": _dbs_profile,
+    "fixed": lambda tables, T, seeds, p: (np.empty((1, 0)), np.full(len(seeds), p), T),
+    "gft-oracle": lambda tables, T, seeds: (np.empty((1, 0)), np.broadcast_to(tables.gft_price, len(seeds)), T),
+}
+
+
 def _price_profile(spec: LearnerSpec, tables: _EnvTables, T: int, seeds) -> tuple:
     """(exploration prices, tails, tail length) of the episode streams ``seeds``.
 
@@ -371,26 +393,11 @@ def _price_profile(spec: LearnerSpec, tables: _EnvTables, T: int, seeds) -> tupl
     (the grid learner's sweep, and the empty exploration of fixed and
     gft-oracle); tails have shape (rows,).  A _PointMasses batch takes one
     seed per point and no draws, as every draw lands on the point's atom.
-    Price paths agree with the reference loop draw for draw.  Learners
-    without a commit phase (uniform, fbep) have no profile: _round_gaps
-    scores their rounds.
+    Price paths agree with the reference loop draw for draw.  Only kinds in
+    _PROFILES have a profile; the others (uniform, fbep) have no commit
+    phase, and _round_gaps scores their rounds.
     """
-    kind, rows = spec.kind, len(seeds)
-    if kind == "fixed":
-        return np.empty((1, 0)), np.full(rows, spec.params["p"]), T
-    if kind == "gft-oracle":
-        return np.empty((1, 0)), np.broadcast_to(tables.gft_price, rows), T
-    if kind == "dbs":
-        N = dbs_phase_length(T)
-        sellers, buyers = tables.draw(seeds, 2 * N)
-        explore, commits = kernels.dbs_explore(sellers[:, :N], buyers[:, N:], N)
-        return explore, commits[:, N], T - 2 * N
-    if kind == "conv-pricing":
-        K = ConvolutionPricing(T, spec.params.get("K")).grid_size
-        commits, _, _ = kernels.conv_pricing_commit(*tables.draw(seeds, K), K)
-        grid = np.arange(1, K + 1, dtype=np.float64) / K
-        return grid[None, :], grid[commits - 1], T - K
-    raise ValueError(f"no price profile for learner kind {kind!r}")
+    return _PROFILES[spec.kind](tables, T, seeds, **spec.params)
 
 
 def _profile_regret(tables: _EnvTables, gaps, tail, tail_len: int) -> np.ndarray:
@@ -410,23 +417,37 @@ def _profile_regret(tables: _EnvTables, gaps, tail, tail_len: int) -> np.ndarray
     return regret
 
 
+def _fbep_gaps(tables: _EnvTables, T: int, episode: int) -> np.ndarray:
+    """fbep's row: the kernel returns candidate indices, and the row gathers
+    the regret of each candidate (expected_fgft_at is elementwise, so this
+    equals scoring the prices).  The one exception to prices agreeing with
+    the reference loop draw for draw: the fbep kernel also scores candidate
+    prices of atoms not yet sampled, and on a flat top of the empirical mean
+    one of them can round one ulp above the reference learner's smallest
+    maximizer.
+    """
+    cands, rewards = tables.fbep
+    by_index = tables.regret_at(np.append(cands, 0.5))  # round 0 posts 1/2
+    return by_index[kernels.fbep_prices(episode, tables.cum, cands, rewards, T)]
+
+
+def _uniform_gaps(tables: _EnvTables, T: int, episode: int, seed: int = 0) -> np.ndarray:
+    return tables.regret_at(kernels.uniform_prices(mix64(seed, episode), T))
+
+
+# learner kind -> gaps(tables, T, episode seed, **spec.params), for every kind without a commit phase
+_ROUND_GAPS = {"fbep": _fbep_gaps, "uniform": _uniform_gaps}
+
+
 def _round_gaps(spec: LearnerSpec, tables: _EnvTables, T: int, seed: int) -> np.ndarray:
-    """v* - E[fgft(p_t)] of rounds 1..T in the episode of ``seed``, uniform or fbep.
+    """v* - E[fgft(p_t)] of rounds 1..T in the episode of ``seed``, for a kind in _ROUND_GAPS.
 
     Their prices do not depend on the horizon, so the first entries of the
-    row at a larger T are the row at a smaller one.  The fbep kernel
-    returns candidate indices, and its row gathers the regret of each
-    candidate (expected_fgft_at is elementwise, so this equals scoring the
-    prices).  Price paths agree with the reference loop draw for draw, with
-    one exception: the fbep kernel also scores candidate prices of atoms
-    not yet sampled, and on a flat top of the empirical mean one of them
-    can round one ulp above the reference learner's smallest maximizer.
+    row at a larger T are the row at a smaller one.  Price paths agree with
+    the reference loop draw for draw, except fbep's on a flat top (see
+    _fbep_gaps).
     """
-    if spec.kind == "fbep":
-        cands, rewards = tables.fbep
-        by_index = tables.regret_at(np.append(cands, 0.5))  # round 0 posts 1/2
-        return by_index[kernels.fbep_prices(seed, tables.cum, cands, rewards, T)]
-    return tables.regret_at(kernels.uniform_prices(mix64(spec.params.get("seed", 0), seed), T))
+    return _ROUND_GAPS[spec.kind](tables, T, seed, **spec.params)
 
 
 def _episode_regrets(config: RunConfig, horizon: int, tables: _EnvTables) -> np.ndarray:
@@ -449,7 +470,7 @@ def run_monte_carlo(config: RunConfig) -> RegretCurve:
     hs, spec = config.horizons, config.learner
     tables = _EnvTables(config.env)
     regrets = np.empty((len(hs), config.n_episodes))
-    if spec.kind in ("uniform", "fbep"):
+    if spec.kind in _ROUND_GAPS:
         for e, seed in enumerate(config.seeds):
             row = _round_gaps(spec, tables, hs[-1], seed)
             regrets[:, e] = [np.sum(row[:T]) for T in hs]
@@ -530,10 +551,8 @@ def growth_ratio(values) -> float:
 
 def _point_values(spec: LearnerSpec, pair) -> tuple:
     """(sellers, buyers, shape): the pair broadcast to one shape, flattened."""
-    if not spec.deterministic:
-        raise ValueError(f"{spec.learner_id!r} is randomized; profile undefined")
-    if spec.requires is FeedbackModel.FULL:
-        raise ValueError(f"{spec.learner_id!r} needs full feedback, not two bits")
+    if spec.kind not in _PROFILES:
+        raise ValueError(f"no price profile for {spec.learner_id!r}: it is randomized or needs full feedback")
     sellers, buyers = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in pair))
     return sellers.ravel(), buyers.ravel(), sellers.shape
 

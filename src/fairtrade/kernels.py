@@ -8,7 +8,7 @@ mass (harness._EnvTables.draw samples them), and step all rows at once.
 The simulators accumulate sums in the same order as the round-by-round
 learners, so a seeded fast path reproduces the reference loop's price
 path draw for draw (fbep_prices can break a flat top differently; see
-harness._round_gaps).
+harness._fbep_gaps).
 
 Sampling convention: one uniform draw per round; the drawn atom is the
 number of boundaries cum[0..A-2] at or below the uniform.  That is the

@@ -253,6 +253,12 @@ def test_patterns_cover_kinds():
     assert heads == {"conv-pricing", "dbs", "fbep", "fixed", "gft-oracle", "uniform"}
 
 
+def test_spec_rejects_an_unregistered_kind():
+    # caught when the spec is built, not later on the way to a fast path
+    with pytest.raises(UnknownIdError, match="unknown learner kind 'nope'"):
+        LearnerSpec("x", "nope")
+
+
 def test_build_gft_oracle_targets_environment():
     spec = parse_learner("gft-oracle")
     learner = spec.build(100, gft_trap(0.1))

@@ -7,8 +7,8 @@ import sys
 import pytest
 
 from fairtrade import cli
-from fairtrade.environments import ENVIRONMENT_ID_PATTERNS, random_independent_env
-from fairtrade.algorithms import LEARNER_ID_PATTERNS, parse_learner
+from fairtrade.environments import random_independent_env
+from fairtrade.algorithms import parse_learner
 from fairtrade.harness import RunConfig, run_monte_carlo
 from fairtrade.verify import CheckResult
 
@@ -34,17 +34,29 @@ def write_config(tmp_path, payload, name="config.json"):
 
 def test_list_envs(capsys):
     assert cli.main(["list-envs"]) == 0
-    out = capsys.readouterr().out
-    for pattern in ENVIRONMENT_ID_PATTERNS:
-        assert pattern in out
-    assert "inline" in out
+    assert capsys.readouterr().out.splitlines() == [
+        "lb-mu",
+        "lb-nu",
+        "gft-trap:h=<h in (0, 1/2)>",
+        "eps-family:eps=<eps in [-1, 1]>",
+        "det:s=<seller>,b=<buyer>",
+        "random-ind:seed=<u64>",
+        "random-joint:seed=<u64>",
+        'inline: {"joint": [[s, b, w], ...]} or {"independent": {"seller": [[v, w], ...], "buyer": [[v, w], ...]}}',
+    ]
 
 
 def test_list_learners(capsys):
     assert cli.main(["list-learners"]) == 0
-    out = capsys.readouterr().out
-    for pattern in LEARNER_ID_PATTERNS:
-        assert pattern in out
+    assert capsys.readouterr().out.splitlines() == [
+        "conv-pricing",
+        "conv-pricing:K=<grid size>",
+        "dbs",
+        "fbep",
+        "fixed:p=<price>",
+        "gft-oracle",
+        "uniform:seed=<u64>",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +334,13 @@ def test_sweep_writes_per_point_csv(tmp_path, capsys):
     assert lines[0] == "s,regret"
     assert len(lines) == 10
     assert "sweep dbs T=64" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("learner", ["uniform", "fbep"])
+def test_sweep_rejects_a_learner_without_a_price_profile(capsys, learner):
+    assert cli.main(["sweep", "--learner", learner, "--horizon", "64"]) == 2
+    want = f"error: no price profile for '{learner}': it is randomized or needs full feedback\n"
+    assert capsys.readouterr().err == want
 
 
 def test_sweep_unknown_learner(capsys):

@@ -11,6 +11,7 @@ from fairtrade.algorithms import LEARNER_ID_PATTERNS, parse_learner
 from fairtrade.core import expected_fgft, gft_candidates
 from fairtrade.environments import (
     ENVIRONMENT_ID_PATTERNS,
+    ENVIRONMENT_KINDS,
     FEEDBACK_OUTCOMES,
     FeedbackModel,
     TwoBitFeedback,
@@ -226,12 +227,17 @@ def test_parse_env_rejects(env_id):
 _VALID_VALUES = {"h": "0.1", "eps": "-0.25", "s": "0.2", "b": "0.8", "K": "10", "p": "0.5", "seed": "7"}
 
 
+def valid_id(pattern: str) -> str:
+    """The id of ``pattern`` with a valid value for each of its keys."""
+    return re.sub(r"(\w+)=<[^>]*>", lambda m: f"{m[1]}={_VALID_VALUES[m[1]]}", pattern)
+
+
 @pytest.mark.parametrize(
     "parse,pattern",
     [(parse_env, p) for p in ENVIRONMENT_ID_PATTERNS] + [(parse_learner, p) for p in LEARNER_ID_PATTERNS],
 )
 def test_id_grammar_follows_patterns(parse, pattern):
-    valid = re.sub(r"(\w+)=<[^>]*>", lambda m: f"{m[1]}={_VALID_VALUES[m[1]]}", pattern)
+    valid = valid_id(pattern)
     parse(valid)
     sep = "," if ":" in valid else ":"
     # a key no pattern lists, an empty key, and each listed key given twice
@@ -240,6 +246,13 @@ def test_id_grammar_follows_patterns(parse, pattern):
     for spec_id in bad:
         with pytest.raises(UnknownIdError):
             parse(spec_id)
+
+
+def test_every_environment_kind_parses_from_its_patterns():
+    for kind, row in ENVIRONMENT_KINDS.items():
+        for pattern in row.patterns:
+            assert pattern.partition(":")[0] == kind
+            assert parse_env(valid_id(pattern)).env_id.partition(":")[0] == kind
 
 
 def test_patterns_cover_parseable_ids():

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from fairtrade.algorithms import LEARNER_ID_PATTERNS, parse_learner
+from fairtrade.algorithms import LEARNER_KINDS, parse_learner
 from fairtrade.verify import SUITE_ORDER, CheckResult
 import record_golden
 from record_golden import RUN_CONFIGS, check_run, load, run_csv
@@ -25,7 +25,7 @@ def test_golden_runs_cover_every_learner_kind():
         for path in RUN_CONFIGS.values()
         for run in json.loads(path.read_text(encoding="utf-8"))["runs"]
     }
-    assert kinds == {pattern.partition(":")[0] for pattern in LEARNER_ID_PATTERNS}
+    assert kinds == set(LEARNER_KINDS)
 
 
 def test_golden_records_every_suite():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairtrade import harness, kernels
-from fairtrade.algorithms import dbs_regret_bound, default_grid_size, parse_learner
+from fairtrade.algorithms import LEARNER_KINDS, Learner, dbs_regret_bound, default_grid_size, parse_learner
 from fairtrade.core import FiniteJointDistribution, best_fixed_price_fgft
 from fairtrade.environments import (
     FEEDBACK_OUTCOMES,
@@ -29,6 +29,8 @@ from fairtrade.environments import (
 from fairtrade.harness import (
     FeedbackMismatchError,
     RunConfig,
+    _PROFILES,
+    _ROUND_GAPS,
     _EnvTables,
     _PointMasses,
     _episode_regrets,
@@ -48,6 +50,7 @@ from fairtrade.harness import (
 )
 from fairtrade.rng import MASK64, mix64, unit_draws
 from fairtrade.verify import random_independent_env
+from test_environments import valid_id
 from test_verify import MUTATIONS
 
 TWO_BIT = FeedbackModel.TWO_BIT
@@ -223,6 +226,19 @@ def test_fast_path_matches_reference(learner_id, env_fn):
     np.testing.assert_allclose(fast.stderrs, [np.std(ref, ddof=1) / np.sqrt(len(ref))], atol=1e-9)
 
 
+def test_every_learner_kind_has_patterns_a_learner_and_one_fast_path():
+    for kind, row in LEARNER_KINDS.items():
+        assert row.patterns and {pattern.partition(":")[0] for pattern in row.patterns} == {kind}
+        for pattern in row.patterns:
+            spec = parse_learner(valid_id(pattern))
+            assert spec.kind == kind
+            assert isinstance(spec.build(100, lb_mu()), Learner)
+        assert (kind in _PROFILES) != (kind in _ROUND_GAPS), kind
+        # what lets _point_values admit exactly the kinds in _PROFILES
+        assert (kind in _PROFILES) == (row.deterministic and row.requires is not FULL), kind
+    assert set(_PROFILES) | set(_ROUND_GAPS) == set(LEARNER_KINDS)
+
+
 _PATH_ENVS = {
     "lb-mu": lb_mu,
     "eps-0.2": lambda: epsilon_family(0.2),
@@ -258,11 +274,11 @@ def _scored_profile(tables, explore, tail, tail_len):
 def _kernel_path(spec, tables, T, seed):
     """The prices the fast path posts in the episode of ``seed``.
 
-    fbep and uniform have no profile; their path comes from the kernel, and
-    the harness's row of round regrets must be, bitwise, the regret of
+    A kind in _ROUND_GAPS has no profile; its path comes from the kernel,
+    and the harness's row of round regrets must be, bitwise, the regret of
     exactly that path, summing to what _profile_regret gives for it.
     """
-    if spec.kind not in ("fbep", "uniform"):
+    if spec.kind in _PROFILES:
         explore, tail, tail_len = _price_profile(spec, tables, T, [seed])
         return np.concatenate([explore[0], np.full(tail_len, tail[0])])
     if spec.kind == "fbep":
@@ -526,11 +542,15 @@ def test_profile_regret_matches_reference_loop():
 _UNIT = st.floats(0.0, 1.0)
 
 
+# every deterministic kind without full feedback; conv-pricing:K also draws the grid size
+_DETERMINISTIC_FORMS = ("dbs", "conv-pricing", "conv-pricing:K", "fixed", "gft-oracle")
+
+
 @st.composite
 def _deterministic_learners(draw, horizons=st.integers(1, 300)):
     """(learner id, T) for every deterministic learner without full feedback."""
     T = draw(horizons)
-    kind = draw(st.sampled_from(["dbs", "conv-pricing", "conv-pricing:K", "fixed", "gft-oracle"]))
+    kind = draw(st.sampled_from(_DETERMINISTIC_FORMS))
     if kind == "conv-pricing:K":
         return f"conv-pricing:K={draw(st.integers(1, T))}", T
     if kind == "fixed":
@@ -717,10 +737,19 @@ def _joint_env(atoms):
     return joint_finite(FiniteJointDistribution([(pair, w / total) for pair, w in atoms]))
 
 
+# Every learner kind but fbep, whose kernel can break a flat top of the
+# empirical mean differently (the strict xfail random-ind-1-fbep-300 above).
 _KERNEL_LEARNERS = st.one_of(
     _deterministic_learners(),
     st.tuples(st.integers(0, 2**32).map("uniform:seed={}".format), st.integers(1, 300)),
 )
+
+
+def test_reference_loop_property_draws_every_kind_but_fbep():
+    # a new learner kind fails here until _KERNEL_LEARNERS draws it
+    drawn = {form.partition(":")[0] for form in _DETERMINISTIC_FORMS} | {"uniform"}
+    assert drawn | {"fbep"} == set(LEARNER_KINDS)
+
 
 # grid-aligned atoms: bisection midpoints and grid prices land on their values
 _TIED_ATOMS = [((0.25, 0.75), 1.0), ((0.5, 0.5), 1.0), ((0.125, 0.875), 2.0)]
@@ -748,8 +777,6 @@ def _edge_horizon_examples(test):
 )
 @_edge_horizon_examples
 def test_kernel_profile_matches_reference_loop(atoms, learner, base_seed, episode):
-    # fbep is left out: its kernel can break a flat top of the empirical
-    # mean differently (the strict xfail random-ind-1-fbep-300 above)
     learner_id, T = learner
     cfg = RunConfig(
         env=_joint_env(atoms), learner=parse_learner(learner_id), horizons=(T,), base_seed=base_seed
