@@ -31,14 +31,9 @@ from .core import (
     ValuationPair,
     best_fixed_price_fgft,
     best_fixed_price_gft,
-    discrete_convolution_score,
     empirical_best_price,
-    expected_fgft,
-    expected_gft,
     fgft,
-    fgft_convolution_approx,
     fgft_vector,
-    gft,
     product_joint,
 )
 from .environments import (
@@ -74,12 +69,10 @@ from .harness import (
     SweepReport,
     Trajectory,
     adversarial_deterministic_sweep,
-    deterministic_price_profile,
     fit_exponent,
     growth_ratio,
     indistinguishability_check,
     profile_regret,
-    pseudo_regret,
     resolve_feedback,
     run_episode,
     run_monte_carlo,

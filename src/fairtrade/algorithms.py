@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import kernels
-from .core import ValuationPair, best_fixed_price_gft, empirical_best_price
+from .core import ValuationPair, empirical_best_price
 from .environments import (
     Environment,
     FeedbackModel,
@@ -280,12 +280,13 @@ LEARNER_KINDS = {
     ),
     "fixed": LearnerKind(("fixed:p=<price>",), None, True, lambda T, env, episode, p: FixedPrice(p)),
     "gft-oracle": LearnerKind(
-        ("gft-oracle",), None, True, lambda T, env, episode: FixedPrice(best_fixed_price_gft(env.joint).price)
+        ("gft-oracle",), None, True, lambda T, env, episode: FixedPrice(env.joint.gft_price)
     ),
     "uniform": LearnerKind(
         ("uniform:seed=<u64>",),
         None,
         False,
+        # the one statement of the default seed; harness._uniform_gaps builds through it
         lambda T, env, episode, seed=0: UniformRandom(mix64(seed, episode)),
     ),
 }
@@ -345,7 +346,4 @@ def parse_learner(learner_id: str) -> LearnerSpec:
             params["seed"] = _u64(texts["seed"])
     except (KeyError, ValueError) as exc:
         raise UnknownIdError(f"cannot resolve learner id {learner_id!r}: {exc}") from exc
-    canonical = _format_id(kind, **params)
-    if kind == "uniform":
-        params.setdefault("seed", 0)
-    return LearnerSpec(learner_id=canonical, kind=kind, params=params)
+    return LearnerSpec(learner_id=_format_id(kind, **params), kind=kind, params=params)

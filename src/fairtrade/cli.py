@@ -74,6 +74,9 @@ def cmd_run(args) -> int:
     configs = []  # every run is checked before any of them runs
     for entry in runs:
         _check_fields(entry, ("learner", "env", "horizon", "horizons", "n_episodes", "base_seed", "feedback"), "run")
+        for names in (("learner",), ("env",), ("horizon", "horizons")):
+            if not any(name in entry for name in names):
+                raise ValueError(f"a run needs a {' or '.join(map(repr, names))} field")
         if "horizon" in entry and "horizons" in entry:
             raise ValueError("a run gives both 'horizon' and 'horizons'; give one")
         spec = parse_learner(entry["learner"])

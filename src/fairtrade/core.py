@@ -9,8 +9,9 @@ both sides, everywhere in this package).  Two reward notions matter:
 
 fgft is the tent function peaking at (s + b) / 2 with value (b - s) / 2; it
 is 1-Lipschitz in p and equals the overlap integral
-integral_0^1 1{s <= p - u} * 1{p + u <= b} du, which is what the
-convolution-based approximation and the discrete score below discretize.
+integral_0^1 1{s <= p - u} * 1{p + u <= b} du, which
+kernels.convolution_approx_batch and the grid learner's score
+(kernels.incomplete_convolution) discretize.
 
 For a finite-support value distribution the expected fgft is piecewise
 linear in p, with breakpoints only at atom coordinates and atom midpoints,
@@ -24,6 +25,7 @@ posted prices for regret, so v* and every regret term share one sum.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -31,7 +33,6 @@ import numpy as np
 
 # by name, so that a wrapper on kernels.expected_fgft_at sees regret only
 from .kernels import expected_fgft_at
-from .rng import _count
 
 WEIGHT_TOL = 1e-12
 
@@ -55,63 +56,10 @@ def fgft(p: float, seller: float, buyer: float) -> float:
     return min(max(p - seller, 0.0), max(buyer - p, 0.0))
 
 
-def gft(p: float, seller: float, buyer: float) -> float:
-    """Raw gain from trade (b - s) * 1{s <= p <= b}."""
-    return (buyer - seller) if (seller <= p <= buyer) else 0.0
-
-
 def fgft_vector(prices: np.ndarray, seller: float, buyer: float) -> np.ndarray:
     """fgft evaluated elementwise; prices, seller and buyer broadcast."""
     prices = np.asarray(prices, dtype=np.float64)
     return np.minimum(np.maximum(prices - seller, 0.0), np.maximum(buyer - prices, 0.0))
-
-
-def fgft_convolution_approx(p: float, pair: ValuationPair | tuple, grid_size: int) -> float:
-    """Left-Riemann discretization of the overlap-integral form of fgft.
-
-    Returns (1/M) * sum_{j=0}^{M-1} 1{s <= p - j/M} * 1{p + j/M <= b} with
-    M = grid_size.  The sum over-estimates fgft(p, s, b) by at most 1/M.
-
-    The summand is non-increasing in j (both indicators are), so the loop
-    stops at the first zero term; the result is identical to evaluating all
-    M terms.  M is a count (rng._count).
-    """
-    grid_size = _count(grid_size, "grid_size")
-    seller, buyer = pair
-    count = 0
-    for j in range(grid_size):
-        u = j / grid_size
-        if seller <= p - u and p + u <= buyer:
-            count += 1
-        else:
-            break
-    return count / grid_size
-
-
-def discrete_convolution_score(
-    bits_seller: Sequence[int], bits_buyer: Sequence[int], index: int, grid_size: int
-) -> float:
-    """Two-sided acceptance score (1/K) * sum_k V[i-k] * W[i+k], k in [0, K).
-
-    ``bits_seller`` / ``bits_buyer`` hold V_1..V_K and W_1..W_K (the round-t
-    acceptance indicators of an exploration sweep); positions outside 1..K
-    read as zero.  ``index`` is the 1-based grid index i being scored.
-    """
-    K = grid_size
-    if len(bits_seller) != K or len(bits_buyer) != K:
-        raise ValueError("bit sequences must have length grid_size")
-    if not (1 <= index <= K):
-        raise ValueError(f"index must lie in [1, {K}], got {index!r}")
-    total = 0.0
-    for k in range(K):
-        lo = index - k
-        hi = index + k
-        if lo < 1:
-            break  # every later term has lo < 1 as well
-        if hi > K:
-            continue
-        total += bits_seller[lo - 1] * bits_buyer[hi - 1]
-    return total / K
 
 
 def check_atoms(*named, weights=None) -> None:
@@ -163,7 +111,9 @@ class FiniteJointDistribution:
     Built from an iterable of ((seller, buyer), weight) entries.  Atoms are
     pairwise-distinct pairs with strictly positive weights summing to one
     within 1e-12, stored in listing order; ``cum`` is the cumulative weight
-    table that sampling searches.
+    table that sampling searches; ``gft_price`` is best_fixed_price_gft's
+    price, found on first use and kept, so the gft oracle's learner and the
+    harness read one search.
     """
 
     sellers: np.ndarray
@@ -193,6 +143,10 @@ class FiniteJointDistribution:
     def atom(self, i: int) -> ValuationPair:
         return ValuationPair(float(self.sellers[i]), float(self.buyers[i]))
 
+    @functools.cached_property
+    def gft_price(self) -> float:
+        return best_fixed_price_gft(self).price
+
 
 def product_joint(seller: FiniteMarginal, buyer: FiniteMarginal) -> FiniteJointDistribution:
     """Independent coupling of two marginals as an explicit joint."""
@@ -201,22 +155,6 @@ def product_joint(seller: FiniteMarginal, buyer: FiniteMarginal) -> FiniteJointD
         for bv, bw in zip(buyer.values, buyer.weights):
             atoms.append(((sv, bv), sw * bw))
     return FiniteJointDistribution(atoms)
-
-
-def expected_fgft(dist: FiniteJointDistribution, p: float) -> float:
-    """Expected fair gain from trade of a fixed price, exact atom sum."""
-    total = 0.0
-    for s, b, w in zip(dist.sellers, dist.buyers, dist.weights):
-        total += w * fgft(p, s, b)
-    return total
-
-
-def expected_gft(dist: FiniteJointDistribution, p: float) -> float:
-    """Expected raw gain from trade of a fixed price, exact atom sum."""
-    total = 0.0
-    for s, b, w in zip(dist.sellers, dist.buyers, dist.weights):
-        total += w * gft(p, s, b)
-    return total
 
 
 def sorted_distinct(values) -> np.ndarray:

@@ -51,6 +51,7 @@ import numpy as np
 
 from . import kernels
 from .algorithms import (
+    LEARNER_KINDS,
     ConvolutionPricing,
     LearnerSpec,
     dbs_phase_length,
@@ -59,7 +60,6 @@ from .algorithms import (
 )
 from .core import (
     best_fixed_price_fgft,
-    best_fixed_price_gft,
     check_atoms,
     fgft,
     fgft_candidates,
@@ -275,8 +275,8 @@ class _EnvTables:
 
     @functools.cached_property
     def gft_price(self) -> float:
-        """The gft oracle's fixed price, found once per environment."""
-        return best_fixed_price_gft(self.env.joint).price
+        """The gft oracle's fixed price, which the joint finds once and keeps."""
+        return self.env.joint.gft_price
 
     @functools.cached_property
     def fbep(self) -> tuple:
@@ -312,19 +312,6 @@ class _PointMasses(_EnvTables):
     def draw(self, seeds, n: int) -> tuple:
         shape = (self.sellers.shape[0], n)
         return np.broadcast_to(self.sellers, shape), np.broadcast_to(self.buyers, shape)
-
-
-def pseudo_regret(env: Environment, prices) -> float:
-    """Exact expected regret of a posted price sequence on a finite env.
-
-    Sums v_star - E[fgft(p_t)] over the sequence; every summand is
-    non-negative because v_star maximizes the expected reward.  A price
-    outside [0, 1], or NaN, raises ValueError.
-    """
-    prices = np.reshape(prices.prices if isinstance(prices, Trajectory) else prices, (1, -1))
-    check_atoms((prices, "prices"))
-    tables = _EnvTables(env)
-    return float(_profile_regret(tables, tables.regret_at(prices), np.zeros(1), 0)[0])
 
 
 def run_episode(config: RunConfig, episode_index: int) -> Trajectory:
@@ -431,8 +418,11 @@ def _fbep_gaps(tables: _EnvTables, T: int, episode: int) -> np.ndarray:
     return by_index[kernels.fbep_prices(episode, tables.cum, cands, rewards, T)]
 
 
-def _uniform_gaps(tables: _EnvTables, T: int, episode: int, seed: int = 0) -> np.ndarray:
-    return tables.regret_at(kernels.uniform_prices(mix64(seed, episode), T))
+def _uniform_gaps(tables: _EnvTables, T: int, episode: int, **params) -> np.ndarray:
+    """The prices of the learner's own stream: its builder in LEARNER_KINDS
+    states the default seed and mixes in the episode, for both paths."""
+    learner = LEARNER_KINDS["uniform"].build(T, tables.env, episode, **params)
+    return tables.regret_at(kernels.uniform_prices(learner.seed, T))
 
 
 # learner kind -> gaps(tables, T, episode seed, **spec.params), for every kind without a commit phase
@@ -549,14 +539,6 @@ def growth_ratio(values) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _point_values(spec: LearnerSpec, pair) -> tuple:
-    """(sellers, buyers, shape): the pair broadcast to one shape, flattened."""
-    if spec.kind not in _PROFILES:
-        raise ValueError(f"no price profile for {spec.learner_id!r}: it is randomized or needs full feedback")
-    sellers, buyers = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in pair))
-    return sellers.ravel(), buyers.ravel(), sellers.shape
-
-
 def _point_mass_regrets(spec: LearnerSpec, hs: tuple, sellers, buyers) -> list:
     """Regret of every point at each horizon of ``hs``: one array per horizon.
 
@@ -583,24 +565,6 @@ def _point_mass_regrets(spec: LearnerSpec, hs: tuple, sellers, buyers) -> list:
     return regrets
 
 
-def deterministic_price_profile(spec: LearnerSpec, horizon: int, pair) -> tuple:
-    """(exploration prices, tail price, tail length) on a fixed pair.
-
-    Valid for deterministic learners that consume two-bit (or no) feedback.
-    This is the Monte Carlo profile on the point mass: every draw lands on
-    its one atom, so no draws are taken.  A pair of arrays that broadcast
-    to shape S gives exploration prices of shape S + (n,) and tails of
-    shape S, one profile per point.
-    """
-    sellers, buyers, shape = _point_values(spec, pair)
-    T, masses = _count(horizon, "horizon"), _PointMasses(sellers, buyers)
-    explore, tail, tail_len = _price_profile(spec, masses, T, range(sellers.size))
-    explore = np.broadcast_to(explore, tail.shape + explore.shape[1:])  # one row per point
-    if not shape:
-        return explore[0], float(tail[0]), tail_len
-    return explore.reshape(shape + explore.shape[1:]), tail.reshape(shape), tail_len
-
-
 def profile_regret(spec: LearnerSpec, horizon, pair):
     """Exact pseudo-regret of a deterministic learner on point masses.
 
@@ -612,7 +576,10 @@ def profile_regret(spec: LearnerSpec, horizon, pair):
     shares its v*, and dbs its bisection, across the horizons (see
     _point_mass_regrets).
     """
-    sellers, buyers, shape = _point_values(spec, pair)
+    if spec.kind not in _PROFILES:
+        raise ValueError(f"no price profile for {spec.learner_id!r}: it is randomized or needs full feedback")
+    sellers, buyers = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in pair))
+    shape, sellers, buyers = sellers.shape, sellers.ravel(), buyers.ravel()
     hs, single = _horizon_axis(horizon)
     regrets = np.empty((len(hs), sellers.size))
     for lo in range(0, sellers.size, POINT_BLOCK):

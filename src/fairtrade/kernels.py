@@ -22,19 +22,22 @@ dominates, which leaves its path bitwise unchanged (see its docstring).
 expected_fgft_at runs in blocks of FGFT_BLOCK prices along the last axis,
 so its two scratch arrays hold at most FGFT_BLOCK doubles per row each.
 
-The two grid kernels count exactly.  incomplete_convolution takes rows
-of 0/1 acceptance bits only (it raises on any other value).  It builds
+The grid learner's scores, the incomplete convolution of its two rows
+of acceptance values, have two scorers.  incomplete_convolution scores
+every grid index of real-valued rows, one windowed dot product per
+index: the round-by-round learner and the sandwich check use it.
+grid_commits, the fast path, returns only each row's first maximizer on
+0/1 bits (it raises on any other value), and counts exactly.  It builds
 one flat table per side and row, whose entry f holds the 64 bits from bit
 f on, the seller's stored reversed, so that a score is a popcount of
 words ANDed at two table entries that move forward together with the
 grid index.  A window of consecutive grid indices is then one contiguous
-AND/popcount pass over all rows of a block, not a dot product; the
-windows and the row blocks are sized in closed form from
-CONV_BLOCK_WORDS, which bounds the scratch memory.  grid_commits returns
-each row's first maximizer of those counts, exactly, but scores only the
-windows' parts that hold an index whose count can reach the maximum:
-each count is capped by the ones of its seller and buyer windows, and a
-cap below one probe index's exact count rules an index out.
+AND/popcount pass over all rows of a block; the windows and the row
+blocks are sized in closed form from CONV_BLOCK_WORDS, which bounds the
+scratch memory.  It scores only the windows' parts that hold an index
+whose count can reach the maximum: each count is capped by the ones of
+its seller and buyer windows, and a cap below one probe index's exact
+count rules an index out.
 convolution_approx_batch starts each overlap count from its closed form
 and steps it onto the exact boundary of the indicator, instead of
 evaluating all M terms.
@@ -65,10 +68,9 @@ FGFT_BLOCK = 2**15
 COUNT_DRAWS_PER_ATOM = 256
 # Triples per block in convolution_approx_batch.
 APPROX_BLOCK = 8192
-# uint64 words per table and per AND buffer in incomplete_convolution:
-# sizes its row blocks and its windows of grid indices (_conv_plan), and
-# bounds its scratch memory to 3.3 x CONV_BLOCK_WORDS words while one row
-# fits.
+# uint64 words per table and per AND buffer in _score_windows: sizes its
+# row blocks and its windows of grid indices (_conv_plan), and bounds its
+# scratch memory to 3.3 x CONV_BLOCK_WORDS words while one row fits.
 CONV_BLOCK_WORDS = 2**15
 
 
@@ -136,6 +138,38 @@ def expected_fgft_at(prices, sellers, buyers, weights):
 # ---------------------------------------------------------------------------
 
 
+def incomplete_convolution(seller_bits, buyer_bits, grid_size):
+    """The K sums c_i = sum_{k>=0} V_{i-k} * W_{i+k}, i = 1..K, of each row's real values.
+
+    Row r of ``seller_bits`` holds V_1..V_K and row r of ``buyer_bits``
+    W_1..W_K, both of shape (rows, K); positions outside 1..K read as
+    zero, so on 0/1 bits c_i / K is the grid learner's score of index i
+    (tests/reference.py's discrete_convolution_score).  The values may be
+    any reals: the sandwich check convolves CDF values, and
+    ConvolutionPricing, the round-by-round reference, scores its bits
+    here.  Any other shape raises ValueError.  The grid size is a count
+    its caller has checked (rng._count).  Returns float64 of shape
+    (rows, K); on 0/1 bits every sum is an exact integer, and its first
+    maximizer is grid_commits's.
+
+    c_i has a nonzero term only where 1 <= i-k and i+k <= K, that is for
+    k below min(i, K+1-i) <= H = ceil(K/2), so each index sums one window
+    of H terms, k = 0..H-1, with positions past either end zero-padded.
+    Over the reversed seller row V_{i-k} runs forwards in k, so both
+    (rows, K, H) window views keep a positive inner stride; np.vecdot
+    sums them and no K x K product is formed.
+    """
+    K = int(grid_size)
+    seller, buyer = (np.asarray(x, dtype=np.float64) for x in (seller_bits, buyer_bits))
+    if seller.ndim != 2 or seller.shape[1] != K or buyer.shape != seller.shape:
+        raise ValueError("incomplete_convolution expects seller and buyer rows of shape (rows, K)")
+    H, windows = (K + 1) // 2, np.lib.stride_tricks.sliding_window_view
+    pad = np.zeros((seller.shape[0], H - 1))
+    v = windows(np.concatenate([seller[:, ::-1], pad], axis=1), H, axis=1)[:, ::-1]
+    w = windows(np.concatenate([buyer, pad], axis=1), H, axis=1)
+    return np.vecdot(v, w)
+
+
 def _flat_table(bits, table, scratch):
     """table[r, q, s] = the 64 bits of row r from bit 64q + s on, s = 0..63.
 
@@ -156,7 +190,7 @@ def _flat_table(bits, table, scratch):
 
 
 def _conv_plan(rows, K):
-    """(row block, table width, windows) of incomplete_convolution on (rows, K) bits.
+    """(row block, table width, windows) of _score_windows on (rows, K) bits.
 
     Each window (i0, i1, L) is a run of grid indices i0..i1 that reads L
     words, L = ceil(min(i1, K + 1 - i0, mid) / 64) with mid = (K + 1) // 2:
@@ -189,21 +223,6 @@ def _conv_plan(rows, K):
     return block, width, windows
 
 
-def _grid_bits(seller_bits, buyer_bits, K):
-    """Both sides' 0/1 bits of shape (rows, K), as bool arrays.
-
-    Any other shape, or any entry other than 0 or 1 (bool rows need no
-    check), raises ValueError rather than give a wrong score.
-    """
-    seller_bits, buyer_bits = np.asarray(seller_bits), np.asarray(buyer_bits)
-    if seller_bits.ndim != 2 or seller_bits.shape[1] != K or buyer_bits.shape != seller_bits.shape:
-        raise ValueError("the grid kernels expect seller and buyer bits of shape (rows, K)")
-    for bits in (seller_bits, buyer_bits):
-        if bits.dtype != bool and not np.all((bits == 0.0) | (bits == 1.0)):
-            raise ValueError("the grid kernels take 0/1 bits")
-    return [bits if bits.dtype == bool else bits != 0 for bits in (seller_bits, buyer_bits)]
-
-
 def _cut_windows(windows, hit, K):
     """The windows of _conv_plan cut down to the indices i with hit[i - 1].
 
@@ -221,18 +240,42 @@ def _cut_windows(windows, hit, K):
     return list(zip(j0.tolist(), j1.tolist(), L.tolist()))
 
 
-def _score_windows(seller_bits, buyer_bits, K, out, candidates=None):
-    """Write c_i into out[:, i - 1], window by window, from (rows, K) bool bits.
+def _score_windows(seller_bits, buyer_bits, K, out, candidates):
+    """Write c_i into out[:, i - 1] for the candidate indices, window by window.
 
-    Every grid index is scored, or, given a (rows, K) bool mask
-    ``candidates``, only the part of each window that holds a candidate
-    of a row in its row block (_cut_windows); the other entries of
-    ``out`` keep their values.  incomplete_convolution's docstring gives
-    the method and the scratch memory.
+    Takes (rows, K) bool bits and a (rows, K) bool mask ``candidates``,
+    and scores the part of each window that holds a candidate of a row in
+    its row block (_cut_windows); the other entries of ``out`` keep their
+    values.  Every count is exact.
+
+    With r the bits of V reversed (bit m = V_{K-m}) and b the bits of W
+    (bit m = W_{m+1}), bit k of (r >> (K-i)) & (b >> (i-1)) is
+    V_{i-k} * W_{i+k}, and all its bits lie below min(i, K+1-i).  Each row
+    of r and of b gets a flat table whose entry f is the 64 bits from bit
+    f on, zero past the bits (_flat_table).  With R and B those tables,
+    c_i = sum_{w < L} popcount(R[K-i+64w] & B[i-1+64w]), L =
+    ceil(min(i, K+1-i) / 64).  R is stored reversed, so for a window of
+    consecutive indices i0..i1 both operands of word w are forward runs of
+    the tables: one strided view per side covers the window's L words of
+    every row in the block, word-major, and one bitwise_and, one
+    bitwise_count and one add.reduce over the word axis give the window's
+    counts.  The sums run in the narrowest unsigned type that holds mid =
+    (K + 1) // 2, the largest count.  A window reads the words of its
+    widest index; the extra words of its other indices AND to zero,
+    because one side of each reads past the bits.  _conv_plan sizes the
+    windows and the row block in closed form from CONV_BLOCK_WORDS.
+
+    Scratch memory is bounded by CONV_BLOCK_WORDS while one row's table
+    fits it (K up to about 31 300 at 2**15 words): the two tables and the
+    AND buffer, which also serves as the tables' scratch, hold at most
+    CONV_BLOCK_WORDS uint64 words each, and the popcounts one byte per AND
+    word.  Packing a block's bits, and later each window's sums, take at
+    most CONV_BLOCK_WORDS / 6 words more.  That is under 3.3 x
+    CONV_BLOCK_WORDS words in all, besides the buffers NumPy takes for a
+    strided or broadcast ufunc call (at most three of np.getbufsize()
+    elements, 192 KiB by default, whatever the input).
     """
     rows = seller_bits.shape[0]
-    if rows == 0 or K == 0:
-        return
     block, width, windows = _conv_plan(rows, K)
     window_words = max(block * L * (i1 + 1 - i0) for i0, i1, L in windows)
     r_table = np.empty((block, width), dtype=np.uint64)
@@ -246,62 +289,14 @@ def _score_windows(seller_bits, buyer_bits, K, out, candidates=None):
         # entry f of row j's R is r[j, width - 1 - f]
         _flat_table(seller_bits[lo : lo + m, ::-1], r[:, ::-1].reshape(m, -1, 64), anded)
         _flat_table(buyer_bits[lo : lo + m], b.reshape(m, -1, 64), anded)
-        parts = windows if candidates is None else _cut_windows(windows, candidates[lo : lo + m].any(axis=0), K)
         # np.ndarray views raise, rather than read, outside their buffer
-        for i0, i1, L in parts:
+        for i0, i1, L in _cut_windows(windows, candidates[lo : lo + m].any(axis=0), K):
             shape = (L, m, i1 + 1 - i0)
             rv = np.ndarray(shape, np.uint64, r, 8 * (width - 1 - K + i0), (-512, r.strides[0], 8))
             bv = np.ndarray(shape, np.uint64, b, 8 * (i0 - 1), (512, b.strides[0], 8))
             both = np.bitwise_and(rv, bv, out=anded[: rv.size].reshape(shape))
             ones = np.bitwise_count(both, out=bit_counts[: rv.size].reshape(shape))
             scores[:, i0 - 1 : i1] = np.add.reduce(ones, axis=0, dtype=count_type)
-
-
-def incomplete_convolution(seller_bits, buyer_bits, grid_size):
-    """The K sums c_i = sum_{k>=0} V_{i-k} * W_{i+k}, i = 1..K, of each row's 0/1 bits.
-
-    Row r of ``seller_bits`` holds one sweep's V_1..V_K and row r of
-    ``buyer_bits`` its W_1..W_K, both of shape (rows, K); positions outside
-    1..K read as zero, so c_i / K is core.discrete_convolution_score.  The
-    grid size is a count its caller has checked (rng._count).  Any other
-    shape, or any entry other than 0 or 1 (bool rows need no check),
-    raises ValueError rather than return a wrong score.  Returns the
-    counts as float64 of shape (rows, K); every count is an exact integer.
-
-    With r the bits of V reversed (bit m = V_{K-m}) and b the bits of W
-    (bit m = W_{m+1}), bit k of (r >> (K-i)) & (b >> (i-1)) is
-    V_{i-k} * W_{i+k}, and all its bits lie below min(i, K+1-i).  Each row
-    of r and of b gets a flat table whose entry f is the 64 bits from bit
-    f on, zero past the bits (_flat_table).  With R and B those tables,
-    c_i = sum_{w < L} popcount(R[K-i+64w] & B[i-1+64w]), L =
-    ceil(min(i, K+1-i) / 64).  R is stored reversed, so for a window of
-    consecutive indices i0..i1 both operands of word w are forward runs of
-    the tables: one strided view per side covers the window's L words of
-    every row in the block, word-major, and one bitwise_and, one
-    bitwise_count and one add.reduce over the word axis give the window's
-    counts (_score_windows).  The sums run in the narrowest unsigned type
-    that holds mid = (K + 1) // 2, the largest count, and are then copied
-    into the returned array.  A window reads the words of its widest
-    index; the extra words of its other indices AND to zero, because one
-    side of each reads past the bits.  _conv_plan sizes the windows and
-    the row block in closed form from CONV_BLOCK_WORDS.
-
-    Scratch memory, beyond the checks of the input, is bounded by
-    CONV_BLOCK_WORDS while one row's table fits it (K up to about 31 300
-    at 2**15 words): the two tables and the AND buffer, which also serves
-    as the tables' scratch, hold at most CONV_BLOCK_WORDS uint64 words
-    each, and the popcounts one byte per AND word.  Packing a block's bits,
-    and later each window's sums, take at most CONV_BLOCK_WORDS / 6 words
-    more.  That is under 3.3 x CONV_BLOCK_WORDS words in all, besides the
-    buffers NumPy takes for a strided or broadcast ufunc call (at most
-    three of np.getbufsize() elements, 192 KiB by default, whatever the
-    input).
-    """
-    K = int(grid_size)
-    seller_bits, buyer_bits = _grid_bits(seller_bits, buyer_bits, K)
-    counts = np.empty(seller_bits.shape, dtype=np.float64)
-    _score_windows(seller_bits, buyer_bits, K, counts)
-    return counts
 
 
 def _window_bound(seller_bits, buyer_bits, K):
@@ -345,23 +340,32 @@ def _grid_candidates(seller_bits, buyer_bits, K):
 
 
 def grid_commits(seller_bits, buyer_bits, grid_size):
-    """Each row's first maximizer of incomplete_convolution, 1-based.
+    """Each row's first maximizer of the incomplete convolution of its 0/1 bits, 1-based.
 
-    Takes the bits incomplete_convolution takes, with the same checks
-    (the grid size is a count its caller has checked, rng._count), and
-    returns exactly np.argmax(incomplete_convolution(...), axis=1) + 1,
-    while scoring only the part of each window that holds a candidate
-    (_grid_candidates): an index whose bound is below the probe's exact
-    count c has c_i <= UB_i < c <= max and cannot win.  Those parts are
-    scored exactly, into counts that start at zero.  An index left
-    unscored keeps 0, which is below the row's maximum whenever c > 0; when
-    c = 0 every index is a candidate.  So the first maximizer is the full
+    Takes rows of 0/1 bits in incomplete_convolution's layout, V_1..V_K
+    and W_1..W_K of shape (rows, K); any other shape, or any entry other
+    than 0 or 1 (bool rows need no check), raises ValueError rather than
+    give a wrong commit.  The grid size is a count its caller has checked
+    (rng._count).  Returns exactly np.argmax(incomplete_convolution(...),
+    axis=1) + 1, counting in packed bits (_score_windows) and scoring only
+    the part of each window that holds a candidate (_grid_candidates): an
+    index whose bound is below the probe's exact count c has c_i <= UB_i <
+    c <= max and cannot win.  Those parts are scored exactly, into counts
+    that start at zero.  An index left unscored keeps 0, which is below
+    the row's maximum whenever c > 0; when c = 0 every index is a
+    candidate.  So the first maximizer is the full
     scoring's.  Memory beyond _score_windows's scratch: the (rows, K + 1)
     cumulative counts, the bound and the counts, in the narrowest
     unsigned type that holds (K + 1) // 2, and the (rows, K) bool mask.
     """
     K = int(grid_size)
-    seller_bits, buyer_bits = _grid_bits(seller_bits, buyer_bits, K)
+    seller_bits, buyer_bits = np.asarray(seller_bits), np.asarray(buyer_bits)
+    if seller_bits.ndim != 2 or seller_bits.shape[1] != K or buyer_bits.shape != seller_bits.shape:
+        raise ValueError("grid_commits expects seller and buyer bits of shape (rows, K)")
+    for bits in (seller_bits, buyer_bits):
+        if bits.dtype != bool and not np.all((bits == 0.0) | (bits == 1.0)):
+            raise ValueError("grid_commits takes 0/1 bits")
+    seller_bits, buyer_bits = [bits if bits.dtype == bool else bits != 0 for bits in (seller_bits, buyer_bits)]
     candidates = _grid_candidates(seller_bits, buyer_bits, K)
     counts = np.zeros(seller_bits.shape, dtype=np.min_scalar_type((K + 1) // 2))
     _score_windows(seller_bits, buyer_bits, K, counts, candidates)
@@ -501,9 +505,9 @@ def _overlap_holds(p, s, b, j, M):
 def convolution_approx_batch(prices, sellers, buyers, grid_size):
     """Left-Riemann overlap sums for aligned (p, s, b) triples.
 
-    Evaluates the same indicator sum as fgft_convolution_approx for each
-    triple: the count n of j in [0, M) with s <= p - j/M and p + j/M <= b,
-    divided by M.  Both indicators are non-increasing in j, so the count is
+    Evaluates for each triple the indicator sum of tests/reference.py's
+    fgft_convolution_approx: the count n of j in [0, M) with s <= p - j/M
+    and p + j/M <= b, divided by M.  Both indicators are non-increasing in j, so the count is
     the first j where the product fails.  It starts from the closed form
     floor(min(p - s, b - p) * M) + 1, clipped to [0, M] (NaN gives 0), and
     steps up or down until it sits on that boundary of the float predicate

@@ -11,8 +11,9 @@ Conventions:
 * ``measured`` is the quantity the check computed (a max deviation, a
   fitted slope, a mean regret); ``tolerance`` is the bound it is compared
   against.  Most checks pass when measured <= tolerance; lower-bound checks
-  (regret must EXCEED a threshold) pass when measured >= tolerance, and the
-  slope check passes inside [0.50, tolerance].
+  (regret must EXCEED a threshold) pass when measured >= tolerance, and a
+  slope check passes inside its band: [0.50, 0.80] for stochastic-rate,
+  at most 0.62 (no lower edge) for full-feedback-rate.
 * every random quantity is seeded with fixed constants below, so reruns
   reproduce the same report apart from runtime_ms.
 """
@@ -104,26 +105,6 @@ _LB_MC_SEED = 3
 _ORACLE_SEED = 9100
 
 
-def _float_incomplete_convolution(seller, buyer, K: int) -> np.ndarray:
-    """kernels.incomplete_convolution's sums c_i for real-valued V and W.
-
-    Same layout as the kernel, rows of V_1..V_K and W_1..W_K of shape
-    (rows, K), but real values: the sandwich check convolves CDF values and
-    the kernel takes 0/1 bits only.  c_i = sum_k V_{i-k} W_{i+k} has a
-    nonzero term only where 1 <= i-k and i+k <= K, that is for k below
-    min(i, K+1-i) <= H = ceil(K/2), so each index sums one window of H
-    terms, k = 0..H-1, with positions past either end zero-padded.  Over the
-    reversed seller row V_{i-k} runs forwards in k, so both (rows, K, H)
-    window views keep a positive inner stride; np.vecdot sums them and no
-    K x K product is formed.
-    """
-    H, windows = (K + 1) // 2, np.lib.stride_tricks.sliding_window_view
-    pad = np.zeros((seller.shape[0], H - 1))
-    v = windows(np.concatenate([seller[:, ::-1], pad], axis=1), H, axis=1)[:, ::-1]
-    w = windows(np.concatenate([buyer, pad], axis=1), H, axis=1)
-    return np.vecdot(v, w)
-
-
 def _curve(env, learner_id: str, horizons, n_episodes: int = 1, base_seed: int = 0):
     """The Monte Carlo regret curve of one learner on one environment."""
     return run_monte_carlo(RunConfig(env, parse_learner(learner_id), horizons, n_episodes, base_seed))
@@ -155,9 +136,10 @@ def suite_sandwich() -> list:
     left-endpoint Riemann sum of the CDF/co-CDF overlap integral, so it
     must lie within [0, 1/K] above the exact expected fgft at price i/K.
     Each K scores all 100 instances in one pass: their CDF rows P[S <= i/K]
-    and co-CDF rows P[B >= i/K] stack as (100, K) arrays, and one
-    expected_fgft_at call takes per-row atoms padded at the end with
-    zero-weight atoms.  A padded atom adds +0.0 to a non-negative sum, so
+    and co-CDF rows P[B >= i/K] stack as (100, K) arrays, which
+    kernels.incomplete_convolution, the grid learner's full scorer, takes
+    as real-valued rows, and one expected_fgft_at call takes per-row atoms
+    padded at the end with zero-weight atoms.  A padded atom adds +0.0 to a non-negative sum, so
     every exact value is bitwise the one from that instance's atoms alone.
     """
 
@@ -176,7 +158,7 @@ def suite_sandwich() -> list:
             grid = np.arange(1, K + 1, dtype=np.float64) / K
             cdf = np.stack([seller.cdf(grid) for seller, _, _ in instances])
             cocdf = np.stack([(grid[:, None] <= buyer.values) @ buyer.weights for _, buyer, _ in instances])
-            diff = _float_incomplete_convolution(cdf, cocdf, K) / K - kernels.expected_fgft_at(grid, *atoms)
+            diff = kernels.incomplete_convolution(cdf, cocdf, K) / K - kernels.expected_fgft_at(grid, *atoms)
             worst = max(worst, float(np.max(-diff)), float(np.max(diff - 1.0 / K)))
         return worst <= 1e-10, worst, 1e-10
 

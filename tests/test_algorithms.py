@@ -198,7 +198,7 @@ def test_parse_learner_kinds_and_params():
     assert parse_learner("conv-pricing").kind == "conv-pricing"
     assert parse_learner("conv-pricing:K=50").params == {"K": 50}
     assert parse_learner("fixed:p=0.25").params == {"p": 0.25}
-    assert parse_learner("uniform").params == {"seed": 0}
+    assert parse_learner("uniform").params == {}  # the builder's seed=0 applies
     assert parse_learner("uniform:seed=9").params == {"seed": 9}
     assert parse_learner("dbs").requires is FeedbackModel.TWO_BIT
     assert parse_learner("fbep").requires is FeedbackModel.FULL

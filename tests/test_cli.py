@@ -206,6 +206,18 @@ def test_run_error_exit_codes(tmp_path, capsys, payload, code):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "missing,named",
+    [("learner", "'learner'"), ("env", "'env'"), ("horizons", "'horizon' or 'horizons'")],
+)
+def test_run_names_a_missing_field(tmp_path, capsys, missing, named):
+    entry = {"learner": "dbs", "env": "lb-mu", "horizons": [5, 10]}
+    del entry[missing]
+    config = write_config(tmp_path, {"runs": [entry]})
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: a run needs a {named} field"]
+
+
 @pytest.mark.parametrize("horizons", [5, "1000"])
 def test_run_rejects_horizons_that_are_not_a_list(tmp_path, capsys, horizons):
     config = write_config(tmp_path, {"runs": [{"learner": "dbs", "env": "lb-mu", "horizons": horizons}]})

@@ -11,20 +11,16 @@ from fairtrade.core import (
     PricePoint,
     best_fixed_price_fgft,
     best_fixed_price_gft,
-    discrete_convolution_score,
     empirical_best_price,
-    expected_fgft,
-    expected_gft,
     fgft,
     fgft_candidates,
-    fgft_convolution_approx,
     fgft_vector,
-    gft,
     gft_candidates,
     product_joint,
     sorted_distinct,
 )
 from fairtrade.environments import deterministic, gft_trap, lb_mu, lb_nu
+from reference import discrete_convolution_score, expected_fgft, expected_gft, fgft_convolution_approx, gft
 
 
 # ---------------------------------------------------------------------------

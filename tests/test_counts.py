@@ -27,16 +27,16 @@ from fairtrade.algorithms import (
     default_grid_size,
     parse_learner,
 )
-from fairtrade.core import ValuationPair, fgft_convolution_approx
+from fairtrade.core import ValuationPair
 from fairtrade.environments import FeedbackModel, UnknownIdError, lb_mu, render_feedback
 from fairtrade.harness import (
     RunConfig,
     adversarial_deterministic_sweep,
-    deterministic_price_profile,
     profile_regret,
     run_monte_carlo,
 )
 from fairtrade.rng import MASK64
+from reference import deterministic_price_profile, fgft_convolution_approx
 
 BAD_COUNTS = [2.5, True, 0, -1, math.nan, math.inf, -math.inf]
 BAD_SEEDS = [2.5, True, -1, math.nan, math.inf, -math.inf, MASK64 + 1]

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairtrade.algorithms import LEARNER_ID_PATTERNS, parse_learner
-from fairtrade.core import expected_fgft, gft_candidates
+from fairtrade.core import gft_candidates
 from fairtrade.environments import (
     ENVIRONMENT_ID_PATTERNS,
     ENVIRONMENT_KINDS,
@@ -31,6 +31,7 @@ from fairtrade.environments import (
     sample_valuations,
 )
 from fairtrade.rng import MASK64, SplitMix64
+from reference import expected_fgft
 
 
 # ---------------------------------------------------------------------------

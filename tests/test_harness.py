@@ -9,8 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fairtrade import harness, kernels
-from fairtrade.algorithms import LEARNER_KINDS, Learner, dbs_regret_bound, default_grid_size, parse_learner
+from fairtrade import core, harness, kernels
+from fairtrade.algorithms import (
+    LEARNER_KINDS,
+    Learner,
+    LearnerSpec,
+    dbs_regret_bound,
+    default_grid_size,
+    parse_learner,
+)
 from fairtrade.core import FiniteJointDistribution, best_fixed_price_fgft
 from fairtrade.environments import (
     FEEDBACK_OUTCOMES,
@@ -38,18 +45,17 @@ from fairtrade.harness import (
     _profile_regret,
     _round_gaps,
     adversarial_deterministic_sweep,
-    deterministic_price_profile,
     fit_exponent,
     growth_ratio,
     indistinguishability_check,
     profile_regret,
-    pseudo_regret,
     resolve_feedback,
     run_episode,
     run_monte_carlo,
 )
 from fairtrade.rng import MASK64, mix64, unit_draws
 from fairtrade.verify import random_independent_env
+from reference import deterministic_price_profile, pseudo_regret
 from test_environments import valid_id
 from test_verify import MUTATIONS
 
@@ -357,6 +363,34 @@ def test_path_free_learners_simulate_once_per_episode(monkeypatch):
         cfg = RunConfig(lb_mu(), spec, (1, 2048, 2049, 5000), n_episodes=3, base_seed=11, feedback=spec.requires)
         run_monte_carlo(cfg)
         assert calls == [(name, 5000)] * 3, learner_id
+
+
+def test_gft_oracle_searches_its_price_once_per_run(monkeypatch):
+    # RunConfig's check builds the learner, and the run's profile needs the
+    # same price: the joint keeps the one search
+    calls = []
+    search = core.best_fixed_price_gft
+
+    def counted(dist):
+        calls.append(dist)
+        return search(dist)
+
+    monkeypatch.setattr(core, "best_fixed_price_gft", counted)
+    env = random_independent_env(101)
+    cfg = RunConfig(env, parse_learner("gft-oracle"), (10, 100), n_episodes=3)
+    run_monte_carlo(cfg)
+    assert calls == [env.joint]
+
+
+def test_a_uniform_spec_made_without_the_parser_runs_as_seed_zero():
+    # the default seed is stated once, in the learner's builder, which both paths read
+    made = LearnerSpec("uniform", "uniform")
+    parsed = parse_learner("uniform:seed=0")
+    assert parse_learner("uniform").learner_id == "uniform"
+    configs = [RunConfig(lb_mu(), spec, (10, 1000), n_episodes=3, base_seed=4) for spec in (made, parsed)]
+    assert run_monte_carlo(configs[0]) == dataclasses.replace(run_monte_carlo(configs[1]), learner_id="uniform")
+    paths = [run_episode(RunConfig(lb_mu(), spec, (50,), base_seed=4), 1).prices for spec in (made, parsed)]
+    assert np.array_equal(*paths)
 
 
 @pytest.mark.parametrize("env_id", ["lb-mu", "random-joint:seed=303"])

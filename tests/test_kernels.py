@@ -9,19 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairtrade import kernels
-from fairtrade.core import (
-    FiniteJointDistribution,
-    discrete_convolution_score,
-    expected_fgft,
-    fgft_candidates,
-    fgft_convolution_approx,
-    fgft_vector,
-    sorted_distinct,
-)
+from fairtrade.core import FiniteJointDistribution, fgft_candidates, fgft_vector, sorted_distinct
 from fairtrade.environments import env_from_config, lb_mu, parse_env
 from fairtrade.harness import _EnvTables
 from fairtrade.rng import MASK64, SplitMix64, mix64, unit_draws
-from fairtrade.verify import _float_incomplete_convolution
+from reference import discrete_convolution_score, expected_fgft, fgft_convolution_approx
 
 
 def test_expected_fgft_at_numpy_matches_oracle():
@@ -171,6 +163,16 @@ def _random_bits(K, density, seed, rows=None):
     return rng.random(shape) < density, rng.random(shape) < density
 
 
+def _window_scores(seller, buyer, K):
+    """The packed-bit counts of every grid index: _score_windows with all K indices candidates.
+
+    The counts start at NaN, so an index the windows miss fails every comparison.
+    """
+    counts = np.full(seller.shape, np.nan)
+    kernels._score_windows(seller, buyer, K, counts, np.ones(seller.shape, dtype=bool))
+    return counts
+
+
 def _popcount_convolution(seller, buyer, K):
     """The reference: c_i = popcount((r >> (K-i)) & (b >> (i-1))) of two Python ints, i = 1..K.
 
@@ -215,7 +217,7 @@ def test_incomplete_convolution_is_the_discrete_score(K, density, seed, rows):
 @pytest.mark.parametrize("density", [0.3, 0.9, 1.0])
 def test_incomplete_convolution_matches_python_int_popcount(K, density):
     seller, buyer = _random_bits(K, density, seed=K, rows=3)
-    got = kernels.incomplete_convolution(seller, buyer, K)
+    got = _window_scores(seller, buyer, K)
     want = [_popcount_convolution(v, w, K) for v, w in zip(seller, buyer)]
     assert np.array_equal(got, want)
 
@@ -261,9 +263,9 @@ def test_incomplete_convolution_rows_match_single_rows(monkeypatch, case):
     block, _, windows = kernels._conv_plan(rows, K)
     assert shows(rows, K, block, windows)
     seller, buyer = _random_bits(K, 0.8, seed=rows, rows=rows)
-    got = kernels.incomplete_convolution(seller, buyer, K)
+    got = _window_scores(seller, buyer, K)
     for v, w, row in zip(seller, buyer, got):
-        assert np.array_equal(row, kernels.incomplete_convolution(v[None], w[None], K)[0])
+        assert np.array_equal(row, _window_scores(v[None], w[None], K)[0])
         assert np.array_equal(row, _popcount_convolution(v, w, K))
 
 
@@ -289,18 +291,20 @@ def test_conv_plan_tiles_the_grid_within_the_budget(monkeypatch, budget):
 
 
 def test_incomplete_convolution_scratch_stays_within_its_bound():
-    # the docstring's bound: under 3.3 x CONV_BLOCK_WORDS uint64 words of scratch, besides
-    # NumPy's buffers of at most three times np.getbufsize() elements of 8 bytes
+    # _score_windows's bound: under 3.3 x CONV_BLOCK_WORDS uint64 words of scratch, besides
+    # NumPy's buffers of at most three times np.getbufsize() elements of 8 bytes; the
+    # counts and the mask of every index are allocated before the trace
     rows, K = 5, 10_000
     seller, buyer = _random_bits(K, 0.6, seed=1, rows=rows)
-    kernels.incomplete_convolution(seller, buyer, K)
+    counts, candidates = np.empty((rows, K)), np.ones((rows, K), dtype=bool)
+    kernels._score_windows(seller, buyer, K, counts, candidates)
     tracemalloc.start()
     try:
-        kernels.incomplete_convolution(seller, buyer, K)
+        kernels._score_windows(seller, buyer, K, counts, candidates)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - rows * K * 8 <= 3.3 * 8 * kernels.CONV_BLOCK_WORDS + 3 * 8 * np.getbufsize(), peak
+    assert peak <= 3.3 * 8 * kernels.CONV_BLOCK_WORDS + 3 * 8 * np.getbufsize(), peak
 
 
 @pytest.mark.parametrize(
@@ -308,12 +312,12 @@ def test_incomplete_convolution_scratch_stays_within_its_bound():
     [("av", 2, 0.5), ("bv", 3, 0.5), ("av", 1, np.nan), ("bv", 6, np.nan)],
 )
 def test_incomplete_convolution_rejects_non_bits(side, index, value):
+    # the packed-bit path takes 0/1 bits only; incomplete_convolution scores any reals
     K = 7
     arrays = {"av": np.zeros((2, K)), "bv": np.zeros((2, K))}  # seller bits, buyer bits
     arrays[side][1, index] = value
-    for kernel in (kernels.incomplete_convolution, kernels.grid_commits):
-        with pytest.raises(ValueError):
-            kernel(arrays["av"], arrays["bv"], K)
+    with pytest.raises(ValueError, match="0/1 bits"):
+        kernels.grid_commits(arrays["av"], arrays["bv"], K)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +426,7 @@ def test_window_bound_is_the_score_when_the_buyer_sits_at_one():
 
 
 def _scored_share(seller, buyer, K):
-    """Window words grid_commits scores, as a share of the words incomplete_convolution scores."""
+    """Window words grid_commits scores, as a share of the words of every window of the grid."""
     rows = seller.shape[0]
     block, _, windows = kernels._conv_plan(rows, K)
     candidates = kernels._grid_candidates(seller, buyer, K)
@@ -453,8 +457,8 @@ def test_grid_commits_scores_a_pinned_share_of_the_window_words(env_id, most):
 @pytest.mark.parametrize("density", [0.6, 0.95])
 def test_float_convolution_matches_bit_kernel_on_bits(K, density):
     seller, buyer = _random_bits(K, density, seed=K)
-    want = kernels.incomplete_convolution(seller[None], buyer[None], K)[0]
-    assert np.array_equal(_float_incomplete_convolution(seller[None], buyer[None], K)[0], want)
+    want = _window_scores(seller[None], buyer[None], K)[0]
+    assert np.array_equal(kernels.incomplete_convolution(seller[None], buyer[None], K)[0], want)
 
 
 def _dot_loop_convolution(seller, buyer, K):
@@ -477,7 +481,7 @@ def test_float_convolution_matches_the_dot_loop(K, seed):
     rng = np.random.default_rng(seed)
     seller = np.sort(rng.random(K))
     buyer = np.sort(rng.random(K))[::-1]
-    got = _float_incomplete_convolution(seller[None], buyer[None], K)[0]
+    got = kernels.incomplete_convolution(seller[None], buyer[None], K)[0]
     np.testing.assert_allclose(got, _dot_loop_convolution(seller, buyer, K), rtol=0, atol=1e-12 * K)
 
 
@@ -493,7 +497,7 @@ _FLOAT_CONV_SIZES = (1, 2, 3, 4, 5, 10, 11, 100, 1000)
 @pytest.mark.parametrize("K", _FLOAT_CONV_SIZES)
 def test_float_convolution_rows_match_the_dot_loop(K):
     seller, buyer = _cdf_rows(K, rows=4, seed=K)
-    got = _float_incomplete_convolution(seller, buyer, K)
+    got = kernels.incomplete_convolution(seller, buyer, K)
     assert got.shape == (4, K)
     for v, w, row in zip(seller, buyer, got):
         np.testing.assert_allclose(row, _dot_loop_convolution(v, w, K), rtol=0, atol=1e-12 * K)
@@ -502,9 +506,9 @@ def test_float_convolution_rows_match_the_dot_loop(K):
 @pytest.mark.parametrize("K", _FLOAT_CONV_SIZES)
 def test_float_convolution_rows_match_single_rows(K):
     seller, buyer = _cdf_rows(K, rows=5, seed=K + 1)
-    got = _float_incomplete_convolution(seller, buyer, K)
+    got = kernels.incomplete_convolution(seller, buyer, K)
     for v, w, row in zip(seller, buyer, got):
-        assert np.array_equal(row, _float_incomplete_convolution(v[None], w[None], K)[0])
+        assert np.array_equal(row, kernels.incomplete_convolution(v[None], w[None], K)[0])
 
 
 @st.composite

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fairtrade import harness, kernels, verify
+from fairtrade import core, harness, kernels, verify
 from fairtrade.core import FiniteJointDistribution, PricePoint, best_fixed_price_fgft, fgft_candidates
 from fairtrade.environments import Environment, epsilon_family
 from fairtrade.verify import (
@@ -98,12 +98,13 @@ def _sandwich_reads_buyer_one_index_late(monkeypatch):
     # pairing V_{i-k} with W_{i+k+1} (zero past index K) shifts every score
     # by one grid step of the buyer's co-CDF, out of the [0, 1/K] band above
     # the exact reward
-    convolve = verify._float_incomplete_convolution
+    convolve = kernels.incomplete_convolution
 
-    def one_index_late(seller, buyer, K):
-        return convolve(seller, np.concatenate([buyer[:, 1:], np.zeros((buyer.shape[0], 1))], axis=1), K)
+    def one_index_late(seller_bits, buyer_bits, grid_size):
+        late = np.concatenate([buyer_bits[:, 1:], np.zeros((buyer_bits.shape[0], 1))], axis=1)
+        return convolve(seller_bits, late, grid_size)
 
-    monkeypatch.setattr(verify, "_float_incomplete_convolution", one_index_late)
+    monkeypatch.setattr(kernels, "incomplete_convolution", one_index_late)
 
 
 def _fbep_posts_one_half_forever(monkeypatch):
@@ -126,7 +127,7 @@ def _oracle_returns_second_best(monkeypatch):
 
 
 def _gft_oracle_posts_the_fgft_optimum(monkeypatch):
-    monkeypatch.setattr(harness, "best_fixed_price_gft", best_fixed_price_fgft)
+    monkeypatch.setattr(core, "best_fixed_price_gft", best_fixed_price_fgft)
 
 
 def _lb_nu_moves_an_atom(monkeypatch):
