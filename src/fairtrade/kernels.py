@@ -19,8 +19,16 @@ each when draws are many and atoms few, else binary-searches them.
 
 fbep_prices scores only the candidates that no lower-index candidate
 dominates, which leaves its path bitwise unchanged (see its docstring).
-expected_fgft_at runs in blocks of FGFT_BLOCK prices along the last axis,
-so its two scratch arrays hold at most FGFT_BLOCK doubles per row each.
+expected_fgft_at has two paths with bitwise equal sums, and the input
+selects one.  On one sorted row of prices shared by every row of atoms
+(verify's grids, the oracle's candidates, the grid learner's sweep), each
+atom (s, b) adds its terms only on the prices strictly inside (s, b),
+found by two binary searches: elsewhere its fair gain is an exact zero.
+Its scratch stays under 6 x FGFT_BLOCK 8-byte elements whatever the row
+count.  Any other prices (fbep's candidates with round 0's 1/2, uniform
+draws, per-row prices) take the dense loop over every price, in blocks of
+FGFT_BLOCK prices, whose two scratch arrays hold at most FGFT_BLOCK
+doubles per row of atoms each.
 
 The grid learner's scores, the incomplete convolution of its two rows
 of acceptance values, have two scorers.  incomplete_convolution scores
@@ -60,8 +68,9 @@ USE_NUMBA = False
 # Rounds per cumsum block in fbep_prices: bounds its scratch memory to
 # FBEP_BLOCK x (number of candidates) doubles.
 FBEP_BLOCK = 2048
-# Prices per block along the last axis in expected_fgft_at: bounds each of
-# its two scratch arrays to FGFT_BLOCK doubles per row of atoms.
+# Prices per block in expected_fgft_at's dense loop, and prices or (row,
+# price) pairs per chunk on a sorted row: bounds its scratch to FGFT_BLOCK
+# doubles per array (per row of atoms on the dense loop).
 FGFT_BLOCK = 2**15
 # _atoms_at counts boundaries, rather than binary-searching, from this
 # many draws per atom on.
@@ -109,6 +118,15 @@ def expected_fgft_at(prices, sellers, buyers, weights):
     w * max(min(p - s, b - p), 0), bitwise core.fgft's min((p - s)+,
     (b - p)+) times w: both are 0 when either side is negative, and a -0.0
     term adds nothing to ``means``, which starts at +0.0.
+
+    The input selects one of two paths with bitwise equal sums.  Prices
+    that form one non-decreasing row of at least two prices, of shape (n,)
+    or (1, ..., 1, n) and so shared by every row of atoms, under finite
+    atoms, take _fgft_on_sorted_row: it adds each atom's terms only on the
+    prices strictly inside its (s, b).  A NaN price fails the order check,
+    so its mean stays NaN.  Every other input takes the dense loop below,
+    in blocks of FGFT_BLOCK prices, whose two scratch arrays hold at most
+    FGFT_BLOCK doubles per row of atoms each.
     """
     sellers = np.asarray(sellers, dtype=np.float64)
     buyers = np.asarray(buyers, dtype=np.float64)
@@ -116,9 +134,22 @@ def expected_fgft_at(prices, sellers, buyers, weights):
     # a scalar price as one column, which the output has anyway
     prices = np.atleast_1d(np.asarray(prices, dtype=np.float64))
     means = np.zeros(np.broadcast_shapes(prices.shape, sellers.shape[:-1] + (1,)))
+    n = means.shape[-1]
+    if n > 1 and prices.size == n:
+        row = prices.reshape(n)
+        head = row[:9]
+        # the order check reads the first eight pairs apart, which rejects a
+        # row of random draws before the whole row is compared; a sum of the
+        # atoms is finite only when every atom is
+        if (
+            (head[:-1] <= head[1:]).all()
+            and (row[8:-1] <= row[9:]).all()
+            and np.isfinite(sellers + buyers + weights).all()
+        ):
+            _fgft_on_sorted_row(row, sellers, buyers, weights, means)
+            return means
     # w * max(min(p - s, b - p), 0) per atom, in two scratch arrays of one
     # block: at most FGFT_BLOCK prices along the last axis
-    n = means.shape[-1]
     gains = np.empty(means.shape[:-1] + (min(n, FGFT_BLOCK),))
     rests = np.empty_like(gains)
     for lo in range(0, n, FGFT_BLOCK):
@@ -131,6 +162,70 @@ def expected_fgft_at(prices, sellers, buyers, weights):
             gain *= w
             out += gain
     return means
+
+
+def _fgft_on_sorted_row(row, sellers, buyers, weights, means) -> None:
+    """Add each atom's w * min(p - s, b - p) to ``means`` on the prices
+    of the sorted ``row`` strictly inside its (s, b), atoms in listing
+    order.
+
+    Two binary searches find each atom's interval.  Inside it both
+    differences are > 0 (two distinct doubles never subtract to 0), so the
+    dense loop's max(., 0) changes nothing there; outside it the dense
+    loop adds a zero term to a non-negative sum.  So every mean is bitwise
+    the dense loop's.
+
+    One row of atoms adds each interval in slices of FGFT_BLOCK prices,
+    with at most four temporaries of FGFT_BLOCK doubles.  Several rows
+    take one atom column at a time: its in-interval (row, price) pairs,
+    row-major, in chunks of FGFT_BLOCK pairs, gathered with np.repeat (an
+    atom with s >= b, such as verify's padded atoms, has no pair).  Either
+    way the scratch stays under 6 arrays of FGFT_BLOCK 8-byte elements,
+    however many rows and prices there are, besides five int arrays of the
+    atoms' (rows, A) shape.
+    """
+    if not means.size:
+        return
+    n, A = row.size, sellers.shape[-1]
+    rows = means.size // n
+    if rows == 1:
+        out, S, B = means.reshape(n), sellers.reshape(A), buyers.reshape(A)
+        los, his = row.searchsorted(S, side="right").tolist(), row.searchsorted(B, side="left").tolist()
+        for s, b, w, lo, hi in zip(S.tolist(), B.tolist(), weights.reshape(A).tolist(), los, his):
+            for start in range(lo, hi, FGFT_BLOCK):
+                stop = min(start + FGFT_BLOCK, hi)
+                p = row[start:stop]
+                gain = np.minimum(p - s, b - p)
+                gain *= w
+                out[start:stop] += gain
+        return
+    atoms_shape = means.shape[:-1] + (A,)
+    S, B, W = (np.broadcast_to(x, atoms_shape).reshape(rows, A) for x in (sellers, buyers, weights))
+    los = row.searchsorted(S, side="right")  # the first price above s
+    counts = np.maximum(row.searchsorted(B, side="left") - los, 0)  # prices in (s, b)
+    ends = np.cumsum(counts, axis=0)  # pair k of a column lies in row r when ends[r-1] <= k < ends[r]
+    shifts = los - ends + counts  # pair k of row r is price k + shifts[r]
+    offsets = np.arange(rows) * n
+    flat = means.reshape(-1)
+    for s, b, w, c, e, shift in zip(S.T, B.T, W.T, counts.T, ends.T, shifts.T):
+        for k0 in range(0, int(e[-1]), FGFT_BLOCK):
+            k1 = min(k0 + FGFT_BLOCK, int(e[-1]))
+            # rows r0..r1-1 hold pairs k0..k1-1; cut the first and last row's counts to them
+            r0, r1 = int(e.searchsorted(k0, side="right")), int(e.searchsorted(k1, side="left")) + 1
+            take = c[r0:r1].copy()
+            take[0] -= k0 - (e[r0] - c[r0])
+            take[-1] -= e[r1 - 1] - k1
+            idx = np.repeat(shift[r0:r1], take)
+            idx += np.arange(k0, k1)
+            p = row[idx]
+            gain = np.repeat(s[r0:r1], take)
+            np.subtract(p, gain, out=gain)
+            rest = np.repeat(b[r0:r1], take)
+            np.subtract(rest, p, out=rest)
+            np.minimum(gain, rest, out=gain)
+            gain *= np.repeat(w[r0:r1], take)
+            idx += np.repeat(offsets[r0:r1], take)
+            flat[idx] += gain
 
 
 # ---------------------------------------------------------------------------

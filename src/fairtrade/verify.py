@@ -27,7 +27,7 @@ import numpy as np
 
 from . import kernels
 from .algorithms import dbs_regret_bound, parse_learner
-from .core import best_fixed_price_fgft, fgft_vector, product_joint
+from .core import best_fixed_price_fgft, fgft_vector
 from .environments import (
     _rand_int,
     epsilon_family,
@@ -135,29 +135,42 @@ def suite_sandwich() -> list:
     For an independent pair, the grid score at index i equals a
     left-endpoint Riemann sum of the CDF/co-CDF overlap integral, so it
     must lie within [0, 1/K] above the exact expected fgft at price i/K.
-    Each K scores all 100 instances in one pass: their CDF rows P[S <= i/K]
-    and co-CDF rows P[B >= i/K] stack as (100, K) arrays, which
-    kernels.incomplete_convolution, the grid learner's full scorer, takes
-    as real-valued rows, and one expected_fgft_at call takes per-row atoms
-    padded at the end with zero-weight atoms.  A padded atom adds +0.0 to a non-negative sum, so
-    every exact value is bitwise the one from that instance's atoms alone.
+    The 100 instances are arrays from the start: each side's marginals
+    are padded (100, 5) rows of values and weights, zero weights past a
+    marginal's atoms.  Each K sums all CDF rows P[S <= i/K] = sum_k
+    w_k * 1{v_k <= i/K} and co-CDF rows P[B >= i/K] over the five padded
+    columns, k in order, and kernels.incomplete_convolution, the grid
+    learner's full scorer, takes them as real-valued (100, K) rows.  One
+    expected_fgft_at call takes the product atoms as (100, 25) per-row
+    atoms: seller value i and buyer value j at column 5i + j, so each
+    instance's atoms keep product_joint's order, with the padded ones
+    between them.  A padded atom has weight 0 and an empty interval (a
+    seller pad at 1, a buyer pad at 0), so it adds +0.0 to a non-negative
+    sum, and every exact value is bitwise the one from that instance's
+    product_joint alone.
     """
 
     def body():
-        instances = []
+        seller_values, seller_weights, buyer_values, buyer_weights = np.zeros((4, 100, 5))
+        seller_values[:] = 1.0
         for rep in range(100):
             stream = SplitMix64(mix64(_SANDWICH_SEED, rep))
-            seller = random_marginal(stream, _rand_int(stream, 2, 5))
-            buyer = random_marginal(stream, _rand_int(stream, 2, 5))
-            instances.append((seller, buyer, product_joint(seller, buyer)))
-        atoms = np.zeros((3, len(instances), max(j.n_atoms for _, _, j in instances)))
-        for row, (_, _, j) in enumerate(instances):
-            atoms[:, row, : j.n_atoms] = j.sellers, j.buyers, j.weights
+            for values, weights in ((seller_values, seller_weights), (buyer_values, buyer_weights)):
+                marginal = random_marginal(stream, _rand_int(stream, 2, 5))
+                values[rep, : marginal.values.size] = marginal.values
+                weights[rep, : marginal.values.size] = marginal.weights
+        atoms = (
+            np.repeat(seller_values, 5, axis=1),
+            np.tile(buyer_values, 5),
+            np.reshape(seller_weights[:, :, None] * buyer_weights[:, None, :], (100, 25)),
+        )
         worst = 0.0
         for K in (10, 100, 1000):
             grid = np.arange(1, K + 1, dtype=np.float64) / K
-            cdf = np.stack([seller.cdf(grid) for seller, _, _ in instances])
-            cocdf = np.stack([(grid[:, None] <= buyer.values) @ buyer.weights for _, buyer, _ in instances])
+            cdf, cocdf = np.zeros((2, 100, K))
+            for k in range(5):
+                cdf += seller_weights[:, k, None] * (seller_values[:, k, None] <= grid)
+                cocdf += buyer_weights[:, k, None] * (grid <= buyer_values[:, k, None])
             diff = kernels.incomplete_convolution(cdf, cocdf, K) / K - kernels.expected_fgft_at(grid, *atoms)
             worst = max(worst, float(np.max(-diff)), float(np.max(diff - 1.0 / K)))
         return worst <= 1e-10, worst, 1e-10

@@ -46,18 +46,77 @@ def _breakpoint_prices(*joints):
 @settings(max_examples=80, deadline=None)
 @given(joints=st.lists(_joints(), min_size=1, max_size=4), pad=st.tuples(_ATOM_VALUES, _ATOM_VALUES))
 def test_expected_fgft_at_is_bitwise_the_scalar_sum(joints, pad):
-    prices = _breakpoint_prices(*joints)
-    rows = []
-    for joint in joints:
-        got = kernels.expected_fgft_at(prices, joint.sellers, joint.buyers, joint.weights)
-        assert np.array_equal(got, [expected_fgft(joint, float(p)) for p in prices])
-        rows.append(got)
-    # per-row atoms padded at the end with zero-weight atoms at any values
-    atoms = np.zeros((3, len(joints), max(j.n_atoms for j in joints)))
-    atoms[0], atoms[1] = pad
-    for row, j in enumerate(joints):
-        atoms[:, row, : j.n_atoms] = j.sellers, j.buyers, j.weights
-    assert np.array_equal(kernels.expected_fgft_at(prices, *atoms), rows)
+    # breakpoints then midpoints are out of order (a midpoint below 1 follows 1) and take the
+    # dense loop; their sorted copy takes each atom's interval
+    listed = _breakpoint_prices(*joints)
+    for prices in (listed, np.sort(listed)):
+        rows = []
+        for joint in joints:
+            got = kernels.expected_fgft_at(prices, joint.sellers, joint.buyers, joint.weights)
+            assert np.array_equal(got, [expected_fgft(joint, float(p)) for p in prices])
+            rows.append(got)
+        # per-row atoms padded at the end with zero-weight atoms at any values
+        atoms = np.zeros((3, len(joints), max(j.n_atoms for j in joints)))
+        atoms[0], atoms[1] = pad
+        for row, j in enumerate(joints):
+            atoms[:, row, : j.n_atoms] = j.sellers, j.buyers, j.weights
+        assert np.array_equal(kernels.expected_fgft_at(prices, *atoms), rows)
+
+
+def _takes_sorted_row(monkeypatch, *args) -> bool:
+    """Whether expected_fgft_at(*args) goes through _fgft_on_sorted_row."""
+    calls = []
+    sorted_row = kernels._fgft_on_sorted_row
+
+    def spy(*a):
+        calls.append(a)
+        sorted_row(*a)
+
+    monkeypatch.setattr(kernels, "_fgft_on_sorted_row", spy)
+    kernels.expected_fgft_at(*args)
+    return bool(calls)
+
+
+def test_expected_fgft_at_takes_intervals_on_one_sorted_row_only(monkeypatch):
+    joint = lb_mu().joint
+    atoms = (joint.sellers, joint.buyers, joint.weights)
+    per_row = tuple(np.stack([a, a[::-1]]) for a in atoms)
+    grid = np.arange(11) / 10
+    for prices, args in [
+        (grid, atoms),
+        (grid[None, None], atoms),
+        (grid, per_row),
+        (grid[None], per_row),
+        (np.repeat(grid, 2), atoms),
+    ]:
+        assert _takes_sorted_row(monkeypatch, prices, *args)
+    unsorted = np.append(grid, 0.5)  # fbep's candidates with round 0's 1/2
+    swaps = [np.r_[grid[:i], grid[i + 1], grid[i], grid[i + 2 :]] for i in range(grid.size - 1)]
+    for prices, args in [(swapped, atoms) for swapped in swaps] + [
+        (unsorted, atoms),
+        (np.stack([grid, grid]), per_row),  # one row of prices per row of atoms
+        (np.array([0.5]), atoms),  # one price: no order to check
+        (grid[:, None], atoms),
+        (np.append(grid, np.nan), atoms),
+        (grid, (joint.sellers, joint.buyers, np.append(joint.weights[:-1], np.inf))),
+        (grid, (np.append(joint.sellers[:-1], np.nan), joint.buyers, joint.weights)),
+    ]:
+        with np.errstate(invalid="ignore"):  # the dense loop's 0 * inf
+            assert not _takes_sorted_row(monkeypatch, prices, *args)
+
+
+@pytest.mark.parametrize("layout", ["joint", "per-row"])
+@pytest.mark.parametrize("prices", [[np.nan], [0.25, np.nan, 0.5], [0.25, 0.5, np.nan]])
+def test_expected_fgft_at_keeps_nan_prices_nan(layout, prices):
+    joint = lb_mu().joint
+    atoms = (joint.sellers, joint.buyers, joint.weights)
+    if layout == "per-row":
+        atoms = tuple(np.stack([a, a[::-1]]) for a in atoms)
+    prices = np.asarray(prices)
+    got = kernels.expected_fgft_at(prices, *atoms)
+    nan = np.broadcast_to(np.isnan(prices), got.shape)
+    assert np.isnan(got[nan]).all()
+    assert np.array_equal(got[~nan], _fgft_unblocked(prices, *atoms)[~nan])
 
 
 def _fgft_unblocked(prices, sellers, buyers, weights):
@@ -82,8 +141,15 @@ def _fgft_block_cases():
     padded = np.concatenate([atoms, np.zeros((3, 4, 2))], axis=2)
     padded[:2, :, 3:] = rng.random((2, 4, 2))  # zero-weight atoms at any values
     grid = np.arange(11) / 10
+    # (s, b, w) columns: an interval between prices, s = b, s > b, zero weight, all of [0, 1];
+    # the sorted prices repeat and land on every s and b
+    edges = np.array([[0.2, 0.5, 0.7, 0.3, 0.0], [0.6, 0.5, 0.3, 0.9, 1.0], [0.3, 0.2, 0.25, 0.0, 0.25]])
+    edge_rows = np.stack([edges, edges[:, ::-1], np.roll(edges, 2, axis=1)], axis=1)
+    edge_prices = np.array([0.0, 0.2, 0.2, 0.3, 0.5, 0.5, 0.5, 0.6, 0.7, 0.9, 0.9, 1.0])
     return {
         "1-D grid": (grid, joint.sellers, joint.buyers, joint.weights),
+        "sorted edges, 1-D atoms": (edge_prices, *edges),
+        "sorted edges, per-row atoms": (edge_prices[None], *edge_rows),
         "per-row atoms, (rows, n) prices": (rng.random((4, 7)), *atoms),
         "per-row atoms, shared 1-D prices": (grid, *atoms),
         "(rows, 1) tails": (rng.random((4, 1)), *atoms),
@@ -102,6 +168,27 @@ def test_expected_fgft_at_is_bitwise_equal_across_price_blocks(monkeypatch, case
     want = _fgft_unblocked(*(np.asarray(a, dtype=np.float64) for a in args))
     assert got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("rows, n", [(256, 2000), (1, 100_000)])
+def test_expected_fgft_at_sorted_row_scratch_stays_within_its_bound(rows, n):
+    # _fgft_on_sorted_row's bound: under 6 arrays of FGFT_BLOCK 8-byte elements, besides five
+    # int arrays of the atoms' shape, however many rows and prices; 256 point masses paying on
+    # at least 40% of 2 000 prices hold over 6 x FGFT_BLOCK pairs, and one row of 3 atoms on
+    # 100 000 prices over 3 x FGFT_BLOCK pairs per atom
+    rng = np.random.default_rng(4)
+    A = 1 if rows > 1 else 3
+    sellers, buyers = 0.3 * rng.random((rows, A)), 0.7 + 0.3 * rng.random((rows, A))
+    weights = rng.random((rows, A))
+    row, means = np.arange(1, n + 1) / n, np.zeros((rows, n))
+    kernels._fgft_on_sorted_row(row, sellers, buyers, weights, means)
+    tracemalloc.start()
+    try:
+        kernels._fgft_on_sorted_row(row, sellers, buyers, weights, means)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * kernels.FGFT_BLOCK + 5 * 8 * sellers.size, peak
 
 
 def test_incomplete_convolution_numpy_matches_score():
