@@ -31,7 +31,6 @@ from .core import (
     ValuationPair,
     best_fixed_price_fgft,
     best_fixed_price_gft,
-    empirical_best_price,
     fgft,
     fgft_vector,
     product_joint,

@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import kernels
-from .core import ValuationPair, empirical_best_price
+from .core import check_atoms, fgft_candidates, fgft_vector
 from .environments import (
     Environment,
     FeedbackModel,
@@ -199,12 +199,22 @@ class FollowBestEmpiricalPrice(Learner):
 
     After each observed pair the learner reposts the smallest maximizer of
     the empirical mean fair gain from trade over all samples so far; every
-    such price is a breakpoint of the empirical mean.
+    such price is a breakpoint of the empirical mean: 0, 1, a sample's s or
+    b, or their midpoint.  The learner keeps one fgft total per breakpoint
+    seen so far, in ascending order.  A breakpoint first seen at sample n
+    gets its total as one cumsum over samples 1..n from 0.0, and every
+    later sample adds its fgft to every total, so each total is formed left
+    to right in arrival order, as kernels.fbep_prices forms its scores
+    (np.sum would sum pairwise, and Python's sum compensates since 3.12).
+    -0.0 and 0.0 are one breakpoint, posted as 0.0.  A pair outside
+    [0, 1]^2, or NaN, raises ValueError.
     """
 
     def __init__(self, horizon: int):
         _count(horizon, "horizon")  # checked only: the samples drive the prices
-        self.samples: list[ValuationPair] = []
+        self._samples: list[tuple] = []
+        self._breakpoints = np.array([0.0, 1.0])
+        self._totals = np.zeros(2)
         self._next_price = 0.5
 
     def propose(self) -> float:
@@ -213,9 +223,20 @@ class FollowBestEmpiricalPrice(Learner):
     def update(self, feedback) -> None:
         if isinstance(feedback, TwoBitFeedback):
             raise TypeError("follow-best-empirical-price needs full feedback, got two bits")
-        s, b = feedback
-        self.samples.append(ValuationPair(float(s), float(b)))
-        self._next_price = empirical_best_price(self.samples).price
+        s, b = (float(v) for v in feedback)
+        check_atoms((np.array([s, b]), "full feedback"))
+        self._samples.append((s, b))
+        self._totals += fgft_vector(self._breakpoints, s, b)
+        points = fgft_candidates([s], [b])  # this sample's breakpoints, 0 and 1 among them
+        at = np.searchsorted(self._breakpoints, points)
+        fresh = self._breakpoints[at] != points  # at < size: 1.0 is the largest breakpoint
+        if fresh.any():
+            points, at, samples = points[fresh], at[fresh], np.array(self._samples)
+            scores = np.zeros((len(samples) + 1, points.size))  # row 0: the 0.0 each total starts from
+            scores[1:] = fgft_vector(points, samples[:, :1], samples[:, 1:])
+            self._breakpoints = np.insert(self._breakpoints, at, points)
+            self._totals = np.insert(self._totals, at, np.cumsum(scores, axis=0)[-1])
+        self._next_price = float(self._breakpoints[np.argmax(self._totals)])
 
 
 class FixedPrice(Learner):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -97,11 +97,6 @@ class FiniteMarginal:
             raise ValueError("values must be pairwise distinct")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
-
-    def cdf(self, x):
-        """P[V <= x] at each point of x (a scalar or an array)."""
-        x = np.asarray(x, dtype=np.float64)
-        return (x[..., None] >= self.values) @ self.weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,22 +224,3 @@ def best_fixed_price_gft(dist: FiniteJointDistribution) -> PricePoint:
     i = int(np.argmax(vals))
     return PricePoint(float(cands[i]), float(vals[i]))
 
-
-def empirical_best_price(samples: Sequence[tuple]) -> PricePoint:
-    """Smallest maximizer of the empirical mean fgft over observed pairs.
-
-    Candidates are the breakpoints of the empirical mean (sample coordinates
-    and midpoints, plus 0 and 1).  Per-candidate totals accumulate sample by
-    sample in arrival order, so reruns and the kernels.fbep_prices fast path
-    reproduce the same floating-point scores and hence the same tie-breaks.
-    """
-    if len(samples) == 0:
-        raise ValueError("empirical_best_price needs at least one sample")
-    sellers = np.asarray([s for s, _ in samples], dtype=np.float64)
-    buyers = np.asarray([b for _, b in samples], dtype=np.float64)
-    cands = fgft_candidates(sellers, buyers)
-    totals = np.zeros(cands.size, dtype=np.float64)
-    for s, b in zip(sellers, buyers):
-        totals += fgft_vector(cands, s, b)
-    i = int(np.argmax(totals))
-    return PricePoint(float(cands[i]), float(totals[i]) / len(samples))

@@ -209,24 +209,27 @@ def epsilon_family(eps: float) -> Environment:
     return independent_finite(seller, buyer, env_id=_format_id("eps-family", eps=eps))
 
 
-def epsilon_family_expected_fgft(eps: float, p: float) -> float:
-    """Closed-form expected fgft of the eps family at one price.
+def epsilon_family_expected_fgft(eps: float, p):
+    """Closed-form expected fgft of the eps family at each price of p.
 
     Piecewise in p with breakpoints 1/4, 1/2, 5/8; maximized at 1/2 with
     value (3+eps)/8 when eps > 0 and at 5/8 with value 3/8 when eps < 0
-    (the whole segment [1/2, 5/8] is optimal at eps = 0).
+    (the whole segment [1/2, 5/8] is optimal at eps = 0).  A scalar p gives
+    a float, an array of prices an array of its shape; each piece is the
+    same float expression either way.
     """
     if not (-1.0 <= eps <= 1.0):
         raise ValueError(f"eps must lie in [-1, 1], got {eps!r}")
-    if not (0.0 <= p <= 1.0):
+    prices = np.asarray(p, dtype=np.float64)
+    if not np.all((prices >= 0.0) & (prices <= 1.0)):
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    if p < 0.25:
-        return (1.0 + eps) / 2.0 * p
-    if p < 0.5:
-        return (1.0 + eps) / 8.0 + (p - 0.25)
-    if p < 0.625:
-        return (1.0 + eps) / 8.0 + 0.25 + eps * (0.5 - p)
-    return (1.0 + eps) / 8.0 + 0.25 - eps / 8.0 + (0.625 - p)
+    base = (1.0 + eps) / 8.0
+    values = np.select(
+        [prices < 0.25, prices < 0.5, prices < 0.625],
+        [(1.0 + eps) / 2.0 * prices, base + (prices - 0.25), base + 0.25 + eps * (0.5 - prices)],
+        base + 0.25 - eps / 8.0 + (0.625 - prices),
+    )
+    return float(values) if values.ndim == 0 else values
 
 
 def _rand_int(stream: SplitMix64, lo: int, hi: int) -> int:

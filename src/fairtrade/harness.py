@@ -184,10 +184,6 @@ class Trajectory:
     sellers: np.ndarray
     buyers: np.ndarray
 
-    @property
-    def total_reward(self) -> float:
-        return float(np.sum(self.rewards))
-
 
 @dataclass(frozen=True)
 class RegretCurve:

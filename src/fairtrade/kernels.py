@@ -548,12 +548,13 @@ def fbep_prices(seed, cum, cands, reward_matrix, horizon):
     fgft(cands[m], atom j).  Returns idx, the index of each round's price in
     cands with 1/2 appended: round 0 posts 1/2 (index cands.size); round
     t >= 1 posts the first maximizer of the scores summed over rounds
-    0..t-1 in arrival order, matching empirical_best_price's summation
-    exactly.  The scores of FBEP_BLOCK rounds at a time are one cumsum whose
-    row 0 is the carried total, so every partial sum is formed in the same
-    order as a round-by-round loop (adding the carry after the cumsum would
-    regroup the sums and change their rounding).  The path does not depend
-    on the horizon: the first T rounds of a longer path are the path at T.
+    0..t-1 in arrival order, matching the running totals of
+    algorithms.FollowBestEmpiricalPrice exactly.  The scores of FBEP_BLOCK
+    rounds at a time are one cumsum whose row 0 is the carried total, so
+    every partial sum is formed in the same order as a round-by-round loop
+    (adding the carry after the cumsum would regroup the sums and change
+    their rounding).  The path does not depend on the horizon: the first T
+    rounds of a longer path are the path at T.
 
     Only candidates that can lead are scored.  Round-to-nearest addition is
     monotone: a <= a' and r <= r' give fl(a + r) <= fl(a' + r').  So when

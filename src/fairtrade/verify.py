@@ -327,9 +327,7 @@ def suite_epsilon_family() -> list:
             env = epsilon_family(eps)
             joint = env.joint
             means = kernels.expected_fgft_at(grid, joint.sellers, joint.buyers, joint.weights)
-            formula = np.asarray(
-                [epsilon_family_expected_fgft(eps, float(p)) for p in grid]
-            )
+            formula = epsilon_family_expected_fgft(eps, grid)
             worst = max(worst, float(np.max(np.abs(means - formula))))
         return worst <= 1e-12, worst, 1e-12
 

@@ -14,6 +14,13 @@ package's kernels and fast paths against these:
 * expected_fgft and expected_gft, exact atom sums at one price, which
   kernels.expected_fgft_at and core.best_fixed_price_gft evaluate on price
   arrays;
+* epsilon_family_fgft, the eps family's closed-form mean reward at one
+  price, piece by piece, which environments.epsilon_family_expected_fgft
+  evaluates on price arrays;
+* empirical_best_price, the smallest maximizer of the empirical mean
+  fgft rescored from scratch over every sample, which
+  algorithms.FollowBestEmpiricalPrice keeps as running totals and
+  kernels.fbep_prices computes for a whole episode;
 * pseudo_regret, the regret of one posted price sequence, which
   harness._profile_regret scores for price profiles;
 * deterministic_price_profile, the point-mass price profile that
@@ -27,7 +34,15 @@ from typing import Sequence
 import numpy as np
 
 from fairtrade.algorithms import LearnerSpec
-from fairtrade.core import FiniteJointDistribution, ValuationPair, check_atoms, fgft
+from fairtrade.core import (
+    FiniteJointDistribution,
+    PricePoint,
+    ValuationPair,
+    check_atoms,
+    fgft,
+    fgft_candidates,
+    fgft_vector,
+)
 from fairtrade.environments import Environment
 from fairtrade.harness import _PROFILES, Trajectory, _EnvTables, _PointMasses, _price_profile, _profile_regret
 from fairtrade.rng import _count
@@ -100,6 +115,36 @@ def expected_gft(dist: FiniteJointDistribution, p: float) -> float:
     for s, b, w in zip(dist.sellers, dist.buyers, dist.weights):
         total += w * gft(p, s, b)
     return total
+
+
+def epsilon_family_fgft(eps: float, p: float) -> float:
+    """Closed-form expected fgft of the eps family at one price, as Python floats."""
+    if p < 0.25:
+        return (1.0 + eps) / 2.0 * p
+    if p < 0.5:
+        return (1.0 + eps) / 8.0 + (p - 0.25)
+    if p < 0.625:
+        return (1.0 + eps) / 8.0 + 0.25 + eps * (0.5 - p)
+    return (1.0 + eps) / 8.0 + 0.25 - eps / 8.0 + (0.625 - p)
+
+
+def empirical_best_price(samples: Sequence[tuple]) -> PricePoint:
+    """Smallest maximizer of the empirical mean fgft over observed pairs.
+
+    Candidates are the breakpoints of the empirical mean (sample coordinates
+    and midpoints, plus 0 and 1).  Per-candidate totals accumulate sample by
+    sample in arrival order, from 0.0, over every sample at every call.
+    """
+    if len(samples) == 0:
+        raise ValueError("empirical_best_price needs at least one sample")
+    sellers = np.asarray([s for s, _ in samples], dtype=np.float64)
+    buyers = np.asarray([b for _, b in samples], dtype=np.float64)
+    cands = fgft_candidates(sellers, buyers)
+    totals = np.zeros(cands.size, dtype=np.float64)
+    for s, b in zip(sellers, buyers):
+        totals += fgft_vector(cands, s, b)
+    i = int(np.argmax(totals))
+    return PricePoint(float(cands[i]), float(totals[i]) / len(samples))
 
 
 def pseudo_regret(env: Environment, prices) -> float:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairtrade.algorithms import (
     LEARNER_ID_PATTERNS,
@@ -27,6 +29,7 @@ from fairtrade.environments import (
     lb_mu,
     render_feedback,
 )
+from reference import empirical_best_price
 
 
 def drive(learner, pair, rounds):
@@ -166,6 +169,34 @@ def test_fbep_rejects_two_bit_feedback():
     learner = FollowBestEmpiricalPrice(10)
     with pytest.raises(TypeError):
         learner.update(TwoBitFeedback(1, 1))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.1, 1.5])
+@pytest.mark.parametrize("side", ["seller", "buyer"])
+def test_fbep_rejects_a_pair_outside_the_unit_square(bad, side):
+    learner = FollowBestEmpiricalPrice(10)
+    learner.update((0.2, 0.6))
+    with pytest.raises(ValueError, match="full feedback"):
+        learner.update((bad, 0.6) if side == "seller" else (0.2, bad))
+    assert learner.propose() == 0.4  # the rejected pair left no trace
+
+
+# a small value set, so values repeat, midpoints coincide and totals tie;
+# 0.1, 0.3 and 0.7 are inexact, so their sums round
+_FBEP_VALUES = st.sampled_from([0.0, -0.0, 0.1, 0.125, 0.25, 0.3, 0.5, 0.7, 0.75, 1.0])
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(1, 200).flatmap(
+        lambda n: st.lists(st.tuples(_FBEP_VALUES, _FBEP_VALUES), min_size=n, max_size=n)
+    )
+)
+def test_fbep_posts_the_from_scratch_maximizer_every_round(samples):
+    learner = FollowBestEmpiricalPrice(len(samples))
+    for n, pair in enumerate(samples, start=1):
+        learner.update(pair)
+        assert learner.propose().hex() == empirical_best_price(samples[:n]).price.hex(), n
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from fairtrade.core import (
     PricePoint,
     best_fixed_price_fgft,
     best_fixed_price_gft,
-    empirical_best_price,
     fgft,
     fgft_candidates,
     fgft_vector,
@@ -20,7 +19,14 @@ from fairtrade.core import (
     sorted_distinct,
 )
 from fairtrade.environments import deterministic, gft_trap, lb_mu, lb_nu
-from reference import discrete_convolution_score, expected_fgft, expected_gft, fgft_convolution_approx, gft
+from reference import (
+    discrete_convolution_score,
+    empirical_best_price,
+    expected_fgft,
+    expected_gft,
+    fgft_convolution_approx,
+    gft,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -138,16 +144,6 @@ def test_marginal_validation():
         FiniteMarginal([0.2, 0.8], [0.5, float("nan")])  # non-finite weight
     with pytest.raises(ValueError):
         FiniteMarginal([0.2], [float("nan")])  # NaN also fails the sum check
-
-
-def test_cdf_of_a_marginal():
-    m = FiniteMarginal([0.2, 0.8], [0.25, 0.75])
-    assert m.cdf(0.1) == 0.0
-    assert m.cdf(0.2) == 0.25  # weak inequality at the atom
-    assert m.cdf(0.5) == 0.25
-    assert m.cdf(1.0) == 1.0
-    # arrays evaluate pointwise and keep their shape
-    np.testing.assert_array_equal(m.cdf(np.array([[0.1, 0.2], [0.5, 1.0]])), [[0.0, 0.25], [0.25, 1.0]])
 
 
 def test_joint_validation():
@@ -277,7 +273,7 @@ def test_oracles_dominate_dense_grid():
 
 
 # ---------------------------------------------------------------------------
-# empirical best price
+# empirical best price (the from-scratch oracle of tests/reference.py)
 # ---------------------------------------------------------------------------
 
 

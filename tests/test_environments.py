@@ -31,7 +31,7 @@ from fairtrade.environments import (
     sample_valuations,
 )
 from fairtrade.rng import MASK64, SplitMix64
-from reference import expected_fgft
+from reference import epsilon_family_fgft, expected_fgft
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +88,19 @@ def test_epsilon_family_closed_form_matches_oracle():
             assert epsilon_family_expected_fgft(eps, float(p)) == pytest.approx(
                 expected_fgft(joint, float(p)), abs=1e-12
             )
+
+
+def test_epsilon_family_closed_form_on_an_array_is_the_scalar_form():
+    # the closed-form check's grid, then the three breakpoints
+    prices = np.append(np.arange(1001, dtype=np.float64) / 1000.0, [0.25, 0.5, 0.625])
+    for eps in (0.0, 0.1, -0.1, 0.25, -0.25):
+        want = [epsilon_family_fgft(eps, float(p)).hex() for p in prices]
+        assert [v.hex() for v in epsilon_family_expected_fgft(eps, prices).tolist()] == want
+        assert [epsilon_family_expected_fgft(eps, float(p)).hex() for p in prices] == want
+    assert type(epsilon_family_expected_fgft(0.1, 0.3)) is float
+    assert epsilon_family_expected_fgft(0.1, np.array([[0.3]])).shape == (1, 1)
+    with pytest.raises(ValueError):
+        epsilon_family_expected_fgft(0.1, np.array([0.5, np.nan]))
 
 
 def test_epsilon_family_flat_optimum_at_zero():
