@@ -20,8 +20,12 @@ kernel returns the commit after every round (_point_mass_regrets).  fbep and
 uniform have no commit phase, and their prices do not depend on the
 horizon: a run simulates their episodes one at a time, each once, at its
 largest horizon, as a row of per-round regrets (_round_gaps), and sums a
-prefix of that row for every horizon before it drops the row.  The
-indistinguishability check couples the grid learner to the lower-bound
+prefix of that row for every horizon before it drops the row.  The row is
+one contiguous float64 array, so each prefix's np.sum keeps its pairwise
+grouping; besides it an episode holds fbep's compact index and block
+scratch of kernels.FBEP_BLOCK and DRAW_BLOCK rounds (about 1.25 rows in
+all at T = 10**5).
+The indistinguishability check couples the grid learner to the lower-bound
 pair the same way: every episode's sweep draws its bits from the exact
 feedback laws at the grid prices and is scored by the grid kernel in one
 pass (_coupled_commits), with no Learner stepping.
@@ -403,22 +407,36 @@ def _profile_regret(tables: _EnvTables, gaps, tail, tail_len: int) -> np.ndarray
 def _fbep_gaps(tables: _EnvTables, T: int, episode: int) -> np.ndarray:
     """fbep's row: the kernel returns candidate indices, and the row gathers
     the regret of each candidate (expected_fgft_at is elementwise, so this
-    equals scoring the prices).  The one exception to prices agreeing with
-    the reference loop draw for draw: the fbep kernel also scores candidate
-    prices of atoms not yet sampled, and on a flat top of the empirical mean
-    one of them can round one ulp above the reference learner's smallest
-    maximizer.
+    equals scoring the prices), DRAW_BLOCK rounds at a time so that only one
+    block of the compact indices is widened to intp.  The one exception to
+    prices agreeing with the reference loop draw for draw: the fbep kernel
+    also scores candidate prices of atoms not yet sampled, and on a flat top
+    of the empirical mean one of them can round one ulp above the reference
+    learner's smallest maximizer.
     """
     cands, rewards = tables.fbep
     by_index = tables.regret_at(np.append(cands, 0.5))  # round 0 posts 1/2
-    return by_index[kernels.fbep_prices(episode, tables.cum, cands, rewards, T)]
+    idx = kernels.fbep_prices(episode, tables.cum, cands, rewards, T)
+    row, D = np.empty(T, dtype=np.float64), kernels.DRAW_BLOCK
+    for lo in range(0, T, D):
+        np.take(by_index, idx[lo : lo + D], out=row[lo : lo + D], mode="clip")
+    return row
 
 
 def _uniform_gaps(tables: _EnvTables, T: int, episode: int, **params) -> np.ndarray:
     """The prices of the learner's own stream: its builder in LEARNER_KINDS
-    states the default seed and mixes in the episode, for both paths."""
+    states the default seed and mixes in the episode, for both paths.
+
+    Each block of DRAW_BLOCK prices is overwritten by its regrets, so the
+    kernel's one T-long array becomes the row; expected_fgft_at is
+    elementwise, so each regret is bitwise what scoring the whole row gives.
+    """
     learner = LEARNER_KINDS["uniform"].build(T, tables.env, episode, **params)
-    return tables.regret_at(kernels.uniform_prices(learner.seed, T))
+    row = kernels.uniform_prices(learner.seed, T)
+    for lo in range(0, T, kernels.DRAW_BLOCK):
+        block = row[lo : lo + kernels.DRAW_BLOCK]
+        np.subtract(tables.v_star, tables.mean_at(block), out=block)
+    return row
 
 
 # learner kind -> gaps(tables, T, episode seed, **spec.params), for every kind without a commit phase
@@ -460,6 +478,7 @@ def run_monte_carlo(config: RunConfig) -> RegretCurve:
         for e, seed in enumerate(config.seeds):
             row = _round_gaps(spec, tables, hs[-1], seed)
             regrets[:, e] = [np.sum(row[:T]) for T in hs]
+            del row  # else it stays alive while the next episode builds its row
     else:
         for i, T in enumerate(hs):
             regrets[i] = _episode_regrets(config, T, tables)

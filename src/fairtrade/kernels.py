@@ -1,10 +1,15 @@
 """Hot numeric kernels, one NumPy implementation each.
 
-Every draw of an episode comes from one uint64 pass over the counter form
-of the splitmix64 stream (rng.unit_draws, inverted by _atoms_at).
-fbep_prices draws its own atoms; dbs_explore and conv_pricing_commit take
-the drawn seller and buyer values as rows, one per episode or per point
-mass (harness._EnvTables.draw samples them), and step all rows at once.
+Every draw comes from uint64 passes over the counter form of the
+splitmix64 stream (rng.unit_draws, inverted by _atoms_at).  dbs_explore
+and conv_pricing_commit take the drawn seller and buyer values as rows,
+one per episode or per point mass (harness._EnvTables.draw samples them),
+and step all rows at once.  fbep_prices and uniform_prices, the
+full-feedback kernels, draw their own, DRAW_BLOCK rounds at a time from
+each block's start, so an episode runs in bounded block scratch: besides
+the one T-long array it returns (fbep's index in the narrowest unsigned
+type, uniform's prices), a kernel's scratch is set by FBEP_BLOCK and
+DRAW_BLOCK, not by the horizon.
 The simulators accumulate sums in the same order as the round-by-round
 learners, so a seeded fast path reproduces the reference loop's price
 path draw for draw (fbep_prices can break a flat top differently; see
@@ -19,6 +24,9 @@ each when draws are many and atoms few, else binary-searches them.
 
 fbep_prices scores only the candidates that no lower-index candidate
 dominates, which leaves its path bitwise unchanged (see its docstring).
+Its running scores take two candidates per add: the cumsum runs on the
+complex128 view of the round-major score block, and a complex add is two
+independent IEEE adds, so each column's sums are bitwise the float64 ones.
 expected_fgft_at has two paths with bitwise equal sums, and the input
 selects one.  On one sorted row of prices shared by every row of atoms
 (verify's grids, the oracle's candidates, the grid learner's sweep), each
@@ -65,9 +73,13 @@ from .rng import _count, unit_draws
 # No numba path exists; the flag stays because run metadata reports it.
 USE_NUMBA = False
 
-# Rounds per cumsum block in fbep_prices: bounds its scratch memory to
-# FBEP_BLOCK x (number of candidates) doubles.
+# Rounds per cumsum block in fbep_prices: bounds its score block to
+# (FBEP_BLOCK + 1) x (kept candidates rounded up to even) doubles.
 FBEP_BLOCK = 2048
+# Rounds per block of draws in fbep_prices and uniform_prices, and of regrets
+# in harness: a float64 block is 64 KiB, under glibc's default 128 KiB mmap
+# threshold, so block scratch is reused heap rather than a fresh mapping.
+DRAW_BLOCK = 8192
 # Prices per block in expected_fgft_at's dense loop, and prices or (row,
 # price) pairs per chunk on a sorted row: bounds its scratch to FGFT_BLOCK
 # doubles per array (per row of atoms on the dense loop).
@@ -540,6 +552,18 @@ def _undominated(reward_matrix) -> np.ndarray:
     return np.flatnonzero(~np.fromiter(dominated, dtype=bool, count=rewards.shape[0]))
 
 
+def _paired_cumsum(block) -> None:
+    """Running sums down each column of ``block``, in place, two columns per add.
+
+    ``block`` is a C-contiguous float64 array of even width; its complex128
+    view pairs columns 2k and 2k + 1, and a complex add adds real and
+    imaginary parts apart, each by one IEEE add.  So every column's sums are
+    formed in row order as np.cumsum of that column alone forms them.
+    """
+    pairs = block.view(np.complex128)
+    np.cumsum(pairs, axis=0, out=pairs)
+
+
 def fbep_prices(seed, cum, cands, reward_matrix, horizon):
     """Index path of the follow-the-best-empirical-price learner.
 
@@ -549,12 +573,21 @@ def fbep_prices(seed, cum, cands, reward_matrix, horizon):
     cands with 1/2 appended: round 0 posts 1/2 (index cands.size); round
     t >= 1 posts the first maximizer of the scores summed over rounds
     0..t-1 in arrival order, matching the running totals of
-    algorithms.FollowBestEmpiricalPrice exactly.  The scores of FBEP_BLOCK
-    rounds at a time are one cumsum whose row 0 is the carried total, so
-    every partial sum is formed in the same order as a round-by-round loop
-    (adding the carry after the cumsum would regroup the sums and change
-    their rounding).  The path does not depend on the horizon: the first T
-    rounds of a longer path are the path at T.
+    algorithms.FollowBestEmpiricalPrice exactly.  idx takes the narrowest
+    unsigned type that holds cands.size (np.min_scalar_type).  The path does
+    not depend on the horizon: the first T rounds of a longer path are the
+    path at T.
+
+    The scores of FBEP_BLOCK rounds at a time are one cumsum whose row 0 is
+    the carried total, so every partial sum is formed in the same order as
+    a round-by-round loop (adding the carry after the cumsum would regroup
+    the sums and change their rounding).  The block is round-major, two
+    candidates per add (_paired_cumsum), so an odd kept count gets one pad
+    column whose rewards are -inf: from round 1 on its score is -inf (never
+    NaN), and as the last column it never is argmax's first maximizer.
+    Scratch is the score block, one intp buffer of FBEP_BLOCK argmaxes
+    (mapped through ``kept`` into idx) and the draws of DRAW_BLOCK rounds,
+    whatever the horizon; only idx grows with T.
 
     Only candidates that can lead are scored.  Round-to-nearest addition is
     monotone: a <= a' and r <= r' give fl(a + r) <= fl(a' + r').  So when
@@ -570,26 +603,40 @@ def fbep_prices(seed, cum, cands, reward_matrix, horizon):
     to keep m until m' may lead.
     """
     T = int(horizon)
+    idx = np.empty(T, dtype=np.min_scalar_type(cands.size))
     kept = _undominated(reward_matrix)
-    rewards = np.ascontiguousarray(reward_matrix[kept].T)
-    j = _atoms_at(cum, unit_draws(seed, T))
-    idx = np.empty(T, dtype=np.intp)
-    block = np.zeros((min(T, FBEP_BLOCK) + 1, kept.size), dtype=np.float64)
-    for t0 in range(0, T, FBEP_BLOCK):
-        rows = j[t0 : t0 + FBEP_BLOCK]
-        scores = block[: rows.size + 1]
-        np.take(rewards, rows, axis=0, out=scores[1:], mode="clip")
-        np.cumsum(scores, axis=0, out=scores)
-        np.argmax(scores[:-1], axis=1, out=idx[t0 : t0 + rows.size])
-        block[0] = scores[-1]
-    idx = kept[idx]
+    C = kept.size
+    rewards = np.full((reward_matrix.shape[1], C + C % 2), -np.inf)
+    rewards[:, :C] = reward_matrix[kept].T
+    kept = kept.astype(idx.dtype)
+    block = np.zeros((min(T, FBEP_BLOCK) + 1, rewards.shape[1]), dtype=np.float64)
+    leaders = np.empty(min(T, FBEP_BLOCK), dtype=np.intp)
+    for d0 in range(0, T, DRAW_BLOCK):
+        j = _atoms_at(cum, unit_draws(seed, min(DRAW_BLOCK, T - d0), d0))
+        for t0 in range(0, j.size, FBEP_BLOCK):
+            rows = j[t0 : t0 + FBEP_BLOCK]
+            n = rows.size
+            scores = block[: n + 1]
+            np.take(rewards, rows, axis=0, out=scores[1:], mode="clip")
+            _paired_cumsum(scores)
+            np.argmax(scores[:-1], axis=1, out=leaders[:n])
+            np.take(kept, leaders[:n], out=idx[d0 + t0 : d0 + t0 + n], mode="clip")
+            block[0] = scores[-1]
     idx[:1] = cands.size
     return idx
 
 
 def uniform_prices(seed, horizon):
-    """Independent uniform prices from a learner-owned stream."""
-    return unit_draws(seed, horizon)
+    """Independent uniform prices from a learner-owned stream.
+
+    One T-long array, filled DRAW_BLOCK draws at a time (rng.unit_draws from
+    each block's start), so the only scratch is one block's draws.
+    """
+    T = int(horizon)
+    prices = np.empty(T, dtype=np.float64)
+    for lo in range(0, T, DRAW_BLOCK):
+        prices[lo : lo + DRAW_BLOCK] = unit_draws(seed, min(DRAW_BLOCK, T - lo), lo)
+    return prices
 
 
 def _overlap_holds(p, s, b, j, M):

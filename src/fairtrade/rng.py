@@ -5,10 +5,10 @@ advances by a fixed odd constant and the output is the standard three-round
 multiply-xorshift finalizer.  splitmix64 is a counter generator: the t-th
 state is seed + t * GOLDEN mod 2**64, so the t-th output depends on t alone.
 The reference loop steps the stream one Python integer at a time
-(SplitMix64); the kernels in kernels.py compute a whole episode's draws in
-one uint64 NumPy pass (unit_draws).  Both give the same doubles, so a
-trajectory is reproducible bit for bit across platforms and between the
-kernels and the reference loop.
+(SplitMix64); the kernels in kernels.py compute a run of draws in one
+uint64 NumPy pass (unit_draws), a whole episode or one block of it.  Both
+give the same doubles, so a trajectory is reproducible bit for bit across
+platforms and between the kernels and the reference loop.
 
 Uniform doubles are built as (u64 >> 11) * 2**-53, i.e. 53 random bits in
 [0, 1).
@@ -98,13 +98,16 @@ class SplitMix64:
         return u64_to_unit(self.next_u64())
 
 
-def unit_draws(seed: int, n: int) -> np.ndarray:
-    """The first n values of SplitMix64(seed).next_unit(), in one pass.
+def unit_draws(seed: int, n: int, start: int = 0) -> np.ndarray:
+    """Values start+1 .. start+n of SplitMix64(seed).next_unit(), in one pass.
 
+    The t-th value depends on t alone, so unit_draws(seed, n, start) is
+    unit_draws(seed, start + n)[start:], bit for bit: a long stream can be
+    drawn in blocks, each from its own start, with scratch of one block.
     Every step is an array operation: uint64 arrays wrap silently mod 2**64,
     whereas an overflowing np.uint64 scalar operation warns.
     """
-    z = np.arange(1, int(n) + 1, dtype=np.uint64)
+    z = np.arange(int(start) + 1, int(start) + int(n) + 1, dtype=np.uint64)
     z *= np.uint64(GOLDEN)
     z += np.uint64(int(seed) & MASK64)
     z ^= z >> np.uint64(30)

@@ -311,6 +311,15 @@ def test_fast_path_prices_match_reference_bitwise(env_name, learner_id, T):
         assert np.array_equal(run_episode(cfg, e).prices, kernel_path), e
 
 
+@pytest.mark.parametrize("learner_id", ["fbep", "uniform:seed=5"])
+def test_path_free_rows_score_their_paths_across_draw_blocks(learner_id):
+    # the rows are gathered and scored DRAW_BLOCK rounds at a time; _kernel_path
+    # holds them bitwise to scoring each whole path at once
+    tables = _EnvTables(parse_env("random-joint:seed=303"))
+    for seed in (0, MASK64):
+        _kernel_path(parse_learner(learner_id), tables, 2 * kernels.DRAW_BLOCK + 3, seed)
+
+
 def test_monte_carlo_curves_share_draws_across_horizons():
     # the uniform baseline posts the same price sequence at every horizon, so
     # with shared episode seeds regret is pathwise non-decreasing in T
@@ -395,21 +404,33 @@ def test_a_uniform_spec_made_without_the_parser_runs_as_seed_zero():
     assert np.array_equal(*paths)
 
 
+@pytest.mark.parametrize("T,n_episodes", [(20_000, 20), (100_000, 2)])
 @pytest.mark.parametrize("env_id", ["lb-mu", "random-joint:seed=303"])
 @pytest.mark.parametrize("learner_id", ["fbep", "uniform:seed=5"])
-def test_path_free_runs_hold_one_episode_row_at_a_time(env_id, learner_id):
-    # 20 episodes at T = 20 000: a run that kept every episode's row of
-    # round regrets would peak above 20 rows
-    spec = parse_learner(learner_id)
-    cfg = RunConfig(parse_env(env_id), spec, (1000, 20_000), n_episodes=20, base_seed=7, feedback=spec.requires)
-    row_bytes = 20_000 * np.dtype(np.float64).itemsize
+def test_path_free_runs_hold_one_episode_row_at_a_time(env_id, learner_id, T, n_episodes):
+    # a run holds one row of T round regrets, fbep's index of T entries and
+    # block scratch that the block constants bound: fbep's score block of at
+    # most (FBEP_BLOCK + 1) x (candidates + 1) doubles and its FBEP_BLOCK
+    # argmaxes, and four float64 blocks of DRAW_BLOCK (a block's draws, or
+    # the temporaries of its regrets); at T = 10**5 that is under 1.5 rows,
+    # which a run that kept the last episode's row alive exceeds
+    spec, env = parse_learner(learner_id), parse_env(env_id)
+    cfg = RunConfig(env, spec, (1000, T), n_episodes=n_episodes, base_seed=7, feedback=spec.requires)
+    row_bytes = T * np.dtype(np.float64).itemsize
+    bound = row_bytes + 4 * 8 * kernels.DRAW_BLOCK
+    if spec.kind == "fbep":
+        cands = _EnvTables(env).fbep[0]
+        bound += T * np.min_scalar_type(cands.size).itemsize
+        bound += 8 * ((kernels.FBEP_BLOCK + 1) * (cands.size + 1) + kernels.FBEP_BLOCK)
     tracemalloc.start()
     try:
         run_monte_carlo(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * row_bytes, peak / row_bytes
+    assert peak < bound, (peak, bound)
+    if T == 100_000:
+        assert peak < 1.5 * row_bytes, peak / row_bytes
 
 
 def test_monte_carlo_single_episode_has_zero_stderr():

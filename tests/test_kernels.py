@@ -220,10 +220,11 @@ def test_incomplete_convolution_validates_layout():
                 kernel(np.zeros(seller), np.zeros(buyer), 2)
 
 
-def test_uniform_prices_numpy_matches_stream():
+@pytest.mark.parametrize("T", [16, 2 * kernels.DRAW_BLOCK + 3])
+def test_uniform_prices_numpy_matches_stream(T):
     stream = SplitMix64(99)
-    want = [stream.next_unit() for _ in range(16)]
-    got = kernels.uniform_prices(99, 16)
+    want = [stream.next_unit() for _ in range(T)]
+    got = kernels.uniform_prices(99, T)
     assert got.tolist() == want  # bit-for-bit
 
 
@@ -644,6 +645,26 @@ def test_unit_draws_match_sequential_stream(seed, n):
     assert got.tolist() == want  # bit-for-bit
 
 
+# starts on and next to the edges of the kernels' blocks of draws
+_DRAW_STARTS = st.sampled_from(
+    [0, 1, kernels.DRAW_BLOCK - 1, kernels.DRAW_BLOCK, kernels.DRAW_BLOCK + 1, 2 * kernels.DRAW_BLOCK - 7]
+) | st.integers(0, 2 * kernels.DRAW_BLOCK + 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, MASK64), n=st.integers(0, 300), start=_DRAW_STARTS)
+@example(seed=0, n=300, start=kernels.DRAW_BLOCK - 150)
+@example(seed=MASK64, n=300, start=kernels.DRAW_BLOCK - 150)
+@example(seed=MASK64, n=1, start=kernels.DRAW_BLOCK)
+def test_unit_draws_from_a_start_continue_the_stream(seed, n, start):
+    stream = SplitMix64(seed)
+    for _ in range(start):
+        stream.next_u64()
+    got = unit_draws(seed, n, start)
+    assert got.tolist() == [stream.next_unit() for _ in range(n)]  # bit-for-bit
+    assert got.tobytes() == unit_draws(seed, start + n)[start:].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # one-pass simulators against round-by-round loops
 # ---------------------------------------------------------------------------
@@ -745,6 +766,80 @@ def test_fbep_prices_match_round_loop_across_blocks(monkeypatch, env_name, block
         idx = kernels.fbep_prices(seed, tables.cum, cands, matrix, T)
         assert idx[0] == cands.size
         assert np.array_equal(posted[idx], _loop_fbep(seed, tables.cum, cands, matrix, T)), seed
+
+
+# -0.0, subnormals and magnitudes far apart, whose sums round differently in every order
+_ADDENDS = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.0**-1060, 1e-300, 1.0, -1.0, 0.1, 1e16, -1e300]
+) | st.floats(-1e300, 1e300)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    columns=st.integers(1, 9).flatmap(
+        lambda C: st.lists(st.lists(_ADDENDS, min_size=C, max_size=C), min_size=1, max_size=40)
+    )
+)
+def test_paired_cumsum_is_each_columns_float64_cumsum(columns):
+    # odd column counts take fbep_prices's -inf pad column, which must stay -inf
+    rows = np.asarray(columns, dtype=np.float64)
+    C = rows.shape[1]
+    block = np.full((rows.shape[0], C + C % 2), -np.inf)
+    block[:, :C] = rows
+    kernels._paired_cumsum(block)
+    for c in range(C):
+        want = np.fromiter(itertools.accumulate(rows[:, c].tolist()), dtype=np.float64)
+        assert block[:, c].tobytes() == want.tobytes(), c
+    assert np.all(block[:, C:] == -np.inf)
+
+
+def _assert_fbep_is_the_round_loop(cum, cands, matrix, T, seeds=_SEEDS):
+    posted = np.append(cands, 0.5)
+    for seed in seeds:
+        idx = kernels.fbep_prices(seed, cum, cands, matrix, T)
+        assert idx.dtype == np.min_scalar_type(cands.size) and idx[0] == cands.size
+        assert np.array_equal(posted[idx], _loop_fbep(seed, cum, cands, matrix, T)), seed
+
+
+@pytest.mark.parametrize("block", [kernels.FBEP_BLOCK, 3])
+def test_fbep_pad_column_never_leads_negative_rewards(monkeypatch, block):
+    # an odd kept count pads the score block with one column; every score
+    # here is negative, so a pad of zeros would lead from round 1 on
+    monkeypatch.setattr(kernels, "FBEP_BLOCK", block)
+    matrix = -np.array([[1.0, 3.0, 0.5], [3.0, 1.0, 2.5], [2.0, 2.0, 1e-3], [2.5, 2.5, 2.5], [1.5, 3.5, 0.75]])
+    assert kernels._undominated(matrix).size == 3
+    cum, cands = np.array([0.3, 0.7, 1.0]), np.linspace(0.1, 0.9, 5)
+    _assert_fbep_is_the_round_loop(cum, cands, matrix, kernels.FBEP_BLOCK + 5)
+
+
+@pytest.mark.parametrize("block", [kernels.FBEP_BLOCK, 3])
+@pytest.mark.parametrize(
+    "T,draw_block",
+    [(kernels.DRAW_BLOCK - 1, kernels.DRAW_BLOCK), (kernels.DRAW_BLOCK + 1, kernels.DRAW_BLOCK), (300, 7)],
+    ids=["D-1", "D+1", "300-by-7"],
+)
+@pytest.mark.parametrize("env_name", ["coin-flip", "random-joint-5"])
+def test_fbep_prices_match_round_loop_across_a_draw_block(monkeypatch, env_name, T, draw_block, block):
+    # coin-flip keeps 3 candidates, so its score block carries the pad column;
+    # the last round's draw moves no posted price, so at D + 1 a second block
+    # drawn from the wrong start would go unseen: blocks of 7 draws put many
+    # edges before rounds whose prices read the next block
+    monkeypatch.setattr(kernels, "FBEP_BLOCK", block)
+    monkeypatch.setattr(kernels, "DRAW_BLOCK", draw_block)
+    tables = _EnvTables(_SIM_ENVS[env_name]())
+    _assert_fbep_is_the_round_loop(tables.cum, *tables.fbep, T, seeds=(0, MASK64))
+
+
+def test_fbep_index_takes_two_bytes_past_255_candidates():
+    # 85 atoms with distinct coordinates and midpoints give 2 + 3 x 85 = 257 candidates
+    rng = np.random.default_rng(85)
+    sellers = 0.5 * rng.random(85)
+    atoms = np.column_stack([sellers, sellers + 0.1 + 0.4 * rng.random(85), rng.random(85) + 0.1])
+    atoms[:, 2] /= atoms[:, 2].sum()
+    tables = _EnvTables(env_from_config({"joint": atoms.tolist()}))
+    cands, matrix = tables.fbep
+    assert cands.size > 255 and np.min_scalar_type(cands.size) == np.uint16
+    _assert_fbep_is_the_round_loop(tables.cum, cands, matrix, kernels.FBEP_BLOCK + 40, seeds=(0, 11))
 
 
 def _searched_atoms(cum, u):
