@@ -23,8 +23,8 @@ largest horizon, as a row of per-round regrets (_round_gaps), and sums a
 prefix of that row for every horizon before it drops the row.  The row is
 one contiguous float64 array, so each prefix's np.sum keeps its pairwise
 grouping; besides it an episode holds fbep's compact index and block
-scratch of kernels.FBEP_BLOCK and DRAW_BLOCK rounds (about 1.25 rows in
-all at T = 10**5).
+scratch of kernels.BLOCK rounds, the one block size of every streamed
+pass (about 1.25 rows in all at T = 10**5).
 The indistinguishability check couples the grid learner to the lower-bound
 pair the same way: every episode's sweep draws its bits from the exact
 feedback laws at the grid prices and is scored by the grid kernel in one
@@ -318,11 +318,11 @@ def run_episode(config: RunConfig, episode_index: int) -> Trajectory:
     """Reference round-by-round loop for one seeded episode, to the last horizon.
 
     Each round draws the valuation pair (one uniform), asks the learner for
-    a price, then delivers the rendered feedback.  The learner sees the
-    model it requires, else the run's (RunConfig has already rejected a
-    mismatch).
+    a price, then delivers the rendered feedback, in the model that
+    resolve_feedback says the learner's update receives (RunConfig has
+    already rejected a mismatch).
     """
-    learner_model = config.learner.requires or config.feedback
+    _, learner_model = resolve_feedback(config.learner.requires, config.feedback, config.strict_feedback)
     T = config.horizons[-1]
     env = config.env
     seed = mix64(config.base_seed, episode_index)
@@ -407,19 +407,19 @@ def _profile_regret(tables: _EnvTables, gaps, tail, tail_len: int) -> np.ndarray
 def _fbep_gaps(tables: _EnvTables, T: int, episode: int) -> np.ndarray:
     """fbep's row: the kernel returns candidate indices, and the row gathers
     the regret of each candidate (expected_fgft_at is elementwise, so this
-    equals scoring the prices), DRAW_BLOCK rounds at a time so that only one
-    block of the compact indices is widened to intp.  The one exception to
-    prices agreeing with the reference loop draw for draw: the fbep kernel
-    also scores candidate prices of atoms not yet sampled, and on a flat top
-    of the empirical mean one of them can round one ulp above the reference
-    learner's smallest maximizer.
+    equals scoring the prices), kernels.BLOCK rounds at a time so that only
+    one block of the compact indices is widened to intp.  The one exception
+    to prices agreeing with the reference loop draw for draw: the fbep
+    kernel also scores candidate prices of atoms not yet sampled, and on a
+    flat top of the empirical mean one of them can round one ulp above the
+    reference learner's smallest maximizer.
     """
     cands, rewards = tables.fbep
     by_index = tables.regret_at(np.append(cands, 0.5))  # round 0 posts 1/2
     idx = kernels.fbep_prices(episode, tables.cum, cands, rewards, T)
-    row, D = np.empty(T, dtype=np.float64), kernels.DRAW_BLOCK
-    for lo in range(0, T, D):
-        np.take(by_index, idx[lo : lo + D], out=row[lo : lo + D], mode="clip")
+    row, B = np.empty(T, dtype=np.float64), kernels.BLOCK
+    for lo in range(0, T, B):
+        np.take(by_index, idx[lo : lo + B], out=row[lo : lo + B], mode="clip")
     return row
 
 
@@ -427,14 +427,14 @@ def _uniform_gaps(tables: _EnvTables, T: int, episode: int, **params) -> np.ndar
     """The prices of the learner's own stream: its builder in LEARNER_KINDS
     states the default seed and mixes in the episode, for both paths.
 
-    Each block of DRAW_BLOCK prices is overwritten by its regrets, so the
+    Each block of kernels.BLOCK prices is overwritten by its regrets, so the
     kernel's one T-long array becomes the row; expected_fgft_at is
     elementwise, so each regret is bitwise what scoring the whole row gives.
     """
     learner = LEARNER_KINDS["uniform"].build(T, tables.env, episode, **params)
     row = kernels.uniform_prices(learner.seed, T)
-    for lo in range(0, T, kernels.DRAW_BLOCK):
-        block = row[lo : lo + kernels.DRAW_BLOCK]
+    for lo in range(0, T, kernels.BLOCK):
+        block = row[lo : lo + kernels.BLOCK]
         np.subtract(tables.v_star, tables.mean_at(block), out=block)
     return row
 

@@ -5,15 +5,19 @@ splitmix64 stream (rng.unit_draws, inverted by _atoms_at).  dbs_explore
 and conv_pricing_commit take the drawn seller and buyer values as rows,
 one per episode or per point mass (harness._EnvTables.draw samples them),
 and step all rows at once.  fbep_prices and uniform_prices, the
-full-feedback kernels, draw their own, DRAW_BLOCK rounds at a time from
-each block's start, so an episode runs in bounded block scratch: besides
-the one T-long array it returns (fbep's index in the narrowest unsigned
-type, uniform's prices), a kernel's scratch is set by FBEP_BLOCK and
-DRAW_BLOCK, not by the horizon.
+full-feedback kernels, draw their own, BLOCK rounds at a time from each
+block's start, so an episode runs in bounded block scratch: besides the
+one T-long array it returns (fbep's index in the narrowest unsigned type,
+uniform's prices), a kernel's scratch is set by BLOCK, not by the horizon.
 The simulators accumulate sums in the same order as the round-by-round
 learners, so a seeded fast path reproduces the reference loop's price
 path draw for draw (fbep_prices can break a flat top differently; see
 harness._fbep_gaps).
+
+One block rule serves every streamed pass: draws, regrets, prices, (row,
+price) pairs or triples go BLOCK at a time, and fbep's cumsum
+max(1, BLOCK // 4) rounds at a time.  Blocking never regroups a sum, so
+no output depends on BLOCK.
 
 Sampling convention: one uniform draw per round; the drawn atom is the
 number of boundaries cum[0..A-2] at or below the uniform.  That is the
@@ -32,11 +36,11 @@ selects one.  On one sorted row of prices shared by every row of atoms
 (verify's grids, the oracle's candidates, the grid learner's sweep), each
 atom (s, b) adds its terms only on the prices strictly inside (s, b),
 found by two binary searches: elsewhere its fair gain is an exact zero.
-Its scratch stays under 6 x FGFT_BLOCK 8-byte elements whatever the row
+Its scratch stays under 6 x BLOCK 8-byte elements whatever the row
 count.  Any other prices (fbep's candidates with round 0's 1/2, uniform
 draws, per-row prices) take the dense loop over every price, in blocks of
-FGFT_BLOCK prices, whose two scratch arrays hold at most FGFT_BLOCK
-doubles per row of atoms each.
+BLOCK prices, whose two scratch arrays hold at most BLOCK doubles per
+row of atoms each.
 
 The grid learner's scores, the incomplete convolution of its two rows
 of acceptance values, have two scorers.  incomplete_convolution scores
@@ -73,22 +77,15 @@ from .rng import _count, unit_draws
 # No numba path exists; the flag stays because run metadata reports it.
 USE_NUMBA = False
 
-# Rounds per cumsum block in fbep_prices: bounds its score block to
-# (FBEP_BLOCK + 1) x (kept candidates rounded up to even) doubles.
-FBEP_BLOCK = 2048
-# Rounds per block of draws in fbep_prices and uniform_prices, and of regrets
-# in harness: a float64 block is 64 KiB, under glibc's default 128 KiB mmap
-# threshold, so block scratch is reused heap rather than a fresh mapping.
-DRAW_BLOCK = 8192
-# Prices per block in expected_fgft_at's dense loop, and prices or (row,
-# price) pairs per chunk on a sorted row: bounds its scratch to FGFT_BLOCK
-# doubles per array (per row of atoms on the dense loop).
-FGFT_BLOCK = 2**15
+# Elements per block of every streamed pass: draws and regrets of fbep and
+# uniform (harness's too), expected_fgft_at's prices or (row, price) pairs,
+# convolution_approx_batch's triples.  A float64 block is 64 KiB, under
+# glibc's default 128 KiB mmap threshold, so block scratch is reused heap
+# rather than a fresh mapping.  fbep's cumsum takes max(1, BLOCK // 4) rounds.
+BLOCK = 8192
 # _atoms_at counts boundaries, rather than binary-searching, from this
 # many draws per atom on.
 COUNT_DRAWS_PER_ATOM = 256
-# Triples per block in convolution_approx_batch.
-APPROX_BLOCK = 8192
 # uint64 words per table and per AND buffer in _score_windows: sizes its
 # row blocks and its windows of grid indices (_conv_plan), and bounds its
 # scratch memory to 3.3 x CONV_BLOCK_WORDS words while one row fits.
@@ -137,8 +134,8 @@ def expected_fgft_at(prices, sellers, buyers, weights):
     atoms, take _fgft_on_sorted_row: it adds each atom's terms only on the
     prices strictly inside its (s, b).  A NaN price fails the order check,
     so its mean stays NaN.  Every other input takes the dense loop below,
-    in blocks of FGFT_BLOCK prices, whose two scratch arrays hold at most
-    FGFT_BLOCK doubles per row of atoms each.
+    in blocks of BLOCK prices, whose two scratch arrays hold at most BLOCK
+    doubles per row of atoms each.
     """
     sellers = np.asarray(sellers, dtype=np.float64)
     buyers = np.asarray(buyers, dtype=np.float64)
@@ -161,11 +158,11 @@ def expected_fgft_at(prices, sellers, buyers, weights):
             _fgft_on_sorted_row(row, sellers, buyers, weights, means)
             return means
     # w * max(min(p - s, b - p), 0) per atom, in two scratch arrays of one
-    # block: at most FGFT_BLOCK prices along the last axis
-    gains = np.empty(means.shape[:-1] + (min(n, FGFT_BLOCK),))
+    # block: at most BLOCK prices along the last axis
+    gains = np.empty(means.shape[:-1] + (min(n, BLOCK),))
     rests = np.empty_like(gains)
-    for lo in range(0, n, FGFT_BLOCK):
-        p, out = prices[..., lo : lo + FGFT_BLOCK], means[..., lo : lo + FGFT_BLOCK]
+    for lo in range(0, n, BLOCK):
+        p, out = prices[..., lo : lo + BLOCK], means[..., lo : lo + BLOCK]
         gain, rest = gains[..., : out.shape[-1]], rests[..., : out.shape[-1]]
         for a in range(sellers.shape[-1]):
             s, b, w = sellers[..., a, None], buyers[..., a, None], weights[..., a, None]
@@ -187,12 +184,12 @@ def _fgft_on_sorted_row(row, sellers, buyers, weights, means) -> None:
     loop adds a zero term to a non-negative sum.  So every mean is bitwise
     the dense loop's.
 
-    One row of atoms adds each interval in slices of FGFT_BLOCK prices,
-    with at most four temporaries of FGFT_BLOCK doubles.  Several rows
-    take one atom column at a time: its in-interval (row, price) pairs,
-    row-major, in chunks of FGFT_BLOCK pairs, gathered with np.repeat (an
-    atom with s >= b, such as verify's padded atoms, has no pair).  Either
-    way the scratch stays under 6 arrays of FGFT_BLOCK 8-byte elements,
+    One row of atoms adds each interval in slices of BLOCK prices, with
+    at most four temporaries of BLOCK doubles.  Several rows take one atom
+    column at a time: its in-interval (row, price) pairs, row-major, in
+    chunks of BLOCK pairs, gathered with np.repeat (an atom with s >= b,
+    such as verify's padded atoms, has no pair).  Either way the scratch
+    stays under 6 arrays of BLOCK 8-byte elements,
     however many rows and prices there are, besides five int arrays of the
     atoms' (rows, A) shape.
     """
@@ -204,8 +201,8 @@ def _fgft_on_sorted_row(row, sellers, buyers, weights, means) -> None:
         out, S, B = means.reshape(n), sellers.reshape(A), buyers.reshape(A)
         los, his = row.searchsorted(S, side="right").tolist(), row.searchsorted(B, side="left").tolist()
         for s, b, w, lo, hi in zip(S.tolist(), B.tolist(), weights.reshape(A).tolist(), los, his):
-            for start in range(lo, hi, FGFT_BLOCK):
-                stop = min(start + FGFT_BLOCK, hi)
+            for start in range(lo, hi, BLOCK):
+                stop = min(start + BLOCK, hi)
                 p = row[start:stop]
                 gain = np.minimum(p - s, b - p)
                 gain *= w
@@ -220,8 +217,8 @@ def _fgft_on_sorted_row(row, sellers, buyers, weights, means) -> None:
     offsets = np.arange(rows) * n
     flat = means.reshape(-1)
     for s, b, w, c, e, shift in zip(S.T, B.T, W.T, counts.T, ends.T, shifts.T):
-        for k0 in range(0, int(e[-1]), FGFT_BLOCK):
-            k1 = min(k0 + FGFT_BLOCK, int(e[-1]))
+        for k0 in range(0, int(e[-1]), BLOCK):
+            k1 = min(k0 + BLOCK, int(e[-1]))
             # rows r0..r1-1 hold pairs k0..k1-1; cut the first and last row's counts to them
             r0, r1 = int(e.searchsorted(k0, side="right")), int(e.searchsorted(k1, side="left")) + 1
             take = c[r0:r1].copy()
@@ -578,16 +575,17 @@ def fbep_prices(seed, cum, cands, reward_matrix, horizon):
     not depend on the horizon: the first T rounds of a longer path are the
     path at T.
 
-    The scores of FBEP_BLOCK rounds at a time are one cumsum whose row 0 is
+    The scores of BLOCK // 4 rounds at a time are one cumsum whose row 0 is
     the carried total, so every partial sum is formed in the same order as
     a round-by-round loop (adding the carry after the cumsum would regroup
     the sums and change their rounding).  The block is round-major, two
     candidates per add (_paired_cumsum), so an odd kept count gets one pad
     column whose rewards are -inf: from round 1 on its score is -inf (never
     NaN), and as the last column it never is argmax's first maximizer.
-    Scratch is the score block, one intp buffer of FBEP_BLOCK argmaxes
-    (mapped through ``kept`` into idx) and the draws of DRAW_BLOCK rounds,
-    whatever the horizon; only idx grows with T.
+    Scratch is the score block of at most BLOCK // 4 + 1 rows, one intp
+    buffer of at most BLOCK // 4 argmaxes (mapped through ``kept`` into
+    idx) and the draws of BLOCK rounds, whatever the horizon; only idx
+    grows with T.
 
     Only candidates that can lead are scored.  Round-to-nearest addition is
     monotone: a <= a' and r <= r' give fl(a + r) <= fl(a' + r').  So when
@@ -609,12 +607,13 @@ def fbep_prices(seed, cum, cands, reward_matrix, horizon):
     rewards = np.full((reward_matrix.shape[1], C + C % 2), -np.inf)
     rewards[:, :C] = reward_matrix[kept].T
     kept = kept.astype(idx.dtype)
-    block = np.zeros((min(T, FBEP_BLOCK) + 1, rewards.shape[1]), dtype=np.float64)
-    leaders = np.empty(min(T, FBEP_BLOCK), dtype=np.intp)
-    for d0 in range(0, T, DRAW_BLOCK):
-        j = _atoms_at(cum, unit_draws(seed, min(DRAW_BLOCK, T - d0), d0))
-        for t0 in range(0, j.size, FBEP_BLOCK):
-            rows = j[t0 : t0 + FBEP_BLOCK]
+    step = max(1, BLOCK // 4)
+    block = np.zeros((min(T, step) + 1, rewards.shape[1]), dtype=np.float64)
+    leaders = np.empty(min(T, step), dtype=np.intp)
+    for d0 in range(0, T, BLOCK):
+        j = _atoms_at(cum, unit_draws(seed, min(BLOCK, T - d0), d0))
+        for t0 in range(0, j.size, step):
+            rows = j[t0 : t0 + step]
             n = rows.size
             scores = block[: n + 1]
             np.take(rewards, rows, axis=0, out=scores[1:], mode="clip")
@@ -629,13 +628,13 @@ def fbep_prices(seed, cum, cands, reward_matrix, horizon):
 def uniform_prices(seed, horizon):
     """Independent uniform prices from a learner-owned stream.
 
-    One T-long array, filled DRAW_BLOCK draws at a time (rng.unit_draws from
+    One T-long array, filled BLOCK draws at a time (rng.unit_draws from
     each block's start), so the only scratch is one block's draws.
     """
     T = int(horizon)
     prices = np.empty(T, dtype=np.float64)
-    for lo in range(0, T, DRAW_BLOCK):
-        prices[lo : lo + DRAW_BLOCK] = unit_draws(seed, min(DRAW_BLOCK, T - lo), lo)
+    for lo in range(0, T, BLOCK):
+        prices[lo : lo + BLOCK] = unit_draws(seed, min(BLOCK, T - lo), lo)
     return prices
 
 
@@ -655,7 +654,7 @@ def convolution_approx_batch(prices, sellers, buyers, grid_size):
     floor(min(p - s, b - p) * M) + 1, clipped to [0, M] (NaN gives 0), and
     steps up or down until it sits on that boundary of the float predicate
     itself, so rounding can move the estimate but never the result.
-    Triples go APPROX_BLOCK at a time to keep the temporaries small.  M
+    Triples go BLOCK at a time to keep the temporaries small.  M
     is a count (rng._count).
     """
     M = _count(grid_size, "grid_size")
@@ -663,8 +662,8 @@ def convolution_approx_batch(prices, sellers, buyers, grid_size):
     sellers = np.ascontiguousarray(sellers, dtype=np.float64)
     buyers = np.ascontiguousarray(buyers, dtype=np.float64)
     out = np.empty(prices.size, dtype=np.float64)
-    for lo in range(0, prices.size, APPROX_BLOCK):
-        p, s, b = (x[lo : lo + APPROX_BLOCK] for x in (prices, sellers, buyers))
+    for lo in range(0, prices.size, BLOCK):
+        p, s, b = (x[lo : lo + BLOCK] for x in (prices, sellers, buyers))
         with np.errstate(all="ignore"):
             est = np.floor(np.minimum(p - s, b - p) * M) + 1.0
         n = np.clip(np.nan_to_num(est, nan=0.0), 0, M).astype(np.int64)

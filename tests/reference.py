@@ -20,7 +20,9 @@ package's kernels and fast paths against these:
 * empirical_best_price, the smallest maximizer of the empirical mean
   fgft rescored from scratch over every sample, which
   algorithms.FollowBestEmpiricalPrice keeps as running totals and
-  kernels.fbep_prices computes for a whole episode;
+  kernels.fbep_prices computes for a whole episode, and
+  empirical_best_prices, the same maximizer after every prefix of a
+  sample list in one cumsum;
 * pseudo_regret, the regret of one posted price sequence, which
   harness._profile_regret scores for price profiles;
 * deterministic_price_profile, the point-mass price profile that
@@ -145,6 +147,35 @@ def empirical_best_price(samples: Sequence[tuple]) -> PricePoint:
         totals += fgft_vector(cands, s, b)
     i = int(np.argmax(totals))
     return PricePoint(float(cands[i]), float(totals[i]) / len(samples))
+
+
+def empirical_best_prices(samples: Sequence[tuple]) -> np.ndarray:
+    """empirical_best_price(samples[:n]).price for every n = 1..len(samples).
+
+    The candidates are the breakpoints of the whole list.  One np.cumsum
+    from a 0.0 row runs down the table of each sample's fgft at each
+    candidate, so every total is formed sample by sample in arrival order,
+    from 0.0, as empirical_best_price forms it.  A breakpoint is masked
+    with -inf until the round of the first sample it is a breakpoint of (0
+    and 1 from round 1), so round n scores the candidates of samples[:n] in
+    the same ascending order, and its first maximizer is theirs.  That is
+    O(n x C) for every prefix at once, where rescoring each from scratch
+    costs O(n**2 x C).
+    """
+    if len(samples) == 0:
+        raise ValueError("empirical_best_prices needs at least one sample")
+    pairs = np.asarray(samples, dtype=np.float64).reshape(-1, 2)
+    sellers, buyers = pairs[:, :1], pairs[:, 1:]
+    cands = fgft_candidates(pairs[:, 0], pairs[:, 1])
+    totals = np.zeros((len(pairs) + 1, cands.size))
+    totals[1:] = fgft_vector(cands, sellers, buyers)
+    np.cumsum(totals, axis=0, out=totals)
+    points = np.hstack([sellers, buyers, (sellers + buyers) / 2.0])
+    seen = (points[:, :, None] == cands).any(axis=1)  # seen[n, c]: cands[c] is a breakpoint of sample n
+    seen[0] |= (cands == 0.0) | (cands == 1.0)
+    first = np.argmax(seen, axis=0)  # every candidate is a breakpoint of some sample, or 0 or 1
+    rounds = np.arange(len(pairs))[:, None]
+    return cands[np.argmax(np.where(rounds >= first, totals[1:], -np.inf), axis=1)]
 
 
 def pseudo_regret(env: Environment, prices) -> float:

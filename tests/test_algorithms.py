@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from fairtrade.algorithms import (
@@ -29,7 +29,7 @@ from fairtrade.environments import (
     lb_mu,
     render_feedback,
 )
-from reference import empirical_best_price
+from reference import empirical_best_price, empirical_best_prices
 
 
 def drive(learner, pair, rounds):
@@ -186,7 +186,21 @@ def test_fbep_rejects_a_pair_outside_the_unit_square(bad, side):
 _FBEP_VALUES = st.sampled_from([0.0, -0.0, 0.1, 0.125, 0.25, 0.3, 0.5, 0.7, 0.75, 1.0])
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(_FBEP_VALUES, _FBEP_VALUES), min_size=1, max_size=30))
+# round 2's mean is flat on [0.425, 0.525], and 0.5, a breakpoint only from
+# round 3 on, totals one ulp above 0.425 there: unmasked, it would lead
+@example(samples=[(0.1, 0.75), (0.3, 0.75), (0.5, 0.7)])
+def test_all_rounds_oracle_is_the_from_scratch_maximizer_every_round(samples):
+    want = [empirical_best_price(samples[:n]).price.hex() for n in range(1, len(samples) + 1)]
+    assert [p.hex() for p in empirical_best_prices(samples).tolist()] == want
+
+
+# Shrinking a list of up to 200 pairs drawn through flatmap takes Hypothesis
+# 30-100 s even with an O(n x C) oracle, and its explain phase about a
+# minute more, so a failing list is reported unshrunk, with its prefix up to
+# the first wrong round.
+@settings(max_examples=20, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(
     st.integers(1, 200).flatmap(
         lambda n: st.lists(st.tuples(_FBEP_VALUES, _FBEP_VALUES), min_size=n, max_size=n)
@@ -194,9 +208,9 @@ _FBEP_VALUES = st.sampled_from([0.0, -0.0, 0.1, 0.125, 0.25, 0.3, 0.5, 0.7, 0.75
 )
 def test_fbep_posts_the_from_scratch_maximizer_every_round(samples):
     learner = FollowBestEmpiricalPrice(len(samples))
-    for n, pair in enumerate(samples, start=1):
+    for n, (pair, price) in enumerate(zip(samples, empirical_best_prices(samples).tolist()), start=1):
         learner.update(pair)
-        assert learner.propose().hex() == empirical_best_price(samples[:n]).price.hex(), n
+        assert learner.propose().hex() == price.hex(), (n, samples[:n])
 
 
 # ---------------------------------------------------------------------------

@@ -268,7 +268,7 @@ def _path_cases():
             )
             yield pytest.param(env_name, learner_id, 1)
         yield pytest.param(env_name, "conv-pricing:K=40", 40)  # no commit tail
-        if env_name != "random-ind-1":  # past the first FBEP_BLOCK edge and the atom count path
+        if env_name != "random-ind-1":  # past fbep's first cumsum step edge and the atom count path
             yield from (pytest.param(env_name, "fbep", T) for T in (2500, 5000))
         for T in range(2, 8):  # 2N+1 > T posts 1/2 throughout; T=7 is the first N > 0
             yield pytest.param(env_name, "dbs", T)
@@ -313,11 +313,11 @@ def test_fast_path_prices_match_reference_bitwise(env_name, learner_id, T):
 
 @pytest.mark.parametrize("learner_id", ["fbep", "uniform:seed=5"])
 def test_path_free_rows_score_their_paths_across_draw_blocks(learner_id):
-    # the rows are gathered and scored DRAW_BLOCK rounds at a time; _kernel_path
+    # the rows are gathered and scored BLOCK rounds at a time; _kernel_path
     # holds them bitwise to scoring each whole path at once
     tables = _EnvTables(parse_env("random-joint:seed=303"))
     for seed in (0, MASK64):
-        _kernel_path(parse_learner(learner_id), tables, 2 * kernels.DRAW_BLOCK + 3, seed)
+        _kernel_path(parse_learner(learner_id), tables, 2 * kernels.BLOCK + 3, seed)
 
 
 def test_monte_carlo_curves_share_draws_across_horizons():
@@ -352,11 +352,13 @@ def test_monte_carlo_horizon_split_is_bitwise_invariant():
     _assert_horizon_split_invariant(learners, (5, 40, 300))
 
 
-@pytest.mark.parametrize("block", [kernels.FBEP_BLOCK, 3])
+@pytest.mark.parametrize("block", [kernels.BLOCK, 12])
 def test_path_free_learners_split_horizons_bitwise(monkeypatch, block):
     # fbep and uniform simulate once, at the largest horizon, and each horizon
-    # sums a prefix; horizons 2048 and 2049 straddle the first fbep block edge
-    monkeypatch.setattr(kernels, "FBEP_BLOCK", block)
+    # sums a prefix; horizons 2048 and 2049 straddle the first edge of fbep's
+    # cumsum steps of BLOCK // 4 rounds, and BLOCK 12 puts step edges every 3
+    # rounds and draw and regret block edges every 12
+    monkeypatch.setattr(kernels, "BLOCK", block)
     _assert_horizon_split_invariant(("fbep", "uniform:seed=5"), (1, 2048, 2049, 5000))
 
 
@@ -405,23 +407,26 @@ def test_a_uniform_spec_made_without_the_parser_runs_as_seed_zero():
 
 
 @pytest.mark.parametrize("T,n_episodes", [(20_000, 20), (100_000, 2)])
-@pytest.mark.parametrize("env_id", ["lb-mu", "random-joint:seed=303"])
+@pytest.mark.parametrize("env_id", ["lb-mu", "random-joint:seed=303", "random-ind:seed=101"])
 @pytest.mark.parametrize("learner_id", ["fbep", "uniform:seed=5"])
 def test_path_free_runs_hold_one_episode_row_at_a_time(env_id, learner_id, T, n_episodes):
     # a run holds one row of T round regrets, fbep's index of T entries and
-    # block scratch that the block constants bound: fbep's score block of at
-    # most (FBEP_BLOCK + 1) x (candidates + 1) doubles and its FBEP_BLOCK
-    # argmaxes, and four float64 blocks of DRAW_BLOCK (a block's draws, or
-    # the temporaries of its regrets); at T = 10**5 that is under 1.5 rows,
-    # which a run that kept the last episode's row alive exceeds
+    # block scratch that BLOCK bounds: fbep's score block of at most
+    # (BLOCK // 4 + 1) x (candidates + 1) doubles and its BLOCK // 4
+    # argmaxes, and four float64 blocks of BLOCK (a block's draws, or the
+    # temporaries of its regrets); at T = 10**5 that is under 1.5 rows,
+    # which a run that kept the last episode's row alive exceeds; fbep keeps
+    # 3, 8 and 31 candidates of these envs, so the last one's score block
+    # is the widest, 32 columns
     spec, env = parse_learner(learner_id), parse_env(env_id)
     cfg = RunConfig(env, spec, (1000, T), n_episodes=n_episodes, base_seed=7, feedback=spec.requires)
     row_bytes = T * np.dtype(np.float64).itemsize
-    bound = row_bytes + 4 * 8 * kernels.DRAW_BLOCK
+    bound = row_bytes + 4 * 8 * kernels.BLOCK
     if spec.kind == "fbep":
         cands = _EnvTables(env).fbep[0]
         bound += T * np.min_scalar_type(cands.size).itemsize
-        bound += 8 * ((kernels.FBEP_BLOCK + 1) * (cands.size + 1) + kernels.FBEP_BLOCK)
+        step = kernels.BLOCK // 4
+        bound += 8 * ((step + 1) * (cands.size + 1) + step)
     tracemalloc.start()
     try:
         run_monte_carlo(cfg)

@@ -12,6 +12,11 @@ A top-level function or class must be used by package code outside
 ``__init__.py``, named by README, or read by the benchmark's tracer or
 worker as ``<module>.<name>``.  Code that only the tests call belongs in
 ``tests/reference.py``.
+
+A module-level UPPER_CASE constant (``BLOCK``, ``_SANDWICH_SEED``) must
+be loaded by package code outside ``__init__.py``, or read by the
+benchmark's tracer or worker as ``<module>.<NAME>`` (``kernels.USE_NUMBA``),
+so that a setting nothing reads any more cannot linger.
 """
 
 import ast
@@ -44,6 +49,33 @@ def _imports(path: Path) -> tuple:
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"{path.name}:{lineno} {name}" for name, lineno in imported if name not in used]
     return unused, [f"{path.name}:{lineno} {name}" for name, lineno in reexported]
+
+
+_CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def _constants_without_a_reader(modules, readers: str) -> list:
+    """Module-level UPPER_CASE constants of ``modules`` that none of them
+    loads and ``readers`` do not read as <module>.<NAME>, each as
+    'file:line NAME'."""
+    trees = {path: ast.parse(path.read_text()) for path in modules}
+    loaded = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{path.name}:{node.lineno} {target.id}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+        and _CONSTANT.fullmatch(target.id)
+        and target.id not in loaded
+        and not re.search(rf"\b{path.stem}\.{re.escape(target.id)}\b", readers)
+    ]
 
 
 def _without_a_reader(modules, readme: str, readers: str) -> list:
@@ -114,3 +146,25 @@ def test_the_scan_sees_a_definition_without_a_reader(tmp_path):
     b.write_text("from a import called, imported_only\n\ncalled()\n")
     unread = _without_a_reader([a, b], "`named` is documented", "a.traced(x)")
     assert unread == ["a.py:13 imported_only", "a.py:17 Orphan"]
+
+
+def test_every_package_constant_has_a_reader():
+    readers = "\n".join(reader.read_text() for reader in BENCHMARK_READERS)
+    unread = _constants_without_a_reader(MODULES, readers)
+    assert unread == [], "nothing reads these constants; delete them"
+
+
+def test_the_scan_sees_a_constant_without_a_reader(tmp_path):
+    a, b = tmp_path / "a.py", tmp_path / "b.py"
+    a.write_text(
+        "LOADED = 1\n"
+        "TRACED = 2\n"
+        "_ORPHAN = 3\n"
+        "TYPED: int = 4\n"
+        "lowercase = 5\n"
+        "REBOUND = 6\n"
+        "print(LOADED)\n"
+    )
+    b.write_text("from a import REBOUND\n\nREBOUND = 7\nx = lambda: LOADED\n")
+    unread = _constants_without_a_reader([a, b], "a.TRACED")
+    assert unread == ["a.py:3 _ORPHAN", "a.py:4 TYPED", "a.py:6 REBOUND", "b.py:3 REBOUND"]

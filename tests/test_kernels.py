@@ -158,11 +158,11 @@ def _fgft_block_cases():
     }
 
 
-@pytest.mark.parametrize("block", [kernels.FGFT_BLOCK, 1, 3])
+@pytest.mark.parametrize("block", [kernels.BLOCK, 1, 3])
 @pytest.mark.parametrize("case", list(_fgft_block_cases()))
 def test_expected_fgft_at_is_bitwise_equal_across_price_blocks(monkeypatch, case, block):
     # blocks of 1 and 3 prices put block edges inside every row of more than one price
-    monkeypatch.setattr(kernels, "FGFT_BLOCK", block)
+    monkeypatch.setattr(kernels, "BLOCK", block)
     args = _fgft_block_cases()[case]
     got = kernels.expected_fgft_at(*args)
     want = _fgft_unblocked(*(np.asarray(a, dtype=np.float64) for a in args))
@@ -172,10 +172,10 @@ def test_expected_fgft_at_is_bitwise_equal_across_price_blocks(monkeypatch, case
 
 @pytest.mark.parametrize("rows, n", [(256, 2000), (1, 100_000)])
 def test_expected_fgft_at_sorted_row_scratch_stays_within_its_bound(rows, n):
-    # _fgft_on_sorted_row's bound: under 6 arrays of FGFT_BLOCK 8-byte elements, besides five
+    # _fgft_on_sorted_row's bound: under 6 arrays of BLOCK 8-byte elements, besides five
     # int arrays of the atoms' shape, however many rows and prices; 256 point masses paying on
-    # at least 40% of 2 000 prices hold over 6 x FGFT_BLOCK pairs, and one row of 3 atoms on
-    # 100 000 prices over 3 x FGFT_BLOCK pairs per atom
+    # at least 40% of 2 000 prices hold over 6 x BLOCK pairs, and one row of 3 atoms on
+    # 100 000 prices over 3 x BLOCK pairs per atom
     rng = np.random.default_rng(4)
     A = 1 if rows > 1 else 3
     sellers, buyers = 0.3 * rng.random((rows, A)), 0.7 + 0.3 * rng.random((rows, A))
@@ -188,7 +188,7 @@ def test_expected_fgft_at_sorted_row_scratch_stays_within_its_bound(rows, n):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * 8 * kernels.FGFT_BLOCK + 5 * 8 * sellers.size, peak
+    assert peak <= 6 * 8 * kernels.BLOCK + 5 * 8 * sellers.size, peak
 
 
 def test_incomplete_convolution_numpy_matches_score():
@@ -220,7 +220,7 @@ def test_incomplete_convolution_validates_layout():
                 kernel(np.zeros(seller), np.zeros(buyer), 2)
 
 
-@pytest.mark.parametrize("T", [16, 2 * kernels.DRAW_BLOCK + 3])
+@pytest.mark.parametrize("T", [16, 2 * kernels.BLOCK + 3])
 def test_uniform_prices_numpy_matches_stream(T):
     stream = SplitMix64(99)
     want = [stream.next_unit() for _ in range(T)]
@@ -647,15 +647,15 @@ def test_unit_draws_match_sequential_stream(seed, n):
 
 # starts on and next to the edges of the kernels' blocks of draws
 _DRAW_STARTS = st.sampled_from(
-    [0, 1, kernels.DRAW_BLOCK - 1, kernels.DRAW_BLOCK, kernels.DRAW_BLOCK + 1, 2 * kernels.DRAW_BLOCK - 7]
-) | st.integers(0, 2 * kernels.DRAW_BLOCK + 5)
+    [0, 1, kernels.BLOCK - 1, kernels.BLOCK, kernels.BLOCK + 1, 2 * kernels.BLOCK - 7]
+) | st.integers(0, 2 * kernels.BLOCK + 5)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, MASK64), n=st.integers(0, 300), start=_DRAW_STARTS)
-@example(seed=0, n=300, start=kernels.DRAW_BLOCK - 150)
-@example(seed=MASK64, n=300, start=kernels.DRAW_BLOCK - 150)
-@example(seed=MASK64, n=1, start=kernels.DRAW_BLOCK)
+@example(seed=0, n=300, start=kernels.BLOCK - 150)
+@example(seed=MASK64, n=300, start=kernels.BLOCK - 150)
+@example(seed=MASK64, n=1, start=kernels.BLOCK)
 def test_unit_draws_from_a_start_continue_the_stream(seed, n, start):
     stream = SplitMix64(seed)
     for _ in range(start):
@@ -748,17 +748,18 @@ _SIM_ENVS = {
 _SEEDS = (0, 11, MASK64)
 
 
-@pytest.mark.parametrize("block", [kernels.FBEP_BLOCK, 3])
+@pytest.mark.parametrize("block", [kernels.BLOCK, 12])
 @pytest.mark.parametrize(
-    "blocks,extra",
+    "steps,extra",
     [(0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 3)],
-    ids=["1", "2", "B", "B+1", "B+2", "2B+3"],
+    ids=["1", "2", "S", "S+1", "S+2", "2S+3"],
 )
 @pytest.mark.parametrize("env_name", list(_SIM_ENVS))
-def test_fbep_prices_match_round_loop_across_blocks(monkeypatch, env_name, blocks, extra, block):
-    # block 3 puts a block edge every few rounds of the same episodes
-    monkeypatch.setattr(kernels, "FBEP_BLOCK", block)
-    T = blocks * block + extra
+def test_fbep_prices_match_round_loop_across_blocks(monkeypatch, env_name, steps, extra, block):
+    # T sits on and past the edges of the cumsum steps of S = BLOCK // 4 rounds;
+    # BLOCK 12 puts a step edge every 3 rounds of the same episodes
+    monkeypatch.setattr(kernels, "BLOCK", block)
+    T = steps * (block // 4) + extra
     tables = _EnvTables(_SIM_ENVS[env_name]())
     cands, matrix = tables.fbep
     posted = np.append(cands, 0.5)  # the kernel's index cands.size is round 0's 1/2
@@ -801,31 +802,35 @@ def _assert_fbep_is_the_round_loop(cum, cands, matrix, T, seeds=_SEEDS):
         assert np.array_equal(posted[idx], _loop_fbep(seed, cum, cands, matrix, T)), seed
 
 
-@pytest.mark.parametrize("block", [kernels.FBEP_BLOCK, 3])
+@pytest.mark.parametrize("block", [kernels.BLOCK, 12])
 def test_fbep_pad_column_never_leads_negative_rewards(monkeypatch, block):
     # an odd kept count pads the score block with one column; every score
     # here is negative, so a pad of zeros would lead from round 1 on
-    monkeypatch.setattr(kernels, "FBEP_BLOCK", block)
+    monkeypatch.setattr(kernels, "BLOCK", block)
     matrix = -np.array([[1.0, 3.0, 0.5], [3.0, 1.0, 2.5], [2.0, 2.0, 1e-3], [2.5, 2.5, 2.5], [1.5, 3.5, 0.75]])
     assert kernels._undominated(matrix).size == 3
     cum, cands = np.array([0.3, 0.7, 1.0]), np.linspace(0.1, 0.9, 5)
-    _assert_fbep_is_the_round_loop(cum, cands, matrix, kernels.FBEP_BLOCK + 5)
+    _assert_fbep_is_the_round_loop(cum, cands, matrix, block // 4 + 5)
 
 
-@pytest.mark.parametrize("block", [kernels.FBEP_BLOCK, 3])
 @pytest.mark.parametrize(
-    "T,draw_block",
-    [(kernels.DRAW_BLOCK - 1, kernels.DRAW_BLOCK), (kernels.DRAW_BLOCK + 1, kernels.DRAW_BLOCK), (300, 7)],
-    ids=["D-1", "D+1", "300-by-7"],
+    "T,block",
+    [
+        (kernels.BLOCK - 1, kernels.BLOCK),
+        (kernels.BLOCK + 1, kernels.BLOCK),
+        (2 * kernels.BLOCK + 3, kernels.BLOCK),
+        (300, 12),
+    ],
+    ids=["B-1", "B+1", "2B+3", "300-by-12"],
 )
 @pytest.mark.parametrize("env_name", ["coin-flip", "random-joint-5"])
-def test_fbep_prices_match_round_loop_across_a_draw_block(monkeypatch, env_name, T, draw_block, block):
+def test_fbep_prices_match_round_loop_across_a_draw_block(monkeypatch, env_name, T, block):
     # coin-flip keeps 3 candidates, so its score block carries the pad column;
-    # the last round's draw moves no posted price, so at D + 1 a second block
-    # drawn from the wrong start would go unseen: blocks of 7 draws put many
-    # edges before rounds whose prices read the next block
-    monkeypatch.setattr(kernels, "FBEP_BLOCK", block)
-    monkeypatch.setattr(kernels, "DRAW_BLOCK", draw_block)
+    # the last round's draw moves no posted price, so at B + 1 a second block
+    # drawn from the wrong start would go unseen: BLOCK 12 puts draw edges
+    # every 12 rounds, before rounds whose prices read the next block, and
+    # cumsum edges every 3
+    monkeypatch.setattr(kernels, "BLOCK", block)
     tables = _EnvTables(_SIM_ENVS[env_name]())
     _assert_fbep_is_the_round_loop(tables.cum, *tables.fbep, T, seeds=(0, MASK64))
 
@@ -839,7 +844,7 @@ def test_fbep_index_takes_two_bytes_past_255_candidates():
     tables = _EnvTables(env_from_config({"joint": atoms.tolist()}))
     cands, matrix = tables.fbep
     assert cands.size > 255 and np.min_scalar_type(cands.size) == np.uint16
-    _assert_fbep_is_the_round_loop(tables.cum, cands, matrix, kernels.FBEP_BLOCK + 40, seeds=(0, 11))
+    _assert_fbep_is_the_round_loop(tables.cum, cands, matrix, kernels.BLOCK // 4 + 40, seeds=(0, 11))
 
 
 def _searched_atoms(cum, u):
@@ -925,11 +930,18 @@ def _fbep_inputs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(inputs=_fbep_inputs(), seed=st.integers(0, MASK64), T=st.integers(1, 300), block=st.sampled_from([3, 2048]))
+@given(
+    inputs=_fbep_inputs(),
+    seed=st.integers(0, MASK64),
+    T=st.integers(1, 300),
+    block=st.sampled_from([3, 12, 13, kernels.BLOCK]),
+)
 def test_pruned_fbep_is_the_unpruned_formula(inputs, seed, T, block):
+    # BLOCK 3 steps the cumsum one round at a time (its floor of 1) and draws 3 at a time;
+    # 13 ends every block of draws on a short step of 1 round
     cum, cands, reward_matrix = inputs
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "FBEP_BLOCK", block)
+        mp.setattr(kernels, "BLOCK", block)
         got = kernels.fbep_prices(seed, cum, cands, reward_matrix, T)
     assert np.array_equal(got, _unpruned_fbep(seed, cum, cands, reward_matrix, T))
 
