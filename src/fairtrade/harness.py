@@ -3,28 +3,29 @@
 The reference loop (run_episode) drives a learner round by round against a
 sampled environment and returns the full trajectory.  Monte Carlo runs,
 point-mass profiles and worst-case sweeps instead take price profiles
-(exploration prices, then a constant tail) from one path, _price_profile,
+(exploration prices, then a constant tail) from one path, _price_profiles,
 built on the kernels module, which reproduces the reference loop's price
 sequence (identical splitmix64 draws, identical accumulation order), and
 score them with one formula, _profile_regret, so desk-scale horizons stay
-cheap.  Both work on rows only: all episodes of a Monte Carlo cell, or a
+cheap.  Both work on rows only: all episodes of a Monte Carlo run, or a
 batch of up to POINT_BLOCK point masses, go through one array pass, and
 exploration every row shares, such as the grid learner's sweep, is one row
 scored once.  A point mass is the one-atom environment: every draw lands on
 its atom, so a _PointMasses batch takes no draws and builds no environment.
-Point-mass profiles share exploration across horizons: a batch scores a
-whole sequence of horizons with one v*, and for dbs it calls the kernel
-of _price_profile once, at the largest phase length, since on a point mass
-the prices at a shorter phase are the first rounds of each phase and the
-kernel returns the commit after every round (_point_mass_regrets).  fbep and
-uniform have no commit phase, and their prices do not depend on the
-horizon: a run simulates their episodes one at a time, each once, at its
-largest horizon, as a row of per-round regrets (_round_gaps), and sums a
-prefix of that row for every horizon before it drops the row.  The row is
-one contiguous float64 array, so each prefix's np.sum keeps its pairwise
-grouping; besides it an episode holds fbep's compact index and block
-scratch of kernels.BLOCK rounds, the one block size of every streamed
-pass (about 1.25 rows in all at T = 10**5).
+Profiles share their work across a run's horizons: a run draws once, at its
+longest exploration, and every horizon reads a column prefix of the draws;
+dbs bisects once, on one stack of rows per horizon (one stack in all for
+point masses), the grid learner commits once per distinct grid size, and
+each price is scored once, so each horizon only copies its own regrets
+into contiguous rows and sums them.  fbep and uniform have no commit
+phase, and their prices do not depend on the horizon: a run simulates
+their episodes one at a time, each once, at its largest horizon, as a
+row of per-round regrets (_round_gaps), and sums a prefix of that row for
+every horizon before it drops the row.  The row is one contiguous float64
+array, so each prefix's np.sum keeps its pairwise grouping; besides it an
+episode holds fbep's compact index and block scratch of kernels.BLOCK
+rounds, the one block size of every streamed pass (about 1.25 rows in all
+at T = 10**5).
 The indistinguishability check couples the grid learner to the lower-bound
 pair the same way: every episode's sweep draws its bits from the exact
 feedback laws at the grid prices and is scored by the grid kernel in one
@@ -84,9 +85,11 @@ from .environments import (
 )
 from .rng import SplitMix64, _count, _u64, mix64, unit_draws
 
-# Points per array pass of profile_regret: bounds its scratch arrays to
-# POINT_BLOCK x (exploration length) doubles.
+# Points per array pass of profile_regret, at most POINT_BLOCK and at most
+# POINT_ROUNDS // (exploration rounds): bounds each scratch array of a pass
+# to POINT_ROUNDS doubles (8 MiB) whatever the grid learner's K.
 POINT_BLOCK = 1024
+POINT_ROUNDS = 2**20
 
 # Point masses build no environment (see _PointMasses), and the pair's laws
 # are compared through feedback_tables; the deterministic and
@@ -348,59 +351,94 @@ def run_episode(config: RunConfig, episode_index: int) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _conv_pricing_profile(tables: _EnvTables, T: int, seeds, K=None) -> tuple:
-    K = ConvolutionPricing(T, K).grid_size
-    commits, _, _ = kernels.conv_pricing_commit(*tables.draw(seeds, K), K)
-    grid = np.arange(1, K + 1, dtype=np.float64) / K
-    return grid[None, :], grid[commits - 1], T - K
+def _conv_pricing_profiles(tables: _EnvTables, hs, seeds, score, K=None):
+    Ks = [ConvolutionPricing(T, K).grid_size for T in hs]
+    sellers, buyers = tables.draw(seeds, max(Ks))
+    grids = {k: np.arange(1, k + 1, dtype=np.float64) / k for k in Ks}  # one sweep per distinct K
+    commits = {k: kernels.conv_pricing_commit(sellers[:, :k], buyers[:, :k], k)[0] for k in grids}
+    tails = score(np.column_stack([grids[k][commits[k] - 1] for k in Ks]))
+    gaps = {k: score(grid[None, :]) for k, grid in grids.items()}
+    return ((gaps[k], tails[:, i], T - k) for i, (T, k) in enumerate(zip(hs, Ks)))
 
 
-def _dbs_profile(tables: _EnvTables, T: int, seeds) -> tuple:
-    N = dbs_phase_length(T)
-    sellers, buyers = tables.draw(seeds, 2 * N)
-    explore, commits = kernels.dbs_explore(sellers[:, :N], buyers[:, N:], N)
-    return explore, commits[:, N], T - 2 * N
+def _dbs_profiles(tables: _EnvTables, hs, seeds, score):
+    # Horizon h bisects the seller values of rounds 1..N_h and the buyer
+    # values of rounds N_h+1..2N_h.  One kernel call at M = max N_h steps a
+    # block of rows per horizon, seller rows draws[:, :M] and buyer rows
+    # draws[:, N_h:N_h+M], and horizon h reads its prices at columns [:N_h]
+    # and [M:M+N_h] and its commit at column N_h.  A point mass draws its
+    # atom every round, so one block serves every horizon.
+    Ns = [dbs_phase_length(T) for T in hs]
+    M, rows = Ns[-1], len(seeds)
+    sellers, buyers = tables.draw(seeds, 2 * M)
+    starts = Ns[:1] if isinstance(tables, _PointMasses) else Ns
+    buyer_rows = [buyers[:, n : n + M] for n in starts]
+    if len(starts) > 1:  # one block is a view of the draws, with nothing to copy
+        sellers, buyer_rows = np.tile(sellers[:, :M], (len(starts), 1)), [np.vstack(buyer_rows)]
+    explore, commits = kernels.dbs_explore(sellers[:, :M], buyer_rows[0], M)
+    # the kernel rows of each horizon: its own block, or the one block of point masses
+    own = [slice(rows * j, rows * (j + 1)) for j in range(len(starts))] * (len(hs) // len(starts))
+    gaps, tails = score(explore), score(np.column_stack([commits[r, N] for r, N in zip(own, Ns)]))
+    return (
+        (np.hstack([gaps[r, :N], gaps[r, M : M + N]]), tails[:, i], T - 2 * N)
+        for i, (r, T, N) in enumerate(zip(own, hs, Ns))
+    )
 
 
-# learner kind -> profile(tables, T, seeds, **spec.params), for every kind with a commit phase
+def _constant_profiles(price, hs, seeds, score):
+    # no exploration, and one tail price for every horizon, scored once
+    tail = score(np.broadcast_to(price, (len(seeds),))[:, None])[:, 0]
+    return ((np.empty((1, 0)), tail, T) for T in hs)
+
+
+# learner kind -> profiles(tables, hs, seeds, score, **spec.params), for every kind with a commit phase
 _PROFILES = {
-    "conv-pricing": _conv_pricing_profile,
-    "dbs": _dbs_profile,
-    "fixed": lambda tables, T, seeds, p: (np.empty((1, 0)), np.full(len(seeds), p), T),
-    "gft-oracle": lambda tables, T, seeds: (np.empty((1, 0)), np.broadcast_to(tables.gft_price, len(seeds)), T),
+    "conv-pricing": _conv_pricing_profiles,
+    "dbs": _dbs_profiles,
+    "fixed": lambda tables, hs, seeds, score, p: _constant_profiles(p, hs, seeds, score),
+    "gft-oracle": lambda tables, hs, seeds, score: _constant_profiles(tables.gft_price, hs, seeds, score),
 }
 
 
-def _price_profile(spec: LearnerSpec, tables: _EnvTables, T: int, seeds) -> tuple:
-    """(exploration prices, tails, tail length) of the episode streams ``seeds``.
+def _price_profiles(spec: LearnerSpec, tables: _EnvTables, hs, seeds, score):
+    """(exploration, tails, tail length) of the episode streams ``seeds`` at each horizon of ``hs``, in order.
 
     Row r is the episode of seeds[r]: the learner posts its exploration
-    prices, then its tail price for the remaining rounds.  Exploration
-    prices have shape (rows, n), or (1, n) when every row explores alike
-    (the grid learner's sweep, and the empty exploration of fixed and
-    gft-oracle); tails have shape (rows,).  A _PointMasses batch takes one
-    seed per point and no draws, as every draw lands on the point's atom.
-    Price paths agree with the reference loop draw for draw.  Only kinds in
-    _PROFILES have a profile; the others (uniform, fbep) have no commit
-    phase, and _round_gaps scores their rounds.
+    prices, then its tail price for the remaining rounds.  The arrays are
+    ``score`` of the prices, an elementwise map (tables.regret_at, or the
+    identity for the prices themselves), applied once per run to the
+    prices every horizon shares, so each horizon reads its own entries of
+    the scored arrays.  Exploration has shape (rows, n), or (1, n) when
+    every row explores alike (the grid learner's sweep, and the empty
+    exploration of fixed and gft-oracle), and is one contiguous row per
+    episode; tails have shape (rows,).  The profiles come from an
+    iterator, and dbs copies a horizon's rows only when it is reached, so
+    a caller done with each horizon before the next holds one horizon's
+    rows at a time.  A run draws once, at its longest exploration: a draw
+    depends only on its index, so a shorter exploration reads a column
+    prefix of the draws.  A _PointMasses batch takes one seed per point
+    and no draws, as every draw lands on the point's atom.  Price paths
+    agree with the reference loop draw for draw.  Only kinds in _PROFILES
+    have a profile; the others (uniform, fbep) have no commit phase, and
+    _round_gaps scores their rounds.
     """
-    return _PROFILES[spec.kind](tables, T, seeds, **spec.params)
+    return _PROFILES[spec.kind](tables, hs, seeds, score, **spec.params)
 
 
-def _profile_regret(tables: _EnvTables, gaps, tail, tail_len: int) -> np.ndarray:
-    """sum(gaps) + tail_len * (v* - E[fgft(tail)]), one per row.
+def _profile_regret(gaps, tails, tail_len: int) -> np.ndarray:
+    """sum(gaps) + tail_len * tails, one per row.
 
-    ``gaps`` are the exploration rounds' regrets, tables.regret_at(explore
-    prices), of shape (rows, n) or one shared (1, n) row; each row is
-    summed by one pairwise np.sum, so a row must be contiguous to group its
-    terms as every other path does.  ``tail`` is (rows,) and fixes the row
-    count.  v* is shared or one per row.  The tail is scored only when it
-    has rounds.
+    ``gaps`` are the exploration rounds' regrets, of shape (rows, n) or
+    one shared (1, n) row; each row is summed by one pairwise np.sum, so a
+    row must be contiguous to group its terms as every other path does.
+    ``tails`` are the regrets v* - E[fgft(tail)] of the rows' tail prices,
+    of shape (rows,), which fixes the row count.  They count only when the
+    tail has rounds.
     """
-    regret = np.zeros(tail.shape)
+    regret = np.zeros(tails.shape)
     regret += np.sum(gaps, axis=1)
     if tail_len:
-        regret += tail_len * tables.regret_at(tail[:, None])[:, 0]
+        regret += tail_len * tails
     return regret
 
 
@@ -454,10 +492,12 @@ def _round_gaps(spec: LearnerSpec, tables: _EnvTables, T: int, seed: int) -> np.
     return _ROUND_GAPS[spec.kind](tables, T, seed, **spec.params)
 
 
-def _episode_regrets(config: RunConfig, horizon: int, tables: _EnvTables) -> np.ndarray:
-    """Regret of every episode at one horizon, for a learner with a price profile."""
-    explore, tail, tail_len = _price_profile(config.learner, tables, horizon, config.seeds)
-    return _profile_regret(tables, tables.regret_at(explore), tail, tail_len)
+def _episode_regrets(config: RunConfig, horizon: int, profile: tuple) -> np.ndarray:
+    """Regret of every episode of ``config`` at one of its horizons, from
+    that horizon's scored profile (see _price_profiles).  One call is one
+    cell of the run, which the benchmark's tracer labels by ``config`` and
+    ``horizon``."""
+    return _profile_regret(*profile)
 
 
 def run_monte_carlo(config: RunConfig) -> RegretCurve:
@@ -469,7 +509,8 @@ def run_monte_carlo(config: RunConfig) -> RegretCurve:
     The environment's oracle tables are built once and shared by every
     horizon.  Regrets fill one (horizons, episodes) table: fbep and uniform
     simulate one episode at a time, at the largest horizon, and sum a prefix
-    for each horizon; other learners score one horizon at a time, ascending.
+    for each horizon; the other learners draw and explore once for all
+    horizons (_price_profiles), and each horizon sums its own rows.
     """
     hs, spec = config.horizons, config.learner
     tables = _EnvTables(config.env)
@@ -480,8 +521,9 @@ def run_monte_carlo(config: RunConfig) -> RegretCurve:
             regrets[:, e] = [np.sum(row[:T]) for T in hs]
             del row  # else it stays alive while the next episode builds its row
     else:
-        for i, T in enumerate(hs):
-            regrets[i] = _episode_regrets(config, T, tables)
+        profiles = _price_profiles(spec, tables, hs, config.seeds, tables.regret_at)
+        for i, (T, profile) in enumerate(zip(hs, profiles)):
+            regrets[i] = _episode_regrets(config, T, profile)
     # reduce contiguous rows: a strided column or axis=0 regroups the pairwise sums
     n = config.n_episodes
     stderrs = [float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0 for values in regrets]
@@ -557,27 +599,15 @@ def growth_ratio(values) -> float:
 def _point_mass_regrets(spec: LearnerSpec, hs: tuple, sellers, buyers) -> list:
     """Regret of every point at each horizon of ``hs``: one array per horizon.
 
-    One _PointMasses batch, so one v*, serves every horizon.  dbs explores
-    once, at the largest phase length M: every draw lands on the point's
-    atom, so its prices at phase length N are columns [:N] and [M:M+N] of
-    those at M, and its commit at N is commits[:, N].  Each price is scored
-    once; each horizon copies its columns into one contiguous row, so its
-    sum groups them as the profile at that horizon alone would.
-    conv-pricing's grid changes with T, and fixed and gft-oracle do not
-    explore: they take one profile per horizon.
+    One _PointMasses batch, so one v*, serves every horizon, and its
+    profiles are the run's (_price_profiles): each price is scored once.
+    Every draw lands on the point's atom, so dbs bisects one row per point
+    at the largest phase length M for all horizons, where a run stacks one
+    per horizon: its prices at phase length N are columns [:N] and
+    [M:M+N] of those at M, and its commit at N is column N.
     """
     masses = _PointMasses(sellers, buyers)
-    if spec.kind != "dbs":
-        profiles = (_price_profile(spec, masses, T, range(sellers.size)) for T in hs)
-        return [_profile_regret(masses, masses.regret_at(x), tail, n) for x, tail, n in profiles]
-    Ns = [dbs_phase_length(T) for T in hs]
-    M = Ns[-1]
-    prices, commits = kernels.dbs_explore(masses.sellers, masses.buyers, M)
-    gaps, regrets = masses.regret_at(prices), []
-    for T, N in zip(hs, Ns):
-        row = np.hstack([gaps[:, :N], gaps[:, M : M + N]])
-        regrets.append(_profile_regret(masses, row, commits[:, N], T - 2 * N))
-    return regrets
+    return [_profile_regret(*p) for p in _price_profiles(spec, masses, hs, range(sellers.size), masses.regret_at)]
 
 
 def profile_regret(spec: LearnerSpec, horizon, pair):
@@ -585,10 +615,11 @@ def profile_regret(spec: LearnerSpec, horizon, pair):
 
     A scalar pair gives a float; a pair of arrays that broadcast gives the
     regret of every point, in their broadcast shape, from array passes
-    over POINT_BLOCK points at a time.  ``horizon`` is one horizon, or a
+    over at most POINT_BLOCK points, and fewer when points x exploration
+    rounds would pass POINT_ROUNDS.  ``horizon`` is one horizon, or a
     strictly increasing sequence of them (checked as RunConfig.horizons
     are), which adds a leading horizon axis to the result: each pass then
-    shares its v*, and dbs its bisection, across the horizons (see
+    shares its v* and its exploration across the horizons (see
     _point_mass_regrets).
     """
     if spec.kind not in _PROFILES:
@@ -597,8 +628,11 @@ def profile_regret(spec: LearnerSpec, horizon, pair):
     shape, sellers, buyers = sellers.shape, sellers.ravel(), buyers.ravel()
     hs, single = _horizon_axis(horizon)
     regrets = np.empty((len(hs), sellers.size))
-    for lo in range(0, sellers.size, POINT_BLOCK):
-        rows = slice(lo, lo + POINT_BLOCK)
+    # only the grid can pass the budget: dbs explores 2 * ceil(log2 T) rounds, fixed and gft-oracle none
+    K = ConvolutionPricing(hs[-1], spec.params.get("K")).grid_size if spec.kind == "conv-pricing" else 1
+    step = max(1, min(POINT_BLOCK, POINT_ROUNDS // K))
+    for lo in range(0, sellers.size, step):
+        rows = slice(lo, lo + step)
         regrets[:, rows] = _point_mass_regrets(spec, hs, sellers[rows], buyers[rows])
     if not single:
         return regrets.reshape((len(hs),) + shape)

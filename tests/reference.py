@@ -25,7 +25,8 @@ package's kernels and fast paths against these:
   sample list in one cumsum;
 * pseudo_regret, the regret of one posted price sequence, which
   harness._profile_regret scores for price profiles;
-* deterministic_price_profile, the point-mass price profile that
+* price_profile, the price profile of a run at one horizon, and
+  deterministic_price_profile, the point-mass price profile that
   harness.profile_regret scores.
 """
 
@@ -46,7 +47,7 @@ from fairtrade.core import (
     fgft_vector,
 )
 from fairtrade.environments import Environment
-from fairtrade.harness import _PROFILES, Trajectory, _EnvTables, _PointMasses, _price_profile, _profile_regret
+from fairtrade.harness import _PROFILES, Trajectory, _EnvTables, _PointMasses, _price_profiles, _profile_regret
 from fairtrade.rng import _count
 
 
@@ -188,7 +189,14 @@ def pseudo_regret(env: Environment, prices) -> float:
     prices = np.reshape(prices.prices if isinstance(prices, Trajectory) else prices, (1, -1))
     check_atoms((prices, "prices"))
     tables = _EnvTables(env)
-    return float(_profile_regret(tables, tables.regret_at(prices), np.zeros(1), 0)[0])
+    return float(_profile_regret(tables.regret_at(prices), np.zeros(1), 0)[0])
+
+
+def price_profile(spec: LearnerSpec, tables: _EnvTables, horizon: int, seeds) -> tuple:
+    """(exploration prices, tails, tail length) of the episode streams
+    ``seeds`` in a run of the one horizon: harness._price_profiles with
+    the prices unscored."""
+    return next(_price_profiles(spec, tables, (horizon,), seeds, lambda prices: prices))
 
 
 def deterministic_price_profile(spec: LearnerSpec, horizon: int, pair) -> tuple:
@@ -205,7 +213,7 @@ def deterministic_price_profile(spec: LearnerSpec, horizon: int, pair) -> tuple:
     sellers, buyers = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in pair))
     shape, sellers, buyers = sellers.shape, sellers.ravel(), buyers.ravel()
     T, masses = _count(horizon, "horizon"), _PointMasses(sellers, buyers)
-    explore, tail, tail_len = _price_profile(spec, masses, T, range(sellers.size))
+    explore, tail, tail_len = price_profile(spec, masses, T, range(sellers.size))
     explore = np.broadcast_to(explore, tail.shape + explore.shape[1:])  # one row per point
     if not shape:
         return explore[0], float(tail[0]), tail_len

@@ -14,6 +14,7 @@ from fairtrade.algorithms import (
     LEARNER_KINDS,
     Learner,
     LearnerSpec,
+    dbs_phase_length,
     dbs_regret_bound,
     default_grid_size,
     parse_learner,
@@ -41,7 +42,7 @@ from fairtrade.harness import (
     _EnvTables,
     _PointMasses,
     _episode_regrets,
-    _price_profile,
+    _price_profiles,
     _profile_regret,
     _round_gaps,
     adversarial_deterministic_sweep,
@@ -55,7 +56,7 @@ from fairtrade.harness import (
 )
 from fairtrade.rng import MASK64, mix64, unit_draws
 from fairtrade.verify import random_independent_env
-from reference import deterministic_price_profile, pseudo_regret
+from reference import deterministic_price_profile, price_profile, pseudo_regret
 from test_environments import valid_id
 from test_verify import MUTATIONS
 
@@ -275,8 +276,8 @@ def _path_cases():
 
 
 def _scored_profile(tables, explore, tail, tail_len):
-    """_profile_regret of a price profile: its exploration prices scored first."""
-    return _profile_regret(tables, tables.regret_at(explore), tail, tail_len)
+    """_profile_regret of a price profile: its exploration and tail prices scored first."""
+    return _profile_regret(tables.regret_at(explore), tables.regret_at(tail[:, None])[:, 0], tail_len)
 
 
 def _kernel_path(spec, tables, T, seed):
@@ -287,7 +288,7 @@ def _kernel_path(spec, tables, T, seed):
     exactly that path, summing to what _profile_regret gives for it.
     """
     if spec.kind in _PROFILES:
-        explore, tail, tail_len = _price_profile(spec, tables, T, [seed])
+        explore, tail, tail_len = price_profile(spec, tables, T, [seed])
         return np.concatenate([explore[0], np.full(tail_len, tail[0])])
     if spec.kind == "fbep":
         cands, rewards = tables.fbep
@@ -296,7 +297,7 @@ def _kernel_path(spec, tables, T, seed):
         path = kernels.uniform_prices(mix64(spec.params.get("seed", 0), seed), T)
     row = _round_gaps(spec, tables, T, seed)
     assert row.tobytes() == (tables.v_star - tables.mean_at(path)).tobytes()
-    assert np.sum(row).hex() == _profile_regret(tables, row[None, :], np.zeros(1), 0)[0].hex()
+    assert np.sum(row).hex() == _profile_regret(row[None, :], np.zeros(1), 0)[0].hex()
     return path
 
 
@@ -333,12 +334,14 @@ def test_monte_carlo_curves_share_draws_across_horizons():
     assert all(s >= 0.0 for s in curve.stderrs)
 
 
-def _assert_horizon_split_invariant(learners, horizons):
+def _assert_horizon_split_invariant(learners, horizons, n_episodes=3):
     # a nested run reports at each horizon exactly what a run at that horizon alone does
     for env_id in ("lb-mu", "eps-family:eps=0.2", "random-joint:seed=303"):
         for learner_id in learners:
             spec = parse_learner(learner_id)
-            cfg = RunConfig(parse_env(env_id), spec, horizons, n_episodes=3, base_seed=11, feedback=spec.requires)
+            cfg = RunConfig(
+                parse_env(env_id), spec, horizons, n_episodes=n_episodes, base_seed=11, feedback=spec.requires
+            )
             nested = run_monte_carlo(cfg)
             for T, mean, stderr in zip(nested.horizons, nested.means, nested.stderrs, strict=True):
                 alone = run_monte_carlo(dataclasses.replace(cfg, horizons=(T,)))
@@ -350,6 +353,10 @@ def _assert_horizon_split_invariant(learners, horizons):
 def test_monte_carlo_horizon_split_is_bitwise_invariant():
     learners = ("conv-pricing", "conv-pricing:K=4", "dbs", "fbep", "fixed:p=0.3", "gft-oracle", "uniform:seed=5")
     _assert_horizon_split_invariant(learners, (5, 40, 300))
+    # dbs explores no round at T = 1 and 2 and steps from 3 to 4 rounds a side
+    # at T = 9; the default grid is K = 1 at T = 1 and 2 and 4 at T = 8 and 9
+    edge_learners = ("conv-pricing", "conv-pricing:K=1", "dbs", "fixed:p=0.3", "gft-oracle")
+    _assert_horizon_split_invariant(edge_learners, (1, 2, 7, 8, 9), n_episodes=5)
 
 
 @pytest.mark.parametrize("block", [kernels.BLOCK, 12])
@@ -376,6 +383,40 @@ def test_path_free_learners_simulate_once_per_episode(monkeypatch):
         cfg = RunConfig(lb_mu(), spec, (1, 2048, 2049, 5000), n_episodes=3, base_seed=11, feedback=spec.requires)
         run_monte_carlo(cfg)
         assert calls == [(name, 5000)] * 3, learner_id
+
+
+def _count_calls(monkeypatch, owner, name, calls):
+    """Record the arguments of every call of owner.name in ``calls``."""
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_profile_learners_draw_and_explore_once_per_run(monkeypatch):
+    # every horizon of a run reads the run's one draw and its one exploration:
+    # one bisection, one grid sweep per distinct K, or one scored tail price
+    calls, scorings = {name: [] for name in ("draw", "dbs_explore", "conv_pricing_commit")}, []
+    for owner, name in ((_EnvTables, "draw"), (kernels, "dbs_explore"), (kernels, "conv_pricing_commit")):
+        _count_calls(monkeypatch, owner, name, calls[name])
+    _count_calls(monkeypatch, _EnvTables, "regret_at", scorings)
+
+    def run(learner_id, hs):
+        """The last argument of each call (rounds or grid size), and the number of scorings."""
+        for made in (*calls.values(), scorings):
+            made.clear()
+        run_monte_carlo(RunConfig(lb_mu(), parse_learner(learner_id), hs, n_episodes=3))
+        return {name: [args[-1] for args in made] for name, made in calls.items()}, len(scorings)
+
+    hs, M = (1, 8, 1000, 10**4), dbs_phase_length(10**4)
+    assert run("dbs", hs)[0] == {"draw": [2 * M], "dbs_explore": [M], "conv_pricing_commit": []}
+    assert run("conv-pricing", hs)[0] == {"draw": [464], "dbs_explore": [], "conv_pricing_commit": [1, 4, 100, 464]}
+    assert run("conv-pricing:K=4", hs[1:])[0] == {"draw": [4], "dbs_explore": [], "conv_pricing_commit": [4]}
+    for learner_id in ("fixed:p=0.3", "gft-oracle"):
+        assert run(learner_id, hs) == ({"draw": [], "dbs_explore": [], "conv_pricing_commit": []}, 1), learner_id
 
 
 def test_gft_oracle_searches_its_price_once_per_run(monkeypatch):
@@ -733,7 +774,7 @@ def test_profile_regret_over_horizons_matches_each_horizon(learner, pairs, block
     assert regrets.shape == (len(hs), len(pairs))
     masses = _PointMasses(sellers, buyers)
     for T, row in zip(hs, regrets):
-        want = _scored_profile(masses, *_price_profile(spec, masses, T, range(len(pairs))))
+        want = _scored_profile(masses, *price_profile(spec, masses, T, range(len(pairs))))
         assert np.array_equal(row, want), T
         for pair, regret in zip(pairs, row):
             env = deterministic(*pair)
@@ -874,10 +915,11 @@ def test_episode_rows_match_per_episode_scoring(atoms, learner_id, T, n_episodes
     )
     tables = _EnvTables(cfg.env)
     want = [
-        _scored_profile(tables, *_price_profile(cfg.learner, tables, T, [mix64(base_seed, e)]))[0]
+        _scored_profile(tables, *price_profile(cfg.learner, tables, T, [mix64(base_seed, e)]))[0]
         for e in range(n_episodes)
     ]
-    assert np.array_equal(_episode_regrets(cfg, T, tables), want)
+    profile = next(_price_profiles(cfg.learner, tables, (T,), cfg.seeds, tables.regret_at))
+    assert np.array_equal(_episode_regrets(cfg, T, profile), want)
 
 
 @settings(max_examples=150, deadline=None)

@@ -895,6 +895,20 @@ def test_env_draw_rows_match_the_per_seed_loop(env_name, n):
             assert np.array_equal(buyers[row], tables.buyers[j]), seed
 
 
+@pytest.mark.parametrize("env_name", list(_SIM_ENVS) + ["random-ind:seed=1"])
+def test_env_draw_columns_are_prefixes_of_a_longer_draw(env_name):
+    # a run draws once, at its longest exploration, and every horizon reads a
+    # column prefix; five rows of 1 or 40 draws search (_atoms_at's size
+    # rule) while the 2000-draw rows count on these envs of at most 25 atoms
+    env = _SIM_ENVS[env_name]() if env_name in _SIM_ENVS else parse_env(env_name)
+    tables = _EnvTables(env)
+    seeds = [mix64(3, e) for e in range(5)]
+    longest = tables.draw(seeds, 2000)
+    for k in (0, 1, 40, 1000, 2000):
+        for got, prefix in zip(tables.draw(seeds, k), longest):
+            assert got.tobytes() == np.ascontiguousarray(prefix[:, :k]).tobytes(), k
+
+
 def _unpruned_fbep(seed, cum, cands, reward_matrix, T):
     """fbep's index path scoring every candidate: one cumsum over all rounds, first argmax."""
     j = _searched_atoms(cum, unit_draws(seed, T))

@@ -43,6 +43,6 @@ def test_tracer_hooks_reach_the_harness(tmp_path):
     # the sweep scores its 5 points in one batch and builds no environment
     assert metrics["harness.profile_regret.calls"] == 1
     assert metrics["environments.deterministic.calls"] == 0
-    # one for the sweep, one per cell of the run
-    assert metrics["kernels.dbs_explore.calls"] == 3
+    # one for the sweep, one for the whole run: its horizons bisect together
+    assert metrics["kernels.dbs_explore.calls"] == 2
     assert metrics["harness.cells"] == 2  # one per horizon of the run

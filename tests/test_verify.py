@@ -147,8 +147,8 @@ def _epsilon_family_flips_sign(monkeypatch):
 def _regret_drops_the_tail(monkeypatch):
     profile = harness._profile_regret
 
-    def explore_only(tables, gaps, tail, tail_len):
-        return profile(tables, gaps, tail, 0)
+    def explore_only(gaps, tails, tail_len):
+        return profile(gaps, tails, 0)
 
     monkeypatch.setattr(harness, "_profile_regret", explore_only)
 
