@@ -48,8 +48,6 @@ from .environments import (
     feedback_distribution,
     feedback_tables,
     gft_trap,
-    independent_finite,
-    joint_finite,
     lb_mu,
     lb_nu,
     parse_env,

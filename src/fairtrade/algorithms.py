@@ -23,9 +23,8 @@ Learners and the feedback they consume:
   trade), and ``uniform:seed=...`` are non-adaptive baselines.
 
 Each kind is declared once, as a row of LEARNER_KINDS: its id patterns,
-the feedback it consumes, whether it is deterministic, and how to build
-it.  The harness adds one row for its fast path (harness._PROFILES or
-harness._ROUND_GAPS).
+the feedback it consumes, and how to build it.  The harness adds one row
+for its fast path (harness._PROFILES or harness._ROUND_GAPS).
 
 Every horizon and grid size is a count (``rng._count``: a whole
 number of at least 1) and the uniform baseline's seed a u64
@@ -276,7 +275,6 @@ class LearnerKind(NamedTuple):
 
     ``patterns`` are its id forms, each headed by the kind; ``requires`` is
     the feedback model its updates consume (None: it ignores feedback);
-    ``deterministic`` says its prices are a function of the feedback alone;
     ``build(T, env, episode, **params)`` makes a fresh Learner for an
     episode of horizon T whose seed is ``episode`` (see LearnerSpec.build),
     taking the spec's parsed parameters as keywords.
@@ -284,7 +282,6 @@ class LearnerKind(NamedTuple):
 
     patterns: tuple
     requires: FeedbackModel | None
-    deterministic: bool
     build: Callable[..., Learner]
 
 
@@ -292,21 +289,15 @@ LEARNER_KINDS = {
     "conv-pricing": LearnerKind(
         ("conv-pricing", "conv-pricing:K=<grid size>"),
         FeedbackModel.TWO_BIT,
-        True,
         lambda T, env, episode, K=None: ConvolutionPricing(T, K),
     ),
-    "dbs": LearnerKind(("dbs",), FeedbackModel.TWO_BIT, True, lambda T, env, episode: DoubleBinarySearch(T)),
-    "fbep": LearnerKind(
-        ("fbep",), FeedbackModel.FULL, True, lambda T, env, episode: FollowBestEmpiricalPrice(T)
-    ),
-    "fixed": LearnerKind(("fixed:p=<price>",), None, True, lambda T, env, episode, p: FixedPrice(p)),
-    "gft-oracle": LearnerKind(
-        ("gft-oracle",), None, True, lambda T, env, episode: FixedPrice(env.joint.gft_price)
-    ),
+    "dbs": LearnerKind(("dbs",), FeedbackModel.TWO_BIT, lambda T, env, episode: DoubleBinarySearch(T)),
+    "fbep": LearnerKind(("fbep",), FeedbackModel.FULL, lambda T, env, episode: FollowBestEmpiricalPrice(T)),
+    "fixed": LearnerKind(("fixed:p=<price>",), None, lambda T, env, episode, p: FixedPrice(p)),
+    "gft-oracle": LearnerKind(("gft-oracle",), None, lambda T, env, episode: FixedPrice(env.joint.gft_price)),
     "uniform": LearnerKind(
         ("uniform:seed=<u64>",),
         None,
-        False,
         # the one statement of the default seed; harness._uniform_gaps builds through it
         lambda T, env, episode, seed=0: UniformRandom(mix64(seed, episode)),
     ),
@@ -333,10 +324,6 @@ class LearnerSpec:
     @property
     def requires(self) -> FeedbackModel | None:
         return LEARNER_KINDS[self.kind].requires
-
-    @property
-    def deterministic(self) -> bool:
-        return LEARNER_KINDS[self.kind].deterministic
 
     def build(self, horizon: int, env: Environment, episode_seed: int = 0) -> Learner:
         """Fresh learner for one episode.

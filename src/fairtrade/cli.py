@@ -97,7 +97,7 @@ def cmd_run(args) -> int:
         curve = run_monte_carlo(cfg)
         slope = ""
         if len(curve.horizons) >= 3 and all(m > 0.0 for m in curve.means):
-            slope = _fmt(fit_exponent(curve).slope)
+            slope = _fmt(fit_exponent(curve.horizons, curve.means).slope)
         for T, mean, stderr in zip(curve.horizons, curve.means, curve.stderrs):
             rows.append((curve.learner_id, curve.env_id, T, curve.n_episodes, _fmt(mean), _fmt(stderr), slope))
         print(

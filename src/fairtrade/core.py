@@ -131,10 +131,6 @@ class FiniteJointDistribution:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "cum", np.cumsum(w))
 
-    @property
-    def n_atoms(self) -> int:
-        return int(self.weights.size)
-
     def atom(self, i: int) -> ValuationPair:
         return ValuationPair(float(self.sellers[i]), float(self.buyers[i]))
 

@@ -136,18 +136,6 @@ def deterministic(seller: float, buyer: float) -> Environment:
     return Environment(env_id=_format_id("det", s=seller, b=buyer), joint=joint)
 
 
-def independent_finite(
-    seller: FiniteMarginal, buyer: FiniteMarginal, env_id: str = "independent"
-) -> Environment:
-    """Independent seller/buyer marginals, materialized as a product joint."""
-    return Environment(env_id, product_joint(seller, buyer))
-
-
-def joint_finite(dist: FiniteJointDistribution, env_id: str = "joint") -> Environment:
-    """Arbitrary finite joint (dependence allowed)."""
-    return Environment(env_id=env_id, joint=dist)
-
-
 def lb_mu() -> Environment:
     """First member of the indistinguishable pair; optimal price 5/16."""
     joint = FiniteJointDistribution(
@@ -183,7 +171,7 @@ def gft_trap(h: float) -> Environment:
         raise ValueError(f"h must lie in (0, 1/2), got {h!r}")
     seller = FiniteMarginal([0.0, 1.0 - h], [0.5, 0.5])
     buyer = FiniteMarginal([1.0], [1.0])
-    return independent_finite(seller, buyer, env_id=_format_id("gft-trap", h=h))
+    return Environment(_format_id("gft-trap", h=h), product_joint(seller, buyer))
 
 
 def epsilon_family(eps: float) -> Environment:
@@ -195,18 +183,10 @@ def epsilon_family(eps: float) -> Environment:
     eps = float(eps)
     if not (-1.0 <= eps <= 1.0):
         raise ValueError(f"eps must lie in [-1, 1], got {eps!r}")
-    values, weights = [], []
-    w0 = (1.0 + eps) / 2.0
-    w1 = (1.0 - eps) / 2.0
-    if w0 > 0.0:
-        values.append(0.0)
-        weights.append(w0)
-    if w1 > 0.0:
-        values.append(0.25)
-        weights.append(w1)
-    seller = FiniteMarginal(values, weights)
+    atoms = [(v, w) for v, w in ((0.0, (1.0 + eps) / 2.0), (0.25, (1.0 - eps) / 2.0)) if w > 0.0]
+    seller = FiniteMarginal(*zip(*atoms))
     buyer = FiniteMarginal([1.0], [1.0])
-    return independent_finite(seller, buyer, env_id=_format_id("eps-family", eps=eps))
+    return Environment(_format_id("eps-family", eps=eps), product_joint(seller, buyer))
 
 
 def epsilon_family_expected_fgft(eps: float, p):
@@ -236,16 +216,14 @@ def _rand_int(stream: SplitMix64, lo: int, hi: int) -> int:
     return lo + int(stream.next_u64() % (hi - lo + 1))
 
 
-def random_marginal(
-    stream: SplitMix64, n_atoms: int, lo: float = 0.0, hi: float = 1.0
-) -> FiniteMarginal:
-    """Finite marginal with distinct uniform values and positive weights."""
+def random_marginal(stream: SplitMix64, size: int, lo: float = 0.0, hi: float = 1.0) -> FiniteMarginal:
+    """Finite marginal with ``size`` distinct uniform values and positive weights."""
     values: list = []
-    while len(values) < n_atoms:
+    while len(values) < size:
         v = lo + (hi - lo) * stream.next_unit()
         if v not in values:
             values.append(v)
-    raw = [0.1 + stream.next_unit() for _ in range(n_atoms)]
+    raw = [0.1 + stream.next_unit() for _ in range(size)]
     total = sum(raw)
     return FiniteMarginal(values, [w / total for w in raw])
 
@@ -263,7 +241,7 @@ def random_independent_env(seed: int) -> Environment:
     n_b = _rand_int(stream, 2, 5)
     seller = random_marginal(stream, n_s, 0.0, 0.45)
     buyer = random_marginal(stream, n_b, 0.55, 1.0)
-    return independent_finite(seller, buyer, env_id=_format_id("random-ind", seed=seed))
+    return Environment(_format_id("random-ind", seed=seed), product_joint(seller, buyer))
 
 
 def random_joint_env(seed: int) -> Environment:
@@ -288,7 +266,7 @@ def random_joint_env(seed: int) -> Environment:
     raw = [0.1 + stream.next_unit() for _ in range(n)]
     total = sum(raw)
     dist = FiniteJointDistribution([(p, w / total) for p, w in zip(pairs, raw)])
-    return joint_finite(dist, env_id=_format_id("random-joint", seed=seed))
+    return Environment(_format_id("random-joint", seed=seed), dist)
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +374,11 @@ def env_from_config(obj) -> Environment:
         raise UnknownIdError(f"inline environment id {obj['id']!r} names a registered environment")
     if "joint" in obj:
         atoms = [((s, b), w) for s, b, w in _number_rows(obj["joint"], 3, "joint").tolist()]
-        return joint_finite(FiniteJointDistribution(atoms), env_id=obj.get("id") or "joint")
+        return Environment(obj.get("id") or "joint", FiniteJointDistribution(atoms))
     spec = obj["independent"]
     if not isinstance(spec, dict) or set(spec) != {"seller", "buyer"}:
         raise UnknownIdError(f"an independent environment takes exactly 'seller' and 'buyer', got {spec!r}")
     seller, buyer = (
         FiniteMarginal(*_number_rows(spec[side], 2, side).T) for side in ("seller", "buyer")
     )
-    return independent_finite(seller, buyer, env_id=obj.get("id") or "independent")
+    return Environment(obj.get("id") or "independent", product_joint(seller, buyer))

@@ -537,17 +537,12 @@ def run_monte_carlo(config: RunConfig) -> RegretCurve:
     )
 
 
-def fit_exponent(curve_or_horizons, means=None) -> ExponentFit:
+def fit_exponent(horizons, means) -> ExponentFit:
     """Ordinary least squares on (log T, log mean regret).
 
-    Accepts a RegretCurve or explicit (horizons, means).  Needs at least
-    three distinct horizons, all positive and finite, and strictly positive
-    finite means.
+    Needs one mean per horizon, at least three distinct horizons, all
+    positive and finite, and strictly positive finite means.
     """
-    if means is None:
-        horizons, means = curve_or_horizons.horizons, curve_or_horizons.means
-    else:
-        horizons = curve_or_horizons
     x = np.asarray(horizons, dtype=np.float64)
     y = np.asarray(means, dtype=np.float64)
     if x.shape != y.shape:
@@ -639,12 +634,7 @@ def profile_regret(spec: LearnerSpec, horizon, pair):
     return float(regrets[0, 0]) if not shape else regrets[0].reshape(shape)
 
 
-def adversarial_deterministic_sweep(
-    learner,
-    horizon,
-    s_values=None,
-    buyer: float = 1.0,
-):
+def adversarial_deterministic_sweep(spec: LearnerSpec, horizon, s_values=None, buyer: float = 1.0):
     """Worst-case exact regret of a deterministic learner over seller values.
 
     The default grid is 4097 evenly spaced points in [0, 1/4] against a
@@ -655,7 +645,6 @@ def adversarial_deterministic_sweep(
     increasing sequence of horizons gives one per horizon, from the same
     call.
     """
-    spec = parse_learner(learner) if isinstance(learner, str) else learner
     hs, single = _horizon_axis(horizon)
     if s_values is None:
         s_values = np.linspace(0.0, 0.25, 4097)

@@ -236,7 +236,7 @@ def suite_dbs_log_growth() -> list:
     """
 
     def body():
-        sweeps = adversarial_deterministic_sweep("dbs", [2**k for k in range(8, 17)])
+        sweeps = adversarial_deterministic_sweep(parse_learner("dbs"), [2**k for k in range(8, 17)])
         maxima = [report.max_regret for report in sweeps]
         steps = np.diff(np.asarray(maxima))
         worst_drop, worst_step = float(np.max(-steps)), float(np.max(steps))
@@ -260,7 +260,7 @@ def _rate_rows(
     for env in envs:
         def body():
             curve = _curve(env, learner_id, horizons, n_episodes, base_seed)
-            slope = fit_exponent(curve).slope
+            slope = fit_exponent(curve.horizons, curve.means).slope
             ratio = growth_ratio(
                 [m / normalizer(t) for m, t in zip(curve.means, curve.horizons)]
             )

@@ -248,8 +248,6 @@ def test_parse_learner_kinds_and_params():
     assert parse_learner("dbs").requires is FeedbackModel.TWO_BIT
     assert parse_learner("fbep").requires is FeedbackModel.FULL
     assert parse_learner("fixed:p=0.5").requires is None
-    assert parse_learner("uniform").deterministic is False
-    assert parse_learner("gft-oracle").deterministic is True
 
 
 @pytest.mark.parametrize(

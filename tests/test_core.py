@@ -163,7 +163,7 @@ def test_joint_validation():
 
 def test_joint_accessors():
     dist = FiniteJointDistribution([((0.1, 0.9), 0.25), ((0.3, 0.7), 0.75)])
-    assert dist.n_atoms == 2
+    assert dist.weights.size == 2
     assert dist.atom(1) == (0.3, 0.7)
     np.testing.assert_allclose(dist.cum, [0.25, 1.0])
 
@@ -172,7 +172,7 @@ def test_product_joint_enumerates_products():
     seller = FiniteMarginal([0.0, 0.4], [0.5, 0.5])
     buyer = FiniteMarginal([0.6, 1.0], [0.25, 0.75])
     joint = product_joint(seller, buyer)
-    assert joint.n_atoms == 4
+    assert joint.weights.size == 4
     np.testing.assert_allclose(joint.weights, [0.125, 0.375, 0.125, 0.375])
     assert joint.atom(0) == (0.0, 0.6)
     assert joint.atom(3) == (0.4, 1.0)

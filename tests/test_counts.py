@@ -80,7 +80,7 @@ COUNTS = {
     ),
     "adversarial_deterministic_sweep": (
         "horizon",
-        lambda v: _sweep(adversarial_deterministic_sweep("dbs", v, s_values=[0.1, 0.2], buyer=0.8)),
+        lambda v: _sweep(adversarial_deterministic_sweep(parse_learner("dbs"), v, s_values=[0.1, 0.2], buyer=0.8)),
     ),
 }
 SEEDS = {"UniformRandom": ("seed", UniformRandom)}

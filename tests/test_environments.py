@@ -53,14 +53,14 @@ def test_lower_bound_pair_atoms():
 def test_deterministic_env():
     env = deterministic(0.2, 0.8)
     assert env.env_id == "det:s=0.2,b=0.8"
-    assert env.joint.n_atoms == 1
+    assert env.joint.weights.size == 1
     assert env.joint.atom(0) == (0.2, 0.8)
 
 
 def test_gft_trap_shape():
     env = gft_trap(0.1)
     assert env.env_id == "gft-trap:h=0.1"
-    assert env.joint.n_atoms == 2
+    assert env.joint.weights.size == 2
     np.testing.assert_allclose(sorted(env.joint.sellers), [0.0, 0.9])
     np.testing.assert_allclose(env.joint.buyers, [1.0, 1.0])
     for bad in (0.0, 0.5, -0.1, 1.0):
@@ -74,7 +74,7 @@ def test_epsilon_family_weights():
     np.testing.assert_allclose(env.joint.sellers, [0.0, 0.25])
     np.testing.assert_allclose(env.joint.weights, [0.6, 0.4])
     # the extreme members collapse to a single seller atom
-    assert epsilon_family(1.0).joint.n_atoms == 1
+    assert epsilon_family(1.0).joint.weights.size == 1
     assert epsilon_family(-1.0).joint.sellers[0] == 0.25
     with pytest.raises(ValueError):
         epsilon_family(1.5)
@@ -371,7 +371,7 @@ def test_float_parameter_ids_parse_back(make, value):
 def test_env_from_config_inline_joint():
     env = env_from_config({"joint": [[0.1, 0.9, 0.5], [0.3, 0.7, 0.5]], "id": "pair"})
     assert env.env_id == "pair"
-    assert env.joint.n_atoms == 2
+    assert env.joint.weights.size == 2
     assert env_from_config({"joint": [[0, 1, 1]]}).joint.buyers.tolist() == [1.0]  # ints are numbers
 
 
@@ -380,7 +380,7 @@ def test_env_from_config_inline_independent():
         {"independent": {"seller": [[0.0, 1.0]], "buyer": [[0.5, 0.4], [1.0, 0.6]]}}
     )
     assert env.env_id == "independent"
-    assert env.joint.n_atoms == 2
+    assert env.joint.weights.size == 2
     np.testing.assert_allclose(env.joint.weights, [0.4, 0.6])
 
 

@@ -22,6 +22,7 @@ from fairtrade.algorithms import (
 from fairtrade.core import FiniteJointDistribution, best_fixed_price_fgft
 from fairtrade.environments import (
     FEEDBACK_OUTCOMES,
+    Environment,
     FeedbackModel,
     TwoBitFeedback,
     deterministic,
@@ -29,7 +30,6 @@ from fairtrade.environments import (
     feedback_distribution,
     feedback_tables,
     gft_trap,
-    joint_finite,
     lb_mu,
     lb_nu,
     parse_env,
@@ -240,8 +240,8 @@ def test_every_learner_kind_has_patterns_a_learner_and_one_fast_path():
             assert spec.kind == kind
             assert isinstance(spec.build(100, lb_mu()), Learner)
         assert (kind in _PROFILES) != (kind in _ROUND_GAPS), kind
-        # what lets _point_values admit exactly the kinds in _PROFILES
-        assert (kind in _PROFILES) == (row.deterministic and row.requires is not FULL), kind
+        # profile_regret scores only the kinds in _PROFILES, from prices alone
+        assert kind not in _PROFILES or row.requires is not FULL, kind
     assert set(_PROFILES) | set(_ROUND_GAPS) == set(LEARNER_KINDS)
 
 
@@ -528,7 +528,7 @@ def test_fit_exponent_equal_means_give_slope_zero(mean, horizons):
 def test_fit_exponent_accepts_curve():
     cfg = RunConfig(env=lb_mu(), learner=parse_learner("fixed:p=0.9"), horizons=(10, 100, 1000), n_episodes=2)
     curve = run_monte_carlo(cfg)
-    assert fit_exponent(curve).slope == pytest.approx(1.0, abs=1e-12)  # linear regret
+    assert fit_exponent(curve.horizons, curve.means).slope == pytest.approx(1.0, abs=1e-12)  # linear regret
 
 
 def test_fit_exponent_preconditions():
@@ -837,13 +837,13 @@ def _random_joints(draw):
 
 def _joint_env(atoms):
     total = sum(w for _, w in atoms)
-    return joint_finite(FiniteJointDistribution([(pair, w / total) for pair, w in atoms]))
+    return Environment("joint", FiniteJointDistribution([(pair, w / total) for pair, w in atoms]))
 
 
 # Every learner kind but fbep.  Its reference learner is cheap now, but its
 # kernel can still break a flat top of the empirical mean differently (the
-# strict xfail random-ind-1-fbep-300 above), so fbep joins here once both
-# paths post the exact smallest maximizer.
+# strict xfail random-ind-1-fbep-300 above), so fbep joins here once its
+# kernel posts the reference learner's prices on every joint.
 _KERNEL_LEARNERS = st.one_of(
     _deterministic_learners(),
     st.tuples(st.integers(0, 2**32).map("uniform:seed={}".format), st.integers(1, 300)),
@@ -934,7 +934,7 @@ def test_fixed_price_at_the_optimum_has_zero_regret(atoms, T):
 
 
 def test_sweep_fixed_price_frozen():
-    report = adversarial_deterministic_sweep("fixed:p=0.5", 1024)
+    report = adversarial_deterministic_sweep(parse_learner("fixed:p=0.5"), 1024)
     assert report.max_regret == 128.0  # worst point mass loses 1/8 per round
     assert report.argmax_s == 0.25
     assert report.learner_id == "fixed:p=0.5"
@@ -942,7 +942,7 @@ def test_sweep_fixed_price_frozen():
 
 
 def test_sweep_dbs_within_theory_bound():
-    report = adversarial_deterministic_sweep("dbs", 1024)
+    report = adversarial_deterministic_sweep(parse_learner("dbs"), 1024)
     assert report.max_regret == pytest.approx(8.4931640625, abs=1e-12)
     assert report.argmax_s == pytest.approx(0.0009765625, abs=1e-15)
     assert report.max_regret <= dbs_regret_bound(1024)
@@ -959,7 +959,7 @@ def test_sweep_accepts_custom_grid():
 
 def test_sweep_rejects_an_empty_grid():
     with pytest.raises(ValueError, match="seller grid of a sweep is empty"):
-        adversarial_deterministic_sweep("dbs", 64, s_values=np.array([]))
+        adversarial_deterministic_sweep(parse_learner("dbs"), 64, s_values=np.array([]))
 
 
 @pytest.mark.parametrize(
@@ -972,19 +972,19 @@ def test_sweep_rejects_an_empty_grid():
 )
 def test_sweep_rejects_a_grid_that_is_not_1d_and_a_buyer_that_is_not_one_value(kwargs, message):
     with pytest.raises(ValueError, match=message):
-        adversarial_deterministic_sweep("dbs", 64, **kwargs)
+        adversarial_deterministic_sweep(parse_learner("dbs"), 64, **kwargs)
 
 
 def test_sweep_over_horizons_gives_one_report_per_horizon():
     hs, grid = (64, 100, 1024), np.linspace(0.0, 0.25, 257)
-    reports = adversarial_deterministic_sweep("dbs", hs, s_values=grid)
+    reports = adversarial_deterministic_sweep(parse_learner("dbs"), hs, s_values=grid)
     assert [report.horizon for report in reports] == list(hs)
     for T, report in zip(hs, reports):
-        single = adversarial_deterministic_sweep("dbs", T, s_values=grid)
+        single = adversarial_deterministic_sweep(parse_learner("dbs"), T, s_values=grid)
         assert np.array_equal(report.regrets, single.regrets), T
         assert (report.max_regret, report.argmax_s) == (single.max_regret, single.argmax_s), T
-    (one,) = adversarial_deterministic_sweep("fixed:p=0.5", [1024])
-    assert one.max_regret == adversarial_deterministic_sweep("fixed:p=0.5", 1024).max_regret
+    (one,) = adversarial_deterministic_sweep(parse_learner("fixed:p=0.5"), [1024])
+    assert one.max_regret == adversarial_deterministic_sweep(parse_learner("fixed:p=0.5"), 1024).max_regret
 
 
 # ---------------------------------------------------------------------------

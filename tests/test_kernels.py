@@ -56,10 +56,10 @@ def test_expected_fgft_at_is_bitwise_the_scalar_sum(joints, pad):
             assert np.array_equal(got, [expected_fgft(joint, float(p)) for p in prices])
             rows.append(got)
         # per-row atoms padded at the end with zero-weight atoms at any values
-        atoms = np.zeros((3, len(joints), max(j.n_atoms for j in joints)))
+        atoms = np.zeros((3, len(joints), max(j.weights.size for j in joints)))
         atoms[0], atoms[1] = pad
         for row, j in enumerate(joints):
-            atoms[:, row, : j.n_atoms] = j.sellers, j.buyers, j.weights
+            atoms[:, row, : j.weights.size] = j.sellers, j.buyers, j.weights
         assert np.array_equal(kernels.expected_fgft_at(prices, *atoms), rows)
 
 

@@ -290,7 +290,7 @@ def test_random_independent_env_keeps_supports_separated(seed):
 def test_random_joint_env_always_admits_a_trade(seed):
     env = random_joint_env(seed)
     assert env.env_id == f"random-joint:seed={seed}"
-    assert 3 <= env.joint.n_atoms <= 6
+    assert 3 <= env.joint.weights.size <= 6
     gaps = env.joint.buyers - env.joint.sellers
     assert gaps.max() >= 0.1  # the redraw guarantee
     assert best_fixed_price_fgft(env.joint).value > 0.0
