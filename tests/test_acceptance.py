@@ -4,9 +4,10 @@ Each case runs one suite end to end at its pinned tolerances and prints a
 single PASS/FAIL line (wall seconds against the budget).  Each budget is
 about 30 times the suite's median time over five tier-1 runs on a 2-core
 x86-64 VM, and at least 0.1 s: a suite that becomes 30 times slower fails,
-while scheduler noise and a garbage collection pause do not.  Every row a suite emits must also have a failing mutation in
-test_verify.MUTATIONS or be listed in test_verify.KNOWN_WEAK, so a new
-row cannot land without a check that it can fail.
+while scheduler noise and a garbage collection pause do not.  Every row a
+suite emits must also have a failing mutation in test_verify.MUTATIONS or
+be listed in test_verify.KNOWN_WEAK, so a new row cannot land without a
+check that it can fail.
 """
 
 import time

@@ -240,7 +240,7 @@ def test_every_learner_kind_has_patterns_a_learner_and_one_fast_path():
             assert spec.kind == kind
             assert isinstance(spec.build(100, lb_mu()), Learner)
         assert (kind in _PROFILES) != (kind in _ROUND_GAPS), kind
-        # profile_regret scores only the kinds in _PROFILES, from prices alone
+        # profile_regret replays two-bit or no feedback, so no _PROFILES kind needs full feedback
         assert kind not in _PROFILES or row.requires is not FULL, kind
     assert set(_PROFILES) | set(_ROUND_GAPS) == set(LEARNER_KINDS)
 
