@@ -59,7 +59,6 @@ from .environments import (
 )
 from .harness import (
     ExponentFit,
-    FeedbackMismatchError,
     IndistinguishabilityReport,
     RegretCurve,
     RunConfig,
@@ -70,7 +69,6 @@ from .harness import (
     growth_ratio,
     indistinguishability_check,
     profile_regret,
-    resolve_feedback,
     run_episode,
     run_monte_carlo,
 )

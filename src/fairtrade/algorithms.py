@@ -274,7 +274,9 @@ class LearnerKind(NamedTuple):
     """Everything the package knows of one learner kind.
 
     ``patterns`` are its id forms, each headed by the kind; ``requires`` is
-    the feedback model its updates consume (None: it ignores feedback);
+    the feedback model its updates consume, the one statement of a run's
+    model: harness.run_episode renders each round's feedback in it, and in
+    two bits for None (a kind that ignores feedback);
     ``build(T, env, episode, **params)`` makes a fresh Learner for an
     episode of horizon T whose seed is ``episode`` (see LearnerSpec.build),
     taking the spec's parsed parameters as keywords.

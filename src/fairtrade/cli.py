@@ -15,11 +15,12 @@ show, each once.
 
 Config format (run): ``{"output": "curves.csv", "runs": [{"learner":
 "conv-pricing", "env": "lb-mu", "horizons": [1000, 10000], "n_episodes":
-50, "base_seed": 1, "feedback": "two-bit"}, ...]}``; ``output`` is a
-non-empty string, and a run gives ``horizon`` or ``horizons``, not both,
-and no other field.  Every run is checked before any runs.  The env field
-takes an id string or an inline object (environments.env_from_config).
-Identical config and seeds produce byte-identical CSV.
+50, "base_seed": 1}, ...]}``; ``output`` is a non-empty string, and a run
+gives ``horizon`` or ``horizons``, not both, and no other field (a run's
+feedback model is its learner's).  Every run is checked, and the output
+file opened, before any runs.  The env field takes an id string or an
+inline object (environments.env_from_config).  Identical config and seeds
+produce byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -28,12 +29,13 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 
 import numpy as np
 
 from .algorithms import LEARNER_ID_PATTERNS, parse_learner
-from .environments import ENVIRONMENT_ID_PATTERNS, FeedbackModel, UnknownIdError, env_from_config
+from .environments import ENVIRONMENT_ID_PATTERNS, UnknownIdError, env_from_config
 from .harness import RunConfig, adversarial_deterministic_sweep, fit_exponent, run_monte_carlo
 from .verify import resolve_suite_names, run_suites
 
@@ -57,6 +59,23 @@ def _check_fields(obj, fields: tuple, what: str) -> None:
             raise ValueError(f"unknown {what} field {name!r}; known fields: {', '.join(fields)}")
 
 
+def _run_rows(configs) -> list:
+    """Run each config in order, print its result line, and return its CSV rows."""
+    rows = []
+    for cfg in configs:
+        curve = run_monte_carlo(cfg)
+        slope = ""
+        if len(curve.horizons) >= 3 and all(m > 0.0 for m in curve.means):
+            slope = _fmt(fit_exponent(curve.horizons, curve.means).slope)
+        for T, mean, stderr in zip(curve.horizons, curve.means, curve.stderrs):
+            rows.append((curve.learner_id, curve.env_id, T, curve.n_episodes, _fmt(mean), _fmt(stderr), slope))
+        print(
+            f"{curve.learner_id} on {curve.env_id}: "
+            + ", ".join(f"T={t} regret={_fmt(m)}" for t, m in zip(curve.horizons, curve.means))
+        )
+    return rows
+
+
 def cmd_run(args) -> int:
     _check_threads(args)
     with open(args.config, "r", encoding="utf-8") as fh:
@@ -73,41 +92,28 @@ def cmd_run(args) -> int:
         raise ValueError("config needs a non-empty 'runs' list")
     configs = []  # every run is checked before any of them runs
     for entry in runs:
-        _check_fields(entry, ("learner", "env", "horizon", "horizons", "n_episodes", "base_seed", "feedback"), "run")
+        _check_fields(entry, ("learner", "env", "horizon", "horizons", "n_episodes", "base_seed"), "run")
         for names in (("learner",), ("env",), ("horizon", "horizons")):
             if not any(name in entry for name in names):
                 raise ValueError(f"a run needs a {' or '.join(map(repr, names))} field")
         if "horizon" in entry and "horizons" in entry:
             raise ValueError("a run gives both 'horizon' and 'horizons'; give one")
-        spec = parse_learner(entry["learner"])
-        env = env_from_config(entry["env"])
-        feedback = FeedbackModel.parse(entry["feedback"]) if "feedback" in entry else None
-        cfg = RunConfig(
-            env=env,
-            learner=spec,
+        configs.append(RunConfig(
+            learner=parse_learner(entry["learner"]),
+            env=env_from_config(entry["env"]),
             horizons=entry["horizons"] if "horizons" in entry else [entry["horizon"]],
             n_episodes=entry.get("n_episodes", 1),
             base_seed=entry.get("base_seed", args.seed if args.seed is not None else 0),
-            feedback=feedback,
-            strict_feedback=args.strict_feedback,
-        )
-        configs.append(cfg)
-    rows = []
-    for cfg in configs:
-        curve = run_monte_carlo(cfg)
-        slope = ""
-        if len(curve.horizons) >= 3 and all(m > 0.0 for m in curve.means):
-            slope = _fmt(fit_exponent(curve.horizons, curve.means).slope)
-        for T, mean, stderr in zip(curve.horizons, curve.means, curve.stderrs):
-            rows.append((curve.learner_id, curve.env_id, T, curve.n_episodes, _fmt(mean), _fmt(stderr), slope))
-        print(
-            f"{curve.learner_id} on {curve.env_id}: "
-            + ", ".join(f"T={t} regret={_fmt(m)}" for t, m in zip(curve.horizons, curve.means))
-        )
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        writer.writerows(rows)
+        ))
+    fh = open(out_path, "w", encoding="utf-8", newline="")  # an unwritable path fails before any run
+    try:
+        with fh:
+            rows = _run_rows(configs)
+            csv.writer(fh).writerows([_CSV_HEADER, *rows])
+    except BaseException:
+        if os.path.isfile(out_path):  # a failed run leaves no CSV (and never removes /dev/null)
+            os.remove(out_path)
+        raise
     print(f"wrote {len(rows)} rows to {out_path}")
     return 0
 
@@ -182,7 +188,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads", type=int, default=1, help="ignored, must be >= 1 (episodes run sequentially)"
     )
     run_p.add_argument("--seed", type=int, default=None, help="default base_seed for runs lacking one")
-    run_p.add_argument("--strict-feedback", action="store_true", help="forbid deriving two bits from full feedback")
     run_p.set_defaults(handler=cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="worst-case deterministic sweep over seller values")

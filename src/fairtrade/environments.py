@@ -54,13 +54,6 @@ class FeedbackModel(enum.Enum):
     TWO_BIT = "two-bit"
     FULL = "full"
 
-    @classmethod
-    def parse(cls, text: str) -> "FeedbackModel":
-        for model in cls:
-            if model.value == text:
-                return model
-        raise ValueError(f"unknown feedback model {text!r}; use 'two-bit' or 'full'")
-
 
 class TwoBitFeedback(NamedTuple):
     """Acceptance indicators (1{s <= p}, 1{p <= b}) of one round."""

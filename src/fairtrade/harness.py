@@ -74,7 +74,6 @@ from .core import (
 )
 from .environments import (
     Environment,
-    FeedbackModel,
     deterministic,  # noqa: F401
     feedback_distribution,  # noqa: F401
     feedback_tables,
@@ -95,35 +94,6 @@ POINT_ROUNDS = 2**20
 # are compared through feedback_tables; the deterministic and
 # feedback_distribution names stay importable because the benchmark's tracer
 # wraps harness.deterministic and harness.feedback_distribution.
-
-
-class FeedbackMismatchError(ValueError):
-    """Learner and feedback model cannot be reconciled (config error)."""
-
-
-def resolve_feedback(
-    requires: FeedbackModel | None,
-    requested: FeedbackModel | None,
-    strict: bool = False,
-) -> tuple[FeedbackModel, FeedbackModel]:
-    """Reconcile a learner's feedback requirement with the run's model.
-
-    Returns (run model, what the learner's update receives).  Two bits are
-    derivable from a full observation, so a two-bit learner may run under
-    the full model unless strict mode forbids the silent derivation; a
-    full-feedback learner can never run under the two-bit model.
-    """
-    run_model = requested or requires or FeedbackModel.TWO_BIT
-    if requires is FeedbackModel.FULL and run_model is not FeedbackModel.FULL:
-        raise FeedbackMismatchError(
-            "learner needs full feedback but the run uses the two-bit model"
-        )
-    if requires is FeedbackModel.TWO_BIT and run_model is FeedbackModel.FULL and strict:
-        raise FeedbackMismatchError(
-            "strict feedback: two-bit learner under the full model "
-            "(drop --strict-feedback to derive the bits)"
-        )
-    return run_model, (requires or run_model)
 
 
 def _horizons(values) -> tuple:
@@ -152,11 +122,10 @@ class RunConfig:
     """One experiment: a learner on an environment over a run's horizons.
 
     ``horizons`` become a tuple of ints: whole numbers, each >= 1, at least
-    one, strictly increasing; every episode runs to the last.  ``feedback``
-    is the requested model (None: the learner's own) and holds the resolved
-    run model once built, so a learner that cannot run under it fails here,
-    before any episode, as does a learner whose parameters cannot build it
-    at the first horizon (a conv-pricing grid larger than that horizon).
+    one, strictly increasing; every episode runs to the last.  A learner
+    whose parameters cannot build it at the first horizon (a conv-pricing
+    grid larger than that horizon) fails here, before any episode.  The
+    run's feedback model is the learner's own (LearnerSpec.requires).
     """
 
     env: Environment
@@ -164,8 +133,6 @@ class RunConfig:
     horizons: tuple
     n_episodes: int = 1
     base_seed: int = 0
-    feedback: FeedbackModel | None = None
-    strict_feedback: bool = False
 
     @property
     def seeds(self) -> list:
@@ -177,8 +144,6 @@ class RunConfig:
         object.__setattr__(self, "horizons", hs)
         object.__setattr__(self, "n_episodes", _count(self.n_episodes, "n_episodes"))
         object.__setattr__(self, "base_seed", _u64(self.base_seed, "base_seed"))
-        run_model, _ = resolve_feedback(self.learner.requires, self.feedback, self.strict_feedback)
-        object.__setattr__(self, "feedback", run_model)
         self.learner.build(hs[0], self.env)
 
 
@@ -321,13 +286,11 @@ def run_episode(config: RunConfig, episode_index: int) -> Trajectory:
     """Reference round-by-round loop for one seeded episode, to the last horizon.
 
     Each round draws the valuation pair (one uniform), asks the learner for
-    a price, then delivers the rendered feedback, in the model that
-    resolve_feedback says the learner's update receives (RunConfig has
-    already rejected a mismatch).
+    a price, then delivers the feedback rendered in the learner's own model
+    (two bits for a learner that ignores feedback).
     """
-    _, learner_model = resolve_feedback(config.learner.requires, config.feedback, config.strict_feedback)
     T = config.horizons[-1]
-    env = config.env
+    env, model = config.env, config.learner.requires
     seed = mix64(config.base_seed, episode_index)
     learner = config.learner.build(T, env, episode_seed=seed)
     stream = SplitMix64(seed)
@@ -338,7 +301,7 @@ def run_episode(config: RunConfig, episode_index: int) -> Trajectory:
     for t in range(T):
         pair = sample_valuations(env, stream)
         p = learner.propose()
-        learner.update(render_feedback(learner_model, p, pair))
+        learner.update(render_feedback(model, p, pair))
         prices[t] = p
         rewards[t] = fgft(p, pair.seller, pair.buyer)
         sellers[t] = pair.seller

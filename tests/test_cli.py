@@ -1,8 +1,11 @@
 """Command-line behavior: exit codes, CSV output, and reproducibility."""
 
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -154,7 +157,6 @@ def test_run_fits_slope_with_three_horizons(tmp_path, capsys):
         ({"runs": [{"learner": "nope", "env": "lb-mu", "horizon": 5}]}, 3),
         ({"runs": [{"learner": "dbs", "env": "nope", "horizon": 5}]}, 3),
         ({"runs": [{"learner": "dbs", "env": "lb-mu", "horizons": [100, 10]}]}, 2),
-        ({"runs": [{"learner": "fbep", "env": "lb-mu", "horizon": 5, "feedback": "two-bit"}]}, 2),
         ({"runs": []}, 2),
         ({}, 2),
         ({"runs": [{"learner": "dbs", "env": "det:s=nan,b=0.5", "horizon": 5}]}, 3),
@@ -255,6 +257,32 @@ def test_run_names_unknown_field(tmp_path, capsys):
     payload = {"runs": [{"learner": "dbs", "env": "lb-mu", "horizon": 5, "n_epsiodes": 50}]}
     assert cli.main(["run", "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "x.csv")]) == 2
     assert "'n_epsiodes'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("learner,feedback", [("fbep", "two-bit"), ("conv-pricing", "full")])
+def test_run_rejects_a_feedback_field_by_name(tmp_path, capsys, learner, feedback):
+    # a run's feedback model is its learner's, so an old config's request fails loudly
+    payload = {"runs": [{"learner": learner, "env": "lb-mu", "horizon": 5, "feedback": feedback}]}
+    out = tmp_path / "x.csv"
+    assert cli.main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown run field 'feedback'; known fields: ")
+    assert not out.exists()
+
+
+def test_run_has_no_strict_feedback_flag(tmp_path, capsys):
+    config = write_config(tmp_path, BASIC_CONFIG)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", config, "--out", str(tmp_path / "x.csv"), "--strict-feedback"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --strict-feedback" in capsys.readouterr().err
+
+
+def test_run_fails_on_an_unwritable_output_before_any_run(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "x.csv"
+    assert cli.main(["run", "--config", write_config(tmp_path, BASIC_CONFIG), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "regret=" not in captured.out
+    assert captured.err.startswith("error: [Errno 2] No such file or directory")
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
@@ -411,6 +439,26 @@ def test_verify_exit_one_when_a_check_fails(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_suites", lambda names: failing)
     assert cli.main(["verify", "--suite", "gft-trap"]) == 1
     assert "FAIL x:" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# README
+# ---------------------------------------------------------------------------
+
+
+def test_readme_cli_flags_are_the_parsers():
+    # every --flag README's CLI part names exists, and every option is documented
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    cli_part = readme[readme.index("\n## CLI\n") : readme.index("\n## Library\n")]
+    subparsers = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        flag
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        for flag in action.option_strings
+    }
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", cli_part)) == options
 
 
 # ---------------------------------------------------------------------------

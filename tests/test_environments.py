@@ -153,13 +153,6 @@ def test_feedback_region_prices_cover_support():
     assert {0.0, 0.375, 0.625, 1.0} <= set(reps.tolist())
 
 
-def test_feedback_model_parse():
-    assert FeedbackModel.parse("two-bit") is FeedbackModel.TWO_BIT
-    assert FeedbackModel.parse("full") is FeedbackModel.FULL
-    with pytest.raises(ValueError):
-        FeedbackModel.parse("banana")
-
-
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------

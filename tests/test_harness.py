@@ -19,7 +19,7 @@ from fairtrade.algorithms import (
     default_grid_size,
     parse_learner,
 )
-from fairtrade.core import FiniteJointDistribution, best_fixed_price_fgft
+from fairtrade.core import FiniteJointDistribution, ValuationPair, best_fixed_price_fgft
 from fairtrade.environments import (
     FEEDBACK_OUTCOMES,
     Environment,
@@ -33,9 +33,9 @@ from fairtrade.environments import (
     lb_mu,
     lb_nu,
     parse_env,
+    render_feedback,
 )
 from fairtrade.harness import (
-    FeedbackMismatchError,
     RunConfig,
     _PROFILES,
     _ROUND_GAPS,
@@ -50,7 +50,6 @@ from fairtrade.harness import (
     growth_ratio,
     indistinguishability_check,
     profile_regret,
-    resolve_feedback,
     run_episode,
     run_monte_carlo,
 )
@@ -60,44 +59,9 @@ from reference import deterministic_price_profile, price_profile, pseudo_regret
 from test_environments import valid_id
 from test_verify import MUTATIONS
 
-TWO_BIT = FeedbackModel.TWO_BIT
-FULL = FeedbackModel.FULL
-
-
 # ---------------------------------------------------------------------------
-# feedback reconciliation
+# run configs
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "requires,requested,expected",
-    [
-        (None, None, (TWO_BIT, TWO_BIT)),
-        (None, FULL, (FULL, FULL)),
-        (TWO_BIT, None, (TWO_BIT, TWO_BIT)),
-        (TWO_BIT, TWO_BIT, (TWO_BIT, TWO_BIT)),
-        (TWO_BIT, FULL, (FULL, TWO_BIT)),  # bits derived from the observation
-        (FULL, None, (FULL, FULL)),
-        (FULL, FULL, (FULL, FULL)),
-    ],
-)
-def test_resolve_feedback_accepts(requires, requested, expected):
-    assert resolve_feedback(requires, requested) == expected
-
-
-def test_resolve_feedback_rejects_impossible_derivation():
-    with pytest.raises(FeedbackMismatchError):
-        resolve_feedback(FULL, TWO_BIT)
-    with pytest.raises(FeedbackMismatchError):
-        resolve_feedback(FULL, TWO_BIT, strict=True)
-
-
-def test_resolve_feedback_strict_forbids_silent_derivation():
-    with pytest.raises(FeedbackMismatchError):
-        resolve_feedback(TWO_BIT, FULL, strict=True)
-    # strict mode only restricts derivations, not exact matches
-    assert resolve_feedback(FULL, FULL, strict=True) == (FULL, FULL)
-    assert resolve_feedback(TWO_BIT, TWO_BIT, strict=True) == (TWO_BIT, TWO_BIT)
 
 
 def test_run_config_validation():
@@ -145,28 +109,10 @@ def test_run_config_seeds_are_derived_from_the_base_seed():
         cfg.seeds = [0, 0, 0]
 
 
-def test_mismatched_config_fails_before_any_episode():
-    # the config resolves its feedback model when it is built
-    with pytest.raises(FeedbackMismatchError):
-        RunConfig(env=lb_mu(), learner=parse_learner("fbep"), horizons=(8,), feedback=TWO_BIT)
-    with pytest.raises(FeedbackMismatchError):
-        RunConfig(
-            env=lb_mu(),
-            learner=parse_learner("dbs"),
-            horizons=(8,),
-            feedback=FULL,
-            strict_feedback=True,
-        )
-
-
-@pytest.mark.parametrize(
-    "learner_id,requested,run_model",
-    [("dbs", None, TWO_BIT), ("dbs", FULL, FULL), ("fbep", None, FULL), ("fixed:p=0.5", None, TWO_BIT)],
-)
-def test_run_config_holds_the_resolved_feedback_model(learner_id, requested, run_model):
-    cfg = RunConfig(env=lb_mu(), learner=parse_learner(learner_id), horizons=(8,), feedback=requested)
-    assert cfg.feedback is run_model
-    assert dataclasses.replace(cfg, horizons=(4,)).feedback is run_model
+def test_run_config_leaves_the_feedback_model_to_the_learner():
+    # LEARNER_KINDS states each kind's feedback model once; a run has no field for it
+    names = [field.name for field in dataclasses.fields(RunConfig)]
+    assert names == ["env", "learner", "horizons", "n_episodes", "base_seed"]
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +137,25 @@ def test_run_episode_trajectory_contents():
     assert traj.rewards.tolist() == [0.5, 0.5, 0.5]
     assert traj.sellers.tolist() == [0.0, 0.0, 0.0]
     assert traj.buyers.tolist() == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "learner_id,rendered",
+    [("dbs", TwoBitFeedback), ("fbep", ValuationPair), ("fixed:p=0.5", TwoBitFeedback), ("uniform", TwoBitFeedback)],
+)
+def test_run_episode_renders_feedback_in_the_learners_model(monkeypatch, learner_id, rendered):
+    # a learner that ignores feedback (requires None) gets two bits
+    seen = set()
+
+    def recording(model, price, pair):
+        out = render_feedback(model, price, pair)
+        seen.add((model, type(out)))
+        return out
+
+    monkeypatch.setattr(harness, "render_feedback", recording)
+    spec = parse_learner(learner_id)
+    run_episode(RunConfig(lb_mu(), spec, (20,)), 0)
+    assert seen == {(spec.requires, rendered)}
 
 
 def test_pseudo_regret_accepts_prices_or_trajectory():
@@ -241,7 +206,7 @@ def test_every_learner_kind_has_patterns_a_learner_and_one_fast_path():
             assert isinstance(spec.build(100, lb_mu()), Learner)
         assert (kind in _PROFILES) != (kind in _ROUND_GAPS), kind
         # profile_regret replays two-bit or no feedback, so no _PROFILES kind needs full feedback
-        assert kind not in _PROFILES or row.requires is not FULL, kind
+        assert kind not in _PROFILES or row.requires is not FeedbackModel.FULL, kind
     assert set(_PROFILES) | set(_ROUND_GAPS) == set(LEARNER_KINDS)
 
 
@@ -339,9 +304,7 @@ def _assert_horizon_split_invariant(learners, horizons, n_episodes=3):
     for env_id in ("lb-mu", "eps-family:eps=0.2", "random-joint:seed=303"):
         for learner_id in learners:
             spec = parse_learner(learner_id)
-            cfg = RunConfig(
-                parse_env(env_id), spec, horizons, n_episodes=n_episodes, base_seed=11, feedback=spec.requires
-            )
+            cfg = RunConfig(parse_env(env_id), spec, horizons, n_episodes=n_episodes, base_seed=11)
             nested = run_monte_carlo(cfg)
             for T, mean, stderr in zip(nested.horizons, nested.means, nested.stderrs, strict=True):
                 alone = run_monte_carlo(dataclasses.replace(cfg, horizons=(T,)))
@@ -380,7 +343,7 @@ def test_path_free_learners_simulate_once_per_episode(monkeypatch):
     for learner_id, name in (("fbep", "fbep_prices"), ("uniform:seed=5", "uniform_prices")):
         calls.clear()
         spec = parse_learner(learner_id)
-        cfg = RunConfig(lb_mu(), spec, (1, 2048, 2049, 5000), n_episodes=3, base_seed=11, feedback=spec.requires)
+        cfg = RunConfig(lb_mu(), spec, (1, 2048, 2049, 5000), n_episodes=3, base_seed=11)
         run_monte_carlo(cfg)
         assert calls == [(name, 5000)] * 3, learner_id
 
@@ -460,7 +423,7 @@ def test_path_free_runs_hold_one_episode_row_at_a_time(env_id, learner_id, T, n_
     # 3, 8 and 31 candidates of these envs, so the last one's score block
     # is the widest, 32 columns
     spec, env = parse_learner(learner_id), parse_env(env_id)
-    cfg = RunConfig(env, spec, (1000, T), n_episodes=n_episodes, base_seed=7, feedback=spec.requires)
+    cfg = RunConfig(env, spec, (1000, T), n_episodes=n_episodes, base_seed=7)
     row_bytes = T * np.dtype(np.float64).itemsize
     bound = row_bytes + 4 * 8 * kernels.BLOCK
     if spec.kind == "fbep":
