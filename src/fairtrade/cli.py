@@ -105,15 +105,16 @@ def cmd_run(args) -> int:
             n_episodes=entry.get("n_episodes", 1),
             base_seed=entry.get("base_seed", args.seed if args.seed is not None else 0),
         ))
-    fh = open(out_path, "w", encoding="utf-8", newline="")  # an unwritable path fails before any run
+    created = not os.path.lexists(out_path)
+    open(out_path, "a", encoding="utf-8").close()  # an unwritable path fails before any run
     try:
-        with fh:
-            rows = _run_rows(configs)
-            csv.writer(fh).writerows([_CSV_HEADER, *rows])
+        rows = _run_rows(configs)
     except BaseException:
-        if os.path.isfile(out_path):  # a failed run leaves no CSV (and never removes /dev/null)
+        if created:  # a failed run leaves no new file and keeps an earlier one
             os.remove(out_path)
         raise
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([_CSV_HEADER, *rows])
     print(f"wrote {len(rows)} rows to {out_path}")
     return 0
 

@@ -157,6 +157,7 @@ def test_run_fits_slope_with_three_horizons(tmp_path, capsys):
         ({"runs": [{"learner": "nope", "env": "lb-mu", "horizon": 5}]}, 3),
         ({"runs": [{"learner": "dbs", "env": "nope", "horizon": 5}]}, 3),
         ({"runs": [{"learner": "dbs", "env": "lb-mu", "horizons": [100, 10]}]}, 2),
+        ({"runs": [{"learner": "fbep", "env": "lb-mu", "horizon": 5, "feedback": "two-bit"}]}, 2),
         ({"runs": []}, 2),
         ({}, 2),
         ({"runs": [{"learner": "dbs", "env": "det:s=nan,b=0.5", "horizon": 5}]}, 3),
@@ -277,12 +278,38 @@ def test_run_has_no_strict_feedback_flag(tmp_path, capsys):
     assert "unrecognized arguments: --strict-feedback" in capsys.readouterr().err
 
 
-def test_run_fails_on_an_unwritable_output_before_any_run(tmp_path, capsys):
-    out = tmp_path / "no" / "such" / "x.csv"
-    assert cli.main(["run", "--config", write_config(tmp_path, BASIC_CONFIG), "--out", str(out)]) == 2
+@pytest.mark.parametrize(
+    "where,out,errno",
+    [("--out", "no/such/x.csv", 2), ("output", "no/such/x.csv", 2), ("--out", ".", 21)],
+)
+def test_run_fails_on_an_unwritable_output_before_any_run(tmp_path, capsys, where, out, errno):
+    out = str(tmp_path / out)
+    if where == "output":
+        config, flags = write_config(tmp_path, {**BASIC_CONFIG, "output": out}), []
+    else:
+        config, flags = write_config(tmp_path, BASIC_CONFIG), ["--out", out]
+    assert cli.main(["run", "--config", config, *flags]) == 2
     captured = capsys.readouterr()
     assert "regret=" not in captured.out
-    assert captured.err.startswith("error: [Errno 2] No such file or directory")
+    assert captured.err.startswith(f"error: [Errno {errno}] ")
+
+
+@pytest.mark.parametrize("failure", ["config", "run"])
+def test_run_failure_keeps_an_earlier_output_file(tmp_path, capsys, monkeypatch, failure):
+    # the output is opened without truncating, so a failed run leaves an earlier CSV as it was
+    def out_of_memory(config):
+        raise MemoryError("Unable to allocate")
+
+    out = tmp_path / "x.csv"
+    out.write_text("earlier\n", encoding="utf-8")
+    payload = BASIC_CONFIG
+    if failure == "config":
+        payload = {"runs": [{"learner": "dbs", "env": "lb-mu", "horizon": 5, "n_epsiodes": 50}]}
+    else:
+        monkeypatch.setattr(cli, "run_monte_carlo", out_of_memory)
+    assert cli.main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_text(encoding="utf-8") == "earlier\n"
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

@@ -141,10 +141,17 @@ def test_run_episode_trajectory_contents():
 
 @pytest.mark.parametrize(
     "learner_id,rendered",
-    [("dbs", TwoBitFeedback), ("fbep", ValuationPair), ("fixed:p=0.5", TwoBitFeedback), ("uniform", TwoBitFeedback)],
+    [
+        ("conv-pricing", TwoBitFeedback),
+        ("dbs", TwoBitFeedback),
+        ("fbep", ValuationPair),
+        ("fixed:p=0.5", TwoBitFeedback),
+        ("gft-oracle", TwoBitFeedback),
+        ("uniform", TwoBitFeedback),
+    ],
 )
 def test_run_episode_renders_feedback_in_the_learners_model(monkeypatch, learner_id, rendered):
-    # a learner that ignores feedback (requires None) gets two bits
+    # one case per LEARNER_KINDS row; a learner that ignores feedback (requires None) gets two bits
     seen = set()
 
     def recording(model, price, pair):
