@@ -18,7 +18,9 @@ Config format (run): ``{"output": "curves.csv", "runs": [{"learner":
 50, "base_seed": 1}, ...]}``; ``output`` is a non-empty string, and a run
 gives ``horizon`` or ``horizons``, not both, and no other field (a run's
 feedback model is its learner's).  Every run is checked, and the output
-file opened, before any runs.  The env field takes an id string or an
+file opened, before any runs; ``sweep`` and ``verify`` open their
+``--out`` before any work too.  A failed command leaves no file it
+created and keeps an earlier one.  The env field takes an id string or an
 inline object (environments.env_from_config).  Identical config and seeds
 produce byte-identical CSV.
 """
@@ -26,6 +28,7 @@ produce byte-identical CSV.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -76,6 +79,27 @@ def _run_rows(configs) -> list:
     return rows
 
 
+@contextlib.contextmanager
+def _output(path):
+    """Open ``path`` (if any) for the work in the with-block before the work runs.
+
+    The path is opened in append mode, so an unwritable one fails before
+    any work and an earlier file is not truncated.  If the work fails, the
+    file is removed when this call created it; an earlier one is kept.
+    """
+    if not path:
+        yield
+        return
+    created = not os.path.lexists(path)
+    open(path, "a", encoding="utf-8").close()
+    try:
+        yield
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
+
+
 def cmd_run(args) -> int:
     _check_threads(args)
     with open(args.config, "r", encoding="utf-8") as fh:
@@ -105,16 +129,10 @@ def cmd_run(args) -> int:
             n_episodes=entry.get("n_episodes", 1),
             base_seed=entry.get("base_seed", args.seed if args.seed is not None else 0),
         ))
-    created = not os.path.lexists(out_path)
-    open(out_path, "a", encoding="utf-8").close()  # an unwritable path fails before any run
-    try:
+    with _output(out_path):
         rows = _run_rows(configs)
-    except BaseException:
-        if created:  # a failed run leaves no new file and keeps an earlier one
-            os.remove(out_path)
-        raise
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerows([_CSV_HEADER, *rows])
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([_CSV_HEADER, *rows])
     print(f"wrote {len(rows)} rows to {out_path}")
     return 0
 
@@ -126,15 +144,16 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"{flag} must be a finite value in [0, 1], got {value!r}")
     # a count below 1 gives the empty grid, which the sweep rejects by name
     s_values = np.linspace(args.s_min, args.s_max, max(args.points, 0))
-    report = adversarial_deterministic_sweep(
-        spec, args.horizon, s_values=s_values, buyer=args.buyer
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("s", "regret"))
-            for s, r in zip(report.s_values, report.regrets):
-                writer.writerow((_fmt(s), _fmt(r)))
+    with _output(args.out):
+        report = adversarial_deterministic_sweep(
+            spec, args.horizon, s_values=s_values, buyer=args.buyer
+        )
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(("s", "regret"))
+                for s, r in zip(report.s_values, report.regrets):
+                    writer.writerow((_fmt(s), _fmt(r)))
     print(
         f"sweep {spec.learner_id} T={report.horizon} b={_fmt(report.buyer)}: "
         f"max regret {_fmt(report.max_regret)} at s={_fmt(report.argmax_s)}"
@@ -145,7 +164,12 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     _check_threads(args)
     names = resolve_suite_names(args.suite)
-    rows = run_suites(names)
+    with _output(args.out):
+        rows = run_suites(names)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump([r.as_dict() for r in rows], fh, indent=2)
+                fh.write("\n")
     for r in rows:
         status = "PASS" if r.passed else "FAIL"
         print(
@@ -153,9 +177,6 @@ def cmd_verify(args) -> int:
             f"tolerance={r.tolerance:.6g} ({r.runtime_ms:.0f} ms)"
         )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump([r.as_dict() for r in rows], fh, indent=2)
-            fh.write("\n")
         print(f"wrote {len(rows)} checks to {args.out}")
     return 0 if all(r.passed for r in rows) else 1
 

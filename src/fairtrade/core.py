@@ -21,6 +21,12 @@ candidate sets exactly instead of discretizing; ties always break toward
 the smallest price.  The fgft oracle scores its candidates with
 kernels.expected_fgft_at, the one evaluator of E[fgft] that also scores
 posted prices for regret, so v* and every regret term share one sum.
+
+The fgft oracle works over rows of atoms (best_fixed_price_fgft_rows):
+many instances, such as verify's random joints or a batch of point
+masses, are scored in one kernel call, and one joint is the one-row case
+(best_fixed_price_fgft).  atom_rows stacks instances into such rows and
+checks them once over the whole stack.
 """
 
 from __future__ import annotations
@@ -203,12 +209,75 @@ def gft_candidates(sellers: np.ndarray, buyers: np.ndarray) -> np.ndarray:
     return sorted_distinct(np.concatenate([jumps, mids]))
 
 
+def atom_rows(instances, width: int) -> tuple:
+    """Finite-support instances stacked as rows of atoms, checked once over the stack.
+
+    Each instance is a tuple of equal-length columns, its value columns
+    and then its weights: a marginal's (values, weights) or a joint's
+    (sellers, buyers, weights).  Returns one (len(instances), width)
+    float64 array per column and the atom count of each row.  Past its
+    atoms a row repeats its first atom with weight 0, so a per-row kernel
+    reads only +0.0 terms and duplicate candidates from the padding.  The
+    check is FiniteMarginal's and FiniteJointDistribution's, per row:
+    values in [0, 1], positive weights summing to 1 within 1e-12, and
+    pairwise distinct atoms (values of a marginal, pairs of a joint).
+    """
+    counts = np.array([len(instance[-1]) for instance in instances], dtype=np.intp)
+    if not counts.size or counts.min() < 1 or counts.max() > width:
+        raise ValueError(f"each instance needs 1 to {width} atoms")
+    real = np.arange(width) < counts[:, None]
+    columns = []
+    for c in range(len(instances[0])):
+        column = np.zeros((counts.size, width))
+        column[real] = np.concatenate([instance[c] for instance in instances])
+        columns.append(column)
+    *values, weights = columns
+    for column in values:
+        column[~real] = np.repeat(column[:, 0], width - counts)
+    check_atoms(*((column, "values") for column in values))
+    if not np.all(weights > 0.0, where=real):
+        raise ValueError("weights must be strictly positive")
+    if not np.all(np.abs(weights.sum(axis=1) - 1.0) <= WEIGHT_TOL):
+        raise ValueError("weights must sum to 1 within 1e-12")
+    same = np.triu(np.ones((width, width), dtype=bool), 1) & real[:, :, None] & real[:, None, :]
+    for column in values:
+        same &= column[:, :, None] == column[:, None, :]
+    if same.any():
+        raise ValueError("atoms must be pairwise distinct")
+    return (*columns, counts)
+
+
+def best_fixed_price_fgft_rows(sellers, buyers, weights) -> tuple:
+    """Exact maximizer of expected fgft for each row of atoms: (prices, values).
+
+    ``sellers``, ``buyers`` and ``weights`` are (rows, A) per-row atoms.
+    Row r's candidates are 0, 1 and each atom's s, b and (s + b) / 2,
+    sorted stably, so of equal prices 0.0 and then the first listed lead.
+    One kernels.expected_fgft_at call scores every row: several rows take
+    its dense per-row path, one row its sorted path, with bitwise equal
+    sums.  The first argmax of a sorted row is its smallest maximizer, as
+    ties break.  A padded atom (atom_rows) adds only duplicate candidates,
+    which score the same value, and +0.0 terms.
+    """
+    sellers, buyers, weights = (np.asarray(a, dtype=np.float64) for a in (sellers, buyers, weights))
+    rows, A = sellers.shape
+    cands = np.empty((rows, 2 + 3 * A))
+    cands[:, 0], cands[:, 1] = 0.0, 1.0
+    cands[:, 2 : 2 + A], cands[:, 2 + A : 2 + 2 * A] = sellers, buyers
+    np.divide(sellers + buyers, 2.0, out=cands[:, 2 + 2 * A :])
+    cands.sort(axis=1, kind="stable")
+    vals = expected_fgft_at(cands, sellers, buyers, weights)
+    best = np.argmax(vals, axis=1)[:, None]
+    return np.take_along_axis(cands, best, 1)[:, 0], np.take_along_axis(vals, best, 1)[:, 0]
+
+
 def best_fixed_price_fgft(dist: FiniteJointDistribution) -> PricePoint:
-    """Exact maximizer of expected fgft; ties break toward the smallest price."""
-    cands = fgft_candidates(dist.sellers, dist.buyers)
-    vals = expected_fgft_at(cands, dist.sellers, dist.buyers, dist.weights)
-    i = int(np.argmax(vals))  # first max on a sorted grid = smallest price
-    return PricePoint(float(cands[i]), float(vals[i]))
+    """Exact maximizer of expected fgft; ties break toward the smallest price.
+
+    The one-row case of best_fixed_price_fgft_rows.
+    """
+    prices, values = best_fixed_price_fgft_rows(dist.sellers[None], dist.buyers[None], dist.weights[None])
+    return PricePoint(float(prices[0]), float(values[0]))
 
 
 def best_fixed_price_gft(dist: FiniteJointDistribution) -> PricePoint:

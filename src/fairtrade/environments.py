@@ -25,6 +25,9 @@ Named instances:
 * ``det:s=...,b=...``: a single deterministic pair.
 * ``random-ind:seed=...`` / ``random-joint:seed=...``: the seeded random
   independent and joint instances behind the rate checks of ``verify``.
+  Each random family's draw is written once, as a function from a stream
+  to atom lists (_marginal_atoms, _joint_atoms); random_joint_rows draws
+  many joints at once, as rows of atoms, with no environment built.
 
 Each kind is declared once, as a row of ENVIRONMENT_KINDS: its id pattern
 and its constructor.
@@ -46,8 +49,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import FiniteJointDistribution, FiniteMarginal, ValuationPair, product_joint
-from .rng import SplitMix64, _u64
+from .core import FiniteJointDistribution, FiniteMarginal, ValuationPair, atom_rows, product_joint
+from .rng import SplitMix64, _u64, row_streams
 
 
 class FeedbackModel(enum.Enum):
@@ -209,8 +212,10 @@ def _rand_int(stream: SplitMix64, lo: int, hi: int) -> int:
     return lo + int(stream.next_u64() % (hi - lo + 1))
 
 
-def random_marginal(stream: SplitMix64, size: int, lo: float = 0.0, hi: float = 1.0) -> FiniteMarginal:
-    """Finite marginal with ``size`` distinct uniform values and positive weights."""
+def _marginal_atoms(stream: SplitMix64, size: int, lo: float = 0.0, hi: float = 1.0) -> tuple:
+    """The draw of random_marginal: lists of ``size`` distinct uniform values
+    in [lo, hi), redrawn on a repeat, and of their weights, positive and
+    normalized; 2 * size draws when no value repeats."""
     values: list = []
     while len(values) < size:
         v = lo + (hi - lo) * stream.next_unit()
@@ -218,7 +223,12 @@ def random_marginal(stream: SplitMix64, size: int, lo: float = 0.0, hi: float = 
             values.append(v)
     raw = [0.1 + stream.next_unit() for _ in range(size)]
     total = sum(raw)
-    return FiniteMarginal(values, [w / total for w in raw])
+    return values, [w / total for w in raw]
+
+
+def random_marginal(stream: SplitMix64, size: int, lo: float = 0.0, hi: float = 1.0) -> FiniteMarginal:
+    """Finite marginal with ``size`` distinct uniform values and positive weights."""
+    return FiniteMarginal(*_marginal_atoms(stream, size, lo, hi))
 
 
 def random_independent_env(seed: int) -> Environment:
@@ -237,16 +247,17 @@ def random_independent_env(seed: int) -> Environment:
     return Environment(_format_id("random-ind", seed=seed), product_joint(seller, buyer))
 
 
-def random_joint_env(seed: int) -> Environment:
-    """Finite joint with 3..6 distinct uniform atoms (dependence allowed).
+# draws of a random joint without a redraw: its size, then 6 pairs and 6 weights at most
+_JOINT_DRAWS = 1 + 3 * 6
 
-    Atom sets are redrawn until some atom has buyer at least 0.1 above
-    seller, keeping the optimal expected reward away from zero (an all
-    seller-above-buyer draw would make every price score exactly zero and
-    break regret-positivity preconditions downstream).
+
+def _joint_atoms(stream: SplitMix64) -> tuple:
+    """The draw of random_joint_env: lists of its sellers, buyers and weights.
+
+    3..6 distinct uniform pairs, a repeated pair redrawn, and the whole
+    set redrawn until some pair has its buyer at least 0.1 above its
+    seller; then positive normalized weights.
     """
-    seed = _u64(seed)
-    stream = SplitMix64(seed)
     n = _rand_int(stream, 3, 6)
     while True:
         pairs: list = []
@@ -258,8 +269,34 @@ def random_joint_env(seed: int) -> Environment:
             break
     raw = [0.1 + stream.next_unit() for _ in range(n)]
     total = sum(raw)
-    dist = FiniteJointDistribution([(p, w / total) for p, w in zip(pairs, raw)])
+    sellers, buyers = zip(*pairs)
+    return list(sellers), list(buyers), [w / total for w in raw]
+
+
+def random_joint_env(seed: int) -> Environment:
+    """Finite joint with 3..6 distinct uniform atoms (dependence allowed).
+
+    Atom sets are redrawn until some atom has buyer at least 0.1 above
+    seller, keeping the optimal expected reward away from zero (an all
+    seller-above-buyer draw would make every price score exactly zero and
+    break regret-positivity preconditions downstream).
+    """
+    seed = _u64(seed)
+    sellers, buyers, weights = _joint_atoms(SplitMix64(seed))
+    dist = FiniteJointDistribution(zip(zip(sellers, buyers), weights))
     return Environment(_format_id("random-joint", seed=seed), dist)
+
+
+def random_joint_rows(seeds) -> tuple:
+    """The atoms of random_joint_env(seed) for every seed, as rows of 6 atoms.
+
+    Returns core.atom_rows's sellers, buyers, weights and atom counts.
+    Each seed's stream is a rng.RowStream whose first _JOINT_DRAWS words
+    come from one draw_rows pass over all seeds, so no instance takes a
+    scalar draw unless it redraws.
+    """
+    streams = row_streams([_u64(seed) for seed in seeds], _JOINT_DRAWS)
+    return atom_rows([_joint_atoms(stream) for stream in streams], 6)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,7 @@ from .algorithms import (
 )
 from .core import (
     best_fixed_price_fgft,
+    best_fixed_price_fgft_rows,
     check_atoms,
     fgft,
     fgft_candidates,
@@ -82,7 +83,7 @@ from .environments import (
     render_feedback,
     sample_valuations,
 )
-from .rng import SplitMix64, _count, _u64, mix64, unit_draws
+from .rng import SplitMix64, _count, _u64, draw_rows, mix64
 
 # Points per array pass of profile_regret, at most POINT_BLOCK and at most
 # POINT_ROUNDS // (exploration rounds): bounds each scratch array of a pass
@@ -201,17 +202,6 @@ class IndistinguishabilityReport:
     coupled_trajectories_equal: bool
 
 
-def _draw_rows(seeds, n: int) -> np.ndarray:
-    """The first n uniforms of each seed's stream, one row per seed, shape (len(seeds), n).
-
-    Each row is written into one preallocated array, so no row is held twice.
-    """
-    draws = np.empty((len(seeds), n), dtype=np.float64)
-    for row, seed in zip(draws, seeds):
-        row[:] = unit_draws(seed, n)
-    return draws
-
-
 class _EnvTables:
     """Per-environment oracle data for fast regret evaluation.
 
@@ -238,7 +228,7 @@ class _EnvTables:
 
     def draw(self, seeds, n: int) -> tuple:
         """(seller values, buyer values) of rounds 1..n, one row per episode seed."""
-        j = kernels._atoms_at(self.cum, _draw_rows(seeds, n))
+        j = kernels._atoms_at(self.cum, draw_rows(seeds, n))
         return self.sellers[j], self.buyers[j]
 
     @functools.cached_property
@@ -262,19 +252,17 @@ class _PointMasses(_EnvTables):
 
     Every draw lands on a point's atom, so draw() yields the values
     themselves and takes no random draws.  The atoms are per-row atoms of
-    kernels.expected_fgft_at; v* is the best of the candidates
-    {0, 1, s, b, (s+b)/2} and the gft oracle posts s when s < b, else 0,
-    exactly what core.best_fixed_price_fgft and best_fixed_price_gft find
-    on one atom.
+    kernels.expected_fgft_at, and v* is core.best_fixed_price_fgft_rows's
+    value on them: one oracle call for the batch, each row's v* what
+    core.best_fixed_price_fgft finds on its one atom.  The gft oracle
+    posts s when s < b, else 0, what best_fixed_price_gft finds.
     """
 
     def __init__(self, sellers: np.ndarray, buyers: np.ndarray):
         check_atoms((sellers, "seller values"), (buyers, "buyer values"))
         self.sellers, self.buyers = sellers[:, None], buyers[:, None]
         self.weights = np.ones_like(self.sellers)
-        mids = (sellers + buyers) / 2.0
-        cands = np.column_stack([np.zeros_like(mids), np.ones_like(mids), sellers, buyers, mids])
-        self.v_star = np.max(self.mean_at(cands), axis=1)
+        self.v_star = best_fixed_price_fgft_rows(self.sellers, self.buyers, self.weights)[1]
         self.gft_price = np.where(sellers < buyers, sellers, 0.0)
 
     def draw(self, seeds, n: int) -> tuple:
@@ -653,7 +641,7 @@ def _coupled_commits(env: Environment, K: int, seeds) -> np.ndarray:
     conv_pricing_commit does.
     """
     cum = np.cumsum(feedback_tables(env, np.arange(1, K + 1, dtype=np.float64) / K), axis=1)
-    outcomes = np.minimum(np.sum(cum <= _draw_rows(seeds, K)[:, :, None], axis=2), 3)  # column index 2v + w
+    outcomes = np.minimum(np.sum(cum <= draw_rows(seeds, K)[:, :, None], axis=2), 3)  # column index 2v + w
     return kernels.grid_commits(outcomes >= 2, outcomes % 2, K)
 
 

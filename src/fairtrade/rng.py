@@ -5,10 +5,15 @@ advances by a fixed odd constant and the output is the standard three-round
 multiply-xorshift finalizer.  splitmix64 is a counter generator: the t-th
 state is seed + t * GOLDEN mod 2**64, so the t-th output depends on t alone.
 The reference loop steps the stream one Python integer at a time
-(SplitMix64); the kernels in kernels.py compute a run of draws in one
-uint64 NumPy pass (unit_draws), a whole episode or one block of it.  Both
-give the same doubles, so a trajectory is reproducible bit for bit across
-platforms and between the kernels and the reference loop.
+(SplitMix64).  The array paths take a run of draws of a column of seeds
+in one uint64 NumPy pass (draw_rows): the Monte Carlo episodes of a run,
+or one block of one stream (unit_draws, which kernels.py reads).  Code
+that draws with Python control flow, such as the rejection loops of the
+random environments, reads a RowStream: each seed's first draws come from
+one draw_rows pass over all seeds (row_streams), and the stream steps on
+as SplitMix64 past the row's end.  Every path gives the same words and
+doubles, so a trajectory is reproducible bit for bit across platforms and
+between the kernels and the reference loop.
 
 Uniform doubles are built as (u64 >> 11) * 2**-53, i.e. 53 random bits in
 [0, 1).
@@ -28,6 +33,8 @@ MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 MIX_A = 0xBF58476D1CE4E5B9
 MIX_B = 0x94D049BB133111EB
+# Words per pass of draw_rows: its one scratch array (64 KiB) is one block.
+DRAW_BLOCK = 8192
 
 
 def _whole(value, name: str) -> int:
@@ -98,22 +105,74 @@ class SplitMix64:
         return u64_to_unit(self.next_u64())
 
 
-def unit_draws(seed: int, n: int, start: int = 0) -> np.ndarray:
-    """Values start+1 .. start+n of SplitMix64(seed).next_unit(), in one pass.
+def draw_rows(seeds, n: int, start: int = 0, unit: bool = True) -> np.ndarray:
+    """Draws start+1 .. start+n of each seed's stream, one row per seed, in one pass.
 
-    The t-th value depends on t alone, so unit_draws(seed, n, start) is
-    unit_draws(seed, start + n)[start:], bit for bit: a long stream can be
-    drawn in blocks, each from its own start, with scratch of one block.
-    Every step is an array operation: uint64 arrays wrap silently mod 2**64,
-    whereas an overflowing np.uint64 scalar operation warns.
+    Row i of the (len(seeds), n) result holds those values of
+    SplitMix64(seeds[i]).next_unit() when ``unit`` is set, else of
+    next_u64() as uint64: a unit draw is the word's top 53 bits times
+    2**-53.  The t-th value depends on t alone (the state is
+    seed + t * GOLDEN), so a row may start anywhere in its stream.
+
+    The words are computed in place in the float64 result, through its
+    uint64 view, DRAW_BLOCK words at a time.  Besides the result the
+    scratch is one row of counters and one block of shifted words, which
+    the cast to doubles reads too: NumPy would copy the whole of an operand
+    that overlaps its output.  Every step is an array operation: uint64
+    arrays wrap silently mod 2**64, whereas an overflowing np.uint64
+    scalar operation warns.
     """
-    z = np.arange(int(start) + 1, int(start) + int(n) + 1, dtype=np.uint64)
-    z *= np.uint64(GOLDEN)
-    z += np.uint64(int(seed) & MASK64)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(MIX_A)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(MIX_B)
-    z ^= z >> np.uint64(31)
-    z >>= np.uint64(11)
-    return z.astype(np.float64) * 2.0**-53
+    out = np.empty((len(seeds), int(n)), dtype=np.float64)
+    words = out.view(np.uint64)
+    words[:] = np.arange(int(start) + 1, int(start) + int(n) + 1, dtype=np.uint64)
+    words *= np.uint64(GOLDEN)
+    words += np.array([int(seed) & MASK64 for seed in seeds], dtype=np.uint64)[:, None]
+    flat, units = words.reshape(-1), out.reshape(-1)
+    shifted = np.empty(min(flat.size, DRAW_BLOCK), dtype=np.uint64)
+    for lo in range(0, flat.size, DRAW_BLOCK):
+        z = flat[lo : lo + DRAW_BLOCK]
+        t = shifted[: z.size]
+        z ^= np.right_shift(z, np.uint64(30), out=t)
+        z *= np.uint64(MIX_A)
+        z ^= np.right_shift(z, np.uint64(27), out=t)
+        z *= np.uint64(MIX_B)
+        z ^= np.right_shift(z, np.uint64(31), out=t)
+        if unit:
+            np.multiply(np.right_shift(z, np.uint64(11), out=t), 2.0**-53, out=units[lo : lo + DRAW_BLOCK])
+    return out if unit else words
+
+
+def unit_draws(seed: int, n: int, start: int = 0) -> np.ndarray:
+    """Values start+1 .. start+n of SplitMix64(seed).next_unit(): one row of draw_rows.
+
+    unit_draws(seed, n, start) is unit_draws(seed, start + n)[start:], bit
+    for bit, so a long stream can be drawn in blocks, each from its own
+    start, with scratch of one block.
+    """
+    return draw_rows((seed,), n, start)[0]
+
+
+class RowStream(SplitMix64):
+    """SplitMix64(seed) whose first draws come from a row drawn beforehand.
+
+    ``row`` holds the stream's first p words (Python ints, a row of
+    draw_rows(..., unit=False)).  Past them the stream steps on from state
+    seed + p * GOLDEN, where SplitMix64(seed) stands after p draws, so
+    every word, and every unit draw, is bitwise SplitMix64(seed)'s.
+    """
+
+    __slots__ = ("_row",)
+
+    def __init__(self, seed: int, row):
+        super().__init__(seed + len(row) * GOLDEN)
+        self._row = iter(row)
+
+    def next_u64(self) -> int:
+        for z in self._row:
+            return z
+        return super().next_u64()
+
+
+def row_streams(seeds, n: int) -> list:
+    """One RowStream per seed, its first n words from one draw_rows pass."""
+    return [RowStream(seed, row) for seed, row in zip(seeds, draw_rows(seeds, n, unit=False).tolist())]

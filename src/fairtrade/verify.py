@@ -27,8 +27,9 @@ import numpy as np
 
 from . import kernels
 from .algorithms import dbs_regret_bound, parse_learner
-from .core import best_fixed_price_fgft, fgft_vector
+from .core import atom_rows, best_fixed_price_fgft, best_fixed_price_fgft_rows, fgft_vector
 from .environments import (
+    _marginal_atoms,
     _rand_int,
     epsilon_family,
     epsilon_family_expected_fgft,
@@ -38,7 +39,7 @@ from .environments import (
     parse_env,
     random_independent_env,
     random_joint_env,
-    random_marginal,
+    random_joint_rows,
 )
 from .harness import (
     RunConfig,
@@ -49,7 +50,7 @@ from .harness import (
     profile_regret,
     run_monte_carlo,
 )
-from .rng import SplitMix64, mix64
+from .rng import mix64, row_streams
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,8 @@ def _check(names, fn) -> list:
 # ---------------------------------------------------------------------------
 
 _SANDWICH_SEED = 12001
+# a sandwich stream's draws without a redraw: per side a size, 5 values and 5 weights at most
+_SANDWICH_DRAWS = 2 * (1 + 5 + 5)
 _RATE_ENV_SEEDS = (101, 202)
 _RATE_MC_SEED = 7
 _FULL_ENV_SEEDS = (303, 404)
@@ -135,30 +138,31 @@ def suite_sandwich() -> list:
     For an independent pair, the grid score at index i equals a
     left-endpoint Riemann sum of the CDF/co-CDF overlap integral, so it
     must lie within [0, 1/K] above the exact expected fgft at price i/K.
-    The 100 instances are arrays from the start: each side's marginals
-    are padded (100, 5) rows of values and weights, zero weights past a
-    marginal's atoms.  Each K sums all CDF rows P[S <= i/K] = sum_k
-    w_k * 1{v_k <= i/K} and co-CDF rows P[B >= i/K] over the five padded
+    The 100 instances are arrays from the start: one draw_rows pass gives
+    every instance's stream its first _SANDWICH_DRAWS words (row_streams),
+    each stream draws a seller and then a buyer marginal of 2..5 atoms,
+    and core.atom_rows stacks each side as (100, 5) rows of values and
+    weights, checked once.  A padded column has weight 0 (real weights are
+    positive), and its value is then set to 1 on the seller's side and 0
+    on the buyer's.  Each K sums all CDF rows P[S <= i/K] = sum_k
+    w_k * 1{v_k <= i/K} and co-CDF rows P[B >= i/K] over the five
     columns, k in order, and kernels.incomplete_convolution, the grid
     learner's full scorer, takes them as real-valued (100, K) rows.  One
     expected_fgft_at call takes the product atoms as (100, 25) per-row
     atoms: seller value i and buyer value j at column 5i + j, so each
     instance's atoms keep product_joint's order, with the padded ones
-    between them.  A padded atom has weight 0 and an empty interval (a
-    seller pad at 1, a buyer pad at 0), so it adds +0.0 to a non-negative
-    sum, and every exact value is bitwise the one from that instance's
-    product_joint alone.
+    between them.  A padded atom has weight 0 and an empty interval (its
+    seller at 1 or its buyer at 0), so it adds +0.0 to a non-negative sum
+    and no in-interval term to the sorted-row path, and every exact value
+    is bitwise the one from that instance's product_joint alone.
     """
 
     def body():
-        seller_values, seller_weights, buyer_values, buyer_weights = np.zeros((4, 100, 5))
-        seller_values[:] = 1.0
-        for rep in range(100):
-            stream = SplitMix64(mix64(_SANDWICH_SEED, rep))
-            for values, weights in ((seller_values, seller_weights), (buyer_values, buyer_weights)):
-                marginal = random_marginal(stream, _rand_int(stream, 2, 5))
-                values[rep, : marginal.values.size] = marginal.values
-                weights[rep, : marginal.values.size] = marginal.weights
+        streams = row_streams([mix64(_SANDWICH_SEED, rep) for rep in range(100)], _SANDWICH_DRAWS)
+        sides = [[_marginal_atoms(stream, _rand_int(stream, 2, 5)) for _ in "sb"] for stream in streams]
+        seller_values, seller_weights, _ = atom_rows([seller for seller, _ in sides], 5)
+        buyer_values, buyer_weights, _ = atom_rows([buyer for _, buyer in sides], 5)
+        seller_values[seller_weights == 0.0], buyer_values[buyer_weights == 0.0] = 1.0, 0.0
         atoms = (
             np.repeat(seller_values, 5, axis=1),
             np.tile(buyer_values, 5),
@@ -347,21 +351,24 @@ def suite_epsilon_family() -> list:
 
 
 def suite_oracle_equivalence() -> list:
-    """Breakpoint-enumeration oracle vs a dense brute-force price grid."""
+    """Breakpoint-enumeration oracle vs a dense brute-force price grid.
+
+    The 100 random joints are drawn as rows of atoms
+    (environments.random_joint_rows: one draw_rows pass, no environment
+    built), and core.best_fixed_price_fgft_rows scores every oracle in one
+    call.  The brute force stays one sorted-row expected_fgft_at call per
+    joint, on its own atoms only: one call over all rows would take the
+    dense path over every grid price.
+    """
 
     def body():
         grid = np.arange(10001, dtype=np.float64) / 10000.0
+        sellers, buyers, weights, counts = random_joint_rows(mix64(_ORACLE_SEED, rep) for rep in range(100))
+        oracles = best_fixed_price_fgft_rows(sellers, buyers, weights)[1]
         worst = 0.0
-        for rep in range(100):
-            env = random_joint_env(mix64(_ORACLE_SEED, rep))
-            joint = env.joint
-            brute = float(
-                np.max(
-                    kernels.expected_fgft_at(grid, joint.sellers, joint.buyers, joint.weights)
-                )
-            )
-            oracle = best_fixed_price_fgft(joint).value
-            worst = max(worst, abs(oracle - brute))
+        for s, b, w, n, oracle in zip(sellers, buyers, weights, counts, oracles):
+            brute = float(np.max(kernels.expected_fgft_at(grid, s[:n], b[:n], w[:n])))
+            worst = max(worst, abs(float(oracle) - brute))
         return worst <= 1e-4, worst, 1e-4
 
     return _check("oracle-equivalence", body)

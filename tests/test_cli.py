@@ -469,6 +469,48 @@ def test_verify_exit_one_when_a_check_fails(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
+# sweep and verify outputs, opened before the work as run's is
+# ---------------------------------------------------------------------------
+
+# command -> (argv before --out, the cli global that does its work)
+_WORK = {
+    "sweep": (["sweep", "--learner", "dbs", "--horizon", "64", "--points", "5"], "adversarial_deterministic_sweep"),
+    "verify": (["verify", "--suite", "gft-trap"], "run_suites"),
+}
+
+
+@pytest.mark.parametrize("command", list(_WORK))
+def test_unwritable_output_fails_before_the_work(tmp_path, capsys, monkeypatch, command):
+    argv, work = _WORK[command]
+    calls = []
+    monkeypatch.setattr(cli, work, lambda *a, **k: calls.append(a))
+    assert cli.main([*argv, "--out", str(tmp_path / "no" / "such" / "x.out")]) == 2
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] ")
+
+
+@pytest.mark.parametrize("earlier", [True, False])
+@pytest.mark.parametrize("command", list(_WORK))
+def test_failed_work_keeps_an_earlier_output_and_leaves_no_new_one(tmp_path, capsys, monkeypatch, command, earlier):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    argv, work = _WORK[command]
+    monkeypatch.setattr(cli, work, out_of_memory)
+    out = tmp_path / "x.out"
+    if earlier:
+        out.write_text("earlier\n", encoding="utf-8")
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: out of memory: ")
+    if earlier:
+        assert out.read_text(encoding="utf-8") == "earlier\n"
+    else:
+        assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
 # README
 # ---------------------------------------------------------------------------
 

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairtrade.core import (
     FiniteJointDistribution,
     FiniteMarginal,
     PricePoint,
+    atom_rows,
     best_fixed_price_fgft,
+    best_fixed_price_fgft_rows,
     best_fixed_price_gft,
     fgft,
     fgft_candidates,
@@ -18,7 +20,8 @@ from fairtrade.core import (
     product_joint,
     sorted_distinct,
 )
-from fairtrade.environments import deterministic, gft_trap, lb_mu, lb_nu
+from fairtrade.environments import deterministic, epsilon_family, gft_trap, lb_mu, lb_nu
+from fairtrade.kernels import expected_fgft_at
 from reference import (
     discrete_convolution_score,
     empirical_best_price,
@@ -270,6 +273,61 @@ def test_oracles_dominate_dense_grid():
         best = best_fixed_price_fgft(joint)
         dense = max(expected_fgft(joint, p) for p in grid)
         assert best.value >= dense - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the row oracle against the breakpoint oracle of one joint
+# ---------------------------------------------------------------------------
+
+
+def _breakpoint_oracle(dist) -> tuple:
+    """The first maximizer over the sorted distinct candidates, scored on one sorted row."""
+    cands = fgft_candidates(dist.sellers, dist.buyers)
+    vals = expected_fgft_at(cands, dist.sellers, dist.buyers, dist.weights)
+    i = int(np.argmax(vals))
+    return cands[i].hex(), vals[i].hex()
+
+
+# few coordinates, both zeros, so that atoms share coordinates and midpoints and values tie
+_COORDS = st.sampled_from([0.0, -0.0, 0.1, 0.25, 0.3, 0.5, 0.6, 0.75, 1.0]) | st.floats(0.0, 1.0)
+_JOINTS = st.lists(
+    st.lists(
+        st.tuples(st.tuples(_COORDS, _COORDS), st.floats(0.1, 1.0)),
+        min_size=1, max_size=6, unique_by=lambda atom: (atom[0][0] + 0.0, atom[0][1] + 0.0),
+    ),
+    min_size=1, max_size=5,
+)
+
+
+def _oracle_rows(joints, width):
+    """Each joint's (sellers, buyers, weights) as padded rows, and its distribution."""
+    instances, dists = [], []
+    for atoms in joints:
+        total = sum(w for _, w in atoms)
+        dist = FiniteJointDistribution([(pair, w / total) for pair, w in atoms])
+        instances.append((dist.sellers.tolist(), dist.buyers.tolist(), dist.weights.tolist()))
+        dists.append(dist)
+    return atom_rows(instances, width)[:3], dists
+
+
+@settings(max_examples=150, deadline=None)
+@given(_JOINTS, st.integers(0, 2))
+def test_row_oracle_is_the_joint_oracle_bitwise(joints, extra):
+    rows, dists = _oracle_rows(joints, max(map(len, joints)) + extra)
+    prices, values = best_fixed_price_fgft_rows(*rows)
+    for price, value, dist in zip(prices, values, dists):
+        best = best_fixed_price_fgft(dist)
+        assert (price.hex(), value.hex()) == (best.price.hex(), best.value.hex()) == _breakpoint_oracle(dist)
+
+
+def test_row_oracle_breaks_a_flat_top_to_the_smallest_price():
+    # eps-family at eps = 0 is flat on [1/2, 5/8]; the second row makes the call dense
+    flat, other = epsilon_family(0.0).joint, lb_mu().joint
+    instances = [(j.sellers.tolist(), j.buyers.tolist(), j.weights.tolist()) for j in (flat, other)]
+    prices, values = best_fixed_price_fgft_rows(*atom_rows(instances, 3)[:3])
+    assert (prices[0], values[0]) == (0.5, 3.0 / 8.0)
+    assert (prices[1], values[1]) == tuple(best_fixed_price_fgft(other))
+    assert tuple(best_fixed_price_fgft(flat)) == (0.5, 3.0 / 8.0)
 
 
 # ---------------------------------------------------------------------------

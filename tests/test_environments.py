@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairtrade.algorithms import LEARNER_ID_PATTERNS, parse_learner
-from fairtrade.core import gft_candidates
+from fairtrade.core import atom_rows, gft_candidates
 from fairtrade.environments import (
     ENVIRONMENT_ID_PATTERNS,
     ENVIRONMENT_KINDS,
@@ -25,12 +25,17 @@ from fairtrade.environments import (
     lb_mu,
     lb_nu,
     parse_env,
+    _JOINT_DRAWS,
+    _joint_atoms,
+    _marginal_atoms,
     random_independent_env,
     random_joint_env,
+    random_joint_rows,
+    random_marginal,
     render_feedback,
     sample_valuations,
 )
-from fairtrade.rng import MASK64, SplitMix64
+from fairtrade.rng import MASK64, SplitMix64, mix64, row_streams
 from reference import epsilon_family_fgft, expected_fgft
 
 
@@ -336,6 +341,84 @@ def test_random_env_ids_of_whole_seeds_parse_back(make, seed):
     env = make(seed)
     assert env.env_id.endswith(f"seed={int(seed)}")
     assert _same_atoms(parse_env(env.env_id), env)
+
+
+class _CountingStream(SplitMix64):
+    __slots__ = ("draws",)
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def next_u64(self):
+        self.draws += 1
+        return super().next_u64()
+
+
+# seed 0 redraws its six pairs, so its stream runs 31 draws, past the 19 drawn beforehand
+_JOINT_SEEDS = [0, 15, 404, MASK64, mix64(9100, 17), mix64(9100, 3)]
+
+
+def test_joint_seed_zero_draws_past_its_row():
+    stream = _CountingStream(0)
+    _joint_atoms(stream)
+    assert stream.draws > _JOINT_DRAWS
+
+
+def test_random_joint_rows_are_random_joint_env():
+    sellers, buyers, weights, counts = random_joint_rows(_JOINT_SEEDS)
+    assert sellers.shape == (len(_JOINT_SEEDS), 6)
+    for r, seed in enumerate(_JOINT_SEEDS):
+        joint, n = random_joint_env(seed).joint, counts[r]
+        for got, want in ((sellers, joint.sellers), (buyers, joint.buyers), (weights, joint.weights)):
+            assert got[r, :n].tobytes() == want.tobytes()
+        # the padding repeats the first atom with weight 0
+        assert (sellers[r, n:] == joint.sellers[0]).all() and (buyers[r, n:] == joint.buyers[0]).all()
+        assert (weights[r, n:] == 0.0).all()
+
+
+@pytest.mark.parametrize("prefix", [0, 1, 3, 10])
+def test_marginal_rows_are_random_marginal(prefix):
+    # a short row makes the marginal's draws run past it into SplitMix64's stream
+    seeds, size, lo, hi = _JOINT_SEEDS[:4], 4, 0.2, 0.6
+    values, weights, counts = atom_rows([_marginal_atoms(s, size, lo, hi) for s in row_streams(seeds, prefix)], 5)
+    assert counts.tolist() == [size] * len(seeds)
+    for r, seed in enumerate(seeds):
+        marginal = random_marginal(SplitMix64(seed), size, lo, hi)
+        assert values[r, :size].tobytes() == marginal.values.tobytes()
+        assert weights[r, :size].tobytes() == marginal.weights.tobytes()
+
+
+_GOOD_ROWS = [([0.1, 0.2], [0.5, 0.9], [0.25, 0.75]), ([0.3], [0.4], [1.0])]
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        ([0.1, float("nan")], [0.5, 0.9], [0.25, 0.75]),
+        ([0.1, 0.2], [0.5, 1.5], [0.25, 0.75]),
+        ([0.1, 0.2], [0.5, 0.9], [0.0, 1.0]),
+        ([0.1, 0.2], [0.5, 0.9], [-0.25, 1.25]),
+        ([0.1, 0.2], [0.5, 0.9], [float("nan"), 1.0]),
+        ([0.1, 0.2], [0.5, 0.9], [0.25, 0.5]),
+        ([0.1, 0.1], [0.5, 0.5], [0.25, 0.75]),
+        ([], [], []),
+    ],
+    ids=["nan-value", "above-one", "zero-weight", "negative-weight", "nan-weight", "sum", "duplicate-pair", "empty"],
+)
+def test_atom_rows_reject_a_bad_row(row):
+    assert len(atom_rows(_GOOD_ROWS, 3)[-1]) == 2
+    with pytest.raises(ValueError):
+        atom_rows([*_GOOD_ROWS, row], 3)
+
+
+def test_atom_rows_allow_a_shared_coordinate_and_reject_too_many_atoms():
+    # pairs differ when one coordinate does; a marginal's values must differ
+    atom_rows([([0.1, 0.1], [0.5, 0.9], [0.5, 0.5])], 2)
+    with pytest.raises(ValueError):
+        atom_rows([([0.1, 0.1], [0.5, 0.5])], 2)
+    with pytest.raises(ValueError):
+        atom_rows(_GOOD_ROWS, 1)
 
 
 _FLOAT_CONSTRUCTORS = {

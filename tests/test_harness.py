@@ -752,6 +752,20 @@ def test_profile_regret_over_horizons_matches_each_horizon(learner, pairs, block
             assert regret == pytest.approx(pseudo_regret(env, trajectory), rel=0.0, abs=1e-12 * T)
 
 
+def test_point_mass_v_star_is_the_candidate_columns_max_on_the_dbs_grid():
+    # dbs-bound's 65 x 65 grid: the row oracle's v* is, bitwise, the max over
+    # each point's own {0, 1, s, b, (s+b)/2} columns, and each point's joint oracle
+    grid = np.linspace(0.0, 1.0, 65)
+    sellers, buyers = (a.ravel() for a in np.meshgrid(grid, grid))
+    masses = _PointMasses(sellers, buyers)
+    mids = (sellers + buyers) / 2.0
+    cands = np.column_stack([np.zeros_like(mids), np.ones_like(mids), sellers, buyers, mids])
+    columns = kernels.expected_fgft_at(cands, sellers[:, None], buyers[:, None], np.ones((sellers.size, 1)))
+    assert masses.v_star.tobytes() == np.max(columns, axis=1).tobytes()
+    for i in range(0, sellers.size, 97):
+        assert masses.v_star[i] == best_fixed_price_fgft(deterministic(sellers[i], buyers[i]).joint).value
+
+
 def test_profile_regret_over_horizons_keeps_the_pair_shape():
     spec, pair = parse_learner("dbs"), (0.25, 0.75)
     regrets = profile_regret(spec, [8, 16, 100], pair)

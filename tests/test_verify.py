@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from fairtrade import core, harness, kernels, verify
-from fairtrade.core import FiniteJointDistribution, PricePoint, best_fixed_price_fgft, fgft_candidates
-from fairtrade.environments import Environment, epsilon_family
+from fairtrade.core import FiniteJointDistribution, best_fixed_price_fgft, fgft_candidates
+from fairtrade.environments import Environment, epsilon_family, random_marginal
 from fairtrade.verify import (
     SUITE_ORDER,
     SUITES,
     UnknownSuiteError,
     random_independent_env,
     random_joint_env,
-    random_marginal,
     resolve_suite_names,
     run_suite,
     run_suites,
@@ -117,13 +116,19 @@ def _fbep_posts_one_half_forever(monkeypatch):
 
 
 def _oracle_returns_second_best(monkeypatch):
-    def second_best(dist):
-        cands = fgft_candidates(dist.sellers, dist.buyers)
-        vals = kernels.expected_fgft_at(cands, dist.sellers, dist.buyers, dist.weights)
-        i = int(np.argsort(vals, kind="stable")[-2])
-        return PricePoint(float(cands[i]), float(vals[i]))
+    # each row's second best of its distinct candidates; the joint oracle is
+    # the row oracle's one-row case, so both suites' oracles take the mutation
+    def second_best(sellers, buyers, weights):
+        best = []
+        for s, b, w in zip(sellers, buyers, weights):
+            cands = fgft_candidates(s, b)
+            vals = kernels.expected_fgft_at(cands, s, b, w)
+            i = int(np.argsort(vals, kind="stable")[-2])
+            best.append((cands[i], vals[i]))
+        return tuple(np.array(column) for column in zip(*best))
 
-    monkeypatch.setattr(verify, "best_fixed_price_fgft", second_best)
+    for module in (core, verify):
+        monkeypatch.setattr(module, "best_fixed_price_fgft_rows", second_best)
 
 
 def _gft_oracle_posts_the_fgft_optimum(monkeypatch):
@@ -251,6 +256,35 @@ def test_point_mass_suites_bisect_each_point_once(monkeypatch, suite, points):
     monkeypatch.setattr(kernels, "dbs_explore", counting)
     assert all(row.passed for row in run_suite(suite))
     assert (len(rows), sum(rows)) == (-(-points // harness.POINT_BLOCK), points)
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that logs each call's arguments."""
+    calls, original = [], getattr(owner, name)
+
+    def logged(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, logged)
+    return calls
+
+
+def test_oracle_equivalence_scores_every_oracle_in_one_call(monkeypatch):
+    # core reads expected_fgft_at by name, so the oracle's calls are core's
+    brute = _counting(monkeypatch, kernels, "expected_fgft_at")
+    oracle = _counting(monkeypatch, core, "expected_fgft_at")
+    joints = _counting(monkeypatch, core.FiniteJointDistribution, "__init__")
+    assert all(row.passed for row in run_suite("oracle-equivalence"))
+    assert [np.shape(prices) for prices, *_ in brute] == [(10001,)] * 100
+    assert [np.shape(prices)[0] for prices, *_ in oracle] == [100]
+    assert joints == []
+
+
+def test_sandwich_builds_no_marginal(monkeypatch):
+    marginals = _counting(monkeypatch, core.FiniteMarginal, "__init__")
+    assert all(row.passed for row in run_suite("sandwich"))
+    assert marginals == []
 
 
 def test_known_weak_rows_have_no_mutation():
