@@ -22,11 +22,20 @@ the smallest price.  The fgft oracle scores its candidates with
 kernels.expected_fgft_at, the one evaluator of E[fgft] that also scores
 posted prices for regret, so v* and every regret term share one sum.
 
-The fgft oracle works over rows of atoms (best_fixed_price_fgft_rows):
-many instances, such as verify's random joints or a batch of point
-masses, are scored in one kernel call, and one joint is the one-row case
-(best_fixed_price_fgft).  atom_rows stacks instances into such rows and
-checks them once over the whole stack.
+Each finite-support rule is written once, over rows of atoms, and its
+per-instance form is the one-row case.  Many instances, such as verify's
+random joints or a batch of point masses, are then one call:
+
+* check_atom_rows checks atoms (values in [0, 1], positive weights
+  summing to 1, distinct atoms); the FiniteMarginal and
+  FiniteJointDistribution constructors check their instance as one row,
+  and atom_rows checks a stack of instances, padding masked off;
+* product_joint_rows couples seller and buyer atoms independently, and
+  product_joint is its one row;
+* fgft_candidate_rows lists the fgft candidates, and fgft_candidates is
+  its one row, deduplicated;
+* best_fixed_price_fgft_rows finds each row's best fixed price in one
+  kernel call, and best_fixed_price_fgft is its one row.
 """
 
 from __future__ import annotations
@@ -68,17 +77,43 @@ def fgft_vector(prices: np.ndarray, seller: float, buyer: float) -> np.ndarray:
     return np.minimum(np.maximum(prices - seller, 0.0), np.maximum(buyer - prices, 0.0))
 
 
-def check_atoms(*named, weights=None) -> None:
-    """Each (values, name) lies in [0, 1]; weights, if given, are positive and sum to 1.  NaN fails."""
+def check_atoms(*named) -> None:
+    """Each (values, name) array lies in [0, 1].  NaN fails."""
     for values, name in named:
-        if not np.all((values >= 0.0) & (values <= 1.0)):
+        if not ((values >= 0.0) & (values <= 1.0)).all():
             raise ValueError(f"{name} must lie in [0, 1]")
-    if weights is None:
-        return
-    if not np.all(weights > 0.0):
+
+
+def check_atom_rows(values, weights, real=True) -> None:
+    """The one check of finite-support atoms, over (rows, A) columns.
+
+    ``values`` is a (1, rows, A) array of a marginal's values or a
+    (2, rows, A) one of a joint's sellers and buyers, and ``weights`` their
+    weights; ``real`` masks each row's atoms off from its padding
+    (atom_rows), and a constructor checks its one instance as one unpadded
+    row.  Values lie in [0, 1]; a row's atoms have positive weights,
+    summing to 1 within 1e-12 with the padding's, and are pairwise
+    distinct (values of a marginal, pairs of a joint).  Each row is
+    sorted, its padding last, and compared with its neighbours, so the
+    check takes memory linear in the atoms.  NaN fails, and -0.0 equals
+    0.0.
+    """
+    if not weights.shape[-1]:
+        raise ValueError("an instance needs at least one atom")
+    check_atoms(*zip(values, ("values",) if len(values) == 1 else ("seller values", "buyer values")))
+    if not (weights > 0.0).all(where=real):
         raise ValueError("weights must be strictly positive")
-    if not abs(float(weights.sum()) - 1.0) <= WEIGHT_TOL:
+    if not (np.abs(weights.sum(axis=-1) - 1.0) <= WEIGHT_TOL).all():
         raise ValueError("weights must sum to 1 within 1e-12")
+    # an atom as one complex number, seller + buyer * 1j (a marginal's value
+    # in both parts), which NumPy sorts by real and then imaginary part; a
+    # padded atom is NaN, which sorts last and equals nothing
+    atoms = np.empty(weights.shape, dtype=np.complex128)
+    atoms.real, atoms.imag = values[0], values[-1]
+    np.copyto(atoms, np.nan, where=np.logical_not(real))
+    atoms.sort(axis=-1)
+    if (atoms[:, 1:] == atoms[:, :-1]).any():
+        raise ValueError("atoms must be pairwise distinct")
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +121,8 @@ class FiniteMarginal:
     """Finite-support distribution of one side's value.
 
     values: distinct points in [0, 1]; weights: positive, summing to one
-    within 1e-12.  Arrays are stored in listing order (product_joint lists
-    its atoms in that order).
+    within 1e-12 (check_atom_rows, as one row).  Arrays are stored in
+    listing order (product_joint lists its atoms in that order).
     """
 
     values: np.ndarray
@@ -96,11 +131,9 @@ class FiniteMarginal:
     def __init__(self, values: Iterable[float], weights: Iterable[float]):
         values = np.ascontiguousarray(values, dtype=np.float64)
         weights = np.ascontiguousarray(weights, dtype=np.float64)
-        if values.ndim != 1 or values.shape != weights.shape or values.size == 0:
-            raise ValueError("values and weights must be matching non-empty 1-d arrays")
-        check_atoms((values, "values"), weights=weights)
-        if sorted_distinct(values).size != values.size:
-            raise ValueError("values must be pairwise distinct")
+        if values.ndim != 1 or values.shape != weights.shape:
+            raise ValueError("values and weights must be matching 1-d arrays")
+        check_atom_rows(values[None, None], weights[None])
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
 
@@ -111,7 +144,8 @@ class FiniteJointDistribution:
 
     Built from an iterable of ((seller, buyer), weight) entries.  Atoms are
     pairwise-distinct pairs with strictly positive weights summing to one
-    within 1e-12, stored in listing order; ``cum`` is the cumulative weight
+    within 1e-12 (check_atom_rows, as one row), stored in listing order as
+    rows of one (3, A) array; ``cum`` is the cumulative weight
     table that sampling searches; ``gft_price`` is best_fixed_price_gft's
     price, found on first use and kept, so the gft oracle's learner and the
     harness read one search.
@@ -123,15 +157,9 @@ class FiniteJointDistribution:
     cum: np.ndarray
 
     def __init__(self, atoms: Iterable[tuple]):
-        entries = [(float(s), float(b), float(w)) for (s, b), w in atoms]
-        if not entries:
-            raise ValueError("a joint distribution needs at least one atom")
-        sellers = np.ascontiguousarray([e[0] for e in entries], dtype=np.float64)
-        buyers = np.ascontiguousarray([e[1] for e in entries], dtype=np.float64)
-        w = np.ascontiguousarray([e[2] for e in entries], dtype=np.float64)
-        check_atoms((sellers, "seller values"), (buyers, "buyer values"), weights=w)
-        if len({(s, b) for s, b, _ in entries}) != len(entries):
-            raise ValueError("atoms must be pairwise distinct")
+        columns = np.array([(s, b, w) for (s, b), w in atoms], dtype=np.float64).reshape(-1, 3).T.copy()
+        check_atom_rows(columns[:2, None], columns[2:])
+        sellers, buyers, w = columns
         object.__setattr__(self, "sellers", sellers)
         object.__setattr__(self, "buyers", buyers)
         object.__setattr__(self, "weights", w)
@@ -145,13 +173,27 @@ class FiniteJointDistribution:
         return best_fixed_price_gft(self).price
 
 
+def product_joint_rows(seller_values, seller_weights, buyer_values, buyer_weights) -> tuple:
+    """Independent couplings of (rows, A) seller and (rows, B) buyer atoms:
+    (sellers, buyers, weights) as (rows, A * B) joint atoms.
+
+    Seller atom i and buyer atom j go to column i * B + j with weight
+    sw_i * bw_j, so a row lists its atoms in its seller's order, each with
+    every buyer atom in the buyer's order.
+    """
+    rows, A = seller_values.shape
+    B = buyer_values.shape[1]
+    atoms = np.empty((3, rows, A, B))
+    atoms[0], atoms[1] = seller_values[:, :, None], buyer_values[:, None, :]
+    np.multiply(seller_weights[:, :, None], buyer_weights[:, None, :], out=atoms[2])
+    return tuple(atoms.reshape(3, rows, A * B))
+
+
 def product_joint(seller: FiniteMarginal, buyer: FiniteMarginal) -> FiniteJointDistribution:
-    """Independent coupling of two marginals as an explicit joint."""
-    atoms = []
-    for sv, sw in zip(seller.values, seller.weights):
-        for bv, bw in zip(buyer.values, buyer.weights):
-            atoms.append(((sv, bv), sw * bw))
-    return FiniteJointDistribution(atoms)
+    """Independent coupling of two marginals as an explicit joint: the one row of product_joint_rows."""
+    sides = (seller.values[None], seller.weights[None], buyer.values[None], buyer.weights[None])
+    sellers, buyers, weights = (column[0].tolist() for column in product_joint_rows(*sides))
+    return FiniteJointDistribution(zip(zip(sellers, buyers), weights))
 
 
 def sorted_distinct(values) -> np.ndarray:
@@ -170,22 +212,29 @@ def sorted_distinct(values) -> np.ndarray:
     return values[keep]
 
 
-def fgft_candidates(sellers: np.ndarray, buyers: np.ndarray) -> np.ndarray:
-    """Sorted candidate prices exhausting the maximizers of a fgft mixture.
+def fgft_candidate_rows(sellers, buyers) -> np.ndarray:
+    """Candidate prices exhausting the maximizers of each row's fgft mixture.
 
     The expected fgft of a finite-support distribution is piecewise linear
     with breakpoints contained in {0, 1} union atom coordinates union atom
-    midpoints, so its smallest maximizer is one of these points.
+    midpoints, so its smallest maximizer is one of these points.  Row r of
+    the (rows, 2 + 3A) result holds 0, 1 and each of its (rows, A) atoms'
+    s, b and (s + b) / 2, sorted stably, so of equal prices 0.0 and then
+    the first listed lead.
     """
-    cands = np.concatenate(
-        [
-            np.asarray([0.0, 1.0]),
-            np.asarray(sellers, dtype=np.float64),
-            np.asarray(buyers, dtype=np.float64),
-            (np.asarray(sellers, dtype=np.float64) + np.asarray(buyers, dtype=np.float64)) / 2.0,
-        ]
-    )
-    return sorted_distinct(cands)
+    rows, A = sellers.shape
+    cands = np.empty((rows, 2 + 3 * A))
+    cands[:, 0], cands[:, 1] = 0.0, 1.0
+    cands[:, 2 : 2 + A], cands[:, 2 + A : 2 + 2 * A] = sellers, buyers
+    np.divide(sellers + buyers, 2.0, out=cands[:, 2 + 2 * A :])
+    cands.sort(axis=1, kind="stable")
+    return cands
+
+
+def fgft_candidates(sellers, buyers) -> np.ndarray:
+    """The sorted distinct candidates of one joint's atoms: the one row of fgft_candidate_rows."""
+    sellers, buyers = (np.asarray(x, dtype=np.float64)[None] for x in (sellers, buyers))
+    return sorted_distinct(fgft_candidate_rows(sellers, buyers))
 
 
 def gft_candidates(sellers: np.ndarray, buyers: np.ndarray) -> np.ndarray:
@@ -218,41 +267,27 @@ def atom_rows(instances, width: int) -> tuple:
     float64 array per column and the atom count of each row.  Past its
     atoms a row repeats its first atom with weight 0, so a per-row kernel
     reads only +0.0 terms and duplicate candidates from the padding.  The
-    check is FiniteMarginal's and FiniteJointDistribution's, per row:
-    values in [0, 1], positive weights summing to 1 within 1e-12, and
-    pairwise distinct atoms (values of a marginal, pairs of a joint).
+    check is check_atom_rows, the one of FiniteMarginal and
+    FiniteJointDistribution, with the padding masked off.
     """
     counts = np.array([len(instance[-1]) for instance in instances], dtype=np.intp)
     if not counts.size or counts.min() < 1 or counts.max() > width:
-        raise ValueError(f"each instance needs 1 to {width} atoms")
+        raise ValueError(f"each instance needs at least one atom and at most {width}")
     real = np.arange(width) < counts[:, None]
-    columns = []
-    for c in range(len(instances[0])):
-        column = np.zeros((counts.size, width))
+    columns = np.zeros((len(instances[0]), counts.size, width))
+    for c, column in enumerate(columns):
         column[real] = np.concatenate([instance[c] for instance in instances])
-        columns.append(column)
-    *values, weights = columns
-    for column in values:
-        column[~real] = np.repeat(column[:, 0], width - counts)
-    check_atoms(*((column, "values") for column in values))
-    if not np.all(weights > 0.0, where=real):
-        raise ValueError("weights must be strictly positive")
-    if not np.all(np.abs(weights.sum(axis=1) - 1.0) <= WEIGHT_TOL):
-        raise ValueError("weights must sum to 1 within 1e-12")
-    same = np.triu(np.ones((width, width), dtype=bool), 1) & real[:, :, None] & real[:, None, :]
-    for column in values:
-        same &= column[:, :, None] == column[:, None, :]
-    if same.any():
-        raise ValueError("atoms must be pairwise distinct")
+    values = columns[:-1]
+    values[:, ~real] = np.repeat(values[:, :, 0], width - counts, axis=1)
+    check_atom_rows(values, columns[-1], real)
     return (*columns, counts)
 
 
 def best_fixed_price_fgft_rows(sellers, buyers, weights) -> tuple:
     """Exact maximizer of expected fgft for each row of atoms: (prices, values).
 
-    ``sellers``, ``buyers`` and ``weights`` are (rows, A) per-row atoms.
-    Row r's candidates are 0, 1 and each atom's s, b and (s + b) / 2,
-    sorted stably, so of equal prices 0.0 and then the first listed lead.
+    ``sellers``, ``buyers`` and ``weights`` are (rows, A) per-row atoms,
+    and fgft_candidate_rows gives each row's candidates.
     One kernels.expected_fgft_at call scores every row: several rows take
     its dense per-row path, one row its sorted path, with bitwise equal
     sums.  The first argmax of a sorted row is its smallest maximizer, as
@@ -260,12 +295,7 @@ def best_fixed_price_fgft_rows(sellers, buyers, weights) -> tuple:
     which score the same value, and +0.0 terms.
     """
     sellers, buyers, weights = (np.asarray(a, dtype=np.float64) for a in (sellers, buyers, weights))
-    rows, A = sellers.shape
-    cands = np.empty((rows, 2 + 3 * A))
-    cands[:, 0], cands[:, 1] = 0.0, 1.0
-    cands[:, 2 : 2 + A], cands[:, 2 + A : 2 + 2 * A] = sellers, buyers
-    np.divide(sellers + buyers, 2.0, out=cands[:, 2 + 2 * A :])
-    cands.sort(axis=1, kind="stable")
+    cands = fgft_candidate_rows(sellers, buyers)
     vals = expected_fgft_at(cands, sellers, buyers, weights)
     best = np.argmax(vals, axis=1)[:, None]
     return np.take_along_axis(cands, best, 1)[:, 0], np.take_along_axis(vals, best, 1)[:, 0]

@@ -1,14 +1,16 @@
 """Hot numeric kernels, one NumPy implementation each.
 
 Every draw comes from uint64 passes over the counter form of the
-splitmix64 stream (rng.unit_draws, inverted by _atoms_at).  dbs_explore
-and conv_pricing_commit take the drawn seller and buyer values as rows,
-one per episode or per point mass (harness._EnvTables.draw samples them),
-and step all rows at once.  fbep_prices and uniform_prices, the
-full-feedback kernels, draw their own, BLOCK rounds at a time from each
-block's start, so an episode runs in bounded block scratch: besides the
-one T-long array it returns (fbep's index in the narrowest unsigned type,
-uniform's prices), a kernel's scratch is set by BLOCK, not by the horizon.
+splitmix64 stream, inverted by _atoms_at: rng.draw_rows for a column of
+seeds, and rng.unit_draws, its one row, for one block of one stream.
+dbs_explore and conv_pricing_commit take the drawn seller and buyer values
+as rows, one per episode or per point mass (harness._EnvTables.draw
+samples them through draw_rows), and step all rows at once.  fbep_prices
+and uniform_prices, the full-feedback kernels, draw their own through
+unit_draws, BLOCK rounds at a time from each block's start, so an
+episode runs in bounded block scratch: besides the one T-long array it
+returns (fbep's index in the narrowest unsigned type, uniform's prices),
+a kernel's scratch is set by BLOCK, not by the horizon.
 The simulators accumulate sums in the same order as the round-by-round
 learners, so a seeded fast path reproduces the reference loop's price
 path draw for draw (fbep_prices can break a flat top differently; see
@@ -72,17 +74,15 @@ import numpy as np
 # No kernel here calls SplitMix64; the name stays importable because the
 # benchmark's tracer wraps kernels.SplitMix64.
 from .rng import SplitMix64  # noqa: F401
-from .rng import _count, unit_draws
+# rng.BLOCK, the one block size: here the draws and regrets of fbep and
+# uniform (harness's too), expected_fgft_at's prices or (row, price) pairs,
+# convolution_approx_batch's triples.  fbep's cumsum takes max(1, BLOCK // 4)
+# rounds.  Tests set kernels.BLOCK to move the block edges.
+from .rng import BLOCK, _count, unit_draws
 
 # No numba path exists; the flag stays because run metadata reports it.
 USE_NUMBA = False
 
-# Elements per block of every streamed pass: draws and regrets of fbep and
-# uniform (harness's too), expected_fgft_at's prices or (row, price) pairs,
-# convolution_approx_batch's triples.  A float64 block is 64 KiB, under
-# glibc's default 128 KiB mmap threshold, so block scratch is reused heap
-# rather than a fresh mapping.  fbep's cumsum takes max(1, BLOCK // 4) rounds.
-BLOCK = 8192
 # _atoms_at counts boundaries, rather than binary-searching, from this
 # many draws per atom on.
 COUNT_DRAWS_PER_ATOM = 256

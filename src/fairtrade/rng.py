@@ -33,8 +33,11 @@ MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 MIX_A = 0xBF58476D1CE4E5B9
 MIX_B = 0x94D049BB133111EB
-# Words per pass of draw_rows: its one scratch array (64 KiB) is one block.
-DRAW_BLOCK = 8192
+# Elements per block of every streamed pass: draw_rows's words here, and
+# kernels' (see BLOCK there).  A block of 8-byte elements is 64 KiB, under
+# glibc's default 128 KiB mmap threshold, so block scratch is reused heap
+# rather than a fresh mapping.
+BLOCK = 8192
 
 
 def _whole(value, name: str) -> int:
@@ -115,7 +118,7 @@ def draw_rows(seeds, n: int, start: int = 0, unit: bool = True) -> np.ndarray:
     seed + t * GOLDEN), so a row may start anywhere in its stream.
 
     The words are computed in place in the float64 result, through its
-    uint64 view, DRAW_BLOCK words at a time.  Besides the result the
+    uint64 view, BLOCK words at a time.  Besides the result the
     scratch is one row of counters and one block of shifted words, which
     the cast to doubles reads too: NumPy would copy the whole of an operand
     that overlaps its output.  Every step is an array operation: uint64
@@ -128,9 +131,9 @@ def draw_rows(seeds, n: int, start: int = 0, unit: bool = True) -> np.ndarray:
     words *= np.uint64(GOLDEN)
     words += np.array([int(seed) & MASK64 for seed in seeds], dtype=np.uint64)[:, None]
     flat, units = words.reshape(-1), out.reshape(-1)
-    shifted = np.empty(min(flat.size, DRAW_BLOCK), dtype=np.uint64)
-    for lo in range(0, flat.size, DRAW_BLOCK):
-        z = flat[lo : lo + DRAW_BLOCK]
+    shifted = np.empty(min(flat.size, BLOCK), dtype=np.uint64)
+    for lo in range(0, flat.size, BLOCK):
+        z = flat[lo : lo + BLOCK]
         t = shifted[: z.size]
         z ^= np.right_shift(z, np.uint64(30), out=t)
         z *= np.uint64(MIX_A)
@@ -138,7 +141,7 @@ def draw_rows(seeds, n: int, start: int = 0, unit: bool = True) -> np.ndarray:
         z *= np.uint64(MIX_B)
         z ^= np.right_shift(z, np.uint64(31), out=t)
         if unit:
-            np.multiply(np.right_shift(z, np.uint64(11), out=t), 2.0**-53, out=units[lo : lo + DRAW_BLOCK])
+            np.multiply(np.right_shift(z, np.uint64(11), out=t), 2.0**-53, out=units[lo : lo + BLOCK])
     return out if unit else words
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import kernels
 from .algorithms import dbs_regret_bound, parse_learner
-from .core import atom_rows, best_fixed_price_fgft, best_fixed_price_fgft_rows, fgft_vector
+from .core import atom_rows, best_fixed_price_fgft, best_fixed_price_fgft_rows, fgft_vector, product_joint_rows
 from .environments import (
     _marginal_atoms,
     _rand_int,
@@ -142,15 +142,17 @@ def suite_sandwich() -> list:
     every instance's stream its first _SANDWICH_DRAWS words (row_streams),
     each stream draws a seller and then a buyer marginal of 2..5 atoms,
     and core.atom_rows stacks each side as (100, 5) rows of values and
-    weights, checked once.  A padded column has weight 0 (real weights are
+    weights, checked once by core.check_atom_rows, whose one-row case is
+    FiniteMarginal's check.  A padded column has weight 0 (real weights are
     positive), and its value is then set to 1 on the seller's side and 0
     on the buyer's.  Each K sums all CDF rows P[S <= i/K] = sum_k
     w_k * 1{v_k <= i/K} and co-CDF rows P[B >= i/K] over the five
     columns, k in order, and kernels.incomplete_convolution, the grid
     learner's full scorer, takes them as real-valued (100, K) rows.  One
     expected_fgft_at call takes the product atoms as (100, 25) per-row
-    atoms: seller value i and buyer value j at column 5i + j, so each
-    instance's atoms keep product_joint's order, with the padded ones
+    atoms from core.product_joint_rows, whose one-row case is
+    product_joint: seller value i and buyer value j at column 5i + j, so
+    each instance's atoms keep product_joint's order, with the padded ones
     between them.  A padded atom has weight 0 and an empty interval (its
     seller at 1 or its buyer at 0), so it adds +0.0 to a non-negative sum
     and no in-interval term to the sorted-row path, and every exact value
@@ -164,11 +166,7 @@ def suite_sandwich() -> list:
         buyer_values, buyer_weights, _ = atom_rows([buyer for _, buyer in sides], 5)
         seller_values[seller_weights == 0.0] = 1.0
         buyer_values[buyer_weights == 0.0] = 0.0
-        atoms = (
-            np.repeat(seller_values, 5, axis=1),
-            np.tile(buyer_values, 5),
-            np.reshape(seller_weights[:, :, None] * buyer_weights[:, None, :], (100, 25)),
-        )
+        atoms = product_joint_rows(seller_values, seller_weights, buyer_values, buyer_weights)
         worst = 0.0
         for K in (10, 100, 1000):
             grid = np.arange(1, K + 1, dtype=np.float64) / K

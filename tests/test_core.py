@@ -14,10 +14,12 @@ from fairtrade.core import (
     best_fixed_price_fgft_rows,
     best_fixed_price_gft,
     fgft,
+    fgft_candidate_rows,
     fgft_candidates,
     fgft_vector,
     gft_candidates,
     product_joint,
+    product_joint_rows,
     sorted_distinct,
 )
 from fairtrade.environments import deterministic, epsilon_family, gft_trap, lb_mu, lb_nu
@@ -308,6 +310,51 @@ def _oracle_rows(joints, width):
         instances.append((dist.sellers.tolist(), dist.buyers.tolist(), dist.weights.tolist()))
         dists.append(dist)
     return atom_rows(instances, width)[:3], dists
+
+
+# rows of unequal sizes: a marginal of 1..4 distinct values, both zeros among them
+_MARGINALS = st.lists(st.tuples(_COORDS, st.floats(0.1, 1.0)), min_size=1, max_size=4, unique_by=lambda v: v[0] + 0.0)
+
+
+def _hexes(values) -> list:
+    return [float(x).hex() for x in values]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_MARGINALS, _MARGINALS), min_size=1, max_size=5), st.integers(0, 2))
+def test_product_rows_are_product_joint_bitwise(pairs, extra):
+    marginals = [
+        [FiniteMarginal([v for v, _ in atoms], [w / sum(w for _, w in atoms) for _, w in atoms]) for atoms in pair]
+        for pair in pairs
+    ]
+    (sv, sw, sn), (bv, bw, bn) = (
+        atom_rows([(m.values, m.weights) for m in side], max(m.values.size for m in side) + extra)
+        for side in zip(*marginals)
+    )
+    product = product_joint_rows(sv, sw, bv, bw)
+    B = bv.shape[1]
+    for r, (seller, buyer) in enumerate(marginals):
+        joint = product_joint(seller, buyer)
+        real = [i * B + j for i in range(sn[r]) for j in range(bn[r])]
+        # seller atom by seller atom, each with every buyer atom, the weight a product of floats
+        atoms = [
+            (s, b, ws * wb)
+            for s, ws in zip(seller.values.tolist(), seller.weights.tolist())
+            for b, wb in zip(buyer.values.tolist(), buyer.weights.tolist())
+        ]
+        for got, want, loop in zip(product, (joint.sellers, joint.buyers, joint.weights), zip(*atoms)):
+            assert _hexes(got[r, real]) == _hexes(want) == _hexes(loop)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JOINTS, st.integers(0, 2))
+def test_fgft_candidates_are_the_concatenated_rule_bitwise(joints, extra):
+    # the rule as one sorted_distinct of a concatenation; a padded row adds only duplicates
+    rows, dists = _oracle_rows(joints, max(map(len, joints)) + extra)
+    for row, dist in zip(fgft_candidate_rows(*rows[:2]), dists):
+        s, b = dist.sellers, dist.buyers
+        want = _hexes(sorted_distinct(np.concatenate([[0.0, 1.0], s, b, (s + b) / 2.0])))
+        assert _hexes(fgft_candidates(s, b)) == _hexes(sorted_distinct(row)) == want
 
 
 @settings(max_examples=150, deadline=None)

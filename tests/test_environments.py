@@ -1,6 +1,7 @@
 """Environment constructors, feedback laws, sampling, and id parsing."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairtrade.algorithms import LEARNER_ID_PATTERNS, parse_learner
-from fairtrade.core import atom_rows, gft_candidates
+from fairtrade.core import FiniteJointDistribution, atom_rows, gft_candidates
 from fairtrade.environments import (
     ENVIRONMENT_ID_PATTERNS,
     ENVIRONMENT_KINDS,
@@ -392,33 +393,64 @@ def test_marginal_rows_are_random_marginal(prefix):
 _GOOD_ROWS = [([0.1, 0.2], [0.5, 0.9], [0.25, 0.75]), ([0.3], [0.4], [1.0])]
 
 
+def _as_joint(rows):
+    """The one-row form of atom_rows's check: each row built as a joint."""
+    for sellers, buyers, weights in rows:
+        FiniteJointDistribution(zip(zip(sellers, buyers), weights))
+
+
+@pytest.mark.parametrize("form", [lambda rows: atom_rows(rows, 3), _as_joint], ids=["rows", "one-row"])
 @pytest.mark.parametrize(
-    "row",
+    "row,message",
     [
-        ([0.1, float("nan")], [0.5, 0.9], [0.25, 0.75]),
-        ([0.1, 0.2], [0.5, 1.5], [0.25, 0.75]),
-        ([0.1, 0.2], [0.5, 0.9], [0.0, 1.0]),
-        ([0.1, 0.2], [0.5, 0.9], [-0.25, 1.25]),
-        ([0.1, 0.2], [0.5, 0.9], [float("nan"), 1.0]),
-        ([0.1, 0.2], [0.5, 0.9], [0.25, 0.5]),
-        ([0.1, 0.1], [0.5, 0.5], [0.25, 0.75]),
-        ([], [], []),
+        (([0.1, float("nan")], [0.5, 0.9], [0.25, 0.75]), "seller values must lie in"),
+        (([0.1, 0.2], [0.5, 1.5], [0.25, 0.75]), "buyer values must lie in"),
+        (([0.1, 0.2], [0.5, 0.9], [0.0, 1.0]), "strictly positive"),
+        (([0.1, 0.2], [0.5, 0.9], [-0.25, 1.25]), "strictly positive"),
+        (([0.1, 0.2], [0.5, 0.9], [float("nan"), 1.0]), "strictly positive"),
+        (([0.1, 0.2], [0.5, 0.9], [0.25, 0.5]), "sum to 1"),
+        (([0.1, 0.1], [0.5, 0.5], [0.25, 0.75]), "pairwise distinct"),
+        (([-0.0, 0.0], [0.5, 0.5], [0.25, 0.75]), "pairwise distinct"),
+        (([0.1, 0.1, 0.1], [0.5, 0.9, 0.5], [0.25, 0.5, 0.25]), "pairwise distinct"),
+        (([], [], []), "at least one atom"),
     ],
-    ids=["nan-value", "above-one", "zero-weight", "negative-weight", "nan-weight", "sum", "duplicate-pair", "empty"],
+    ids=[
+        "nan-value", "above-one", "zero-weight", "negative-weight", "nan-weight", "sum", "duplicate-pair",
+        "signed-zero-pair", "duplicate-pair-apart", "empty",
+    ],
 )
-def test_atom_rows_reject_a_bad_row(row):
-    assert len(atom_rows(_GOOD_ROWS, 3)[-1]) == 2
-    with pytest.raises(ValueError):
-        atom_rows([*_GOOD_ROWS, row], 3)
+def test_atom_rows_reject_a_bad_row(form, row, message):
+    form(_GOOD_ROWS)
+    with pytest.raises(ValueError, match=message):
+        form([*_GOOD_ROWS, row])
 
 
 def test_atom_rows_allow_a_shared_coordinate_and_reject_too_many_atoms():
     # pairs differ when one coordinate does; a marginal's values must differ
     atom_rows([([0.1, 0.1], [0.5, 0.9], [0.5, 0.5])], 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pairwise distinct"):
         atom_rows([([0.1, 0.1], [0.5, 0.5])], 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at most 1"):
         atom_rows(_GOOD_ROWS, 1)
+    # a padded atom repeats its row's first atom and is never a duplicate of it
+    atom_rows([([0.3], [1.0]), ([0.1, 0.2], [0.5, 0.5])], 5)
+    atom_rows([([0.3], [0.4], [1.0]), *_GOOD_ROWS], 5)
+
+
+def test_a_large_inline_joint_is_checked_in_linear_memory():
+    # an (A, A) table of pairwise comparisons would hold 4 * 10**8 booleans
+    A = 20_000
+    rows = [[i / (2 * A), 0.5 + i / (2 * A), 1.0 / A] for i in range(A)]
+    tracemalloc.start()
+    try:
+        joint = env_from_config({"joint": rows}).joint
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert joint.weights.size == A
+    assert peak < 1000 * A, peak
+    with pytest.raises(ValueError, match="atoms must be pairwise distinct"):
+        env_from_config({"joint": [*rows[:-1], rows[0]]})
 
 
 _FLOAT_CONSTRUCTORS = {

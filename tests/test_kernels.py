@@ -684,7 +684,7 @@ def test_draw_rows_are_each_seeds_stream(n, start):
 
 
 def test_draw_rows_blocks_do_not_show():
-    # the words are finalized DRAW_BLOCK at a time over the flattened rows
+    # the words are finalized rng.BLOCK at a time over the flattened rows
     seeds = _ROW_SEEDS[:3]
     rows = draw_rows(seeds, 5000)  # 15 000 words: a block edge inside row 1
     for seed, row in zip(seeds, rows):
