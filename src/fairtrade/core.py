@@ -28,8 +28,10 @@ random joints or a batch of point masses, are then one call:
 
 * check_atom_rows checks atoms (values in [0, 1], positive weights
   summing to 1, distinct atoms); the FiniteMarginal and
-  FiniteJointDistribution constructors check their instance as one row,
-  and atom_rows checks a stack of instances, padding masked off;
+  FiniteJointDistribution constructors take an instance's columns,
+  (values, weights) or (sellers, buyers, weights), and check it as one
+  row, and atom_rows checks a stack of such instances, padding masked
+  off;
 * product_joint_rows couples seller and buyer atoms independently, and
   product_joint is its one row;
 * fgft_candidate_rows lists the fgft candidates, and fgft_candidates is
@@ -116,24 +118,36 @@ def check_atom_rows(values, weights, real=True) -> None:
         raise ValueError("atoms must be pairwise distinct")
 
 
+def _instance_columns(*columns) -> np.ndarray:
+    """One instance's columns, its values and then its weights, as a (k, A)
+    float64 array that check_atom_rows has checked as one row.  Columns
+    that are not matching 1-d arrays raise ValueError.
+    """
+    try:
+        array = np.array(columns, dtype=np.float64)
+    except ValueError:  # columns of unequal lengths
+        array = np.empty(0)
+    if array.ndim != 2:
+        raise ValueError("an instance's columns must be matching 1-d arrays")
+    check_atom_rows(array[:-1, None], array[-1:])
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteMarginal:
     """Finite-support distribution of one side's value.
 
-    values: distinct points in [0, 1]; weights: positive, summing to one
-    within 1e-12 (check_atom_rows, as one row).  Arrays are stored in
-    listing order (product_joint lists its atoms in that order).
+    Built from its columns (values, weights), as atom_rows takes a
+    marginal.  values: distinct points in [0, 1]; weights: positive,
+    summing to one within 1e-12 (check_atom_rows, as one row).  Arrays are
+    stored in listing order (product_joint lists its atoms in that order).
     """
 
     values: np.ndarray
     weights: np.ndarray
 
     def __init__(self, values: Iterable[float], weights: Iterable[float]):
-        values = np.ascontiguousarray(values, dtype=np.float64)
-        weights = np.ascontiguousarray(weights, dtype=np.float64)
-        if values.ndim != 1 or values.shape != weights.shape:
-            raise ValueError("values and weights must be matching 1-d arrays")
-        check_atom_rows(values[None, None], weights[None])
+        values, weights = _instance_columns(values, weights)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
 
@@ -142,13 +156,13 @@ class FiniteMarginal:
 class FiniteJointDistribution:
     """Finite-support joint distribution of (seller, buyer) values.
 
-    Built from an iterable of ((seller, buyer), weight) entries.  Atoms are
-    pairwise-distinct pairs with strictly positive weights summing to one
-    within 1e-12 (check_atom_rows, as one row), stored in listing order as
-    rows of one (3, A) array; ``cum`` is the cumulative weight
-    table that sampling searches; ``gft_price`` is best_fixed_price_gft's
-    price, found on first use and kept, so the gft oracle's learner and the
-    harness read one search.
+    Built from its columns (sellers, buyers, weights), as atom_rows takes
+    a joint.  Atoms are pairwise-distinct pairs with strictly positive
+    weights summing to one within 1e-12 (check_atom_rows, as one row),
+    stored in listing order as rows of one (3, A) array; ``cum`` is the
+    cumulative weight table that sampling searches; ``gft_price`` is
+    best_fixed_price_gft's price, found on first use and kept, so the gft
+    oracle's learner and the harness read one search.
     """
 
     sellers: np.ndarray
@@ -156,14 +170,12 @@ class FiniteJointDistribution:
     weights: np.ndarray
     cum: np.ndarray
 
-    def __init__(self, atoms: Iterable[tuple]):
-        columns = np.array([(s, b, w) for (s, b), w in atoms], dtype=np.float64).reshape(-1, 3).T.copy()
-        check_atom_rows(columns[:2, None], columns[2:])
-        sellers, buyers, w = columns
+    def __init__(self, sellers: Iterable[float], buyers: Iterable[float], weights: Iterable[float]):
+        sellers, buyers, weights = _instance_columns(sellers, buyers, weights)
         object.__setattr__(self, "sellers", sellers)
         object.__setattr__(self, "buyers", buyers)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "cum", np.cumsum(w))
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "cum", np.cumsum(weights))
 
     def atom(self, i: int) -> ValuationPair:
         return ValuationPair(float(self.sellers[i]), float(self.buyers[i]))
@@ -192,8 +204,7 @@ def product_joint_rows(seller_values, seller_weights, buyer_values, buyer_weight
 def product_joint(seller: FiniteMarginal, buyer: FiniteMarginal) -> FiniteJointDistribution:
     """Independent coupling of two marginals as an explicit joint: the one row of product_joint_rows."""
     sides = (seller.values[None], seller.weights[None], buyer.values[None], buyer.weights[None])
-    sellers, buyers, weights = (column[0].tolist() for column in product_joint_rows(*sides))
-    return FiniteJointDistribution(zip(zip(sellers, buyers), weights))
+    return FiniteJointDistribution(*(column[0] for column in product_joint_rows(*sides)))
 
 
 def sorted_distinct(values) -> np.ndarray:
@@ -263,7 +274,8 @@ def atom_rows(instances, width: int) -> tuple:
 
     Each instance is a tuple of equal-length columns, its value columns
     and then its weights: a marginal's (values, weights) or a joint's
-    (sellers, buyers, weights).  Returns one (len(instances), width)
+    (sellers, buyers, weights), as FiniteMarginal and
+    FiniteJointDistribution take them.  Returns one (len(instances), width)
     float64 array per column and the atom count of each row.  Past its
     atoms a row repeats its first atom with weight 0, so a per-row kernel
     reads only +0.0 terms and duplicate candidates from the padding.  The

@@ -26,8 +26,10 @@ Named instances:
 * ``random-ind:seed=...`` / ``random-joint:seed=...``: the seeded random
   independent and joint instances behind the rate checks of ``verify``.
   Each random family's draw is written once, as a function from a stream
-  to atom lists (_marginal_atoms, _joint_atoms); random_joint_rows draws
-  many joints at once, as rows of atoms, with no environment built.
+  to an instance's columns (_marginal_atoms, _joint_atoms), which the
+  distribution constructors and atom_rows take as they are;
+  random_joint_rows draws many joints at once, as rows of atoms, with no
+  environment built.
 
 Each kind is declared once, as a row of ENVIRONMENT_KINDS: its id pattern
 and its constructor.
@@ -128,31 +130,19 @@ def feedback_distribution(env: Environment, price: float) -> dict:
 def deterministic(seller: float, buyer: float) -> Environment:
     """Point mass on one (seller, buyer) pair."""
     seller, buyer = float(seller), float(buyer)  # the atom and the id read one float64
-    joint = FiniteJointDistribution([((seller, buyer), 1.0)])
+    joint = FiniteJointDistribution([seller], [buyer], [1.0])
     return Environment(env_id=_format_id("det", s=seller, b=buyer), joint=joint)
 
 
 def lb_mu() -> Environment:
     """First member of the indistinguishable pair; optimal price 5/16."""
-    joint = FiniteJointDistribution(
-        [
-            ((0.0, 5.0 / 8.0), 1.0 / 3.0),
-            ((3.0 / 8.0, 3.0 / 8.0), 1.0 / 3.0),
-            ((5.0 / 8.0, 1.0), 1.0 / 3.0),
-        ]
-    )
+    joint = FiniteJointDistribution([0.0, 3.0 / 8.0, 5.0 / 8.0], [5.0 / 8.0, 3.0 / 8.0, 1.0], [1.0 / 3.0] * 3)
     return Environment(env_id="lb-mu", joint=joint)
 
 
 def lb_nu() -> Environment:
     """Second member of the indistinguishable pair; optimal price 11/16."""
-    joint = FiniteJointDistribution(
-        [
-            ((0.0, 3.0 / 8.0), 1.0 / 3.0),
-            ((3.0 / 8.0, 1.0), 1.0 / 3.0),
-            ((5.0 / 8.0, 5.0 / 8.0), 1.0 / 3.0),
-        ]
-    )
+    joint = FiniteJointDistribution([0.0, 3.0 / 8.0, 5.0 / 8.0], [3.0 / 8.0, 1.0, 5.0 / 8.0], [1.0 / 3.0] * 3)
     return Environment(env_id="lb-nu", joint=joint)
 
 
@@ -282,8 +272,7 @@ def random_joint_env(seed: int) -> Environment:
     break regret-positivity preconditions downstream).
     """
     seed = _u64(seed)
-    sellers, buyers, weights = _joint_atoms(SplitMix64(seed))
-    dist = FiniteJointDistribution(zip(zip(sellers, buyers), weights))
+    dist = FiniteJointDistribution(*_joint_atoms(SplitMix64(seed)))
     return Environment(_format_id("random-joint", seed=seed), dist)
 
 
@@ -403,8 +392,8 @@ def env_from_config(obj) -> Environment:
     if obj.get("id", "").partition(":")[0] in ENVIRONMENT_KINDS:
         raise UnknownIdError(f"inline environment id {obj['id']!r} names a registered environment")
     if "joint" in obj:
-        atoms = [((s, b), w) for s, b, w in _number_rows(obj["joint"], 3, "joint").tolist()]
-        return Environment(obj.get("id") or "joint", FiniteJointDistribution(atoms))
+        joint = FiniteJointDistribution(*_number_rows(obj["joint"], 3, "joint").T)
+        return Environment(obj.get("id") or "joint", joint)
     spec = obj["independent"]
     if not isinstance(spec, dict) or set(spec) != {"seller", "buyer"}:
         raise UnknownIdError(f"an independent environment takes exactly 'seller' and 'buyer', got {spec!r}")

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -16,9 +17,14 @@ from fairtrade.harness import RunConfig, run_monte_carlo
 from fairtrade.verify import CheckResult
 
 
+# a child process imports fairtrade from this checkout's src/, installed or not
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
 def run_cli(*args):
     return subprocess.run(
-        [sys.executable, "-m", "fairtrade.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "fairtrade.cli", *args], capture_output=True, text=True, env=CHILD_ENV
     )
 
 
@@ -568,7 +574,7 @@ def test_run_and_verify_leave_numpy_ma_unloaded(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_MA_PROBE, config, str(tmp_path / "out.csv"),
          str(tmp_path / "report.json")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-2:] == ["False", "True"]

@@ -149,25 +149,35 @@ def test_marginal_validation():
         FiniteMarginal([0.2, 0.8], [0.5, float("nan")])  # non-finite weight
     with pytest.raises(ValueError):
         FiniteMarginal([0.2], [float("nan")])  # NaN also fails the sum check
+    for columns in (([0.2, 0.8], [1.0]), ([[0.2, 0.8]], [[0.5, 0.5]]), ([[0.2], [0.8]], [0.5, 0.5])):
+        with pytest.raises(ValueError, match="columns must be matching 1-d arrays"):
+            FiniteMarginal(*columns)  # unequal lengths, or a 2-d column
 
 
 def test_joint_validation():
     with pytest.raises(ValueError):
-        FiniteJointDistribution([((0.2, 0.8), 0.5), ((0.2, 0.8), 0.5)])  # duplicate atom
+        FiniteJointDistribution([0.2, 0.2], [0.8, 0.8], [0.5, 0.5])  # duplicate atom
     with pytest.raises(ValueError):
-        FiniteJointDistribution([((0.2, 0.8), 0.9)])  # weights do not sum to one
+        FiniteJointDistribution([0.2], [0.8], [0.9])  # weights do not sum to one
     with pytest.raises(ValueError):
-        FiniteJointDistribution([])
+        FiniteJointDistribution([], [], [])
     with pytest.raises(ValueError):
-        FiniteJointDistribution([((0.1, 0.9), float("nan"))])  # non-finite weight
+        FiniteJointDistribution([0.1], [0.9], [float("nan")])  # non-finite weight
     with pytest.raises(ValueError):
-        FiniteJointDistribution([((float("nan"), 0.9), 1.0)])  # non-finite seller
+        FiniteJointDistribution([float("nan")], [0.9], [1.0])  # non-finite seller
     with pytest.raises(ValueError):
-        FiniteJointDistribution([((0.1, float("nan")), 1.0)])  # non-finite buyer
+        FiniteJointDistribution([0.1], [float("nan")], [1.0])  # non-finite buyer
+    for columns in (
+        ([0.1, 0.3], [0.9], [0.5, 0.5]),
+        ([[0.1]], [[0.9]], [[1.0]]),
+        ([[0.1], [0.3]], [0.9, 0.7], [0.5, 0.5]),
+    ):
+        with pytest.raises(ValueError, match="columns must be matching 1-d arrays"):
+            FiniteJointDistribution(*columns)  # unequal lengths, or a 2-d column
 
 
 def test_joint_accessors():
-    dist = FiniteJointDistribution([((0.1, 0.9), 0.25), ((0.3, 0.7), 0.75)])
+    dist = FiniteJointDistribution([0.1, 0.3], [0.9, 0.7], [0.25, 0.75])
     assert dist.weights.size == 2
     assert dist.atom(1) == (0.3, 0.7)
     np.testing.assert_allclose(dist.cum, [0.25, 1.0])
@@ -251,7 +261,7 @@ def test_best_fixed_price_fgft_trap():
 
 
 def test_best_fixed_price_fgft_degenerate_no_trade():
-    dist = FiniteJointDistribution([((0.9, 0.1), 1.0)])
+    dist = FiniteJointDistribution([0.9], [0.1], [1.0])
     # nothing to earn anywhere: ties break to the smallest candidate price
     assert best_fixed_price_fgft(dist) == PricePoint(0.0, 0.0)
 
@@ -305,10 +315,10 @@ def _oracle_rows(joints, width):
     """Each joint's (sellers, buyers, weights) as padded rows, and its distribution."""
     instances, dists = [], []
     for atoms in joints:
-        total = sum(w for _, w in atoms)
-        dist = FiniteJointDistribution([(pair, w / total) for pair, w in atoms])
-        instances.append((dist.sellers.tolist(), dist.buyers.tolist(), dist.weights.tolist()))
-        dists.append(dist)
+        pairs, raw = zip(*atoms)
+        sellers, buyers = zip(*pairs)
+        instances.append((sellers, buyers, [w / sum(raw) for w in raw]))
+        dists.append(FiniteJointDistribution(*instances[-1]))
     return atom_rows(instances, width)[:3], dists
 
 

@@ -808,7 +808,7 @@ def test_point_mass_batch_rejects_values_outside_the_unit_interval(side, bad):
 
 @st.composite
 def _random_joints(draw):
-    """((seller, buyer), raw weight) entries of a joint with 1-6 distinct atoms.
+    """The columns (sellers, buyers, raw weights) of a joint with 1-6 distinct atoms.
 
     Half of the joints lie on the k/8 grid, where bisection midpoints and
     grid prices hit atom values exactly and candidate prices tie.
@@ -816,12 +816,12 @@ def _random_joints(draw):
     value = draw(st.sampled_from([_UNIT, _EIGHTHS]))
     pairs = draw(st.lists(st.tuples(value, value), min_size=1, max_size=6, unique=True))
     raw = draw(st.lists(st.floats(0.1, 1.0), min_size=len(pairs), max_size=len(pairs)))
-    return list(zip(pairs, raw))
+    return (*zip(*pairs), raw)
 
 
 def _joint_env(atoms):
-    total = sum(w for _, w in atoms)
-    return Environment("joint", FiniteJointDistribution([(pair, w / total) for pair, w in atoms]))
+    sellers, buyers, raw = atoms
+    return Environment("joint", FiniteJointDistribution(sellers, buyers, [w / sum(raw) for w in raw]))
 
 
 # Every learner kind but fbep.  Its reference learner is cheap now, but its
@@ -841,7 +841,7 @@ def test_reference_loop_property_draws_every_kind_but_fbep():
 
 
 # grid-aligned atoms: bisection midpoints and grid prices land on their values
-_TIED_ATOMS = [((0.25, 0.75), 1.0), ((0.5, 0.5), 1.0), ((0.125, 0.875), 2.0)]
+_TIED_ATOMS = ([0.25, 0.5, 0.125], [0.75, 0.5, 0.875], [1.0, 1.0, 2.0])
 
 
 def _edge_horizon_examples(test):

@@ -34,7 +34,7 @@ def _joints(draw):
     """A FiniteJointDistribution with 1 to 6 distinct atoms and random positive weights."""
     pairs = draw(st.lists(st.tuples(_ATOM_VALUES, _ATOM_VALUES), min_size=1, max_size=6, unique=True))
     raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(pairs), max_size=len(pairs)))
-    return FiniteJointDistribution(zip(pairs, np.asarray(raw) / sum(raw)))
+    return FiniteJointDistribution(*zip(*pairs), np.asarray(raw) / sum(raw))
 
 
 def _breakpoint_prices(*joints):

@@ -139,8 +139,8 @@ def _lb_nu_moves_an_atom(monkeypatch):
     # lb-nu with its (3/8, 1) atom at (0.38, 1): the seller's bit now differs
     # from lb-mu's on prices in [3/8, 0.38)
     def moved():
-        atoms = [((0.0, 3 / 8), 1 / 3), ((0.38, 1.0), 1 / 3), ((5 / 8, 5 / 8), 1 / 3)]
-        return Environment(env_id="lb-nu", joint=FiniteJointDistribution(atoms))
+        joint = FiniteJointDistribution([0.0, 0.38, 5 / 8], [3 / 8, 1.0, 5 / 8], [1 / 3] * 3)
+        return Environment(env_id="lb-nu", joint=joint)
 
     monkeypatch.setattr(harness, "lb_nu", moved)
 
