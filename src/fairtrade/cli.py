@@ -145,9 +145,7 @@ def cmd_sweep(args) -> int:
     # a count below 1 gives the empty grid, which the sweep rejects by name
     s_values = np.linspace(args.s_min, args.s_max, max(args.points, 0))
     with _output(args.out):
-        report = adversarial_deterministic_sweep(
-            spec, args.horizon, s_values=s_values, buyer=args.buyer
-        )
+        (report,) = adversarial_deterministic_sweep(spec, [args.horizon], s_values=s_values, buyer=args.buyer)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)

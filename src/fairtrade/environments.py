@@ -28,7 +28,7 @@ Named instances:
   Each random family's draw is written once, as a function from a stream
   to an instance's columns (_marginal_atoms, _joint_atoms), which the
   distribution constructors and atom_rows take as they are;
-  random_joint_rows draws many joints at once, as rows of atoms, with no
+  random_joint_rows stacks many joints as rows of atoms, with no
   environment built.
 
 Each kind is declared once, as a row of ENVIRONMENT_KINDS: its id pattern
@@ -52,7 +52,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import FiniteJointDistribution, FiniteMarginal, ValuationPair, atom_rows, product_joint
-from .rng import SplitMix64, _u64, row_streams
+from .rng import SplitMix64, _u64
 
 
 class FeedbackModel(enum.Enum):
@@ -237,10 +237,6 @@ def random_independent_env(seed: int) -> Environment:
     return Environment(_format_id("random-ind", seed=seed), product_joint(seller, buyer))
 
 
-# draws of a random joint without a redraw: its size, then 6 pairs and 6 weights at most
-_JOINT_DRAWS = 1 + 3 * 6
-
-
 def _joint_atoms(stream: SplitMix64) -> tuple:
     """The draw of random_joint_env: lists of its sellers, buyers and weights.
 
@@ -280,12 +276,10 @@ def random_joint_rows(seeds) -> tuple:
     """The atoms of random_joint_env(seed) for every seed, as rows of 6 atoms.
 
     Returns core.atom_rows's sellers, buyers, weights and atom counts.
-    Each seed's stream is a rng.RowStream whose first _JOINT_DRAWS words
-    come from one draw_rows pass over all seeds, so no instance takes a
-    scalar draw unless it redraws.
+    Each instance is drawn as random_joint_env draws it, from
+    SplitMix64(seed), and no environment is built.
     """
-    streams = row_streams([_u64(seed) for seed in seeds], _JOINT_DRAWS)
-    return atom_rows([_joint_atoms(stream) for stream in streams], 6)
+    return atom_rows([_joint_atoms(SplitMix64(_u64(seed))) for seed in seeds], 6)
 
 
 # ---------------------------------------------------------------------------

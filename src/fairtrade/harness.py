@@ -110,14 +110,6 @@ def _horizons(values) -> tuple:
     return hs
 
 
-def _horizon_axis(horizon) -> tuple:
-    """(horizons, single) of a point-mass call: one horizon, or a sequence
-    checked as RunConfig.horizons are."""
-    if np.ndim(horizon) == 0:
-        return (_count(horizon, "horizon"),), True
-    return _horizons(horizon), False
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """One experiment: a learner on an environment over a run's horizons.
@@ -556,15 +548,15 @@ def _point_mass_regrets(spec: LearnerSpec, hs: tuple, sellers, buyers) -> list:
     return [_profile_regret(*p) for p in _price_profiles(spec, masses, hs, range(sellers.size), masses.regret_at)]
 
 
-def profile_regret(spec: LearnerSpec, horizon, pair):
+def profile_regret(spec: LearnerSpec, horizons, pair) -> np.ndarray:
     """Exact pseudo-regret of a deterministic learner on point masses.
 
-    A scalar pair gives a float; a pair of arrays that broadcast gives the
-    regret of every point, in their broadcast shape, from array passes
-    over at most POINT_BLOCK points, and fewer when points x exploration
-    rounds would pass POINT_ROUNDS.  ``horizon`` is one horizon, or a
-    strictly increasing sequence of them (checked as RunConfig.horizons
-    are), which adds a leading horizon axis to the result: each pass then
+    ``horizons`` is a strictly increasing sequence, checked as
+    RunConfig.horizons are, and ``pair`` a (seller, buyer) pair of values
+    or of arrays that broadcast.  The result has one row per horizon, in
+    the pair's broadcast shape: shape (len(horizons),) for one point.  It
+    comes from array passes over at most POINT_BLOCK points, and fewer
+    when points x exploration rounds would pass POINT_ROUNDS; each pass
     shares its v* and its exploration across the horizons (see
     _point_mass_regrets).
     """
@@ -572,7 +564,7 @@ def profile_regret(spec: LearnerSpec, horizon, pair):
         raise ValueError(f"no price profile for {spec.learner_id!r}: it is randomized or needs full feedback")
     sellers, buyers = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in pair))
     shape, sellers, buyers = sellers.shape, sellers.ravel(), buyers.ravel()
-    hs, single = _horizon_axis(horizon)
+    hs = _horizons(horizons)
     regrets = np.empty((len(hs), sellers.size))
     # only the grid can pass the budget: dbs explores 2 * ceil(log2 T) rounds, fixed and gft-oracle none
     K = ConvolutionPricing(hs[-1], spec.params.get("K")).grid_size if spec.kind == "conv-pricing" else 1
@@ -580,23 +572,20 @@ def profile_regret(spec: LearnerSpec, horizon, pair):
     for lo in range(0, sellers.size, step):
         rows = slice(lo, lo + step)
         regrets[:, rows] = _point_mass_regrets(spec, hs, sellers[rows], buyers[rows])
-    if not single:
-        return regrets.reshape((len(hs),) + shape)
-    return float(regrets[0, 0]) if not shape else regrets[0].reshape(shape)
+    return regrets.reshape((len(hs),) + shape)
 
 
-def adversarial_deterministic_sweep(spec: LearnerSpec, horizon, s_values=None, buyer: float = 1.0):
+def adversarial_deterministic_sweep(spec: LearnerSpec, horizons, s_values=None, buyer: float = 1.0) -> list:
     """Worst-case exact regret of a deterministic learner over seller values.
 
     The default grid is 4097 evenly spaced points in [0, 1/4] against a
     buyer fixed at 1: fine enough to resolve bisection-style behavior down
     to intervals of width about 2^-12.  ``s_values`` must be a non-empty
-    1-D grid and ``buyer`` one value.  All points are scored by one
-    profile_regret call.  One horizon gives one SweepReport; a strictly
-    increasing sequence of horizons gives one per horizon, from the same
-    call.
+    1-D grid and ``buyer`` one value.  ``horizons`` is a strictly
+    increasing sequence, checked as RunConfig.horizons are; the result is
+    one SweepReport per horizon, all from one profile_regret call.
     """
-    hs, single = _horizon_axis(horizon)
+    hs = _horizons(horizons)
     if s_values is None:
         s_values = np.linspace(0.0, 0.25, 4097)
     s_values = np.asarray(s_values, dtype=np.float64)
@@ -620,7 +609,7 @@ def adversarial_deterministic_sweep(spec: LearnerSpec, horizon, s_values=None, b
                 argmax_s=float(s_values[arg]),
             )
         )
-    return reports[0] if single else reports
+    return reports
 
 
 # ---------------------------------------------------------------------------

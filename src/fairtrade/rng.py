@@ -4,16 +4,14 @@ All sampling in this package flows through a splitmix64 stream: the state
 advances by a fixed odd constant and the output is the standard three-round
 multiply-xorshift finalizer.  splitmix64 is a counter generator: the t-th
 state is seed + t * GOLDEN mod 2**64, so the t-th output depends on t alone.
-The reference loop steps the stream one Python integer at a time
-(SplitMix64).  The array paths take a run of draws of a column of seeds
-in one uint64 NumPy pass (draw_rows): the Monte Carlo episodes of a run,
-or one block of one stream (unit_draws, which kernels.py reads).  Code
-that draws with Python control flow, such as the rejection loops of the
-random environments, reads a RowStream: each seed's first draws come from
-one draw_rows pass over all seeds (row_streams), and the stream steps on
-as SplitMix64 past the row's end.  Every path gives the same words and
-doubles, so a trajectory is reproducible bit for bit across platforms and
-between the kernels and the reference loop.
+Two forms step it.  SplitMix64 steps the stream one Python integer at a
+time: the reference loop, and every draw made under Python control flow,
+such as the rejection loops of the random environments.  draw_rows takes
+a run of unit draws of a column of seeds in one uint64 NumPy pass: the
+Monte Carlo episodes of a run, or one block of one stream (unit_draws,
+which kernels.py reads).  Both give the same doubles, so a trajectory is
+reproducible bit for bit across platforms and between the kernels and
+the reference loop.
 
 Uniform doubles are built as (u64 >> 11) * 2**-53, i.e. 53 random bits in
 [0, 1).
@@ -108,12 +106,11 @@ class SplitMix64:
         return u64_to_unit(self.next_u64())
 
 
-def draw_rows(seeds, n: int, start: int = 0, unit: bool = True) -> np.ndarray:
-    """Draws start+1 .. start+n of each seed's stream, one row per seed, in one pass.
+def draw_rows(seeds, n: int, start: int = 0) -> np.ndarray:
+    """Unit draws start+1 .. start+n of each seed's stream, one row per seed, in one pass.
 
     Row i of the (len(seeds), n) result holds those values of
-    SplitMix64(seeds[i]).next_unit() when ``unit`` is set, else of
-    next_u64() as uint64: a unit draw is the word's top 53 bits times
+    SplitMix64(seeds[i]).next_unit(): each word's top 53 bits times
     2**-53.  The t-th value depends on t alone (the state is
     seed + t * GOLDEN), so a row may start anywhere in its stream.
 
@@ -140,9 +137,8 @@ def draw_rows(seeds, n: int, start: int = 0, unit: bool = True) -> np.ndarray:
         z ^= np.right_shift(z, np.uint64(27), out=t)
         z *= np.uint64(MIX_B)
         z ^= np.right_shift(z, np.uint64(31), out=t)
-        if unit:
-            np.multiply(np.right_shift(z, np.uint64(11), out=t), 2.0**-53, out=units[lo : lo + BLOCK])
-    return out if unit else words
+        np.multiply(np.right_shift(z, np.uint64(11), out=t), 2.0**-53, out=units[lo : lo + BLOCK])
+    return out
 
 
 def unit_draws(seed: int, n: int, start: int = 0) -> np.ndarray:
@@ -154,28 +150,3 @@ def unit_draws(seed: int, n: int, start: int = 0) -> np.ndarray:
     """
     return draw_rows((seed,), n, start)[0]
 
-
-class RowStream(SplitMix64):
-    """SplitMix64(seed) whose first draws come from a row drawn beforehand.
-
-    ``row`` holds the stream's first p words (Python ints, a row of
-    draw_rows(..., unit=False)).  Past them the stream steps on from state
-    seed + p * GOLDEN, where SplitMix64(seed) stands after p draws, so
-    every word, and every unit draw, is bitwise SplitMix64(seed)'s.
-    """
-
-    __slots__ = ("_row",)
-
-    def __init__(self, seed: int, row):
-        super().__init__(seed + len(row) * GOLDEN)
-        self._row = iter(row)
-
-    def next_u64(self) -> int:
-        for z in self._row:
-            return z
-        return super().next_u64()
-
-
-def row_streams(seeds, n: int) -> list:
-    """One RowStream per seed, its first n words from one draw_rows pass."""
-    return [RowStream(seed, row) for seed, row in zip(seeds, draw_rows(seeds, n, unit=False).tolist())]

@@ -50,7 +50,7 @@ from .harness import (
     profile_regret,
     run_monte_carlo,
 )
-from .rng import mix64, row_streams
+from .rng import SplitMix64, mix64
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,6 @@ def _check(names, fn) -> list:
 # ---------------------------------------------------------------------------
 
 _SANDWICH_SEED = 12001
-# a sandwich stream's draws without a redraw: per side a size, 5 values and 5 weights at most
-_SANDWICH_DRAWS = 2 * (1 + 5 + 5)
 _RATE_ENV_SEEDS = (101, 202)
 _RATE_MC_SEED = 7
 _FULL_ENV_SEEDS = (303, 404)
@@ -119,15 +117,24 @@ def _curve(env, learner_id: str, horizons, n_episodes: int = 1, base_seed: int =
 
 
 def suite_convolution_lemma() -> list:
-    """Overlap-sum approximation vs the exact tent formula on a dense box."""
+    """Overlap-sum approximation vs the exact tent formula on a dense box.
+
+    With m = min(p - s, b - p), the overlap count of a triple is
+    floor(m * M) + 1 when m >= 0 and 0 otherwise, so approx - exact lies
+    in (0, 1/M] where the tent is positive and is 0 elsewhere.  The row
+    passes only inside that bracket: min(approx - exact) >= 0 and
+    max(approx - exact) <= 1/M, with M = 10**4.  The upper edge is met
+    bitwise: at p = s the count is 1, so approx is the double 1/M, and
+    exact is 0.  A count one too many leaves the bracket above, and one
+    too few below.  ``measured`` is the largest |approx - exact|.
+    """
 
     def body():
+        M = 10**4
         grid = np.linspace(0.0, 1.0, 50)
         p, s, b = (a.ravel() for a in np.meshgrid(grid, grid, grid, indexing="ij"))
-        approx = kernels.convolution_approx_batch(p, s, b, 10**4)
-        exact = fgft_vector(p, s, b)
-        measured = float(np.max(np.abs(approx - exact)))
-        return measured <= 1e-4, measured, 1e-4
+        diff = kernels.convolution_approx_batch(p, s, b, M) - fgft_vector(p, s, b)
+        return 0.0 <= np.min(diff) and np.max(diff) <= 1.0 / M, float(np.max(np.abs(diff))), 1.0 / M
 
     return _check("convolution-lemma", body)
 
@@ -138,9 +145,8 @@ def suite_sandwich() -> list:
     For an independent pair, the grid score at index i equals a
     left-endpoint Riemann sum of the CDF/co-CDF overlap integral, so it
     must lie within [0, 1/K] above the exact expected fgft at price i/K.
-    The 100 instances are arrays from the start: one draw_rows pass gives
-    every instance's stream its first _SANDWICH_DRAWS words (row_streams),
-    each stream draws a seller and then a buyer marginal of 2..5 atoms,
+    Each of the 100 instances draws a seller and then a buyer marginal of
+    2..5 atoms from its own SplitMix64 stream, as random_marginal does,
     and core.atom_rows stacks each side as (100, 5) rows of values and
     weights, checked once by core.check_atom_rows, whose one-row case is
     FiniteMarginal's check.  A padded column has weight 0 (real weights are
@@ -160,7 +166,7 @@ def suite_sandwich() -> list:
     """
 
     def body():
-        streams = row_streams([mix64(_SANDWICH_SEED, rep) for rep in range(100)], _SANDWICH_DRAWS)
+        streams = [SplitMix64(mix64(_SANDWICH_SEED, rep)) for rep in range(100)]
         sides = [[_marginal_atoms(stream, _rand_int(stream, 2, 5)) for _ in "sb"] for stream in streams]
         seller_values, seller_weights, _ = atom_rows([seller for seller, _ in sides], 5)
         buyer_values, buyer_weights, _ = atom_rows([buyer for _, buyer in sides], 5)
@@ -352,24 +358,39 @@ def suite_epsilon_family() -> list:
 def suite_oracle_equivalence() -> list:
     """Breakpoint-enumeration oracle vs a dense brute-force price grid.
 
+    v* is the largest E[fgft] over the oracle's candidates, and so over
+    [0, 1]; brute is the largest over the grid of step h = 1e-4.  E[fgft]
+    is 1-Lipschitz in p, so 0 <= v* - brute <= h/2 in exact arithmetic.
+    The row passes only inside that bracket, widened below by a rounding
+    bound d = 1e-12: each mean sums at most six terms w * fgft, with
+    weights summing to 1 and fgft <= 1/2, so a computed mean is within
+    about 6 * 2**-53 < 1e-15 of the exact mean at its price, and a
+    computed candidate price is within one ulp of its breakpoint.  It also
+    requires E[fgft] at each oracle price to equal its v* bitwise, as the
+    regret accounting needs (a fixed price at the optimum has regret
+    exactly 0).  ``measured`` is the largest |v* - brute|.
+
     The 100 random joints are drawn as rows of atoms
-    (environments.random_joint_rows: one draw_rows pass, no environment
-    built), and core.best_fixed_price_fgft_rows scores every oracle in one
-    call.  The brute force stays one sorted-row expected_fgft_at call per
-    joint, on its own atoms only: one call over all 100 rows of atoms,
-    padding included, took 10.7 ms against 4.1 ms for the 100 calls on
-    a 2-core x86-64 VM.
+    (environments.random_joint_rows, no environment built), and
+    core.best_fixed_price_fgft_rows scores every oracle in one call.  The
+    brute force stays one sorted-row expected_fgft_at call per joint, on
+    its own atoms only: one call over all 100 rows of atoms, padding
+    included, took 10.7 ms against 4.1 ms for the 100 calls on a 2-core
+    x86-64 VM.
     """
 
     def body():
+        half_step = 1e-4 / 2.0
         grid = np.arange(10001, dtype=np.float64) / 10000.0
         sellers, buyers, weights, counts = random_joint_rows(mix64(_ORACLE_SEED, rep) for rep in range(100))
-        oracles = best_fixed_price_fgft_rows(sellers, buyers, weights)[1]
-        worst = 0.0
-        for s, b, w, n, oracle in zip(sellers, buyers, weights, counts, oracles):
-            brute = float(np.max(kernels.expected_fgft_at(grid, s[:n], b[:n], w[:n])))
-            worst = max(worst, abs(float(oracle) - brute))
-        return worst <= 1e-4, worst, 1e-4
+        prices, values = best_fixed_price_fgft_rows(sellers, buyers, weights)
+        at_prices = kernels.expected_fgft_at(prices[:, None], sellers, buyers, weights)[:, 0]
+        gaps = [
+            float(v) - float(np.max(kernels.expected_fgft_at(grid, s[:n], b[:n], w[:n])))
+            for s, b, w, n, v in zip(sellers, buyers, weights, counts, values)
+        ]
+        passed = -1e-12 <= min(gaps) and max(gaps) <= half_step and np.array_equal(at_prices, values)
+        return passed, max(abs(gap) for gap in gaps), half_step
 
     return _check("oracle-equivalence", body)
 

@@ -49,7 +49,8 @@ def _run(config):
     return config.horizons, config.n_episodes, type(config.n_episodes), curve.means, curve.stderrs
 
 
-def _sweep(report):
+def _sweep(reports):
+    (report,) = reports
     return report.horizon, type(report.horizon), report.regrets.tolist()
 
 
@@ -73,14 +74,14 @@ COUNTS = {
         "n_episodes",
         lambda v: _run(RunConfig(lb_mu(), parse_learner("conv-pricing"), (8,), n_episodes=v)),
     ),
-    "profile_regret": ("horizon", lambda v: profile_regret(parse_learner("dbs"), v, (0.2, 0.8))),
+    "profile_regret": ("horizon", lambda v: profile_regret(parse_learner("dbs"), (v,), (0.2, 0.8))),
     "deterministic_price_profile": (
         "horizon",
         lambda v: repr(deterministic_price_profile(parse_learner("conv-pricing"), v, (0.2, 0.8))),
     ),
     "adversarial_deterministic_sweep": (
         "horizon",
-        lambda v: _sweep(adversarial_deterministic_sweep(parse_learner("dbs"), v, s_values=[0.1, 0.2], buyer=0.8)),
+        lambda v: _sweep(adversarial_deterministic_sweep(parse_learner("dbs"), (v,), s_values=[0.1, 0.2], buyer=0.8)),
     ),
 }
 SEEDS = {"UniformRandom": ("seed", UniformRandom)}

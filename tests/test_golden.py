@@ -33,12 +33,16 @@ def test_golden_records_every_suite():
 
 
 def test_off_machine_comparison_is_relative(monkeypatch):
-    want = load()["verify"]["oracle-equivalence"][0]
+    golden = load()
+    want = golden["verify"]["oracle-equivalence"][0]
     measured, tolerance = (float.fromhex(want[key]) for key in ("measured", "tolerance"))
 
     def rows(scale):
         return [CheckResult(want["check"], want["pass"], measured * scale, tolerance, 0.0)]
 
+    # on the recording machine (pinned, so this holds on any host) the comparison is exact
+    recorded = {key: golden[key] for key in ("numpy", "cpu_features")}
+    monkeypatch.setattr(record_golden, "machine", lambda: recorded)
     with pytest.raises(AssertionError, match="^exact comparison"):
         record_golden.check_verify_rows("oracle-equivalence", rows(1.0 + 1e-15))
     monkeypatch.setattr(record_golden, "machine", lambda: {"numpy": "0.0", "cpu_features": []})

@@ -585,21 +585,22 @@ def test_price_profile_rejects_unusable_learners():
 @pytest.mark.parametrize("learner_id", ["fixed:p=0.3", "dbs"])
 def test_point_mass_path_rejects_a_bad_horizon(learner_id, horizon):
     spec = parse_learner(learner_id)
-    for fn in (profile_regret, deterministic_price_profile):
-        with pytest.raises(ValueError, match="horizon must be"):
-            fn(spec, horizon, (0.2, 0.8))
     with pytest.raises(ValueError, match="horizon must be"):
-        adversarial_deterministic_sweep(spec, horizon, s_values=[0.2], buyer=0.8)
+        profile_regret(spec, (horizon,), (0.2, 0.8))
+    with pytest.raises(ValueError, match="horizon must be"):
+        deterministic_price_profile(spec, horizon, (0.2, 0.8))
+    with pytest.raises(ValueError, match="horizon must be"):
+        adversarial_deterministic_sweep(spec, (horizon,), s_values=[0.2], buyer=0.8)
 
 
 @pytest.mark.parametrize("horizon", [1e3, np.int64(1000)])
 @pytest.mark.parametrize("learner_id", ["fixed:p=0.3", "dbs"])
 def test_point_mass_path_takes_a_whole_horizon(learner_id, horizon):
     spec = parse_learner(learner_id)
-    want = profile_regret(spec, 1000, (0.2, 0.8))
-    assert profile_regret(spec, horizon, (0.2, 0.8)) == want
+    (want,) = profile_regret(spec, (1000,), (0.2, 0.8))
+    assert profile_regret(spec, (horizon,), (0.2, 0.8)).tolist() == [want]
     assert type(deterministic_price_profile(spec, horizon, (0.2, 0.8))[2]) is int
-    report = adversarial_deterministic_sweep(spec, horizon, s_values=[0.2], buyer=0.8)
+    (report,) = adversarial_deterministic_sweep(spec, (horizon,), s_values=[0.2], buyer=0.8)
     assert (type(report.horizon), report.horizon, report.max_regret) == (int, 1000, want)
 
 
@@ -609,7 +610,8 @@ def test_profile_regret_matches_reference_loop():
     env = deterministic(*pair)
     cfg = RunConfig(env=env, learner=spec, horizons=(16,))
     want = pseudo_regret(env, run_episode(cfg, 0))
-    assert profile_regret(spec, 16, pair) == pytest.approx(want, abs=1e-12)
+    (regret,) = profile_regret(spec, (16,), pair)
+    assert regret == pytest.approx(want, abs=1e-12)
 
 
 _UNIT = st.floats(0.0, 1.0)
@@ -650,9 +652,8 @@ def test_point_mass_profile_matches_reference_loop(learner, pair):
     trajectory = run_episode(RunConfig(env=env, learner=spec, horizons=(T,)), 0)
     explore, tail, tail_len = deterministic_price_profile(spec, T, pair)
     assert np.array_equal(np.concatenate([explore, np.full(tail_len, tail)]), trajectory.prices)
-    assert profile_regret(spec, T, pair) == pytest.approx(
-        pseudo_regret(env, trajectory), rel=0.0, abs=1e-12 * T
-    )
+    (regret,) = profile_regret(spec, (T,), pair)
+    assert regret == pytest.approx(pseudo_regret(env, trajectory), rel=0.0, abs=1e-12 * T)
 
 
 _EIGHTHS = st.integers(0, 8).map(lambda k: k / 8)
@@ -687,22 +688,22 @@ def test_point_mass_batch_matches_single_points(learner, pairs):
         trajectory = run_episode(RunConfig(env=deterministic(*pair), learner=spec, horizons=(T,)), 0)
         path = np.concatenate([explore[i], np.full(tail_len, tail[i])])
         assert np.array_equal(path, trajectory.prices), pair
-    single = [profile_regret(spec, T, pair) for pair in pairs]
-    assert np.array_equal(profile_regret(spec, T, (sellers, buyers)), single)
+    single = [profile_regret(spec, (T,), pair)[0] for pair in pairs]
+    assert np.array_equal(profile_regret(spec, (T,), (sellers, buyers))[0], single)
 
 
 def test_profile_regret_keeps_the_broadcast_shape(monkeypatch):
     spec = parse_learner("dbs")
     grid = np.linspace(0.0, 1.0, 5)
     sellers, buyers = np.meshgrid(grid, grid)
-    regrets = profile_regret(spec, 100, (sellers, buyers))
-    assert regrets.shape == (5, 5)
-    assert np.array_equal(regrets, profile_regret(spec, 100, (grid[None, :], grid[:, None])))
+    regrets = profile_regret(spec, (100,), (sellers, buyers))
+    assert regrets.shape == (1, 5, 5)
+    assert np.array_equal(regrets, profile_regret(spec, (100,), (grid[None, :], grid[:, None])))
     monkeypatch.setattr(harness, "POINT_BLOCK", 3)  # 25 points in 9 passes
-    assert np.array_equal(regrets, profile_regret(spec, 100, (sellers, buyers)))
-    assert regrets[1, 3] == profile_regret(spec, 100, (grid[3], grid[1]))
-    assert isinstance(profile_regret(spec, 100, (0.25, 0.75)), float)
-    assert profile_regret(spec, 100, (np.empty((0, 1)), grid[:3])).shape == (0, 3)
+    assert np.array_equal(regrets, profile_regret(spec, (100,), (sellers, buyers)))
+    assert regrets[:, 1, 3] == profile_regret(spec, (100,), (grid[3], grid[1]))
+    assert profile_regret(spec, (100,), (0.25, 0.75)).shape == (1,)
+    assert profile_regret(spec, (100,), (np.empty((0, 1)), grid[:3])).shape == (1, 0, 3)
 
 
 @st.composite
@@ -769,7 +770,7 @@ def test_point_mass_v_star_is_the_candidate_columns_max_on_the_dbs_grid():
 def test_profile_regret_over_horizons_keeps_the_pair_shape():
     spec, pair = parse_learner("dbs"), (0.25, 0.75)
     regrets = profile_regret(spec, [8, 16, 100], pair)
-    assert regrets.tolist() == [profile_regret(spec, T, pair) for T in (8, 16, 100)]
+    assert regrets.tolist() == [profile_regret(spec, (T,), pair)[0] for T in (8, 16, 100)]
     grid = np.linspace(0.0, 1.0, 5)
     assert profile_regret(spec, (8, 16), (grid[None, :], grid[:, None])).shape == (2, 5, 5)
 
@@ -801,9 +802,11 @@ def test_point_mass_horizons_follow_the_run_config_rule(horizons, message):
 def test_point_mass_batch_rejects_values_outside_the_unit_interval(side, bad):
     pair = {"seller": np.array([0.0, 0.2, 0.5]), "buyer": np.array([1.0, 0.9, 0.5])}
     pair[side][1] = bad
-    for fn in (profile_regret, deterministic_price_profile):
-        with pytest.raises(ValueError, match=rf"{side} values must lie in \[0, 1\]"):
-            fn(parse_learner("dbs"), 64, (pair["seller"], pair["buyer"]))
+    spec, points = parse_learner("dbs"), (pair["seller"], pair["buyer"])
+    with pytest.raises(ValueError, match=rf"{side} values must lie in \[0, 1\]"):
+        profile_regret(spec, (64,), points)
+    with pytest.raises(ValueError, match=rf"{side} values must lie in \[0, 1\]"):
+        deterministic_price_profile(spec, 64, points)
 
 
 @st.composite
@@ -918,7 +921,7 @@ def test_fixed_price_at_the_optimum_has_zero_regret(atoms, T):
 
 
 def test_sweep_fixed_price_frozen():
-    report = adversarial_deterministic_sweep(parse_learner("fixed:p=0.5"), 1024)
+    (report,) = adversarial_deterministic_sweep(parse_learner("fixed:p=0.5"), (1024,))
     assert report.max_regret == 128.0  # worst point mass loses 1/8 per round
     assert report.argmax_s == 0.25
     assert report.learner_id == "fixed:p=0.5"
@@ -926,15 +929,15 @@ def test_sweep_fixed_price_frozen():
 
 
 def test_sweep_dbs_within_theory_bound():
-    report = adversarial_deterministic_sweep(parse_learner("dbs"), 1024)
+    (report,) = adversarial_deterministic_sweep(parse_learner("dbs"), (1024,))
     assert report.max_regret == pytest.approx(8.4931640625, abs=1e-12)
     assert report.argmax_s == pytest.approx(0.0009765625, abs=1e-15)
     assert report.max_regret <= dbs_regret_bound(1024)
 
 
 def test_sweep_accepts_custom_grid():
-    report = adversarial_deterministic_sweep(
-        parse_learner("dbs"), 64, s_values=np.asarray([0.0, 0.1]), buyer=0.9
+    (report,) = adversarial_deterministic_sweep(
+        parse_learner("dbs"), (64,), s_values=np.asarray([0.0, 0.1]), buyer=0.9
     )
     assert report.s_values.tolist() == [0.0, 0.1]
     assert report.buyer == 0.9
@@ -943,7 +946,7 @@ def test_sweep_accepts_custom_grid():
 
 def test_sweep_rejects_an_empty_grid():
     with pytest.raises(ValueError, match="seller grid of a sweep is empty"):
-        adversarial_deterministic_sweep(parse_learner("dbs"), 64, s_values=np.array([]))
+        adversarial_deterministic_sweep(parse_learner("dbs"), (64,), s_values=np.array([]))
 
 
 @pytest.mark.parametrize(
@@ -956,7 +959,7 @@ def test_sweep_rejects_an_empty_grid():
 )
 def test_sweep_rejects_a_grid_that_is_not_1d_and_a_buyer_that_is_not_one_value(kwargs, message):
     with pytest.raises(ValueError, match=message):
-        adversarial_deterministic_sweep(parse_learner("dbs"), 64, **kwargs)
+        adversarial_deterministic_sweep(parse_learner("dbs"), (64,), **kwargs)
 
 
 def test_sweep_over_horizons_gives_one_report_per_horizon():
@@ -964,11 +967,9 @@ def test_sweep_over_horizons_gives_one_report_per_horizon():
     reports = adversarial_deterministic_sweep(parse_learner("dbs"), hs, s_values=grid)
     assert [report.horizon for report in reports] == list(hs)
     for T, report in zip(hs, reports):
-        single = adversarial_deterministic_sweep(parse_learner("dbs"), T, s_values=grid)
+        (single,) = adversarial_deterministic_sweep(parse_learner("dbs"), (T,), s_values=grid)
         assert np.array_equal(report.regrets, single.regrets), T
         assert (report.max_regret, report.argmax_s) == (single.max_regret, single.argmax_s), T
-    (one,) = adversarial_deterministic_sweep(parse_learner("fixed:p=0.5"), [1024])
-    assert one.max_regret == adversarial_deterministic_sweep(parse_learner("fixed:p=0.5"), 1024).max_regret
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from fairtrade import kernels
 from fairtrade.core import FiniteJointDistribution, fgft_candidates, fgft_vector, sorted_distinct
 from fairtrade.environments import env_from_config, lb_mu, parse_env
 from fairtrade.harness import _EnvTables
-from fairtrade.rng import MASK64, SplitMix64, draw_rows, mix64, row_streams, unit_draws
+from fairtrade.rng import MASK64, SplitMix64, draw_rows, mix64, unit_draws
 from reference import discrete_convolution_score, expected_fgft, fgft_convolution_approx
 
 
@@ -670,17 +670,14 @@ _ROW_SEEDS = [0, MASK64, mix64(0, 0), mix64(9100, 17), mix64(12001, 99), mix64(M
 
 @pytest.mark.parametrize("n,start", [(0, 0), (1, 0), (3, 0), (40, 0), (5, 7), (3, kernels.BLOCK - 1)])
 def test_draw_rows_are_each_seeds_stream(n, start):
-    words, units = draw_rows(_ROW_SEEDS, n, start, unit=False), draw_rows(_ROW_SEEDS, n, start)
-    assert words.shape == units.shape == (len(_ROW_SEEDS), n)
-    assert (words.dtype, units.dtype) == (np.uint64, np.float64)
-    for seed, row, unit_row in zip(_ROW_SEEDS, words, units):
+    rows = draw_rows(_ROW_SEEDS, n, start)
+    assert (rows.shape, rows.dtype) == ((len(_ROW_SEEDS), n), np.float64)
+    for seed, row in zip(_ROW_SEEDS, rows):
         stream = SplitMix64(seed)
         for _ in range(start):
             stream.next_u64()
-        want = [stream.next_u64() for _ in range(n)]
-        assert row.tolist() == want  # bit for bit
-        assert unit_row.tolist() == [(z >> 11) * 2.0**-53 for z in want]
-        assert unit_row.tobytes() == unit_draws(seed, n, start).tobytes()
+        assert row.tolist() == [stream.next_unit() for _ in range(n)]  # bit for bit
+        assert row.tobytes() == unit_draws(seed, n, start).tobytes()
 
 
 def test_draw_rows_blocks_do_not_show():
@@ -690,15 +687,6 @@ def test_draw_rows_blocks_do_not_show():
     for seed, row in zip(seeds, rows):
         stream = SplitMix64(seed)
         assert row.tolist() == [stream.next_unit() for _ in range(5000)]
-
-
-@pytest.mark.parametrize("prefix", [0, 1, 3])
-def test_row_streams_are_splitmix64_before_and_past_their_rows(prefix):
-    for seed, stream in zip(_ROW_SEEDS, row_streams(_ROW_SEEDS, prefix)):
-        want = SplitMix64(seed)
-        got = [stream.next_u64() if t % 2 else stream.next_unit() for t in range(prefix + 6)]
-        assert got == [want.next_u64() if t % 2 else want.next_unit() for t in range(prefix + 6)]
-        assert stream.state == want.state
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,29 @@ def _overlap_count_one_too_many(monkeypatch):
     monkeypatch.setattr(kernels, "convolution_approx_batch", one_more)
 
 
+def _overlap_count_one_too_few(monkeypatch):
+    # one overlap fewer, floored at an empty count: approx - exact drops to
+    # -1/M on triples where the count was 1
+    approx = kernels.convolution_approx_batch
+
+    def one_fewer(prices, sellers, buyers, grid_size):
+        return np.maximum(approx(prices, sellers, buyers, grid_size) - 1.0 / grid_size, 0.0)
+
+    monkeypatch.setattr(kernels, "convolution_approx_batch", one_fewer)
+
+
+def _oracle_value_low(monkeypatch):
+    # each v* reported 5e-5 low at the right price: |v* - brute| stays under
+    # 1e-4, but v* falls below the brute-force maximum and off E[fgft] there
+    rows = core.best_fixed_price_fgft_rows
+
+    def low(sellers, buyers, weights):
+        prices, values = rows(sellers, buyers, weights)
+        return prices, values - 5e-5
+
+    monkeypatch.setattr(verify, "best_fixed_price_fgft_rows", low)
+
+
 def _rate_row_names(prefix, env_ids):
     return {f"{prefix}-{kind}:{env_id}" for env_id in env_ids for kind in ("slope", "ratio")}
 
@@ -229,6 +252,16 @@ MUTATIONS = {
         _overlap_count_one_too_many,
         {"convolution-lemma"},
     ),
+    "overlap-count-one-too-few": (
+        ("convolution-lemma",),
+        _overlap_count_one_too_few,
+        {"convolution-lemma"},
+    ),
+    "oracle-value-low": (
+        ("oracle-equivalence",),
+        _oracle_value_low,
+        {"oracle-equivalence"},
+    ),
 }
 
 # Rows no honest mutation fails (see their suites' docstrings).
@@ -276,7 +309,8 @@ def test_oracle_equivalence_scores_every_oracle_in_one_call(monkeypatch):
     oracle = _counting(monkeypatch, core, "expected_fgft_at")
     joints = _counting(monkeypatch, core.FiniteJointDistribution, "__init__")
     assert all(row.passed for row in run_suite("oracle-equivalence"))
-    assert [np.shape(prices) for prices, *_ in brute] == [(10001,)] * 100
+    # one call scores each oracle's own price, then one brute force per joint
+    assert [np.shape(prices) for prices, *_ in brute] == [(100, 1)] + [(10001,)] * 100
     assert [np.shape(prices)[0] for prices, *_ in oracle] == [100]
     assert joints == []
 
