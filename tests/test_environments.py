@@ -26,6 +26,7 @@ from fairtrade.environments import (
     lb_mu,
     lb_nu,
     parse_env,
+    _joint_atoms,
     _marginal_atoms,
     random_independent_env,
     random_joint_env,
@@ -342,8 +343,27 @@ def test_random_env_ids_of_whole_seeds_parse_back(make, seed):
     assert _same_atoms(parse_env(env.env_id), env)
 
 
+class _CountingStream(SplitMix64):
+    __slots__ = ("draws",)
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def next_u64(self):
+        self.draws += 1
+        return super().next_u64()
+
+
 # seed 0 redraws its six pairs: 31 draws, where a joint of six without a redraw takes 19
 _JOINT_SEEDS = [0, 15, 404, MASK64, mix64(9100, 17), mix64(9100, 3)]
+
+
+def test_joint_seed_zero_redraws_its_pairs():
+    # keeps the redraw loop covered by test_random_joint_rows_are_random_joint_env
+    stream = _CountingStream(0)
+    sellers, _, _ = _joint_atoms(stream)
+    assert (len(sellers), stream.draws) == (6, 31)
 
 
 def test_random_joint_rows_are_random_joint_env():

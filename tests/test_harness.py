@@ -785,6 +785,10 @@ def test_profile_regret_over_horizons_keeps_the_pair_shape():
         (np.array([[10], [20]]), "horizons must be a list of whole numbers"),
         ((10, 20.5), "horizon must be a whole number"),
         ((0, 5), "horizon must be >= 1"),
+        # a lone horizon is not a sequence, for a run or a point-mass call
+        (64, "horizons must be a list of whole numbers"),
+        (1e3, "horizons must be a list of whole numbers"),
+        (np.int64(64), "horizons must be a list of whole numbers"),
     ],
 )
 def test_point_mass_horizons_follow_the_run_config_rule(horizons, message):
