@@ -17,9 +17,9 @@ path draw for draw (fbep_prices can break a flat top differently; see
 harness._fbep_gaps).
 
 One block rule serves every streamed pass: draws, regrets, prices, (row,
-price) pairs or triples go BLOCK at a time, and fbep's cumsum
-max(1, BLOCK // 4) rounds at a time.  Blocking never regroups a sum, so
-no output depends on BLOCK.
+price) pairs or triples go BLOCK at a time (verify's convolution-lemma box
+and sandwich CDF rows too), and fbep's cumsum max(1, BLOCK // 4) rounds at
+a time.  Blocking never regroups a sum, so no output depends on BLOCK.
 
 Sampling convention: one uniform draw per round; the drawn atom is the
 number of boundaries cum[0..A-2] at or below the uniform.  That is the
@@ -76,8 +76,9 @@ import numpy as np
 from .rng import SplitMix64  # noqa: F401
 # rng.BLOCK, the one block size: here the draws and regrets of fbep and
 # uniform (harness's too), expected_fgft_at's prices or (row, price) pairs,
-# convolution_approx_batch's triples.  fbep's cumsum takes max(1, BLOCK // 4)
-# rounds.  Tests set kernels.BLOCK to move the block edges.
+# convolution_approx_batch's triples; verify's box and CDF rows read it too.
+# fbep's cumsum takes max(1, BLOCK // 4) rounds.  Tests set kernels.BLOCK to
+# move the block edges.
 from .rng import BLOCK, _count, unit_draws
 
 # No numba path exists; the flag stays because run metadata reports it.
@@ -655,12 +656,12 @@ def convolution_approx_batch(prices, sellers, buyers, grid_size):
     steps up or down until it sits on that boundary of the float predicate
     itself, so rounding can move the estimate but never the result.
     Triples go BLOCK at a time to keep the temporaries small.  M
-    is a count (rng._count).
+    is a count (rng._count); the three arrays must be 1-d of one length.
     """
     M = _count(grid_size, "grid_size")
-    prices = np.ascontiguousarray(prices, dtype=np.float64)
-    sellers = np.ascontiguousarray(sellers, dtype=np.float64)
-    buyers = np.ascontiguousarray(buyers, dtype=np.float64)
+    prices, sellers, buyers = (np.asarray(x, dtype=np.float64) for x in (prices, sellers, buyers))
+    if prices.ndim != 1 or sellers.shape != prices.shape or buyers.shape != prices.shape:
+        raise ValueError("convolution_approx_batch expects prices, sellers and buyers as 1-d arrays of one length")
     out = np.empty(prices.size, dtype=np.float64)
     for lo in range(0, prices.size, BLOCK):
         p, s, b = (x[lo : lo + BLOCK] for x in (prices, sellers, buyers))

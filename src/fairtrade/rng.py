@@ -32,9 +32,9 @@ GOLDEN = 0x9E3779B97F4A7C15
 MIX_A = 0xBF58476D1CE4E5B9
 MIX_B = 0x94D049BB133111EB
 # Elements per block of every streamed pass: draw_rows's words here, and
-# kernels' (see BLOCK there).  A block of 8-byte elements is 64 KiB, under
-# glibc's default 128 KiB mmap threshold, so block scratch is reused heap
-# rather than a fresh mapping.
+# kernels' and verify's (see BLOCK in kernels).  A block of 8-byte elements
+# is 64 KiB, under glibc's default 128 KiB mmap threshold, so block scratch
+# is reused heap rather than a fresh mapping.
 BLOCK = 8192
 
 

@@ -126,15 +126,23 @@ def suite_convolution_lemma() -> list:
     max(approx - exact) <= 1/M, with M = 10**4.  The upper edge is met
     bitwise: at p = s the count is 1, so approx is the double 1/M, and
     exact is 0.  A count one too many leaves the bracket above, and one
-    too few below.  ``measured`` is the largest |approx - exact|.
+    too few below.  ``measured`` is the largest |approx - exact|.  The
+    box streams: one (s, b) plane of 50**2 triples, tiled
+    max(1, kernels.BLOCK // 2500) times, meets that many prices per call.
     """
 
     def body():
         M = 10**4
         grid = np.linspace(0.0, 1.0, 50)
-        p, s, b = (a.ravel() for a in np.meshgrid(grid, grid, grid, indexing="ij"))
-        diff = kernels.convolution_approx_batch(p, s, b, M) - fgft_vector(p, s, b)
-        return 0.0 <= np.min(diff) and np.max(diff) <= 1.0 / M, float(np.max(np.abs(diff))), 1.0 / M
+        per = min(50, max(1, kernels.BLOCK // 2500))
+        s, b = (np.tile(a.ravel(), per) for a in np.meshgrid(grid, grid, indexing="ij"))
+        low, high, worst = np.inf, -np.inf, 0.0
+        for j in range(0, 50, per):
+            p = np.repeat(grid[j : j + per], 2500)
+            sj, bj = s[: p.size], b[: p.size]
+            diff = kernels.convolution_approx_batch(p, sj, bj, M) - fgft_vector(p, sj, bj)
+            low, high, worst = min(low, np.min(diff)), max(high, np.max(diff)), max(worst, np.max(np.abs(diff)))
+        return 0.0 <= low and high <= 1.0 / M, float(worst), 1.0 / M
 
     return _check("convolution-lemma", body)
 
@@ -151,11 +159,12 @@ def suite_sandwich() -> list:
     weights, checked once by core.check_atom_rows, whose one-row case is
     FiniteMarginal's check.  A padded column has weight 0 (real weights are
     positive), and its value is then set to 1 on the seller's side and 0
-    on the buyer's.  Each K sums all CDF rows P[S <= i/K] = sum_k
+    on the buyer's.  Each K sums CDF rows P[S <= i/K] = sum_k
     w_k * 1{v_k <= i/K} and co-CDF rows P[B >= i/K] over the five
-    columns, k in order, and kernels.incomplete_convolution, the grid
-    learner's full scorer, takes them as real-valued (100, K) rows.  One
-    expected_fgft_at call takes the product atoms as (100, 25) per-row
+    columns, k in order, max(1, kernels.BLOCK // K) instances at a time,
+    and kernels.incomplete_convolution, the grid learner's full scorer,
+    takes them as real-valued rows.  One expected_fgft_at call per K
+    takes the product atoms as (100, 25) per-row
     atoms from core.product_joint_rows, whose one-row case is
     product_joint: seller value i and buyer value j at column 5i + j, so
     each instance's atoms keep product_joint's order, with the padded ones
@@ -176,12 +185,16 @@ def suite_sandwich() -> list:
         worst = 0.0
         for K in (10, 100, 1000):
             grid = np.arange(1, K + 1, dtype=np.float64) / K
-            cdf, cocdf = np.zeros((2, 100, K))
-            for k in range(5):
-                cdf += seller_weights[:, k, None] * (seller_values[:, k, None] <= grid)
-                cocdf += buyer_weights[:, k, None] * (grid <= buyer_values[:, k, None])
-            diff = kernels.incomplete_convolution(cdf, cocdf, K) / K - kernels.expected_fgft_at(grid, *atoms)
-            worst = max(worst, float(np.max(-diff)), float(np.max(diff - 1.0 / K)))
+            exact = kernels.expected_fgft_at(grid, *atoms)
+            R = max(1, kernels.BLOCK // K)
+            for r in range(0, 100, R):
+                sv, sw, bv, bw = (x[r : r + R] for x in (seller_values, seller_weights, buyer_values, buyer_weights))
+                cdf, cocdf = np.zeros((2, len(sv), K))
+                for k in range(5):
+                    cdf += sw[:, k, None] * (sv[:, k, None] <= grid)
+                    cocdf += bw[:, k, None] * (grid <= bv[:, k, None])
+                diff = kernels.incomplete_convolution(cdf, cocdf, K) / K - exact[r : r + R]
+                worst = max(worst, float(np.max(-diff)), float(np.max(diff - 1.0 / K)))
         return worst <= 1e-10, worst, 1e-10
 
     return _check("sandwich", body)

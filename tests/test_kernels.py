@@ -236,6 +236,22 @@ def test_convolution_approx_batch_numpy_matches_scalar():
     np.testing.assert_allclose(got, want, atol=1e-15)
 
 
+def test_convolution_approx_batch_rejects_unaligned_triples():
+    # lengths straddle BLOCK: 9 000 prices against 8 200 buyers used to fail only at the second
+    # block's edge, naming block-relative shapes, and a length-1 seller broadcast inside the first
+    n = kernels.BLOCK + 808
+    shapes = (
+        ((n,), (n,), (kernels.BLOCK + 8,)),
+        ((n,), (1,), (n,)),
+        ((n,), (n,), ()),
+        ((), (), ()),
+        ((2, n), (2, n), (2, n)),
+    )
+    for shape in shapes:
+        with pytest.raises(ValueError, match="1-d arrays of one length"):
+            kernels.convolution_approx_batch(*(np.full(s, 0.5) for s in shape), 4)
+
+
 # ---------------------------------------------------------------------------
 # exact grid kernels against their scalar definitions
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Verification-suite plumbing and the random instance generators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -319,6 +321,42 @@ def test_sandwich_builds_no_marginal(monkeypatch):
     marginals = _counting(monkeypatch, core.FiniteMarginal, "__init__")
     assert all(row.passed for row in run_suite("sandwich"))
     assert marginals == []
+
+
+_STREAMED_SUITES = (verify.suite_convolution_lemma, verify.suite_sandwich)
+
+
+@pytest.mark.parametrize("suite", _STREAMED_SUITES)
+def test_streamed_suite_scratch_stays_within_its_bound(suite):
+    # a warm call's peak: 24 blocks of doubles besides the sandwich's largest exact table,
+    # 100 rows at K = 1000; materialising the whole 50**3 box or whole (100, K) tables peaks at
+    # 7.0 and 5.5 MB
+    suite()
+    tracemalloc.start()
+    try:
+        suite()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 8 * kernels.BLOCK + 8 * 100 * 1000, peak
+
+
+@pytest.mark.parametrize("block", [999, 2499, 2500, 10**6])
+def test_streamed_suites_do_not_depend_on_block(monkeypatch, block):
+    # below one sandwich row at K = 1000, below one (s, b) plane of 50**2 triples, one plane,
+    # and the whole box in one block; each triple and instance row is scored once per K
+    def rows():
+        return [(r.check, r.passed, r.measured.hex()) for suite in _STREAMED_SUITES for r in suite()]
+
+    want = rows()
+    monkeypatch.setattr(kernels, "BLOCK", block)
+    triples = _counting(monkeypatch, kernels, "convolution_approx_batch")
+    convolutions = _counting(monkeypatch, kernels, "incomplete_convolution")
+    assert rows() == want
+    assert sum(len(p) for p, *_ in triples) == 50**3
+    assert max(len(p) for p, *_ in triples) <= max(block, 2500)
+    assert sum(len(cdf) for cdf, *_ in convolutions) == 3 * 100
+    assert max(cdf.size for cdf, *_ in convolutions) <= max(block, 1000)
 
 
 def test_known_weak_rows_have_no_mutation():
