@@ -5,8 +5,9 @@ splitmix64 stream, inverted by _atoms_at: rng.draw_rows for a column of
 seeds, and rng.unit_draws, its one row, for one block of one stream.
 dbs_explore and conv_pricing_commit take the drawn seller and buyer values
 as rows, one per episode or per point mass (harness._EnvTables.draw
-samples them through draw_rows), and step all rows at once.  fbep_prices
-and uniform_prices, the full-feedback kernels, draw their own through
+samples them through draw_rows), and step all rows at once; dbs_explore
+bisects point masses in closed form.  fbep_prices and uniform_prices,
+the full-feedback kernels, draw their own through
 unit_draws, BLOCK rounds at a time from each block's start, so an
 episode runs in bounded block scratch: besides the one T-long array it
 returns (fbep's index in the narrowest unsigned type, uniform's prices),
@@ -46,8 +47,9 @@ row of atoms each.
 
 The grid learner's scores, the incomplete convolution of its two rows
 of acceptance values, have two scorers.  incomplete_convolution scores
-every grid index of real-valued rows, one windowed dot product per
-index: the round-by-round learner and the sandwich check use it.
+every grid index of real-valued rows, one dot product per run of 64
+indices over the run's live terms: the round-by-round learner and the
+sandwich check use it.
 grid_commits, the fast path, returns only each row's first maximizer on
 0/1 bits (it raises on any other value), and counts exactly.  It builds
 one flat table per side and row, whose entry f holds the 64 bits from bit
@@ -62,7 +64,8 @@ its seller and buyer windows, and a cap below one probe index's exact
 count rules an index out.
 convolution_approx_batch starts each overlap count from its closed form
 and steps it onto the exact boundary of the indicator, instead of
-evaluating all M terms.
+evaluating all M terms; each direction's first step runs on the whole
+block and later steps only on the triples that moved.
 """
 
 from __future__ import annotations
@@ -258,11 +261,17 @@ def incomplete_convolution(seller_bits, buyer_bits, grid_size):
     maximizer is grid_commits's.
 
     c_i has a nonzero term only where 1 <= i-k and i+k <= K, that is for
-    k below min(i, K+1-i) <= H = ceil(K/2), so each index sums one window
-    of H terms, k = 0..H-1, with positions past either end zero-padded.
-    Over the reversed seller row V_{i-k} runs forwards in k, so both
-    (rows, K, H) window views keep a positive inner stride; np.vecdot
-    sums them and no K x K product is formed.
+    k below min(i, K+1-i) <= H = ceil(K/2): the live terms form a triangle
+    that peaks at the middle index.  Over the reversed seller row V_{i-k}
+    runs forwards in k, so both (rows, K, H) window views, zero-padded
+    past either end, keep a positive inner stride.  Each run of 64
+    consecutive indices i0..i1 is one np.vecdot over its first L = min(i1,
+    K+1-i0, H) terms, the live length of its widest index (_cut_windows's
+    rule, in indices rather than words); the run's other indices add zero
+    terms there.  No K x K product is formed.  0/1 sums stay exact
+    integers; a real sum may group its terms differently from one over
+    all H terms, so it can move in the last ulp, but each row's sums are
+    those of that row alone.
     """
     K = int(grid_size)
     seller, buyer = (np.asarray(x, dtype=np.float64) for x in (seller_bits, buyer_bits))
@@ -272,7 +281,12 @@ def incomplete_convolution(seller_bits, buyer_bits, grid_size):
     pad = np.zeros((seller.shape[0], H - 1))
     v = windows(np.concatenate([seller[:, ::-1], pad], axis=1), H, axis=1)[:, ::-1]
     w = windows(np.concatenate([buyer, pad], axis=1), H, axis=1)
-    return np.vecdot(v, w)
+    out = np.empty(seller.shape)
+    for i0 in range(1, K + 1, 64):
+        i1 = min(i0 + 63, K)
+        L = min(i1, K + 1 - i0, H)
+        out[:, i0 - 1 : i1] = np.vecdot(v[:, i0 - 1 : i1, :L], w[:, i0 - 1 : i1, :L])
+    return out
 
 
 def _flat_table(bits, table, scratch):
@@ -511,20 +525,42 @@ def dbs_explore(sellers, buyers, n_rounds):
 
     Row r holds one episode's seller values of rounds 1..N and buyer values
     of rounds N+1..2N, shape (rows, N), or one value per row, shape
-    (rows, 1), for a point mass.  Each round is one array step over all
-    rows, with the scalar learner's float operations.  Returns (prices,
-    commits): the exploration prices, shape (rows, 2N), and commits of
-    shape (rows, N+1), where commits[:, n] is (seller-phase midpoint after
-    n rounds + buyer-phase midpoint after n rounds) / 2.  commits[:, N] is
-    each row's commit price.  On a point mass every round sees the same
-    pair, so commits[:, n] and the prices [:n] and [N:N+n] are what a call
-    with n rounds returns.  The phase length is a count its caller has
-    checked (rng._count).
+    (rows, 1), for a point mass.  The loop steps each round as one array
+    step over all rows, with the scalar learner's float operations.
+    Returns (prices, commits): the exploration prices, shape (rows, 2N),
+    and commits of shape (rows, N+1), where commits[:, n] is
+    (seller-phase midpoint after n rounds + buyer-phase midpoint after n
+    rounds) / 2.  commits[:, N] is each row's commit price.  On a point
+    mass every round sees the same pair, so commits[:, n] and the prices
+    [:n] and [N:N+n] are what a call with n rounds returns.  The phase
+    length is a count its caller has checked (rng._count).
+
+    Point masses take a closed form when 1 <= N <= 52: every row's seller
+    values equal its first, and so do its buyer values (a (rows, 1) column
+    or a broadcast of one; equal values, whatever the strides).  After t
+    rounds the seller midpoint is (j + 1/2) / 2^t for the interval (lo, hi]
+    that holds s, j = max(ceil(s 2^t) - 1, 0), and the buyer's for the
+    interval [lo, hi) that holds b, j = min(floor(b 2^t), 2^t - 1); values
+    outside [0, 1] bisect as their clip to [0, 1] does.  While t <= 52
+    every midpoint has at most 53 significant bits, so each float operation
+    of the loop is exact, and both forms give the same bits (from N = 54
+    on they can part).  Drawn rows, N = 0 and N >= 53 take the loop.
     """
     N = int(n_rounds)
     sellers = np.asarray(sellers, dtype=np.float64)
     buyers = np.asarray(buyers, dtype=np.float64)
     rows = sellers.shape[0]
+    if 1 <= N <= 52 and (sellers == sellers[:, :1]).all() and (buyers == buyers[:, :1]).all():
+        scale = 2.0 ** np.arange(N + 1)
+        # one ceil serves both phases: j + 1/2 = ceil(s 2^t) - 1/2 once s is
+        # clipped to [2^-1074, 1], and -(j + 1/2) = ceil(-b 2^t) - 1/2 once b
+        # is clipped to [0, 1 - 2^-53]; each clip bisects as 0 or 1 does
+        lo, hi = np.array([[2.0**-1074], [2.0**-53 - 1.0]]), np.array([[1.0], [0.0]])
+        mids = np.clip(np.stack([sellers[:, :1], -buyers[:, :1]], axis=1), lo, hi) * scale
+        np.ceil(mids, out=mids)
+        mids -= 0.5
+        mids *= np.array([[1.0], [-1.0]]) / scale  # as exact as a division: each midpoint is a normal dyadic
+        return mids[:, :, :N].reshape(rows, 2 * N), (mids[:, 0] + mids[:, 1]) / 2.0
     # mids[:, phase, n]: the seller (phase 0) or buyer (phase 1) midpoint after n rounds
     mids = np.empty((rows, 2, N + 1), dtype=np.float64)
     for phase, values in enumerate((sellers, buyers)):
@@ -655,8 +691,11 @@ def convolution_approx_batch(prices, sellers, buyers, grid_size):
     floor(min(p - s, b - p) * M) + 1, clipped to [0, M] (NaN gives 0), and
     steps up or down until it sits on that boundary of the float predicate
     itself, so rounding can move the estimate but never the result.
-    Triples go BLOCK at a time to keep the temporaries small.  M
-    is a count (rng._count); the three arrays must be 1-d of one length.
+    Triples go BLOCK at a time to keep the temporaries small.  Each
+    direction's first step tests every triple of the block under a mask,
+    and only the triples it moves are gathered for the next steps; few
+    move, as the closed form misses the boundary only through rounding.
+    M is a count (rng._count); the three arrays must be 1-d of one length.
     """
     M = _count(grid_size, "grid_size")
     prices, sellers, buyers = (np.asarray(x, dtype=np.float64) for x in (prices, sellers, buyers))
@@ -668,15 +707,15 @@ def convolution_approx_batch(prices, sellers, buyers, grid_size):
         with np.errstate(all="ignore"):
             est = np.floor(np.minimum(p - s, b - p) * M) + 1.0
         n = np.clip(np.nan_to_num(est, nan=0.0), 0, M).astype(np.int64)
-        idx = np.flatnonzero(n < M)
+        idx = np.flatnonzero((n < M) & _overlap_holds(p, s, b, n, M))
         while idx.size:  # up while the predicate holds at n
-            idx = idx[_overlap_holds(p[idx], s[idx], b[idx], n[idx], M)]
             n[idx] += 1
             idx = idx[n[idx] < M]
-        idx = np.flatnonzero(n > 0)
+            idx = idx[_overlap_holds(p[idx], s[idx], b[idx], n[idx], M)]
+        idx = np.flatnonzero((n > 0) & ~_overlap_holds(p, s, b, n - 1, M))
         while idx.size:  # down while it fails at n - 1
-            idx = idx[~_overlap_holds(p[idx], s[idx], b[idx], n[idx] - 1, M)]
             n[idx] -= 1
             idx = idx[n[idx] > 0]
+            idx = idx[~_overlap_holds(p[idx], s[idx], b[idx], n[idx] - 1, M)]
         out[lo : lo + p.size] = n / M
     return out

@@ -128,7 +128,8 @@ def suite_convolution_lemma() -> list:
     exact is 0.  A count one too many leaves the bracket above, and one
     too few below.  ``measured`` is the largest |approx - exact|.  The
     box streams: one (s, b) plane of 50**2 triples, tiled
-    max(1, kernels.BLOCK // 2500) times, meets that many prices per call.
+    min(50, max(1, kernels.BLOCK // 2500)) times, meets that many prices
+    per call.
     """
 
     def body():
@@ -161,11 +162,13 @@ def suite_sandwich() -> list:
     positive), and its value is then set to 1 on the seller's side and 0
     on the buyer's.  Each K sums CDF rows P[S <= i/K] = sum_k
     w_k * 1{v_k <= i/K} and co-CDF rows P[B >= i/K] over the five
-    columns, k in order, max(1, kernels.BLOCK // K) instances at a time,
-    and kernels.incomplete_convolution, the grid learner's full scorer,
-    takes them as real-valued rows.  One expected_fgft_at call per K
-    takes the product atoms as (100, 25) per-row
-    atoms from core.product_joint_rows, whose one-row case is
+    columns, k in order, max(1, kernels.BLOCK // K) instances at a time;
+    each w_k is added in place where its indicator is 1, which is bitwise
+    the sum of the w_k * 1{...} terms, as a skipped term is a +0.0 that
+    leaves a non-negative sum as it is.  kernels.incomplete_convolution,
+    the grid learner's full scorer, takes the rows as real values.  One
+    expected_fgft_at call per K takes the product atoms as (100, 25)
+    per-row atoms from core.product_joint_rows, whose one-row case is
     product_joint: seller value i and buyer value j at column 5i + j, so
     each instance's atoms keep product_joint's order, with the padded ones
     between them.  A padded atom has weight 0 and an empty interval (its
@@ -191,8 +194,8 @@ def suite_sandwich() -> list:
                 sv, sw, bv, bw = (x[r : r + R] for x in (seller_values, seller_weights, buyer_values, buyer_weights))
                 cdf, cocdf = np.zeros((2, len(sv), K))
                 for k in range(5):
-                    cdf += sw[:, k, None] * (sv[:, k, None] <= grid)
-                    cocdf += bw[:, k, None] * (grid <= bv[:, k, None])
+                    np.add(cdf, sw[:, k, None], out=cdf, where=sv[:, k, None] <= grid)
+                    np.add(cocdf, bw[:, k, None], out=cocdf, where=grid <= bv[:, k, None])
                 diff = kernels.incomplete_convolution(cdf, cocdf, K) / K - exact[r : r + R]
                 worst = max(worst, float(np.max(-diff)), float(np.max(diff - 1.0 / K)))
         return worst <= 1e-10, worst, 1e-10

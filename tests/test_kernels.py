@@ -595,7 +595,8 @@ def _cdf_rows(K, rows, seed):
     return np.sort(rng.random((rows, K)), axis=1), np.sort(rng.random((rows, K)), axis=1)[:, ::-1]
 
 
-_FLOAT_CONV_SIZES = (1, 2, 3, 4, 5, 10, 11, 100, 1000)
+# 63..129 put K on and next to the edges of incomplete_convolution's runs of 64 indices
+_FLOAT_CONV_SIZES = (1, 2, 3, 4, 5, 10, 11, 63, 64, 65, 100, 127, 128, 129, 1000)
 
 
 @pytest.mark.parametrize("K", _FLOAT_CONV_SIZES)
@@ -631,14 +632,19 @@ def _overlap_triples(draw):
     return np.array(p), np.array(s), np.array(b), M
 
 
+@pytest.mark.parametrize("block", [kernels.BLOCK, 3])
 @settings(max_examples=150, deadline=None)
 @given(_overlap_triples())
 @example((np.array([0.5]), np.array([0.0]), np.array([1.0]), 4))
 @example(tuple(np.array(v) for v in ([0.5, 0.25, 1.0], [0.25, 0.25, 0.0], [0.75, 1.0, 1.0])) + (4,))
 @example(tuple(np.array(v) for v in ([np.nan, 0.5, 0.5], [0.0, np.nan, 0.0], [1.0, 1.0, np.nan])) + (3,))
-def test_convolution_approx_batch_is_the_scalar_sum(triples):
+def test_convolution_approx_batch_is_the_scalar_sum(block, triples):
+    # BLOCK 3 cuts up to 8 triples into several blocks, the last one partial,
+    # under each direction's whole-block first step
     p, s, b, M = triples
-    got = kernels.convolution_approx_batch(p, s, b, M)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "BLOCK", block)
+        got = kernels.convolution_approx_batch(p, s, b, M)
     rows = zip(p.tolist(), s.tolist(), b.tolist())
     want = [fgft_convolution_approx(pi, (si, bi), M) for pi, si, bi in rows]
     assert got.tolist() == want
@@ -1059,3 +1065,46 @@ def test_dbs_explore_on_point_masses_nests_every_shorter_phase():
         assert np.array_equal(commits[:, n], short_commits[:, n]), n
         assert np.array_equal(prices[:, :n], short[:, :n]), n
         assert np.array_equal(prices[:, N : N + n], short[:, n:]), n
+
+
+# signed zeros, the least subnormal, a value below 2^-53, a non-dyadic value,
+# 1/2 and its neighbours, the double below 1, and values outside [0, 1]
+_DBS_EDGES = (0.0, -0.0, 5e-324, 2.0**-60, 1 / 3, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0))
+_DBS_EDGES += (1 - 2.0**-53, 1.0, 1.5, np.inf, -np.inf)
+
+
+@pytest.mark.parametrize("N", [1, 2, 51, 52, 53, 54])
+def test_dbs_explore_point_masses_are_the_round_loop(N):
+    # 1 <= N <= 52 takes the closed form and N >= 53 the loop.  At N = 53
+    # both forms round the last midpoint once, alike; from N = 54 on the
+    # closed form would part from the loop on these values (0.5000000000000001
+    # against a buyer at 0, say).  A one-atom table draws its atom every
+    # round, so _loop_dbs bisects the point mass.
+    values = np.array(_DBS_EDGES)
+    sellers, buyers = (v.reshape(-1, 1) for v in np.meshgrid(values, values))
+    prices, commits = kernels.dbs_explore(sellers, buyers, N)
+    for s, b, row, commit in zip(sellers[:, 0].tolist(), buyers[:, 0].tolist(), prices, commits[:, N]):
+        want_prices, want_commit = _loop_dbs(0, np.ones(1), [s], [b], N)
+        assert row.tolist() == want_prices and commit == want_commit, (s, b)
+    # the kernel's loop, at M >= 53 rounds, holds the commits after every n <= N rounds
+    M = max(N, 53)
+    loop_prices, loop_commits = kernels.dbs_explore(sellers, buyers, M)
+    assert np.array_equal(prices, np.hstack([loop_prices[:, :N], loop_prices[:, M : M + N]]))
+    assert np.array_equal(commits, loop_commits[:, : N + 1])
+    # a stride-0 broadcast and a tiled copy of the columns give the same bits
+    shape = (sellers.shape[0], N)
+    for form in (lambda x: np.broadcast_to(x, shape), lambda x: np.tile(x, (1, N))):
+        other_prices, other_commits = kernels.dbs_explore(form(sellers), form(buyers), N)
+        assert np.array_equal(other_prices, prices) and np.array_equal(other_commits, commits)
+
+
+@pytest.mark.parametrize("N", [10, 52])
+def test_dbs_explore_rows_constant_on_one_side_take_the_loop(N):
+    # every seller value is 0.3, but the buyer values are 0.6 or 0.9 as drawn
+    tables = _EnvTables(env_from_config({"joint": [[0.3, 0.6, 0.5], [0.3, 0.9, 0.5]]}))
+    sellers, buyers = tables.draw(_SEEDS, 2 * N)
+    assert (sellers == 0.3).all() and not (buyers[:, N:] == buyers[:, N:][:, :1]).all(axis=1).any()
+    prices, commits = kernels.dbs_explore(sellers[:, :N], buyers[:, N:], N)
+    for seed, row, commit in zip(_SEEDS, prices, commits[:, N]):
+        want_prices, want_commit = _loop_dbs(seed, tables.cum, tables.sellers, tables.buyers, N)
+        assert row.tolist() == want_prices and commit == want_commit, seed
