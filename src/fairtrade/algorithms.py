@@ -20,7 +20,7 @@ Learners and the feedback they consume:
 * ``fbep``          full      follow the best empirical price: after each
   round repost the smallest maximizer of the empirical mean fair gain.
 * ``fixed:p=...``, ``gft-oracle`` (best fixed price for raw gain from
-  trade), and ``uniform:seed=...`` are non-adaptive baselines.
+  trade), and ``uniform[:seed=...]`` are non-adaptive baselines.
 
 Each kind is declared once, as a row of LEARNER_KINDS: its id patterns,
 the feedback it consumes, and how to build it.  The harness adds one row
@@ -298,7 +298,7 @@ LEARNER_KINDS = {
     "fixed": LearnerKind(("fixed:p=<price>",), None, lambda T, env, episode, p: FixedPrice(p)),
     "gft-oracle": LearnerKind(("gft-oracle",), None, lambda T, env, episode: FixedPrice(env.joint.gft_price)),
     "uniform": LearnerKind(
-        ("uniform:seed=<u64>",),
+        ("uniform", "uniform:seed=<u64>"),
         None,
         # the one statement of the default seed; harness._uniform_gaps builds through it
         lambda T, env, episode, seed=0: UniformRandom(mix64(seed, episode)),
@@ -338,6 +338,10 @@ class LearnerSpec:
         return LEARNER_KINDS[self.kind].build(horizon, env, episode_seed, **self.params)
 
 
+# how parse_learner reads the number of each id key
+_ID_KEYS = {"K": lambda K: _count(K, "K"), "p": _check_price, "seed": _u64}
+
+
 def parse_learner(learner_id: str) -> LearnerSpec:
     """Resolve a learner id string like 'conv-pricing:K=100' or 'fixed:p=0.5'.
 
@@ -345,15 +349,9 @@ def parse_learner(learner_id: str) -> LearnerSpec:
     the id gives is printed from its parsed value (see _format_id), and a
     default it leaves out stays unprinted.
     """
-    kind, texts = _parse_id(learner_id, LEARNER_KINDS)
-    params = {}
+    kind, numbers = _parse_id(learner_id, LEARNER_KINDS)
     try:
-        if "K" in texts:
-            params["K"] = _count(int(texts["K"]), "K")
-        if kind == "fixed":
-            params["p"] = _check_price(float(texts["p"]))
-        if "seed" in texts:
-            params["seed"] = _u64(texts["seed"])
-    except (KeyError, ValueError) as exc:
+        params = {key: _ID_KEYS[key](value) for key, value in numbers.items()}
+    except ValueError as exc:
         raise UnknownIdError(f"cannot resolve learner id {learner_id!r}: {exc}") from exc
     return LearnerSpec(learner_id=_format_id(kind, **params), kind=kind, params=params)

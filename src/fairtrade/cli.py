@@ -10,8 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 failed verify check, 2 config/parse error (also
 unknown suite, and a run too large for memory), 3 unresolvable environment
-or learner id.  An id takes only the keys that ``list-envs``/``list-learners``
-show, each once.
+or learner id.  An id gives the keys of one pattern that ``list-envs`` or
+``list-learners`` shows for its kind, each once, and a number for each.
 
 Config format (run): ``{"output": "curves.csv", "runs": [{"learner":
 "conv-pricing", "env": "lb-mu", "horizons": [1000, 10000], "n_episodes":

@@ -34,12 +34,15 @@ Named instances:
 Each kind is declared once, as a row of ENVIRONMENT_KINDS: its id pattern
 and its constructor.
 
-Every id an environment prints parses back to the same id and atoms:
-``_format_id`` writes ints as ints and floats as the shortest text that
-round-trips, and ``_parse_id`` reads that text back.  The constructors take
-``float()`` of each float parameter and ``_u64`` of each seed on entry, so
-the atoms and the id come from one float64 or int, also when a library
-caller passes a NumPy float32 or integer, or an integral float seed.
+A kind's patterns are its whole id grammar: an id gives the keys of one of
+its kind's patterns, each once, and every value is a number, read once by
+``_parse_id`` (an int when its text is one, else a float).  Every id an
+environment prints parses back to the same id and atoms: ``_format_id``
+writes ints as ints and floats as the shortest text that round-trips.  The
+constructors take ``float()`` of each float parameter and ``_u64`` of each
+seed on entry, so the atoms and the id come from one float64 or int, also
+when a library caller passes a NumPy float32 or integer, or an integral
+float seed.
 """
 
 from __future__ import annotations
@@ -288,8 +291,8 @@ def random_joint_rows(seeds) -> tuple:
 
 class EnvironmentKind(NamedTuple):
     """One environment kind: its id patterns, each headed by the kind, and
-    its constructor, called with the id's {key: value text} as keywords
-    (every constructor takes float() or _u64 of its parameters on entry)."""
+    its constructor, called with the id's {key: number} as keywords (every
+    constructor takes float() or _u64 of its parameters on entry)."""
 
     patterns: tuple
     build: Callable[..., Environment]
@@ -312,27 +315,38 @@ class UnknownIdError(ValueError):
     """An environment or learner id that does not resolve."""
 
 
-def _parse_id(spec_id, kinds) -> tuple:
-    """Split ``kind:key=value,...`` into (kind, {key: value text}).
+def _number(key: str, text: str, spec_id: str):
+    """The value ``text`` of ``key``: an int when the text is one, else a
+    float.  Zero stays a float, so -0 keeps its sign, and so does an int
+    beyond float range, which reads as inf."""
+    try:
+        number = float(text)
+    except ValueError:
+        raise UnknownIdError(f"{key}={text!r} in {spec_id!r} is not a number") from None
+    try:
+        return int(text) if number and np.isfinite(number) else number
+    except ValueError:
+        return number
 
-    ``kinds`` maps each kind to a row whose ``patterns`` are its grammar:
-    the kind must be a key and each key must appear, at most once, in a
-    pattern of that kind.
+
+def _parse_id(spec_id, kinds) -> tuple:
+    """Split ``kind:key=value,...`` into (kind, {key: number}).
+
+    ``kinds`` maps each kind to a row whose ``patterns`` are its whole
+    grammar: the id's keys, each given once, must be the keys of one
+    pattern of its kind, and each value must be a number (see _number).
     """
     if not isinstance(spec_id, str):
         raise UnknownIdError(f"an id must be a string, got {spec_id!r}")
     kind, _, tail = spec_id.partition(":")
     if kind not in kinds:
         raise UnknownIdError(f"unknown id {spec_id!r}")
-    keys = {key for pattern in kinds[kind].patterns for key in re.findall(r"(\w+)=<", pattern)}
-    params = {}
-    for chunk in tail.split(",") if tail else ():
-        key, eq, value = (part.strip() for part in chunk.partition("="))
-        if not eq or key not in keys or key in params:
-            allowed = f"only {', '.join(sorted(keys))}, each once" if keys else "no parameters"
-            raise UnknownIdError(f"bad parameter {chunk!r} in {spec_id!r}: {kind} takes {allowed}")
-        params[key] = value
-    return kind, params
+    fields = [[part.strip() for part in chunk.split("=", 1)] for chunk in tail.split(",")] if tail else []
+    keys = {field[0] for field in fields if len(field) == 2}
+    patterns = kinds[kind].patterns
+    if len(keys) != len(fields) or keys not in [set(re.findall(r"(\w+)=<", p)) for p in patterns]:
+        raise UnknownIdError(f"bad id {spec_id!r}: {kind} takes {' or '.join(patterns)}")
+    return kind, {key: _number(key, text, spec_id) for key, text in fields}
 
 
 def _format_id(kind: str, **params) -> str:
@@ -350,7 +364,7 @@ def parse_env(env_id: str) -> Environment:
     kind, params = _parse_id(env_id, ENVIRONMENT_KINDS)
     try:
         return ENVIRONMENT_KINDS[kind].build(**params)
-    except (TypeError, ValueError) as exc:  # TypeError: a parameter is missing
+    except ValueError as exc:
         raise UnknownIdError(f"cannot resolve environment id {env_id!r}: {exc}") from exc
 
 

@@ -534,20 +534,6 @@ def growth_ratio(values) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _point_mass_regrets(spec: LearnerSpec, hs: tuple, sellers, buyers) -> list:
-    """Regret of every point at each horizon of ``hs``: one array per horizon.
-
-    One _PointMasses batch, so one v*, serves every horizon, and its
-    profiles are the run's (_price_profiles): each price is scored once.
-    Every draw lands on the point's atom, so dbs bisects one row per point
-    at the largest phase length M for all horizons, where a run stacks one
-    per horizon: its prices at phase length N are columns [:N] and
-    [M:M+N] of those at M, and its commit at N is column N.
-    """
-    masses = _PointMasses(sellers, buyers)
-    return [_profile_regret(*p) for p in _price_profiles(spec, masses, hs, range(sellers.size), masses.regret_at)]
-
-
 def profile_regret(spec: LearnerSpec, horizons, pair) -> np.ndarray:
     """Exact pseudo-regret of a deterministic learner on point masses.
 
@@ -556,9 +542,13 @@ def profile_regret(spec: LearnerSpec, horizons, pair) -> np.ndarray:
     or of arrays that broadcast.  The result has one row per horizon, in
     the pair's broadcast shape: shape (len(horizons),) for one point.  It
     comes from array passes over at most POINT_BLOCK points, and fewer
-    when points x exploration rounds would pass POINT_ROUNDS; each pass
-    shares its v* and its exploration across the horizons (see
-    _point_mass_regrets).
+    when points x exploration rounds would pass POINT_ROUNDS.  Each pass
+    is one _PointMasses batch, so one v* serves every horizon, and its
+    profiles are the run's (_price_profiles): each price is scored once.
+    Every draw lands on the point's atom, so dbs bisects one row per point
+    at the largest phase length M for all horizons, where a run stacks one
+    per horizon: its prices at phase length N are columns [:N] and
+    [M:M+N] of those at M, and its commit at N is column N.
     """
     if spec.kind not in _PROFILES:
         raise ValueError(f"no price profile for {spec.learner_id!r}: it is randomized or needs full feedback")
@@ -570,8 +560,9 @@ def profile_regret(spec: LearnerSpec, horizons, pair) -> np.ndarray:
     K = ConvolutionPricing(hs[-1], spec.params.get("K")).grid_size if spec.kind == "conv-pricing" else 1
     step = max(1, min(POINT_BLOCK, POINT_ROUNDS // K))
     for lo in range(0, sellers.size, step):
-        rows = slice(lo, lo + step)
-        regrets[:, rows] = _point_mass_regrets(spec, hs, sellers[rows], buyers[rows])
+        masses = _PointMasses(sellers[lo : lo + step], buyers[lo : lo + step])
+        profiles = _price_profiles(spec, masses, hs, range(len(masses.sellers)), masses.regret_at)
+        regrets[:, lo : lo + step] = [_profile_regret(*profile) for profile in profiles]
     return regrets.reshape((len(hs),) + shape)
 
 

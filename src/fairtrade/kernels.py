@@ -1,14 +1,14 @@
 """Hot numeric kernels, one NumPy implementation each.
 
 Every draw comes from uint64 passes over the counter form of the
-splitmix64 stream, inverted by _atoms_at: rng.draw_rows for a column of
-seeds, and rng.unit_draws, its one row, for one block of one stream.
+splitmix64 stream, inverted by _atoms_at: rng.draw_rows, for a column of
+seeds or for one block of one stream (a column of one seed).
 dbs_explore and conv_pricing_commit take the drawn seller and buyer values
 as rows, one per episode or per point mass (harness._EnvTables.draw
 samples them through draw_rows), and step all rows at once; dbs_explore
 bisects point masses in closed form.  fbep_prices and uniform_prices,
 the full-feedback kernels, draw their own through
-unit_draws, BLOCK rounds at a time from each block's start, so an
+draw_rows, BLOCK rounds at a time from each block's start, so an
 episode runs in bounded block scratch: besides the one T-long array it
 returns (fbep's index in the narrowest unsigned type, uniform's prices),
 a kernel's scratch is set by BLOCK, not by the horizon.
@@ -82,7 +82,7 @@ from .rng import SplitMix64  # noqa: F401
 # convolution_approx_batch's triples; verify's box and CDF rows read it too.
 # fbep's cumsum takes max(1, BLOCK // 4) rounds.  Tests set kernels.BLOCK to
 # move the block edges.
-from .rng import BLOCK, _count, unit_draws
+from .rng import BLOCK, _count, draw_rows
 
 # No numba path exists; the flag stays because run metadata reports it.
 USE_NUMBA = False
@@ -648,7 +648,7 @@ def fbep_prices(seed, cum, cands, reward_matrix, horizon):
     block = np.zeros((min(T, step) + 1, rewards.shape[1]), dtype=np.float64)
     leaders = np.empty(min(T, step), dtype=np.intp)
     for d0 in range(0, T, BLOCK):
-        j = _atoms_at(cum, unit_draws(seed, min(BLOCK, T - d0), d0))
+        j = _atoms_at(cum, draw_rows((seed,), min(BLOCK, T - d0), d0)[0])
         for t0 in range(0, j.size, step):
             rows = j[t0 : t0 + step]
             n = rows.size
@@ -665,13 +665,13 @@ def fbep_prices(seed, cum, cands, reward_matrix, horizon):
 def uniform_prices(seed, horizon):
     """Independent uniform prices from a learner-owned stream.
 
-    One T-long array, filled BLOCK draws at a time (rng.unit_draws from
+    One T-long array, filled BLOCK draws at a time (rng.draw_rows from
     each block's start), so the only scratch is one block's draws.
     """
     T = int(horizon)
     prices = np.empty(T, dtype=np.float64)
     for lo in range(0, T, BLOCK):
-        prices[lo : lo + BLOCK] = unit_draws(seed, min(BLOCK, T - lo), lo)
+        prices[lo : lo + BLOCK] = draw_rows((seed,), min(BLOCK, T - lo), lo)[0]
     return prices
 
 

@@ -8,8 +8,8 @@ Two forms step it.  SplitMix64 steps the stream one Python integer at a
 time: the reference loop, and every draw made under Python control flow,
 such as the rejection loops of the random environments.  draw_rows takes
 a run of unit draws of a column of seeds in one uint64 NumPy pass: the
-Monte Carlo episodes of a run, or one block of one stream (unit_draws,
-which kernels.py reads).  Both give the same doubles, so a trajectory is
+Monte Carlo episodes of a run, or one block of one stream (a column of one
+seed).  Both give the same doubles, so a trajectory is
 reproducible bit for bit across platforms and between the kernels and
 the reference loop.
 
@@ -57,8 +57,8 @@ def _count(value, name: str) -> int:
 
 
 def _u64(value, name: str = "seed") -> int:
-    """A seed: an integer in [0, 2**64), given as id text or as a whole number (see _whole)."""
-    seed = int(value) if isinstance(value, str) else _whole(value, name)
+    """A seed: a whole number (see _whole) in [0, 2**64)."""
+    seed = _whole(value, name)
     if not 0 <= seed <= MASK64:
         raise ValueError(f"{name} must lie in [0, 2**64), got {seed}")
     return seed
@@ -139,14 +139,3 @@ def draw_rows(seeds, n: int, start: int = 0) -> np.ndarray:
         z ^= np.right_shift(z, np.uint64(31), out=t)
         np.multiply(np.right_shift(z, np.uint64(11), out=t), 2.0**-53, out=units[lo : lo + BLOCK])
     return out
-
-
-def unit_draws(seed: int, n: int, start: int = 0) -> np.ndarray:
-    """Values start+1 .. start+n of SplitMix64(seed).next_unit(): one row of draw_rows.
-
-    unit_draws(seed, n, start) is unit_draws(seed, start + n)[start:], bit
-    for bit, so a long stream can be drawn in blocks, each from its own
-    start, with scratch of one block.
-    """
-    return draw_rows((seed,), n, start)[0]
-

@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 
 from fairtrade import cli
-from fairtrade.environments import random_independent_env
+from fairtrade.environments import parse_env, random_independent_env
 from fairtrade.algorithms import parse_learner
 from fairtrade.harness import RunConfig, run_monte_carlo
 from fairtrade.verify import CheckResult
+from test_environments import valid_id
 
 
 # a child process imports fairtrade from this checkout's src/, installed or not
@@ -43,7 +44,8 @@ def write_config(tmp_path, payload, name="config.json"):
 
 def test_list_envs(capsys):
     assert cli.main(["list-envs"]) == 0
-    assert capsys.readouterr().out.splitlines() == [
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
         "lb-mu",
         "lb-nu",
         "gft-trap:h=<h in (0, 1/2)>",
@@ -53,19 +55,25 @@ def test_list_envs(capsys):
         "random-joint:seed=<u64>",
         'inline: {"joint": [[s, b, w], ...]} or {"independent": {"seller": [[v, w], ...], "buyer": [[v, w], ...]}}',
     ]
+    for pattern in lines[:-1]:
+        parse_env(valid_id(pattern))
 
 
 def test_list_learners(capsys):
     assert cli.main(["list-learners"]) == 0
-    assert capsys.readouterr().out.splitlines() == [
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
         "conv-pricing",
         "conv-pricing:K=<grid size>",
         "dbs",
         "fbep",
         "fixed:p=<price>",
         "gft-oracle",
+        "uniform",
         "uniform:seed=<u64>",
     ]
+    for pattern in lines:
+        parse_learner(valid_id(pattern))
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +190,7 @@ def test_run_fits_slope_with_three_horizons(tmp_path, capsys):
         ({"runs": [{"learner": "dbs", "env": "lb-mu", "horizons": [10.9, 20.5, 30.2]}]}, 2),
         ({"runs": [{"learner": "dbs", "env": "lb-mu", "horizon": 5, "base_seed": -1}]}, 2),
         ({"runs": [{"learner": "dbs", "env": "lb-mu", "horizon": 5, "base_seed": 2**64}]}, 2),
+        ({"runs": [{"learner": "dbs", "env": "lb-mu", "horizon": 5, "base_seed": "3"}]}, 2),
         # every field is a known one, given in one form, inside an object
         ({"runs": [{"learner": "dbs", "env": "lb-mu", "horizon": 5, "n_epsiodes": 50}]}, 2),
         ({"runs": [{"learner": "dbs", "env": "lb-mu", "horizon": 5, "base_sed": 7}]}, 2),

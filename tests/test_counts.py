@@ -3,10 +3,10 @@
 A count (a horizon, a grid size, an episode count, ceil_log2's n) is a whole
 number of at least 1 (rng._count); a seed is a whole number in
 [0, 2**64) (rng._u64).  Integral floats and NumPy integers are
-whole; bools, fractions, NaN and infinities are not.  Every entry below
-rejects a bad value with a ValueError that names the quantity, raised by
-the helper itself, and builds from 3.0 or np.int64(3) exactly what it
-builds from 3.
+whole; bools, fractions, NaN, infinities and text such as "3" are not.
+Every entry below rejects a bad value with a ValueError that names the
+quantity, raised by the helper itself, and builds from 3.0 or
+np.int64(3) exactly what it builds from 3.
 """
 
 import math
@@ -28,7 +28,14 @@ from fairtrade.algorithms import (
     parse_learner,
 )
 from fairtrade.core import ValuationPair
-from fairtrade.environments import FeedbackModel, UnknownIdError, lb_mu, render_feedback
+from fairtrade.environments import (
+    Environment,
+    FeedbackModel,
+    UnknownIdError,
+    lb_mu,
+    random_independent_env,
+    render_feedback,
+)
 from fairtrade.harness import (
     RunConfig,
     adversarial_deterministic_sweep,
@@ -39,7 +46,7 @@ from fairtrade.rng import MASK64
 from reference import deterministic_price_profile, fgft_convolution_approx
 
 BAD_COUNTS = [2.5, True, 0, -1, math.nan, math.inf, -math.inf]
-BAD_SEEDS = [2.5, True, -1, math.nan, math.inf, -math.inf, MASK64 + 1]
+BAD_SEEDS = [2.5, True, -1, math.nan, math.inf, -math.inf, MASK64 + 1, "3"]
 GOOD = [3.0, np.int64(3)]
 HELPERS = {"_whole", "_count", "_u64"}
 
@@ -84,7 +91,14 @@ COUNTS = {
         lambda v: _sweep(adversarial_deterministic_sweep(parse_learner("dbs"), (v,), s_values=[0.1, 0.2], buyer=0.8)),
     ),
 }
-SEEDS = {"UniformRandom": ("seed", UniformRandom)}
+SEEDS = {
+    "UniformRandom": ("seed", UniformRandom),
+    "RunConfig-base_seed": (
+        "base_seed",
+        lambda v: _run(RunConfig(lb_mu(), parse_learner("uniform"), (8,), n_episodes=2, base_seed=v)),
+    ),
+    "random_independent_env": ("seed", random_independent_env),
+}
 
 
 def _cases(entries, bad):
@@ -97,7 +111,10 @@ def _cases(entries, bad):
 
 def _described(out):
     """A learner as its class, its sizes and seed (each with its type) and its
-    first prices against one pair; any other result as it is."""
+    first prices against one pair; an environment as its id and atoms; any
+    other result as it is."""
+    if isinstance(out, Environment):
+        return out.env_id, out.joint.sellers, out.joint.buyers, out.joint.weights
     if not isinstance(out, Learner):
         return out
     model = FeedbackModel.FULL if isinstance(out, FollowBestEmpiricalPrice) else FeedbackModel.TWO_BIT

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fairtrade.algorithms import LEARNER_ID_PATTERNS, parse_learner
+from fairtrade.algorithms import LEARNER_ID_PATTERNS, LEARNER_KINDS, parse_learner
 from fairtrade.core import FiniteJointDistribution, atom_rows, gft_candidates
 from fairtrade.environments import (
     ENVIRONMENT_ID_PATTERNS,
@@ -204,6 +204,9 @@ def test_sample_valuations_frequencies():
         "det:s=0.1234568,b=0.8",
         "random-ind:seed=101",
         "random-joint:seed=303",
+        # -0 is the float -0.0, not the int 0
+        "det:s=-0,b=0.8",
+        "eps-family:eps=-0",
     ],
 )
 def test_parse_env_round_trips(env_id):
@@ -227,6 +230,7 @@ def test_parse_env_round_trips(env_id):
         "random-ind:seed=-1",
         "random-joint:seed=18446744073709551616",
         "random-ind:seed=abc",
+        pytest.param("gft-trap:h=1" + "0" * 400, id="an int past float range reads as inf"),
         7,
     ],
 )
@@ -239,9 +243,10 @@ def test_parse_env_rejects(env_id):
 _VALID_VALUES = {"h": "0.1", "eps": "-0.25", "s": "0.2", "b": "0.8", "K": "10", "p": "0.5", "seed": "7"}
 
 
-def valid_id(pattern: str) -> str:
-    """The id of ``pattern`` with a valid value for each of its keys."""
-    return re.sub(r"(\w+)=<[^>]*>", lambda m: f"{m[1]}={_VALID_VALUES[m[1]]}", pattern)
+def valid_id(pattern: str, **values) -> str:
+    """The id of ``pattern`` with a valid value for each of its keys, or the text ``values`` gives."""
+    values = {**_VALID_VALUES, **values}
+    return re.sub(r"(\w+)=<[^>]*>", lambda m: f"{m[1]}={values[m[1]]}", pattern)
 
 
 @pytest.mark.parametrize(
@@ -251,13 +256,26 @@ def valid_id(pattern: str) -> str:
 def test_id_grammar_follows_patterns(parse, pattern):
     valid = valid_id(pattern)
     parse(valid)
+    kind = pattern.partition(":")[0]
+    patterns = (ENVIRONMENT_KINDS if parse is parse_env else LEARNER_KINDS)[kind].patterns
+    keys = re.findall(r"(\w+)=<", pattern)
     sep = "," if ":" in valid else ":"
     # a key no pattern lists, an empty key, and each listed key given twice
     bad = [valid + sep + "zzz=1", valid + sep + "=1"]
-    bad += [f"{valid},{key}={_VALID_VALUES[key]}" for key in re.findall(r"(\w+)=<", pattern)]
+    bad += [f"{valid},{key}={_VALID_VALUES[key]}" for key in keys]
+    # each key dropped, where no pattern of the kind takes the keys left
+    for key in keys:
+        rest = [k for k in keys if k != key]
+        if set(rest) not in [set(re.findall(r"(\w+)=<", p)) for p in patterns]:
+            fields = ",".join(f"{k}={_VALID_VALUES[k]}" for k in rest)
+            bad.append(f"{kind}:{fields}" if fields else kind)
     for spec_id in bad:
-        with pytest.raises(UnknownIdError):
+        with pytest.raises(UnknownIdError, match=re.escape(" or ".join(patterns))):
             parse(spec_id)
+    # each value given as text that is no number
+    for key in keys:
+        with pytest.raises(UnknownIdError, match=rf"^{key}='abc' in .* is not a number$"):
+            parse(valid_id(pattern, **{key: "abc"}))
 
 
 def test_every_environment_kind_parses_from_its_patterns():

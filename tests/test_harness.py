@@ -53,7 +53,7 @@ from fairtrade.harness import (
     run_episode,
     run_monte_carlo,
 )
-from fairtrade.rng import MASK64, mix64, unit_draws
+from fairtrade.rng import MASK64, draw_rows, mix64
 from fairtrade.verify import random_independent_env
 from reference import deterministic_price_profile, price_profile, pseudo_regret
 from test_environments import valid_id
@@ -1040,7 +1040,7 @@ def _coupled_prices_oracle(env, horizon, seed):
     """
     learner = parse_learner("conv-pricing").build(horizon, env, episode_seed=seed)
     cache, prices = {}, np.empty(horizon)
-    for t, u in enumerate(unit_draws(seed, horizon)):
+    for t, u in enumerate(draw_rows((seed,), horizon)[0]):
         p = prices[t] = learner.propose()
         if p not in cache:
             table, acc, cache[p] = _dict_law(env, p), 0.0, []

@@ -12,7 +12,7 @@ from fairtrade import kernels
 from fairtrade.core import FiniteJointDistribution, fgft_candidates, fgft_vector, sorted_distinct
 from fairtrade.environments import env_from_config, lb_mu, parse_env
 from fairtrade.harness import _EnvTables
-from fairtrade.rng import MASK64, SplitMix64, draw_rows, mix64, unit_draws
+from fairtrade.rng import MASK64, SplitMix64, draw_rows, mix64
 from reference import discrete_convolution_score, expected_fgft, fgft_convolution_approx
 
 
@@ -659,10 +659,10 @@ def test_convolution_approx_batch_is_the_scalar_sum(block, triples):
 @given(seed=st.integers(0, MASK64), n=st.integers(0, 300))
 @example(seed=0, n=300)
 @example(seed=MASK64, n=300)
-def test_unit_draws_match_sequential_stream(seed, n):
+def test_draw_rows_of_one_seed_match_sequential_stream(seed, n):
     stream = SplitMix64(seed)
     want = [stream.next_unit() for _ in range(n)]
-    got = unit_draws(seed, n)
+    got = draw_rows((seed,), n)[0]
     assert got.dtype == np.float64
     assert got.tolist() == want  # bit-for-bit
 
@@ -678,13 +678,13 @@ _DRAW_STARTS = st.sampled_from(
 @example(seed=0, n=300, start=kernels.BLOCK - 150)
 @example(seed=MASK64, n=300, start=kernels.BLOCK - 150)
 @example(seed=MASK64, n=1, start=kernels.BLOCK)
-def test_unit_draws_from_a_start_continue_the_stream(seed, n, start):
+def test_draw_rows_of_one_seed_from_a_start_continue_the_stream(seed, n, start):
     stream = SplitMix64(seed)
     for _ in range(start):
         stream.next_u64()
-    got = unit_draws(seed, n, start)
+    got = draw_rows((seed,), n, start)[0]
     assert got.tolist() == [stream.next_unit() for _ in range(n)]  # bit-for-bit
-    assert got.tobytes() == unit_draws(seed, start + n)[start:].tobytes()
+    assert got.tobytes() == draw_rows((seed,), start + n)[0][start:].tobytes()
 
 
 _ROW_SEEDS = [0, MASK64, mix64(0, 0), mix64(9100, 17), mix64(12001, 99), mix64(MASK64, 5)]
@@ -699,7 +699,7 @@ def test_draw_rows_are_each_seeds_stream(n, start):
         for _ in range(start):
             stream.next_u64()
         assert row.tolist() == [stream.next_unit() for _ in range(n)]  # bit for bit
-        assert row.tobytes() == unit_draws(seed, n, start).tobytes()
+        assert row.tobytes() == draw_rows((seed,), n, start)[0].tobytes()
 
 
 def test_draw_rows_blocks_do_not_show():
@@ -915,7 +915,7 @@ def test_atom_counts_are_the_clamped_search_on_both_sides_of_the_size_rule(name,
     cum = _boundary_cums()[name]
     assert name != "rounds-below-one" or cum[-1] < 1.0
     n = kernels.COUNT_DRAWS_PER_ATOM * cum.size - (side == "below")
-    u = unit_draws(7, n)
+    u = draw_rows((7,), n)[0]
     # draws exactly on every boundary, just below them, and in [cum[-1], 1)
     edges = np.concatenate([cum, np.nextafter(cum, 0.0), [0.0, 1.0 - 2.0**-53]])
     u[: edges.size] = edges[: u.size]
@@ -936,7 +936,7 @@ def test_env_draw_rows_match_the_per_seed_loop(env_name, n):
         sellers, buyers = tables.draw(seeds, n)
         assert sellers.shape == buyers.shape == (len(seeds), n)
         for row, seed in enumerate(seeds):
-            j = _searched_atoms(tables.cum, unit_draws(seed, n))
+            j = _searched_atoms(tables.cum, draw_rows((seed,), n)[0])
             assert np.array_equal(sellers[row], tables.sellers[j]), seed
             assert np.array_equal(buyers[row], tables.buyers[j]), seed
 
@@ -957,7 +957,7 @@ def test_env_draw_columns_are_prefixes_of_a_longer_draw(env_name):
 
 def _unpruned_fbep(seed, cum, cands, reward_matrix, T):
     """fbep's index path scoring every candidate: one cumsum over all rounds, first argmax."""
-    j = _searched_atoms(cum, unit_draws(seed, T))
+    j = _searched_atoms(cum, draw_rows((seed,), T)[0])
     scores = np.zeros((T + 1, cands.size))
     scores[1:] = reward_matrix.T[j]
     idx = np.argmax(np.cumsum(scores, axis=0)[:-1], axis=1)
@@ -1015,7 +1015,7 @@ def test_fbep_keeps_the_lower_of_tied_candidates_and_one_dominated_only_from_abo
         idx = kernels.fbep_prices(seed, cum, cands, reward_matrix, T)
         assert np.array_equal(idx, _unpruned_fbep(seed, cum, cands, reward_matrix, T))
         # 0 ties 1 and leads until atom 1 is first drawn; then 1 leads, and 2 never
-        seen_one = np.cumsum(_searched_atoms(cum, unit_draws(seed, T)) == 1)[:-1] > 0
+        seen_one = np.cumsum(_searched_atoms(cum, draw_rows((seed,), T)[0]) == 1)[:-1] > 0
         assert np.array_equal(idx[1:], np.where(seen_one, 1, 0)), seed
         assert 0 in idx[1:] and 1 in idx[1:], seed
 
