@@ -37,7 +37,12 @@ random joints or a batch of point masses, are then one call:
 * fgft_candidate_rows lists the fgft candidates, and fgft_candidates is
   its one row, deduplicated;
 * best_fixed_price_fgft_rows finds each row's best fixed price in one
-  kernel call, and best_fixed_price_fgft is its one row.
+  kernel call, and best_fixed_price_fgft is its one row;
+* gft_candidate_rows lists the gft candidates, and gft_candidates is its
+  one row, deduplicated;
+* best_fixed_price_gft_rows finds each row's best fixed price for gft,
+  scoring atom by atom in listing order, and best_fixed_price_gft is its
+  one row.
 """
 
 from __future__ import annotations
@@ -161,8 +166,8 @@ class FiniteJointDistribution:
     weights summing to one within 1e-12 (check_atom_rows, as one row),
     stored in listing order as rows of one (3, A) array; ``cum`` is the
     cumulative weight table that sampling searches; ``gft_price`` is
-    best_fixed_price_gft's price, found on first use and kept, so the gft
-    oracle's learner and the harness read one search.
+    best_fixed_price_gft's price, found on first use and kept, so every
+    gft oracle learner built on the joint reads one search.
     """
 
     sellers: np.ndarray
@@ -248,25 +253,27 @@ def fgft_candidates(sellers, buyers) -> np.ndarray:
     return sorted_distinct(fgft_candidate_rows(sellers, buyers))
 
 
-def gft_candidates(sellers: np.ndarray, buyers: np.ndarray) -> np.ndarray:
-    """Sorted candidate prices exhausting the maximizers of a gft mixture.
+def gft_candidate_rows(sellers, buyers) -> np.ndarray:
+    """Candidate prices exhausting the maximizers of each row's gft mixture.
 
     Expected gft is piecewise constant with jumps only at atom coordinates:
     the jump points plus the midpoints of consecutive jump points (with 0
     and 1 added so degenerate all-zero cases resolve to the smallest price)
-    cover every level set.
+    cover every level set.  Row r of the (rows, 3 + 4A) result holds its
+    (rows, A) atoms' jumps 0, 1, s and b, sorted stably with repeats, and
+    the midpoint of each consecutive pair, all sorted stably: a repeated
+    jump x adds x itself, (x + x) / 2, so of equal prices 0.0 and then the
+    first listed lead.
     """
-    jumps = sorted_distinct(
-        np.concatenate(
-            [
-                np.asarray([0.0, 1.0]),
-                np.asarray(sellers, dtype=np.float64),
-                np.asarray(buyers, dtype=np.float64),
-            ]
-        )
-    )
-    mids = (jumps[:-1] + jumps[1:]) / 2.0
-    return sorted_distinct(np.concatenate([jumps, mids]))
+    ends = np.broadcast_to([0.0, 1.0], (len(sellers), 2))
+    jumps = np.sort(np.hstack([ends, sellers, buyers]), axis=1, kind="stable")
+    return np.sort(np.hstack([jumps, (jumps[:, :-1] + jumps[:, 1:]) / 2.0]), axis=1, kind="stable")
+
+
+def gft_candidates(sellers, buyers) -> np.ndarray:
+    """The sorted distinct candidates of one joint's atoms: the one row of gft_candidate_rows."""
+    sellers, buyers = (np.asarray(x, dtype=np.float64)[None] for x in (sellers, buyers))
+    return sorted_distinct(gft_candidate_rows(sellers, buyers))
 
 
 def atom_rows(instances, width: int) -> tuple:
@@ -322,12 +329,29 @@ def best_fixed_price_fgft(dist: FiniteJointDistribution) -> PricePoint:
     return PricePoint(float(prices[0]), float(values[0]))
 
 
-def best_fixed_price_gft(dist: FiniteJointDistribution) -> PricePoint:
-    """Exact maximizer of expected gft; ties break toward the smallest price."""
-    cands = gft_candidates(dist.sellers, dist.buyers)
-    vals = np.zeros(cands.size, dtype=np.float64)
-    for s, b, w in zip(dist.sellers, dist.buyers, dist.weights):
-        vals += w * np.where((s <= cands) & (cands <= b), b - s, 0.0)
-    i = int(np.argmax(vals))
-    return PricePoint(float(cands[i]), float(vals[i]))
+def best_fixed_price_gft_rows(sellers, buyers, weights) -> tuple:
+    """Exact maximizer of expected gft for each row of atoms: (prices, values).
 
+    ``sellers``, ``buyers`` and ``weights`` are (rows, A) per-row atoms,
+    and gft_candidate_rows gives each row's candidates.  Each candidate's
+    expected gft adds w * (b - s) * 1{s <= p <= b} atom by atom, in
+    listing order, from 0.0.  The first argmax of a sorted row is its
+    smallest maximizer, as ties break.  A padded atom (atom_rows) adds
+    only repeated candidates, which score the same value, and +0.0 terms.
+    """
+    sellers, buyers, weights = (np.asarray(a, dtype=np.float64) for a in (sellers, buyers, weights))
+    cands = gft_candidate_rows(sellers, buyers)
+    vals = np.zeros(cands.shape)
+    for s, b, w in zip(sellers.T[:, :, None], buyers.T[:, :, None], weights.T[:, :, None]):
+        vals += w * np.where((s <= cands) & (cands <= b), b - s, 0.0)
+    best = np.argmax(vals, axis=1)[:, None]
+    return np.take_along_axis(cands, best, 1)[:, 0], np.take_along_axis(vals, best, 1)[:, 0]
+
+
+def best_fixed_price_gft(dist: FiniteJointDistribution) -> PricePoint:
+    """Exact maximizer of expected gft; ties break toward the smallest price.
+
+    The one-row case of best_fixed_price_gft_rows.
+    """
+    prices, values = best_fixed_price_gft_rows(dist.sellers[None], dist.buyers[None], dist.weights[None])
+    return PricePoint(float(prices[0]), float(values[0]))

@@ -10,12 +10,13 @@ score them with one formula, _profile_regret, so desk-scale horizons stay
 cheap.  Both work on rows only: all episodes of a Monte Carlo run, or a
 batch of up to POINT_BLOCK point masses, go through one array pass, and
 exploration every row shares, such as the grid learner's sweep, is one row
-scored once.  A point mass is the one-atom environment: every draw lands on
-its atom, so a _PointMasses batch takes no draws and builds no environment.
+scored once.  A point mass is the one-atom environment, a row of its own
+in one table (_EnvTables) of the batch: every draw lands on its atom, so
+it takes no draws and builds no environment.
 Profiles share their work across a run's horizons: a run draws once, at its
 longest exploration, and every horizon reads a column prefix of the draws;
 dbs bisects once, on one stack of rows per horizon (one stack in all for
-point masses), the grid learner commits once per distinct grid size, and
+rows of one atom), the grid learner commits once per distinct grid size, and
 each price is scored once, so each horizon only copies its own regrets
 into contiguous rows and sums them.  fbep and uniform have no commit
 phase, and their prices do not depend on the horizon: a run simulates
@@ -66,6 +67,7 @@ from .algorithms import (
 from .core import (
     best_fixed_price_fgft,
     best_fixed_price_fgft_rows,
+    best_fixed_price_gft_rows,
     check_atoms,
     fgft,
     fgft_candidates,
@@ -91,7 +93,7 @@ from .rng import SplitMix64, _count, _u64, draw_rows, mix64
 POINT_BLOCK = 1024
 POINT_ROUNDS = 2**20
 
-# Point masses build no environment (see _PointMasses), and the pair's laws
+# Point masses build no environment (see _EnvTables), and the pair's laws
 # are compared through feedback_tables; the deterministic and
 # feedback_distribution names stay importable because the benchmark's tracer
 # wraps harness.deterministic and harness.feedback_distribution.
@@ -188,27 +190,45 @@ class SweepReport:
 class IndistinguishabilityReport:
     """Exact feedback-law comparison of the lower-bound pair."""
 
-    prices_checked: tuple
     max_table_gap: float
     tables_equal: bool
     coupled_trajectories_equal: bool
 
 
 class _EnvTables:
-    """Per-environment oracle data for fast regret evaluation.
+    """Oracle data of rows of atoms, for fast regret evaluation.
 
-    Each Monte Carlo run builds its own and only reads it; the fbep and
-    gft-oracle tables are built on first use.
+    The atoms form (rows, A) arrays: an environment's joint is one row, and
+    a batch of point masses is one row of one atom per point.  v* is
+    core.best_fixed_price_fgft_rows's value of each row (an environment's
+    through best_fixed_price_fgft, its one-row case, which the benchmark's
+    tracer counts); the gft oracle's price, core.best_fixed_price_gft_rows's,
+    and fbep's tables are built on first use.  A table of one row gives
+    kernels that row's 1-d atoms and its v*, shared by every row of prices.
+    A row of one atom lands on it every round, so such a table takes no
+    draws.  Each Monte Carlo run builds its own and only reads it.
     """
 
-    def __init__(self, env: Environment):
-        joint = env.joint
+    def __init__(self, env: Environment | None = None, points: tuple | None = None):
+        """The tables of ``env``, or with no env of point masses at the
+        (sellers, buyers) ``points``, a pair of 1-d arrays in [0, 1]."""
+        if env is None:
+            sellers, buyers = points
+            check_atoms((sellers, "seller values"), (buyers, "buyer values"))
+            self.rows = (sellers[:, None], buyers[:, None], np.ones((sellers.size, 1)))
+            v_star = best_fixed_price_fgft_rows(*self.rows)[1]
+        else:
+            joint = env.joint
+            self.rows = (joint.sellers[None], joint.buyers[None], joint.weights[None])
+            self.cum = joint.cum
+            v_star = [best_fixed_price_fgft(joint).value]
         self.env = env
-        self.cum = joint.cum
-        self.sellers = joint.sellers
-        self.buyers = joint.buyers
-        self.weights = joint.weights
-        self.v_star = best_fixed_price_fgft(joint).value
+        self.sellers, self.buyers, self.weights = (self._per_row(atoms) for atoms in self.rows)
+        self.v_star = self._per_row(v_star)
+
+    def _per_row(self, values):
+        """Per-row ``values``, or row 0's when the table has one row."""
+        return values[0] if len(self.rows[0]) == 1 else values
 
     def mean_at(self, prices) -> np.ndarray:
         return kernels.expected_fgft_at(prices, self.sellers, self.buyers, self.weights)
@@ -219,47 +239,27 @@ class _EnvTables:
         return np.expand_dims(self.v_star, -1) - self.mean_at(prices)
 
     def draw(self, seeds, n: int) -> tuple:
-        """(seller values, buyer values) of rounds 1..n, one row per episode seed."""
+        """(seller values, buyer values) of rounds 1..n, one row per seed
+        (per point of a point-mass batch).  Rows of one atom broadcast it."""
+        if self.rows[0].shape[1] == 1:
+            return tuple(np.broadcast_to(atoms, (len(seeds), n)) for atoms in self.rows[:2])
         j = kernels._atoms_at(self.cum, draw_rows(seeds, n))
         return self.sellers[j], self.buyers[j]
 
     @functools.cached_property
-    def gft_price(self) -> float:
-        """The gft oracle's fixed price, which the joint finds once and keeps."""
-        return self.env.joint.gft_price
+    def gft_price(self):
+        """The gft oracle's fixed price of each row."""
+        return self._per_row(best_fixed_price_gft_rows(*self.rows)[0])
 
     @functools.cached_property
     def fbep(self) -> tuple:
-        """fbep's (candidates, rewards), built on first use only.
+        """fbep's (candidates, rewards) of an environment, built on first use only.
 
         The candidates are every breakpoint the empirical mean can have
         under this environment; rewards[m, j] = fgft(candidates[m], atom j).
         """
         cands = fgft_candidates(self.sellers, self.buyers)
         return cands, fgft_vector(cands[:, None], self.sellers, self.buyers)
-
-
-class _PointMasses(_EnvTables):
-    """A batch of one-atom environments, one row per (seller, buyer) point.
-
-    Every draw lands on a point's atom, so draw() yields the values
-    themselves and takes no random draws.  The atoms are per-row atoms of
-    kernels.expected_fgft_at, and v* is core.best_fixed_price_fgft_rows's
-    value on them: one oracle call for the batch, each row's v* what
-    core.best_fixed_price_fgft finds on its one atom.  The gft oracle
-    posts s when s < b, else 0, what best_fixed_price_gft finds.
-    """
-
-    def __init__(self, sellers: np.ndarray, buyers: np.ndarray):
-        check_atoms((sellers, "seller values"), (buyers, "buyer values"))
-        self.sellers, self.buyers = sellers[:, None], buyers[:, None]
-        self.weights = np.ones_like(self.sellers)
-        self.v_star = best_fixed_price_fgft_rows(self.sellers, self.buyers, self.weights)[1]
-        self.gft_price = np.where(sellers < buyers, sellers, 0.0)
-
-    def draw(self, seeds, n: int) -> tuple:
-        shape = (self.sellers.shape[0], n)
-        return np.broadcast_to(self.sellers, shape), np.broadcast_to(self.buyers, shape)
 
 
 def run_episode(config: RunConfig, episode_index: int) -> Trajectory:
@@ -309,17 +309,17 @@ def _dbs_profiles(tables: _EnvTables, hs, seeds, score):
     # values of rounds N_h+1..2N_h.  One kernel call at M = max N_h steps a
     # block of rows per horizon, seller rows draws[:, :M] and buyer rows
     # draws[:, N_h:N_h+M], and horizon h reads its prices at columns [:N_h]
-    # and [M:M+N_h] and its commit at column N_h.  A point mass draws its
-    # atom every round, so one block serves every horizon.
+    # and [M:M+N_h] and its commit at column N_h.  A row of one atom draws
+    # it every round, so one block serves every horizon.
     Ns = [dbs_phase_length(T) for T in hs]
     M, rows = Ns[-1], len(seeds)
     sellers, buyers = tables.draw(seeds, 2 * M)
-    starts = Ns[:1] if isinstance(tables, _PointMasses) else Ns
+    starts = Ns[:1] if tables.rows[0].shape[1] == 1 else Ns
     buyer_rows = [buyers[:, n : n + M] for n in starts]
     if len(starts) > 1:  # one block is a view of the draws, with nothing to copy
         sellers, buyer_rows = np.tile(sellers[:, :M], (len(starts), 1)), [np.vstack(buyer_rows)]
     explore, commits = kernels.dbs_explore(sellers[:, :M], buyer_rows[0], M)
-    # the kernel rows of each horizon: its own block, or the one block of point masses
+    # the kernel rows of each horizon: its own block, or the one block of one-atom rows
     own = [slice(rows * j, rows * (j + 1)) for j in range(len(starts))] * (len(hs) // len(starts))
     gaps, tails = score(explore), score(np.column_stack([commits[r, N] for r, N in zip(own, Ns)]))
     return (
@@ -359,8 +359,8 @@ def _price_profiles(spec: LearnerSpec, tables: _EnvTables, hs, seeds, score):
     a caller done with each horizon before the next holds one horizon's
     rows at a time.  A run draws once, at its longest exploration: a draw
     depends only on its index, so a shorter exploration reads a column
-    prefix of the draws.  A _PointMasses batch takes one seed per point
-    and no draws, as every draw lands on the point's atom.  Price paths
+    prefix of the draws.  A point-mass batch takes one seed per point and,
+    as a table of one-atom rows, no draws.  Price paths
     agree with the reference loop draw for draw.  Only kinds in _PROFILES
     have a profile; the others (uniform, fbep) have no commit phase, and
     _round_gaps scores their rounds.
@@ -543,12 +543,12 @@ def profile_regret(spec: LearnerSpec, horizons, pair) -> np.ndarray:
     the pair's broadcast shape: shape (len(horizons),) for one point.  It
     comes from array passes over at most POINT_BLOCK points, and fewer
     when points x exploration rounds would pass POINT_ROUNDS.  Each pass
-    is one _PointMasses batch, so one v* serves every horizon, and its
-    profiles are the run's (_price_profiles): each price is scored once.
-    Every draw lands on the point's atom, so dbs bisects one row per point
-    at the largest phase length M for all horizons, where a run stacks one
-    per horizon: its prices at phase length N are columns [:N] and
-    [M:M+N] of those at M, and its commit at N is column N.
+    is one _EnvTables of one-atom rows, so one v* serves every horizon,
+    and its profiles are the run's (_price_profiles): each price is scored
+    once.  Every draw lands on the point's atom, so dbs bisects one row
+    per point at the largest phase length M for all horizons, where a run
+    stacks one per horizon: its prices at phase length N are columns [:N]
+    and [M:M+N] of those at M, and its commit at N is column N.
     """
     if spec.kind not in _PROFILES:
         raise ValueError(f"no price profile for {spec.learner_id!r}: it is randomized or needs full feedback")
@@ -560,8 +560,8 @@ def profile_regret(spec: LearnerSpec, horizons, pair) -> np.ndarray:
     K = ConvolutionPricing(hs[-1], spec.params.get("K")).grid_size if spec.kind == "conv-pricing" else 1
     step = max(1, min(POINT_BLOCK, POINT_ROUNDS // K))
     for lo in range(0, sellers.size, step):
-        masses = _PointMasses(sellers[lo : lo + step], buyers[lo : lo + step])
-        profiles = _price_profiles(spec, masses, hs, range(len(masses.sellers)), masses.regret_at)
+        masses = _EnvTables(points=(sellers[lo : lo + step], buyers[lo : lo + step]))
+        profiles = _price_profiles(spec, masses, hs, range(len(masses.rows[0])), masses.regret_at)
         regrets[:, lo : lo + step] = [_profile_regret(*profile) for profile in profiles]
     return regrets.reshape((len(hs),) + shape)
 
@@ -659,7 +659,6 @@ def indistinguishability_check(
     commits = [_coupled_commits(env, K, config.seeds) for env in (mu, nu)]
     coupled_equal = horizon == K or np.array_equal(*commits)
     return IndistinguishabilityReport(
-        prices_checked=tuple(float(p) for p in prices),
         max_table_gap=max_gap,
         tables_equal=(max_gap == 0.0),
         coupled_trajectories_equal=coupled_equal,

@@ -5,10 +5,10 @@ splitmix64 stream, inverted by _atoms_at: rng.draw_rows, for a column of
 seeds or for one block of one stream (a column of one seed).
 dbs_explore and conv_pricing_commit take the drawn seller and buyer values
 as rows, one per episode or per point mass (harness._EnvTables.draw
-samples them through draw_rows), and step all rows at once; dbs_explore
-bisects point masses in closed form.  fbep_prices and uniform_prices,
-the full-feedback kernels, draw their own through
-draw_rows, BLOCK rounds at a time from each block's start, so an
+samples them through draw_rows, or broadcasts a row's one atom), and step
+all rows at once; dbs_explore bisects point masses in closed form.
+fbep_prices and uniform_prices, the full-feedback kernels, draw their own
+through draw_rows, BLOCK rounds at a time from each block's start, so an
 episode runs in bounded block scratch: besides the one T-long array it
 returns (fbep's index in the narrowest unsigned type, uniform's prices),
 a kernel's scratch is set by BLOCK, not by the horizon.

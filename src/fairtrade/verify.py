@@ -167,14 +167,17 @@ def suite_sandwich() -> list:
     the sum of the w_k * 1{...} terms, as a skipped term is a +0.0 that
     leaves a non-negative sum as it is.  kernels.incomplete_convolution,
     the grid learner's full scorer, takes the rows as real values.  One
-    expected_fgft_at call per K takes the product atoms as (100, 25)
-    per-row atoms from core.product_joint_rows, whose one-row case is
-    product_joint: seller value i and buyer value j at column 5i + j, so
-    each instance's atoms keep product_joint's order, with the padded ones
-    between them.  A padded atom has weight 0 and an empty interval (its
-    seller at 1 or its buyer at 0), so it adds +0.0 to a non-negative sum
-    and no in-interval term to the sorted-row path, and every exact value
-    is bitwise the one from that instance's product_joint alone.
+    expected_fgft_at call on the K = 1000 grid takes the product atoms as
+    (100, 25) per-row atoms from core.product_joint_rows, whose one-row
+    case is product_joint: seller value i and buyer value j at column
+    5i + j, so each instance's atoms keep product_joint's order, with the
+    padded ones between them.  A padded atom has weight 0 and an empty
+    interval (its seller at 1 or its buyer at 0), so it adds +0.0 to a
+    non-negative sum and no in-interval term to the sorted-row path, and
+    every exact value is bitwise the one from that instance's
+    product_joint alone.  K = 10 and K = 100 read every 100th and 10th
+    column of that table: i/K and (1000/K)i/1000 are the same correctly
+    rounded double, and each price's mean is its own sum.
     """
 
     def body():
@@ -185,10 +188,10 @@ def suite_sandwich() -> list:
         seller_values[seller_weights == 0.0] = 1.0
         buyer_values[buyer_weights == 0.0] = 0.0
         atoms = product_joint_rows(seller_values, seller_weights, buyer_values, buyer_weights)
-        worst = 0.0
+        worst, fine = 0.0, kernels.expected_fgft_at(np.arange(1, 1001, dtype=np.float64) / 1000, *atoms)
         for K in (10, 100, 1000):
             grid = np.arange(1, K + 1, dtype=np.float64) / K
-            exact = kernels.expected_fgft_at(grid, *atoms)
+            exact = fine[:, 1000 // K - 1 :: 1000 // K]
             R = max(1, kernels.BLOCK // K)
             for r in range(0, 100, R):
                 sv, sw, bv, bw = (x[r : r + R] for x in (seller_values, seller_weights, buyer_values, buyer_weights))

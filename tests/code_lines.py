@@ -6,9 +6,12 @@ through it, unless that token is a docstring (the string that opens a
 module, class or function body).  So a line holding code and a trailing
 comment counts, and every line of a multi-line expression counts.
 
-Usage: ``python tests/code_lines.py [PATH ...]`` prints the count of each
-module under each PATH (a file or a directory, default ``src/fairtrade``)
-and their total.
+Usage: ``python tests/code_lines.py [--against DIR] [PATH ...]`` prints
+the count of each module under each PATH (a file or a directory, default
+``src/fairtrade``) and their total.  With ``--against DIR``, each relative
+PATH is also read under DIR, another checkout of the repository, and every
+module of either tree gets one row: its count in DIR, its count here and
+the difference, 0 where a tree lacks it.
 """
 
 from __future__ import annotations
@@ -59,14 +62,35 @@ def _modules(path: Path) -> list:
     return sorted(path.rglob("*.py")) if path.is_dir() else [path]
 
 
+def _counts(root: Path, paths: list) -> dict:
+    """{module as a path under PATH: its code lines} of the modules under
+    root / PATH, for each PATH of ``paths`` that root has."""
+    return {
+        path / module.relative_to(root / path): count_code_lines(module.read_text(encoding="utf-8"))
+        for path in paths
+        if (root / path).exists()
+        for module in _modules(root / path)
+    }
+
+
 def main(argv: list) -> int:
-    total = 0
-    for path in [Path(arg) for arg in argv] or [Path("src/fairtrade")]:
-        for module in _modules(path):
-            n = count_code_lines(module.read_text(encoding="utf-8"))
+    against = None
+    if argv[:1] == ["--against"]:
+        against, argv = Path(argv[1]), argv[2:]
+    paths = [Path(arg) for arg in argv] or [Path("src/fairtrade")]
+    here = _counts(Path("."), paths)
+    if against is None:
+        for module, n in here.items():
             print(f"{n:6d}  {module}")
-            total += n
-    print(f"{total:6d}  total")
+        print(f"{sum(here.values()):6d}  total")
+        return 0
+    there = _counts(against, paths)
+    print(f"{'before':>6}  {'after':>6}  {'diff':>6}  module")
+    for module in sorted(set(here) | set(there)):
+        old, new = there.get(module, 0), here.get(module, 0)
+        print(f"{old:6d}  {new:6d}  {new - old:+6d}  {module}")
+    old, new = sum(there.values()), sum(here.values())
+    print(f"{old:6d}  {new:6d}  {new - old:+6d}  total")
     return 0
 
 

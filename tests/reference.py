@@ -13,7 +13,8 @@ package's kernels and fast paths against these:
   every index of every row;
 * expected_fgft and expected_gft, exact atom sums at one price, which
   kernels.expected_fgft_at and core.best_fixed_price_gft evaluate on price
-  arrays;
+  arrays, and best_fixed_price_gft, the gft oracle as one loop over a
+  joint's atoms, which core.best_fixed_price_gft_rows computes for rows;
 * epsilon_family_fgft, the eps family's closed-form mean reward at one
   price, piece by piece, which environments.epsilon_family_expected_fgft
   evaluates on price arrays;
@@ -45,9 +46,10 @@ from fairtrade.core import (
     fgft,
     fgft_candidates,
     fgft_vector,
+    sorted_distinct,
 )
 from fairtrade.environments import Environment
-from fairtrade.harness import _PROFILES, Trajectory, _EnvTables, _PointMasses, _price_profiles, _profile_regret
+from fairtrade.harness import _PROFILES, Trajectory, _EnvTables, _price_profiles, _profile_regret
 from fairtrade.rng import _count
 
 
@@ -118,6 +120,24 @@ def expected_gft(dist: FiniteJointDistribution, p: float) -> float:
     for s, b, w in zip(dist.sellers, dist.buyers, dist.weights):
         total += w * gft(p, s, b)
     return total
+
+
+def best_fixed_price_gft(dist: FiniteJointDistribution) -> PricePoint:
+    """Smallest maximizer of expected gft, by one loop over the atoms.
+
+    The candidates are the distinct jump points (0, 1 and the atom
+    coordinates) and the midpoints of consecutive ones.  Every candidate's
+    expected gft adds the atoms' terms in listing order, from 0.0; the
+    first argmax of the sorted candidates is the smallest maximizer.
+    core.best_fixed_price_gft_rows computes this for rows of atoms.
+    """
+    jumps = sorted_distinct(np.concatenate([[0.0, 1.0], dist.sellers, dist.buyers]))
+    cands = sorted_distinct(np.concatenate([jumps, (jumps[:-1] + jumps[1:]) / 2.0]))
+    vals = np.zeros(cands.size, dtype=np.float64)
+    for s, b, w in zip(dist.sellers, dist.buyers, dist.weights):
+        vals += w * np.where((s <= cands) & (cands <= b), b - s, 0.0)
+    i = int(np.argmax(vals))
+    return PricePoint(float(cands[i]), float(vals[i]))
 
 
 def epsilon_family_fgft(eps: float, p: float) -> float:
@@ -212,7 +232,7 @@ def deterministic_price_profile(spec: LearnerSpec, horizon: int, pair) -> tuple:
         raise ValueError(f"no price profile for {spec.learner_id!r}: it is randomized or needs full feedback")
     sellers, buyers = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in pair))
     shape, sellers, buyers = sellers.shape, sellers.ravel(), buyers.ravel()
-    T, masses = _count(horizon, "horizon"), _PointMasses(sellers, buyers)
+    T, masses = _count(horizon, "horizon"), _EnvTables(points=(sellers, buyers))
     explore, tail, tail_len = price_profile(spec, masses, T, range(sellers.size))
     explore = np.broadcast_to(explore, tail.shape + explore.shape[1:])  # one row per point
     if not shape:

@@ -46,7 +46,7 @@ def test_acceptance(index, suite, budget, capsys):
     n_pass = sum(row.passed for row in rows)
     with capsys.disabled():
         print(
-            f"{'PASS' if ok else 'FAIL'} [{index:2d}/10] {suite}: "
+            f"{'PASS' if ok else 'FAIL'} [{index:2d}/{len(ACCEPTANCE)}] {suite}: "
             f"{n_pass}/{len(rows)} checks, {elapsed:.3f}s (budget {budget:g}s)"
         )
 

@@ -45,3 +45,22 @@ def test_main_prints_each_module_and_the_total(tmp_path, capsys):
     assert code_lines.main([str(tmp_path)]) == 0
     counts = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
     assert counts == ["9", "1", "10"]
+
+
+def test_against_prints_both_trees_and_the_difference(tmp_path, capsys, monkeypatch):
+    # a module in both trees, one only in the new tree and one only in the old
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root, files in ((old, {"a.py": SAMPLE, "gone.py": "x = 1\ny = 2\n"}), (new, {"a.py": "x = 1\n", "b.py": SAMPLE})):
+        (root / "pkg").mkdir(parents=True)
+        for name, text in files.items():
+            (root / "pkg" / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(new)
+    assert code_lines.main(["--against", str(old), "pkg"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [
+        ["before", "after", "diff", "module"],
+        ["9", "1", "-8", "pkg/a.py"],
+        ["0", "9", "+9", "pkg/b.py"],
+        ["2", "0", "-2", "pkg/gone.py"],
+        ["11", "10", "-1", "total"],
+    ]

@@ -13,6 +13,7 @@ from fairtrade.core import (
     best_fixed_price_fgft,
     best_fixed_price_fgft_rows,
     best_fixed_price_gft,
+    best_fixed_price_gft_rows,
     fgft,
     fgft_candidate_rows,
     fgft_candidates,
@@ -24,6 +25,7 @@ from fairtrade.core import (
 )
 from fairtrade.environments import deterministic, epsilon_family, gft_trap, lb_mu, lb_nu
 from fairtrade.kernels import expected_fgft_at
+from reference import best_fixed_price_gft as gft_atom_loop
 from reference import (
     discrete_convolution_score,
     empirical_best_price,
@@ -375,6 +377,29 @@ def test_row_oracle_is_the_joint_oracle_bitwise(joints, extra):
     for price, value, dist in zip(prices, values, dists):
         best = best_fixed_price_fgft(dist)
         assert (price.hex(), value.hex()) == (best.price.hex(), best.value.hex()) == _breakpoint_oracle(dist)
+
+
+# joints on the k/8 grid, both zeros among the coordinates, with weights of
+# three sizes, so that gft levels and prices tie
+_EIGHTHS = st.sampled_from([k / 8 for k in range(9)] + [-0.0])
+_GRID_JOINTS = st.lists(
+    st.lists(
+        st.tuples(st.tuples(_EIGHTHS, _EIGHTHS), st.sampled_from([1.0, 2.0, 3.0])),
+        min_size=1, max_size=6, unique_by=lambda atom: (atom[0][0] + 0.0, atom[0][1] + 0.0),
+    ),
+    min_size=1, max_size=5,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_GRID_JOINTS, _JOINTS), st.integers(0, 2))
+def test_gft_row_oracle_is_the_atom_loop_bitwise(joints, extra):
+    # padded rows of mixed atom counts against one loop over each joint's atoms
+    rows, dists = _oracle_rows(joints, max(map(len, joints)) + extra)
+    prices, values = best_fixed_price_gft_rows(*rows)
+    for price, value, dist in zip(prices, values, dists):
+        best, want = best_fixed_price_gft(dist), gft_atom_loop(dist)
+        assert (price.hex(), value.hex()) == (best.price.hex(), best.value.hex()) == (want.price.hex(), want.value.hex())
 
 
 def test_row_oracle_breaks_a_flat_top_to_the_smallest_price():

@@ -19,7 +19,7 @@ from fairtrade.algorithms import (
     default_grid_size,
     parse_learner,
 )
-from fairtrade.core import FiniteJointDistribution, ValuationPair, best_fixed_price_fgft
+from fairtrade.core import FiniteJointDistribution, ValuationPair, best_fixed_price_fgft, gft_candidates
 from fairtrade.environments import (
     FEEDBACK_OUTCOMES,
     Environment,
@@ -40,7 +40,6 @@ from fairtrade.harness import (
     _PROFILES,
     _ROUND_GAPS,
     _EnvTables,
-    _PointMasses,
     _episode_regrets,
     _price_profiles,
     _profile_regret,
@@ -224,6 +223,10 @@ _PATH_ENVS = {
     "random-joint-303": lambda: parse_env("random-joint:seed=303"),
 }
 
+# one-atom environments: a row of one atom lands on it every round, so the
+# fast path of every _PROFILES kind broadcasts it and draws nothing
+_ONE_ATOM_ENVS = ("det:s=0.2,b=0.8", "det:s=0.5,b=0.5", "det:s=0.7,b=0.3")
+
 _FBEP_FLAT_TOP = pytest.mark.xfail(
     strict=True,
     reason="fbep_prices also scores candidates of atoms not yet sampled; on a flat top "
@@ -245,6 +248,9 @@ def _path_cases():
             yield from (pytest.param(env_name, "fbep", T) for T in (2500, 5000))
         for T in range(2, 8):  # 2N+1 > T posts 1/2 throughout; T=7 is the first N > 0
             yield pytest.param(env_name, "dbs", T)
+    for env_id in _ONE_ATOM_ENVS:
+        for kind in _PROFILES:
+            yield from (pytest.param(env_id, {"fixed": "fixed:p=0.3"}.get(kind, kind), T) for T in (1, 7, 300))
 
 
 def _scored_profile(tables, explore, tail, tail_len):
@@ -274,13 +280,16 @@ def _kernel_path(spec, tables, T, seed):
 
 
 @pytest.mark.parametrize("env_name,learner_id,T", list(_path_cases()))
-def test_fast_path_prices_match_reference_bitwise(env_name, learner_id, T):
-    cfg = RunConfig(
-        env=_PATH_ENVS[env_name](), learner=parse_learner(learner_id), horizons=(T,), base_seed=11
-    )
+def test_fast_path_prices_match_reference_bitwise(monkeypatch, env_name, learner_id, T):
+    env = _PATH_ENVS[env_name]() if env_name in _PATH_ENVS else parse_env(env_name)
+    cfg = RunConfig(env=env, learner=parse_learner(learner_id), horizons=(T,), base_seed=11)
+    draws = []
+    for module in (harness, kernels):
+        _count_calls(monkeypatch, module, "draw_rows", draws)
     tables = _EnvTables(cfg.env)
-    for e in range(3):
-        kernel_path = _kernel_path(cfg.learner, tables, T, mix64(cfg.base_seed, e))
+    kernel_paths = [_kernel_path(cfg.learner, tables, T, mix64(cfg.base_seed, e)) for e in range(3)]
+    assert env_name not in _ONE_ATOM_ENVS or draws == []
+    for e, kernel_path in enumerate(kernel_paths):
         assert np.array_equal(run_episode(cfg, e).prices, kernel_path), e
 
 
@@ -308,7 +317,7 @@ def test_monte_carlo_curves_share_draws_across_horizons():
 
 def _assert_horizon_split_invariant(learners, horizons, n_episodes=3):
     # a nested run reports at each horizon exactly what a run at that horizon alone does
-    for env_id in ("lb-mu", "eps-family:eps=0.2", "random-joint:seed=303"):
+    for env_id in ("lb-mu", "eps-family:eps=0.2", "random-joint:seed=303", *_ONE_ATOM_ENVS):
         for learner_id in learners:
             spec = parse_learner(learner_id)
             cfg = RunConfig(parse_env(env_id), spec, horizons, n_episodes=n_episodes, base_seed=11)
@@ -390,8 +399,8 @@ def test_profile_learners_draw_and_explore_once_per_run(monkeypatch):
 
 
 def test_gft_oracle_searches_its_price_once_per_run(monkeypatch):
-    # RunConfig's check builds the learner, and the run's profile needs the
-    # same price: the joint keeps the one search
+    # RunConfig's check builds the learner, and the joint keeps its one
+    # search; the run's tables score the same rows oracle themselves
     calls = []
     search = core.best_fixed_price_gft
 
@@ -743,7 +752,7 @@ def test_profile_regret_over_horizons_matches_each_horizon(learner, pairs, block
         patch.setattr(harness, "POINT_BLOCK", block)
         regrets = profile_regret(spec, hs, (sellers, buyers))
     assert regrets.shape == (len(hs), len(pairs))
-    masses = _PointMasses(sellers, buyers)
+    masses = _EnvTables(points=(sellers, buyers))
     for T, row in zip(hs, regrets):
         want = _scored_profile(masses, *price_profile(spec, masses, T, range(len(pairs))))
         assert np.array_equal(row, want), T
@@ -758,13 +767,21 @@ def test_point_mass_v_star_is_the_candidate_columns_max_on_the_dbs_grid():
     # each point's own {0, 1, s, b, (s+b)/2} columns, and each point's joint oracle
     grid = np.linspace(0.0, 1.0, 65)
     sellers, buyers = (a.ravel() for a in np.meshgrid(grid, grid))
-    masses = _PointMasses(sellers, buyers)
+    masses = _EnvTables(points=(sellers, buyers))
     mids = (sellers + buyers) / 2.0
     cands = np.column_stack([np.zeros_like(mids), np.ones_like(mids), sellers, buyers, mids])
     columns = kernels.expected_fgft_at(cands, sellers[:, None], buyers[:, None], np.ones((sellers.size, 1)))
     assert masses.v_star.tobytes() == np.max(columns, axis=1).tobytes()
     for i in range(0, sellers.size, 97):
         assert masses.v_star[i] == best_fixed_price_fgft(deterministic(sellers[i], buyers[i]).joint).value
+
+
+def test_point_mass_gft_price_is_the_closed_form_on_the_dbs_grid():
+    # the row oracle posts s when s < b, else the smallest price 0, bitwise
+    grid = np.linspace(0.0, 1.0, 65)
+    sellers, buyers = (a.ravel() for a in np.meshgrid(grid, grid))
+    masses = _EnvTables(points=(sellers, buyers))
+    assert masses.gft_price.tobytes() == np.where(sellers < buyers, sellers, 0.0).tobytes()
 
 
 def test_profile_regret_over_horizons_keeps_the_pair_shape():
@@ -981,12 +998,18 @@ def test_sweep_over_horizons_gives_one_report_per_horizon():
 # ---------------------------------------------------------------------------
 
 
+def _pair_prices(mu, nu) -> tuple:
+    """The prices the check compares the pair's laws at: gft_candidates of the union of their atoms."""
+    sellers, buyers = (np.concatenate([getattr(env.joint, side) for env in (mu, nu)]) for side in ("sellers", "buyers"))
+    return tuple(gft_candidates(sellers, buyers).tolist())
+
+
 def test_indistinguishability_check_passes():
     report = indistinguishability_check(horizon=512)
     assert report.tables_equal
     assert report.max_table_gap == 0.0
     assert report.coupled_trajectories_equal
-    assert report.prices_checked == (0.0, 0.1875, 0.375, 0.5, 0.625, 0.8125, 1.0)
+    assert _pair_prices(lb_mu(), lb_nu()) == (0.0, 0.1875, 0.375, 0.5, 0.625, 0.8125, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -1014,7 +1037,7 @@ def test_indistinguishability_check_measures_the_gap_of_a_moved_atom(monkeypatch
     MUTATIONS["lb-nu-moves-an-atom"][1](monkeypatch)
     report = indistinguishability_check(horizon=64)
     mu, nu, want = lb_mu(), harness.lb_nu(), 0.0
-    for p in report.prices_checked:
+    for p in _pair_prices(mu, nu):
         t_mu, t_nu = feedback_distribution(mu, p), feedback_distribution(nu, p)
         for outcome in FEEDBACK_OUTCOMES:
             want = max(want, abs(t_mu[outcome] - t_nu[outcome]))

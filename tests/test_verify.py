@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fairtrade import core, harness, kernels, verify
-from fairtrade.core import FiniteJointDistribution, best_fixed_price_fgft, fgft_candidates
+from fairtrade.core import FiniteJointDistribution, best_fixed_price_fgft, best_fixed_price_fgft_rows, fgft_candidates
 from fairtrade.environments import Environment, epsilon_family, random_marginal
 from fairtrade.verify import (
     SUITE_ORDER,
@@ -134,7 +134,10 @@ def _oracle_returns_second_best(monkeypatch):
 
 
 def _gft_oracle_posts_the_fgft_optimum(monkeypatch):
-    monkeypatch.setattr(core, "best_fixed_price_gft", best_fixed_price_fgft)
+    # the joint oracle is the row oracle's one-row case, and the harness's
+    # tables call the row oracle, so both take the mutation
+    for module in (core, harness):
+        monkeypatch.setattr(module, "best_fixed_price_gft_rows", best_fixed_price_fgft_rows)
 
 
 def _lb_nu_moves_an_atom(monkeypatch):
